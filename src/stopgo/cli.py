@@ -16,6 +16,7 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .stability import (
     GainGridSpec,
     LinearizedHdv,
     _default_gain_axis,
+    delay_margin,
     hdv_gain_sq,
     linearize_hdv,
     numeric_critical_frequency,
@@ -52,6 +54,7 @@ from .trajectory_io import (
     build_trajectories,
     generate_synthetic_pair,
     pair_leader_follower,
+    pair_index,
     pairs_from_index,
     parse_ngsim_csv,
     read_canonical_csv,
@@ -185,8 +188,7 @@ def cmd_ingest(args) -> int:
             "units": args.units if args.input != "synthetic" else "meters",
         },
     )
-    flags = {"units": args.units, "seed": args.seed, "noise": args.noise}
-    _write_manifest(out, "ingest", flags, inputs, args.seed, started)
+    _write_manifest(out, "ingest", _stage_flags(args, "ingest"), inputs, args.seed, started)
     return EXIT_OK
 
 
@@ -239,7 +241,7 @@ def cmd_smooth(args) -> int:
             "t_a": cfg.t_a,
         },
     )
-    flags = {"tx": args.tx, "tv": args.tv, "ta": args.ta}
+    flags = _stage_flags(args, "smooth")
     _write_manifest(out, "smooth", flags, {src.name: _sha256_file(src)}, None, started)
     return EXIT_OK
 
@@ -260,15 +262,7 @@ def cmd_pair(args) -> int:
     _write_json(
         out / "pairs.json",
         {
-            "pairs": [
-                {
-                    "leader_id": p.leader.vehicle_id,
-                    "follower_id": p.follower.vehicle_id,
-                    "overlap_start": p.overlap_start,
-                    "overlap_len": p.overlap_len,
-                }
-                for p in pairs
-            ],
+            "pairs": pair_index(pairs),
             "diagnostics": {
                 "rejected_nonpositive": [list(t) for t in diag.rejected_nonpositive],
                 "short_pairs": [list(t) for t in diag.short_pairs],
@@ -276,7 +270,7 @@ def cmd_pair(args) -> int:
             "min_samples": args.min_samples,
         },
     )
-    flags = {"lane": args.lane, "min_samples": args.min_samples}
+    flags = _stage_flags(args, "pair")
     _write_manifest(out, "pair", flags, {src.name: _sha256_file(src)}, None, started)
     return EXIT_OK
 
@@ -293,6 +287,10 @@ def _parse_bounds(raw: str | None, pin_tau: bool) -> dict | None:
             raise UsageError(f"--bounds is not valid JSON: {err}") from None
         if not isinstance(payload, dict):
             raise UsageError("--bounds must be a JSON object of name: [lo, hi]")
+        for name, pair in payload.items():
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(isinstance(v, (int, float)) for v in pair)):
+                raise UsageError(f"--bounds {name} must be a [lo, hi] pair of numbers")
         bounds.update(payload)
     if pin_tau:
         bounds["tau"] = (0.0, 0.0)
@@ -302,6 +300,7 @@ def _parse_bounds(raw: str | None, pin_tau: bool) -> dict | None:
 def cmd_calibrate(args) -> int:
     if args.seed is None:
         raise UsageError("calibrate requires --seed (no silent nondeterminism)")
+    bounds = _parse_bounds(args.bounds, args.pin_tau)
     out = _outdir(args)
     started = _utcnow()
     pairs_path = _resolve_input(args.input, "pairs.json")
@@ -316,7 +315,6 @@ def cmd_calibrate(args) -> int:
         raise DataError("no pairs to calibrate")
     tset = build_trajectories(read_canonical_csv(traj_path))
     pairs = pairs_from_index(entries, tset)
-    bounds = _parse_bounds(args.bounds, args.pin_tau)
 
     results = []
     for i, pair in enumerate(pairs):
@@ -359,20 +357,11 @@ def cmd_calibrate(args) -> int:
             },
         },
     )
-    flags = {
-        "seed": args.seed,
-        "pairs": args.pairs,
-        "population": args.population,
-        "generations": args.generations,
-        "stagnation": args.stagnation,
-        "bounds": args.bounds,
-        "pin_tau": args.pin_tau,
-    }
     inputs = {
         pairs_path.name: _sha256_file(pairs_path),
         traj_path.name: _sha256_file(traj_path),
     }
-    _write_manifest(out, "calibrate", flags, inputs, args.seed, started)
+    _write_manifest(out, "calibrate", _stage_flags(args, "calibrate"), inputs, args.seed, started)
     return EXIT_OK
 
 
@@ -385,6 +374,10 @@ def _freq_grid(args, fallback: dict | None = None) -> FrequencyGrid:
     omega_max = args.omega_max if args.omega_max is not None else fallback.get("omega_max", 1e2)
     points = args.omega_points if args.omega_points is not None else fallback.get("points", 4000)
     return FrequencyGrid(omega_min, omega_max, points)
+
+
+def _grid_flags(grid: FrequencyGrid) -> dict:
+    return {"omega_min": grid.omega_min, "omega_max": grid.omega_max, "omega_points": grid.points}
 
 
 def cmd_stability(args) -> int:
@@ -405,6 +398,7 @@ def cmd_stability(args) -> int:
         eq = EquilibriumSpec(args.v_star, 0.0, dx_star)
         lin = linearize_hdv(theta, eq)
         w0 = numeric_critical_frequency(lin, grid)
+        margin = delay_margin(lin)
         lins.append(lin)
         vehicles.append(
             {
@@ -418,6 +412,8 @@ def cmd_stability(args) -> int:
                 "equilibrium_headway": dx_star,
                 "omega0": w0,
                 "string_stable": w0 == 0.0,
+                "delay_margin": margin,
+                "internally_stable": lin.tau < margin,
             }
         )
     _write_json(
@@ -434,12 +430,7 @@ def cmd_stability(args) -> int:
         },
     )
     shutil.copyfile(src, out / "calibration.json")
-    flags = {
-        "v_star": args.v_star,
-        "omega_min": grid.omega_min,
-        "omega_max": grid.omega_max,
-        "omega_points": grid.points,
-    }
+    flags = _stage_flags(args, "stability", **_grid_flags(grid))
     _write_manifest(out, "stability", flags, {src.name: _sha256_file(src)}, None, started)
     return EXIT_OK
 
@@ -463,11 +454,14 @@ def _parse_gain_grid(raw: str | None) -> GainGridSpec:
                 lo, hi, step = (float(v) for v in payload[name])
             except (TypeError, ValueError):
                 raise UsageError(f"--gain-grid {name} must be [lo, hi, step]") from None
+            if not (step > 0 and hi >= lo):
+                raise UsageError(f"--gain-grid {name} needs step > 0 and hi >= lo")
             axes[f"{name}_values"] = _default_gain_axis(lo, hi, step)
     return GainGridSpec(**axes)
 
 
 def cmd_optimize_gains(args) -> int:
+    gspec = _parse_gain_grid(args.gain_grid)
     out = _outdir(args)
     started = _utcnow()
     src = _resolve_input(args.input, "stability.json")
@@ -485,7 +479,6 @@ def cmd_optimize_gains(args) -> int:
     mid = 0.5 * (args.headway_min + args.headway_max)
     lam3 = args.lambda3 if args.lambda3 is not None else mid - lam2 * v_star
     eq = EquilibriumSpec(v_star, lam2, lam3)
-    gspec = _parse_gain_grid(args.gain_grid)
     fgrid = _freq_grid(args, doc.get("omega_grid"))
 
     res = optimize_gains(
@@ -520,18 +513,7 @@ def cmd_optimize_gains(args) -> int:
     calib_src = src.parent / "calibration.json"
     if calib_src.exists():
         shutil.copyfile(calib_src, out / "calibration.json")
-    flags = {
-        "headway_min": args.headway_min,
-        "headway_max": args.headway_max,
-        "beta": args.beta,
-        "lambda2": args.lambda2,
-        "lambda3": args.lambda3,
-        "platoon": args.platoon,
-        "gain_grid": args.gain_grid,
-        "omega_min": fgrid.omega_min,
-        "omega_max": fgrid.omega_max,
-        "omega_points": fgrid.points,
-    }
+    flags = _stage_flags(args, "optimize-gains", **_grid_flags(fgrid))
     _write_manifest(out, "optimize-gains", flags, {src.name: _sha256_file(src)}, None, started)
     return EXIT_OK
 
@@ -677,10 +659,6 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- pipeline
 
 
-def _ns(**kw) -> argparse.Namespace:
-    return argparse.Namespace(**kw)
-
-
 def cmd_pipeline(args) -> int:
     if args.seed is None:
         raise UsageError("pipeline requires --seed (the calibrate stage is randomized)")
@@ -694,91 +672,133 @@ def cmd_pipeline(args) -> int:
     else:
         inputs = {"input": "synthetic"}
 
-    stages = [
-        (
-            "01_ingest",
-            cmd_ingest,
-            lambda d: _ns(
-                input=args.input, out=str(d), units=args.units, seed=args.seed,
-                noise=args.noise,
-            ),
-        ),
-        (
-            "02_smooth",
-            cmd_smooth,
-            lambda d: _ns(
-                input=str(out / "01_ingest"), out=str(d), tx=args.tx, tv=args.tv,
-                ta=args.ta,
-            ),
-        ),
-        (
-            "03_pair",
-            cmd_pair,
-            lambda d: _ns(
-                input=str(out / "02_smooth"), out=str(d), lane=args.lane,
-                min_samples=args.min_samples,
-            ),
-        ),
-        (
-            "04_calibrate",
-            cmd_calibrate,
-            lambda d: _ns(
-                input=str(out / "03_pair"), out=str(d), seed=args.seed,
-                pairs=args.pairs, population=args.population,
-                generations=args.generations, stagnation=args.stagnation,
-                bounds=args.bounds, pin_tau=args.pin_tau,
-            ),
-        ),
-        (
-            "05_stability",
-            cmd_stability,
-            lambda d: _ns(
-                input=str(out / "04_calibrate"), out=str(d), v_star=args.v_star,
-                omega_min=args.omega_min, omega_max=args.omega_max,
-                omega_points=args.omega_points,
-            ),
-        ),
-        (
-            "06_gains",
-            cmd_optimize_gains,
-            lambda d: _ns(
-                input=str(out / "05_stability"), out=str(d),
-                headway_min=args.headway_min, headway_max=args.headway_max,
-                beta=args.beta, lambda2=args.lambda2, lambda3=args.lambda3,
-                platoon=args.platoon, gain_grid=args.gain_grid,
-                omega_min=args.omega_min, omega_max=args.omega_max,
-                omega_points=args.omega_points,
-            ),
-        ),
-        (
-            "07_validate",
-            cmd_simulate,
-            lambda d: _ns(
-                input=str(out / "06_gains"), out=str(d), platoon=None,
-                duration=args.duration, dt=args.dt, amplitude=args.amplitude,
-                omega=args.omega, profile=args.profile,
-                omega_min=args.omega_min, omega_max=args.omega_max,
-                omega_points=args.omega_points,
-            ),
-        ),
-    ]
-
+    pipeline_flags = _pipeline_flags()
     rc = EXIT_OK
+    stage_input = args.input
     try:
-        for name, fn, make in stages:
-            rc = fn(make(out / name))
+        for stage in STAGES:
+            stage_out = out / stage.dirname
+            ns = argparse.Namespace(input=stage_input, out=str(stage_out))
+            for flag in stage.flags:
+                # a flag the pipeline declares differently (simulate's
+                # --platoon) keeps the stage's own default
+                shared = pipeline_flags[flag.dest] is flag
+                setattr(ns, flag.dest, getattr(args, flag.dest) if shared else flag.kwargs["default"])
+            rc = _handler(stage.name)(ns)
             if rc != EXIT_OK:
                 break
+            stage_input = str(stage_out)
     finally:
-        flags = {
-            k: v for k, v in vars(args).items()
-            if k not in ("input", "out", "func")
-        }
+        flags = {k: v for k, v in vars(args).items() if k not in ("input", "out", "func")}
         _write_manifest(out, "pipeline", flags, inputs, args.seed, started)
     return rc
 
 
 # ---------------------------------------------------------------- parser
+
+
+class _Flag:
+    """One option, declared once and added to every parser that takes it."""
+
+    def __init__(self, option: str, **kwargs):
+        self.option = option
+        self.kwargs = kwargs
+        self.dest = option.lstrip("-").replace("-", "_")
+
+
+class Stage(NamedTuple):
+    name: str  # subcommand
+    dirname: str  # directory under a pipeline's --out
+    help: str
+    flags: tuple
+
+
+_SEED = _Flag("--seed", type=int, default=None,
+              help="rng seed (required by calibrate and pipeline; seeds synthetic noise)")
+_OMEGA_GRID = (
+    _Flag("--omega-min", type=float, default=None, help="frequency grid floor (rad/s)"),
+    _Flag("--omega-max", type=float, default=None, help="frequency grid ceiling (rad/s)"),
+    _Flag("--omega-points", type=int, default=None, help="frequency grid size"),
+)
+
+# In run order: pipeline feeds each stage's directory to the next one.
+STAGES = (
+    Stage("ingest", "01_ingest", "read raw trajectories into the canonical schema", (
+        _Flag("--units", choices=("feet", "meters"), default="feet",
+              help="units of the raw file (default feet)"),
+        _SEED,
+        _Flag("--noise", type=float, default=0.0,
+              help="uniform position noise half-width for synthetic data (m)"),
+    )),
+    Stage("smooth", "02_smooth", "denoise positions and rebuild speeds/accelerations", (
+        _Flag("--tx", type=float, default=0.5, help="position kernel width (s)"),
+        _Flag("--tv", type=float, default=1.0, help="speed kernel width (s)"),
+        _Flag("--ta", type=float, default=4.0, help="acceleration kernel width (s)"),
+    )),
+    Stage("pair", "03_pair", "extract leader-follower calibration windows", (
+        _Flag("--lane", type=int, default=None, help="restrict to one lane id"),
+        _Flag("--min-samples", type=int, default=600,
+              help="overlap length below which a pair is flagged short"),
+    )),
+    Stage("calibrate", "04_calibrate", "fit car-following parameters per pair", (
+        _SEED,
+        _Flag("--pairs", type=int, default=None, help="calibrate only the first N pairs"),
+        _Flag("--population", type=int, default=50),
+        _Flag("--generations", type=int, default=1000),
+        _Flag("--stagnation", type=int, default=100),
+        _Flag("--bounds", default=None, help='JSON parameter box overrides, e.g. {"alpha": [1, 5]}'),
+        _Flag("--pin-tau", action="store_true", help="fix the reaction delay at zero"),
+    )),
+    Stage("stability", "05_stability", "linearize calibrated models and find critical frequencies", (
+        _Flag("--v-star", type=float, default=12.0, help="equilibrium speed (m/s)"),
+        *_OMEGA_GRID,
+    )),
+    Stage("optimize-gains", "06_gains", "search controller gains maximizing stabilized vehicles", (
+        _Flag("--headway-min", type=float, default=10.0, help="safe headway floor (m)"),
+        _Flag("--headway-max", type=float, default=30.0, help="safe headway ceiling (m)"),
+        _Flag("--beta", type=float, default=3.0, help="disturbance amplitude (m)"),
+        _Flag("--lambda2", type=float, default=0.0, help="controller headway-speed slope (s)"),
+        _Flag("--lambda3", type=float, default=None,
+              help="controller headway offset (m); default centers the safe band"),
+        _Flag("--platoon", type=int, default=20,
+              help="followers behind the controlled vehicle (fleet cycled)"),
+        _Flag("--gain-grid", default=None, help='JSON axis overrides, e.g. {"k1": [0, 1, 0.05]}'),
+        *_OMEGA_GRID,
+    )),
+    Stage("simulate", "07_validate", "validate designed gains in a platoon simulation", (
+        _Flag("--platoon", type=int, default=None,
+              help="followers behind the controlled vehicle (default from gains.json)"),
+        _Flag("--duration", type=float, default=300.0, help="simulated time (s)"),
+        _Flag("--dt", type=float, default=0.1, help="integration step (s)"),
+        _Flag("--amplitude", type=float, default=1.0, help="leader speed swing (m/s)"),
+        _Flag("--omega", type=float, default=None,
+              help="leader wave frequency (rad/s); default= worst amplified"),
+        _Flag("--profile", choices=("sinusoid", "constant"), default="sinusoid"),
+        *_OMEGA_GRID,
+    )),
+)
+
+
+def _stage_flags(args, subcommand: str, **resolved) -> dict:
+    """A stage's declared flags as parsed, for its manifest; resolved holds
+    the values the stage filled in itself."""
+    stage = next(s for s in STAGES if s.name == subcommand)
+    return {f.dest: getattr(args, f.dest) for f in stage.flags} | resolved
+
+
+def _pipeline_flags() -> dict:
+    """Every stage's flags by dest; the first stage to declare a name owns it,
+    so pipeline's --platoon is the optimize-gains one."""
+    flags = {}
+    for stage in STAGES:
+        for flag in stage.flags:
+            flags.setdefault(flag.dest, flag)
+    return flags
+
+
+def _handler(subcommand: str):
+    # looked up on each call, so a replaced module global takes effect
+    return globals()["cmd_" + subcommand.replace("-", "_")]
 
 
 def build_parser() -> _Parser:
@@ -792,106 +812,15 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"stopgo {__version__}")
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+    pipeline = Stage("pipeline", "", "run every stage in order into one directory tree",
+                     tuple(_pipeline_flags().values()))
+    for stage in (*STAGES, pipeline):
+        p = sub.add_parser(stage.name, help=stage.help)
         p.add_argument("--input", required=True, help="input file, stage directory, or 'synthetic'")
         p.add_argument("--out", required=True, help="output directory")
-        p.set_defaults(func=fn)
-        return p
-
-    p = add("ingest", cmd_ingest, "read raw trajectories into the canonical schema")
-    p.add_argument("--units", choices=("feet", "meters"), default="feet",
-                   help="units of the raw file (default feet)")
-    p.add_argument("--seed", type=int, default=None, help="rng seed for synthetic noise")
-    p.add_argument("--noise", type=float, default=0.0,
-                   help="uniform position noise half-width for synthetic data (m)")
-
-    p = add("smooth", cmd_smooth, "denoise positions and rebuild speeds/accelerations")
-    p.add_argument("--tx", type=float, default=0.5, help="position kernel width (s)")
-    p.add_argument("--tv", type=float, default=1.0, help="speed kernel width (s)")
-    p.add_argument("--ta", type=float, default=4.0, help="acceleration kernel width (s)")
-
-    p = add("pair", cmd_pair, "extract leader-follower calibration windows")
-    p.add_argument("--lane", type=int, default=None, help="restrict to one lane id")
-    p.add_argument("--min-samples", type=int, default=600,
-                   help="overlap length below which a pair is flagged short")
-
-    p = add("calibrate", cmd_calibrate, "fit car-following parameters per pair")
-    p.add_argument("--seed", type=int, default=None, help="rng seed (required)")
-    p.add_argument("--pairs", type=int, default=None, help="calibrate only the first N pairs")
-    p.add_argument("--population", type=int, default=50)
-    p.add_argument("--generations", type=int, default=1000)
-    p.add_argument("--stagnation", type=int, default=100)
-    p.add_argument("--bounds", default=None,
-                   help='JSON parameter box overrides, e.g. {"alpha": [1, 5]}')
-    p.add_argument("--pin-tau", action="store_true", help="fix the reaction delay at zero")
-
-    p = add("stability", cmd_stability, "linearize calibrated models and find critical frequencies")
-    p.add_argument("--v-star", type=float, default=12.0, help="equilibrium speed (m/s)")
-    p.add_argument("--omega-min", type=float, default=None)
-    p.add_argument("--omega-max", type=float, default=None)
-    p.add_argument("--omega-points", type=int, default=None)
-
-    p = add("optimize-gains", cmd_optimize_gains, "search controller gains maximizing stabilized vehicles")
-    p.add_argument("--headway-min", type=float, default=10.0, help="safe headway floor (m)")
-    p.add_argument("--headway-max", type=float, default=30.0, help="safe headway ceiling (m)")
-    p.add_argument("--beta", type=float, default=3.0, help="disturbance amplitude (m)")
-    p.add_argument("--lambda2", type=float, default=0.0, help="controller headway-speed slope (s)")
-    p.add_argument("--lambda3", type=float, default=None,
-                   help="controller headway offset (m); default centers the safe band")
-    p.add_argument("--platoon", type=int, default=20,
-                   help="followers behind the controlled vehicle (fleet cycled)")
-    p.add_argument("--gain-grid", default=None,
-                   help='JSON axis overrides, e.g. {"k1": [0, 1, 0.05]}')
-    p.add_argument("--omega-min", type=float, default=None)
-    p.add_argument("--omega-max", type=float, default=None)
-    p.add_argument("--omega-points", type=int, default=None)
-
-    p = add("simulate", cmd_simulate, "validate designed gains in a platoon simulation")
-    p.add_argument("--platoon", type=int, default=None,
-                   help="followers behind the controlled vehicle (default from gains.json)")
-    p.add_argument("--duration", type=float, default=300.0, help="simulated time (s)")
-    p.add_argument("--dt", type=float, default=0.1, help="integration step (s)")
-    p.add_argument("--amplitude", type=float, default=1.0, help="leader speed swing (m/s)")
-    p.add_argument("--omega", type=float, default=None,
-                   help="leader wave frequency (rad/s); default= worst amplified")
-    p.add_argument("--profile", choices=("sinusoid", "constant"), default="sinusoid")
-    p.add_argument("--omega-min", type=float, default=None)
-    p.add_argument("--omega-max", type=float, default=None)
-    p.add_argument("--omega-points", type=int, default=None)
-
-    p = add("pipeline", cmd_pipeline, "run every stage in order into one directory tree")
-    p.add_argument("--units", choices=("feet", "meters"), default="feet")
-    p.add_argument("--seed", type=int, default=None, help="rng seed (required)")
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--tx", type=float, default=0.5)
-    p.add_argument("--tv", type=float, default=1.0)
-    p.add_argument("--ta", type=float, default=4.0)
-    p.add_argument("--lane", type=int, default=None)
-    p.add_argument("--min-samples", type=int, default=600)
-    p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--population", type=int, default=50)
-    p.add_argument("--generations", type=int, default=1000)
-    p.add_argument("--stagnation", type=int, default=100)
-    p.add_argument("--bounds", default=None)
-    p.add_argument("--pin-tau", action="store_true")
-    p.add_argument("--v-star", type=float, default=12.0)
-    p.add_argument("--omega-min", type=float, default=None)
-    p.add_argument("--omega-max", type=float, default=None)
-    p.add_argument("--omega-points", type=int, default=None)
-    p.add_argument("--headway-min", type=float, default=10.0)
-    p.add_argument("--headway-max", type=float, default=30.0)
-    p.add_argument("--beta", type=float, default=3.0)
-    p.add_argument("--lambda2", type=float, default=0.0)
-    p.add_argument("--lambda3", type=float, default=None)
-    p.add_argument("--platoon", type=int, default=20)
-    p.add_argument("--gain-grid", default=None)
-    p.add_argument("--duration", type=float, default=300.0)
-    p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--profile", choices=("sinusoid", "constant"), default="sinusoid")
-
+        for flag in stage.flags:
+            p.add_argument(flag.option, **flag.kwargs)
+        p.set_defaults(func=_handler(stage.name))
     return parser
 
 

@@ -220,13 +220,28 @@ def hdv_gain_sq_closed(lin: LinearizedHdv, omega):
     return float(out) if out.ndim == 0 else out
 
 
+def delay_margin(lin: LinearizedHdv) -> float:
+    """Largest reaction delay for which the driver's own loop stays stable.
+
+    The loop gain (K s + k1) e^{-s tau} / s^2 has a magnitude that falls
+    monotonically in omega, so it crosses one once, at
+    omega_c^2 = (K^2 + sqrt(K^4 + 4 k1^2)) / 2; the loop is internally stable
+    for tau < atan2(K omega_c, k1) / omega_c.  Above this margin hdv_gain_sq
+    describes no steady state.
+    """
+    K = lin.k2 + lin.k3 + lin.k1 * lin.lambda2
+    wc = math.sqrt(0.5 * (K * K + math.sqrt(K**4 + 4.0 * lin.k1 * lin.k1)))
+    return math.atan2(K * wc, lin.k1) / wc
+
+
 def cav_gain_sq(g: ControllerGains, lambda2: float, omega):
     """Squared magnitude of the automated vehicle's transfer function
     (position perturbation of its leader to its own, no actuation delay)."""
     w = np.asarray(omega, dtype=float)
     K = g.k2 + g.k3 + g.k1 * lambda2
-    num = g.k1 * g.k1 + w * w * g.k3 * g.k3
-    den = (g.k1 - w * w) ** 2 + w * w * K * K
+    ww = w * w
+    num = g.k1 * g.k1 + ww * g.k3 * g.k3
+    den = (g.k1 - ww) ** 2 + ww * K * K
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / den
     if np.any(w == 0.0):
@@ -255,8 +270,9 @@ def cav_complement_gain_sq(g: ControllerGains, lambda2: float, omega):
     the automated vehicle's headway deviation."""
     w = np.asarray(omega, dtype=float)
     K = g.k2 + g.k3 + g.k1 * lambda2
-    num = w ** 4 + w * w * (g.k2 + g.k1 * lambda2) ** 2
-    den = (g.k1 - w * w) ** 2 + w * w * K * K
+    ww = w * w
+    num = ww * ww + ww * (g.k2 + g.k1 * lambda2) ** 2
+    den = (g.k1 - ww) ** 2 + ww * K * K
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / den
     if np.any(w == 0.0):
@@ -453,7 +469,6 @@ def optimize_gains(
     if not all_stable:
         omegas = fgrid.values(top=w0)
         log_cum = _log_gain_cumsum(lins, omegas)
-        ww = omegas * omegas
         log_eta = math.log(eta)
 
     lam = eq.lambda2
@@ -462,27 +477,15 @@ def optimize_gains(
     for i, k1 in enumerate(k1s):
         for j, k2 in enumerate(k2s):
             for l, k3 in enumerate(k3s):
-                feas = (
-                    k2 * k2
-                    + k1 * k1 * lam * lam
-                    + 2.0 * k2 * k3
-                    + 2.0 * k1 * k2 * lam
-                    + 2.0 * k1 * k3 * lam
-                    - 2.0 * k1
-                ) >= 0.0
-                if not feas:
+                g = ControllerGains(k1, k2, k3)
+                if not cav_string_stable(g, lam):
                     continue
                 if all_stable:
                     st = StabilizedCount.unbounded()
                     sf = StabilizedCount.unbounded()
                 else:
-                    K = k2 + k3 + k1 * lam
-                    den = (k1 - ww) ** 2 + ww * K * K
-                    head_st = 0.5 * np.log((k1 * k1 + ww * k3 * k3) / den)
-                    head_sf = (
-                        0.5 * np.log((ww * ww + ww * (k2 + k1 * lam) ** 2) / den)
-                        - log_eta
-                    )
+                    head_st = 0.5 * np.log(cav_gain_sq(g, lam, omegas))
+                    head_sf = 0.5 * np.log(cav_complement_gain_sq(g, lam, omegas)) - log_eta
                     st = _scan_count(head_st, log_cum, n_veh)
                     sf = _scan_count(head_sf, log_cum, n_veh)
                 stable_grid[i, j, l] = UNBOUNDED_CELL if st.is_unbounded else st.count

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -384,8 +382,9 @@ def pair_leader_follower(
     return pairs, diag
 
 
-def write_pair_index(pairs, path) -> None:
-    index = [
+def pair_index(pairs) -> list[dict]:
+    """JSON-ready index of pairs; pairs_from_index rebuilds them from it."""
+    return [
         {
             "leader_id": p.leader.vehicle_id,
             "follower_id": p.follower.vehicle_id,
@@ -394,11 +393,6 @@ def write_pair_index(pairs, path) -> None:
         }
         for p in pairs
     ]
-    Path(path).write_text(json.dumps(index, indent=1, sort_keys=True) + "\n")
-
-
-def read_pair_index(path) -> list[dict]:
-    return json.loads(Path(path).read_text())
 
 
 def pairs_from_index(index, tset: TrajectorySet) -> list[VehiclePair]:

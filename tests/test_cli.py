@@ -6,7 +6,7 @@ import shutil
 
 import pytest
 
-from stopgo.cli import main
+from stopgo.cli import build_parser, main
 
 # shrink the gain search where a test does not care about the full grid
 FAST_GRID = '{"k1": [0.0, 0.0, 0.05], "k2": [0.1, 1.0, 0.1], "k3": [0.1, 1.0, 0.1]}'
@@ -258,3 +258,56 @@ def test_stage_manifests_written_everywhere(ingested, paired):
         man = _read_json(stage / "manifest.json")
         assert {"subcommand", "config_digest", "tool_version", "rng_seed",
                 "started", "finished"} <= set(man)
+
+
+def test_bounds_value_must_be_a_pair(tmp_path, paired, capsys):
+    rc = run("calibrate", "--input", paired, "--seed", 1, "--bounds", '{"alpha": 5}',
+             "--out", tmp_path / "04")
+    assert rc == 1
+    assert "stopgo: error: --bounds alpha" in capsys.readouterr().err
+
+
+def test_gain_grid_step_must_be_positive(chain, tmp_path, capsys):
+    rc = run("optimize-gains", "--input", chain / "05", "--gain-grid", '{"k1": [0, 1, 0]}',
+             "--out", tmp_path / "06")
+    assert rc == 1
+    assert "stopgo: error: --gain-grid k1" in capsys.readouterr().err
+
+
+STAGES = ("ingest", "smooth", "pair", "calibrate", "stability", "optimize-gains", "simulate")
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_pipeline_flag_defaults_match_each_stage(stage):
+    parser = build_parser()
+    io = ["--input", "in", "--out", "out"]
+    own = vars(parser.parse_args([stage, *io]))
+    piped = vars(parser.parse_args(["pipeline", *io]))
+    names = set(own) - {"input", "out", "func", "subcommand"}
+    if stage == "simulate":
+        # pipeline's --platoon sizes the gain search; validation reads gains.json
+        names.remove("platoon")
+    assert names
+    for name in names:
+        assert piped[name] == own[name], name
+
+
+def test_pipeline_forwards_each_flag_to_its_stage(tmp_path):
+    out = tmp_path / "pipe"
+    rc = run("pipeline", "--input", "synthetic", "--seed", 5, "--tx", 0.6,
+             "--min-samples", 100, "--population", 12, "--generations", 4,
+             "--stagnation", 4, "--v-star", 11.0, "--beta", 2.5, "--omega", 0.5,
+             "--gain-grid", FAST_GRID, "--platoon", 3, "--duration", 30, "--out", out)
+    assert rc == 0
+    assert _read_json(out / "02_smooth" / "smooth_summary.json")["t_x"] == 0.6
+    assert _read_json(out / "03_pair" / "pairs.json")["min_samples"] == 100
+    calib = _read_json(out / "04_calibrate" / "calibration.json")
+    assert calib["ga"]["population_size"] == 12
+    stab = _read_json(out / "05_stability" / "stability.json")
+    assert stab["v_star"] == 11.0
+    for v in stab["vehicles"]:
+        assert v["internally_stable"] == (v["tau"] < v["delay_margin"])
+    gains = _read_json(out / "06_gains" / "gains.json")
+    assert gains["beta"] == 2.5
+    assert gains["platoon"] == 3
+    assert _read_json(out / "07_validate" / "simulate_summary.json")["omega"] == 0.5

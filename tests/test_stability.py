@@ -6,7 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from stopgo.carfollowing import FvdmParams, equilibrium_headway, ov_slope
+from stopgo.carfollowing import (
+    FvdmParams,
+    LinearHdv,
+    PlatoonSpec,
+    SinusoidProfile,
+    equilibrium_headway,
+    ov_slope,
+    simulate_platoon,
+)
+from stopgo.cli import SYNTHETIC_THETA
 from stopgo.stability import (
     INFEASIBLE_CELL,
     UNBOUNDED_CELL,
@@ -21,6 +30,7 @@ from stopgo.stability import (
     cav_gain_sq_complex,
     cav_string_stable,
     critical_frequency,
+    delay_margin,
     hdv_gain_sq,
     hdv_gain_sq_closed,
     linearize_hdv,
@@ -211,6 +221,39 @@ def test_numeric_critical_frequency_is_a_unit_gain_crossing():
     assert w0 > 0.0
     assert hdv_gain_sq(lin, w0 * (1 - 1e-4)) > 1.0
     assert hdv_gain_sq(lin, w0 * (1 + 1e-4)) < 1.0
+
+
+def _synthetic_linearization():
+    dx_star = equilibrium_headway(SYNTHETIC_THETA, 12.0)
+    return linearize_hdv(SYNTHETIC_THETA, EquilibriumSpec(12.0, 0.0, dx_star)), dx_star
+
+
+def test_delay_margin_of_synthetic_driver():
+    lin, _ = _synthetic_linearization()
+    margin = delay_margin(lin)
+    assert margin == pytest.approx(0.4659, abs=1e-4)
+    assert lin.tau > margin  # the built-in driver's 0.5 s delay is past it
+    # at the margin the loop gain is one with phase -pi at the crossover
+    K = lin.k2 + lin.k3
+    wc = math.sqrt(0.5 * (K * K + math.sqrt(K**4 + 4.0 * lin.k1**2)))
+    loop = (1j * wc * K + lin.k1) * np.exp(-1j * wc * margin) / (1j * wc) ** 2
+    assert abs(loop) == pytest.approx(1.0, rel=1e-12)
+    assert loop.real == pytest.approx(-1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("tau, bounded", [(0.4, True), (0.5, False)])
+def test_delay_margin_separates_bounded_from_growing_swing(tau, bounded):
+    lin, dx_star = _synthetic_linearization()
+    assert (tau < delay_margin(lin)) == bounded
+    follower = LinearHdv(lin.k1, lin.k2, lin.k3, 0.0, dx_star, tau)
+    spec = PlatoonSpec((follower,), SinusoidProfile(12.0, 0.4, 0.6), 12.0)
+    trajs = simulate_platoon(spec, 60.0, dt=0.1)
+    tail = trajs[1].speeds[trajs[1].n // 2 :]
+    swing = np.max(np.abs(tail - 12.0))
+    if bounded:
+        assert swing == pytest.approx(0.4, abs=0.05)  # about the leader's swing
+    else:
+        assert swing > 10.0
 
 
 def test_platoon_critical_frequency_minimum_over_unstable():

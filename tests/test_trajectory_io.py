@@ -1,6 +1,8 @@
 """Tests for trajectory parsing, canonical CSV round trips, and pairing."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,12 @@ from stopgo.trajectory_io import (
     VehiclePair,
     build_trajectories,
     generate_synthetic_pair,
+    pair_index,
     pair_leader_follower,
     pairs_from_index,
     parse_ngsim_csv,
     read_canonical_csv,
-    read_pair_index,
     write_canonical_csv,
-    write_pair_index,
 )
 from stopgo.errors import NonpositiveHeadway
 
@@ -204,8 +205,8 @@ def test_pair_index_round_trip(tmp_path):
     tset = build_trajectories(_two_vehicle_records(n=25))
     pairs, _ = pair_leader_follower(tset, min_samples=1)
     path = tmp_path / "pairs.json"
-    write_pair_index(pairs, path)
-    index = read_pair_index(path)
+    path.write_text(json.dumps(pair_index(pairs)))
+    index = json.loads(path.read_text())
     rebuilt = pairs_from_index(index, tset)
     assert len(rebuilt) == 1
     np.testing.assert_array_equal(rebuilt[0].leader.positions, pairs[0].leader.positions)
