@@ -260,16 +260,17 @@ def test_stage_manifests_written_everywhere(ingested, paired):
                 "started", "finished"} <= set(man)
 
 
-def test_bounds_value_must_be_a_pair(tmp_path, paired, capsys):
-    rc = run("calibrate", "--input", paired, "--seed", 1, "--bounds", '{"alpha": 5}',
-             "--out", tmp_path / "04")
+# the flag is checked before the (here missing) input is read
+def test_bounds_value_must_be_a_pair(tmp_path, capsys):
+    rc = run("calibrate", "--input", tmp_path / "missing", "--seed", 1,
+             "--bounds", '{"alpha": 5}', "--out", tmp_path / "04")
     assert rc == 1
     assert "stopgo: error: --bounds alpha" in capsys.readouterr().err
 
 
-def test_gain_grid_step_must_be_positive(chain, tmp_path, capsys):
-    rc = run("optimize-gains", "--input", chain / "05", "--gain-grid", '{"k1": [0, 1, 0]}',
-             "--out", tmp_path / "06")
+def test_gain_grid_step_must_be_positive(tmp_path, capsys):
+    rc = run("optimize-gains", "--input", tmp_path / "missing",
+             "--gain-grid", '{"k1": [0, 1, 0]}', "--out", tmp_path / "06")
     assert rc == 1
     assert "stopgo: error: --gain-grid k1" in capsys.readouterr().err
 
