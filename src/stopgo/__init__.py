@@ -6,6 +6,7 @@ from .calibration import (
     CalibrationResult,
     GaConfig,
     calibrate_ga,
+    calibrate_pairs,
     error_abs,
     error_mixed,
     error_rel,

@@ -5,6 +5,12 @@ initial state; the objective compares simulated to observed headways with a
 mixed relative/absolute error that neither over-weights small headways (as a
 pure relative error does) nor large ones (as a pure absolute error does).
 A real-coded genetic algorithm searches the parameter box.
+
+The GAs of all pairs run in lockstep.  Each pair keeps its own random
+generator, population and stop rule, so its result does not depend on the
+other pairs; but every generation, the populations of all pairs still
+running are integrated in one batched kernel call, each candidate behind
+its own pair's leader.  A pair that has stopped leaves the batch.
 """
 from __future__ import annotations
 
@@ -68,6 +74,12 @@ class GaConfig:
     def __post_init__(self):
         if self.population_size < 2 or self.elitism_count >= self.population_size:
             raise ValueError("population must hold elites plus offspring")
+        if self.elitism_count < 0:
+            raise ValueError("elitism_count must be nonnegative")
+        if self.max_generations < 0:
+            raise ValueError("max_generations must be nonnegative")
+        if self.stagnation_limit < 1:
+            raise ValueError("stagnation_limit must be at least 1")
         if not (0 <= self.crossover_probability <= 1 and 0 <= self.mutation_probability <= 1):
             raise ValueError("probabilities must lie in [0, 1]")
 
@@ -114,22 +126,49 @@ def _snap_tau(pop: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
     np.clip(pop[:, _TAU_IDX], lo[_TAU_IDX], hi[_TAU_IDX], out=pop[:, _TAU_IDX])
 
 
-def _pair_fitness(pop: np.ndarray, pair: VehiclePair) -> np.ndarray:
-    """Mixed error per candidate parameter vector, penalty on any collision."""
+def _simulate(pairs, pops) -> list[np.ndarray]:
+    """Follower positions of every candidate of every pair, from one kernel
+    call: a (pair length, population size) array per pair.
+
+    Leaders shorter than the longest are padded with their last sample;
+    each pair's rows are sliced back to its own length.
+    """
+    n = max(pair.leader.n for pair in pairs)
+
+    def padded(columns):
+        return np.column_stack([np.pad(c, (0, n - len(c)), mode="edge") for c in columns])
+
+    lx = padded([pair.leader.positions for pair in pairs])
+    lv = padded([pair.leader.speeds for pair in pairs])
+    sizes = [pop.shape[0] for pop in pops]
+    x0 = np.repeat([pair.follower.positions[0] for pair in pairs], sizes)
+    v0 = np.repeat([pair.follower.speeds[0] for pair in pairs], sizes)
+    group = np.repeat(np.arange(len(pairs)), sizes)
+    X = simulate_followers_batch(np.vstack(pops), lx, lv, x0, v0, pairs[0].leader.dt,
+                                 group=group)
+    ends = np.cumsum(sizes)
+    return [X[: pair.leader.n, end - size : end]
+            for pair, size, end in zip(pairs, sizes, ends)]
+
+
+def _pair_fitness(pair: VehiclePair, X: np.ndarray) -> np.ndarray:
+    """Mixed error per simulated follower column of X, penalty on any collision."""
     lx = pair.leader.positions
-    lv = pair.leader.speeds
-    x0 = pair.follower.positions[0]
-    v0 = pair.follower.speeds[0]
-    X = simulate_followers_batch(pop, lx, lv, x0, v0, pair.leader.dt)
     data = pair.headways()
-    fits = np.empty(pop.shape[0])
-    for p in range(pop.shape[0]):
+    fits = np.empty(X.shape[1])
+    for p in range(X.shape[1]):
         s_sim = np.ascontiguousarray(lx - X[:, p])
         if s_sim.min() <= 0.0:
             fits[p] = COLLISION_PENALTY
         else:
             fits[p] = error_mixed(s_sim, data)
     return fits
+
+
+def _fitness(pairs, pops) -> list[np.ndarray]:
+    """Mixed error per candidate of each pair's population.  Only the small
+    fitness arrays outlive the call, not the simulated positions."""
+    return [_pair_fitness(pair, X) for pair, X in zip(pairs, _simulate(pairs, pops))]
 
 
 def evaluate_fitness(theta: FvdmParams, pair: VehiclePair) -> float:
@@ -139,57 +178,37 @@ def evaluate_fitness(theta: FvdmParams, pair: VehiclePair) -> float:
     simulated collision (nonpositive headway) returns the fixed penalty.
     Pure function: identical inputs give bit-identical outputs.
     """
-    return float(_pair_fitness(np.asarray(theta.as_array())[None, :], pair)[0])
+    return float(_fitness([pair], [theta.as_array()[None, :]])[0][0])
 
 
-def calibrate_ga(
-    pair: VehiclePair,
-    bounds: dict | None = None,
-    cfg: GaConfig | None = None,
-    seed_individuals=None,
-) -> CalibrationResult:
-    """Fit model parameters to one leader-follower pair with a genetic search.
+class _PairGa:
+    """The GA state of one pair: its generator, population, best and stop rule."""
 
-    Real-coded GA: roulette selection on inverse fitness, uniform crossover,
-    per-gene Gaussian mutation clipped to the bounds, elitism.  Terminates at
-    max_generations or once the best fitness has not improved for
-    stagnation_limit consecutive generations.  Fully deterministic for a
-    given rng seed.
+    def __init__(self, pair: VehiclePair, lo, hi, cfg: GaConfig, seed_individuals):
+        self.pair = pair
+        self.cfg = cfg
+        self.lo, self.hi = lo, hi
+        self.sigma = cfg.mutation_scale * (hi - lo)
+        self.rng = np.random.default_rng(cfg.rng_seed)
+        P = cfg.population_size
+        self.pop = lo + self.rng.random((P, 7)) * (hi - lo)
+        if seed_individuals:
+            for i, theta in enumerate(seed_individuals[:P]):
+                self.pop[i] = theta.as_array()
+        _snap_tau(self.pop, lo, hi)
+        self.fits = None
+        self.best_vec = None
+        self.best_fit = np.inf
+        self.history = []
+        self.generations = 0
+        self.stagnant = 0
+        self.converged_by = None  # set once the pair stops
 
-    Args:
-        pair: observed leader-follower pair (the calibration window).
-        bounds: optional {name: (lo, hi)} overrides nested in the default box.
-        cfg: GA settings; defaults are the standard configuration.
-        seed_individuals: optional FvdmParams injected into the initial
-            population (testing hook).
-
-    Returns:
-        CalibrationResult with the best parameters ever seen.
-    """
-    cfg = cfg or GaConfig()
-    lo, hi = _bounds_arrays(bounds)
-    span = hi - lo
-    sigma = cfg.mutation_scale * span
-    rng = np.random.default_rng(cfg.rng_seed)
-    P = cfg.population_size
-
-    pop = lo + rng.random((P, 7)) * span
-    if seed_individuals:
-        for i, theta in enumerate(seed_individuals[:P]):
-            pop[i] = theta.as_array()
-    _snap_tau(pop, lo, hi)
-
-    fits = _pair_fitness(pop, pair)
-    best_i = int(np.argmin(fits))
-    best_vec = pop[best_i].copy()
-    best_fit = float(fits[best_i])
-    history = [best_fit]
-
-    generations = 0
-    stagnant = 0
-    converged_by = "MaxGenerations"
-    for _ in range(cfg.max_generations):
-        generations += 1
+    def breed(self) -> None:
+        """Replace the scored population by the next generation."""
+        cfg, rng, P = self.cfg, self.rng, self.cfg.population_size
+        pop, fits = self.pop, self.fits
+        self.generations += 1
 
         weights = 1.0 / (fits + _ROULETTE_EPS)
         probs = weights / weights.sum()
@@ -208,46 +227,109 @@ def calibrate_ga(
                 if len(children) >= P:
                     break
                 mmask = rng.random(7) < cfg.mutation_probability
-                noise = rng.standard_normal(7) * sigma
+                noise = rng.standard_normal(7) * self.sigma
                 child = np.where(mmask, child + noise, child)
-                np.clip(child, lo, hi, out=child)
+                np.clip(child, self.lo, self.hi, out=child)
                 children.append(child)
 
-        pop = np.vstack(children)
-        _snap_tau(pop, lo, hi)
-        fits = _pair_fitness(pop, pair)
+        self.pop = np.vstack(children)
+        _snap_tau(self.pop, self.lo, self.hi)
 
+    def score(self, fits: np.ndarray) -> None:
+        """Take the current population's fitness; track the best and the stop rule."""
+        self.fits = fits
         gen_best = float(fits.min())
-        history.append(gen_best)
-        if gen_best < best_fit:
-            best_fit = gen_best
-            best_vec = pop[int(np.argmin(fits))].copy()
-            stagnant = 0
+        self.history.append(gen_best)
+        if self.best_vec is None or gen_best < self.best_fit:
+            self.best_fit = gen_best
+            self.best_vec = self.pop[int(np.argmin(fits))].copy()
+            self.stagnant = 0
         else:
-            stagnant += 1
-        if stagnant >= cfg.stagnation_limit:
-            converged_by = "Stagnation"
-            break
+            self.stagnant += 1
+        if self.stagnant >= self.cfg.stagnation_limit:
+            self.converged_by = "Stagnation"
+        elif self.generations >= self.cfg.max_generations:
+            self.converged_by = "MaxGenerations"
 
-    theta = FvdmParams.from_array(best_vec)
-    lx = pair.leader.positions
-    X = simulate_followers_batch(best_vec[None, :], lx, pair.leader.speeds,
-                                 pair.follower.positions[0], pair.follower.speeds[0],
-                                 pair.leader.dt)
-    s_sim = np.ascontiguousarray(lx - X[:, 0])
-    data = pair.headways()
-    if s_sim.min() <= 0.0:
-        abs_err = rel_err = COLLISION_PENALTY
-    else:
-        abs_err = error_abs(s_sim, data)
-        rel_err = error_rel(s_sim, data)
-    return CalibrationResult(
-        theta=theta,
-        mixed_error=best_fit,
-        abs_error=abs_err,
-        rel_error=rel_err,
-        generations_run=generations,
-        converged_by=converged_by,
-        fitness_history=history,
-        rng_seed=cfg.rng_seed,
-    )
+
+def calibrate_pairs(
+    pairs,
+    bounds: dict | None = None,
+    cfgs=None,
+    seed_individuals=None,
+) -> list[CalibrationResult]:
+    """Fit model parameters to each leader-follower pair with a genetic search.
+
+    Real-coded GA per pair: roulette selection on inverse fitness, uniform
+    crossover, per-gene Gaussian mutation clipped to the bounds, elitism.  A
+    pair stops at max_generations or once its best fitness has not improved
+    for stagnation_limit consecutive generations.  The pairs' GAs run in
+    lockstep, integrating all running populations in one kernel call per
+    generation; each pair draws from its own generator, so its result is
+    the same as when calibrated alone.  Fully deterministic for given rng
+    seeds.
+
+    Args:
+        pairs: observed leader-follower pairs (calibration windows), all
+            sampled at the same time step.
+        bounds: optional {name: (lo, hi)} overrides nested in the default box.
+        cfgs: GA settings, one per pair; defaults are the standard
+            configuration.
+        seed_individuals: optional FvdmParams injected into every pair's
+            initial population (testing hook).
+
+    Returns:
+        One CalibrationResult per pair, with the best parameters ever seen.
+    """
+    pairs = list(pairs)
+    cfgs = [GaConfig()] * len(pairs) if cfgs is None else list(cfgs)
+    if len(cfgs) != len(pairs):
+        raise ValueError(f"{len(pairs)} pairs need {len(pairs)} GA configs, got {len(cfgs)}")
+    if not pairs:
+        return []
+    if len({pair.leader.dt for pair in pairs}) != 1:
+        raise ValueError("pairs must share one sampling step")
+    lo, hi = _bounds_arrays(bounds)
+    gas = [_PairGa(pair, lo, hi, cfg, seed_individuals) for pair, cfg in zip(pairs, cfgs)]
+
+    running = gas
+    while running:
+        fits = _fitness([ga.pair for ga in running], [ga.pop for ga in running])
+        for ga, f in zip(running, fits):
+            ga.score(f)
+        running = [ga for ga in running if ga.converged_by is None]
+        for ga in running:
+            ga.breed()
+
+    finals = _simulate(pairs, [ga.best_vec[None, :] for ga in gas])
+    results = []
+    for ga, X in zip(gas, finals):
+        s_sim = np.ascontiguousarray(ga.pair.leader.positions - X[:, 0])
+        data = ga.pair.headways()
+        if s_sim.min() <= 0.0:
+            abs_err = rel_err = COLLISION_PENALTY
+        else:
+            abs_err = error_abs(s_sim, data)
+            rel_err = error_rel(s_sim, data)
+        results.append(CalibrationResult(
+            theta=FvdmParams.from_array(ga.best_vec),
+            mixed_error=ga.best_fit,
+            abs_error=abs_err,
+            rel_error=rel_err,
+            generations_run=ga.generations,
+            converged_by=ga.converged_by,
+            fitness_history=ga.history,
+            rng_seed=ga.cfg.rng_seed,
+        ))
+    return results
+
+
+def calibrate_ga(
+    pair: VehiclePair,
+    bounds: dict | None = None,
+    cfg: GaConfig | None = None,
+    seed_individuals=None,
+) -> CalibrationResult:
+    """Fit model parameters to one leader-follower pair: calibrate_pairs on
+    that pair alone (see there)."""
+    return calibrate_pairs([pair], bounds, [cfg or GaConfig()], seed_individuals)[0]

@@ -275,38 +275,68 @@ def simulate_follower(
     return Trajectory(vehicle_id, leader.start_frame, x, v, a, vehicle_length, leader.dt)
 
 
-def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT) -> np.ndarray:
-    """Position series for a batch of parameter vectors behind one leader.
+def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
+                             group=None) -> np.ndarray:
+    """Position series for a batch of parameter vectors, each behind its leader.
 
     Vectorizes the integration across parameter sets; used by the calibration
-    loop where thousands of candidate models chase the same leader.  No
-    collision check here; callers inspect the returned headways.
+    loop, where every pair's candidate models advance in one time loop.  Each
+    candidate column follows leader column group[p]; the leader is gathered
+    from the (N, G) arrays per step, never copied out to (N, P).  Row k + 1
+    only reads leader samples up to row k, so a leader shorter than N can be
+    padded with its last sample and its candidates' first rows stay exact.
+    No collision check here; callers inspect the returned headways.
 
     Args:
         thetas: (P, 7) array, columns in PARAM_ORDER.
-        leader_x, leader_v: leader positions/speeds, length N.
-        x0, v0: shared follower initial position and speed.
+        leader_x, leader_v: leader positions/speeds, (N,) for one leader or
+            (N, G) for G leaders.
+        x0, v0: follower initial position and speed, scalars or (P,).
+        group: (P,) leader column of each candidate; required with (N, G)
+            leaders, all zero for one leader.
 
     Returns:
         (N, P) follower positions.
     """
     thetas = np.asarray(thetas, dtype=float)
+    leader_x = np.asarray(leader_x, dtype=float)
+    leader_v = np.asarray(leader_v, dtype=float)
     al, be, bc, bf, vm, m, tau = (thetas[:, i] for i in range(7))
-    n = len(leader_x)
+    if leader_v.shape != leader_x.shape or leader_x.ndim not in (1, 2):
+        raise ValueError("leader positions and speeds must share one (N,) or (N, G) shape")
+    n = leader_x.shape[0]
+    g = 1 if leader_x.ndim == 1 else leader_x.shape[1]
     p = thetas.shape[0]
+    if group is None:
+        if g != 1:
+            raise ValueError("leaders of shape (N, G) need a group per candidate")
+        group = np.zeros(p, dtype=int)
+    group = np.asarray(group, dtype=int)
+    if group.shape != (p,) or (p and not 0 <= group.min() <= group.max() < g):
+        raise ValueError(f"group must hold {p} leader columns in [0, {g})")
+    lx = leader_x.ravel()
+    lv = leader_v.ravel()
     d = np.floor(tau / dt + 0.5).astype(int)
     cols = np.arange(p)
     off = np.tanh(m * (bc - bf))
+    # flat indices of row max(k - d, 0): max(k * width - d * width + col, col)
+    lead0 = group - d * g
+    own0 = cols - d * p
 
     X = np.empty((n, p))
     V = np.empty((n, p))
+    Xf = X.ravel()
+    Vf = V.ravel()
     X[0] = x0
     V[0] = v0
     for k in range(n - 1):
-        jd = np.maximum(k - d, 0)
-        h = leader_x[jd] - X[jd, cols]
+        lead = np.maximum(lead0 + k * g, group)
+        own = np.maximum(own0 + k * p, cols)
+        xd = Xf.take(own)
+        vd = Vf.take(own)
+        h = lx.take(lead) - xd
         vopt = vm * (np.tanh(m * (h - bf)) - off)
-        a = al * (vopt - V[jd, cols]) + be * (leader_v[jd] - V[jd, cols])
+        a = al * (vopt - vd) + be * (lv.take(lead) - vd)
         vn = V[k] + a * dt
         clamp = vn < 0.0
         V[k + 1] = np.where(clamp, 0.0, vn)

@@ -13,7 +13,7 @@ import hashlib
 import json
 import shutil
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .calibration import GaConfig, calibrate_ga
+# calibrate_ga is not called here, but perfbench/tracer.py wraps stopgo.cli.calibrate_ga
+from .calibration import GaConfig, calibrate_ga, calibrate_pairs  # noqa: F401
 from .carfollowing import (
     Cav,
     ConstantProfile,
@@ -300,7 +301,15 @@ def _parse_bounds(raw: str | None, pin_tau: bool) -> dict | None:
 def cmd_calibrate(args) -> int:
     if args.seed is None:
         raise UsageError("calibrate requires --seed (no silent nondeterminism)")
+    if args.pairs is not None and args.pairs < 1:
+        raise UsageError(f"--pairs must be at least 1, got {args.pairs}")
     bounds = _parse_bounds(args.bounds, args.pin_tau)
+    cfg = GaConfig(
+        population_size=args.population,
+        max_generations=args.generations,
+        stagnation_limit=args.stagnation,
+        rng_seed=args.seed,
+    )
     out = _outdir(args)
     started = _utcnow()
     pairs_path = _resolve_input(args.input, "pairs.json")
@@ -316,15 +325,9 @@ def cmd_calibrate(args) -> int:
     tset = build_trajectories(read_canonical_csv(traj_path))
     pairs = pairs_from_index(entries, tset)
 
+    cfgs = [replace(cfg, rng_seed=args.seed + i) for i in range(len(pairs))]
     results = []
-    for i, pair in enumerate(pairs):
-        cfg = GaConfig(
-            population_size=args.population,
-            max_generations=args.generations,
-            stagnation_limit=args.stagnation,
-            rng_seed=args.seed + i,
-        )
-        res = calibrate_ga(pair, bounds=bounds, cfg=cfg)
+    for pair, res in zip(pairs, calibrate_pairs(pairs, bounds=bounds, cfgs=cfgs)):
         lid, fid = pair.leader.vehicle_id, pair.follower.vehicle_id
         hist_path = out / f"fitness_history_{lid}_{fid}.csv"
         with open(hist_path, "w", newline="") as fh:

@@ -9,13 +9,14 @@ from stopgo.calibration import (
     CalibrationResult,
     GaConfig,
     calibrate_ga,
+    calibrate_pairs,
     default_bounds,
     error_abs,
     error_mixed,
     error_rel,
     evaluate_fitness,
 )
-from stopgo.carfollowing import ConstantProfile, FvdmParams
+from stopgo.carfollowing import ConstantProfile, FvdmParams, PiecewiseProfile, SinusoidProfile
 from stopgo.errors import LengthMismatch, NonpositiveHeadway
 from stopgo.trajectory_io import generate_synthetic_pair
 
@@ -157,3 +158,43 @@ def test_result_reports_all_three_errors():
     assert isinstance(res, CalibrationResult)
     assert res.mixed_error >= 0 and res.abs_error >= 0 and res.rel_error >= 0
     assert res.rng_seed == 8
+
+
+@pytest.mark.parametrize("settings", [
+    {"max_generations": -3},
+    {"stagnation_limit": 0},
+    {"elitism_count": -1},
+])
+def test_ga_config_rejects_invalid_settings(settings):
+    with pytest.raises(ValueError):
+        GaConfig(**settings)
+
+
+def test_calibrate_pairs_matches_each_pair_alone():
+    pairs = [
+        generate_synthetic_pair(THETA_TRUE, SinusoidProfile(12.0, 2.0, 0.4), 14.0, 18.0),
+        generate_synthetic_pair(THETA_TRUE, ConstantProfile(12.0), 8.0, 18.0),
+        generate_synthetic_pair(
+            THETA_TRUE, PiecewiseProfile(((0.0, 12.0), (5.0, 8.0))), 11.0, 18.0
+        ),
+    ]
+    assert len({pair.leader.n for pair in pairs}) == 3
+    cfgs = [
+        GaConfig(population_size=12, max_generations=10, stagnation_limit=100, rng_seed=21),
+        GaConfig(population_size=9, max_generations=10, stagnation_limit=1, rng_seed=22),
+        GaConfig(population_size=15, max_generations=10, stagnation_limit=100, rng_seed=23),
+    ]
+    joint = calibrate_pairs(pairs, cfgs=cfgs)
+    # the second pair leaves the batch early, the others run to the end
+    assert [r.converged_by for r in joint] == ["MaxGenerations", "Stagnation", "MaxGenerations"]
+    assert joint[1].generations_run < 10
+    for pair, cfg, res in zip(pairs, cfgs, joint):
+        alone = calibrate_ga(pair, cfg=cfg)
+        assert res.theta == alone.theta
+        assert res.mixed_error == alone.mixed_error
+        assert res.abs_error == alone.abs_error
+        assert res.rel_error == alone.rel_error
+        assert res.fitness_history == alone.fitness_history
+        assert res.generations_run == alone.generations_run
+        assert res.converged_by == alone.converged_by
+        assert res.rng_seed == alone.rng_seed

@@ -258,3 +258,40 @@ def test_unstable_linear_follower_amplifies_matching_transfer_gain():
     amp_leader = np.max(np.abs(trajs[0].speeds[tail] - 15.0))
     amp_follow = np.max(np.abs(trajs[1].speeds[tail] - 15.0))
     assert amp_follow / amp_leader == pytest.approx(gain, rel=0.05)
+
+
+def test_grouped_batch_matches_separate_leaders():
+    rng = np.random.default_rng(31)
+    leaders = [
+        leader_trajectory(SinusoidProfile(12.0, 2.0, 0.4), 40.0),
+        leader_trajectory(SinusoidProfile(10.0, 3.0, 0.9), 40.0),
+        leader_trajectory(ConstantProfile(8.0), 25.0),
+    ]
+    n = leaders[0].n
+    # the short leader is padded with its last sample, as calibration does
+    lx = np.column_stack([np.pad(tr.positions, (0, n - tr.n), mode="edge") for tr in leaders])
+    lv = np.column_stack([np.pad(tr.speeds, (0, n - tr.n), mode="edge") for tr in leaders])
+    taus = [0.0, 3.0, 0.0, 3.0, 0.0, 3.0, 0.7, 1.3, 2.2, 0.4]
+    thetas = np.array([_draw_theta(rng).as_array() for _ in taus])
+    thetas[:, -1] = taus
+    group = np.array([0, 1, 2, 2, 1, 0, 0, 1, 2, 1])
+    x0 = np.array([tr.positions[0] - 18.0 for tr in leaders])[group]
+    v0 = np.array([tr.speeds[0] for tr in leaders])[group]
+    joint = simulate_followers_batch(thetas, lx, lv, x0, v0, group=group)
+    assert joint.shape == (n, len(taus))
+    for g, tr in enumerate(leaders):
+        cols = np.flatnonzero(group == g)
+        alone = simulate_followers_batch(thetas[cols], tr.positions, tr.speeds,
+                                         tr.positions[0] - 18.0, tr.speeds[0])
+        assert np.array_equal(joint[: tr.n, cols], alone)
+
+
+def test_grouped_batch_needs_valid_groups():
+    leader = leader_trajectory(ConstantProfile(8.0), 2.0)
+    lx = np.column_stack([leader.positions, leader.positions])
+    lv = np.column_stack([leader.speeds, leader.speeds])
+    thetas = np.array([THETA.as_array()] * 2)
+    with pytest.raises(ValueError):
+        simulate_followers_batch(thetas, lx, lv, -18.0, 8.0)
+    with pytest.raises(ValueError):
+        simulate_followers_batch(thetas, lx, lv, -18.0, 8.0, group=[0, 2])

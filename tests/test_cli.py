@@ -275,6 +275,15 @@ def test_gain_grid_step_must_be_positive(tmp_path, capsys):
     assert "stopgo: error: --gain-grid k1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [("--pairs", 0), ("--pairs", -1),
+                                  ("--generations", -3), ("--stagnation", 0)])
+def test_calibrate_rejects_out_of_range_counts(tmp_path, capsys, flag):
+    rc = run("calibrate", "--input", tmp_path / "missing", "--seed", 1, *flag,
+             "--out", tmp_path / "04")
+    assert rc == 1
+    assert "stopgo: error:" in capsys.readouterr().err
+
+
 STAGES = ("ingest", "smooth", "pair", "calibrate", "stability", "optimize-gains", "simulate")
 
 
