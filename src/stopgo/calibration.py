@@ -8,9 +8,12 @@ A real-coded genetic algorithm searches the parameter box.
 
 The GAs of all pairs run in lockstep.  Each pair keeps its own random
 generator, population and stop rule, so its result does not depend on the
-other pairs; but every generation, the populations of all pairs still
-running are integrated in one batched kernel call, each candidate behind
-its own pair's leader.  A pair that has stopped leaves the batch.
+other pairs; but every generation, the populations of the pairs still
+running are integrated together in batched kernel calls, each candidate
+behind its own pair's leader.  A pair that has stopped leaves the batch.
+Pairs are batched longest first, and one call holds as many pairs as fit
+in a fixed budget of rows times columns, so memory stays bounded however
+many pairs are calibrated.
 """
 from __future__ import annotations
 
@@ -25,6 +28,8 @@ from .trajectory_io import VehiclePair
 COLLISION_PENALTY = 1.0e6
 TAU_STEP = 0.1  # s, resolution of the reaction-delay gene
 _ROULETTE_EPS = 1e-12
+# rows x columns of one batched kernel call: 8 MiB of positions and speeds
+_BATCH_CELLS = 1 << 19
 
 
 def _check_series(s_sim, s_data):
@@ -126,12 +131,32 @@ def _snap_tau(pop: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
     np.clip(pop[:, _TAU_IDX], lo[_TAU_IDX], hi[_TAU_IDX], out=pop[:, _TAU_IDX])
 
 
-def _simulate(pairs, pops) -> list[np.ndarray]:
-    """Follower positions of every candidate of every pair, from one kernel
-    call: a (pair length, population size) array per pair.
+def _batches(pairs, sizes):
+    """Index lists of the pairs to integrate in one kernel call, longest
+    pairs first.  A call's rows times columns (its longest window times its
+    total population) stay within _BATCH_CELLS; a pair larger than that
+    runs alone."""
+    order = sorted(range(len(pairs)), key=lambda i: -pairs[i].leader.n)
+    batch, rows, cols = [], 0, 0
+    for i in order:
+        if batch and rows * (cols + sizes[i]) > _BATCH_CELLS:
+            yield batch
+            batch, cols = [], 0
+        if not batch:
+            rows = pairs[i].leader.n
+        batch.append(i)
+        cols += sizes[i]
+    if batch:
+        yield batch
+
+
+def _simulate(pairs, pops, fn) -> list:
+    """fn(pair, X) for every pair, from one kernel call; X is the pair's
+    (pair length, population size) block of follower positions.
 
     Leaders shorter than the longest are padded with their last sample;
-    each pair's rows are sliced back to its own length.
+    each pair's rows are sliced back to its own length.  Only fn's results
+    outlive the call, not the simulated positions.
     """
     n = max(pair.leader.n for pair in pairs)
 
@@ -147,8 +172,18 @@ def _simulate(pairs, pops) -> list[np.ndarray]:
     X = simulate_followers_batch(np.vstack(pops), lx, lv, x0, v0, pairs[0].leader.dt,
                                  group=group)
     ends = np.cumsum(sizes)
-    return [X[: pair.leader.n, end - size : end]
+    return [fn(pair, X[: pair.leader.n, end - size : end])
             for pair, size, end in zip(pairs, sizes, ends)]
+
+
+def _each_simulated(pairs, pops, fn) -> list:
+    """fn(pair, X) for every pair, integrating the pairs in bounded batches."""
+    out = [None] * len(pairs)
+    for batch in _batches(pairs, [pop.shape[0] for pop in pops]):
+        results = _simulate([pairs[i] for i in batch], [pops[i] for i in batch], fn)
+        for i, result in zip(batch, results):
+            out[i] = result
+    return out
 
 
 def _pair_fitness(pair: VehiclePair, X: np.ndarray) -> np.ndarray:
@@ -165,10 +200,13 @@ def _pair_fitness(pair: VehiclePair, X: np.ndarray) -> np.ndarray:
     return fits
 
 
-def _fitness(pairs, pops) -> list[np.ndarray]:
-    """Mixed error per candidate of each pair's population.  Only the small
-    fitness arrays outlive the call, not the simulated positions."""
-    return [_pair_fitness(pair, X) for pair, X in zip(pairs, _simulate(pairs, pops))]
+def _abs_rel_errors(pair: VehiclePair, X: np.ndarray) -> tuple[float, float]:
+    """Absolute and relative error of the single simulated follower in X."""
+    s_sim = np.ascontiguousarray(pair.leader.positions - X[:, 0])
+    if s_sim.min() <= 0.0:
+        return COLLISION_PENALTY, COLLISION_PENALTY
+    data = pair.headways()
+    return error_abs(s_sim, data), error_rel(s_sim, data)
 
 
 def evaluate_fitness(theta: FvdmParams, pair: VehiclePair) -> float:
@@ -178,7 +216,7 @@ def evaluate_fitness(theta: FvdmParams, pair: VehiclePair) -> float:
     simulated collision (nonpositive headway) returns the fixed penalty.
     Pure function: identical inputs give bit-identical outputs.
     """
-    return float(_fitness([pair], [theta.as_array()[None, :]])[0][0])
+    return float(_simulate([pair], [theta.as_array()[None, :]], _pair_fitness)[0][0])
 
 
 class _PairGa:
@@ -264,10 +302,10 @@ def calibrate_pairs(
     crossover, per-gene Gaussian mutation clipped to the bounds, elitism.  A
     pair stops at max_generations or once its best fitness has not improved
     for stagnation_limit consecutive generations.  The pairs' GAs run in
-    lockstep, integrating all running populations in one kernel call per
-    generation; each pair draws from its own generator, so its result is
-    the same as when calibrated alone.  Fully deterministic for given rng
-    seeds.
+    lockstep: each generation integrates the running populations together,
+    in kernel calls of at most _BATCH_CELLS rows times columns.  Each pair
+    draws from its own generator, so its result is the same as when
+    calibrated alone.  Fully deterministic for given rng seeds.
 
     Args:
         pairs: observed leader-follower pairs (calibration windows), all
@@ -294,23 +332,17 @@ def calibrate_pairs(
 
     running = gas
     while running:
-        fits = _fitness([ga.pair for ga in running], [ga.pop for ga in running])
+        fits = _each_simulated([ga.pair for ga in running], [ga.pop for ga in running],
+                               _pair_fitness)
         for ga, f in zip(running, fits):
             ga.score(f)
         running = [ga for ga in running if ga.converged_by is None]
         for ga in running:
             ga.breed()
 
-    finals = _simulate(pairs, [ga.best_vec[None, :] for ga in gas])
+    errors = _each_simulated(pairs, [ga.best_vec[None, :] for ga in gas], _abs_rel_errors)
     results = []
-    for ga, X in zip(gas, finals):
-        s_sim = np.ascontiguousarray(ga.pair.leader.positions - X[:, 0])
-        data = ga.pair.headways()
-        if s_sim.min() <= 0.0:
-            abs_err = rel_err = COLLISION_PENALTY
-        else:
-            abs_err = error_abs(s_sim, data)
-            rel_err = error_rel(s_sim, data)
+    for ga, (abs_err, rel_err) in zip(gas, errors):
         results.append(CalibrationResult(
             theta=FvdmParams.from_array(ga.best_vec),
             mixed_error=ga.best_fit,

@@ -280,8 +280,8 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
     """Position series for a batch of parameter vectors, each behind its leader.
 
     Vectorizes the integration across parameter sets; used by the calibration
-    loop, where every pair's candidate models advance in one time loop.  Each
-    candidate column follows leader column group[p]; the leader is gathered
+    loop, where the candidate models of several pairs advance in one time
+    loop.  Each candidate column follows leader column group[p]; the leader is gathered
     from the (N, G) arrays per step, never copied out to (N, P).  Row k + 1
     only reads leader samples up to row k, so a leader shorter than N can be
     padded with its last sample and its candidates' first rows stay exact.

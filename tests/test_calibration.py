@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from stopgo import calibration
 from stopgo.calibration import (
     COLLISION_PENALTY,
     CalibrationResult,
@@ -170,7 +171,8 @@ def test_ga_config_rejects_invalid_settings(settings):
         GaConfig(**settings)
 
 
-def test_calibrate_pairs_matches_each_pair_alone():
+def _three_pairs():
+    """Three pairs of different lengths; the second stops on stagnation."""
     pairs = [
         generate_synthetic_pair(THETA_TRUE, SinusoidProfile(12.0, 2.0, 0.4), 14.0, 18.0),
         generate_synthetic_pair(THETA_TRUE, ConstantProfile(12.0), 8.0, 18.0),
@@ -184,10 +186,10 @@ def test_calibrate_pairs_matches_each_pair_alone():
         GaConfig(population_size=9, max_generations=10, stagnation_limit=1, rng_seed=22),
         GaConfig(population_size=15, max_generations=10, stagnation_limit=100, rng_seed=23),
     ]
-    joint = calibrate_pairs(pairs, cfgs=cfgs)
-    # the second pair leaves the batch early, the others run to the end
-    assert [r.converged_by for r in joint] == ["MaxGenerations", "Stagnation", "MaxGenerations"]
-    assert joint[1].generations_run < 10
+    return pairs, cfgs
+
+
+def _assert_each_pair_alone(pairs, cfgs, joint):
     for pair, cfg, res in zip(pairs, cfgs, joint):
         alone = calibrate_ga(pair, cfg=cfg)
         assert res.theta == alone.theta
@@ -198,3 +200,34 @@ def test_calibrate_pairs_matches_each_pair_alone():
         assert res.generations_run == alone.generations_run
         assert res.converged_by == alone.converged_by
         assert res.rng_seed == alone.rng_seed
+
+
+def test_calibrate_pairs_matches_each_pair_alone():
+    pairs, cfgs = _three_pairs()
+    joint = calibrate_pairs(pairs, cfgs=cfgs)
+    # the second pair leaves the batch early, the others run to the end
+    assert [r.converged_by for r in joint] == ["MaxGenerations", "Stagnation", "MaxGenerations"]
+    assert joint[1].generations_run < 10
+    _assert_each_pair_alone(pairs, cfgs, joint)
+
+
+def test_calibrate_pairs_splits_batches_over_the_budget(monkeypatch):
+    pairs, cfgs = _three_pairs()
+    assert [pair.leader.n for pair in pairs] == [141, 81, 111]
+    # the longest pair (141 x 12) fills a call alone; the other two
+    # (111 x (15 + 9) = 2664 cells) share one
+    budget = 2700
+    monkeypatch.setattr(calibration, "_BATCH_CELLS", budget)
+    shapes = []
+    kernel = calibration.simulate_followers_batch
+
+    def recording(thetas, leader_x, *args, **kwargs):
+        shapes.append((leader_x.shape[0], thetas.shape[0]))
+        return kernel(thetas, leader_x, *args, **kwargs)
+
+    monkeypatch.setattr(calibration, "simulate_followers_batch", recording)
+    joint = calibrate_pairs(pairs, cfgs=cfgs)
+    assert all(rows * cols <= budget for rows, cols in shapes)
+    assert {(141, 12), (111, 24), (111, 15)} <= set(shapes)
+    monkeypatch.undo()
+    _assert_each_pair_alone(pairs, cfgs, joint)
