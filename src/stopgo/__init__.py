@@ -17,7 +17,6 @@ from .carfollowing import (
     ConstantProfile,
     FvdmParams,
     Hdv,
-    LinearHdv,
     PiecewiseProfile,
     PlatoonSpec,
     SinusoidProfile,
@@ -52,7 +51,7 @@ from .stability import (
 )
 from .trajectory_io import (
     Trajectory,
-    TrajectoryRecord,
+    TrajectoryTable,
     VehiclePair,
     build_trajectories,
     generate_synthetic_pair,

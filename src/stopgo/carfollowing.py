@@ -364,18 +364,6 @@ class Cav:
 
 
 @dataclass(frozen=True)
-class LinearHdv:
-    """Platoon slot: human driver replaced by its linearization (with delay)."""
-
-    k1: float
-    k2: float
-    k3: float
-    lambda2: float
-    lambda3: float
-    tau: float = 0.0
-
-
-@dataclass(frozen=True)
 class PlatoonSpec:
     """A leader speed profile followed by a string of modeled vehicles.
 
@@ -401,12 +389,10 @@ def _vehicle_eq_headway(vehicle, v_star: float) -> float:
 def _vehicle_accel_fn(vehicle, v_star: float):
     if isinstance(vehicle, Hdv):
         return _fvdm_accel_fn(vehicle.params)
-    if isinstance(vehicle, Cav):
-        k1, k2, k3 = vehicle.gains.k1, vehicle.gains.k2, vehicle.gains.k3
-        lam2, lam3 = vehicle.lambda2, vehicle.lambda3
-    else:
-        k1, k2, k3 = vehicle.k1, vehicle.k2, vehicle.k3
-        lam2, lam3 = vehicle.lambda2, vehicle.lambda3
+    # a Cav carries its gains; a LinearizedHdv is its own gains
+    gains = vehicle.gains if isinstance(vehicle, Cav) else vehicle
+    k1, k2, k3 = gains.k1, gains.k2, gains.k3
+    lam2, lam3 = vehicle.lambda2, vehicle.lambda3
 
     def accel(h, vown, dv):
         return k1 * (h - lam2 * vown - lam3) - k2 * (vown - v_star) + k3 * dv

@@ -8,7 +8,6 @@ during simulation.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import shutil
@@ -51,7 +50,7 @@ from .stability import (
     write_heatmaps,
 )
 from .trajectory_io import (
-    TrajectoryRecord,
+    TrajectorySet,
     build_trajectories,
     generate_synthetic_pair,
     pair_leader_follower,
@@ -59,8 +58,9 @@ from .trajectory_io import (
     pairs_from_index,
     parse_ngsim_csv,
     read_canonical_csv,
-    records_from_trajectory,
+    table_from_set,
     write_canonical_csv,
+    write_columns,
 )
 
 EXIT_OK = 0
@@ -161,11 +161,10 @@ def _synthetic_records(seed, noise: float):
         rng = np.random.default_rng(seed if seed is not None else 0)
         leader.positions = leader.positions + rng.uniform(-noise, noise, leader.n)
         follower.positions = follower.positions + rng.uniform(-noise, noise, follower.n)
-    records = records_from_trajectory(leader, lane_id=1, preceding_id=0)
-    records += records_from_trajectory(
-        follower, lane_id=1, preceding_id=leader.vehicle_id
-    )
-    return records
+    lid, fid = leader.vehicle_id, follower.vehicle_id
+    lane = np.ones(leader.n, dtype=int)
+    preceding = {lid: 0 * lane, fid: lid * lane}
+    return table_from_set(TrajectorySet({lid: leader, fid: follower}, {lid: lane, fid: lane}, preceding))
 
 
 def cmd_ingest(args) -> int:
@@ -204,33 +203,18 @@ def cmd_smooth(args) -> int:
     tset = build_trajectories(records)
     cfg = SmoothingConfig(t_x=args.tx, t_v=args.tv, t_a=args.ta)
 
-    out_records = []
+    smoothed = {}
     raw_exceed = 0
     smooth_exceed = 0
     total = 0
-    for vid in sorted(tset.trajectories):
-        tr = tset.trajectories[vid]
+    for vid, tr in tset.trajectories.items():
         raw_a = differentiate(differentiate(tr.positions, cfg.dt), cfg.dt)
         x_s, v_s, a_s = smooth_trajectory(tr.positions, cfg)
         raw_exceed += int(np.count_nonzero(np.abs(raw_a) > 3.0))
         smooth_exceed += int(np.count_nonzero(np.abs(a_s) > 3.0))
         total += tr.n
-        lanes = tset.lanes[vid]
-        pre = tset.preceding[vid]
-        for k in range(tr.n):
-            out_records.append(
-                TrajectoryRecord(
-                    vehicle_id=vid,
-                    frame_id=tr.start_frame + k,
-                    local_y=float(x_s[k]),
-                    speed=float(v_s[k]),
-                    accel=float(a_s[k]),
-                    lane_id=int(lanes[k]),
-                    preceding_id=int(pre[k]),
-                    vehicle_length=tr.vehicle_length,
-                )
-            )
-    write_canonical_csv(out_records, out / "smoothed.csv")
+        smoothed[vid] = replace(tr, positions=x_s, speeds=v_s, accels=a_s)
+    write_canonical_csv(table_from_set(replace(tset, trajectories=smoothed)), out / "smoothed.csv")
     _write_json(
         out / "smooth_summary.json",
         {
@@ -329,12 +313,9 @@ def cmd_calibrate(args) -> int:
     results = []
     for pair, res in zip(pairs, calibrate_pairs(pairs, bounds=bounds, cfgs=cfgs)):
         lid, fid = pair.leader.vehicle_id, pair.follower.vehicle_id
-        hist_path = out / f"fitness_history_{lid}_{fid}.csv"
-        with open(hist_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["generation", "best_fitness"])
-            for gen, f in enumerate(res.fitness_history):
-                w.writerow([gen, repr(f)])
+        history = np.array(res.fitness_history, dtype=float)
+        write_columns(out / f"fitness_history_{lid}_{fid}.csv", ["generation", "best_fitness"],
+                      [np.arange(len(history)), history])
         results.append(
             {
                 "leader_id": lid,
@@ -537,23 +518,16 @@ def _peak_amplification_omega(lins, grid: FrequencyGrid) -> float:
 
 
 def _write_platoon_csv(trajs, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vehicle_id", "frame_id", "t", "x_m", "v_mps", "a_mps2", "preceding_id"])
-        for idx, tr in enumerate(trajs):
-            times = tr.times()
-            for k in range(tr.n):
-                w.writerow(
-                    [
-                        idx + 1,
-                        tr.start_frame + k,
-                        repr(float(times[k])),
-                        repr(float(tr.positions[k])),
-                        repr(float(tr.speeds[k])),
-                        repr(float(tr.accels[k])),
-                        idx,
-                    ]
-                )
+    lengths = [tr.n for tr in trajs]
+    write_columns(path, ["vehicle_id", "frame_id", "t", "x_m", "v_mps", "a_mps2", "preceding_id"], [
+        np.repeat(np.arange(1, len(trajs) + 1), lengths),
+        np.concatenate([tr.start_frame + np.arange(tr.n) for tr in trajs]),
+        np.concatenate([tr.times() for tr in trajs]),
+        np.concatenate([tr.positions for tr in trajs]),
+        np.concatenate([tr.speeds for tr in trajs]),
+        np.concatenate([tr.accels for tr in trajs]),
+        np.repeat(np.arange(len(trajs)), lengths),
+    ])
 
 
 def _amplitudes(trajs, v_star: float) -> list[float]:

@@ -42,13 +42,18 @@ class EquilibriumSpec:
 @dataclass(frozen=True)
 class LinearizedHdv:
     """Linearized human-driver feedback gains: spacing k1, speed k2,
-    relative-speed k3, desired-headway slope lambda2 and reaction delay tau."""
+    relative-speed k3, desired-headway slope lambda2 and reaction delay tau.
+
+    lambda3 is the desired headway at standstill; only a platoon simulation
+    of the linear driver reads it (desired headway lambda2 * v + lambda3).
+    """
 
     k1: float  # 1/s^2
     k2: float  # 1/s
     k3: float  # 1/s
     lambda2: float = 0.0  # s
     tau: float = 0.0  # s
+    lambda3: float = 0.0  # m
 
     def __post_init__(self):
         if self.k1 < 0 or self.k2 <= 0 or self.k3 < 0:
@@ -367,6 +372,25 @@ def _log_gain_cumsum(lins, omegas: np.ndarray) -> np.ndarray:
     return np.cumsum(np.vstack(rows), axis=0)
 
 
+def _cell_counts(g: ControllerGains, lambda2: float, omegas, log_cum, log_eta: float):
+    """(stable, safe) counts of one string-stable gain cell on the grid omegas."""
+    n = len(log_cum) - 1
+    head_st = 0.5 * np.log(cav_gain_sq(g, lambda2, omegas))
+    head_sf = 0.5 * np.log(cav_complement_gain_sq(g, lambda2, omegas)) - log_eta
+    return _scan_count(head_st, log_cum, n), _scan_count(head_sf, log_cum, n)
+
+
+def _single_cell_counts(g, lins, eta, lambda2, grid):
+    if not cav_string_stable(g, lambda2):
+        raise ValueError("gains are not string stable; count undefined")
+    fgrid = grid or FrequencyGrid()
+    w0 = platoon_critical_frequency(lins, fgrid)
+    if w0 == 0.0:
+        return StabilizedCount.unbounded(), StabilizedCount.unbounded()
+    omegas = fgrid.values(top=w0)
+    return _cell_counts(g, lambda2, omegas, _log_gain_cumsum(lins, omegas), math.log(eta))
+
+
 def n_stable(
     g: ControllerGains,
     lins,
@@ -379,15 +403,7 @@ def n_stable(
     string unstable; otherwise evaluated on the frequency grid truncated at
     the platoon critical frequency.
     """
-    if not cav_string_stable(g, lambda2):
-        raise ValueError("gains are not string stable; count undefined")
-    fgrid = grid or FrequencyGrid()
-    w0 = platoon_critical_frequency(lins, fgrid)
-    if w0 == 0.0:
-        return StabilizedCount.unbounded()
-    omegas = fgrid.values(top=w0)
-    head = 0.5 * np.log(cav_gain_sq(g, lambda2, omegas))
-    return _scan_count(head, _log_gain_cumsum(lins, omegas), len(lins))
+    return _single_cell_counts(g, lins, 1.0, lambda2, grid)[0]
 
 
 def n_safe(
@@ -401,15 +417,7 @@ def n_safe(
     within the safety margin eta (headway slack over disturbance amplitude)."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if not cav_string_stable(g, lambda2):
-        raise ValueError("gains are not string stable; count undefined")
-    fgrid = grid or FrequencyGrid()
-    w0 = platoon_critical_frequency(lins, fgrid)
-    if w0 == 0.0:
-        return StabilizedCount.unbounded()
-    omegas = fgrid.values(top=w0)
-    head = 0.5 * np.log(cav_complement_gain_sq(g, lambda2, omegas)) - math.log(eta)
-    return _scan_count(head, _log_gain_cumsum(lins, omegas), len(lins))
+    return _single_cell_counts(g, lins, eta, lambda2, grid)[1]
 
 
 def optimize_gains(
@@ -465,7 +473,6 @@ def optimize_gains(
 
     w0 = platoon_critical_frequency(lins, fgrid)
     all_stable = w0 == 0.0
-    n_veh = len(lins)
     if not all_stable:
         omegas = fgrid.values(top=w0)
         log_cum = _log_gain_cumsum(lins, omegas)
@@ -484,10 +491,7 @@ def optimize_gains(
                     st = StabilizedCount.unbounded()
                     sf = StabilizedCount.unbounded()
                 else:
-                    head_st = 0.5 * np.log(cav_gain_sq(g, lam, omegas))
-                    head_sf = 0.5 * np.log(cav_complement_gain_sq(g, lam, omegas)) - log_eta
-                    st = _scan_count(head_st, log_cum, n_veh)
-                    sf = _scan_count(head_sf, log_cum, n_veh)
+                    st, sf = _cell_counts(g, lam, omegas, log_cum, log_eta)
                 stable_grid[i, j, l] = UNBOUNDED_CELL if st.is_unbounded else st.count
                 safe_grid[i, j, l] = UNBOUNDED_CELL if sf.is_unbounded else sf.count
 

@@ -1,19 +1,29 @@
 """Trajectory dataset ingestion, leader-follower pairing and serialization.
 
-Raw vehicle trajectory exports (NGSIM-style CSV) are parsed into per-vehicle
-kinematic series sampled at a fixed 0.1 s interval.  Follower vehicles are
-paired with the vehicle ahead of them over windows where the leader link is
-unambiguous, which is what the car-following calibration consumes.
+Raw vehicle trajectory exports (NGSIM-style CSV) are parsed into a
+TrajectoryTable: one numpy array per column, one entry per vehicle-frame row.
+build_trajectories regroups a table into per-vehicle kinematic series sampled
+at a fixed 0.1 s interval.  Follower vehicles are paired with the vehicle
+ahead of them over windows where the leader link is unambiguous, which is
+what the car-following calibration consumes.
+
+Tables are written and read as the canonical CSV one column at a time.  Every
+float is written as its repr, the shortest decimal that parses back to the
+same double, so a written table reads back bit for bit and rewriting it
+reproduces the file byte for byte.
 """
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import (
+    DataError,
     DuplicateFrame,
     EmptyInput,
     InfeasibleInitialState,
@@ -26,7 +36,7 @@ DT = 0.1  # s between consecutive frames in the source datasets
 FEET_TO_METERS = 0.3048
 MIN_CALIBRATION_SAMPLES = 600  # shorter pairs are flagged, not dropped
 
-# Source column names, matched case-insensitively.
+# Source column names, matched case-insensitively, in TrajectoryTable order.
 _REQUIRED_COLUMNS = (
     "vehicle_id",
     "frame_id",
@@ -50,19 +60,32 @@ CANONICAL_HEADER = [
     "length_m",
 ]
 
+_INT_COLUMNS = frozenset({"vehicle_id", "frame_id", "lane_id", "preceding_id"})
+_EXACT_INT = 2.0**53  # integer columns must hold exactly in a float64
+_WRITE_CHUNK_ROWS = 4096  # about 1 MB of Python objects for 9 columns
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One vehicle-frame sample, always in meter units."""
 
-    vehicle_id: int
-    frame_id: int
-    local_y: float  # m, longitudinal position
-    speed: float  # m/s
-    accel: float  # m/s^2
-    lane_id: int
-    preceding_id: int  # 0 when no vehicle ahead
-    vehicle_length: float  # m
+@dataclass(eq=False)
+class TrajectoryTable:
+    """Vehicle-frame samples of one trajectory file, one numpy array per column.
+
+    Every column has one entry per row, so len() is the row count.  The
+    integer columns are int64 and the others float64, always in meter units.
+    This is the only in-memory form of a trajectory file: the readers return
+    it, write_canonical_csv writes it and build_trajectories groups it.
+    """
+
+    vehicle_id: np.ndarray
+    frame_id: np.ndarray
+    local_y: np.ndarray  # m, longitudinal position
+    speed: np.ndarray  # m/s
+    accel: np.ndarray  # m/s^2
+    lane_id: np.ndarray
+    preceding_id: np.ndarray  # 0 when no vehicle ahead
+    vehicle_length: np.ndarray  # m
+
+    def __len__(self) -> int:
+        return len(self.vehicle_id)
 
 
 @dataclass
@@ -157,12 +180,70 @@ class PairDiagnostics:
     short_pairs: list = field(default_factory=list)  # (leader, follower, overlap_len)
 
 
-def _normalize(name: str) -> str:
-    return name.strip().lower()
+def _header(fh) -> list[str]:
+    """The normalized column names of fh's first line."""
+    line = fh.readline()
+    if not line:
+        raise EmptyInput("no header row")
+    return [h.strip().lower() for h in next(csv.reader([line]), [])]
 
 
-def parse_ngsim_csv(text: str, units: str = "meters") -> list[TrajectoryRecord]:
-    """Parse an NGSIM-style CSV export into records.
+def _is_blank(line: str) -> bool:
+    return not line.replace(",", "").strip()
+
+
+def _valid(cell: str, integral: bool) -> bool:
+    try:
+        v = float(cell)
+    except ValueError:
+        return False
+    return math.isfinite(v) and (not integral or (v.is_integer() and abs(v) < _EXACT_INT))
+
+
+def _read_table(fh, usecols, names, scale: float = 1.0) -> TrajectoryTable:
+    """Parse the CSV rows left in fh into a table, file column usecols[j]
+    (called names[j]) into table column j, positional columns times scale.
+
+    Rows of only blanks and commas are skipped.  A field that does not parse,
+    is not finite, or is not an exact integer in an integer column raises
+    UnparsableField, naming the first such field by 1-based data row (skipped
+    rows counted) and column.
+    """
+    start = fh.tell()
+    rows = itertools.filterfalse(_is_blank, fh)
+    first = next(rows, None)
+    if first is None:
+        raise EmptyInput("no data rows")
+    integral = [f.name in _INT_COLUMNS for f in fields(TrajectoryTable)]
+    try:
+        block = np.loadtxt(
+            itertools.chain([first], rows), delimiter=",", quotechar='"',
+            comments=None, usecols=usecols, ndmin=2,
+        )
+    except ValueError as err:
+        failure = str(err)
+    else:
+        ints = block[:, integral]
+        if np.isfinite(block).all() and np.all((np.trunc(ints) == ints) & (abs(ints) < _EXACT_INT)):
+            return TrajectoryTable(*(
+                block[:, j].astype(np.int64) if is_int else block[:, j] * scale
+                for j, is_int in enumerate(integral)
+            ))
+        failure = "a field is not finite or not an integer"
+    # name the first bad field
+    fh.seek(start)
+    for row_no, line in enumerate(fh, start=1):
+        if _is_blank(line):
+            continue
+        cells = next(csv.reader([line]))
+        for idx, name, is_int in zip(usecols, names, integral):
+            if idx >= len(cells) or not _valid(cells[idx], is_int):
+                raise UnparsableField(row_no, name)
+    raise DataError(f"unparsable data: {failure}")
+
+
+def parse_ngsim_csv(text: str, units: str = "meters") -> TrajectoryTable:
+    """Parse an NGSIM-style CSV export into a table.
 
     Header names are matched case-insensitively; extra columns are ignored.
     With units="feet" the positional quantities are converted to meters.
@@ -174,145 +255,112 @@ def parse_ngsim_csv(text: str, units: str = "meters") -> list[TrajectoryRecord]:
         raise ValueError("units must be 'meters' or 'feet'")
     scale = FEET_TO_METERS if units == "feet" else 1.0
 
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyInput("no header row") from None
-    col = {_normalize(h): i for i, h in enumerate(header)}
+    fh = io.StringIO(text)
+    col = {h: i for i, h in enumerate(_header(fh))}
     for name in _REQUIRED_COLUMNS:
         if name not in col:
             raise MissingColumn(name)
-
-    records = []
-    for row_no, row in enumerate(reader, start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-
-        def grab(name: str) -> float:
-            try:
-                return float(row[col[name]])
-            except (ValueError, IndexError):
-                raise UnparsableField(row_no, name) from None
-
-        records.append(
-            TrajectoryRecord(
-                vehicle_id=int(grab("vehicle_id")),
-                frame_id=int(grab("frame_id")),
-                local_y=grab("local_y") * scale,
-                speed=grab("v_vel") * scale,
-                accel=grab("v_acc") * scale,
-                lane_id=int(grab("lane_id")),
-                preceding_id=int(grab("preceding")),
-                vehicle_length=grab("v_length") * scale,
-            )
-        )
-    if not records:
-        raise EmptyInput("no data rows")
-    return records
+    return _read_table(fh, [col[name] for name in _REQUIRED_COLUMNS], _REQUIRED_COLUMNS, scale)
 
 
-def write_canonical_csv(records, path) -> None:
-    """Write records in the canonical meter-unit CSV schema.
+def write_columns(path, header, columns) -> None:
+    """Write equal-length columns as CSV rows, every value as its repr.
 
-    Floats are written with repr so a read-back reproduces them bit-exactly.
+    Rows are converted _WRITE_CHUNK_ROWS at a time, so the Python objects
+    alive at once stay few on long files.  Lines end in CRLF, as
+    csv.writer's default dialect writes them.
     """
+    n = len(columns[0])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CANONICAL_HEADER)
-        for r in records:
-            w.writerow(
-                [
-                    r.vehicle_id,
-                    r.frame_id,
-                    repr(r.frame_id * DT),
-                    repr(r.local_y),
-                    repr(r.speed),
-                    repr(r.accel),
-                    r.lane_id,
-                    r.preceding_id,
-                    repr(r.vehicle_length),
-                ]
-            )
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, n, _WRITE_CHUNK_ROWS):
+            cells = [map(repr, c[lo : lo + _WRITE_CHUNK_ROWS].tolist()) for c in columns]
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
-def read_canonical_csv(path) -> list[TrajectoryRecord]:
-    """Read back the canonical CSV written by write_canonical_csv."""
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyInput("no header row")
-        if [_normalize(h) for h in header] != CANONICAL_HEADER:
+def write_canonical_csv(records: TrajectoryTable, path) -> None:
+    """Write a table in the canonical meter-unit CSV schema."""
+    write_columns(path, CANONICAL_HEADER, [
+        records.vehicle_id,
+        records.frame_id,
+        records.frame_id * DT,
+        records.local_y,
+        records.speed,
+        records.accel,
+        records.lane_id,
+        records.preceding_id,
+        records.vehicle_length,
+    ])
+
+
+def read_canonical_csv(path) -> TrajectoryTable:
+    """Read back the canonical CSV written by write_canonical_csv.
+
+    The t column is derived from frame_id, so it is not read.
+    """
+    with open(path) as fh:
+        if _header(fh) != CANONICAL_HEADER:
             raise MissingColumn("canonical header mismatch")
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            try:
-                records.append(
-                    TrajectoryRecord(
-                        vehicle_id=int(row[0]),
-                        frame_id=int(row[1]),
-                        local_y=float(row[3]),
-                        speed=float(row[4]),
-                        accel=float(row[5]),
-                        lane_id=int(row[6]),
-                        preceding_id=int(row[7]),
-                        vehicle_length=float(row[8]),
-                    )
-                )
-            except (ValueError, IndexError):
-                raise UnparsableField(row_no, "canonical row") from None
-    if not records:
-        raise EmptyInput("no data rows")
-    return records
+        usecols = [i for i, name in enumerate(CANONICAL_HEADER) if name != "t"]
+        return _read_table(fh, usecols, [CANONICAL_HEADER[i] for i in usecols])
 
 
-def build_trajectories(records) -> TrajectorySet:
-    """Group records by vehicle and keep each vehicle's longest gap-free run.
+def table_from_set(tset: TrajectorySet) -> TrajectoryTable:
+    """Flatten a trajectory set into a table, vehicles in ascending id order."""
+    vids = sorted(tset.trajectories)
+    trs = [tset.trajectories[v] for v in vids]
+    lengths = [tr.n for tr in trs]
+    return TrajectoryTable(
+        vehicle_id=np.repeat(np.array(vids, dtype=np.int64), lengths),
+        frame_id=np.concatenate([tr.start_frame + np.arange(tr.n) for tr in trs]),
+        local_y=np.concatenate([tr.positions for tr in trs]),
+        speed=np.concatenate([tr.speeds for tr in trs]),
+        accel=np.concatenate([tr.accels for tr in trs]),
+        lane_id=np.concatenate([tset.lanes[v] for v in vids]),
+        preceding_id=np.concatenate([tset.preceding[v] for v in vids]),
+        vehicle_length=np.repeat([tr.vehicle_length for tr in trs], lengths),
+    )
+
+
+def build_trajectories(records: TrajectoryTable) -> TrajectorySet:
+    """Group a table by vehicle and keep each vehicle's longest gap-free run.
 
     Duplicate frames for a vehicle are an error.  Shorter fragments (runs
     separated by missing frames) are discarded; the count of discarded
-    fragments is reported on the returned set.
+    fragments is reported on the returned set.  Of runs of equal length the
+    earliest is kept, and a kept run's vehicle length is its first row's.
     """
-    by_vehicle: dict[int, list[TrajectoryRecord]] = {}
-    for r in records:
-        by_vehicle.setdefault(r.vehicle_id, []).append(r)
+    order = np.lexsort((records.frame_id, records.vehicle_id))
+    vid = records.vehicle_id[order]
+    frame = records.frame_id[order]
+    same_vehicle = vid[1:] == vid[:-1]
+    dup = np.flatnonzero(same_vehicle & (frame[1:] == frame[:-1]))
+    if dup.size:
+        raise DuplicateFrame(int(vid[dup[0]]), int(frame[dup[0]]))
 
-    trajectories = {}
-    lanes = {}
-    preceding = {}
-    discarded = 0
-    for vid in sorted(by_vehicle):
-        recs = sorted(by_vehicle[vid], key=lambda r: r.frame_id)
-        for a, b in zip(recs, recs[1:]):
-            if a.frame_id == b.frame_id:
-                raise DuplicateFrame(vid, a.frame_id)
+    # runs of consecutive frames; per vehicle the longest, the earliest on ties
+    is_start = np.ones(len(vid), dtype=bool)
+    is_start[1:] = ~same_vehicle | (frame[1:] != frame[:-1] + 1)
+    starts = np.flatnonzero(is_start)
+    lengths = np.diff(np.append(starts, len(vid)))
+    by_vehicle = np.lexsort((-lengths, vid[starts]))  # stable: ties keep frame order
+    kept = by_vehicle[np.unique(vid[starts[by_vehicle]], return_index=True)[1]]
 
-        # split into contiguous frame runs
-        runs = [[recs[0]]]
-        for r in recs[1:]:
-            if r.frame_id == runs[-1][-1].frame_id + 1:
-                runs[-1].append(r)
-            else:
-                runs.append([r])
-        runs.sort(key=lambda run: (-len(run), run[0].frame_id))
-        best = runs[0]
-        discarded += len(runs) - 1
-
-        trajectories[vid] = Trajectory(
-            vehicle_id=vid,
-            start_frame=best[0].frame_id,
-            positions=np.array([r.local_y for r in best]),
-            speeds=np.array([r.speed for r in best]),
-            accels=np.array([r.accel for r in best]),
-            vehicle_length=best[0].vehicle_length,
+    trajectories, lanes, preceding = {}, {}, {}
+    for s, e in zip(starts[kept].tolist(), (starts[kept] + lengths[kept]).tolist()):
+        rows = order[s:e]
+        key = int(vid[s])
+        trajectories[key] = Trajectory(
+            vehicle_id=key,
+            start_frame=int(frame[s]),
+            positions=records.local_y[rows],
+            speeds=records.speed[rows],
+            accels=records.accel[rows],
+            vehicle_length=float(records.vehicle_length[rows[0]]),
         )
-        lanes[vid] = np.array([r.lane_id for r in best], dtype=int)
-        preceding[vid] = np.array([r.preceding_id for r in best], dtype=int)
-
-    return TrajectorySet(trajectories, lanes, preceding, discarded)
+        lanes[key] = records.lane_id[rows]
+        preceding[key] = records.preceding_id[rows]
+    return TrajectorySet(trajectories, lanes, preceding, len(starts) - len(kept))
 
 
 def pair_leader_follower(
@@ -407,23 +455,6 @@ def pairs_from_index(index, tset: TrajectorySet) -> list[VehiclePair]:
         )
         pairs.append(VehiclePair(leader, follower, entry["overlap_start"], entry["overlap_len"]))
     return pairs
-
-
-def records_from_trajectory(tr: Trajectory, lane_id: int = 1, preceding_id: int = 0):
-    """Flatten a trajectory back into records (synthetic data, CLI output)."""
-    return [
-        TrajectoryRecord(
-            vehicle_id=tr.vehicle_id,
-            frame_id=tr.start_frame + k,
-            local_y=float(tr.positions[k]),
-            speed=float(tr.speeds[k]),
-            accel=float(tr.accels[k]),
-            lane_id=lane_id,
-            preceding_id=preceding_id,
-            vehicle_length=tr.vehicle_length,
-        )
-        for k in range(tr.n)
-    ]
 
 
 def generate_synthetic_pair(

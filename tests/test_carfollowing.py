@@ -11,7 +11,6 @@ from stopgo.carfollowing import (
     ConstantProfile,
     FvdmParams,
     Hdv,
-    LinearHdv,
     PiecewiseProfile,
     PlatoonSpec,
     SinusoidProfile,
@@ -26,7 +25,7 @@ from stopgo.carfollowing import (
     v_max,
 )
 from stopgo.errors import CollisionDetected, InfeasibleEquilibrium
-from stopgo.stability import ControllerGains
+from stopgo.stability import ControllerGains, LinearizedHdv
 
 THETA = FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.5)
 
@@ -212,7 +211,7 @@ def test_platoon_structure_and_equilibrium_hold():
     vehicles = (
         Cav(ControllerGains(0.5, 1.0, 0.5), 0.0, 20.0),
         Hdv(THETA),
-        LinearHdv(1.0, 1.5, 0.8, 0.0, 20.0, tau=0.2),
+        LinearizedHdv(1.0, 1.5, 0.8, 0.0, tau=0.2, lambda3=20.0),
     )
     spec = PlatoonSpec(vehicles, ConstantProfile(12.0), 12.0)
     trajs = simulate_platoon(spec, 40.0)
@@ -251,7 +250,7 @@ def test_unstable_linear_follower_amplifies_matching_transfer_gain():
 
     dt = 0.01
     eps = 0.5
-    vehicles = (LinearHdv(k1, k2, k3, 0.0, 20.0),)
+    vehicles = (LinearizedHdv(k1, k2, k3, 0.0, lambda3=20.0),)
     spec = PlatoonSpec(vehicles, SinusoidProfile(15.0, eps, w), 15.0)
     trajs = simulate_platoon(spec, 300.0, dt=dt)
     tail = trajs[0].times() > 200.0

@@ -138,6 +138,15 @@ def test_ingest_parses_csv_files(tmp_path):
     assert float(first[4]) == pytest.approx(40.0 * 0.3048)
 
 
+def test_ingest_nonfinite_field_is_data_error(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("Vehicle_ID,Frame_ID,Local_Y,v_Vel,v_Acc,Lane_ID,Preceding,v_Length\n"
+                   "2,1,100.0,40.0,0.0,1,0,14.8\n2,inf,140.0,40.0,0.0,1,0,14.8\n")
+    assert run("ingest", "--input", raw, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "stopgo: data error: unparsable value in data row 2, column frame_id" in err
+
+
 def test_smooth_reduces_acceleration_exceedance(tmp_path):
     src = tmp_path / "noisy"
     assert run("ingest", "--input", "synthetic", "--seed", 4, "--noise", 0.2,

@@ -8,7 +8,6 @@ import pytest
 
 from stopgo.carfollowing import (
     FvdmParams,
-    LinearHdv,
     PlatoonSpec,
     SinusoidProfile,
     equilibrium_headway,
@@ -245,7 +244,7 @@ def test_delay_margin_of_synthetic_driver():
 def test_delay_margin_separates_bounded_from_growing_swing(tau, bounded):
     lin, dx_star = _synthetic_linearization()
     assert (tau < delay_margin(lin)) == bounded
-    follower = LinearHdv(lin.k1, lin.k2, lin.k3, 0.0, dx_star, tau)
+    follower = LinearizedHdv(lin.k1, lin.k2, lin.k3, 0.0, tau, lambda3=dx_star)
     spec = PlatoonSpec((follower,), SinusoidProfile(12.0, 0.4, 0.6), 12.0)
     trajs = simulate_platoon(spec, 60.0, dt=0.1)
     tail = trajs[1].speeds[trajs[1].n // 2 :]

@@ -2,12 +2,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from stopgo.carfollowing import ConstantProfile, FvdmParams
 from stopgo.errors import (
+    DataError,
     DuplicateFrame,
     EmptyInput,
     InfeasibleInitialState,
@@ -15,9 +18,10 @@ from stopgo.errors import (
     UnparsableField,
 )
 from stopgo.trajectory_io import (
+    CANONICAL_HEADER,
     FEET_TO_METERS,
     Trajectory,
-    TrajectoryRecord,
+    TrajectoryTable,
     VehiclePair,
     build_trajectories,
     generate_synthetic_pair,
@@ -38,12 +42,32 @@ def _ngsim_text(rows):
 
 
 def _record(vid, frame, y, lane=1, preceding=0, speed=10.0, accel=0.0, length=4.5):
-    return TrajectoryRecord(vid, frame, y, speed, accel, lane, preceding, length)
+    return (vid, frame, y, speed, accel, lane, preceding, length)
+
+
+def _table(records):
+    """A table holding the given _record rows in order."""
+    return TrajectoryTable(*(np.array(col) for col in zip(*records)))
+
+
+def _rows(table):
+    """Each row of a table as a namespace of its column values."""
+    names = [f.name for f in fields(TrajectoryTable)]
+    return [
+        SimpleNamespace(**{name: getattr(table, name)[i] for name in names})
+        for i in range(len(table))
+    ]
+
+
+def _assert_same_table(a, b):
+    for f in fields(TrajectoryTable):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
 
 
 def test_parse_feet_converts_positional_columns():
     text = _ngsim_text([(7, 100, 328.0, 32.8, -3.28, 2, 3, 14.7)])
-    (rec,) = parse_ngsim_csv(text, units="feet")
+    (rec,) = _rows(parse_ngsim_csv(text, units="feet"))
     assert rec.vehicle_id == 7 and rec.frame_id == 100
     assert rec.local_y == pytest.approx(328.0 * FEET_TO_METERS)
     assert rec.speed == pytest.approx(32.8 * FEET_TO_METERS)
@@ -54,7 +78,7 @@ def test_parse_feet_converts_positional_columns():
 
 def test_parse_meters_is_identity_on_positions():
     text = _ngsim_text([(1, 5, 100.0, 12.0, 0.5, 1, 0, 4.5)])
-    (rec,) = parse_ngsim_csv(text, units="meters")
+    (rec,) = _rows(parse_ngsim_csv(text, units="meters"))
     assert rec.local_y == 100.0 and rec.speed == 12.0
 
 
@@ -63,7 +87,7 @@ def test_parse_header_case_and_extra_columns():
         "vehicle_id,FRAME_ID,local_y,V_VEL,v_acc,Lane_id,preceding,v_length,Global_X\n"
         "4,2,50.0,10.0,0.0,1,0,4.0,99999"
     )
-    (rec,) = parse_ngsim_csv(text, units="meters")
+    (rec,) = _rows(parse_ngsim_csv(text, units="meters"))
     assert rec.vehicle_id == 4 and rec.local_y == 50.0
 
 
@@ -77,6 +101,82 @@ def test_parse_unparsable_field_raises():
     text = _ngsim_text([(1, 1, "abc", 0, 0, 1, 0, 4.5)])
     with pytest.raises(UnparsableField):
         parse_ngsim_csv(text)
+
+
+@pytest.mark.parametrize("column, value", [
+    ("frame_id", "inf"),
+    ("frame_id", "nan"),
+    ("frame_id", "2.7"),
+    ("vehicle_id", "1e300"),
+    ("local_y", "nan"),
+    ("local_y", "inf"),
+    ("v_vel", "-inf"),
+    ("v_length", "1e400"),
+])
+def test_parse_rejects_nonfinite_and_nonintegral_fields(column, value):
+    # the bad field is in data row 3: a blank line counts as a data row
+    good = ["1", "1", "0.0", "0.0", "0.0", "1", "0", "4.5"]
+    bad = list(good)
+    bad[NGSIM_HEADER.lower().split(",").index(column)] = value
+    text = NGSIM_HEADER + "\n" + ",".join(good) + "\n\n" + ",".join(bad) + "\n"
+    with pytest.raises(UnparsableField) as exc:
+        parse_ngsim_csv(text)
+    assert (exc.value.row, exc.value.column) == (3, column)
+
+
+@pytest.mark.parametrize("column, value", [
+    ("frame_id", "inf"),
+    ("frame_id", "2.7"),
+    ("lane_id", "nan"),
+    ("local_y_m", "nan"),
+    ("v_mps", "inf"),
+])
+def test_read_canonical_rejects_nonfinite_and_nonintegral_fields(tmp_path, column, value):
+    good = ["1", "1", "0.1", "0.0", "0.0", "0.0", "1", "0", "4.5"]
+    bad = list(good)
+    bad[CANONICAL_HEADER.index(column)] = value
+    path = tmp_path / "canon.csv"
+    path.write_text("\n".join(",".join(r) for r in (CANONICAL_HEADER, good, [], bad)) + "\n")
+    with pytest.raises(UnparsableField) as exc:
+        read_canonical_csv(path)
+    assert (exc.value.row, exc.value.column) == (3, column)
+
+
+def test_parse_field_only_float_takes_is_data_error():
+    # float() takes "1_0" but np.loadtxt does not, so no bad field is named
+    with pytest.raises(DataError):
+        parse_ngsim_csv(_ngsim_text([(1, "1_0", 0.0, 0.0, 0.0, 1, 0, 4.5)]))
+
+
+def test_parse_names_first_bad_field_by_row_then_column():
+    text = _ngsim_text([
+        (1, 1, 0.0, 0.0, 0.0, 1, 0, 4.5),
+        (1, 2, "x", 0.0, 0.0, 1.5, 0, 4.5),  # local_y precedes lane_id
+        (1, "x", 0.0, 0.0, 0.0, 1, 0, 4.5),
+    ])
+    with pytest.raises(UnparsableField) as exc:
+        parse_ngsim_csv(text)
+    assert (exc.value.row, exc.value.column) == (2, "local_y")
+
+    with pytest.raises(UnparsableField) as exc:
+        parse_ngsim_csv(NGSIM_HEADER + "\n1,1,0.0,0.0,0.0,1,0,4.5\n1,2,0.0\n")
+    assert (exc.value.row, exc.value.column) == (2, "v_vel")  # short row
+
+
+def test_table_length_is_row_count_and_blank_rows_are_skipped(tmp_path):
+    rows = [",".join(str(c) for c in (1, f, 10.0 * f, 10.0, 0.0, 1, 0, 4.5)) for f in range(5)]
+    text = NGSIM_HEADER + "\n" + "\n".join(rows[:2] + ["", " , ,", "  "] + rows[2:]) + "\n"
+    table = parse_ngsim_csv(text)
+    assert len(table) == 5
+    np.testing.assert_array_equal(table.frame_id, np.arange(5))
+
+    path = tmp_path / "canon.csv"
+    write_canonical_csv(table, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")
+    back = read_canonical_csv(path)
+    assert len(back) == 5
+    _assert_same_table(back, table)
 
 
 def test_parse_empty_inputs_raise():
@@ -93,7 +193,7 @@ def test_parse_bad_units_rejected():
 
 def test_canonical_csv_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(17)
-    records = [
+    records = _table([
         _record(
             vid=int(rng.integers(1, 50)),
             frame=i,
@@ -105,11 +205,11 @@ def test_canonical_csv_round_trip_is_bit_exact(tmp_path):
             length=float(rng.uniform(3, 20)),
         )
         for i in range(200)
-    ]
+    ])
     path = tmp_path / "canon.csv"
     write_canonical_csv(records, path)
     back = read_canonical_csv(path)
-    assert back == records
+    _assert_same_table(back, records)
 
     # writing the read-back must reproduce the file byte for byte
     path2 = tmp_path / "canon2.csv"
@@ -120,7 +220,7 @@ def test_canonical_csv_round_trip_is_bit_exact(tmp_path):
 def test_build_trajectories_keeps_longest_run():
     # frames 1-3 and 10-15: the 6-sample run wins, one fragment discarded
     recs = [_record(1, f, float(f)) for f in (1, 2, 3, 10, 11, 12, 13, 14, 15)]
-    tset = build_trajectories(recs)
+    tset = build_trajectories(_table(recs))
     tr = tset.trajectories[1]
     assert tr.start_frame == 10 and tr.n == 6
     assert tset.fragments_discarded == 1
@@ -129,7 +229,95 @@ def test_build_trajectories_keeps_longest_run():
 def test_build_trajectories_duplicate_frame_raises():
     recs = [_record(1, 5, 0.0), _record(1, 5, 1.0)]
     with pytest.raises(DuplicateFrame):
-        build_trajectories(recs)
+        build_trajectories(_table(recs))
+
+
+def test_build_trajectories_keeps_earlier_of_equal_runs():
+    # frames 7-9 and 2-4, rows out of order: the run starting at frame 2 wins
+    recs = [_record(1, f, float(f)) for f in (9, 3, 7, 2, 8, 4)]
+    tset = build_trajectories(_table(recs))
+    tr = tset.trajectories[1]
+    assert tr.start_frame == 2 and tr.n == 3
+    np.testing.assert_array_equal(tr.positions, [2.0, 3.0, 4.0])
+    assert tset.fragments_discarded == 1
+
+
+def test_build_trajectories_names_smallest_duplicate():
+    recs = [
+        _record(5, 1, 0.0), _record(5, 1, 0.0),
+        _record(3, 9, 0.0), _record(3, 9, 0.0),
+        _record(3, 4, 0.0), _record(3, 4, 0.0),
+        _record(2, 1, 0.0), _record(2, 2, 0.0),
+    ]
+    with pytest.raises(DuplicateFrame) as exc:
+        build_trajectories(_table(recs))
+    assert (exc.value.vehicle_id, exc.value.frame_id) == (3, 4)
+
+
+def test_build_trajectories_takes_length_from_first_row_of_kept_run():
+    recs = [_record(4, f, float(f), length=4.0 + f / 10) for f in (6, 1, 8, 5, 2, 7)]
+    tset = build_trajectories(_table(recs))
+    tr = tset.trajectories[4]
+    assert tr.start_frame == 5 and tr.vehicle_length == 4.5
+
+
+def test_build_trajectories_keys_are_python_ints():
+    tset = build_trajectories(_table(_two_vehicle_records(n=5)))
+    assert list(tset.trajectories) == [1, 2]
+    for vid, tr in tset.trajectories.items():
+        assert type(vid) is int and type(tr.vehicle_id) is int
+        assert type(tr.start_frame) is int and type(tr.vehicle_length) is float
+
+
+def _build_reference(records):
+    """Row-by-row grouping: sort each vehicle's rows by frame, split at gaps,
+    keep the longest run (the earliest on ties)."""
+    by_vehicle = {}
+    for r in records:
+        by_vehicle.setdefault(r[0], []).append(r)
+    kept, discarded = {}, 0
+    for vid in sorted(by_vehicle):
+        rows = sorted(by_vehicle[vid], key=lambda r: r[1])
+        runs = [[rows[0]]]
+        for r in rows[1:]:
+            if r[1] == runs[-1][-1][1] + 1:
+                runs[-1].append(r)
+            else:
+                runs.append([r])
+        runs.sort(key=lambda run: (-len(run), run[0][1]))
+        kept[vid] = runs[0]
+        discarded += len(runs) - 1
+    return kept, discarded
+
+
+def test_build_trajectories_matches_row_by_row_grouping():
+    rng = np.random.default_rng(5)
+    records = []
+    for vid in rng.permutation(np.arange(1, 31)):
+        frames = np.flatnonzero(rng.random(80) > 0.1) + int(rng.integers(0, 50))
+        for f in frames:
+            records.append(_record(
+                int(vid), int(f), float(rng.normal()),
+                lane=int(rng.integers(1, 4)),
+                preceding=int(rng.integers(0, 31)),
+                speed=float(rng.normal()),
+                accel=float(rng.normal()),
+                length=float(rng.uniform(3, 6)),
+            ))
+    records = [records[i] for i in rng.permutation(len(records))]
+    tset = build_trajectories(_table(records))
+    kept, discarded = _build_reference(records)
+    assert tset.fragments_discarded == discarded > 0
+    assert list(tset.trajectories) == list(kept)
+    for vid, run in kept.items():
+        tr = tset.trajectories[vid]
+        assert tr.start_frame == run[0][1] and tr.n == len(run)
+        assert tr.vehicle_length == run[0][7]
+        for values, column in (
+            (tr.positions, 2), (tr.speeds, 3), (tr.accels, 4),
+            (tset.lanes[vid], 5), (tset.preceding[vid], 6),
+        ):
+            np.testing.assert_array_equal(values, [r[column] for r in run])
 
 
 def _two_vehicle_records(n=30, lane=1, gap=20.0):
@@ -141,7 +329,7 @@ def _two_vehicle_records(n=30, lane=1, gap=20.0):
 
 
 def test_pairing_full_overlap():
-    tset = build_trajectories(_two_vehicle_records(n=40))
+    tset = build_trajectories(_table(_two_vehicle_records(n=40)))
     pairs, diag = pair_leader_follower(tset, min_samples=10)
     assert len(pairs) == 1
     p = pairs[0]
@@ -157,7 +345,7 @@ def test_pairing_splits_on_lane_change():
     for f in range(30):
         recs.append(_record(1, f, 30.0 + f, lane=1, preceding=0))
         recs.append(_record(2, f, float(f), lane=1 if f < 18 else 2, preceding=1))
-    tset = build_trajectories(recs)
+    tset = build_trajectories(_table(recs))
     pairs, _ = pair_leader_follower(tset, min_samples=1)
     assert len(pairs) == 1
     assert pairs[0].overlap_len == 18
@@ -169,14 +357,14 @@ def test_pairing_rejects_nonpositive_headway():
     for f in range(20):
         recs.append(_record(1, f, 10.0, lane=1, preceding=0))
         recs.append(_record(2, f, 10.0 + (1.0 if f == 7 else -5.0), lane=1, preceding=1))
-    tset = build_trajectories(recs)
+    tset = build_trajectories(_table(recs))
     pairs, diag = pair_leader_follower(tset, min_samples=1)
     assert pairs == []
     assert diag.rejected_nonpositive and diag.rejected_nonpositive[0][:2] == (1, 2)
 
 
 def test_pairing_flags_short_pairs_but_returns_them():
-    tset = build_trajectories(_two_vehicle_records(n=30))
+    tset = build_trajectories(_table(_two_vehicle_records(n=30)))
     pairs, diag = pair_leader_follower(tset, min_samples=600)
     assert len(pairs) == 1
     assert not pairs[0].meets_min_samples
@@ -184,7 +372,7 @@ def test_pairing_flags_short_pairs_but_returns_them():
 
 
 def test_pairing_lane_filter():
-    tset = build_trajectories(_two_vehicle_records(lane=3))
+    tset = build_trajectories(_table(_two_vehicle_records(lane=3)))
     pairs, _ = pair_leader_follower(tset, lane_filter=2, min_samples=1)
     assert pairs == []
     pairs, _ = pair_leader_follower(tset, lane_filter=3, min_samples=1)
@@ -202,7 +390,7 @@ def test_vehicle_pair_validates_trim_and_headway():
 
 
 def test_pair_index_round_trip(tmp_path):
-    tset = build_trajectories(_two_vehicle_records(n=25))
+    tset = build_trajectories(_table(_two_vehicle_records(n=25)))
     pairs, _ = pair_leader_follower(tset, min_samples=1)
     path = tmp_path / "pairs.json"
     path.write_text(json.dumps(pair_index(pairs)))
