@@ -175,7 +175,8 @@ def cmd_ingest(args) -> int:
         inputs = {"input": "synthetic"}
     else:
         src = _resolve_input(args.input)
-        records = parse_ngsim_csv(src.read_text(), units=args.units)
+        with open(src) as fh:
+            records = parse_ngsim_csv(fh, units=args.units)
         inputs = {src.name: _sha256_file(src)}
     write_canonical_csv(records, out / "trajectories.csv")
     tset = build_trajectories(records)
@@ -375,7 +376,6 @@ def cmd_stability(args) -> int:
     grid = _freq_grid(args)
 
     vehicles = []
-    lins = []
     for e in entries:
         theta = FvdmParams(**e["theta"])
         dx_star = equilibrium_headway(theta, args.v_star)
@@ -383,7 +383,6 @@ def cmd_stability(args) -> int:
         lin = linearize_hdv(theta, eq)
         w0 = numeric_critical_frequency(lin, grid)
         margin = delay_margin(lin)
-        lins.append(lin)
         vehicles.append(
             {
                 "leader_id": e["leader_id"],
@@ -409,7 +408,8 @@ def cmd_stability(args) -> int:
                 "omega_max": grid.omega_max,
                 "points": grid.points,
             },
-            "platoon_omega0": platoon_critical_frequency(lins, grid),
+            # platoon_critical_frequency of the vehicles, from their omega0
+            "platoon_omega0": min((v["omega0"] for v in vehicles if v["omega0"] > 0.0), default=0.0),
             "vehicles": vehicles,
         },
     )

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NonpositiveEquilibriumHeadway
 
@@ -201,30 +200,6 @@ def hdv_gain_sq(lin: LinearizedHdv, omega):
     return float(out) if out.ndim == 0 else out
 
 
-def hdv_gain_sq_closed(lin: LinearizedHdv, omega):
-    """Closed-form expression of hdv_gain_sq; the two must agree to roundoff.
-
-    The denominator w^2 K^2 + w^4 + k1^2 - 2 w^3 K sin(w tau)
-    - 2 w^2 k1 cos(w tau) is evaluated in the factored grouping
-    (k1 cos + w K sin - w^2)^2 + (w K cos - k1 sin)^2, which is
-    algebraically identical but cancels before squaring; the expanded order
-    loses ~5 digits near resonance peaks.
-    """
-    w = np.asarray(omega, dtype=float)
-    K = lin.k2 + lin.k3 + lin.k1 * lin.lambda2
-    num = lin.k1 * lin.k1 + w * w * lin.k3 * lin.k3
-    c = np.cos(w * lin.tau)
-    s = np.sin(w * lin.tau)
-    re = lin.k1 * c + w * K * s - w * w
-    im = w * K * c - lin.k1 * s
-    den = re * re + im * im
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
-    dc = 1.0 if lin.k1 > 0 else (lin.k3 / K) ** 2
-    out = np.where(w == 0.0, dc, out)
-    return float(out) if out.ndim == 0 else out
-
-
 def delay_margin(lin: LinearizedHdv) -> float:
     """Largest reaction delay for which the driver's own loop stays stable.
 
@@ -249,21 +224,6 @@ def cav_gain_sq(g: ControllerGains, lambda2: float, omega):
     den = (g.k1 - ww) ** 2 + ww * K * K
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / den
-    if np.any(w == 0.0):
-        dc = 1.0 if g.k1 > 0 else ((g.k3 / K) ** 2 if K > 0 else np.nan)
-        out = np.where(w == 0.0, dc, out)
-    return float(out) if out.ndim == 0 else out
-
-
-def cav_gain_sq_complex(g: ControllerGains, lambda2: float, omega):
-    """cav_gain_sq by direct complex substitution, for cross-checking."""
-    w = np.asarray(omega, dtype=float)
-    K = g.k2 + g.k3 + g.k1 * lambda2
-    num = g.k1 + 1j * w * g.k3
-    den = -(w * w) + 1j * w * K + g.k1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = num / den
-        out = (t * t.conjugate()).real
     if np.any(w == 0.0):
         dc = 1.0 if g.k1 > 0 else ((g.k3 / K) ** 2 if K > 0 else np.nan)
         out = np.where(w == 0.0, dc, out)
@@ -316,10 +276,10 @@ def critical_frequency(lin: LinearizedHdv) -> float:
 
 
 def numeric_critical_frequency(lin: LinearizedHdv, grid: FrequencyGrid | None = None) -> float:
-    """Largest grid frequency with gain >= 1, bisection-refined.
+    """Largest grid frequency with gain >= 1, refined by Brent's method.
 
     Scans a log grid, takes the last point where the gain reaches one and
-    refines the crossing against the next point to ~1e-10 relative.  Returns
+    refines the crossing against the next point to ~1e-12 relative.  Returns
     0 when the gain stays below one on the whole grid; crossings below the
     grid floor are invisible.  Valid for any tau and lambda2.
     """
@@ -334,7 +294,53 @@ def numeric_critical_frequency(lin: LinearizedHdv, grid: FrequencyGrid | None = 
         return float(w[-1])  # still amplifying at the top of the grid
 
     f = lambda om: hdv_gain_sq(lin, om) - 1.0
-    return float(brentq(f, w[i], w[i + 1], rtol=1e-12, xtol=1e-14))
+    return _brent_root(f, float(w[i]), float(w[i + 1]), xtol=1e-14, rtol=1e-12)
+
+
+def _brent_root(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f bracketed by [xa, xb] by Brent's method.
+
+    Follows scipy.optimize.brentq's C loop operation for operation, so the
+    root is the same to the bit.  Raises ValueError when f(xa) and f(xb)
+    share a sign, RuntimeError after maxiter steps without convergence.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent root not converged after {maxiter} steps")
 
 
 def platoon_critical_frequency(lins, grid: FrequencyGrid | None = None) -> float:

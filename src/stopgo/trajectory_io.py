@@ -15,7 +15,6 @@ reproduces the file byte for byte.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass, field, fields
@@ -242,8 +241,9 @@ def _read_table(fh, usecols, names, scale: float = 1.0) -> TrajectoryTable:
     raise DataError(f"unparsable data: {failure}")
 
 
-def parse_ngsim_csv(text: str, units: str = "meters") -> TrajectoryTable:
-    """Parse an NGSIM-style CSV export into a table.
+def parse_ngsim_csv(fh, units: str = "meters") -> TrajectoryTable:
+    """Parse an NGSIM-style CSV export, read from the seekable text stream fh,
+    into a table.
 
     Header names are matched case-insensitively; extra columns are ignored.
     With units="feet" the positional quantities are converted to meters.
@@ -255,7 +255,6 @@ def parse_ngsim_csv(text: str, units: str = "meters") -> TrajectoryTable:
         raise ValueError("units must be 'meters' or 'feet'")
     scale = FEET_TO_METERS if units == "feet" else 1.0
 
-    fh = io.StringIO(text)
     col = {h: i for i, h in enumerate(_header(fh))}
     for name in _REQUIRED_COLUMNS:
         if name not in col:

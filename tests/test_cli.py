@@ -2,11 +2,17 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stopgo
 from stopgo.cli import build_parser, main
+from stopgo.stability import FrequencyGrid, LinearizedHdv, platoon_critical_frequency
 
 # shrink the gain search where a test does not care about the full grid
 FAST_GRID = '{"k1": [0.0, 0.0, 0.05], "k2": [0.1, 1.0, 0.1], "k3": [0.1, 1.0, 0.1]}'
@@ -187,6 +193,10 @@ def test_stability_artifacts(chain):
     veh = sdoc["vehicles"][0]
     assert {"k1", "k2", "k3", "lambda2", "tau", "omega0", "string_stable"} <= set(veh)
     assert veh["string_stable"] == (veh["omega0"] == 0.0)
+    lins = [LinearizedHdv(v["k1"], v["k2"], v["k3"], v["lambda2"], v["tau"])
+            for v in sdoc["vehicles"]]
+    grid = FrequencyGrid(**sdoc["omega_grid"])
+    assert sdoc["platoon_omega0"] == platoon_critical_frequency(lins, grid)
     assert (chain / "05" / "calibration.json").exists()  # forwarded for later stages
 
 
@@ -330,3 +340,25 @@ def test_pipeline_forwards_each_flag_to_its_stage(tmp_path):
     assert gains["beta"] == 2.5
     assert gains["platoon"] == 3
     assert _read_json(out / "07_validate" / "simulate_summary.json")["omega"] == 0.5
+
+
+def test_no_stage_imports_scipy(tmp_path):
+    """Every stage process pays for its imports at launch; scipy is not one of them."""
+    script = f"""
+import json, sys
+import stopgo.cli
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "import"
+rc = stopgo.cli.main(["pipeline", "--input", "synthetic", "--seed", "5",
+    "--population", "12", "--generations", "4", "--stagnation", "4",
+    "--gain-grid", {FAST_GRID!r}, "--platoon", "3", "--duration", "30", "--out", "pipe"])
+assert rc == 0, rc
+with open("pipe/05_stability/stability.json") as fh:
+    assert json.load(fh)["platoon_omega0"] > 0.0  # the root finder ran
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(stopgo.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

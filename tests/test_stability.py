@@ -24,14 +24,13 @@ from stopgo.stability import (
     GainGridSpec,
     LinearizedHdv,
     StabilizedCount,
+    _brent_root,
     cav_complement_gain_sq,
     cav_gain_sq,
-    cav_gain_sq_complex,
     cav_string_stable,
     critical_frequency,
     delay_margin,
     hdv_gain_sq,
-    hdv_gain_sq_closed,
     linearize_hdv,
     n_safe,
     n_stable,
@@ -61,6 +60,23 @@ def _complex_cav(g, lambda2, om):
     s = 1j * np.asarray(om, dtype=float)
     K = g.k2 + g.k3 + g.k1 * lambda2
     return (g.k1 + s * g.k3) / (s * s + s * K + g.k1)
+
+
+def _closed_hdv_gain_sq(lin, w):
+    """Closed form of hdv_gain_sq at nonzero frequencies w.
+
+    The denominator w^2 K^2 + w^4 + k1^2 - 2 w^3 K sin(w tau)
+    - 2 w^2 k1 cos(w tau) is evaluated in the factored grouping
+    (k1 cos + w K sin - w^2)^2 + (w K cos - k1 sin)^2, which is
+    algebraically identical but cancels before squaring; the expanded order
+    loses ~5 digits near resonance peaks.
+    """
+    K = lin.k2 + lin.k3 + lin.k1 * lin.lambda2
+    c = np.cos(w * lin.tau)
+    s = np.sin(w * lin.tau)
+    re = lin.k1 * c + w * K * s - w * w
+    im = w * K * c - lin.k1 * s
+    return (lin.k1 * lin.k1 + w * w * lin.k3 * lin.k3) / (re * re + im * im)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +127,7 @@ def test_hdv_dual_formulas_agree_everywhere():
             tau=float(rng.uniform(0.0, 3.0)),
         )
         a = hdv_gain_sq(lin, DEFAULT_OMEGAS)
-        b = hdv_gain_sq_closed(lin, DEFAULT_OMEGAS)
+        b = _closed_hdv_gain_sq(lin, DEFAULT_OMEGAS)
         worst = max(worst, _scaled_diff(a, b))
         ref = _complex_hdv_gain_sq(lin, DEFAULT_OMEGAS[::40])
         assert _scaled_diff(hdv_gain_sq(lin, DEFAULT_OMEGAS[::40]), ref) < 1e-9
@@ -129,7 +145,7 @@ def test_cav_dual_formulas_agree_everywhere():
         )
         lam2 = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
         a = cav_gain_sq(g, lam2, DEFAULT_OMEGAS)
-        b = cav_gain_sq_complex(g, lam2, DEFAULT_OMEGAS)
+        b = np.abs(_complex_cav(g, lam2, DEFAULT_OMEGAS)) ** 2
         worst = max(worst, _scaled_diff(a, b))
     assert worst <= 1e-12
 
@@ -220,6 +236,56 @@ def test_numeric_critical_frequency_is_a_unit_gain_crossing():
     assert w0 > 0.0
     assert hdv_gain_sq(lin, w0 * (1 - 1e-4)) > 1.0
     assert hdv_gain_sq(lin, w0 * (1 + 1e-4)) < 1.0
+
+
+def test_brent_root_matches_scipy_brentq_to_the_bit():
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    rng = np.random.default_rng(107)
+    grids = (FrequencyGrid(), FrequencyGrid(1e-2, 10.0, 500))
+    roots = 0
+    for tau_on, lam_on in [(False, False), (False, True), (True, False), (True, True)]:
+        for _ in range(40):
+            lin = LinearizedHdv(
+                k1=float(rng.uniform(0.5, 5.0)),
+                k2=float(rng.uniform(0.1, 1.0)),
+                k3=float(rng.uniform(0.0, 0.5)),
+                lambda2=float(rng.uniform(0.0, 0.5)) if lam_on else 0.0,
+                tau=float(rng.uniform(0.05, 1.0)) if tau_on else 0.0,
+            )
+            f = lambda om: hdv_gain_sq(lin, om) - 1.0
+            for grid in grids:
+                w = grid.values()
+                above = np.nonzero(hdv_gain_sq(lin, w) >= 1.0)[0]
+                if above.size == 0 or above[-1] == len(w) - 1:
+                    continue
+                a, b = float(w[above[-1]]), float(w[above[-1] + 1])
+                expected = brentq(f, a, b, xtol=1e-14, rtol=1e-12)
+                assert _brent_root(f, a, b, xtol=1e-14, rtol=1e-12) == expected
+                assert numeric_critical_frequency(lin, grid) == expected
+                roots += 1
+    assert roots >= 200  # most drivers are string unstable on both grids
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: x**3 - 2.0, lambda x: math.cos(x) - x, lambda x: x**9 - 0.5,
+])
+def test_brent_root_matches_scipy_brentq_on_random_brackets(f):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    rng = np.random.default_rng(108)
+    for a, b in zip(rng.uniform(-3.0, 0.5, 50), rng.uniform(1.5, 4.0, 50)):
+        a, b = float(a), float(b)
+        expected = brentq(f, a, b, xtol=1e-14, rtol=1e-12)
+        assert _brent_root(f, a, b, xtol=1e-14, rtol=1e-12) == expected
+
+
+def test_brent_root_errors_and_exact_zero():
+    cube = lambda x: x**3 - 2.0
+    assert _brent_root(cube, 0.0, 2.0, xtol=1e-14, rtol=1e-12) == pytest.approx(2 ** (1 / 3))
+    with pytest.raises(ValueError):
+        _brent_root(cube, 2.0, 3.0, xtol=1e-14, rtol=1e-12)
+    with pytest.raises(RuntimeError):
+        _brent_root(cube, 0.0, 2.0, xtol=1e-14, rtol=1e-12, maxiter=2)
+    assert _brent_root(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-14, rtol=1e-12) == 1.0
 
 
 def _synthetic_linearization():

@@ -1,6 +1,7 @@
 """Tests for trajectory parsing, canonical CSV round trips, and pairing."""
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import fields
 from types import SimpleNamespace
@@ -41,6 +42,10 @@ def _ngsim_text(rows):
     return NGSIM_HEADER + "\n" + "\n".join(",".join(str(c) for c in r) for r in rows)
 
 
+def _parse(text, **kw):
+    return parse_ngsim_csv(io.StringIO(text), **kw)
+
+
 def _record(vid, frame, y, lane=1, preceding=0, speed=10.0, accel=0.0, length=4.5):
     return (vid, frame, y, speed, accel, lane, preceding, length)
 
@@ -67,7 +72,7 @@ def _assert_same_table(a, b):
 
 def test_parse_feet_converts_positional_columns():
     text = _ngsim_text([(7, 100, 328.0, 32.8, -3.28, 2, 3, 14.7)])
-    (rec,) = _rows(parse_ngsim_csv(text, units="feet"))
+    (rec,) = _rows(_parse(text, units="feet"))
     assert rec.vehicle_id == 7 and rec.frame_id == 100
     assert rec.local_y == pytest.approx(328.0 * FEET_TO_METERS)
     assert rec.speed == pytest.approx(32.8 * FEET_TO_METERS)
@@ -78,7 +83,7 @@ def test_parse_feet_converts_positional_columns():
 
 def test_parse_meters_is_identity_on_positions():
     text = _ngsim_text([(1, 5, 100.0, 12.0, 0.5, 1, 0, 4.5)])
-    (rec,) = _rows(parse_ngsim_csv(text, units="meters"))
+    (rec,) = _rows(_parse(text, units="meters"))
     assert rec.local_y == 100.0 and rec.speed == 12.0
 
 
@@ -87,20 +92,20 @@ def test_parse_header_case_and_extra_columns():
         "vehicle_id,FRAME_ID,local_y,V_VEL,v_acc,Lane_id,preceding,v_length,Global_X\n"
         "4,2,50.0,10.0,0.0,1,0,4.0,99999"
     )
-    (rec,) = _rows(parse_ngsim_csv(text, units="meters"))
+    (rec,) = _rows(_parse(text, units="meters"))
     assert rec.vehicle_id == 4 and rec.local_y == 50.0
 
 
 def test_parse_missing_column_raises():
     text = "Vehicle_ID,Frame_ID,Local_Y,v_Vel,Lane_ID,Preceding,v_Length\n1,1,0,0,1,0,4"
     with pytest.raises(MissingColumn):
-        parse_ngsim_csv(text)
+        _parse(text)
 
 
 def test_parse_unparsable_field_raises():
     text = _ngsim_text([(1, 1, "abc", 0, 0, 1, 0, 4.5)])
     with pytest.raises(UnparsableField):
-        parse_ngsim_csv(text)
+        _parse(text)
 
 
 @pytest.mark.parametrize("column, value", [
@@ -120,7 +125,7 @@ def test_parse_rejects_nonfinite_and_nonintegral_fields(column, value):
     bad[NGSIM_HEADER.lower().split(",").index(column)] = value
     text = NGSIM_HEADER + "\n" + ",".join(good) + "\n\n" + ",".join(bad) + "\n"
     with pytest.raises(UnparsableField) as exc:
-        parse_ngsim_csv(text)
+        _parse(text)
     assert (exc.value.row, exc.value.column) == (3, column)
 
 
@@ -145,7 +150,7 @@ def test_read_canonical_rejects_nonfinite_and_nonintegral_fields(tmp_path, colum
 def test_parse_field_only_float_takes_is_data_error():
     # float() takes "1_0" but np.loadtxt does not, so no bad field is named
     with pytest.raises(DataError):
-        parse_ngsim_csv(_ngsim_text([(1, "1_0", 0.0, 0.0, 0.0, 1, 0, 4.5)]))
+        _parse(_ngsim_text([(1, "1_0", 0.0, 0.0, 0.0, 1, 0, 4.5)]))
 
 
 def test_parse_names_first_bad_field_by_row_then_column():
@@ -155,18 +160,18 @@ def test_parse_names_first_bad_field_by_row_then_column():
         (1, "x", 0.0, 0.0, 0.0, 1, 0, 4.5),
     ])
     with pytest.raises(UnparsableField) as exc:
-        parse_ngsim_csv(text)
+        _parse(text)
     assert (exc.value.row, exc.value.column) == (2, "local_y")
 
     with pytest.raises(UnparsableField) as exc:
-        parse_ngsim_csv(NGSIM_HEADER + "\n1,1,0.0,0.0,0.0,1,0,4.5\n1,2,0.0\n")
+        _parse(NGSIM_HEADER + "\n1,1,0.0,0.0,0.0,1,0,4.5\n1,2,0.0\n")
     assert (exc.value.row, exc.value.column) == (2, "v_vel")  # short row
 
 
 def test_table_length_is_row_count_and_blank_rows_are_skipped(tmp_path):
     rows = [",".join(str(c) for c in (1, f, 10.0 * f, 10.0, 0.0, 1, 0, 4.5)) for f in range(5)]
     text = NGSIM_HEADER + "\n" + "\n".join(rows[:2] + ["", " , ,", "  "] + rows[2:]) + "\n"
-    table = parse_ngsim_csv(text)
+    table = _parse(text)
     assert len(table) == 5
     np.testing.assert_array_equal(table.frame_id, np.arange(5))
 
@@ -181,14 +186,14 @@ def test_table_length_is_row_count_and_blank_rows_are_skipped(tmp_path):
 
 def test_parse_empty_inputs_raise():
     with pytest.raises(EmptyInput):
-        parse_ngsim_csv("")
+        _parse("")
     with pytest.raises(EmptyInput):
-        parse_ngsim_csv(NGSIM_HEADER + "\n")
+        _parse(NGSIM_HEADER + "\n")
 
 
 def test_parse_bad_units_rejected():
     with pytest.raises(ValueError):
-        parse_ngsim_csv(_ngsim_text([(1, 1, 0, 0, 0, 1, 0, 4)]), units="furlongs")
+        _parse(_ngsim_text([(1, 1, 0, 0, 0, 1, 0, 4)]), units="furlongs")
 
 
 def test_canonical_csv_round_trip_is_bit_exact(tmp_path):
