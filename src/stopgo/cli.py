@@ -4,6 +4,17 @@ Each subcommand reads the previous stage's directory and writes its own
 artifacts plus a run manifest, so any stage can be re-run or inspected in
 isolation.  Exit codes: 0 success, 1 usage error, 2 data error, 3 collision
 during simulation.
+
+Every stage directory, and the top of a ``pipeline`` tree, holds a
+``manifest.json`` with the fields ``subcommand``, ``config_digest``,
+``tool_version``, ``rng_seed`` (0 for a stage that takes no seed), and
+``started`` and ``finished`` (UTC, ISO 8601).  ``config_digest`` is the
+sha256 of the subcommand, its flags and its inputs.  A stage's flags are
+all its declared flags as parsed, overridden by the values the stage
+resolved itself (such as a frequency grid read from ``stability.json``);
+``pipeline``'s are every flag it parsed.  The inputs are each input file's
+sha256 by file name, or ``{"input": <--input>}`` for a run that reads no
+file (the built-in ``synthetic`` scenario).
 """
 from __future__ import annotations
 
@@ -14,6 +25,7 @@ import shutil
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,10 +54,10 @@ from .stability import (
     LinearizedHdv,
     _default_gain_axis,
     delay_margin,
-    hdv_gain_sq,
     linearize_hdv,
     numeric_critical_frequency,
     optimize_gains,
+    peak_gain_frequency,
     platoon_critical_frequency,
     write_heatmaps,
 )
@@ -81,6 +93,10 @@ class UsageError(Exception):
     """Bad invocation detected after argument parsing."""
 
 
+# a stage handler's exit code, the files it read and the flag values it resolved
+StageResult = tuple[int, list[Path], dict]
+
+
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1 per the CLI contract, not argparse's default 2
     def error(self, message):
@@ -105,24 +121,41 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _config_digest(subcommand: str, flags: dict, inputs: dict) -> str:
-    payload = {"subcommand": subcommand, "flags": flags, "inputs": inputs}
-    blob = json.dumps(payload, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()
-
-
-def _write_manifest(
-    outdir: Path, subcommand: str, flags: dict, inputs: dict, seed, started: str
-) -> None:
+def _write_manifest(args, subcommand: str, flags: dict, paths: list, started: str) -> None:
+    # a run that read no file (the synthetic scenario) records its --input instead
+    inputs = {p.name: _sha256_file(p) for p in paths} or {"input": args.input}
+    payload = json.dumps({"subcommand": subcommand, "flags": flags, "inputs": inputs},
+                         sort_keys=True, default=str)
+    seed = getattr(args, "seed", None)
     manifest = {
         "subcommand": subcommand,
-        "config_digest": _config_digest(subcommand, flags, inputs),
+        "config_digest": hashlib.sha256(payload.encode()).hexdigest(),
         "tool_version": __version__,
         "rng_seed": int(seed) if seed is not None else 0,
         "started": started,
         "finished": _utcnow(),
     }
-    _write_json(outdir / "manifest.json", manifest)
+    _write_json(Path(args.out) / "manifest.json", manifest)
+
+
+def _run_stage(name: str, args) -> int:
+    """Run the stage handler cmd_<name> and write the stage's manifest.
+
+    The handler checks its flags before it creates --out and returns a
+    StageResult.  It is looked up on each call, so a replaced module global
+    takes effect.
+    """
+    started = _utcnow()
+    rc, inputs, resolved = globals()["cmd_" + name.replace("-", "_")](args)
+    stage = next(s for s in STAGES if s.name == name)
+    flags = {f.dest: getattr(args, f.dest) for f in stage.flags} | resolved
+    _write_manifest(args, name, flags, inputs, started)
+    return rc
+
+
+def _check_count(flag: str, value) -> None:
+    if value is not None and value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
 
 
 def _outdir(args) -> Path:
@@ -167,17 +200,16 @@ def _synthetic_records(seed, noise: float):
     return table_from_set(TrajectorySet({lid: leader, fid: follower}, {lid: lane, fid: lane}, preceding))
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> StageResult:
     out = _outdir(args)
-    started = _utcnow()
     if args.input == "synthetic":
         records = _synthetic_records(args.seed, args.noise)
-        inputs = {"input": "synthetic"}
+        inputs = []
     else:
         src = _resolve_input(args.input)
         with open(src) as fh:
             records = parse_ngsim_csv(fh, units=args.units)
-        inputs = {src.name: _sha256_file(src)}
+        inputs = [src]
     write_canonical_csv(records, out / "trajectories.csv")
     tset = build_trajectories(records)
     _write_json(
@@ -189,16 +221,14 @@ def cmd_ingest(args) -> int:
             "units": args.units if args.input != "synthetic" else "meters",
         },
     )
-    _write_manifest(out, "ingest", _stage_flags(args, "ingest"), inputs, args.seed, started)
-    return EXIT_OK
+    return EXIT_OK, inputs, {}
 
 
 # ---------------------------------------------------------------- smooth
 
 
-def cmd_smooth(args) -> int:
+def cmd_smooth(args) -> StageResult:
     out = _outdir(args)
-    started = _utcnow()
     src = _resolve_input(args.input, "trajectories.csv")
     records = read_canonical_csv(src)
     tset = build_trajectories(records)
@@ -227,17 +257,14 @@ def cmd_smooth(args) -> int:
             "t_a": cfg.t_a,
         },
     )
-    flags = _stage_flags(args, "smooth")
-    _write_manifest(out, "smooth", flags, {src.name: _sha256_file(src)}, None, started)
-    return EXIT_OK
+    return EXIT_OK, [src], {}
 
 
 # ---------------------------------------------------------------- pair
 
 
-def cmd_pair(args) -> int:
+def cmd_pair(args) -> StageResult:
     out = _outdir(args)
-    started = _utcnow()
     src = _resolve_input(args.input, "smoothed.csv", "trajectories.csv")
     records = read_canonical_csv(src)
     tset = build_trajectories(records)
@@ -256,9 +283,7 @@ def cmd_pair(args) -> int:
             "min_samples": args.min_samples,
         },
     )
-    flags = _stage_flags(args, "pair")
-    _write_manifest(out, "pair", flags, {src.name: _sha256_file(src)}, None, started)
-    return EXIT_OK
+    return EXIT_OK, [src], {}
 
 
 # ---------------------------------------------------------------- calibrate
@@ -283,11 +308,10 @@ def _parse_bounds(raw: str | None, pin_tau: bool) -> dict | None:
     return bounds or None
 
 
-def cmd_calibrate(args) -> int:
+def cmd_calibrate(args) -> StageResult:
     if args.seed is None:
         raise UsageError("calibrate requires --seed (no silent nondeterminism)")
-    if args.pairs is not None and args.pairs < 1:
-        raise UsageError(f"--pairs must be at least 1, got {args.pairs}")
+    _check_count("--pairs", args.pairs)
     bounds = _parse_bounds(args.bounds, args.pin_tau)
     cfg = GaConfig(
         population_size=args.population,
@@ -296,7 +320,6 @@ def cmd_calibrate(args) -> int:
         rng_seed=args.seed,
     )
     out = _outdir(args)
-    started = _utcnow()
     pairs_path = _resolve_input(args.input, "pairs.json")
     traj_path = pairs_path.parent / "trajectories.csv"
     if not traj_path.exists():
@@ -342,32 +365,24 @@ def cmd_calibrate(args) -> int:
             },
         },
     )
-    inputs = {
-        pairs_path.name: _sha256_file(pairs_path),
-        traj_path.name: _sha256_file(traj_path),
-    }
-    _write_manifest(out, "calibrate", _stage_flags(args, "calibrate"), inputs, args.seed, started)
-    return EXIT_OK
+    return EXIT_OK, [pairs_path, traj_path], {}
 
 
 # ---------------------------------------------------------------- stability
 
 
-def _freq_grid(args, fallback: dict | None = None) -> FrequencyGrid:
-    fallback = fallback or {}
-    omega_min = args.omega_min if args.omega_min is not None else fallback.get("omega_min", 1e-3)
-    omega_max = args.omega_max if args.omega_max is not None else fallback.get("omega_max", 1e2)
-    points = args.omega_points if args.omega_points is not None else fallback.get("points", 4000)
-    return FrequencyGrid(omega_min, omega_max, points)
+def _freq_grid(args, recorded: dict | None = None) -> FrequencyGrid:
+    """The --omega-* flags given, over the grid a stage recorded, over FrequencyGrid's defaults."""
+    given = {"omega_min": args.omega_min, "omega_max": args.omega_max, "points": args.omega_points}
+    return FrequencyGrid(**((recorded or {}) | {k: v for k, v in given.items() if v is not None}))
 
 
 def _grid_flags(grid: FrequencyGrid) -> dict:
     return {"omega_min": grid.omega_min, "omega_max": grid.omega_max, "omega_points": grid.points}
 
 
-def cmd_stability(args) -> int:
+def cmd_stability(args) -> StageResult:
     out = _outdir(args)
-    started = _utcnow()
     src = _resolve_input(args.input, "calibration.json")
     doc = json.loads(src.read_text())
     entries = doc["results"]
@@ -403,20 +418,14 @@ def cmd_stability(args) -> int:
         out / "stability.json",
         {
             "v_star": args.v_star,
-            "omega_grid": {
-                "omega_min": grid.omega_min,
-                "omega_max": grid.omega_max,
-                "points": grid.points,
-            },
+            "omega_grid": asdict(grid),
             # platoon_critical_frequency of the vehicles, from their omega0
             "platoon_omega0": min((v["omega0"] for v in vehicles if v["omega0"] > 0.0), default=0.0),
             "vehicles": vehicles,
         },
     )
     shutil.copyfile(src, out / "calibration.json")
-    flags = _stage_flags(args, "stability", **_grid_flags(grid))
-    _write_manifest(out, "stability", flags, {src.name: _sha256_file(src)}, None, started)
-    return EXIT_OK
+    return EXIT_OK, [src], _grid_flags(grid)
 
 
 # ---------------------------------------------------------------- optimize-gains
@@ -444,19 +453,24 @@ def _parse_gain_grid(raw: str | None) -> GainGridSpec:
     return GainGridSpec(**axes)
 
 
-def cmd_optimize_gains(args) -> int:
+def _platoon_of(stab_doc: dict, n: int) -> list[LinearizedHdv]:
+    """n followers cycling through the linearized vehicles of stability.json."""
+    lins = [
+        LinearizedHdv(v["k1"], v["k2"], v["k3"], v["lambda2"], v["tau"])
+        for v in stab_doc["vehicles"]
+    ]
+    if not lins:
+        raise DataError("stability.json holds no vehicles")
+    return [lins[i % len(lins)] for i in range(n)]
+
+
+def cmd_optimize_gains(args) -> StageResult:
     gspec = _parse_gain_grid(args.gain_grid)
+    _check_count("--platoon", args.platoon)
     out = _outdir(args)
-    started = _utcnow()
     src = _resolve_input(args.input, "stability.json")
     doc = json.loads(src.read_text())
-    fleet = doc["vehicles"]
-    if not fleet:
-        raise DataError("stability.json holds no vehicles")
-    lins = [
-        LinearizedHdv(v["k1"], v["k2"], v["k3"], v["lambda2"], v["tau"]) for v in fleet
-    ]
-    platoon = [lins[i % len(lins)] for i in range(args.platoon)]
+    platoon = _platoon_of(doc, args.platoon)
 
     v_star = doc["v_star"]
     lam2 = args.lambda2
@@ -497,24 +511,10 @@ def cmd_optimize_gains(args) -> int:
     calib_src = src.parent / "calibration.json"
     if calib_src.exists():
         shutil.copyfile(calib_src, out / "calibration.json")
-    flags = _stage_flags(args, "optimize-gains", **_grid_flags(fgrid))
-    _write_manifest(out, "optimize-gains", flags, {src.name: _sha256_file(src)}, None, started)
-    return EXIT_OK
+    return EXIT_OK, [src], _grid_flags(fgrid)
 
 
 # ---------------------------------------------------------------- simulate
-
-
-def _peak_amplification_omega(lins, grid: FrequencyGrid) -> float:
-    """Frequency where the human platoon amplifies a wave the most."""
-    w0 = platoon_critical_frequency(lins, grid)
-    if w0 == 0.0:
-        return 0.6
-    omegas = grid.values(top=w0)
-    total = np.zeros_like(omegas)
-    for lin in lins:
-        total += 0.5 * np.log(hdv_gain_sq(lin, omegas))
-    return float(omegas[int(np.argmax(total))])
 
 
 def _write_platoon_csv(trajs, path: Path) -> None:
@@ -539,9 +539,12 @@ def _amplitudes(trajs, v_star: float) -> list[float]:
     return out
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> StageResult:
+    _check_count("--platoon", args.platoon)
+    for flag, value in (("--duration", args.duration), ("--dt", args.dt)):
+        if not value > 0:
+            raise UsageError(f"{flag} must be positive, got {value}")
     out = _outdir(args)
-    started = _utcnow()
     gains_path = _resolve_input(args.input, "gains.json")
     stage_dir = gains_path.parent
     gains_doc = json.loads(gains_path.read_text())
@@ -567,70 +570,38 @@ def cmd_simulate(args) -> int:
         profile = ConstantProfile(v_star)
         omega = 0.0
     else:
-        lins = [
-            LinearizedHdv(v["k1"], v["k2"], v["k3"], v["lambda2"], v["tau"])
-            for v in stab_doc["vehicles"]
-        ]
-        omega = args.omega if args.omega is not None else _peak_amplification_omega(
-            [lins[i % len(lins)] for i in range(n_follow)], _freq_grid(args, stab_doc.get("omega_grid"))
-        )
+        omega = args.omega
+        if omega is None:
+            lins = _platoon_of(stab_doc, n_follow)
+            grid = _freq_grid(args, stab_doc.get("omega_grid"))
+            w0 = platoon_critical_frequency(lins, grid)
+            # the human platoon's most amplified wave; a stable one amplifies none
+            omega = peak_gain_frequency(lins, grid.values(top=w0)) if w0 > 0.0 else 0.6
         profile = SinusoidProfile(v_star, args.amplitude, omega)
 
     spec = PlatoonSpec(vehicles=vehicles, lead_profile=profile, v_star=v_star)
-    flags = {
-        "platoon": n_follow,
-        "duration": args.duration,
-        "dt": args.dt,
-        "amplitude": args.amplitude,
-        "omega": omega,
-        "profile": args.profile,
-    }
-    inputs = {
-        "gains.json": _sha256_file(gains_path),
-        "stability.json": _sha256_file(stab_path),
-        "calibration.json": _sha256_file(calib_path),
-    }
+    summary = {"collision": None, "omega": omega, "v_star": v_star, "vehicles": len(vehicles) + 1}
     try:
         trajs = simulate_platoon(spec, args.duration, dt=args.dt)
     except CollisionDetected as err:
-        _write_platoon_csv(err.partial, out / "platoon.csv")
-        _write_json(
-            out / "simulate_summary.json",
-            {
-                "collision": {"vehicle_index": err.vehicle_index, "frame": err.frame},
-                "omega": omega,
-                "v_star": v_star,
-                "vehicles": len(vehicles) + 1,
-            },
-        )
-        _write_manifest(out, "simulate", flags, inputs, None, started)
-        print(
-            f"collision: vehicle {err.vehicle_index} at frame {err.frame}; "
-            f"partial trajectories written to {out / 'platoon.csv'}",
-            file=sys.stderr,
-        )
-        return EXIT_COLLISION
-
+        trajs = err.partial
+        summary["collision"] = {"vehicle_index": err.vehicle_index, "frame": err.frame}
+    else:
+        amps = _amplitudes(trajs, v_star)
+        summary["speed_amplitudes"] = amps
+        summary["amplification_vs_leader"] = [a / amps[0] if amps[0] else 0.0 for a in amps]
+        summary["min_gaps"] = [
+            float(np.min(trajs[i - 1].positions - trajs[i].positions))
+            for i in range(1, len(trajs))
+        ]
     _write_platoon_csv(trajs, out / "platoon.csv")
-    amps = _amplitudes(trajs, v_star)
-    gaps = [
-        float(np.min(trajs[i - 1].positions - trajs[i].positions))
-        for i in range(1, len(trajs))
-    ]
-    _write_json(
-        out / "simulate_summary.json",
-        {
-            "collision": None,
-            "omega": omega,
-            "v_star": v_star,
-            "vehicles": len(trajs),
-            "speed_amplitudes": amps,
-            "amplification_vs_leader": [a / amps[0] if amps[0] else 0.0 for a in amps],
-            "min_gaps": gaps,
-        },
-    )
-    _write_manifest(out, "simulate", flags, inputs, None, started)
-    return EXIT_OK
+    _write_json(out / "simulate_summary.json", summary)
+    hit = summary["collision"]
+    if hit:
+        print(f"collision: vehicle {hit['vehicle_index']} at frame {hit['frame']}; "
+              f"partial trajectories written to {out / 'platoon.csv'}", file=sys.stderr)
+    rc = EXIT_COLLISION if hit else EXIT_OK
+    return rc, [gains_path, stab_path, calib_path], {"platoon": n_follow, "omega": omega}
 
 
 # ---------------------------------------------------------------- pipeline
@@ -641,14 +612,7 @@ def cmd_pipeline(args) -> int:
         raise UsageError("pipeline requires --seed (the calibrate stage is randomized)")
     out = _outdir(args)
     started = _utcnow()
-    if args.input != "synthetic":
-        src = Path(args.input)
-        if not src.exists():
-            raise DataError(f"input {src} does not exist")
-        inputs = {src.name: _sha256_file(src)}
-    else:
-        inputs = {"input": "synthetic"}
-
+    inputs = [] if args.input == "synthetic" else [_resolve_input(args.input)]
     pipeline_flags = _pipeline_flags()
     rc = EXIT_OK
     stage_input = args.input
@@ -661,13 +625,13 @@ def cmd_pipeline(args) -> int:
                 # --platoon) keeps the stage's own default
                 shared = pipeline_flags[flag.dest] is flag
                 setattr(ns, flag.dest, getattr(args, flag.dest) if shared else flag.kwargs["default"])
-            rc = _handler(stage.name)(ns)
+            rc = _run_stage(stage.name, ns)
             if rc != EXIT_OK:
                 break
             stage_input = str(stage_out)
     finally:
         flags = {k: v for k, v in vars(args).items() if k not in ("input", "out", "func")}
-        _write_manifest(out, "pipeline", flags, inputs, args.seed, started)
+        _write_manifest(args, "pipeline", flags, inputs, started)
     return rc
 
 
@@ -756,13 +720,6 @@ STAGES = (
 )
 
 
-def _stage_flags(args, subcommand: str, **resolved) -> dict:
-    """A stage's declared flags as parsed, for its manifest; resolved holds
-    the values the stage filled in itself."""
-    stage = next(s for s in STAGES if s.name == subcommand)
-    return {f.dest: getattr(args, f.dest) for f in stage.flags} | resolved
-
-
 def _pipeline_flags() -> dict:
     """Every stage's flags by dest; the first stage to declare a name owns it,
     so pipeline's --platoon is the optimize-gains one."""
@@ -771,11 +728,6 @@ def _pipeline_flags() -> dict:
         for flag in stage.flags:
             flags.setdefault(flag.dest, flag)
     return flags
-
-
-def _handler(subcommand: str):
-    # looked up on each call, so a replaced module global takes effect
-    return globals()["cmd_" + subcommand.replace("-", "_")]
 
 
 def build_parser() -> _Parser:
@@ -797,7 +749,7 @@ def build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="output directory")
         for flag in stage.flags:
             p.add_argument(flag.option, **flag.kwargs)
-        p.set_defaults(func=_handler(stage.name))
+        p.set_defaults(func=cmd_pipeline if stage is pipeline else partial(_run_stage, stage.name))
     return parser
 
 
@@ -809,7 +761,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as err:
+    except (UsageError, ValueError) as err:
         print(f"stopgo: error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except CollisionDetected as err:
@@ -821,9 +773,6 @@ def main(argv=None) -> int:
     except StopgoError as err:
         print(f"stopgo: error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as err:
-        print(f"stopgo: error: {err}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -378,6 +378,11 @@ def _log_gain_cumsum(lins, omegas: np.ndarray) -> np.ndarray:
     return np.cumsum(np.vstack(rows), axis=0)
 
 
+def peak_gain_frequency(lins, omegas: np.ndarray) -> float:
+    """The frequency in omegas that the string of followers lins amplifies most."""
+    return float(omegas[int(np.argmax(_log_gain_cumsum(lins, omegas)[-1]))])
+
+
 def _cell_counts(g: ControllerGains, lambda2: float, omegas, log_cum, log_eta: float):
     """(stable, safe) counts of one string-stable gain cell on the grid omegas."""
     n = len(log_cum) - 1

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import stopgo
+from stopgo import cli
 from stopgo.cli import build_parser, main
 from stopgo.stability import FrequencyGrid, LinearizedHdv, platoon_critical_frequency
 
@@ -285,6 +286,7 @@ def test_bounds_value_must_be_a_pair(tmp_path, capsys):
              "--bounds", '{"alpha": 5}', "--out", tmp_path / "04")
     assert rc == 1
     assert "stopgo: error: --bounds alpha" in capsys.readouterr().err
+    assert not (tmp_path / "04").exists()
 
 
 def test_gain_grid_step_must_be_positive(tmp_path, capsys):
@@ -292,6 +294,7 @@ def test_gain_grid_step_must_be_positive(tmp_path, capsys):
              "--gain-grid", '{"k1": [0, 1, 0]}', "--out", tmp_path / "06")
     assert rc == 1
     assert "stopgo: error: --gain-grid k1" in capsys.readouterr().err
+    assert not (tmp_path / "06").exists()
 
 
 @pytest.mark.parametrize("flag", [("--pairs", 0), ("--pairs", -1),
@@ -301,6 +304,19 @@ def test_calibrate_rejects_out_of_range_counts(tmp_path, capsys, flag):
              "--out", tmp_path / "04")
     assert rc == 1
     assert "stopgo: error:" in capsys.readouterr().err
+    assert not (tmp_path / "04").exists()
+
+
+@pytest.mark.parametrize("stage, flag, value", [
+    ("simulate", "--dt", 0), ("simulate", "--dt", -0.1), ("simulate", "--duration", 0),
+    ("simulate", "--duration", -5), ("simulate", "--platoon", 0), ("simulate", "--platoon", -2),
+    ("optimize-gains", "--platoon", 0), ("optimize-gains", "--platoon", -2),
+])
+def test_simulate_and_gain_search_reject_out_of_range_sizes(tmp_path, capsys, stage, flag, value):
+    rc = run(stage, "--input", tmp_path / "missing", flag, value, "--out", tmp_path / "out")
+    assert rc == 1
+    assert f"stopgo: error: {flag} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 STAGES = ("ingest", "smooth", "pair", "calibrate", "stability", "optimize-gains", "simulate")
@@ -340,6 +356,28 @@ def test_pipeline_forwards_each_flag_to_its_stage(tmp_path):
     assert gains["beta"] == 2.5
     assert gains["platoon"] == 3
     assert _read_json(out / "07_validate" / "simulate_summary.json")["omega"] == 0.5
+
+
+def test_stage_alone_records_the_pipeline_digest(tmp_path):
+    """Each stage run alone on the pipeline's previous directory, with the
+    flags the pipeline passed it, hashes to the pipeline's config_digest."""
+    ga = ["--seed", 5, "--population", 12, "--generations", 4, "--stagnation", 4]
+    own = {
+        "ingest": ["--seed", 5],
+        "calibrate": ga,
+        "optimize-gains": ["--gain-grid", FAST_GRID, "--platoon", 3],
+        "simulate": ["--duration", 30],
+    }
+    pipe = tmp_path / "pipe"
+    assert run("pipeline", "--input", "synthetic", *ga, "--gain-grid", FAST_GRID,
+               "--platoon", 3, "--duration", 30, "--out", pipe) == 0
+    stage_input = "synthetic"
+    for stage in cli.STAGES:
+        alone = tmp_path / stage.dirname
+        assert run(stage.name, "--input", stage_input, *own.get(stage.name, []), "--out", alone) == 0
+        digest = _read_json(alone / "manifest.json")["config_digest"]
+        assert digest == _read_json(pipe / stage.dirname / "manifest.json")["config_digest"], stage.name
+        stage_input = pipe / stage.dirname
 
 
 def test_no_stage_imports_scipy(tmp_path):

@@ -36,6 +36,7 @@ from stopgo.stability import (
     n_stable,
     numeric_critical_frequency,
     optimize_gains,
+    peak_gain_frequency,
     platoon_critical_frequency,
     write_heatmaps,
 )
@@ -330,6 +331,22 @@ def test_platoon_critical_frequency_minimum_over_unstable():
     assert wb > wa
     assert platoon_critical_frequency([b, stable, a]) == pytest.approx(wa, rel=1e-12)
     assert platoon_critical_frequency([stable, stable]) == 0.0
+
+
+def test_peak_gain_frequency_maximizes_the_string_gain():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        lins = [LinearizedHdv(rng.uniform(0.5, 3.0), rng.uniform(0.3, 1.0), rng.uniform(0.0, 0.5),
+                              rng.uniform(0.0, 1.5), rng.uniform(0.0, 0.8))
+                for _ in range(int(rng.integers(1, 6)))]
+        w0 = platoon_critical_frequency(lins)
+        if w0 == 0.0:
+            continue
+        omegas = FrequencyGrid().values(top=w0)
+        total = np.zeros_like(omegas)
+        for lin in lins:  # the product of the gains, summed in log space vehicle by vehicle
+            total += 0.5 * np.log(hdv_gain_sq(lin, omegas))
+        assert peak_gain_frequency(lins, omegas) == omegas[int(np.argmax(total))]
 
 
 # ---------------------------------------------------------------------------
