@@ -65,28 +65,26 @@ def error_mixed(s_sim, s_data) -> float:
     return float(np.sqrt(np.mean((s_sim - s_data) ** 2 / np.abs(s_data)) / scale))
 
 
+CROSSOVER_PROBABILITY = 0.9
+MUTATION_PROBABILITY = 0.1  # per gene
+MUTATION_SCALE = 0.1  # mutation sigma as a fraction of each parameter's bound range
+ELITES = 2  # best candidates carried unchanged into the next generation
+
+
 @dataclass(frozen=True)
 class GaConfig:
     population_size: int = 50
     max_generations: int = 1000
     stagnation_limit: int = 100
-    crossover_probability: float = 0.9
-    mutation_probability: float = 0.1
-    mutation_scale: float = 0.1  # fraction of each parameter's bound range
-    elitism_count: int = 2
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.population_size < 2 or self.elitism_count >= self.population_size:
-            raise ValueError("population must hold elites plus offspring")
-        if self.elitism_count < 0:
-            raise ValueError("elitism_count must be nonnegative")
+        if self.population_size <= ELITES:
+            raise ValueError(f"population must hold {ELITES} elites plus offspring")
         if self.max_generations < 0:
             raise ValueError("max_generations must be nonnegative")
         if self.stagnation_limit < 1:
             raise ValueError("stagnation_limit must be at least 1")
-        if not (0 <= self.crossover_probability <= 1 and 0 <= self.mutation_probability <= 1):
-            raise ValueError("probabilities must lie in [0, 1]")
 
 
 @dataclass
@@ -115,7 +113,7 @@ def _bounds_arrays(bounds: dict | None):
             lo, hi = float(pair[0]), float(pair[1])
             mlo, mhi = PARAM_BOUNDS[name]
             if not (mlo <= lo <= hi <= mhi):
-                raise ValueError(f"bounds for {name} must nest inside [{mlo}, {mhi}]")
+                raise ValueError(f"{name} must nest inside [{mlo}, {mhi}]")
             box[name] = (lo, hi)
     lo = np.array([box[n][0] for n in PARAM_ORDER])
     hi = np.array([box[n][1] for n in PARAM_ORDER])
@@ -226,7 +224,7 @@ class _PairGa:
         self.pair = pair
         self.cfg = cfg
         self.lo, self.hi = lo, hi
-        self.sigma = cfg.mutation_scale * (hi - lo)
+        self.sigma = MUTATION_SCALE * (hi - lo)
         self.rng = np.random.default_rng(cfg.rng_seed)
         P = cfg.population_size
         self.pop = lo + self.rng.random((P, 7)) * (hi - lo)
@@ -244,19 +242,19 @@ class _PairGa:
 
     def breed(self) -> None:
         """Replace the scored population by the next generation."""
-        cfg, rng, P = self.cfg, self.rng, self.cfg.population_size
+        rng, P = self.rng, self.cfg.population_size
         pop, fits = self.pop, self.fits
         self.generations += 1
 
         weights = 1.0 / (fits + _ROULETTE_EPS)
         probs = weights / weights.sum()
         order = np.argsort(fits, kind="stable")
-        children = [pop[i].copy() for i in order[: cfg.elitism_count]]
+        children = [pop[i].copy() for i in order[:ELITES]]
 
         while len(children) < P:
             i, j = rng.choice(P, size=2, p=probs)
             a, b = pop[i].copy(), pop[j].copy()
-            if rng.random() < cfg.crossover_probability:
+            if rng.random() < CROSSOVER_PROBABILITY:
                 mask = rng.random(7) < 0.5
                 swap = a[mask].copy()
                 a[mask] = b[mask]
@@ -264,7 +262,7 @@ class _PairGa:
             for child in (a, b):
                 if len(children) >= P:
                     break
-                mmask = rng.random(7) < cfg.mutation_probability
+                mmask = rng.random(7) < MUTATION_PROBABILITY
                 noise = rng.standard_normal(7) * self.sigma
                 child = np.where(mmask, child + noise, child)
                 np.clip(child, self.lo, self.hi, out=child)

@@ -15,12 +15,19 @@ resolved itself (such as a frequency grid read from ``stability.json``);
 ``pipeline``'s are every flag it parsed.  The inputs are each input file's
 sha256 by file name, or ``{"input": <--input>}`` for a run that reads no
 file (the built-in ``synthetic`` scenario).
+
+Each flag is checked while parsing, by the check declared with it, so a bad
+value exits 1 before any stage runs and before any ``--out`` exists.
+``pipeline`` checks every stage's flags, and then the rules over several
+flags (a ``--seed``, a frequency grid), before its first stage runs.  A
+handler creates ``--out`` only after it has read its inputs.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import math
 import shutil
 import sys
 from dataclasses import asdict, replace
@@ -33,7 +40,7 @@ import numpy as np
 
 from . import __version__
 # calibrate_ga is not called here, but perfbench/tracer.py wraps stopgo.cli.calibrate_ga
-from .calibration import GaConfig, calibrate_ga, calibrate_pairs  # noqa: F401
+from .calibration import GaConfig, _bounds_arrays, calibrate_ga, calibrate_pairs  # noqa: F401
 from .carfollowing import (
     Cav,
     ConstantProfile,
@@ -52,8 +59,8 @@ from .stability import (
     FrequencyGrid,
     GainGridSpec,
     LinearizedHdv,
-    _default_gain_axis,
     delay_margin,
+    gain_axis,
     linearize_hdv,
     numeric_critical_frequency,
     optimize_gains,
@@ -90,7 +97,7 @@ SYNTHETIC_DURATION = 99.9  # s -> 1000 samples at 10 Hz
 
 
 class UsageError(Exception):
-    """Bad invocation detected after argument parsing."""
+    """Bad invocation: a flag's value, or flags that do not fit together."""
 
 
 # a stage handler's exit code, the files it read and the flag values it resolved
@@ -126,7 +133,7 @@ def _write_manifest(args, subcommand: str, flags: dict, paths: list, started: st
     inputs = {p.name: _sha256_file(p) for p in paths} or {"input": args.input}
     payload = json.dumps({"subcommand": subcommand, "flags": flags, "inputs": inputs},
                          sort_keys=True, default=str)
-    seed = getattr(args, "seed", None)
+    seed = flags.get("seed")
     manifest = {
         "subcommand": subcommand,
         "config_digest": hashlib.sha256(payload.encode()).hexdigest(),
@@ -141,9 +148,9 @@ def _write_manifest(args, subcommand: str, flags: dict, paths: list, started: st
 def _run_stage(name: str, args) -> int:
     """Run the stage handler cmd_<name> and write the stage's manifest.
 
-    The handler checks its flags before it creates --out and returns a
-    StageResult.  It is looked up on each call, so a replaced module global
-    takes effect.
+    Its flags were checked while parsing.  The handler reads its inputs, then
+    creates --out, and returns a StageResult.  It is looked up on each call,
+    so a replaced module global takes effect.
     """
     started = _utcnow()
     rc, inputs, resolved = globals()["cmd_" + name.replace("-", "_")](args)
@@ -151,11 +158,6 @@ def _run_stage(name: str, args) -> int:
     flags = {f.dest: getattr(args, f.dest) for f in stage.flags} | resolved
     _write_manifest(args, name, flags, inputs, started)
     return rc
-
-
-def _check_count(flag: str, value) -> None:
-    if value is not None and value < 1:
-        raise UsageError(f"{flag} must be at least 1, got {value}")
 
 
 def _outdir(args) -> Path:
@@ -201,7 +203,6 @@ def _synthetic_records(seed, noise: float):
 
 
 def cmd_ingest(args) -> StageResult:
-    out = _outdir(args)
     if args.input == "synthetic":
         records = _synthetic_records(args.seed, args.noise)
         inputs = []
@@ -210,17 +211,15 @@ def cmd_ingest(args) -> StageResult:
         with open(src) as fh:
             records = parse_ngsim_csv(fh, units=args.units)
         inputs = [src]
+    out = _outdir(args)
     write_canonical_csv(records, out / "trajectories.csv")
     tset = build_trajectories(records)
-    _write_json(
-        out / "ingest_summary.json",
-        {
-            "records": len(records),
-            "vehicles": len(tset.trajectories),
-            "fragments_discarded": tset.fragments_discarded,
-            "units": args.units if args.input != "synthetic" else "meters",
-        },
-    )
+    _write_json(out / "ingest_summary.json", {
+        "records": len(records),
+        "vehicles": len(tset.trajectories),
+        "fragments_discarded": tset.fragments_discarded,
+        "units": args.units if args.input != "synthetic" else "meters",
+    })
     return EXIT_OK, inputs, {}
 
 
@@ -228,7 +227,6 @@ def cmd_ingest(args) -> StageResult:
 
 
 def cmd_smooth(args) -> StageResult:
-    out = _outdir(args)
     src = _resolve_input(args.input, "trajectories.csv")
     records = read_canonical_csv(src)
     tset = build_trajectories(records)
@@ -239,24 +237,20 @@ def cmd_smooth(args) -> StageResult:
     smooth_exceed = 0
     total = 0
     for vid, tr in tset.trajectories.items():
-        raw_a = differentiate(differentiate(tr.positions, cfg.dt), cfg.dt)
+        raw_a = differentiate(differentiate(tr.positions))
         x_s, v_s, a_s = smooth_trajectory(tr.positions, cfg)
         raw_exceed += int(np.count_nonzero(np.abs(raw_a) > 3.0))
         smooth_exceed += int(np.count_nonzero(np.abs(a_s) > 3.0))
         total += tr.n
         smoothed[vid] = replace(tr, positions=x_s, speeds=v_s, accels=a_s)
+    out = _outdir(args)
     write_canonical_csv(table_from_set(replace(tset, trajectories=smoothed)), out / "smoothed.csv")
-    _write_json(
-        out / "smooth_summary.json",
-        {
-            "samples": total,
-            "accel_exceedance_before": raw_exceed / total if total else 0.0,
-            "accel_exceedance_after": smooth_exceed / total if total else 0.0,
-            "t_x": cfg.t_x,
-            "t_v": cfg.t_v,
-            "t_a": cfg.t_a,
-        },
-    )
+    _write_json(out / "smooth_summary.json", {
+        "samples": total,
+        "accel_exceedance_before": raw_exceed / total if total else 0.0,
+        "accel_exceedance_after": smooth_exceed / total if total else 0.0,
+        **asdict(cfg),  # the kernel widths t_x, t_v, t_a
+    })
     return EXIT_OK, [src], {}
 
 
@@ -264,62 +258,52 @@ def cmd_smooth(args) -> StageResult:
 
 
 def cmd_pair(args) -> StageResult:
-    out = _outdir(args)
     src = _resolve_input(args.input, "smoothed.csv", "trajectories.csv")
     records = read_canonical_csv(src)
     tset = build_trajectories(records)
     pairs, diag = pair_leader_follower(
         tset, lane_filter=args.lane, min_samples=args.min_samples
     )
+    out = _outdir(args)
     shutil.copyfile(src, out / "trajectories.csv")
-    _write_json(
-        out / "pairs.json",
-        {
-            "pairs": pair_index(pairs),
-            "diagnostics": {
-                "rejected_nonpositive": [list(t) for t in diag.rejected_nonpositive],
-                "short_pairs": [list(t) for t in diag.short_pairs],
-            },
-            "min_samples": args.min_samples,
+    _write_json(out / "pairs.json", {
+        "pairs": pair_index(pairs),
+        "diagnostics": {
+            "rejected_nonpositive": [list(t) for t in diag.rejected_nonpositive],
+            "short_pairs": [list(t) for t in diag.short_pairs],
         },
-    )
+        "min_samples": args.min_samples,
+    })
     return EXIT_OK, [src], {}
 
 
 # ---------------------------------------------------------------- calibrate
 
 
-def _parse_bounds(raw: str | None, pin_tau: bool) -> dict | None:
-    bounds = {}
-    if raw:
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as err:
-            raise UsageError(f"--bounds is not valid JSON: {err}") from None
-        if not isinstance(payload, dict):
-            raise UsageError("--bounds must be a JSON object of name: [lo, hi]")
-        for name, pair in payload.items():
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and all(isinstance(v, (int, float)) for v in pair)):
-                raise UsageError(f"--bounds {name} must be a [lo, hi] pair of numbers")
-        bounds.update(payload)
-    if pin_tau:
-        bounds["tau"] = (0.0, 0.0)
-    return bounds or None
+def _bounds(raw: str | None) -> dict:
+    """--bounds as {name: [lo, hi]}; the calibration box checks the nesting."""
+    if not raw:
+        return {}
+    try:
+        payload = json.loads(raw)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"is not valid JSON: {err}") from None
+    if not isinstance(payload, dict):
+        raise ValueError("must be a JSON object of name: [lo, hi]")
+    for name, pair in payload.items():
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(v, (int, float)) for v in pair)):
+            raise ValueError(f"{name} must be a [lo, hi] pair of numbers")
+    _bounds_arrays(payload)
+    return payload
 
 
 def cmd_calibrate(args) -> StageResult:
     if args.seed is None:
         raise UsageError("calibrate requires --seed (no silent nondeterminism)")
-    _check_count("--pairs", args.pairs)
-    bounds = _parse_bounds(args.bounds, args.pin_tau)
-    cfg = GaConfig(
-        population_size=args.population,
-        max_generations=args.generations,
-        stagnation_limit=args.stagnation,
-        rng_seed=args.seed,
-    )
-    out = _outdir(args)
+    bounds = _bounds(args.bounds) | ({"tau": (0.0, 0.0)} if args.pin_tau else {})
+    cfg = GaConfig(population_size=args.population, max_generations=args.generations,
+                   stagnation_limit=args.stagnation)
     pairs_path = _resolve_input(args.input, "pairs.json")
     traj_path = pairs_path.parent / "trajectories.csv"
     if not traj_path.exists():
@@ -334,37 +318,20 @@ def cmd_calibrate(args) -> StageResult:
     pairs = pairs_from_index(entries, tset)
 
     cfgs = [replace(cfg, rng_seed=args.seed + i) for i in range(len(pairs))]
+    out = _outdir(args)
     results = []
     for pair, res in zip(pairs, calibrate_pairs(pairs, bounds=bounds, cfgs=cfgs)):
         lid, fid = pair.leader.vehicle_id, pair.follower.vehicle_id
-        history = np.array(res.fitness_history, dtype=float)
+        row = asdict(res)
+        history = np.array(row.pop("fitness_history"), dtype=float)
         write_columns(out / f"fitness_history_{lid}_{fid}.csv", ["generation", "best_fitness"],
                       [np.arange(len(history)), history])
-        results.append(
-            {
-                "leader_id": lid,
-                "follower_id": fid,
-                "rng_seed": res.rng_seed,
-                "theta": asdict(res.theta),
-                "mixed_error": res.mixed_error,
-                "abs_error": res.abs_error,
-                "rel_error": res.rel_error,
-                "generations_run": res.generations_run,
-                "converged_by": res.converged_by,
-            }
-        )
-    _write_json(
-        out / "calibration.json",
-        {
-            "results": results,
-            "bounds": {k: list(v) for k, v in (bounds or {}).items()},
-            "ga": {
-                "population_size": args.population,
-                "max_generations": args.generations,
-                "stagnation_limit": args.stagnation,
-            },
-        },
-    )
+        results.append({"leader_id": lid, "follower_id": fid, **row})
+    _write_json(out / "calibration.json", {
+        "results": results,
+        "bounds": {k: list(v) for k, v in bounds.items()},
+        "ga": {k: v for k, v in asdict(cfg).items() if k != "rng_seed"},
+    })
     return EXIT_OK, [pairs_path, traj_path], {}
 
 
@@ -374,7 +341,10 @@ def cmd_calibrate(args) -> StageResult:
 def _freq_grid(args, recorded: dict | None = None) -> FrequencyGrid:
     """The --omega-* flags given, over the grid a stage recorded, over FrequencyGrid's defaults."""
     given = {"omega_min": args.omega_min, "omega_max": args.omega_max, "points": args.omega_points}
-    return FrequencyGrid(**((recorded or {}) | {k: v for k, v in given.items() if v is not None}))
+    try:
+        return FrequencyGrid(**((recorded or {}) | {k: v for k, v in given.items() if v is not None}))
+    except ValueError as err:
+        raise UsageError(f"--omega-min/--omega-max: {err}") from None
 
 
 def _grid_flags(grid: FrequencyGrid) -> dict:
@@ -382,13 +352,12 @@ def _grid_flags(grid: FrequencyGrid) -> dict:
 
 
 def cmd_stability(args) -> StageResult:
-    out = _outdir(args)
+    grid = _freq_grid(args)
     src = _resolve_input(args.input, "calibration.json")
     doc = json.loads(src.read_text())
     entries = doc["results"]
     if not entries:
         raise DataError("calibration.json holds no calibrated vehicles")
-    grid = _freq_grid(args)
 
     vehicles = []
     for e in entries:
@@ -398,32 +367,24 @@ def cmd_stability(args) -> StageResult:
         lin = linearize_hdv(theta, eq)
         w0 = numeric_critical_frequency(lin, grid)
         margin = delay_margin(lin)
-        vehicles.append(
-            {
-                "leader_id": e["leader_id"],
-                "follower_id": e["follower_id"],
-                "k1": lin.k1,
-                "k2": lin.k2,
-                "k3": lin.k3,
-                "lambda2": lin.lambda2,
-                "tau": lin.tau,
-                "equilibrium_headway": dx_star,
-                "omega0": w0,
-                "string_stable": w0 == 0.0,
-                "delay_margin": margin,
-                "internally_stable": lin.tau < margin,
-            }
-        )
-    _write_json(
-        out / "stability.json",
-        {
-            "v_star": args.v_star,
-            "omega_grid": asdict(grid),
-            # platoon_critical_frequency of the vehicles, from their omega0
-            "platoon_omega0": min((v["omega0"] for v in vehicles if v["omega0"] > 0.0), default=0.0),
-            "vehicles": vehicles,
-        },
-    )
+        vehicles.append({
+            "leader_id": e["leader_id"],
+            "follower_id": e["follower_id"],
+            **{k: getattr(lin, k) for k in ("k1", "k2", "k3", "lambda2", "tau")},
+            "equilibrium_headway": dx_star,
+            "omega0": w0,
+            "string_stable": w0 == 0.0,
+            "delay_margin": margin,
+            "internally_stable": lin.tau < margin,
+        })
+    out = _outdir(args)
+    _write_json(out / "stability.json", {
+        "v_star": args.v_star,
+        "omega_grid": asdict(grid),
+        # platoon_critical_frequency of the vehicles, from their omega0
+        "platoon_omega0": min((v["omega0"] for v in vehicles if v["omega0"] > 0.0), default=0.0),
+        "vehicles": vehicles,
+    })
     shutil.copyfile(src, out / "calibration.json")
     return EXIT_OK, [src], _grid_flags(grid)
 
@@ -431,25 +392,23 @@ def cmd_stability(args) -> StageResult:
 # ---------------------------------------------------------------- optimize-gains
 
 
-def _parse_gain_grid(raw: str | None) -> GainGridSpec:
+def _gain_grid(raw: str | None) -> GainGridSpec:
+    """--gain-grid as a GainGridSpec; gain_axis checks each axis."""
     if not raw:
         return GainGridSpec()
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError as err:
-        raise UsageError(f"--gain-grid is not valid JSON: {err}") from None
-    if not isinstance(payload, dict):
-        raise UsageError('--gain-grid must look like {"k1": [lo, hi, step], ...}')
+        raise ValueError(f"is not valid JSON: {err}") from None
+    if not (isinstance(payload, dict) and set(payload) <= {"k1", "k2", "k3"}):
+        raise ValueError('must look like {"k1": [lo, hi, step], ...}')
     axes = {}
-    for name in ("k1", "k2", "k3"):
-        if name in payload:
-            try:
-                lo, hi, step = (float(v) for v in payload[name])
-            except (TypeError, ValueError):
-                raise UsageError(f"--gain-grid {name} must be [lo, hi, step]") from None
-            if not (step > 0 and hi >= lo):
-                raise UsageError(f"--gain-grid {name} needs step > 0 and hi >= lo")
-            axes[f"{name}_values"] = _default_gain_axis(lo, hi, step)
+    for name, axis in payload.items():
+        try:
+            lo, hi, step = (float(v) for v in axis)
+            axes[f"{name}_values"] = gain_axis(lo, hi, step)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{name} is not a [lo, hi, step] axis: {err}") from None
     return GainGridSpec(**axes)
 
 
@@ -465,9 +424,6 @@ def _platoon_of(stab_doc: dict, n: int) -> list[LinearizedHdv]:
 
 
 def cmd_optimize_gains(args) -> StageResult:
-    gspec = _parse_gain_grid(args.gain_grid)
-    _check_count("--platoon", args.platoon)
-    out = _outdir(args)
     src = _resolve_input(args.input, "stability.json")
     doc = json.loads(src.read_text())
     platoon = _platoon_of(doc, args.platoon)
@@ -479,34 +435,26 @@ def cmd_optimize_gains(args) -> StageResult:
     eq = EquilibriumSpec(v_star, lam2, lam3)
     fgrid = _freq_grid(args, doc.get("omega_grid"))
 
-    res = optimize_gains(
-        platoon,
-        eq,
-        headway_min=args.headway_min,
-        headway_max=args.headway_max,
-        disturbance_beta=args.beta,
-        grid=gspec,
-        freq_grid=fgrid,
-    )
+    res = optimize_gains(platoon, eq, headway_min=args.headway_min, headway_max=args.headway_max,
+                         disturbance_beta=args.beta, grid=_gain_grid(args.gain_grid),
+                         freq_grid=fgrid)
+    out = _outdir(args)
     heatmaps = write_heatmaps(res, out / "heatmaps")
-    _write_json(
-        out / "gains.json",
-        {
-            "v_star": v_star,
-            "lambda2": lam2,
-            "lambda3": lam3,
-            "headway_min": args.headway_min,
-            "headway_max": args.headway_max,
-            "beta": args.beta,
-            "eta": res.eta,
-            "platoon": args.platoon,
-            "best": asdict(res.best_gains),
-            "best_stable": {"count": res.best_stable.count, "exact": res.best_stable.exact},
-            "best_safe": {"count": res.best_safe.count, "exact": res.best_safe.exact},
-            # paths relative to the directory holding gains.json
-            "heatmap_files": sorted(p.relative_to(out).as_posix() for p in heatmaps),
-        },
-    )
+    _write_json(out / "gains.json", {
+        "v_star": v_star,
+        "lambda2": lam2,
+        "lambda3": lam3,
+        "headway_min": args.headway_min,
+        "headway_max": args.headway_max,
+        "beta": args.beta,
+        "eta": res.eta,
+        "platoon": args.platoon,
+        "best": asdict(res.best_gains),
+        "best_stable": {"count": res.best_stable.count, "exact": res.best_stable.exact},
+        "best_safe": {"count": res.best_safe.count, "exact": res.best_safe.exact},
+        # paths relative to the directory holding gains.json
+        "heatmap_files": sorted(p.relative_to(out).as_posix() for p in heatmaps),
+    })
     shutil.copyfile(src, out / "stability.json")
     calib_src = src.parent / "calibration.json"
     if calib_src.exists():
@@ -540,11 +488,6 @@ def _amplitudes(trajs, v_star: float) -> list[float]:
 
 
 def cmd_simulate(args) -> StageResult:
-    _check_count("--platoon", args.platoon)
-    for flag, value in (("--duration", args.duration), ("--dt", args.dt)):
-        if not value > 0:
-            raise UsageError(f"{flag} must be positive, got {value}")
-    out = _outdir(args)
     gains_path = _resolve_input(args.input, "gains.json")
     stage_dir = gains_path.parent
     gains_doc = json.loads(gains_path.read_text())
@@ -594,6 +537,7 @@ def cmd_simulate(args) -> StageResult:
             float(np.min(trajs[i - 1].positions - trajs[i].positions))
             for i in range(1, len(trajs))
         ]
+    out = _outdir(args)
     _write_platoon_csv(trajs, out / "platoon.csv")
     _write_json(out / "simulate_summary.json", summary)
     hit = summary["collision"]
@@ -608,23 +552,19 @@ def cmd_simulate(args) -> StageResult:
 
 
 def cmd_pipeline(args) -> int:
+    # every flag was checked while parsing; these checks need more than one
     if args.seed is None:
         raise UsageError("pipeline requires --seed (the calibrate stage is randomized)")
-    out = _outdir(args)
+    _freq_grid(args)
     started = _utcnow()
     inputs = [] if args.input == "synthetic" else [_resolve_input(args.input)]
-    pipeline_flags = _pipeline_flags()
+    out = _outdir(args)
     rc = EXIT_OK
     stage_input = args.input
     try:
         for stage in STAGES:
             stage_out = out / stage.dirname
-            ns = argparse.Namespace(input=stage_input, out=str(stage_out))
-            for flag in stage.flags:
-                # a flag the pipeline declares differently (simulate's
-                # --platoon) keeps the stage's own default
-                shared = pipeline_flags[flag.dest] is flag
-                setattr(ns, flag.dest, getattr(args, flag.dest) if shared else flag.kwargs["default"])
+            ns = argparse.Namespace(**vars(args) | {"input": stage_input, "out": str(stage_out)})
             rc = _run_stage(stage.name, ns)
             if rc != EXIT_OK:
                 break
@@ -638,13 +578,65 @@ def cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _number(kind=float, low=-math.inf, positive=False):
+    """Check for a finite number (an integer if kind is int), at least low or positive."""
+    def check(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            kind_name = "an integer" if kind is int else "a number"
+            raise ValueError(f"must be {kind_name}, got {text!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value}")
+        if positive and value <= 0:
+            raise ValueError(f"must be positive, got {value}")
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+    return check
+
+
+_REAL, _POSITIVE, _COUNT = _number(), _number(positive=True), _number(int, 1)
+
+
+def _owned_by(cls, field: str, parse=_number(int)):
+    """Check a value by building cls with it, so the type that owns the rule applies it."""
+    def check(text: str):
+        value = parse(text)
+        try:
+            cls(**{field: value})
+        except (ValueError, StopgoError) as err:
+            raise ValueError(f"{value}: {err}") from None
+        return value
+    return check
+
+
+def _text_of(parse):
+    """Check the text with parse but keep the text, which the manifests record."""
+    def check(text: str) -> str:
+        parse(text)
+        return text
+    return check
+
+
 class _Flag:
-    """One option, declared once and added to every parser that takes it."""
+    """One option, declared once and added to every parser that takes it.
+
+    Its type is its check: a ValueError it raises while parsing becomes a
+    UsageError naming the option."""
 
     def __init__(self, option: str, **kwargs):
         self.option = option
-        self.kwargs = kwargs
         self.dest = option.lstrip("-").replace("-", "_")
+        if "type" in kwargs:
+            kwargs["type"] = partial(self._parse, kwargs["type"])
+        self.kwargs = kwargs
+
+    def _parse(self, check, text: str):
+        try:
+            return check(text)
+        except ValueError as err:
+            raise UsageError(f"{self.option} {err}") from None
 
 
 class Stage(NamedTuple):
@@ -654,12 +646,13 @@ class Stage(NamedTuple):
     flags: tuple
 
 
-_SEED = _Flag("--seed", type=int, default=None,
+_SEED = _Flag("--seed", type=_number(int, 0), default=None,
               help="rng seed (required by calibrate and pipeline; seeds synthetic noise)")
 _OMEGA_GRID = (
-    _Flag("--omega-min", type=float, default=None, help="frequency grid floor (rad/s)"),
-    _Flag("--omega-max", type=float, default=None, help="frequency grid ceiling (rad/s)"),
-    _Flag("--omega-points", type=int, default=None, help="frequency grid size"),
+    _Flag("--omega-min", type=_POSITIVE, default=None, help="frequency grid floor (rad/s)"),
+    _Flag("--omega-max", type=_POSITIVE, default=None, help="frequency grid ceiling (rad/s)"),
+    _Flag("--omega-points", type=_owned_by(FrequencyGrid, "points"), default=None,
+          help="frequency grid size"),
 )
 
 # In run order: pipeline feeds each stage's directory to the next one.
@@ -668,51 +661,56 @@ STAGES = (
         _Flag("--units", choices=("feet", "meters"), default="feet",
               help="units of the raw file (default feet)"),
         _SEED,
-        _Flag("--noise", type=float, default=0.0,
+        _Flag("--noise", type=_number(low=0.0), default=0.0,
               help="uniform position noise half-width for synthetic data (m)"),
     )),
     Stage("smooth", "02_smooth", "denoise positions and rebuild speeds/accelerations", (
-        _Flag("--tx", type=float, default=0.5, help="position kernel width (s)"),
-        _Flag("--tv", type=float, default=1.0, help="speed kernel width (s)"),
-        _Flag("--ta", type=float, default=4.0, help="acceleration kernel width (s)"),
+        _Flag("--tx", type=_owned_by(SmoothingConfig, "t_x", _REAL), default=0.5,
+              help="position kernel width (s)"),
+        _Flag("--tv", type=_owned_by(SmoothingConfig, "t_v", _REAL), default=1.0,
+              help="speed kernel width (s)"),
+        _Flag("--ta", type=_owned_by(SmoothingConfig, "t_a", _REAL), default=4.0,
+              help="acceleration kernel width (s)"),
     )),
     Stage("pair", "03_pair", "extract leader-follower calibration windows", (
-        _Flag("--lane", type=int, default=None, help="restrict to one lane id"),
-        _Flag("--min-samples", type=int, default=600,
+        _Flag("--lane", type=_number(int), default=None, help="restrict to one lane id"),
+        _Flag("--min-samples", type=_number(int), default=600,
               help="overlap length below which a pair is flagged short"),
     )),
     Stage("calibrate", "04_calibrate", "fit car-following parameters per pair", (
         _SEED,
-        _Flag("--pairs", type=int, default=None, help="calibrate only the first N pairs"),
-        _Flag("--population", type=int, default=50),
-        _Flag("--generations", type=int, default=1000),
-        _Flag("--stagnation", type=int, default=100),
-        _Flag("--bounds", default=None, help='JSON parameter box overrides, e.g. {"alpha": [1, 5]}'),
+        _Flag("--pairs", type=_COUNT, default=None, help="calibrate only the first N pairs"),
+        _Flag("--population", type=_owned_by(GaConfig, "population_size"), default=50),
+        _Flag("--generations", type=_owned_by(GaConfig, "max_generations"), default=1000),
+        _Flag("--stagnation", type=_owned_by(GaConfig, "stagnation_limit"), default=100),
+        _Flag("--bounds", type=_text_of(_bounds), default=None,
+              help='JSON parameter box overrides, e.g. {"alpha": [1, 5]}'),
         _Flag("--pin-tau", action="store_true", help="fix the reaction delay at zero"),
     )),
     Stage("stability", "05_stability", "linearize calibrated models and find critical frequencies", (
-        _Flag("--v-star", type=float, default=12.0, help="equilibrium speed (m/s)"),
+        _Flag("--v-star", type=_number(low=0.0), default=12.0, help="equilibrium speed (m/s)"),
         *_OMEGA_GRID,
     )),
     Stage("optimize-gains", "06_gains", "search controller gains maximizing stabilized vehicles", (
-        _Flag("--headway-min", type=float, default=10.0, help="safe headway floor (m)"),
-        _Flag("--headway-max", type=float, default=30.0, help="safe headway ceiling (m)"),
-        _Flag("--beta", type=float, default=3.0, help="disturbance amplitude (m)"),
-        _Flag("--lambda2", type=float, default=0.0, help="controller headway-speed slope (s)"),
-        _Flag("--lambda3", type=float, default=None,
+        _Flag("--headway-min", type=_REAL, default=10.0, help="safe headway floor (m)"),
+        _Flag("--headway-max", type=_REAL, default=30.0, help="safe headway ceiling (m)"),
+        _Flag("--beta", type=_POSITIVE, default=3.0, help="disturbance amplitude (m)"),
+        _Flag("--lambda2", type=_REAL, default=0.0, help="controller headway-speed slope (s)"),
+        _Flag("--lambda3", type=_REAL, default=None,
               help="controller headway offset (m); default centers the safe band"),
-        _Flag("--platoon", type=int, default=20,
+        _Flag("--platoon", type=_COUNT, default=20,
               help="followers behind the controlled vehicle (fleet cycled)"),
-        _Flag("--gain-grid", default=None, help='JSON axis overrides, e.g. {"k1": [0, 1, 0.05]}'),
+        _Flag("--gain-grid", type=_text_of(_gain_grid), default=None,
+              help='JSON axis overrides, e.g. {"k1": [0, 1, 0.05]}'),
         *_OMEGA_GRID,
     )),
     Stage("simulate", "07_validate", "validate designed gains in a platoon simulation", (
-        _Flag("--platoon", type=int, default=None,
+        _Flag("--platoon", type=_COUNT, default=None,
               help="followers behind the controlled vehicle (default from gains.json)"),
-        _Flag("--duration", type=float, default=300.0, help="simulated time (s)"),
-        _Flag("--dt", type=float, default=0.1, help="integration step (s)"),
-        _Flag("--amplitude", type=float, default=1.0, help="leader speed swing (m/s)"),
-        _Flag("--omega", type=float, default=None,
+        _Flag("--duration", type=_POSITIVE, default=300.0, help="simulated time (s)"),
+        _Flag("--dt", type=_POSITIVE, default=0.1, help="integration step (s)"),
+        _Flag("--amplitude", type=_number(low=0.0), default=1.0, help="leader speed swing (m/s)"),
+        _Flag("--omega", type=_POSITIVE, default=None,
               help="leader wave frequency (rad/s); default= worst amplified"),
         _Flag("--profile", choices=("sinusoid", "constant"), default="sinusoid"),
         *_OMEGA_GRID,
@@ -722,7 +720,8 @@ STAGES = (
 
 def _pipeline_flags() -> dict:
     """Every stage's flags by dest; the first stage to declare a name owns it,
-    so pipeline's --platoon is the optimize-gains one."""
+    so pipeline's --platoon is the optimize-gains one (simulate gets the same
+    value, which gains.json records anyway)."""
     flags = {}
     for stage in STAGES:
         for flag in stage.flags:
@@ -755,11 +754,12 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
+        # a flag's check raises UsageError while parsing
+        args = parser.parse_args(argv)
+        if not getattr(args, "func", None):
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
         return args.func(args)
     except (UsageError, ValueError) as err:
         print(f"stopgo: error: {err}", file=sys.stderr)

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySeries, NonpositiveTimescale
-
-DT_DEFAULT = 0.1  # s, sampling interval of the trajectory datasets
+from .trajectory_io import DT
 
 
 @dataclass(frozen=True)
@@ -24,15 +23,14 @@ class SmoothingConfig:
     t_x: float = 0.5
     t_v: float = 1.0
     t_a: float = 4.0
-    dt: float = 0.1
 
     def __post_init__(self):
-        for name in ("t_x", "t_v", "t_a", "dt"):
-            if getattr(self, name) <= 0:
+        for name in ("t_x", "t_v", "t_a"):
+            if not getattr(self, name) > 0:
                 raise NonpositiveTimescale(f"{name} must be positive")
 
 
-def sema_smooth(series, T: float, dt: float = DT_DEFAULT) -> np.ndarray:
+def sema_smooth(series, T: float, dt: float = DT) -> np.ndarray:
     """Smooth a series with a symmetric exponential kernel.
 
     Each sample is replaced by a normalized weighted average of its
@@ -81,7 +79,7 @@ def sema_smooth(series, T: float, dt: float = DT_DEFAULT) -> np.ndarray:
     return out
 
 
-def differentiate(series, dt: float = DT_DEFAULT) -> np.ndarray:
+def differentiate(series, dt: float = DT) -> np.ndarray:
     """Differentiate a sampled series: central differences in the interior,
     one-sided differences at the endpoints.  Output has the input's length.
     """
@@ -108,10 +106,6 @@ def smooth_trajectory(positions, config: SmoothingConfig | None = None):
     """
     cfg = config or SmoothingConfig()
     x = np.asarray(positions, dtype=float)
-    v = differentiate(x, cfg.dt)
-    a = differentiate(v, cfg.dt)
-    return (
-        sema_smooth(x, cfg.t_x, cfg.dt),
-        sema_smooth(v, cfg.t_v, cfg.dt),
-        sema_smooth(a, cfg.t_a, cfg.dt),
-    )
+    v = differentiate(x)
+    a = differentiate(v)
+    return sema_smooth(x, cfg.t_x), sema_smooth(v, cfg.t_v), sema_smooth(a, cfg.t_a)

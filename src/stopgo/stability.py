@@ -95,18 +95,27 @@ class FrequencyGrid:
         return np.logspace(math.log10(lo), math.log10(hi), self.points)
 
 
-def _default_gain_axis(lo: float, hi: float, step: float) -> tuple[float, ...]:
-    n = int(round((hi - lo) / step)) + 1
-    return tuple(np.linspace(lo, hi, n))
+GAIN_AXIS_RTOL = 1e-9  # relative tolerance on the number of steps in a gain axis
+
+
+def gain_axis(lo: float, hi: float, step: float) -> tuple[float, ...]:
+    """Gains lo, lo + step, ..., hi; the step must divide hi - lo (to GAIN_AXIS_RTOL)."""
+    if not (0 <= lo <= hi < math.inf and 0 < step < math.inf):
+        raise ValueError("needs 0 <= lo <= hi and step > 0, all finite")
+    cells = (hi - lo) / step
+    n = round(cells)
+    if abs(cells - n) > GAIN_AXIS_RTOL * max(n, 1):
+        raise ValueError(f"step {step} does not divide [{lo}, {hi}] to {GAIN_AXIS_RTOL} relative")
+    return tuple(np.linspace(lo, hi, n + 1))
 
 
 @dataclass(frozen=True)
 class GainGridSpec:
     """Search grid for the controller gains."""
 
-    k1_values: tuple = field(default_factory=lambda: _default_gain_axis(0.0, 1.0, 0.05))
-    k2_values: tuple = field(default_factory=lambda: _default_gain_axis(0.02, 2.0, 0.02))
-    k3_values: tuple = field(default_factory=lambda: _default_gain_axis(0.02, 2.0, 0.02))
+    k1_values: tuple = field(default_factory=lambda: gain_axis(0.0, 1.0, 0.05))
+    k2_values: tuple = field(default_factory=lambda: gain_axis(0.02, 2.0, 0.02))
+    k3_values: tuple = field(default_factory=lambda: gain_axis(0.02, 2.0, 0.02))
 
 
 @dataclass(frozen=True)
@@ -439,7 +448,6 @@ def optimize_gains(
     disturbance_beta: float,
     grid: GainGridSpec | None = None,
     freq_grid: FrequencyGrid | None = None,
-    delta_override: float | None = None,
 ) -> GainSearchResult:
     """Exhaustive gain-grid search maximizing the usable platoon length.
 
@@ -455,7 +463,6 @@ def optimize_gains(
             (headway_min, headway_max).
         headway_min, headway_max: safe headway band in meters.
         disturbance_beta: leader position disturbance amplitude in meters.
-        delta_override: use this headway slack instead of the band distance.
 
     Returns:
         GainSearchResult with per-cell count grids and the best cell.
@@ -468,14 +475,8 @@ def optimize_gains(
         raise ValueError("desired headway must lie inside the safe band")
     if disturbance_beta <= 0:
         raise ValueError("disturbance amplitude must be positive")
-    delta = (
-        delta_override
-        if delta_override is not None
-        else min(dx_star - headway_min, headway_max - dx_star)
-    )
-    if delta <= 0:
-        raise ValueError("headway slack must be positive")
-    eta = delta / disturbance_beta
+    # the headway slack: distance from the desired headway to the nearer band edge
+    eta = min(dx_star - headway_min, headway_max - dx_star) / disturbance_beta
 
     k1s, k2s, k3s = gspec.k1_values, gspec.k2_values, gspec.k3_values
     shape = (len(k1s), len(k2s), len(k3s))

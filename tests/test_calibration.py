@@ -164,7 +164,6 @@ def test_result_reports_all_three_errors():
 @pytest.mark.parametrize("settings", [
     {"max_generations": -3},
     {"stagnation_limit": 0},
-    {"elitism_count": -1},
 ])
 def test_ga_config_rejects_invalid_settings(settings):
     with pytest.raises(ValueError):

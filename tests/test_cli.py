@@ -319,6 +319,29 @@ def test_simulate_and_gain_search_reject_out_of_range_sizes(tmp_path, capsys, st
     assert not (tmp_path / "out").exists()
 
 
+# one bad value per case, given to the first stage that takes the flag
+BAD_FLAGS = [
+    ("smooth", "--tx", "0"), ("smooth", "--tx", "nan"), ("ingest", "--noise", "-1"),
+    ("calibrate", "--population", "2"), ("calibrate", "--bounds", '{"foo": [1, 2]}'),
+    ("calibrate", "--bounds", '{"alpha": [0, 2]}'), ("stability", "--omega-points", "1"),
+    ("stability", "--omega-min", "200"), ("optimize-gains", "--beta", "0"),
+    ("simulate", "--omega", "0"), ("simulate", "--dt", "0"),
+    ("optimize-gains", "--gain-grid", '{"k1": [0, 1, 0.3]}'),
+]
+
+
+@pytest.mark.parametrize("stage, flag, value", BAD_FLAGS,
+                         ids=[f"{stage} {flag} {value}" for stage, flag, value in BAD_FLAGS])
+def test_bad_flag_fails_before_any_stage_runs(tmp_path, capsys, stage, flag, value):
+    seed = ["--seed", 1] if stage == "calibrate" else []
+    for head in ([stage, "--input", tmp_path / "missing", *seed],
+                 ["pipeline", "--input", "synthetic", "--seed", 1]):
+        out = tmp_path / "out"
+        assert run(*head, flag, value, "--out", out) == 1, head[0]
+        assert f"stopgo: error: {flag}" in capsys.readouterr().err, head[0]
+        assert not out.exists(), head[0]
+
+
 STAGES = ("ingest", "smooth", "pair", "calibrate", "stability", "optimize-gains", "simulate")
 
 

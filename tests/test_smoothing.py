@@ -127,7 +127,7 @@ def test_config_rejects_nonpositive_timescales():
     with pytest.raises(NonpositiveTimescale):
         SmoothingConfig(t_a=-2.0)
     cfg = SmoothingConfig()
-    assert (cfg.t_x, cfg.t_v, cfg.t_a, cfg.dt) == (0.5, 1.0, 4.0, 0.1)
+    assert (cfg.t_x, cfg.t_v, cfg.t_a) == (0.5, 1.0, 4.0)
 
 
 def test_differentiate_linear_is_exact():

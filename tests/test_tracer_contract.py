@@ -56,3 +56,9 @@ def test_traced_pipeline_spans_every_stage(monkeypatch, tmp_path):
     assert {n: names.count(n) for n in tracer.CMD.values()} == dict.fromkeys(tracer.CMD.values(), 1)
     metrics = tracer.layer_metrics([spans.spans])
     assert all(metrics[f"cli.stage_s.{stage}"] > 0.0 for stage in tracer.CMD)
+    # Every counter stays wired, except that synthetic input is never parsed
+    # and the GA metrics read 0 while the tracer's GA span wraps calibrate_ga,
+    # which the CLI no longer calls.
+    unwired = [name for name, value in metrics.items() if value == 0
+               and name != "trajectory_io.parse_rows_per_s" and not name.startswith("calibration.")]
+    assert unwired == []
