@@ -21,7 +21,6 @@ from .carfollowing import (
     PlatoonSpec,
     SinusoidProfile,
     equilibrium_headway,
-    fvdm_acceleration,
     leader_trajectory,
     optimal_velocity,
     ov_slope,
@@ -37,14 +36,12 @@ from .stability import (
     GainGridSpec,
     GainSearchResult,
     LinearizedHdv,
-    StabilizedCount,
     cav_gain_sq,
     cav_string_stable,
+    cell_counts,
     critical_frequency,
     hdv_gain_sq,
     linearize_hdv,
-    n_safe,
-    n_stable,
     numeric_critical_frequency,
     optimize_gains,
     platoon_critical_frequency,

@@ -113,11 +113,6 @@ def equilibrium_headway(theta: FvdmParams, v_star: float) -> float:
     return theta.b_f + math.atanh(q) / theta.m
 
 
-def fvdm_acceleration(theta: FvdmParams, headway, own_speed, speed_diff):
-    """Model acceleration given (delayed) headway, own speed and speed difference."""
-    return theta.alpha * (optimal_velocity(theta, headway) - own_speed) + theta.beta * speed_diff
-
-
 # ---------------------------------------------------------------------------
 # leader speed profiles
 

@@ -19,8 +19,9 @@ file (the built-in ``synthetic`` scenario).
 Each flag is checked while parsing, by the check declared with it, so a bad
 value exits 1 before any stage runs and before any ``--out`` exists.
 ``pipeline`` checks every stage's flags, and then the rules over several
-flags (a ``--seed``, a frequency grid), before its first stage runs.  A
-handler creates ``--out`` only after it has read its inputs.
+flags (a ``--seed``, a frequency grid, a desired headway inside the safe
+band, a sinusoid's ``--amplitude`` within ``--v-star``), before its first
+stage runs.  A handler creates ``--out`` only after it has read its inputs.
 """
 from __future__ import annotations
 
@@ -59,8 +60,10 @@ from .stability import (
     FrequencyGrid,
     GainGridSpec,
     LinearizedHdv,
+    count_record,
     delay_margin,
     gain_axis,
+    headway_slack,
     linearize_hdv,
     numeric_critical_frequency,
     optimize_gains,
@@ -280,16 +283,22 @@ def cmd_pair(args) -> StageResult:
 # ---------------------------------------------------------------- calibrate
 
 
-def _bounds(raw: str | None) -> dict:
-    """--bounds as {name: [lo, hi]}; the calibration box checks the nesting."""
-    if not raw:
-        return {}
+def _json_object(raw: str, error: str) -> dict:
+    """The JSON object in raw; error is the message when raw holds another value."""
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError as err:
         raise ValueError(f"is not valid JSON: {err}") from None
     if not isinstance(payload, dict):
-        raise ValueError("must be a JSON object of name: [lo, hi]")
+        raise ValueError(error)
+    return payload
+
+
+def _bounds(raw: str | None) -> dict:
+    """--bounds as {name: [lo, hi]}; the calibration box checks the nesting."""
+    if not raw:
+        return {}
+    payload = _json_object(raw, "must be a JSON object of name: [lo, hi]")
     for name, pair in payload.items():
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(isinstance(v, (int, float)) for v in pair)):
@@ -396,12 +405,10 @@ def _gain_grid(raw: str | None) -> GainGridSpec:
     """--gain-grid as a GainGridSpec; gain_axis checks each axis."""
     if not raw:
         return GainGridSpec()
-    try:
-        payload = json.loads(raw)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"is not valid JSON: {err}") from None
-    if not (isinstance(payload, dict) and set(payload) <= {"k1", "k2", "k3"}):
-        raise ValueError('must look like {"k1": [lo, hi, step], ...}')
+    error = 'must look like {"k1": [lo, hi, step], ...}'
+    payload = _json_object(raw, error)
+    if not set(payload) <= {"k1", "k2", "k3"}:
+        raise ValueError(error)
     axes = {}
     for name, axis in payload.items():
         try:
@@ -423,16 +430,18 @@ def _platoon_of(stab_doc: dict, n: int) -> list[LinearizedHdv]:
     return [lins[i % len(lins)] for i in range(n)]
 
 
+def _equilibrium(args, v_star: float) -> EquilibriumSpec:
+    """The controller's operating point; --lambda3 defaults to centering the safe band."""
+    mid = 0.5 * (args.headway_min + args.headway_max)
+    lam3 = args.lambda3 if args.lambda3 is not None else mid - args.lambda2 * v_star
+    return EquilibriumSpec(v_star, args.lambda2, lam3)
+
+
 def cmd_optimize_gains(args) -> StageResult:
     src = _resolve_input(args.input, "stability.json")
     doc = json.loads(src.read_text())
     platoon = _platoon_of(doc, args.platoon)
-
-    v_star = doc["v_star"]
-    lam2 = args.lambda2
-    mid = 0.5 * (args.headway_min + args.headway_max)
-    lam3 = args.lambda3 if args.lambda3 is not None else mid - lam2 * v_star
-    eq = EquilibriumSpec(v_star, lam2, lam3)
+    eq = _equilibrium(args, doc["v_star"])
     fgrid = _freq_grid(args, doc.get("omega_grid"))
 
     res = optimize_gains(platoon, eq, headway_min=args.headway_min, headway_max=args.headway_max,
@@ -441,17 +450,15 @@ def cmd_optimize_gains(args) -> StageResult:
     out = _outdir(args)
     heatmaps = write_heatmaps(res, out / "heatmaps")
     _write_json(out / "gains.json", {
-        "v_star": v_star,
-        "lambda2": lam2,
-        "lambda3": lam3,
+        **asdict(eq),  # v_star, lambda2, lambda3
         "headway_min": args.headway_min,
         "headway_max": args.headway_max,
         "beta": args.beta,
         "eta": res.eta,
         "platoon": args.platoon,
         "best": asdict(res.best_gains),
-        "best_stable": {"count": res.best_stable.count, "exact": res.best_stable.exact},
-        "best_safe": {"count": res.best_safe.count, "exact": res.best_safe.exact},
+        "best_stable": count_record(res.best_stable, args.platoon),
+        "best_safe": count_record(res.best_safe, args.platoon),
         # paths relative to the directory holding gains.json
         "heatmap_files": sorted(p.relative_to(out).as_posix() for p in heatmaps),
     })
@@ -552,10 +559,13 @@ def cmd_simulate(args) -> StageResult:
 
 
 def cmd_pipeline(args) -> int:
-    # every flag was checked while parsing; these checks need more than one
+    # every flag was checked while parsing; these rules span several, each checked by its owner
     if args.seed is None:
         raise UsageError("pipeline requires --seed (the calibrate stage is randomized)")
     _freq_grid(args)
+    headway_slack(_equilibrium(args, args.v_star), args.headway_min, args.headway_max, args.beta)
+    if args.profile == "sinusoid":  # simulate's leader; any omega it picks is positive
+        SinusoidProfile(args.v_star, args.amplitude, args.omega or 1.0)
     started = _utcnow()
     inputs = [] if args.input == "synthetic" else [_resolve_input(args.input)]
     out = _outdir(args)
@@ -596,7 +606,7 @@ def _number(kind=float, low=-math.inf, positive=False):
     return check
 
 
-_REAL, _POSITIVE, _COUNT = _number(), _number(positive=True), _number(int, 1)
+_REAL, _POSITIVE, _NONNEGATIVE, _COUNT = _number(), _number(positive=True), _number(low=0.0), _number(int, 1)
 
 
 def _owned_by(cls, field: str, parse=_number(int)):
@@ -661,7 +671,7 @@ STAGES = (
         _Flag("--units", choices=("feet", "meters"), default="feet",
               help="units of the raw file (default feet)"),
         _SEED,
-        _Flag("--noise", type=_number(low=0.0), default=0.0,
+        _Flag("--noise", type=_NONNEGATIVE, default=0.0,
               help="uniform position noise half-width for synthetic data (m)"),
     )),
     Stage("smooth", "02_smooth", "denoise positions and rebuild speeds/accelerations", (
@@ -688,14 +698,14 @@ STAGES = (
         _Flag("--pin-tau", action="store_true", help="fix the reaction delay at zero"),
     )),
     Stage("stability", "05_stability", "linearize calibrated models and find critical frequencies", (
-        _Flag("--v-star", type=_number(low=0.0), default=12.0, help="equilibrium speed (m/s)"),
+        _Flag("--v-star", type=_NONNEGATIVE, default=12.0, help="equilibrium speed (m/s)"),
         *_OMEGA_GRID,
     )),
     Stage("optimize-gains", "06_gains", "search controller gains maximizing stabilized vehicles", (
         _Flag("--headway-min", type=_REAL, default=10.0, help="safe headway floor (m)"),
         _Flag("--headway-max", type=_REAL, default=30.0, help="safe headway ceiling (m)"),
         _Flag("--beta", type=_POSITIVE, default=3.0, help="disturbance amplitude (m)"),
-        _Flag("--lambda2", type=_REAL, default=0.0, help="controller headway-speed slope (s)"),
+        _Flag("--lambda2", type=_NONNEGATIVE, default=0.0, help="controller headway-speed slope (s)"),
         _Flag("--lambda3", type=_REAL, default=None,
               help="controller headway offset (m); default centers the safe band"),
         _Flag("--platoon", type=_COUNT, default=20,
@@ -709,7 +719,7 @@ STAGES = (
               help="followers behind the controlled vehicle (default from gains.json)"),
         _Flag("--duration", type=_POSITIVE, default=300.0, help="simulated time (s)"),
         _Flag("--dt", type=_POSITIVE, default=0.1, help="integration step (s)"),
-        _Flag("--amplitude", type=_number(low=0.0), default=1.0, help="leader speed swing (m/s)"),
+        _Flag("--amplitude", type=_NONNEGATIVE, default=1.0, help="leader speed swing (m/s)"),
         _Flag("--omega", type=_POSITIVE, default=None,
               help="leader wave frequency (rad/s); default= worst amplified"),
         _Flag("--profile", choices=("sinusoid", "constant"), default="sinusoid"),

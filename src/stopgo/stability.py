@@ -7,6 +7,11 @@ of those gains exceeds one; the automated vehicle at the head of the string
 is given feedback gains chosen so the combined product stays at or below one
 for as many followers as possible, subject to its own headway staying inside
 a safe band.
+
+A gain cell's count of followers is an int: n >= 0 followers, UNBOUNDED_CELL
+(-1) when no follower amplifies, INFEASIBLE_CELL (-2) when the gains are not
+string stable.  A count equal to the platoon length is only a lower bound:
+the scan ran out of followers before the limit (count_record).
 """
 from __future__ import annotations
 
@@ -118,54 +123,40 @@ class GainGridSpec:
     k3_values: tuple = field(default_factory=lambda: gain_axis(0.02, 2.0, 0.02))
 
 
-@dataclass(frozen=True)
-class StabilizedCount:
-    """Number of followers a gain choice handles.
-
-    count None means unbounded (the platoon never amplifies, any number is
-    fine).  exact False means the scan used every vehicle in the supplied
-    platoon without finding the limit, so the true value is at least count.
-    """
-
-    count: int | None
-    exact: bool = True
-
-    @classmethod
-    def unbounded(cls) -> "StabilizedCount":
-        return cls(None, True)
-
-    @classmethod
-    def at_least(cls, n: int) -> "StabilizedCount":
-        return cls(n, False)
-
-    @property
-    def is_unbounded(self) -> bool:
-        return self.count is None
-
-    def bound(self) -> float:
-        """Comparable magnitude: the guaranteed count, unbounded = +inf."""
-        return math.inf if self.count is None else float(self.count)
-
-    def __str__(self) -> str:
-        if self.count is None:
-            return "unbounded"
-        return str(self.count) if self.exact else f">={self.count}"
+UNBOUNDED_CELL = -1
+INFEASIBLE_CELL = -2
 
 
 @dataclass
 class GainSearchResult:
+    """Count grids of a gain search, indexed (k1, k2, k3) over grid, and its
+    best cell.  Each cell is n followers, UNBOUNDED_CELL, INFEASIBLE_CELL, or
+    the platoon length as a lower bound on the count."""
+
     grid: GainGridSpec
     eta: float
-    # (n_k1, n_k2, n_k3) integer grids: cell value is the count,
-    # -1 = unbounded, -2 = gain combination infeasible.
     n_stable_grid: np.ndarray
     n_safe_grid: np.ndarray
-    best_gains: ControllerGains
-    best_stable: StabilizedCount
-    best_safe: StabilizedCount
+    best_index: tuple[int, int, int]
 
-UNBOUNDED_CELL = -1
-INFEASIBLE_CELL = -2
+    @property
+    def best_gains(self) -> ControllerGains:
+        i, j, l = self.best_index
+        return ControllerGains(self.grid.k1_values[i], self.grid.k2_values[j], self.grid.k3_values[l])
+
+    @property
+    def best_stable(self) -> int:
+        return int(self.n_stable_grid[self.best_index])
+
+    @property
+    def best_safe(self) -> int:
+        return int(self.n_safe_grid[self.best_index])
+
+
+def count_record(count: int, n_followers: int) -> dict:
+    """A count as {"count", "exact"}: count None when unbounded; exact False
+    when the count equals the platoon length, a lower bound on the true one."""
+    return {"count": None if count == UNBOUNDED_CELL else count, "exact": count != n_followers}
 
 
 def linearize_hdv(theta, eq: EquilibriumSpec) -> LinearizedHdv:
@@ -363,21 +354,22 @@ def platoon_critical_frequency(lins, grid: FrequencyGrid | None = None) -> float
     return min(unstable) if unstable else 0.0
 
 
-def _scan_count(head_log: np.ndarray, log_cum: np.ndarray, n_vehicles: int) -> StabilizedCount:
+def _scan_count(head_log: np.ndarray, log_cum: np.ndarray, n_vehicles: int) -> int:
     """First-crossing scan shared by the stabilization and safety counts.
 
     head_log is the head term per frequency; log_cum[n] is the cumulative sum
     of the first n follower log-gains (row 0 is zeros).  The count is the
     largest n for which the running total stays nonpositive at every
     frequency; the n at which it first turns positive anywhere is the
-    smallest failing platoon length.
+    smallest failing platoon length.  n_vehicles means the scan ran out of
+    followers first.
     """
     if np.any(head_log > 0.0):
-        return StabilizedCount(0)
+        return 0
     for n in range(1, n_vehicles + 1):
         if np.any(head_log + log_cum[n] > 0.0):
-            return StabilizedCount(n - 1)
-    return StabilizedCount.at_least(n_vehicles)
+            return n - 1
+    return n_vehicles
 
 
 def _log_gain_cumsum(lins, omegas: np.ndarray) -> np.ndarray:
@@ -392,52 +384,69 @@ def peak_gain_frequency(lins, omegas: np.ndarray) -> float:
     return float(omegas[int(np.argmax(_log_gain_cumsum(lins, omegas)[-1]))])
 
 
-def _cell_counts(g: ControllerGains, lambda2: float, omegas, log_cum, log_eta: float):
-    """(stable, safe) counts of one string-stable gain cell on the grid omegas."""
-    n = len(log_cum) - 1
-    head_st = 0.5 * np.log(cav_gain_sq(g, lambda2, omegas))
-    head_sf = 0.5 * np.log(cav_complement_gain_sq(g, lambda2, omegas)) - log_eta
-    return _scan_count(head_st, log_cum, n), _scan_count(head_sf, log_cum, n)
-
-
-def _single_cell_counts(g, lins, eta, lambda2, grid):
-    if not cav_string_stable(g, lambda2):
-        raise ValueError("gains are not string stable; count undefined")
-    fgrid = grid or FrequencyGrid()
+def _cell_counter(lins, fgrid: FrequencyGrid, eta: float, lambda2: float):
+    """The function g -> (stable, safe) counts of a string-stable gain cell:
+    unbounded when no follower is string unstable, else evaluated on the
+    frequency grid truncated at the platoon critical frequency."""
     w0 = platoon_critical_frequency(lins, fgrid)
     if w0 == 0.0:
-        return StabilizedCount.unbounded(), StabilizedCount.unbounded()
+        return lambda g: (UNBOUNDED_CELL, UNBOUNDED_CELL)
     omegas = fgrid.values(top=w0)
-    return _cell_counts(g, lambda2, omegas, _log_gain_cumsum(lins, omegas), math.log(eta))
+    log_cum = _log_gain_cumsum(lins, omegas)
+    n, log_eta = len(lins), math.log(eta)
+
+    def counts(g: ControllerGains) -> tuple[int, int]:
+        head_st = 0.5 * np.log(cav_gain_sq(g, lambda2, omegas))
+        head_sf = 0.5 * np.log(cav_complement_gain_sq(g, lambda2, omegas)) - log_eta
+        return _scan_count(head_st, log_cum, n), _scan_count(head_sf, log_cum, n)
+    return counts
 
 
-def n_stable(
-    g: ControllerGains,
-    lins,
-    lambda2: float = 0.0,
-    grid: FrequencyGrid | None = None,
-) -> StabilizedCount:
-    """How many of the given followers the automated vehicle stabilizes.
+def cell_counts(g: ControllerGains, lins, eta: float = 1.0, lambda2: float = 0.0,
+                grid: FrequencyGrid | None = None) -> tuple[int, int]:
+    """(stable, safe) counts of one gain cell for the followers lins.
 
-    Requires cav_string_stable(g, lambda2).  Unbounded when no follower is
-    string unstable; otherwise evaluated on the frequency grid truncated at
-    the platoon critical frequency.
+    stable is how many followers the automated vehicle stabilizes; safe is
+    how many keep its headway excursion within the safety margin eta
+    (headway slack over disturbance amplitude).  Requires
+    cav_string_stable(g, lambda2).
     """
-    return _single_cell_counts(g, lins, 1.0, lambda2, grid)[0]
-
-
-def n_safe(
-    g: ControllerGains,
-    lins,
-    eta: float,
-    lambda2: float = 0.0,
-    grid: FrequencyGrid | None = None,
-) -> StabilizedCount:
-    """How many followers keep the automated vehicle's headway excursion
-    within the safety margin eta (headway slack over disturbance amplitude)."""
+    if not cav_string_stable(g, lambda2):
+        raise ValueError("gains are not string stable; count undefined")
     if eta <= 0:
         raise ValueError("eta must be positive")
-    return _single_cell_counts(g, lins, eta, lambda2, grid)[1]
+    return _cell_counter(lins, grid or FrequencyGrid(), eta, lambda2)(g)
+
+
+def headway_slack(eq: EquilibriumSpec, headway_min: float, headway_max: float,
+                  disturbance_beta: float) -> float:
+    """The safety margin eta: distance from the desired headway to the nearer
+    edge of the safe band (headway_min, headway_max), over the disturbance
+    amplitude.  The desired headway must lie strictly inside the band."""
+    dx_star = eq.desired_headway
+    if not (headway_min < dx_star < headway_max):
+        raise ValueError("desired headway must lie inside the safe band")
+    if disturbance_beta <= 0:
+        raise ValueError("disturbance amplitude must be positive")
+    return min(dx_star - headway_min, headway_max - dx_star) / disturbance_beta
+
+
+def _objective(stable: np.ndarray, safe: np.ndarray) -> np.ndarray:
+    """The search objective min(stable, safe) per cell in the count encoding,
+    an unbounded count acting as +inf (the grids share their infeasible cells)."""
+    both = np.minimum(stable, safe)
+    return np.where(both == UNBOUNDED_CELL, np.maximum(stable, safe), both)
+
+
+def _best_index(stable: np.ndarray, safe: np.ndarray) -> tuple[int, int, int]:
+    """The first cell in (k1, k2, k3) order that maximises (objective, stable)."""
+    rank = lambda c: np.where(c == UNBOUNDED_CELL, np.iinfo(c.dtype).max, c)  # unbounded on top
+    objective, stable = rank(_objective(stable, safe)), rank(stable)
+    if objective.max() == INFEASIBLE_CELL:
+        raise ValueError("no feasible cell in the gain grid")
+    best = objective == objective.max()
+    best &= stable == stable[best].max()
+    return tuple(int(x) for x in np.unravel_index(np.argmax(best), best.shape))
 
 
 def optimize_gains(
@@ -454,8 +463,7 @@ def optimize_gains(
     Every feasible grid cell (nonnegative gains passing the string-stability
     criterion) is scored with the stabilization count and the safety count;
     the objective is lexicographic: first max of min(stable, safe), then max
-    stable.  Ties go to the smaller k1, then k2, then k3, which the ascending
-    scan realizes by keeping only strict improvements.
+    stable.  Ties go to the first such cell in (k1, k2, k3) order.
 
     Args:
         lins: linearized followers the automated vehicle must handle.
@@ -469,80 +477,36 @@ def optimize_gains(
     """
     gspec = grid or GainGridSpec()
     fgrid = freq_grid or FrequencyGrid()
-
-    dx_star = eq.desired_headway
-    if not (headway_min < dx_star < headway_max):
-        raise ValueError("desired headway must lie inside the safe band")
-    if disturbance_beta <= 0:
-        raise ValueError("disturbance amplitude must be positive")
-    # the headway slack: distance from the desired headway to the nearer band edge
-    eta = min(dx_star - headway_min, headway_max - dx_star) / disturbance_beta
+    eta = headway_slack(eq, headway_min, headway_max, disturbance_beta)
 
     k1s, k2s, k3s = gspec.k1_values, gspec.k2_values, gspec.k3_values
     shape = (len(k1s), len(k2s), len(k3s))
     stable_grid = np.full(shape, INFEASIBLE_CELL, dtype=int)
     safe_grid = np.full(shape, INFEASIBLE_CELL, dtype=int)
 
-    w0 = platoon_critical_frequency(lins, fgrid)
-    all_stable = w0 == 0.0
-    if not all_stable:
-        omegas = fgrid.values(top=w0)
-        log_cum = _log_gain_cumsum(lins, omegas)
-        log_eta = math.log(eta)
-
-    lam = eq.lambda2
-    best = None  # (min_count, stable_count, i, j, l, counts)
-
+    counts = _cell_counter(lins, fgrid, eta, eq.lambda2)
     for i, k1 in enumerate(k1s):
         for j, k2 in enumerate(k2s):
             for l, k3 in enumerate(k3s):
                 g = ControllerGains(k1, k2, k3)
-                if not cav_string_stable(g, lam):
-                    continue
-                if all_stable:
-                    st = StabilizedCount.unbounded()
-                    sf = StabilizedCount.unbounded()
-                else:
-                    st, sf = _cell_counts(g, lam, omegas, log_cum, log_eta)
-                stable_grid[i, j, l] = UNBOUNDED_CELL if st.is_unbounded else st.count
-                safe_grid[i, j, l] = UNBOUNDED_CELL if sf.is_unbounded else sf.count
-
-                key = (min(st.bound(), sf.bound()), st.bound())
-                if best is None or key > best[0]:
-                    best = (key, i, j, l, st, sf)
-
-    if best is None:
-        raise ValueError("no feasible cell in the gain grid")
-    _, i, j, l, st, sf = best
-    return GainSearchResult(
-        grid=gspec,
-        eta=eta,
-        n_stable_grid=stable_grid,
-        n_safe_grid=safe_grid,
-        best_gains=ControllerGains(k1s[i], k2s[j], k3s[l]),
-        best_stable=st,
-        best_safe=sf,
-    )
+                if cav_string_stable(g, eq.lambda2):
+                    stable_grid[i, j, l], safe_grid[i, j, l] = counts(g)
+    return GainSearchResult(gspec, eta, stable_grid, safe_grid, _best_index(stable_grid, safe_grid))
 
 
 def write_heatmaps(result: GainSearchResult, outdir) -> list:
     """Write one CSV per k1 slice of the search objective min(stable, safe).
 
-    Rows are k2 values, columns k3 values; -1 encodes unbounded and -2 a gain
-    combination that fails the string-stability requirement.
+    Rows are k2 values, columns k3 values; cells are in the count encoding,
+    -1 unbounded and -2 a gain combination that fails the string-stability
+    requirement.
     """
     from pathlib import Path
 
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = []
-    # min(stable, safe) with unbounded acting as +inf, infeasible poisoning the cell
-    big = np.iinfo(int).max
-    stable = np.where(result.n_stable_grid == UNBOUNDED_CELL, big, result.n_stable_grid)
-    safe = np.where(result.n_safe_grid == UNBOUNDED_CELL, big, result.n_safe_grid)
-    objective = np.minimum(stable, safe)
-    objective = np.where(objective == big, UNBOUNDED_CELL, objective)
-    objective = np.where(result.n_stable_grid == INFEASIBLE_CELL, INFEASIBLE_CELL, objective)
+    objective = _objective(result.n_stable_grid, result.n_safe_grid)
     for i, k1 in enumerate(result.grid.k1_values):
         path = outdir / f"heatmap_k1={k1:g}.csv"
         with open(path, "w") as fh:

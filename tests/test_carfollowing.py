@@ -15,7 +15,6 @@ from stopgo.carfollowing import (
     PlatoonSpec,
     SinusoidProfile,
     equilibrium_headway,
-    fvdm_acceleration,
     leader_trajectory,
     optimal_velocity,
     ov_slope,
@@ -98,12 +97,6 @@ def test_param_bounds_enforced():
         FvdmParams(0.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.5)  # alpha below box
     with pytest.raises(ValueError):
         FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 3.5)  # tau above box
-
-
-def test_acceleration_formula_by_hand():
-    h, vown, dv = 17.0, 11.0, -0.8
-    expected = THETA.alpha * (optimal_velocity(THETA, h) - vown) + THETA.beta * dv
-    assert fvdm_acceleration(THETA, h, vown, dv) == pytest.approx(expected, rel=1e-15)
 
 
 def test_constant_profile_leader_kinematics():

@@ -326,7 +326,7 @@ BAD_FLAGS = [
     ("calibrate", "--bounds", '{"alpha": [0, 2]}'), ("stability", "--omega-points", "1"),
     ("stability", "--omega-min", "200"), ("optimize-gains", "--beta", "0"),
     ("simulate", "--omega", "0"), ("simulate", "--dt", "0"),
-    ("optimize-gains", "--gain-grid", '{"k1": [0, 1, 0.3]}'),
+    ("optimize-gains", "--gain-grid", '{"k1": [0, 1, 0.3]}'), ("optimize-gains", "--lambda2", "-1"),
 ]
 
 
@@ -340,6 +340,16 @@ def test_bad_flag_fails_before_any_stage_runs(tmp_path, capsys, stage, flag, val
         assert run(*head, flag, value, "--out", out) == 1, head[0]
         assert f"stopgo: error: {flag}" in capsys.readouterr().err, head[0]
         assert not out.exists(), head[0]
+
+
+# rules over several flags: the default desired headway (the band's middle,
+# 35 m) lies outside [40, 30], and a 20 m/s swing exceeds --v-star 12
+@pytest.mark.parametrize("flag, value", [("--headway-min", "40"), ("--amplitude", "20")])
+def test_pipeline_checks_multi_flag_rules_before_any_stage_runs(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert run("pipeline", "--input", "synthetic", "--seed", 1, flag, value, "--out", out) == 1
+    assert "stopgo: error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 STAGES = ("ingest", "smooth", "pair", "calibrate", "stability", "optimize-gains", "simulate")

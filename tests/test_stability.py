@@ -23,17 +23,17 @@ from stopgo.stability import (
     FrequencyGrid,
     GainGridSpec,
     LinearizedHdv,
-    StabilizedCount,
     _brent_root,
     cav_complement_gain_sq,
     cav_gain_sq,
     cav_string_stable,
+    cell_counts,
+    count_record,
     critical_frequency,
     delay_margin,
+    gain_axis,
     hdv_gain_sq,
     linearize_hdv,
-    n_safe,
-    n_stable,
     numeric_critical_frequency,
     optimize_gains,
     peak_gain_frequency,
@@ -355,18 +355,16 @@ def test_peak_gain_frequency_maximizes_the_string_gain():
 def test_counts_unbounded_when_no_follower_amplifies():
     g = ControllerGains(0.2, 1.0, 0.5)
     dampers = [LinearizedHdv(0.5, 2.0, 1.0)] * 6
-    assert n_stable(g, dampers).is_unbounded
-    assert n_safe(g, dampers, eta=1.5).is_unbounded
+    assert cell_counts(g, dampers, eta=1.5) == (UNBOUNDED_CELL, UNBOUNDED_CELL)
+    assert count_record(UNBOUNDED_CELL, len(dampers)) == {"count": None, "exact": True}
 
 
 def test_counts_require_string_stable_controller():
     bad = ControllerGains(5.0, 0.1, 0.1)
     with pytest.raises(ValueError):
-        n_stable(bad, [LinearizedHdv(2.0, 0.6, 0.1)])
+        cell_counts(bad, [LinearizedHdv(2.0, 0.6, 0.1)])
     with pytest.raises(ValueError):
-        n_safe(bad, [LinearizedHdv(2.0, 0.6, 0.1)], eta=1.0)
-    with pytest.raises(ValueError):
-        n_safe(ControllerGains(0.0, 1.0, 0.5), [LinearizedHdv(2.0, 0.6, 0.1)], eta=0.0)
+        cell_counts(ControllerGains(0.0, 1.0, 0.5), [LinearizedHdv(2.0, 0.6, 0.1)], eta=0.0)
 
 
 def test_first_amplifying_prefix_sets_the_count():
@@ -384,10 +382,10 @@ def test_first_amplifying_prefix_sets_the_count():
     assert np.max(head) <= 1.0
     assert np.max(head * hdv_gain_sq(first, om)) > 1.0
 
-    got = n_stable(g, lins)
-    assert got.count == 0 and got.exact
+    assert cell_counts(g, lins)[0] == 0
+    assert count_record(0, len(lins)) == {"count": 0, "exact": True}
     # the same dampers without the troublemaker are no constraint at all
-    assert n_stable(g, [damper] * 4).is_unbounded
+    assert cell_counts(g, [damper] * 4)[0] == UNBOUNDED_CELL
 
 
 def test_count_saturates_to_lower_bound_when_scan_exhausts_platoon():
@@ -395,9 +393,13 @@ def test_count_saturates_to_lower_bound_when_scan_exhausts_platoon():
     # runs out of platoon before the product ever exceeds one
     g = ControllerGains(0.0, 1.8, 0.02)
     mild = LinearizedHdv(1.1, 1.0, 0.4)
-    got = n_stable(g, [mild] * 3)
-    assert not got.exact and got.count == 3
-    assert str(got) == ">=3"
+    stable, _ = cell_counts(g, [mild] * 3)
+    assert stable == 3
+    assert count_record(stable, 3) == {"count": 3, "exact": False}
+
+
+def _bound(count: int) -> float:
+    return math.inf if count == UNBOUNDED_CELL else count
 
 
 def test_counts_monotone_in_follower_severity():
@@ -415,15 +417,15 @@ def test_counts_monotone_in_follower_severity():
         ]
         # lowering k2 raises |T| at every positive frequency
         worse = [LinearizedHdv(k1, k2 * 0.7, k3)] + base[1:]
-        assert n_stable(g, worse).bound() <= n_stable(g, base).bound()
-        assert n_safe(g, worse, 1.5).bound() <= n_safe(g, base, 1.5).bound()
+        for got, ref in zip(cell_counts(g, worse, 1.5), cell_counts(g, base, 1.5)):
+            assert _bound(got) <= _bound(ref)
 
 
 def _brute_force_counts(g, lins, eta, fgrid):
     """Direct product scan: multiply per-vehicle gains term by term."""
     w0 = platoon_critical_frequency(lins, fgrid)
     if w0 == 0.0:
-        return None, None
+        return UNBOUNDED_CELL, UNBOUNDED_CELL
     om = fgrid.values(top=w0)
     ta = _complex_cav(g, 0.0, om)
     gains = [_complex_hdv_gain_sq(lin, om) for lin in lins]
@@ -436,18 +438,9 @@ def _brute_force_counts(g, lins, eta, fgrid):
             running = running * gsq
             if np.any(running > 1.0):
                 return n - 1
-        return ("at_least", len(gains))
+        return len(gains)  # a lower bound: the platoon ran out
 
     return count(np.abs(ta) ** 2), count(np.abs(1.0 - ta) ** 2 / eta**2)
-
-
-def _assert_count_equals(got: StabilizedCount, want):
-    if want is None:
-        assert got.is_unbounded
-    elif isinstance(want, tuple):
-        assert not got.exact and got.count == want[1]
-    else:
-        assert got.exact and got.count == want
 
 
 def test_counts_match_direct_product_scan():
@@ -484,21 +477,11 @@ def test_counts_match_direct_product_scan():
             if cav_string_stable(g, 0.0):
                 break
         eta = float(rng.uniform(0.5, 5.0))
-        want_st, want_sf = _brute_force_counts(g, lins, eta, fgrid)
-        _assert_count_equals(n_stable(g, lins, grid=fgrid), want_st)
-        _assert_count_equals(n_safe(g, lins, eta, grid=fgrid), want_sf)
+        assert cell_counts(g, lins, eta, grid=fgrid) == _brute_force_counts(g, lins, eta, fgrid)
 
 
 # ---------------------------------------------------------------------------
 # gain search
-
-def test_stabilized_count_formatting_and_bounds():
-    assert str(StabilizedCount(4)) == "4"
-    assert str(StabilizedCount(4, exact=False)) == ">=4"
-    assert str(StabilizedCount.unbounded()) == "unbounded"
-    assert StabilizedCount.unbounded().bound() == math.inf
-    assert StabilizedCount(3).bound() == 3.0
-
 
 def test_frequency_grid_truncation():
     grid = FrequencyGrid(1e-3, 1e2, 500)
@@ -528,13 +511,8 @@ def test_optimize_gains_singleton_grid():
     assert res.best_gains == ControllerGains(0.0, 1.0, 0.5)
     assert res.eta == pytest.approx(5.0 / 3.0)
     g = ControllerGains(0.0, 1.0, 0.5)
-    _assert_same_count(res.best_stable, n_stable(g, lins))
-    _assert_same_count(res.best_safe, n_safe(g, lins, res.eta))
+    assert (res.best_stable, res.best_safe) == cell_counts(g, lins, res.eta)
     assert res.n_stable_grid.shape == (1, 1, 1)
-
-
-def _assert_same_count(a: StabilizedCount, b: StabilizedCount):
-    assert a.count == b.count and a.exact == b.exact
 
 
 def test_optimize_gains_tie_break_prefers_small_gains():
@@ -545,10 +523,61 @@ def test_optimize_gains_tie_break_prefers_small_gains():
     gspec = GainGridSpec(k1_values=(0.0, 0.5), k2_values=(0.1, 0.2), k3_values=(0.3, 0.4))
     res = optimize_gains(lins, eq, 15.0, 25.0, 3.0, grid=gspec)
     assert res.best_gains == ControllerGains(0.0, 0.1, 0.3)
-    assert res.best_stable.is_unbounded
+    assert res.best_stable == UNBOUNDED_CELL
     assert np.all(
         (res.n_stable_grid == UNBOUNDED_CELL) | (res.n_stable_grid == INFEASIBLE_CELL)
     )
+
+
+# Count grids of the pinned search below, one k1 slice after another: rows
+# are k2 values, columns k3 values.  They hold every kind of cell: -2
+# (infeasible), 0, exact counts and 12, the platoon length (a lower bound).
+PINNED_STABLE = """
+12  6  0  0  0  0  0  0  0  0    -2 -2 -2 -2 -2 -2 -2 -2 -2 -2    -2 -2 -2 -2 -2 -2 -2 -2 -2 -2
+12 10  0  0  0  0  0  0  0  0    -2 -2 -2 -2 -2  0  0  0  0  0    -2 -2 -2 -2 -2 -2 -2 -2 -2 -2
+12 10  4  0  0  0  0  0  0  0    -2 -2  0  0  0  0  0  0  0  0    -2 -2 -2 -2 -2 -2  0  0  0  0
+12 12  6  0  0  0  0  0  0  0    -2  0  0  0  0  0  0  0  0  0    -2 -2 -2 -2  0  0  0  0  0  0
+12 12  6  4  0  0  0  0  0  0     4  0  0  0  0  0  0  0  0  0    -2 -2  0  0  0  0  0  0  0  0
+12 12 10  4  0  0  0  0  0  0     6  4  0  0  0  0  0  0  0  0    -2  0  0  0  0  0  0  0  0  0
+12 12 10  6  4  0  0  0  0  0    10  6  4  0  0  0  0  0  0  0     0  0  0  0  0  0  0  0  0  0
+12 12 12  6  4  0  0  0  0  0    12 10  6  4  0  0  0  0  0  0     0  0  0  0  0  0  0  0  0  0
+12 12 12 10  6  4  0  0  0  0    12 10  6  4  4  0  0  0  0  0     0  0  0  0  0  0  0  0  0  0
+12 12 12 10  6  4  0  0  0  0    12 12 10  6  4  0  0  0  0  0     0  0  0  0  0  0  0  0  0  0
+"""
+PINNED_SAFE = """
+ 0  0  0  4  4  6 10 10 12 12    -2 -2 -2 -2 -2 -2 -2 -2 -2 -2    -2 -2 -2 -2 -2 -2 -2 -2 -2 -2
+ 0  0  0  4  6 10 10 12 12 12    -2 -2 -2 -2 -2  6  6 10 12 12    -2 -2 -2 -2 -2 -2 -2 -2 -2 -2
+ 0  0  4  4  6 10 10 12 12 12    -2 -2  0  0  4  6 10 10 12 12    -2 -2 -2 -2 -2 -2  6 10 12 12
+ 0  0  4  4  6 10 10 12 12 12    -2  0  0  0  4  6 10 10 12 12    -2 -2 -2 -2  4  6  6 10 12 12
+ 0  0  4  4  6  6 10 10 12 12     0  0  0  4  4  6 10 10 12 12    -2 -2  0  0  4  6  6 10 10 12
+ 0  0  4  4  6  6 10 10 12 12     0  0  0  4  4  6  6 10 10 12    -2  0  0  0  4  6  6 10 10 12
+ 0  0  4  4  6  6 10 10 10 12     0  0  0  4  4  6  6 10 10 12     0  0  0  0  4  6  6 10 10 12
+ 0  0  0  4  4  6  6 10 10 12     0  0  0  4  4  6  6 10 10 10     0  0  0  0  4  4  6  6 10 10
+ 0  0  0  4  4  6  6 10 10 10     0  0  0  0  4  4  6  6 10 10     0  0  0  0  4  4  6  6 10 10
+ 0  0  0  4  4  6  6  6 10 10     0  0  0  0  4  4  6  6 10 10     0  0  0  0  4  4  6  6 10 10
+"""
+
+
+def _pinned_grid(text: str) -> np.ndarray:
+    # rows of the text are k2 values; each row holds the three k1 slices side by side
+    return np.array(text.split(), dtype=int).reshape(10, 3, 10).transpose(1, 0, 2)
+
+
+def test_optimize_gains_pinned_on_a_string_unstable_fleet():
+    # a mixed fleet, mostly string unstable; the grids are pinned exactly so
+    # that any change to the counting or the search shows
+    fleet = [LinearizedHdv(1.6, 0.6, 0.2, 0.0, 0.4), LinearizedHdv(0.5, 2.0, 1.0),
+             LinearizedHdv(2.2, 0.8, 0.1, 0.0, 0.6), LinearizedHdv(1.2, 1.0, 0.1),
+             LinearizedHdv(1.9, 0.7, 0.3, 0.0, 0.3), LinearizedHdv(0.8, 1.5, 0.6)]
+    lins = [fleet[i % len(fleet)] for i in range(12)]
+    gspec = GainGridSpec(gain_axis(0.0, 1.0, 0.5), gain_axis(0.2, 2.0, 0.2), gain_axis(0.2, 2.0, 0.2))
+    res = optimize_gains(lins, EquilibriumSpec(12.0, 0.0, 20.0), 14.0, 26.0, 3.0, grid=gspec,
+                         freq_grid=FrequencyGrid(points=1000))
+    np.testing.assert_array_equal(res.n_stable_grid, _pinned_grid(PINNED_STABLE))
+    np.testing.assert_array_equal(res.n_safe_grid, _pinned_grid(PINNED_SAFE))
+    # the first cell maximising (min(stable, safe), stable) = (4, 10): k1 0, k2 1.2, k3 0.6
+    assert res.best_gains == ControllerGains(gspec.k1_values[0], gspec.k2_values[5], gspec.k3_values[2])
+    assert res.eta == 2.0
 
 
 def test_optimize_gains_marks_infeasible_cells():
