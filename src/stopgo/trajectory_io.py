@@ -7,16 +7,20 @@ at a fixed 0.1 s interval.  Follower vehicles are paired with the vehicle
 ahead of them over windows where the leader link is unambiguous, which is
 what the car-following calibration consumes.
 
-Tables are written and read as the canonical CSV one column at a time.  Every
-float is written as its repr, the shortest decimal that parses back to the
-same double, so a written table reads back bit for bit and rewriting it
-reproduces the file byte for byte.
+Tables are written and read as the canonical CSV one column at a time, with
+no Python code run per row.  A file is parsed by one np.loadtxt call on the
+open stream; a second, line-filtered pass runs only when that call fails.
+Every float is written as its repr, the shortest decimal that parses back to
+the same double, so a written table reads back bit for bit and rewriting it
+reproduces the file byte for byte; repr runs once per distinct value.
+Pairing tests every follower frame in numpy and loops only over windows.
 """
 from __future__ import annotations
 
 import csv
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -199,6 +203,13 @@ def _valid(cell: str, integral: bool) -> bool:
     return math.isfinite(v) and (not integral or (v.is_integer() and abs(v) < _EXACT_INT))
 
 
+def _loadtxt(rows, usecols) -> np.ndarray:
+    """np.loadtxt of the CSV rows, empty lines skipped; no rows give 0 rows."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        return np.loadtxt(rows, delimiter=",", quotechar='"', comments=None, usecols=usecols, ndmin=2)
+
+
 def _read_table(fh, usecols, names, scale: float = 1.0) -> TrajectoryTable:
     """Parse the CSV rows left in fh into a table, file column usecols[j]
     (called names[j]) into table column j, positional columns times scale.
@@ -207,21 +218,24 @@ def _read_table(fh, usecols, names, scale: float = 1.0) -> TrajectoryTable:
     is not finite, or is not an exact integer in an integer column raises
     UnparsableField, naming the first such field by 1-based data row (skipped
     rows counted) and column.
+
+    The stream itself goes to one np.loadtxt call, which skips empty lines.
+    Only if that call fails is the stream parsed again from the same place,
+    rows of blanks and commas filtered out line by line.
     """
     start = fh.tell()
-    rows = itertools.filterfalse(_is_blank, fh)
-    first = next(rows, None)
-    if first is None:
-        raise EmptyInput("no data rows")
     integral = [f.name in _INT_COLUMNS for f in fields(TrajectoryTable)]
     try:
-        block = np.loadtxt(
-            itertools.chain([first], rows), delimiter=",", quotechar='"',
-            comments=None, usecols=usecols, ndmin=2,
-        )
+        try:
+            block = _loadtxt(fh, usecols)
+        except ValueError:  # a row of blanks and commas, or a bad field
+            fh.seek(start)
+            block = _loadtxt(itertools.filterfalse(_is_blank, fh), usecols)
     except ValueError as err:
         failure = str(err)
     else:
+        if not len(block):
+            raise EmptyInput("no data rows")
         ints = block[:, integral]
         if np.isfinite(block).all() and np.all((np.trunc(ints) == ints) & (abs(ints) < _EXACT_INT)):
             return TrajectoryTable(*(
@@ -262,19 +276,43 @@ def parse_ngsim_csv(fh, units: str = "meters") -> TrajectoryTable:
     return _read_table(fh, [col[name] for name in _REQUIRED_COLUMNS], _REQUIRED_COLUMNS, scale)
 
 
+def _reprs(column: np.ndarray) -> list[str]:
+    """The repr of every value of a numpy column, repr called once per
+    distinct value.  Floats are told apart by bit pattern, so -0.0 and 0.0
+    keep their own texts."""
+    bits = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, distinct.view(column.dtype).tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
 def write_columns(path, header, columns) -> None:
-    """Write equal-length columns as CSV rows, every value as its repr.
+    """Write equal-length numpy columns, one per header name, as CSV rows,
+    every value as its repr.
 
     Rows are converted _WRITE_CHUNK_ROWS at a time, so the Python objects
-    alive at once stay few on long files.  Lines end in CRLF, as
-    csv.writer's default dialect writes them.
+    alive at once stay few on long files; each chunk is joined into one
+    string and written in one call.  Lines end in CRLF, as csv.writer's
+    default dialect writes them.
+
+    Raises:
+        ValueError: the columns differ in length or do not match the header.
     """
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for {len(header)} header names")
     n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    k = len(columns)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, n, _WRITE_CHUNK_ROWS):
-            cells = [map(repr, c[lo : lo + _WRITE_CHUNK_ROWS].tolist()) for c in columns]
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+            rows = min(_WRITE_CHUNK_ROWS, n - lo)
+            parts = [","] * (2 * k * rows)  # value, separator, value, ... per row
+            for j, c in enumerate(columns):
+                parts[2 * j :: 2 * k] = _reprs(c[lo : lo + rows])
+            parts[2 * k - 1 :: 2 * k] = ["\r\n"] * rows
+            fh.write("".join(parts))
 
 
 def write_canonical_csv(records: TrajectoryTable, path) -> None:
@@ -375,55 +413,55 @@ def pair_leader_follower(
     the diagnostics instead of being returned.  Pairs shorter than min_samples
     are flagged in the diagnostics but still returned.
 
+    Every follower frame is tested at once over the flattened set; Python
+    runs once per window.
+
     Returns:
         (pairs sorted by descending overlap length, PairDiagnostics)
     """
     pairs = []
     diag = PairDiagnostics()
-    for fid, ftr in sorted(tset.trajectories.items()):
-        pre = tset.preceding[fid]
-        flane = tset.lanes[fid]
+    vids = sorted(tset.trajectories)
+    if not vids:
+        return pairs, diag
+    trs = [tset.trajectories[v] for v in vids]
+    ns = np.array([tr.n for tr in trs])
+    first = np.array([tr.start_frame for tr in trs])
+    offset = np.cumsum(ns) - ns  # row of each vehicle's first frame
+    owner = np.repeat(np.arange(len(vids)), ns)
+    frame = first[owner] + np.arange(len(owner)) - offset[owner]
+    pre = np.concatenate([tset.preceding[v] for v in vids])
+    lane = np.concatenate([tset.lanes[v] for v in vids])
 
-        i = 0
-        while i < ftr.n:
-            lid = int(pre[i])
-            if lid == 0 or lid == fid or lid not in tset.trajectories:
-                i += 1
-                continue
-            ltr = tset.trajectories[lid]
-            llane = tset.lanes[lid]
+    # the leader link is valid, the leader covers the frame and is in its lane
+    ids = np.array(vids, dtype=np.int64)
+    lead = np.minimum(np.searchsorted(ids, pre), len(ids) - 1)
+    usable = (pre != 0) & (pre != ids[owner]) & (ids[lead] == pre)
+    usable &= (first[lead] <= frame) & (frame < first[lead] + ns[lead])
+    lead_row = np.where(usable, offset[lead] + frame - first[lead], 0)
+    usable &= lane[lead_row] == lane
+    if lane_filter is not None:
+        usable &= lane == lane_filter
 
-            def usable(j: int) -> bool:
-                frame = ftr.start_frame + j
-                if not (ltr.start_frame <= frame <= ltr.end_frame):
-                    return False
-                if llane[frame - ltr.start_frame] != flane[j]:
-                    return False
-                if lane_filter is not None and flane[j] != lane_filter:
-                    return False
-                return True
-
-            j = i
-            while j < ftr.n and int(pre[j]) == lid and usable(j):
-                j += 1
-            if j == i:
-                i += 1
-                continue
-
-            start_frame = ftr.start_frame + i
-            length = j - i
-            leader = ltr.slice(start_frame, length)
-            follower = ftr.slice(start_frame, length)
-            head = leader.positions - follower.positions
-            if np.any(head <= 0):
-                bad = int(np.argmax(head <= 0))
-                diag.rejected_nonpositive.append((lid, fid, start_frame + bad))
-            else:
-                pair = VehiclePair(leader, follower, start_frame, length)
-                pairs.append(pair)
-                if length < min_samples:
-                    diag.short_pairs.append((lid, fid, length))
-            i = j
+    # windows: maximal runs of one follower and one leader link over usable rows
+    edge = np.ones(len(owner) + 1, dtype=bool)
+    edge[1:-1] = (owner[1:] != owner[:-1]) | (pre[1:] != pre[:-1]) | (usable[1:] != usable[:-1])
+    bounds = np.flatnonzero(edge)
+    runs = usable[bounds[:-1]]
+    for s, e in zip(bounds[:-1][runs].tolist(), bounds[1:][runs].tolist()):
+        i = owner[s]
+        fid, lid = vids[i], int(pre[s])
+        start_frame, length = int(frame[s]), e - s
+        leader = tset.trajectories[lid].slice(start_frame, length)
+        follower = trs[i].slice(start_frame, length)
+        head = leader.positions - follower.positions
+        if np.any(head <= 0):
+            bad = int(np.argmax(head <= 0))
+            diag.rejected_nonpositive.append((lid, fid, start_frame + bad))
+        else:
+            pairs.append(VehiclePair(leader, follower, start_frame, length))
+            if length < min_samples:
+                diag.short_pairs.append((lid, fid, length))
 
     pairs.sort(key=lambda p: (-p.overlap_len, p.leader.vehicle_id, p.follower.vehicle_id))
     return pairs, diag
@@ -443,16 +481,25 @@ def pair_index(pairs) -> list[dict]:
 
 
 def pairs_from_index(index, tset: TrajectorySet) -> list[VehiclePair]:
-    """Rebuild pairs by slicing the trajectory set per a stored pair index."""
+    """Rebuild pairs by slicing the trajectory set per a stored pair index.
+
+    Raises:
+        DataError: an entry names a vehicle the set does not hold, or a
+            window outside either vehicle's frames.
+    """
     pairs = []
     for entry in index:
-        leader = tset.trajectories[entry["leader_id"]].slice(
-            entry["overlap_start"], entry["overlap_len"]
-        )
-        follower = tset.trajectories[entry["follower_id"]].slice(
-            entry["overlap_start"], entry["overlap_len"]
-        )
-        pairs.append(VehiclePair(leader, follower, entry["overlap_start"], entry["overlap_len"]))
+        lid, fid = entry["leader_id"], entry["follower_id"]
+        start, length = entry["overlap_start"], entry["overlap_len"]
+        window = f"pair of leader {lid} and follower {fid}, {length} frames from frame {start}"
+        for vid in (lid, fid):
+            tr = tset.trajectories.get(vid)
+            if tr is None:
+                raise DataError(f"{window}: vehicle {vid} is not in the trajectory file")
+            if not (length > 0 and tr.start_frame <= start and start + length - 1 <= tr.end_frame):
+                raise DataError(f"{window}: vehicle {vid} has only frames {tr.start_frame}-{tr.end_frame}")
+        leader, follower = (tset.trajectories[v].slice(start, length) for v in (lid, fid))
+        pairs.append(VehiclePair(leader, follower, start, length))
     return pairs
 
 

@@ -173,6 +173,24 @@ def test_pair_artifacts(paired):
     assert (paired / "trajectories.csv").exists()  # carried along for later stages
 
 
+@pytest.mark.parametrize("change, problem", [
+    ({"follower_id": 77}, "vehicle 77 is not in the trajectory file"),
+    ({"overlap_start": 250}, "vehicle 1 has only frames 0-999"),
+])
+def test_calibrate_pair_entry_outside_the_trajectories_is_data_error(
+        tmp_path, capsys, paired, change, problem):
+    doc = _read_json(paired / "pairs.json")
+    entry = doc["pairs"][0] | change
+    doc["pairs"] = [entry]
+    (paired / "pairs.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("calibrate", "--input", paired, "--seed", 1, "--out", out) == 2
+    window = (f"pair of leader {entry['leader_id']} and follower {entry['follower_id']}, "
+              f"{entry['overlap_len']} frames from frame {entry['overlap_start']}")
+    assert f"stopgo: data error: {window}: {problem}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_artifacts(chain):
     doc = _read_json(chain / "04" / "calibration.json")
     assert len(doc["results"]) == 1

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import json
+import warnings
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -19,9 +20,12 @@ from stopgo.errors import (
     UnparsableField,
 )
 from stopgo.trajectory_io import (
+    _WRITE_CHUNK_ROWS,
     CANONICAL_HEADER,
     FEET_TO_METERS,
+    PairDiagnostics,
     Trajectory,
+    TrajectorySet,
     TrajectoryTable,
     VehiclePair,
     build_trajectories,
@@ -32,6 +36,7 @@ from stopgo.trajectory_io import (
     parse_ngsim_csv,
     read_canonical_csv,
     write_canonical_csv,
+    write_columns,
 )
 from stopgo.errors import NonpositiveHeadway
 
@@ -184,6 +189,32 @@ def test_table_length_is_row_count_and_blank_rows_are_skipped(tmp_path):
     _assert_same_table(back, table)
 
 
+def test_rows_of_blanks_and_commas_read_as_the_clean_file(tmp_path):
+    rows = [",".join(str(c) for c in (1, f, 10.0 * f, 10.0, 0.0, 1, 0, 4.5)) for f in range(6)]
+    clean = _parse(NGSIM_HEADER + "\n" + "\n".join(rows) + "\n")
+    for filler in (["  "], [",,,"], [" , ,", "\t", ""]):
+        text = NGSIM_HEADER + "\n" + "\n".join(rows[:3] + filler + rows[3:]) + "\n"
+        _assert_same_table(_parse(text), clean)
+
+    path = tmp_path / "canon.csv"
+    write_canonical_csv(clean, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:4] + [" ", ",,,,", ""] + lines[4:]) + "\n")
+    _assert_same_table(read_canonical_csv(path), clean)
+
+
+@pytest.mark.parametrize("body", ["", "\n\n", "  \n", ",,,\n", "\n , ,\n\t\n"])
+def test_data_section_of_only_blanks_and_commas_is_empty_input(tmp_path, body):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" must not leak
+        with pytest.raises(EmptyInput):
+            _parse(NGSIM_HEADER + "\n" + body)
+        path = tmp_path / "canon.csv"
+        path.write_text(",".join(CANONICAL_HEADER) + "\r\n" + body)
+        with pytest.raises(EmptyInput):
+            read_canonical_csv(path)
+
+
 def test_parse_empty_inputs_raise():
     with pytest.raises(EmptyInput):
         _parse("")
@@ -220,6 +251,48 @@ def test_canonical_csv_round_trip_is_bit_exact(tmp_path):
     path2 = tmp_path / "canon2.csv"
     write_canonical_csv(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _write_columns_reference(path, header, columns):
+    """The per-cell writer: one repr call per value, one line per row."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), _WRITE_CHUNK_ROWS):
+            cells = [map(repr, c[lo : lo + _WRITE_CHUNK_ROWS].tolist()) for c in columns]
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
+
+
+def test_write_columns_matches_per_cell_writer(tmp_path):
+    rng = np.random.default_rng(23)
+    n = 2 * _WRITE_CHUNK_ROWS + 517
+    special = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e16, 1e-05,
+                        -1e16, 0.1 + 0.2, 123456789.125, -7.0, np.inf, -np.inf])
+    columns = [
+        rng.integers(-3, 4, n),  # few negative ints, repeated in every chunk
+        rng.integers(-(2**62), 2**62, n),
+        rng.choice(special, n),
+        rng.normal(size=n) * 10.0 ** rng.integers(-320, 300, n),
+        np.round(rng.uniform(-5, 5, n), 2),  # repeats across chunk boundaries
+        np.arange(n) * 0.1,
+    ]
+    header = [f"c{j}" for j in range(len(columns))]
+    for rows in (n, _WRITE_CHUNK_ROWS, 1, 0):
+        cut = [c[:rows] for c in columns]
+        write_columns(tmp_path / "new.csv", header, cut)
+        _write_columns_reference(tmp_path / "old.csv", header, cut)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes() == b"c0,c1,c2,c3,c4,c5\r\n"
+
+
+@pytest.mark.parametrize("header, columns", [
+    (["a", "b", "c"], [np.arange(3), np.arange(2.0)]),  # fewer columns than names
+    (["a"], [np.arange(3), np.arange(3.0)]),  # more columns than names
+    (["a", "b"], [np.arange(3), np.arange(2.0)]),  # a short column
+    (["a", "b"], [np.arange(2), np.arange(3.0)]),  # a long column
+])
+def test_write_columns_rejects_mismatched_columns(tmp_path, header, columns):
+    with pytest.raises(ValueError):
+        write_columns(tmp_path / "out.csv", header, columns)
 
 
 def test_build_trajectories_keeps_longest_run():
@@ -382,6 +455,102 @@ def test_pairing_lane_filter():
     assert pairs == []
     pairs, _ = pair_leader_follower(tset, lane_filter=3, min_samples=1)
     assert len(pairs) == 1
+
+
+def _pair_reference(tset, lane_filter=None, min_samples=600):
+    """The per-frame pairing loop: grow each window one follower frame at a time."""
+    pairs = []
+    diag = PairDiagnostics()
+    for fid, ftr in sorted(tset.trajectories.items()):
+        pre = tset.preceding[fid]
+        flane = tset.lanes[fid]
+        i = 0
+        while i < ftr.n:
+            lid = int(pre[i])
+            if lid == 0 or lid == fid or lid not in tset.trajectories:
+                i += 1
+                continue
+            ltr = tset.trajectories[lid]
+            llane = tset.lanes[lid]
+
+            def usable(j):
+                frame = ftr.start_frame + j
+                if not (ltr.start_frame <= frame <= ltr.end_frame):
+                    return False
+                if llane[frame - ltr.start_frame] != flane[j]:
+                    return False
+                return lane_filter is None or flane[j] == lane_filter
+
+            j = i
+            while j < ftr.n and int(pre[j]) == lid and usable(j):
+                j += 1
+            if j == i:
+                i += 1
+                continue
+            start_frame, length = ftr.start_frame + i, j - i
+            leader = ltr.slice(start_frame, length)
+            follower = ftr.slice(start_frame, length)
+            head = leader.positions - follower.positions
+            if np.any(head <= 0):
+                diag.rejected_nonpositive.append((lid, fid, start_frame + int(np.argmax(head <= 0))))
+            else:
+                pairs.append(VehiclePair(leader, follower, start_frame, length))
+                if length < min_samples:
+                    diag.short_pairs.append((lid, fid, length))
+            i = j
+    pairs.sort(key=lambda p: (-p.overlap_len, p.leader.vehicle_id, p.follower.vehicle_id))
+    return pairs, diag
+
+
+def _runs(rng, n, choices):
+    """n values drawn from choices in runs of 1 to 15 frames."""
+    out = []
+    while len(out) < n:
+        out += [choices[rng.integers(len(choices))]] * int(rng.integers(1, 16))
+    return np.array(out[:n], dtype=np.int64)
+
+
+def _random_set(rng, vehicles=12):
+    """Vehicles over partly shared frame ranges, each following a random mix
+    of other vehicles, none, itself and unknown ids, over changing lanes.
+    Positions grow with the vehicle id, with dips that make some headways
+    nonpositive."""
+    vids = [int(v) for v in rng.choice(np.arange(1, 60), vehicles, replace=False)]
+    trajectories, lanes, preceding = {}, {}, {}
+    for vid in vids:
+        n = int(rng.integers(1, 90))
+        start = int(rng.integers(0, 60))
+        pos = 3.0 * vid + np.cumsum(rng.uniform(0, 1, n))
+        pos[rng.random(n) < 0.02] -= 200.0
+        trajectories[vid] = Trajectory(vid, start, pos, np.ones(n), np.zeros(n), 4.5)
+        lanes[vid] = _runs(rng, n, [1, 2, 3] if rng.random() < 0.5 else [2])
+        preceding[vid] = _runs(rng, n, vids[:4] + [0, vid, 999, 60])
+    return TrajectorySet(trajectories, lanes, preceding)
+
+
+def _pair_key(p):
+    return (p.leader.vehicle_id, p.follower.vehicle_id, p.overlap_start, p.overlap_len,
+            p.leader.positions.tobytes(), p.follower.positions.tobytes())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pairing_matches_per_frame_loop(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        tset = _random_set(rng)
+        for lane_filter in (None, 1, 2):
+            got_pairs, got = pair_leader_follower(tset, lane_filter=lane_filter, min_samples=8)
+            want_pairs, want = _pair_reference(tset, lane_filter=lane_filter, min_samples=8)
+            assert [_pair_key(p) for p in got_pairs] == [_pair_key(p) for p in want_pairs]
+            assert got.rejected_nonpositive == want.rejected_nonpositive
+            assert got.short_pairs == want.short_pairs
+            for t in got.rejected_nonpositive + got.short_pairs:
+                assert all(type(v) is int for v in t)
+
+
+def test_pairing_of_an_empty_set():
+    pairs, diag = pair_leader_follower(TrajectorySet({}, {}, {}))
+    assert pairs == [] and not diag.rejected_nonpositive and not diag.short_pairs
 
 
 def test_vehicle_pair_validates_trim_and_headway():
