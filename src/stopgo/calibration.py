@@ -6,14 +6,15 @@ mixed relative/absolute error that neither over-weights small headways (as a
 pure relative error does) nor large ones (as a pure absolute error does).
 A real-coded genetic algorithm searches the parameter box.
 
-The GAs of all pairs run in lockstep.  Each pair keeps its own random
-generator, population and stop rule, so its result does not depend on the
-other pairs; but every generation, the populations of the pairs still
+calibrate_pairs runs one GA per pair under one GaConfig, pair i seeded with
+rng_seed + i, and the GAs of all pairs in lockstep.  Each pair keeps its own
+random generator, population and stop rule, so its result does not depend
+on the other pairs; but every generation, the populations of the pairs still
 running are integrated together in batched kernel calls, each candidate
 behind its own pair's leader.  A pair that has stopped leaves the batch.
 Pairs are batched longest first, and one call holds as many pairs as fit
 in a fixed budget of rows times columns, so memory stays bounded however
-many pairs are calibrated.
+many pairs are calibrated.  calibrate_ga is calibrate_pairs on one pair.
 """
 from __future__ import annotations
 
@@ -76,7 +77,7 @@ class GaConfig:
     population_size: int = 50
     max_generations: int = 1000
     stagnation_limit: int = 100
-    rng_seed: int = 0
+    rng_seed: int = 0  # the seed of pair 0; calibrate_pairs seeds pair i with rng_seed + i
 
     def __post_init__(self):
         if self.population_size <= ELITES:
@@ -99,13 +100,8 @@ class CalibrationResult:
     rng_seed: int
 
 
-def default_bounds() -> dict:
-    """The full calibration box, copyable and overridable per parameter."""
-    return dict(PARAM_BOUNDS)
-
-
 def _bounds_arrays(bounds: dict | None):
-    box = default_bounds()
+    box = dict(PARAM_BOUNDS)
     if bounds:
         for name, pair in bounds.items():
             if name not in box:
@@ -129,59 +125,50 @@ def _snap_tau(pop: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
     np.clip(pop[:, _TAU_IDX], lo[_TAU_IDX], hi[_TAU_IDX], out=pop[:, _TAU_IDX])
 
 
-def _batches(pairs, sizes):
+def _batches(pairs, size: int):
     """Index lists of the pairs to integrate in one kernel call, longest
-    pairs first.  A call's rows times columns (its longest window times its
-    total population) stay within _BATCH_CELLS; a pair larger than that
-    runs alone."""
+    pairs first.  A call's rows times columns (its longest window times
+    size columns per pair) stay within _BATCH_CELLS; a pair larger than
+    that runs alone."""
     order = sorted(range(len(pairs)), key=lambda i: -pairs[i].leader.n)
-    batch, rows, cols = [], 0, 0
+    batch, rows = [], 0
     for i in order:
-        if batch and rows * (cols + sizes[i]) > _BATCH_CELLS:
+        if batch and rows * size * (len(batch) + 1) > _BATCH_CELLS:
             yield batch
-            batch, cols = [], 0
+            batch = []
         if not batch:
             rows = pairs[i].leader.n
         batch.append(i)
-        cols += sizes[i]
     if batch:
         yield batch
 
 
-def _simulate(pairs, pops, fn) -> list:
-    """fn(pair, X) for every pair, from one kernel call; X is the pair's
-    (pair length, population size) block of follower positions.
+def _padded(columns, n: int) -> np.ndarray:
+    """The columns side by side, each padded to n rows with its last sample."""
+    return np.column_stack([np.pad(c, (0, n - len(c)), mode="edge") for c in columns])
 
-    Leaders shorter than the longest are padded with their last sample;
-    each pair's rows are sliced back to its own length.  Only fn's results
-    outlive the call, not the simulated positions.
+
+def _simulate(pairs, pops):
+    """Yield (i, X) for every pair i, X its (pair length, population size)
+    block of follower positions; every population has the same size.
+
+    The pairs are integrated in the kernel calls of _batches.  In a call,
+    leaders shorter than the longest are padded with their last sample; each
+    pair's rows are sliced back to its own length.  A block is a view of its
+    call's positions, so a caller that keeps one keeps the whole call alive.
     """
-    n = max(pair.leader.n for pair in pairs)
-
-    def padded(columns):
-        return np.column_stack([np.pad(c, (0, n - len(c)), mode="edge") for c in columns])
-
-    lx = padded([pair.leader.positions for pair in pairs])
-    lv = padded([pair.leader.speeds for pair in pairs])
-    sizes = [pop.shape[0] for pop in pops]
-    x0 = np.repeat([pair.follower.positions[0] for pair in pairs], sizes)
-    v0 = np.repeat([pair.follower.speeds[0] for pair in pairs], sizes)
-    group = np.repeat(np.arange(len(pairs)), sizes)
-    X = simulate_followers_batch(np.vstack(pops), lx, lv, x0, v0, pairs[0].leader.dt,
-                                 group=group)
-    ends = np.cumsum(sizes)
-    return [fn(pair, X[: pair.leader.n, end - size : end])
-            for pair, size, end in zip(pairs, sizes, ends)]
-
-
-def _each_simulated(pairs, pops, fn) -> list:
-    """fn(pair, X) for every pair, integrating the pairs in bounded batches."""
-    out = [None] * len(pairs)
-    for batch in _batches(pairs, [pop.shape[0] for pop in pops]):
-        results = _simulate([pairs[i] for i in batch], [pops[i] for i in batch], fn)
-        for i, result in zip(batch, results):
-            out[i] = result
-    return out
+    size = pops[0].shape[0]
+    for batch in _batches(pairs, size):
+        n = pairs[batch[0]].leader.n  # the batch's longest pair comes first
+        lx = _padded([pairs[i].leader.positions for i in batch], n)
+        lv = _padded([pairs[i].leader.speeds for i in batch], n)
+        x0 = np.repeat([pairs[i].follower.positions[0] for i in batch], size)
+        v0 = np.repeat([pairs[i].follower.speeds[0] for i in batch], size)
+        group = np.repeat(np.arange(len(batch)), size)
+        X = simulate_followers_batch(np.vstack([pops[i] for i in batch]), lx, lv, x0, v0,
+                                     pairs[0].leader.dt, group=group)
+        for col, i in enumerate(batch):
+            yield i, X[: pairs[i].leader.n, col * size : (col + 1) * size]
 
 
 def _pair_fitness(pair: VehiclePair, X: np.ndarray) -> np.ndarray:
@@ -207,30 +194,17 @@ def _abs_rel_errors(pair: VehiclePair, X: np.ndarray) -> tuple[float, float]:
     return error_abs(s_sim, data), error_rel(s_sim, data)
 
 
-def evaluate_fitness(theta: FvdmParams, pair: VehiclePair) -> float:
-    """Mixed headway error of the model simulated over the pair's window.
-
-    The follower starts from the observed initial position and speed; a
-    simulated collision (nonpositive headway) returns the fixed penalty.
-    Pure function: identical inputs give bit-identical outputs.
-    """
-    return float(_simulate([pair], [theta.as_array()[None, :]], _pair_fitness)[0][0])
-
-
 class _PairGa:
     """The GA state of one pair: its generator, population, best and stop rule."""
 
-    def __init__(self, pair: VehiclePair, lo, hi, cfg: GaConfig, seed_individuals):
+    def __init__(self, pair: VehiclePair, lo, hi, cfg: GaConfig, seed: int):
         self.pair = pair
         self.cfg = cfg
+        self.seed = seed
         self.lo, self.hi = lo, hi
         self.sigma = MUTATION_SCALE * (hi - lo)
-        self.rng = np.random.default_rng(cfg.rng_seed)
-        P = cfg.population_size
-        self.pop = lo + self.rng.random((P, 7)) * (hi - lo)
-        if seed_individuals:
-            for i, theta in enumerate(seed_individuals[:P]):
-                self.pop[i] = theta.as_array()
+        self.rng = np.random.default_rng(seed)
+        self.pop = lo + self.rng.random((cfg.population_size, 7)) * (hi - lo)
         _snap_tau(self.pop, lo, hi)
         self.fits = None
         self.best_vec = None
@@ -288,12 +262,8 @@ class _PairGa:
             self.converged_by = "MaxGenerations"
 
 
-def calibrate_pairs(
-    pairs,
-    bounds: dict | None = None,
-    cfgs=None,
-    seed_individuals=None,
-) -> list[CalibrationResult]:
+def calibrate_pairs(pairs, bounds: dict | None = None,
+                    cfg: GaConfig | None = None) -> list[CalibrationResult]:
     """Fit model parameters to each leader-follower pair with a genetic search.
 
     Real-coded GA per pair: roulette selection on inverse fitness, uniform
@@ -301,65 +271,59 @@ def calibrate_pairs(
     pair stops at max_generations or once its best fitness has not improved
     for stagnation_limit consecutive generations.  The pairs' GAs run in
     lockstep: each generation integrates the running populations together,
-    in kernel calls of at most _BATCH_CELLS rows times columns.  Each pair
-    draws from its own generator, so its result is the same as when
-    calibrated alone.  Fully deterministic for given rng seeds.
+    in kernel calls of at most _BATCH_CELLS rows times columns.  Pair i
+    draws from its own generator, seeded with cfg.rng_seed + i, so its
+    result is the same as calibrate_ga's on that pair at that seed.  Fully
+    deterministic for a given cfg.
 
     Args:
         pairs: observed leader-follower pairs (calibration windows), all
             sampled at the same time step.
         bounds: optional {name: (lo, hi)} overrides nested in the default box.
-        cfgs: GA settings, one per pair; defaults are the standard
-            configuration.
-        seed_individuals: optional FvdmParams injected into every pair's
-            initial population (testing hook).
+        cfg: GA settings shared by every pair; default GaConfig().
 
     Returns:
         One CalibrationResult per pair, with the best parameters ever seen.
     """
     pairs = list(pairs)
-    cfgs = [GaConfig()] * len(pairs) if cfgs is None else list(cfgs)
-    if len(cfgs) != len(pairs):
-        raise ValueError(f"{len(pairs)} pairs need {len(pairs)} GA configs, got {len(cfgs)}")
+    cfg = cfg or GaConfig()
     if not pairs:
         return []
     if len({pair.leader.dt for pair in pairs}) != 1:
         raise ValueError("pairs must share one sampling step")
     lo, hi = _bounds_arrays(bounds)
-    gas = [_PairGa(pair, lo, hi, cfg, seed_individuals) for pair, cfg in zip(pairs, cfgs)]
+    gas = [_PairGa(pair, lo, hi, cfg, cfg.rng_seed + i) for i, pair in enumerate(pairs)]
 
     running = gas
     while running:
-        fits = _each_simulated([ga.pair for ga in running], [ga.pop for ga in running],
-                               _pair_fitness)
-        for ga, f in zip(running, fits):
-            ga.score(f)
+        # a comprehension, so no block of positions outlives the generation
+        fits = {i: _pair_fitness(running[i].pair, X)
+                for i, X in _simulate([ga.pair for ga in running], [ga.pop for ga in running])}
+        for i, ga in enumerate(running):
+            ga.score(fits[i])
         running = [ga for ga in running if ga.converged_by is None]
         for ga in running:
             ga.breed()
 
-    errors = _each_simulated(pairs, [ga.best_vec[None, :] for ga in gas], _abs_rel_errors)
-    results = []
-    for ga, (abs_err, rel_err) in zip(gas, errors):
-        results.append(CalibrationResult(
+    errors = {i: _abs_rel_errors(pairs[i], X)
+              for i, X in _simulate(pairs, [ga.best_vec[None, :] for ga in gas])}
+    return [
+        CalibrationResult(
             theta=FvdmParams.from_array(ga.best_vec),
             mixed_error=ga.best_fit,
-            abs_error=abs_err,
-            rel_error=rel_err,
+            abs_error=errors[i][0],
+            rel_error=errors[i][1],
             generations_run=ga.generations,
             converged_by=ga.converged_by,
             fitness_history=ga.history,
-            rng_seed=ga.cfg.rng_seed,
-        ))
-    return results
+            rng_seed=ga.seed,
+        )
+        for i, ga in enumerate(gas)
+    ]
 
 
-def calibrate_ga(
-    pair: VehiclePair,
-    bounds: dict | None = None,
-    cfg: GaConfig | None = None,
-    seed_individuals=None,
-) -> CalibrationResult:
+def calibrate_ga(pair: VehiclePair, bounds: dict | None = None,
+                 cfg: GaConfig | None = None) -> CalibrationResult:
     """Fit model parameters to one leader-follower pair: calibrate_pairs on
-    that pair alone (see there)."""
-    return calibrate_pairs([pair], bounds, [cfg or GaConfig()], seed_individuals)[0]
+    that pair alone, seeded with cfg.rng_seed (see there)."""
+    return calibrate_pairs([pair], bounds, cfg)[0]

@@ -15,10 +15,11 @@ import numpy as np
 from .errors import (
     CollisionDetected,
     InfeasibleEquilibrium,
+    InfeasibleInitialState,
     NonpositiveEquilibriumHeadway,
 )
-from .stability import ControllerGains
-from .trajectory_io import DT, Trajectory
+from .stability import ControllerGains, EquilibriumSpec, LinearizedHdv
+from .trajectory_io import DT, Trajectory, VehiclePair
 
 # calibration search box: (low, high) per parameter
 PARAM_BOUNDS = {
@@ -111,6 +112,25 @@ def equilibrium_headway(theta: FvdmParams, v_star: float) -> float:
             f"v_star={v_star} m/s is at or above the curve's supremum {v_max(theta):.3f}"
         )
     return theta.b_f + math.atanh(q) / theta.m
+
+
+def linearize_hdv(theta: FvdmParams, eq: EquilibriumSpec) -> LinearizedHdv:
+    """Linearize the model about the operating point.
+
+    The spacing gain is the model's sensitivity alpha times the slope of its
+    velocity curve at the desired headway; the speed and relative-speed gains
+    are the model's alpha and beta directly.
+    """
+    dx_star = eq.desired_headway
+    if dx_star <= 0:
+        raise NonpositiveEquilibriumHeadway(f"desired headway {dx_star} m")
+    return LinearizedHdv(
+        k1=theta.alpha * ov_slope(theta, dx_star),
+        k2=theta.alpha,
+        k3=theta.beta,
+        lambda2=eq.lambda2,
+        tau=theta.tau,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +288,34 @@ def simulate_follower(
         vehicle_index=1,
     )
     return Trajectory(vehicle_id, leader.start_frame, x, v, a, vehicle_length, leader.dt)
+
+
+def generate_synthetic_pair(theta: FvdmParams, profile, duration: float,
+                            initial_headway: float) -> VehiclePair:
+    """Simulate a leader (vehicle 1) from a speed profile and a model
+    follower (vehicle 2) behind it, sampled every DT seconds.
+
+    The follower starts at the leader's initial speed, initial_headway meters
+    behind, and follows the car-following model given by theta.  This is the
+    pipeline's synthetic input and the ground truth of calibration tests.
+
+    Raises:
+        InfeasibleInitialState: initial headway at or below the stopping
+            distance of the model's velocity curve.
+    """
+    if initial_headway <= theta.b_c:
+        raise InfeasibleInitialState(
+            f"initial headway {initial_headway} m <= b_c {theta.b_c} m"
+        )
+    leader = leader_trajectory(profile, duration, vehicle_id=1)
+    follower = simulate_follower(
+        theta,
+        leader,
+        init_position=leader.positions[0] - initial_headway,
+        init_speed=leader.speeds[0],
+        vehicle_id=2,
+    )
+    return VehiclePair(leader, follower, leader.start_frame, leader.n)
 
 
 def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,

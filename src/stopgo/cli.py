@@ -22,6 +22,9 @@ value exits 1 before any stage runs and before any ``--out`` exists.
 flags (a ``--seed``, a frequency grid, a desired headway inside the safe
 band, a sinusoid's ``--amplitude`` within ``--v-star``), before its first
 stage runs.  A handler creates ``--out`` only after it has read its inputs.
+An earlier stage's JSON document is read by one checked reader, so a file
+that does not parse or lacks a key the stage reads is a data error (exit 2)
+naming the file and the key.
 """
 from __future__ import annotations
 
@@ -43,6 +46,7 @@ from . import __version__
 # calibrate_ga is not called here, but perfbench/tracer.py wraps stopgo.cli.calibrate_ga
 from .calibration import GaConfig, _bounds_arrays, calibrate_ga, calibrate_pairs  # noqa: F401
 from .carfollowing import (
+    PARAM_ORDER,
     Cav,
     ConstantProfile,
     FvdmParams,
@@ -50,6 +54,8 @@ from .carfollowing import (
     PlatoonSpec,
     SinusoidProfile,
     equilibrium_headway,
+    generate_synthetic_pair,
+    linearize_hdv,
     simulate_platoon,
 )
 from .errors import CollisionDetected, DataError, StopgoError
@@ -64,7 +70,6 @@ from .stability import (
     delay_margin,
     gain_axis,
     headway_slack,
-    linearize_hdv,
     numeric_critical_frequency,
     optimize_gains,
     peak_gain_frequency,
@@ -72,9 +77,10 @@ from .stability import (
     write_heatmaps,
 )
 from .trajectory_io import (
+    DT,
+    MIN_CALIBRATION_SAMPLES,
     TrajectorySet,
     build_trajectories,
-    generate_synthetic_pair,
     pair_leader_follower,
     pair_index,
     pairs_from_index,
@@ -181,6 +187,56 @@ def _resolve_input(raw: str, *candidates: str) -> Path:
     if p.exists():
         return p
     raise DataError(f"input {p} does not exist")
+
+
+# What a stage reads of an earlier stage's JSON document.  A shape is int (a
+# JSON integer), float (a JSON number), {key: shape} (an object holding each
+# key) or [shape] (a nonempty list of entries of that shape).
+_PAIRS_DOC = {
+    "pairs": [dict.fromkeys(("leader_id", "follower_id", "overlap_start", "overlap_len"), int)],
+}
+_CALIBRATION_DOC = {
+    "results": [{"leader_id": int, "follower_id": int, "theta": dict.fromkeys(PARAM_ORDER, float)}],
+}
+_STABILITY_DOC = {
+    "v_star": float,
+    "omega_grid": {"omega_min": float, "omega_max": float, "points": int},
+    "vehicles": [dict.fromkeys(("k1", "k2", "k3", "lambda2", "tau"), float)],
+}
+_GAINS_DOC = {"v_star": float, "lambda2": float, "lambda3": float, "platoon": int,
+              "best": dict.fromkeys(("k1", "k2", "k3"), float)}
+
+
+def _check_shape(value, shape, where: str) -> None:
+    """Raise DataError unless value has shape; where names value in the message."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            raise DataError(f"{where} is not a JSON object")
+        for key, inner in shape.items():
+            if key not in value:
+                raise DataError(f"{where} has no key {key!r}")
+            _check_shape(value[key], inner, f"{where}[{key!r}]")
+    elif isinstance(shape, list):
+        if not (isinstance(value, list) and value):
+            raise DataError(f"{where} is not a nonempty list")
+        for i, entry in enumerate(value):
+            _check_shape(entry, shape[0], f"{where}[{i}]")
+    else:
+        kinds, noun = (int, "an integer") if shape is int else ((int, float), "a number")
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise DataError(f"{where} is not {noun}")
+
+
+def _read_stage_json(path: Path, shape: dict) -> dict:
+    """The JSON document in path, checked to have shape: a file that does not
+    parse, or lacks a key the stage reads, is a DataError naming the file and
+    the key."""
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as err:  # not JSON (a truncated file), or not text
+        raise DataError(f"{path} is not a JSON document: {err}") from None
+    _check_shape(doc, shape, str(path))
+    return doc
 
 
 # ---------------------------------------------------------------- ingest
@@ -312,24 +368,20 @@ def cmd_calibrate(args) -> StageResult:
         raise UsageError("calibrate requires --seed (no silent nondeterminism)")
     bounds = _bounds(args.bounds) | ({"tau": (0.0, 0.0)} if args.pin_tau else {})
     cfg = GaConfig(population_size=args.population, max_generations=args.generations,
-                   stagnation_limit=args.stagnation)
+                   stagnation_limit=args.stagnation, rng_seed=args.seed)
     pairs_path = _resolve_input(args.input, "pairs.json")
     traj_path = pairs_path.parent / "trajectories.csv"
     if not traj_path.exists():
         raise DataError(f"{traj_path} must sit next to {pairs_path.name}")
-    doc = json.loads(pairs_path.read_text())
-    entries = doc["pairs"]
+    entries = _read_stage_json(pairs_path, _PAIRS_DOC)["pairs"]
     if args.pairs is not None:
         entries = entries[: args.pairs]
-    if not entries:
-        raise DataError("no pairs to calibrate")
     tset = build_trajectories(read_canonical_csv(traj_path))
     pairs = pairs_from_index(entries, tset)
 
-    cfgs = [replace(cfg, rng_seed=args.seed + i) for i in range(len(pairs))]
     out = _outdir(args)
     results = []
-    for pair, res in zip(pairs, calibrate_pairs(pairs, bounds=bounds, cfgs=cfgs)):
+    for pair, res in zip(pairs, calibrate_pairs(pairs, bounds=bounds, cfg=cfg)):
         lid, fid = pair.leader.vehicle_id, pair.follower.vehicle_id
         row = asdict(res)
         history = np.array(row.pop("fitness_history"), dtype=float)
@@ -363,13 +415,8 @@ def _grid_flags(grid: FrequencyGrid) -> dict:
 def cmd_stability(args) -> StageResult:
     grid = _freq_grid(args)
     src = _resolve_input(args.input, "calibration.json")
-    doc = json.loads(src.read_text())
-    entries = doc["results"]
-    if not entries:
-        raise DataError("calibration.json holds no calibrated vehicles")
-
     vehicles = []
-    for e in entries:
+    for e in _read_stage_json(src, _CALIBRATION_DOC)["results"]:
         theta = FvdmParams(**e["theta"])
         dx_star = equilibrium_headway(theta, args.v_star)
         eq = EquilibriumSpec(args.v_star, 0.0, dx_star)
@@ -425,8 +472,6 @@ def _platoon_of(stab_doc: dict, n: int) -> list[LinearizedHdv]:
         LinearizedHdv(v["k1"], v["k2"], v["k3"], v["lambda2"], v["tau"])
         for v in stab_doc["vehicles"]
     ]
-    if not lins:
-        raise DataError("stability.json holds no vehicles")
     return [lins[i % len(lins)] for i in range(n)]
 
 
@@ -439,10 +484,10 @@ def _equilibrium(args, v_star: float) -> EquilibriumSpec:
 
 def cmd_optimize_gains(args) -> StageResult:
     src = _resolve_input(args.input, "stability.json")
-    doc = json.loads(src.read_text())
+    doc = _read_stage_json(src, _STABILITY_DOC)
     platoon = _platoon_of(doc, args.platoon)
     eq = _equilibrium(args, doc["v_star"])
-    fgrid = _freq_grid(args, doc.get("omega_grid"))
+    fgrid = _freq_grid(args, doc["omega_grid"])
 
     res = optimize_gains(platoon, eq, headway_min=args.headway_min, headway_max=args.headway_max,
                          disturbance_beta=args.beta, grid=_gain_grid(args.gain_grid),
@@ -497,18 +542,16 @@ def _amplitudes(trajs, v_star: float) -> list[float]:
 def cmd_simulate(args) -> StageResult:
     gains_path = _resolve_input(args.input, "gains.json")
     stage_dir = gains_path.parent
-    gains_doc = json.loads(gains_path.read_text())
+    gains_doc = _read_stage_json(gains_path, _GAINS_DOC)
     stab_path = stage_dir / "stability.json"
     calib_path = stage_dir / "calibration.json"
     for p in (stab_path, calib_path):
         if not p.exists():
             raise DataError(f"{p.name} must sit next to gains.json")
-    stab_doc = json.loads(stab_path.read_text())
-    calib_doc = json.loads(calib_path.read_text())
+    stab_doc = _read_stage_json(stab_path, _STABILITY_DOC)
+    calib_doc = _read_stage_json(calib_path, _CALIBRATION_DOC)
 
     thetas = [FvdmParams(**e["theta"]) for e in calib_doc["results"]]
-    if not thetas:
-        raise DataError("calibration.json holds no calibrated vehicles")
     g = ControllerGains(**gains_doc["best"])
     v_star = gains_doc["v_star"]
     n_follow = args.platoon if args.platoon is not None else gains_doc["platoon"]
@@ -523,7 +566,7 @@ def cmd_simulate(args) -> StageResult:
         omega = args.omega
         if omega is None:
             lins = _platoon_of(stab_doc, n_follow)
-            grid = _freq_grid(args, stab_doc.get("omega_grid"))
+            grid = _freq_grid(args, stab_doc["omega_grid"])
             w0 = platoon_critical_frequency(lins, grid)
             # the human platoon's most amplified wave; a stable one amplifies none
             omega = peak_gain_frequency(lins, grid.values(top=w0)) if w0 > 0.0 else 0.6
@@ -675,24 +718,27 @@ STAGES = (
               help="uniform position noise half-width for synthetic data (m)"),
     )),
     Stage("smooth", "02_smooth", "denoise positions and rebuild speeds/accelerations", (
-        _Flag("--tx", type=_owned_by(SmoothingConfig, "t_x", _REAL), default=0.5,
+        _Flag("--tx", type=_owned_by(SmoothingConfig, "t_x", _REAL), default=SmoothingConfig.t_x,
               help="position kernel width (s)"),
-        _Flag("--tv", type=_owned_by(SmoothingConfig, "t_v", _REAL), default=1.0,
+        _Flag("--tv", type=_owned_by(SmoothingConfig, "t_v", _REAL), default=SmoothingConfig.t_v,
               help="speed kernel width (s)"),
-        _Flag("--ta", type=_owned_by(SmoothingConfig, "t_a", _REAL), default=4.0,
+        _Flag("--ta", type=_owned_by(SmoothingConfig, "t_a", _REAL), default=SmoothingConfig.t_a,
               help="acceleration kernel width (s)"),
     )),
     Stage("pair", "03_pair", "extract leader-follower calibration windows", (
         _Flag("--lane", type=_number(int), default=None, help="restrict to one lane id"),
-        _Flag("--min-samples", type=_number(int), default=600,
+        _Flag("--min-samples", type=_number(int), default=MIN_CALIBRATION_SAMPLES,
               help="overlap length below which a pair is flagged short"),
     )),
     Stage("calibrate", "04_calibrate", "fit car-following parameters per pair", (
         _SEED,
         _Flag("--pairs", type=_COUNT, default=None, help="calibrate only the first N pairs"),
-        _Flag("--population", type=_owned_by(GaConfig, "population_size"), default=50),
-        _Flag("--generations", type=_owned_by(GaConfig, "max_generations"), default=1000),
-        _Flag("--stagnation", type=_owned_by(GaConfig, "stagnation_limit"), default=100),
+        _Flag("--population", type=_owned_by(GaConfig, "population_size"),
+              default=GaConfig.population_size),
+        _Flag("--generations", type=_owned_by(GaConfig, "max_generations"),
+              default=GaConfig.max_generations),
+        _Flag("--stagnation", type=_owned_by(GaConfig, "stagnation_limit"),
+              default=GaConfig.stagnation_limit),
         _Flag("--bounds", type=_text_of(_bounds), default=None,
               help='JSON parameter box overrides, e.g. {"alpha": [1, 5]}'),
         _Flag("--pin-tau", action="store_true", help="fix the reaction delay at zero"),
@@ -718,7 +764,7 @@ STAGES = (
         _Flag("--platoon", type=_COUNT, default=None,
               help="followers behind the controlled vehicle (default from gains.json)"),
         _Flag("--duration", type=_POSITIVE, default=300.0, help="simulated time (s)"),
-        _Flag("--dt", type=_POSITIVE, default=0.1, help="integration step (s)"),
+        _Flag("--dt", type=_POSITIVE, default=DT, help="integration step (s)"),
         _Flag("--amplitude", type=_NONNEGATIVE, default=1.0, help="leader speed swing (m/s)"),
         _Flag("--omega", type=_POSITIVE, default=None,
               help="leader wave frequency (rad/s); default= worst amplified"),

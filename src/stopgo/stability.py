@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
-
-from .errors import NonpositiveEquilibriumHeadway
 
 
 @dataclass(frozen=True)
@@ -159,27 +158,6 @@ def count_record(count: int, n_followers: int) -> dict:
     return {"count": None if count == UNBOUNDED_CELL else count, "exact": count != n_followers}
 
 
-def linearize_hdv(theta, eq: EquilibriumSpec) -> LinearizedHdv:
-    """Linearize a calibrated car-following model about the operating point.
-
-    The spacing gain is the model's sensitivity alpha times the slope of its
-    velocity curve at the desired headway; the speed and relative-speed gains
-    are the model's alpha and beta directly.
-    """
-    from .carfollowing import ov_slope
-
-    dx_star = eq.desired_headway
-    if dx_star <= 0:
-        raise NonpositiveEquilibriumHeadway(f"desired headway {dx_star} m")
-    return LinearizedHdv(
-        k1=theta.alpha * ov_slope(theta, dx_star),
-        k2=theta.alpha,
-        k3=theta.beta,
-        lambda2=eq.lambda2,
-        tau=theta.tau,
-    )
-
-
 def hdv_gain_sq(lin: LinearizedHdv, omega):
     """Squared magnitude of the human-driver transfer function at frequency omega.
 
@@ -261,18 +239,6 @@ def cav_string_stable(g: ControllerGains, lambda2: float = 0.0) -> bool:
         - 2.0 * g.k1
     )
     return lhs >= 0.0
-
-
-def critical_frequency(lin: LinearizedHdv) -> float:
-    """Largest frequency at which an undelayed driver amplifies (closed form).
-
-    Only valid for tau = 0 and lambda2 = 0, where the gain exceeds one exactly
-    on (0, omega0) with omega0^2 = 2*k1 - k2^2 - 2*k2*k3.  Returns 0 for a
-    string-stable driver.
-    """
-    if lin.tau != 0.0 or lin.lambda2 != 0.0:
-        raise ValueError("closed form requires tau = 0 and lambda2 = 0")
-    return math.sqrt(max(0.0, 2.0 * lin.k1 - lin.k2 * lin.k2 - 2.0 * lin.k2 * lin.k3))
 
 
 def numeric_critical_frequency(lin: LinearizedHdv, grid: FrequencyGrid | None = None) -> float:
@@ -501,8 +467,6 @@ def write_heatmaps(result: GainSearchResult, outdir) -> list:
     -1 unbounded and -2 a gain combination that fails the string-stability
     requirement.
     """
-    from pathlib import Path
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = []

@@ -5,7 +5,10 @@ TrajectoryTable: one numpy array per column, one entry per vehicle-frame row.
 build_trajectories regroups a table into per-vehicle kinematic series sampled
 at a fixed 0.1 s interval.  Follower vehicles are paired with the vehicle
 ahead of them over windows where the leader link is unambiguous, which is
-what the car-following calibration consumes.
+what the car-following calibration consumes; a pair's window is stored as an
+index entry (pair_index) and sliced back out of the trajectories
+(pairs_from_index).  Synthetic pairs, simulated from the driver model, are
+made in carfollowing (generate_synthetic_pair).
 
 Tables are written and read as the canonical CSV one column at a time, with
 no Python code run per row.  A file is parsed by one np.loadtxt call on the
@@ -29,7 +32,6 @@ from .errors import (
     DataError,
     DuplicateFrame,
     EmptyInput,
-    InfeasibleInitialState,
     MissingColumn,
     NonpositiveHeadway,
     UnparsableField,
@@ -171,10 +173,6 @@ class VehiclePair:
 
     def headways(self) -> np.ndarray:
         return self.leader.positions - self.follower.positions
-
-    @property
-    def meets_min_samples(self) -> bool:
-        return self.overlap_len >= MIN_CALIBRATION_SAMPLES
 
 
 @dataclass
@@ -502,38 +500,3 @@ def pairs_from_index(index, tset: TrajectorySet) -> list[VehiclePair]:
         pairs.append(VehiclePair(leader, follower, start, length))
     return pairs
 
-
-def generate_synthetic_pair(
-    theta,
-    profile,
-    duration: float,
-    initial_headway: float,
-    dt: float = DT,
-    leader_id: int = 1,
-    follower_id: int = 2,
-) -> VehiclePair:
-    """Simulate a leader from a speed profile and a model follower behind it.
-
-    The follower starts at the leader's initial speed, initial_headway meters
-    behind, and follows the car-following model given by theta.  Useful as
-    ground truth for calibration closure tests.
-
-    Raises:
-        InfeasibleInitialState: initial headway at or below the stopping
-            distance of the model's velocity curve.
-    """
-    from .carfollowing import leader_trajectory, simulate_follower
-
-    if initial_headway <= theta.b_c:
-        raise InfeasibleInitialState(
-            f"initial headway {initial_headway} m <= b_c {theta.b_c} m"
-        )
-    leader = leader_trajectory(profile, duration, dt=dt, vehicle_id=leader_id)
-    follower = simulate_follower(
-        theta,
-        leader,
-        init_position=leader.positions[0] - initial_headway,
-        init_speed=leader.speeds[0],
-        vehicle_id=follower_id,
-    )
-    return VehiclePair(leader, follower, leader.start_frame, leader.n)

@@ -1,6 +1,8 @@
 """Error metrics and genetic-algorithm calibration tests."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,21 +13,36 @@ from stopgo.calibration import (
     GaConfig,
     calibrate_ga,
     calibrate_pairs,
-    default_bounds,
     error_abs,
     error_mixed,
     error_rel,
-    evaluate_fitness,
 )
-from stopgo.carfollowing import ConstantProfile, FvdmParams, PiecewiseProfile, SinusoidProfile
+from stopgo.carfollowing import (
+    PARAM_BOUNDS,
+    ConstantProfile,
+    FvdmParams,
+    PiecewiseProfile,
+    SinusoidProfile,
+    generate_synthetic_pair,
+)
 from stopgo.errors import LengthMismatch, NonpositiveHeadway
-from stopgo.trajectory_io import generate_synthetic_pair
 
 THETA_TRUE = FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.5)
 
 
 def _make_pair(duration=40.0, v=12.0, headway=18.0):
     return generate_synthetic_pair(THETA_TRUE, ConstantProfile(v), duration, headway)
+
+
+def _point_box(theta: FvdmParams) -> dict:
+    """A bounds box holding theta alone, so every GA candidate is theta."""
+    return {name: (value, value) for name, value in zip(PARAM_BOUNDS, theta.as_array())}
+
+
+def _fitness(theta: FvdmParams, pair) -> float:
+    """The GA's objective at theta: the best fitness of a population of theta alone."""
+    cfg = GaConfig(population_size=3, max_generations=0)
+    return calibrate_ga(pair, bounds=_point_box(theta), cfg=cfg).mixed_error
 
 
 def test_error_metrics_hand_values():
@@ -58,7 +75,7 @@ def test_error_metric_input_validation():
 
 
 def test_default_bounds_box():
-    b = default_bounds()
+    b = PARAM_BOUNDS
     assert b["alpha"] == (1.0, 10.0)
     assert b["beta"] == (1.0, 10.0)
     assert b["b_c"] == (0.1, 8.0)
@@ -82,14 +99,14 @@ def test_bounds_overrides_must_nest_in_master_box():
 
 def test_fitness_is_mixed_error_of_simulated_headway():
     pair = _make_pair(duration=20.0)
-    assert evaluate_fitness(THETA_TRUE, pair) <= 1e-12
+    assert _fitness(THETA_TRUE, pair) <= 1e-12
 
 
 def test_fitness_collision_penalty():
     pair = _make_pair(duration=20.0)
     # maximal attraction with a near-zero stopping distance rams the leader
     reckless = FvdmParams(10.0, 1.0, 0.1, 0.1, 70.0, 10.0, 0.0)
-    assert evaluate_fitness(reckless, pair) == COLLISION_PENALTY
+    assert _fitness(reckless, pair) == COLLISION_PENALTY
 
 
 def test_ga_is_deterministic_for_a_seed():
@@ -117,12 +134,15 @@ def test_ga_history_is_monotone_and_tracks_best():
 
 
 def test_ga_stagnation_termination_with_perfect_seed():
+    # a box holding only the true parameters: the first generation is already
+    # the best, so the search stops once stagnation_limit generations pass
     pair = _make_pair(duration=15.0)
     cfg = GaConfig(population_size=12, max_generations=500, stagnation_limit=20, rng_seed=4)
-    res = calibrate_ga(pair, cfg=cfg, seed_individuals=[THETA_TRUE])
+    res = calibrate_ga(pair, bounds=_point_box(THETA_TRUE), cfg=cfg)
     assert res.converged_by == "Stagnation"
+    assert res.theta == THETA_TRUE
     assert res.mixed_error <= 1e-12
-    assert res.generations_run <= 25
+    assert res.generations_run == 20
 
 
 def test_ga_max_generations_termination():
@@ -137,8 +157,7 @@ def test_ga_results_respect_bounds_and_tau_grid():
     pair = _make_pair(duration=10.0)
     cfg = GaConfig(population_size=14, max_generations=8, rng_seed=6)
     res = calibrate_ga(pair, cfg=cfg)
-    b = default_bounds()
-    for name, (lo, hi) in b.items():
+    for name, (lo, hi) in PARAM_BOUNDS.items():
         val = getattr(res.theta, name)
         assert lo <= val <= hi
     # reaction delays live on the sampling grid
@@ -171,7 +190,8 @@ def test_ga_config_rejects_invalid_settings(settings):
 
 
 def _three_pairs():
-    """Three pairs of different lengths; the second stops on stagnation."""
+    """Three pairs of different lengths under one GA config; they stop at
+    generations 8, 10 and 9, so the batch shrinks twice."""
     pairs = [
         generate_synthetic_pair(THETA_TRUE, SinusoidProfile(12.0, 2.0, 0.4), 14.0, 18.0),
         generate_synthetic_pair(THETA_TRUE, ConstantProfile(12.0), 8.0, 18.0),
@@ -180,41 +200,31 @@ def _three_pairs():
         ),
     ]
     assert len({pair.leader.n for pair in pairs}) == 3
-    cfgs = [
-        GaConfig(population_size=12, max_generations=10, stagnation_limit=100, rng_seed=21),
-        GaConfig(population_size=9, max_generations=10, stagnation_limit=1, rng_seed=22),
-        GaConfig(population_size=15, max_generations=10, stagnation_limit=100, rng_seed=23),
-    ]
-    return pairs, cfgs
+    cfg = GaConfig(population_size=12, max_generations=10, stagnation_limit=3, rng_seed=21)
+    return pairs, cfg
 
 
-def _assert_each_pair_alone(pairs, cfgs, joint):
-    for pair, cfg, res in zip(pairs, cfgs, joint):
-        alone = calibrate_ga(pair, cfg=cfg)
-        assert res.theta == alone.theta
-        assert res.mixed_error == alone.mixed_error
-        assert res.abs_error == alone.abs_error
-        assert res.rel_error == alone.rel_error
-        assert res.fitness_history == alone.fitness_history
-        assert res.generations_run == alone.generations_run
-        assert res.converged_by == alone.converged_by
-        assert res.rng_seed == alone.rng_seed
+def _assert_each_pair_alone(pairs, cfg, joint):
+    for i, (pair, res) in enumerate(zip(pairs, joint)):
+        alone = calibrate_ga(pair, cfg=replace(cfg, rng_seed=cfg.rng_seed + i))
+        assert res == alone
+        assert res.rng_seed == cfg.rng_seed + i
 
 
 def test_calibrate_pairs_matches_each_pair_alone():
-    pairs, cfgs = _three_pairs()
-    joint = calibrate_pairs(pairs, cfgs=cfgs)
-    # the second pair leaves the batch early, the others run to the end
-    assert [r.converged_by for r in joint] == ["MaxGenerations", "Stagnation", "MaxGenerations"]
-    assert joint[1].generations_run < 10
-    _assert_each_pair_alone(pairs, cfgs, joint)
+    pairs, cfg = _three_pairs()
+    joint = calibrate_pairs(pairs, cfg=cfg)
+    # the pairs leave the lockstep batch at different generations
+    assert [(r.generations_run, r.converged_by) for r in joint] == [
+        (8, "Stagnation"), (10, "MaxGenerations"), (9, "Stagnation")]
+    _assert_each_pair_alone(pairs, cfg, joint)
 
 
 def test_calibrate_pairs_splits_batches_over_the_budget(monkeypatch):
-    pairs, cfgs = _three_pairs()
+    pairs, cfg = _three_pairs()
     assert [pair.leader.n for pair in pairs] == [141, 81, 111]
-    # the longest pair (141 x 12) fills a call alone; the other two
-    # (111 x (15 + 9) = 2664 cells) share one
+    # the longest pair fills a call alone, as 141 x (12 + 12) = 3384 cells
+    # exceed the budget; the other two (111 x (12 + 12) = 2664 cells) share one
     budget = 2700
     monkeypatch.setattr(calibration, "_BATCH_CELLS", budget)
     shapes = []
@@ -225,8 +235,9 @@ def test_calibrate_pairs_splits_batches_over_the_budget(monkeypatch):
         return kernel(thetas, leader_x, *args, **kwargs)
 
     monkeypatch.setattr(calibration, "simulate_followers_batch", recording)
-    joint = calibrate_pairs(pairs, cfgs=cfgs)
+    joint = calibrate_pairs(pairs, cfg=cfg)
     assert all(rows * cols <= budget for rows, cols in shapes)
-    assert {(141, 12), (111, 24), (111, 15)} <= set(shapes)
+    # after the third pair (111) stops, the second (81) runs alone
+    assert {(141, 12), (111, 24), (81, 12)} <= set(shapes)
     monkeypatch.undo()
-    _assert_each_pair_alone(pairs, cfgs, joint)
+    _assert_each_pair_alone(pairs, cfg, joint)

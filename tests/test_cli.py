@@ -12,8 +12,11 @@ import pytest
 
 import stopgo
 from stopgo import cli
+from stopgo.calibration import GaConfig
 from stopgo.cli import build_parser, main
+from stopgo.smoothing import SmoothingConfig
 from stopgo.stability import FrequencyGrid, LinearizedHdv, platoon_critical_frequency
+from stopgo.trajectory_io import DT, MIN_CALIBRATION_SAMPLES
 
 # shrink the gain search where a test does not care about the full grid
 FAST_GRID = '{"k1": [0.0, 0.0, 0.05], "k2": [0.1, 1.0, 0.1], "k3": [0.1, 1.0, 0.1]}'
@@ -188,6 +191,47 @@ def test_calibrate_pair_entry_outside_the_trajectories_is_data_error(
     window = (f"pair of leader {entry['leader_id']} and follower {entry['follower_id']}, "
               f"{entry['overlap_len']} frames from frame {entry['overlap_start']}")
     assert f"stopgo: data error: {window}: {problem}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+TRUNCATED = None  # the file cut in half
+# A stage that reads an earlier stage's JSON, the chain directory it reads,
+# a file written over there, and what the data error says after the file's path.
+BAD_STAGE_DOCS = [
+    ("calibrate", "03", "pairs.json", "{}", " has no key 'pairs'"),
+    ("calibrate", "03", "pairs.json", "[1, 2]", " is not a JSON object"),
+    ("calibrate", "03", "pairs.json", '{"pairs": [{"leader_id": 1, "overlap_start": 0, '
+     '"overlap_len": 1000}]}', "['pairs'][0] has no key 'follower_id'"),
+    ("calibrate", "03", "pairs.json", '{"pairs": []}', "['pairs'] is not a nonempty list"),
+    ("calibrate", "03", "pairs.json", TRUNCATED, " is not a JSON document"),
+    ("stability", "04", "calibration.json", "{}", " has no key 'results'"),
+    ("stability", "04", "calibration.json", TRUNCATED, " is not a JSON document"),
+    ("optimize-gains", "05", "stability.json", "{}", " has no key 'v_star'"),
+    ("optimize-gains", "05", "stability.json", '{"v_star": 12.0, "vehicles": []}',
+     " has no key 'omega_grid'"),
+    ("optimize-gains", "05", "stability.json", '{"v_star": 12.0, "vehicles": [], "omega_grid": '
+     '{"omega_min": 0.001, "omega_max": 100.0, "points": 40}}', "['vehicles'] is not a nonempty list"),
+    ("optimize-gains", "05", "stability.json", TRUNCATED, " is not a JSON document"),
+    ("simulate", "06", "gains.json", "{}", " has no key 'v_star'"),
+    ("simulate", "06", "gains.json", TRUNCATED, " is not a JSON document"),
+    ("simulate", "06", "stability.json", "{}", " has no key 'v_star'"),
+    ("simulate", "06", "calibration.json", TRUNCATED, " is not a JSON document"),
+]
+
+
+@pytest.mark.parametrize("stage, source, name, text, problem", BAD_STAGE_DOCS,
+                         ids=[f"{stage} {name}{problem}" for stage, _, name, _, problem in BAD_STAGE_DOCS])
+def test_bad_stage_document_is_data_error(tmp_path, capsys, chain, stage, source, name, text,
+                                          problem):
+    stage_in = tmp_path / source
+    shutil.copytree(chain / source, stage_in)
+    doc = stage_in / name
+    body = doc.read_text()
+    doc.write_text(body[: len(body) // 2] if text is TRUNCATED else text)
+    seed = ["--seed", 1] if stage == "calibrate" else []
+    out = tmp_path / "out"
+    assert run(stage, "--input", stage_in, *seed, "--out", out) == 2
+    assert f"stopgo: data error: {doc}{problem}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -386,6 +430,39 @@ def test_pipeline_flag_defaults_match_each_stage(stage):
     assert names
     for name in names:
         assert piped[name] == own[name], name
+
+
+# each default a stage flag takes from the type or constant that owns it
+OWNED_DEFAULTS = {
+    "smooth": {"tx": SmoothingConfig().t_x, "tv": SmoothingConfig().t_v, "ta": SmoothingConfig().t_a},
+    "pair": {"min_samples": MIN_CALIBRATION_SAMPLES},
+    "calibrate": {"population": GaConfig().population_size,
+                  "generations": GaConfig().max_generations,
+                  "stagnation": GaConfig().stagnation_limit},
+    "simulate": {"dt": DT},
+}
+
+
+@pytest.mark.parametrize("stage", [*OWNED_DEFAULTS, "pipeline"])
+def test_flag_defaults_are_their_owners(stage):
+    parsed = vars(build_parser().parse_args([stage, "--input", "in", "--out", "out"]))
+    owned = OWNED_DEFAULTS.get(stage) or {k: v for d in OWNED_DEFAULTS.values() for k, v in d.items()}
+    # the type matters too: config_digest hashes the parsed value's JSON
+    assert {k: (parsed[k], type(parsed[k])) for k in owned} == {
+        k: (v, type(v)) for k, v in owned.items()}
+
+
+def test_config_digest_is_pinned(tmp_path):
+    """These digests hash flags alone, no computed file; a changed flag
+    default or spelling changes them."""
+    out = tmp_path / "pipe"
+    assert run("pipeline", "--input", "synthetic", "--seed", 5, "--population", 12,
+               "--generations", 4, "--stagnation", 4, "--gain-grid", FAST_GRID,
+               "--platoon", 3, "--duration", 30, "--out", out) == 0
+    assert _read_json(out / "manifest.json")["config_digest"] == (
+        "ddcdc593e170846f4152527bb9159776a29ad4fa49957ab112de2695188e0a78")
+    assert _read_json(out / "01_ingest" / "manifest.json")["config_digest"] == (
+        "0bdac698addcc2da103b86aec60d7fb18f21e906b80d6346cf0e8f859d4789ca")
 
 
 def test_pipeline_forwards_each_flag_to_its_stage(tmp_path):

@@ -11,6 +11,7 @@ from stopgo.carfollowing import (
     PlatoonSpec,
     SinusoidProfile,
     equilibrium_headway,
+    linearize_hdv,
     ov_slope,
     simulate_platoon,
 )
@@ -29,11 +30,9 @@ from stopgo.stability import (
     cav_string_stable,
     cell_counts,
     count_record,
-    critical_frequency,
     delay_margin,
     gain_axis,
     hdv_gain_sq,
-    linearize_hdv,
     numeric_critical_frequency,
     optimize_gains,
     peak_gain_frequency,
@@ -206,6 +205,19 @@ def test_cav_string_stable_matches_numeric_sup():
 
 # ---------------------------------------------------------------------------
 # critical frequencies
+
+def critical_frequency(lin: LinearizedHdv) -> float:
+    """Largest frequency at which an undelayed driver amplifies (closed form),
+    the oracle for numeric_critical_frequency.
+
+    Only valid for tau = 0 and lambda2 = 0, where the gain exceeds one exactly
+    on (0, omega0) with omega0^2 = 2*k1 - k2^2 - 2*k2*k3.  Returns 0 for a
+    string-stable driver.
+    """
+    if lin.tau != 0.0 or lin.lambda2 != 0.0:
+        raise ValueError("closed form requires tau = 0 and lambda2 = 0")
+    return math.sqrt(max(0.0, 2.0 * lin.k1 - lin.k2 * lin.k2 - 2.0 * lin.k2 * lin.k3))
+
 
 def test_critical_frequency_closed_form_hand_value():
     lin = LinearizedHdv(2.0, 0.6, 0.1)

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stopgo.carfollowing import ConstantProfile, FvdmParams
+from stopgo.carfollowing import ConstantProfile, FvdmParams, generate_synthetic_pair
 from stopgo.errors import (
     DataError,
     DuplicateFrame,
@@ -29,7 +29,6 @@ from stopgo.trajectory_io import (
     TrajectoryTable,
     VehiclePair,
     build_trajectories,
-    generate_synthetic_pair,
     pair_index,
     pair_leader_follower,
     pairs_from_index,
@@ -445,7 +444,7 @@ def test_pairing_flags_short_pairs_but_returns_them():
     tset = build_trajectories(_table(_two_vehicle_records(n=30)))
     pairs, diag = pair_leader_follower(tset, min_samples=600)
     assert len(pairs) == 1
-    assert not pairs[0].meets_min_samples
+    assert pairs[0].overlap_len == 30
     assert diag.short_pairs == [(1, 2, 30)]
 
 
