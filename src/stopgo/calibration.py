@@ -14,7 +14,9 @@ running are integrated together in batched kernel calls, each candidate
 behind its own pair's leader.  A pair that has stopped leaves the batch.
 Pairs are batched longest first, and one call holds as many pairs as fit
 in a fixed budget of rows times columns, so memory stays bounded however
-many pairs are calibrated.  calibrate_ga is calibrate_pairs on one pair.
+many pairs are calibrated.  Each pair is scored on its block of the call,
+all candidates in one array, and no vector is simulated twice.
+calibrate_ga is calibrate_pairs on one pair.
 """
 from __future__ import annotations
 
@@ -34,36 +36,43 @@ _BATCH_CELLS = 1 << 19
 
 
 def _check_series(s_sim, s_data):
+    """s_sim as one series or a (candidates, samples) block, s_data as the
+    observed series; each error reduces over the last axis."""
     s_sim = np.asarray(s_sim, dtype=float)
     s_data = np.asarray(s_data, dtype=float)
-    if s_sim.shape != s_data.shape or s_sim.ndim != 1:
-        raise LengthMismatch("series must be 1-d and equally long")
-    if s_sim.size == 0:
+    if s_data.ndim != 1 or s_sim.ndim not in (1, 2) or s_sim.shape[-1:] != s_data.shape:
+        raise LengthMismatch("series must be 1-d, or rows of a block, and equally long")
+    if s_data.size == 0:
         raise LengthMismatch("series must be nonempty")
     if np.any(s_data <= 0):
         raise NonpositiveHeadway("observed headways must be positive")
     return s_sim, s_data
 
 
-def error_rel(s_sim, s_data) -> float:
+def _value(err: np.ndarray):
+    """A float for one series, the array of row errors for a block."""
+    return float(err) if err.ndim == 0 else err
+
+
+def error_rel(s_sim, s_data):
     """Root mean square of pointwise relative headway errors."""
     s_sim, s_data = _check_series(s_sim, s_data)
-    return float(np.sqrt(np.mean(((s_sim - s_data) / s_data) ** 2)))
+    return _value(np.sqrt(np.mean(((s_sim - s_data) / s_data) ** 2, axis=-1)))
 
 
-def error_abs(s_sim, s_data) -> float:
+def error_abs(s_sim, s_data):
     """Root mean square headway error normalized by the mean headway."""
     s_sim, s_data = _check_series(s_sim, s_data)
-    return float(np.sqrt(np.mean((s_sim - s_data) ** 2) / np.mean(s_data) ** 2))
+    return _value(np.sqrt(np.mean((s_sim - s_data) ** 2, axis=-1) / np.mean(s_data) ** 2))
 
 
-def error_mixed(s_sim, s_data) -> float:
+def error_mixed(s_sim, s_data):
     """Mixed error: squared deviations weighted by the inverse headway,
     normalized by the mean headway.  Falls between the relative and absolute
     errors and coincides with both on constant data."""
     s_sim, s_data = _check_series(s_sim, s_data)
     scale = np.mean(np.abs(s_data))
-    return float(np.sqrt(np.mean((s_sim - s_data) ** 2 / np.abs(s_data)) / scale))
+    return _value(np.sqrt(np.mean((s_sim - s_data) ** 2 / np.abs(s_data), axis=-1) / scale))
 
 
 CROSSOVER_PROBABILITY = 0.9
@@ -125,20 +134,18 @@ def _snap_tau(pop: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
     np.clip(pop[:, _TAU_IDX], lo[_TAU_IDX], hi[_TAU_IDX], out=pop[:, _TAU_IDX])
 
 
-def _batches(pairs, size: int):
-    """Index lists of the pairs to integrate in one kernel call, longest
-    pairs first.  A call's rows times columns (its longest window times
-    size columns per pair) stay within _BATCH_CELLS; a pair larger than
-    that runs alone."""
-    order = sorted(range(len(pairs)), key=lambda i: -pairs[i].leader.n)
+def _batches(gas, size: int):
+    """The pair GAs to integrate in one kernel call, longest pairs first.  A
+    call's rows times columns (its longest window times size columns per
+    pair) stay within _BATCH_CELLS; a pair larger than that runs alone."""
     batch, rows = [], 0
-    for i in order:
+    for ga in sorted(gas, key=lambda ga: -ga.pair.leader.n):
         if batch and rows * size * (len(batch) + 1) > _BATCH_CELLS:
             yield batch
             batch = []
         if not batch:
-            rows = pairs[i].leader.n
-        batch.append(i)
+            rows = ga.pair.leader.n
+        batch.append(ga)
     if batch:
         yield batch
 
@@ -148,50 +155,30 @@ def _padded(columns, n: int) -> np.ndarray:
     return np.column_stack([np.pad(c, (0, n - len(c)), mode="edge") for c in columns])
 
 
-def _simulate(pairs, pops):
-    """Yield (i, X) for every pair i, X its (pair length, population size)
-    block of follower positions; every population has the same size.
-
-    The pairs are integrated in the kernel calls of _batches.  In a call,
-    leaders shorter than the longest are padded with their last sample; each
-    pair's rows are sliced back to its own length.  A block is a view of its
-    call's positions, so a caller that keeps one keeps the whole call alive.
-    """
-    size = pops[0].shape[0]
-    for batch in _batches(pairs, size):
-        n = pairs[batch[0]].leader.n  # the batch's longest pair comes first
-        lx = _padded([pairs[i].leader.positions for i in batch], n)
-        lv = _padded([pairs[i].leader.speeds for i in batch], n)
-        x0 = np.repeat([pairs[i].follower.positions[0] for i in batch], size)
-        v0 = np.repeat([pairs[i].follower.speeds[0] for i in batch], size)
-        group = np.repeat(np.arange(len(batch)), size)
-        X = simulate_followers_batch(np.vstack([pops[i] for i in batch]), lx, lv, x0, v0,
-                                     pairs[0].leader.dt, group=group)
-        for col, i in enumerate(batch):
-            yield i, X[: pairs[i].leader.n, col * size : (col + 1) * size]
+def _score_batch(batch, size: int) -> None:
+    """Integrate the pair GAs' populations of size candidates in one kernel
+    call and score each on its block.  Leaders shorter than the batch's
+    longest are padded with their last sample, and sliced back after."""
+    n = batch[0].pair.leader.n  # the batch's longest pair comes first
+    lx = _padded([ga.pair.leader.positions for ga in batch], n)
+    lv = _padded([ga.pair.leader.speeds for ga in batch], n)
+    x0 = np.repeat([ga.pair.follower.positions[0] for ga in batch], size)
+    v0 = np.repeat([ga.pair.follower.speeds[0] for ga in batch], size)
+    group = np.repeat(np.arange(len(batch)), size)
+    X = simulate_followers_batch(np.vstack([ga.pop for ga in batch]), lx, lv, x0, v0,
+                                 batch[0].pair.leader.dt, group=group)
+    for col, ga in enumerate(batch):
+        ga.score(X[: ga.pair.leader.n, col * size : (col + 1) * size])
 
 
-def _pair_fitness(pair: VehiclePair, X: np.ndarray) -> np.ndarray:
-    """Mixed error per simulated follower column of X, penalty on any collision."""
-    lx = pair.leader.positions
-    data = pair.headways()
-    fits = np.empty(X.shape[1])
-    for p in range(X.shape[1]):
-        s_sim = np.ascontiguousarray(lx - X[:, p])
-        if s_sim.min() <= 0.0:
-            fits[p] = COLLISION_PENALTY
-        else:
-            fits[p] = error_mixed(s_sim, data)
-    return fits
-
-
-def _abs_rel_errors(pair: VehiclePair, X: np.ndarray) -> tuple[float, float]:
-    """Absolute and relative error of the single simulated follower in X."""
-    s_sim = np.ascontiguousarray(pair.leader.positions - X[:, 0])
-    if s_sim.min() <= 0.0:
-        return COLLISION_PENALTY, COLLISION_PENALTY
-    data = pair.headways()
-    return error_abs(s_sim, data), error_rel(s_sim, data)
+def _pair_fitness(leader_x: np.ndarray, X: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Mixed error of each simulated follower column of X behind leader_x,
+    the penalty for one that collides."""
+    # C order makes each candidate's headways a contiguous row, which numpy
+    # reduces to the same bits as that row alone
+    S = np.subtract(leader_x, X.T, order="C")
+    fits = error_mixed(S, data)
+    return np.where(S.min(axis=-1) <= 0.0, COLLISION_PENALTY, fits)
 
 
 class _PairGa:
@@ -199,6 +186,7 @@ class _PairGa:
 
     def __init__(self, pair: VehiclePair, lo, hi, cfg: GaConfig, seed: int):
         self.pair = pair
+        self.data = pair.headways()
         self.cfg = cfg
         self.seed = seed
         self.lo, self.hi = lo, hi
@@ -209,6 +197,7 @@ class _PairGa:
         self.fits = None
         self.best_vec = None
         self.best_fit = np.inf
+        self.best_abs_rel = None  # absolute and relative error of best_vec
         self.history = []
         self.generations = 0
         self.stagnant = 0
@@ -245,14 +234,21 @@ class _PairGa:
         self.pop = np.vstack(children)
         _snap_tau(self.pop, self.lo, self.hi)
 
-    def score(self, fits: np.ndarray) -> None:
-        """Take the current population's fitness; track the best and the stop rule."""
-        self.fits = fits
+    def score(self, X: np.ndarray) -> None:
+        """Score the current population from X, its block of simulated
+        follower positions; track the best and the stop rule.  A new best
+        takes its absolute and relative errors from its own column."""
+        lx = self.pair.leader.positions
+        self.fits = fits = _pair_fitness(lx, X, self.data)
         gen_best = float(fits.min())
         self.history.append(gen_best)
         if self.best_vec is None or gen_best < self.best_fit:
+            j = int(np.argmin(fits))
             self.best_fit = gen_best
-            self.best_vec = self.pop[int(np.argmin(fits))].copy()
+            self.best_vec = self.pop[j].copy()
+            s = lx - X[:, j]
+            self.best_abs_rel = ((COLLISION_PENALTY, COLLISION_PENALTY) if s.min() <= 0.0
+                                 else (error_abs(s, self.data), error_rel(s, self.data)))
             self.stagnant = 0
         else:
             self.stagnant += 1
@@ -271,7 +267,8 @@ def calibrate_pairs(pairs, bounds: dict | None = None,
     pair stops at max_generations or once its best fitness has not improved
     for stagnation_limit consecutive generations.  The pairs' GAs run in
     lockstep: each generation integrates the running populations together,
-    in kernel calls of at most _BATCH_CELLS rows times columns.  Pair i
+    in kernel calls of at most _BATCH_CELLS rows times columns, and scores
+    each pair on its block of the call that integrated it.  Pair i
     draws from its own generator, seeded with cfg.rng_seed + i, so its
     result is the same as calibrate_ga's on that pair at that seed.  Fully
     deterministic for a given cfg.
@@ -296,29 +293,24 @@ def calibrate_pairs(pairs, bounds: dict | None = None,
 
     running = gas
     while running:
-        # a comprehension, so no block of positions outlives the generation
-        fits = {i: _pair_fitness(running[i].pair, X)
-                for i, X in _simulate([ga.pair for ga in running], [ga.pop for ga in running])}
-        for i, ga in enumerate(running):
-            ga.score(fits[i])
+        for batch in _batches(running, cfg.population_size):
+            _score_batch(batch, cfg.population_size)
         running = [ga for ga in running if ga.converged_by is None]
         for ga in running:
             ga.breed()
 
-    errors = {i: _abs_rel_errors(pairs[i], X)
-              for i, X in _simulate(pairs, [ga.best_vec[None, :] for ga in gas])}
     return [
         CalibrationResult(
             theta=FvdmParams.from_array(ga.best_vec),
             mixed_error=ga.best_fit,
-            abs_error=errors[i][0],
-            rel_error=errors[i][1],
+            abs_error=ga.best_abs_rel[0],
+            rel_error=ga.best_abs_rel[1],
             generations_run=ga.generations,
             converged_by=ga.converged_by,
             fitness_history=ga.history,
             rng_seed=ga.seed,
         )
-        for i, ga in enumerate(gas)
+        for ga in gas
     ]
 
 

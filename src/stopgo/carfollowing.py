@@ -318,8 +318,8 @@ def generate_synthetic_pair(theta: FvdmParams, profile, duration: float,
     return VehiclePair(leader, follower, leader.start_frame, leader.n)
 
 
-def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
-                             group=None) -> np.ndarray:
+def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT, *,
+                             group) -> np.ndarray:
     """Position series for a batch of parameter vectors, each behind its leader.
 
     Vectorizes the integration across parameter sets; used by the calibration
@@ -332,11 +332,9 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
 
     Args:
         thetas: (P, 7) array, columns in PARAM_ORDER.
-        leader_x, leader_v: leader positions/speeds, (N,) for one leader or
-            (N, G) for G leaders.
+        leader_x, leader_v: (N, G) positions/speeds of G leaders.
         x0, v0: follower initial position and speed, scalars or (P,).
-        group: (P,) leader column of each candidate; required with (N, G)
-            leaders, all zero for one leader.
+        group: (P,) leader column of each candidate.
 
     Returns:
         (N, P) follower positions.
@@ -345,15 +343,10 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
     leader_x = np.asarray(leader_x, dtype=float)
     leader_v = np.asarray(leader_v, dtype=float)
     al, be, bc, bf, vm, m, tau = (thetas[:, i] for i in range(7))
-    if leader_v.shape != leader_x.shape or leader_x.ndim not in (1, 2):
-        raise ValueError("leader positions and speeds must share one (N,) or (N, G) shape")
-    n = leader_x.shape[0]
-    g = 1 if leader_x.ndim == 1 else leader_x.shape[1]
+    if leader_v.shape != leader_x.shape or leader_x.ndim != 2:
+        raise ValueError("leader positions and speeds must share one (N, G) shape")
+    n, g = leader_x.shape
     p = thetas.shape[0]
-    if group is None:
-        if g != 1:
-            raise ValueError("leaders of shape (N, G) need a group per candidate")
-        group = np.zeros(p, dtype=int)
     group = np.asarray(group, dtype=int)
     if group.shape != (p,) or (p and not 0 <= group.min() <= group.max() < g):
         raise ValueError(f"group must hold {p} leader columns in [0, {g})")

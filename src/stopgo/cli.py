@@ -23,8 +23,8 @@ flags (a ``--seed``, a frequency grid, a desired headway inside the safe
 band, a sinusoid's ``--amplitude`` within ``--v-star``), before its first
 stage runs.  A handler creates ``--out`` only after it has read its inputs.
 An earlier stage's JSON document is read by one checked reader, so a file
-that does not parse or lacks a key the stage reads is a data error (exit 2)
-naming the file and the key.
+that does not parse, lacks a key the stage reads or holds a value out of its
+type's range is a data error (exit 2) naming the file and the key.
 """
 from __future__ import annotations
 
@@ -189,22 +189,51 @@ def _resolve_input(raw: str, *candidates: str) -> Path:
     raise DataError(f"input {p} does not exist")
 
 
+def _number(kind=float, low=-math.inf, positive=False):
+    """Check for a finite number (an integer if kind is int), at least low or positive."""
+    def check(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            kind_name = "an integer" if kind is int else "a number"
+            raise ValueError(f"must be {kind_name}, got {text!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value}")
+        if positive and value <= 0:
+            raise ValueError(f"must be positive, got {value}")
+        if value < low:
+            raise ValueError(f"must be at least {low}, got {value}")
+        return value
+    return check
+
+
+_REAL, _POSITIVE, _NONNEGATIVE, _COUNT = _number(), _number(positive=True), _number(low=0.0), _number(int, 1)
+
+
 # What a stage reads of an earlier stage's JSON document.  A shape is int (a
 # JSON integer), float (a JSON number), {key: shape} (an object holding each
-# key) or [shape] (a nonempty list of entries of that shape).
+# key), [shape] (a nonempty list of entries of that shape) or (shape, check)
+# (a value of that shape that check accepts without a ValueError).
+def _built(cls, fields: dict, **more) -> tuple:
+    """The shape of an object holding fields and more, whose fields build a cls."""
+    return {**fields, **more}, lambda obj: cls(**{key: obj[key] for key in fields})
+
+
 _PAIRS_DOC = {
     "pairs": [dict.fromkeys(("leader_id", "follower_id", "overlap_start", "overlap_len"), int)],
 }
 _CALIBRATION_DOC = {
-    "results": [{"leader_id": int, "follower_id": int, "theta": dict.fromkeys(PARAM_ORDER, float)}],
+    "results": [{"leader_id": int, "follower_id": int,
+                 "theta": _built(FvdmParams, dict.fromkeys(PARAM_ORDER, float))}],
 }
 _STABILITY_DOC = {
     "v_star": float,
-    "omega_grid": {"omega_min": float, "omega_max": float, "points": int},
-    "vehicles": [dict.fromkeys(("k1", "k2", "k3", "lambda2", "tau"), float)],
+    "omega_grid": _built(FrequencyGrid, {"omega_min": float, "omega_max": float, "points": int}),
+    "vehicles": [_built(LinearizedHdv, dict.fromkeys(("k1", "k2", "k3", "lambda2", "tau"), float))],
 }
-_GAINS_DOC = {"v_star": float, "lambda2": float, "lambda3": float, "platoon": int,
-              "best": dict.fromkeys(("k1", "k2", "k3"), float)}
+_GAINS_DOC = _built(EquilibriumSpec, {"v_star": float, "lambda2": float, "lambda3": float},
+                    platoon=(int, _COUNT),
+                    best=_built(ControllerGains, dict.fromkeys(("k1", "k2", "k3"), float)))
 
 
 def _check_shape(value, shape, where: str) -> None:
@@ -221,6 +250,12 @@ def _check_shape(value, shape, where: str) -> None:
             raise DataError(f"{where} is not a nonempty list")
         for i, entry in enumerate(value):
             _check_shape(entry, shape[0], f"{where}[{i}]")
+    elif isinstance(shape, tuple):
+        _check_shape(value, shape[0], where)
+        try:
+            shape[1](value)
+        except ValueError as err:
+            raise DataError(f"{where}: {err}") from None
     else:
         kinds, noun = (int, "an integer") if shape is int else ((int, float), "a number")
         if isinstance(value, bool) or not isinstance(value, kinds):
@@ -229,8 +264,8 @@ def _check_shape(value, shape, where: str) -> None:
 
 def _read_stage_json(path: Path, shape: dict) -> dict:
     """The JSON document in path, checked to have shape: a file that does not
-    parse, or lacks a key the stage reads, is a DataError naming the file and
-    the key."""
+    parse, lacks a key the stage reads or holds a value its type rejects is a
+    DataError naming the file and the key."""
     try:
         doc = json.loads(path.read_text())
     except ValueError as err:  # not JSON (a truncated file), or not text
@@ -629,27 +664,6 @@ def cmd_pipeline(args) -> int:
 
 
 # ---------------------------------------------------------------- parser
-
-
-def _number(kind=float, low=-math.inf, positive=False):
-    """Check for a finite number (an integer if kind is int), at least low or positive."""
-    def check(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            kind_name = "an integer" if kind is int else "a number"
-            raise ValueError(f"must be {kind_name}, got {text!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"must be finite, got {value}")
-        if positive and value <= 0:
-            raise ValueError(f"must be positive, got {value}")
-        if value < low:
-            raise ValueError(f"must be at least {low}, got {value}")
-        return value
-    return check
-
-
-_REAL, _POSITIVE, _NONNEGATIVE, _COUNT = _number(), _number(positive=True), _number(low=0.0), _number(int, 1)
 
 
 def _owned_by(cls, field: str, parse=_number(int)):

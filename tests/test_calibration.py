@@ -74,6 +74,44 @@ def test_error_metric_input_validation():
         error_mixed(np.ones(3), np.array([1.0, 0.0, 2.0]))
 
 
+def _position_block(n: int, seed: int):
+    """Leader positions, observed headways and a (n, 4) block of follower
+    positions cut from a wider, taller array, as calibrate_pairs slices a
+    pair's block from its kernel call."""
+    rng = np.random.default_rng(seed)
+    lx = np.cumsum(rng.uniform(0.5, 1.5, n))
+    data = rng.uniform(5.0, 30.0, n)
+    wide = lx[-1] - rng.uniform(0.0, 40.0, (n + 7, 12))
+    wide[:n] = lx[:, None] - data[:, None] * rng.uniform(0.8, 1.2, (n, 12))
+    return lx, data, wide[:n, 4:8]
+
+
+@pytest.mark.parametrize("n", [700, 9000])  # numpy reduces in chunks of 8192
+def test_block_errors_equal_each_column_alone(n):
+    lx, data, X = _position_block(n, n)
+    columns = [lx - X[:, p] for p in range(X.shape[1])]
+    assert list(calibration._pair_fitness(lx, X, data)) == [error_mixed(c, data) for c in columns]
+    S = np.stack(columns)
+    for error in (error_mixed, error_abs, error_rel):
+        assert list(error(S, data)) == [error(c, data) for c in columns]
+
+
+def test_block_fitness_penalizes_a_column_that_reaches_its_leader():
+    lx, data, X = _position_block(50, 1)
+    X[30, 2] = lx[30]
+    fits = calibration._pair_fitness(lx, X, data)
+    assert fits[2] == COLLISION_PENALTY
+    assert np.all(fits[[0, 1, 3]] < 1.0)
+
+
+def test_block_fitness_needs_one_row_per_observed_headway():
+    lx, data, X = _position_block(50, 2)
+    with pytest.raises(LengthMismatch):
+        calibration._pair_fitness(lx, X, data[1:])
+    with pytest.raises(LengthMismatch):
+        error_mixed(X.T[:, :, None], data)
+
+
 def test_default_bounds_box():
     b = PARAM_BOUNDS
     assert b["alpha"] == (1.0, 10.0)
@@ -237,7 +275,10 @@ def test_calibrate_pairs_splits_batches_over_the_budget(monkeypatch):
     monkeypatch.setattr(calibration, "simulate_followers_batch", recording)
     joint = calibrate_pairs(pairs, cfg=cfg)
     assert all(rows * cols <= budget for rows, cols in shapes)
+    # every call integrates whole populations, one call per batch and
+    # generation: the pairs stop after 9, 11 and 10 scored populations, and
     # after the third pair (111) stops, the second (81) runs alone
-    assert {(141, 12), (111, 24), (81, 12)} <= set(shapes)
+    assert all(cols % cfg.population_size == 0 for _, cols in shapes)
+    assert shapes == [(141, 12), (111, 24)] * 9 + [(111, 24), (81, 12)]
     monkeypatch.undo()
     _assert_each_pair_alone(pairs, cfg, joint)

@@ -189,10 +189,11 @@ def test_batch_matches_scalar_followers():
     dx0 = 18.0
     batch = simulate_followers_batch(
         np.array([th.as_array() for th in thetas]),
-        leader.positions,
-        leader.speeds,
+        leader.positions[:, None],
+        leader.speeds[:, None],
         np.full(4, leader.positions[0] - dx0),
         np.full(4, 12.0),
+        group=np.zeros(4, dtype=int),
     )
     assert batch.shape == (leader.n, 4)
     for i, th in enumerate(thetas):
@@ -273,8 +274,9 @@ def test_grouped_batch_matches_separate_leaders():
     assert joint.shape == (n, len(taus))
     for g, tr in enumerate(leaders):
         cols = np.flatnonzero(group == g)
-        alone = simulate_followers_batch(thetas[cols], tr.positions, tr.speeds,
-                                         tr.positions[0] - 18.0, tr.speeds[0])
+        alone = simulate_followers_batch(thetas[cols], tr.positions[:, None], tr.speeds[:, None],
+                                         tr.positions[0] - 18.0, tr.speeds[0],
+                                         group=np.zeros(len(cols), dtype=int))
         assert np.array_equal(joint[: tr.n, cols], alone)
 
 
@@ -283,7 +285,5 @@ def test_grouped_batch_needs_valid_groups():
     lx = np.column_stack([leader.positions, leader.positions])
     lv = np.column_stack([leader.speeds, leader.speeds])
     thetas = np.array([THETA.as_array()] * 2)
-    with pytest.raises(ValueError):
-        simulate_followers_batch(thetas, lx, lv, -18.0, 8.0)
     with pytest.raises(ValueError):
         simulate_followers_batch(thetas, lx, lv, -18.0, 8.0, group=[0, 2])

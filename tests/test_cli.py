@@ -194,9 +194,19 @@ def test_calibrate_pair_entry_outside_the_trajectories_is_data_error(
     assert not out.exists()
 
 
+def _set(*keys, value):
+    """An edit of the parsed document: the entry at keys set to value."""
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
 TRUNCATED = None  # the file cut in half
 # A stage that reads an earlier stage's JSON, the chain directory it reads,
-# a file written over there, and what the data error says after the file's path.
+# a file written over there (a text, or an edit of the parsed file), and what
+# the data error says after the file's path.
 BAD_STAGE_DOCS = [
     ("calibrate", "03", "pairs.json", "{}", " has no key 'pairs'"),
     ("calibrate", "03", "pairs.json", "[1, 2]", " is not a JSON object"),
@@ -216,6 +226,18 @@ BAD_STAGE_DOCS = [
     ("simulate", "06", "gains.json", TRUNCATED, " is not a JSON document"),
     ("simulate", "06", "stability.json", "{}", " has no key 'v_star'"),
     ("simulate", "06", "calibration.json", TRUNCATED, " is not a JSON document"),
+    # a value its type rejects
+    ("stability", "04", "calibration.json", _set("results", 0, "theta", "alpha", value=100.0),
+     "['results'][0]['theta']: alpha=100.0 outside [1.0, 10.0]"),
+    ("optimize-gains", "05", "stability.json", _set("vehicles", 0, "k2", value=0.0),
+     "['vehicles'][0]: require k1 >= 0, k2 > 0, k3 >= 0"),
+    ("optimize-gains", "05", "stability.json", _set("omega_grid", "omega_min", value=-1.0),
+     "['omega_grid']: require 0 < omega_min < omega_max"),
+    ("simulate", "06", "gains.json", _set("best", "k1", value=-1.0), "['best']: gains must be nonnegative"),
+    ("simulate", "06", "gains.json", _set("lambda2", value=-1.0), ": lambda2 must be nonnegative"),
+    ("simulate", "06", "gains.json", _set("platoon", value=0), "['platoon']: must be at least 1, got 0"),
+    ("simulate", "06", "calibration.json", _set("results", 0, "theta", "tau", value=-0.1),
+     "['results'][0]['theta']: tau=-0.1 outside [0.0, 3.0]"),
 ]
 
 
@@ -227,11 +249,26 @@ def test_bad_stage_document_is_data_error(tmp_path, capsys, chain, stage, source
     shutil.copytree(chain / source, stage_in)
     doc = stage_in / name
     body = doc.read_text()
-    doc.write_text(body[: len(body) // 2] if text is TRUNCATED else text)
+    if text is TRUNCATED:
+        text = body[: len(body) // 2]
+    elif callable(text):
+        parsed = json.loads(body)
+        text(parsed)
+        text = json.dumps(parsed)
+    doc.write_text(text)
     seed = ["--seed", 1] if stage == "calibrate" else []
     out = tmp_path / "out"
     assert run(stage, "--input", stage_in, *seed, "--out", out) == 2
     assert f"stopgo: data error: {doc}{problem}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_grid_bad_only_after_flags_override_it_is_usage_error(tmp_path, capsys, chain):
+    # stability.json's grid is fine; the flag puts its ceiling below its floor
+    out = tmp_path / "out"
+    assert run("optimize-gains", "--input", chain / "05", "--omega-max", 0.0005, "--out", out) == 1
+    assert "stopgo: error: --omega-min/--omega-max: require 0 < omega_min < omega_max" in (
+        capsys.readouterr().err)
     assert not out.exists()
 
 
