@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carfollowing import PARAM_BOUNDS, PARAM_ORDER, FvdmParams, simulate_followers_batch
-from .errors import LengthMismatch, NonpositiveHeadway
+from .errors import DataError
 from .trajectory_io import VehiclePair
 
 COLLISION_PENALTY = 1.0e6
@@ -41,11 +41,11 @@ def _check_series(s_sim, s_data):
     s_sim = np.asarray(s_sim, dtype=float)
     s_data = np.asarray(s_data, dtype=float)
     if s_data.ndim != 1 or s_sim.ndim not in (1, 2) or s_sim.shape[-1:] != s_data.shape:
-        raise LengthMismatch("series must be 1-d, or rows of a block, and equally long")
+        raise ValueError("series must be 1-d, or rows of a block, and equally long")
     if s_data.size == 0:
-        raise LengthMismatch("series must be nonempty")
+        raise ValueError("series must be nonempty")
     if np.any(s_data <= 0):
-        raise NonpositiveHeadway("observed headways must be positive")
+        raise DataError("observed headways must be positive")
     return s_sim, s_data
 
 

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CollisionDetected,
-    InfeasibleEquilibrium,
-    InfeasibleInitialState,
-    NonpositiveEquilibriumHeadway,
-)
+from .errors import CollisionDetected, DataError
 from .stability import ControllerGains, EquilibriumSpec, LinearizedHdv
 from .trajectory_io import DT, Trajectory, VehiclePair
 
@@ -32,6 +27,7 @@ PARAM_BOUNDS = {
     "tau": (0.0, 3.0),
 }
 PARAM_ORDER = tuple(PARAM_BOUNDS)
+VEHICLE_LENGTH = 4.5  # m, of every generated or simulated vehicle
 
 
 @dataclass(frozen=True)
@@ -100,15 +96,17 @@ def equilibrium_headway(theta: FvdmParams, v_star: float) -> float:
     """Headway at which the desired speed equals v_star.
 
     The curve is strictly increasing, so the inverse is unique; it only
-    exists for speeds below the curve's supremum.
+    exists for speeds below the curve's supremum.  A speed at or above it is
+    a DataError (the fitted theta has no equilibrium there), a negative
+    speed a ValueError.
     """
     if v_star < 0:
-        raise InfeasibleEquilibrium("equilibrium speed must be nonnegative")
+        raise ValueError("equilibrium speed must be nonnegative")
     if v_star == 0.0:
         return theta.b_c
     q = v_star / theta.v0 + math.tanh(theta.m * (theta.b_c - theta.b_f))
     if q >= 1.0:
-        raise InfeasibleEquilibrium(
+        raise DataError(
             f"v_star={v_star} m/s is at or above the curve's supremum {v_max(theta):.3f}"
         )
     return theta.b_f + math.atanh(q) / theta.m
@@ -123,7 +121,7 @@ def linearize_hdv(theta: FvdmParams, eq: EquilibriumSpec) -> LinearizedHdv:
     """
     dx_star = eq.desired_headway
     if dx_star <= 0:
-        raise NonpositiveEquilibriumHeadway(f"desired headway {dx_star} m")
+        raise DataError(f"desired headway {dx_star} m")
     return LinearizedHdv(
         k1=theta.alpha * ov_slope(theta, dx_star),
         k2=theta.alpha,
@@ -195,10 +193,8 @@ def leader_trajectory(
     dt: float = DT,
     vehicle_id: int = 1,
     x0: float = 0.0,
-    start_frame: int = 0,
-    vehicle_length: float = 4.5,
 ) -> Trajectory:
-    """Sample a speed profile and integrate it to positions (trapezoid rule)."""
+    """Sample a speed profile from frame 0 and integrate it to positions (trapezoid rule)."""
     n = int(round(duration / dt)) + 1
     t = np.arange(n) * dt
     v = np.asarray(profile.speed(t), dtype=float)
@@ -207,7 +203,7 @@ def leader_trajectory(
     np.cumsum(0.5 * (v[:-1] + v[1:]) * dt, out=x[1:])
     x[1:] += x0
     a = np.gradient(v, dt) if n > 1 else np.zeros(1)
-    return Trajectory(vehicle_id, start_frame, x, v, a, vehicle_length, dt)
+    return Trajectory(vehicle_id, 0, x, v, a, VEHICLE_LENGTH, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +265,6 @@ def simulate_follower(
     init_position: float,
     init_speed: float,
     vehicle_id: int = 0,
-    vehicle_length: float = 4.5,
 ) -> Trajectory:
     """Simulate one model follower behind a recorded or generated leader.
 
@@ -287,7 +282,7 @@ def simulate_follower(
         leader.start_frame,
         vehicle_index=1,
     )
-    return Trajectory(vehicle_id, leader.start_frame, x, v, a, vehicle_length, leader.dt)
+    return Trajectory(vehicle_id, leader.start_frame, x, v, a, VEHICLE_LENGTH, leader.dt)
 
 
 def generate_synthetic_pair(theta: FvdmParams, profile, duration: float,
@@ -300,11 +295,11 @@ def generate_synthetic_pair(theta: FvdmParams, profile, duration: float,
     pipeline's synthetic input and the ground truth of calibration tests.
 
     Raises:
-        InfeasibleInitialState: initial headway at or below the stopping
-            distance of the model's velocity curve.
+        ValueError: initial headway at or below the stopping distance of the
+            model's velocity curve.
     """
     if initial_headway <= theta.b_c:
-        raise InfeasibleInitialState(
+        raise ValueError(
             f"initial headway {initial_headway} m <= b_c {theta.b_c} m"
         )
     leader = leader_trajectory(profile, duration, vehicle_id=1)
@@ -418,7 +413,7 @@ def _vehicle_eq_headway(vehicle, v_star: float) -> float:
         return equilibrium_headway(vehicle.params, v_star)
     dx = vehicle.lambda2 * v_star + vehicle.lambda3
     if dx <= 0:
-        raise NonpositiveEquilibriumHeadway(f"desired headway {dx} m")
+        raise DataError(f"desired headway {dx} m")
     return dx
 
 
@@ -473,8 +468,8 @@ def simulate_platoon(spec: PlatoonSpec, duration: float, dt: float = DT) -> list
             partial = [t.slice(t.start_frame, k_end) for t in done]
             partial.append(
                 Trajectory(idx, leader.start_frame, xs, vs,
-                           np.pad(accs, (0, k_end - len(accs))), 4.5, dt)
+                           np.pad(accs, (0, k_end - len(accs))), VEHICLE_LENGTH, dt)
             )
             raise CollisionDetected(err.vehicle_index, err.frame, partial=partial) from None
-        done.append(Trajectory(idx, leader.start_frame, x, v, a, 4.5, dt))
+        done.append(Trajectory(idx, leader.start_frame, x, v, a, VEHICLE_LENGTH, dt))
     return done

@@ -2,8 +2,9 @@
 
 Each subcommand reads the previous stage's directory and writes its own
 artifacts plus a run manifest, so any stage can be re-run or inspected in
-isolation.  Exit codes: 0 success, 1 usage error, 2 data error, 3 collision
-during simulation.
+isolation.  Exit codes: 0 success; 1 usage error (a UsageError, or a
+ValueError from a bad argument); 2 data error (a DataError: input data the
+stage cannot use); 3 collision during simulation (CollisionDetected).
 
 Every stage directory, and the top of a ``pipeline`` tree, holds a
 ``manifest.json`` with the fields ``subcommand``, ``config_digest``,
@@ -58,7 +59,7 @@ from .carfollowing import (
     linearize_hdv,
     simulate_platoon,
 )
-from .errors import CollisionDetected, DataError, StopgoError
+from .errors import CollisionDetected, DataError
 from .smoothing import SmoothingConfig, differentiate, smooth_trajectory
 from .stability import (
     ControllerGains,
@@ -451,11 +452,13 @@ def cmd_stability(args) -> StageResult:
     grid = _freq_grid(args)
     src = _resolve_input(args.input, "calibration.json")
     vehicles = []
-    for e in _read_stage_json(src, _CALIBRATION_DOC)["results"]:
+    for i, e in enumerate(_read_stage_json(src, _CALIBRATION_DOC)["results"]):
         theta = FvdmParams(**e["theta"])
-        dx_star = equilibrium_headway(theta, args.v_star)
-        eq = EquilibriumSpec(args.v_star, 0.0, dx_star)
-        lin = linearize_hdv(theta, eq)
+        try:
+            dx_star = equilibrium_headway(theta, args.v_star)
+            lin = linearize_hdv(theta, EquilibriumSpec(args.v_star, 0.0, dx_star))
+        except DataError as err:  # this driver's fit has no equilibrium at --v-star
+            raise DataError(f"{src}['results'][{i}]: {err}") from None
         w0 = numeric_critical_frequency(lin, grid)
         margin = delay_margin(lin)
         vehicles.append({
@@ -672,7 +675,7 @@ def _owned_by(cls, field: str, parse=_number(int)):
         value = parse(text)
         try:
             cls(**{field: value})
-        except (ValueError, StopgoError) as err:
+        except ValueError as err:
             raise ValueError(f"{value}: {err}") from None
         return value
     return check
@@ -834,15 +837,12 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as err:
         print(f"stopgo: error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except CollisionDetected as err:
-        print(f"stopgo: collision: {err}", file=sys.stderr)
-        return EXIT_COLLISION
     except DataError as err:
         print(f"stopgo: data error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except StopgoError as err:
-        print(f"stopgo: error: {err}", file=sys.stderr)
-        return EXIT_DATA
+    except CollisionDetected as err:
+        print(f"stopgo: collision: {err}", file=sys.stderr)
+        return EXIT_COLLISION
 
 
 if __name__ == "__main__":

@@ -1,19 +1,15 @@
-"""Exception types shared across the package."""
+"""The exception types that callers tell apart, one per CLI exit code.
+
+A caller's bad argument is a plain ValueError (exit 1, like a usage error).
+Input data the pipeline cannot use is a DataError (exit 2); the subclasses
+below carry fields that callers read.  A simulated collision is
+CollisionDetected (exit 3).
+"""
 from __future__ import annotations
 
 
-class StopgoError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class DataError(StopgoError):
+class DataError(Exception):
     """Malformed or unusable input data (CLI exit code 2)."""
-
-
-class MissingColumn(DataError):
-    def __init__(self, name: str):
-        super().__init__(f"required column missing: {name}")
-        self.name = name
 
 
 class UnparsableField(DataError):
@@ -23,10 +19,6 @@ class UnparsableField(DataError):
         self.column = column
 
 
-class EmptyInput(DataError):
-    pass
-
-
 class DuplicateFrame(DataError):
     def __init__(self, vehicle_id: int, frame_id: int):
         super().__init__(f"vehicle {vehicle_id} has duplicate frame {frame_id}")
@@ -34,35 +26,7 @@ class DuplicateFrame(DataError):
         self.frame_id = frame_id
 
 
-class EmptySeries(DataError):
-    pass
-
-
-class NonpositiveTimescale(StopgoError):
-    pass
-
-
-class LengthMismatch(DataError):
-    pass
-
-
-class NonpositiveHeadway(DataError):
-    pass
-
-
-class InfeasibleInitialState(StopgoError):
-    pass
-
-
-class NonpositiveEquilibriumHeadway(StopgoError):
-    pass
-
-
-class InfeasibleEquilibrium(StopgoError):
-    """No equilibrium headway exists for the requested speed."""
-
-
-class CollisionDetected(StopgoError):
+class CollisionDetected(Exception):
     """A simulated headway became nonpositive (CLI exit code 3).
 
     Carries the offending vehicle index and frame plus whatever part of the

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySeries, NonpositiveTimescale
 from .trajectory_io import DT
 
 
@@ -27,7 +26,7 @@ class SmoothingConfig:
     def __post_init__(self):
         for name in ("t_x", "t_v", "t_a"):
             if not getattr(self, name) > 0:
-                raise NonpositiveTimescale(f"{name} must be positive")
+                raise ValueError(f"{name} must be positive")
 
 
 def sema_smooth(series, T: float, dt: float = DT) -> np.ndarray:
@@ -48,13 +47,13 @@ def sema_smooth(series, T: float, dt: float = DT) -> np.ndarray:
         Smoothed array of the same length.
     """
     if T <= 0 or dt <= 0:
-        raise NonpositiveTimescale("T and dt must be positive")
+        raise ValueError("T and dt must be positive")
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError("series must be 1-d")
     n = x.size
     if n == 0:
-        raise EmptySeries("cannot smooth an empty series")
+        raise ValueError("cannot smooth an empty series")
 
     delta = T / dt
     d_max = math.floor(3.0 * delta)
@@ -85,9 +84,9 @@ def differentiate(series, dt: float = DT) -> np.ndarray:
     """
     x = np.asarray(series, dtype=float)
     if x.size == 0:
-        raise EmptySeries("cannot differentiate an empty series")
+        raise ValueError("cannot differentiate an empty series")
     if dt <= 0:
-        raise NonpositiveTimescale("dt must be positive")
+        raise ValueError("dt must be positive")
     if x.size == 1:
         return np.zeros(1)
     return np.gradient(x, dt)

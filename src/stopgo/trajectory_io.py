@@ -28,14 +28,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DuplicateFrame,
-    EmptyInput,
-    MissingColumn,
-    NonpositiveHeadway,
-    UnparsableField,
-)
+from .errors import DataError, DuplicateFrame, UnparsableField
 
 DT = 0.1  # s between consecutive frames in the source datasets
 FEET_TO_METERS = 0.3048
@@ -166,7 +159,7 @@ class VehiclePair:
             if tr.start_frame != self.overlap_start or tr.n != self.overlap_len:
                 raise ValueError("pair trajectories must be trimmed to the window")
         if np.any(self.headways() <= 0):
-            raise NonpositiveHeadway(
+            raise DataError(
                 f"pair ({self.leader.vehicle_id}, {self.follower.vehicle_id}) "
                 "has nonpositive headway"
             )
@@ -185,7 +178,7 @@ def _header(fh) -> list[str]:
     """The normalized column names of fh's first line."""
     line = fh.readline()
     if not line:
-        raise EmptyInput("no header row")
+        raise DataError("no header row")
     return [h.strip().lower() for h in next(csv.reader([line]), [])]
 
 
@@ -233,7 +226,7 @@ def _read_table(fh, usecols, names, scale: float = 1.0) -> TrajectoryTable:
         failure = str(err)
     else:
         if not len(block):
-            raise EmptyInput("no data rows")
+            raise DataError("no data rows")
         ints = block[:, integral]
         if np.isfinite(block).all() and np.all((np.trunc(ints) == ints) & (abs(ints) < _EXACT_INT)):
             return TrajectoryTable(*(
@@ -261,7 +254,9 @@ def parse_ngsim_csv(fh, units: str = "meters") -> TrajectoryTable:
     With units="feet" the positional quantities are converted to meters.
 
     Raises:
-        MissingColumn, UnparsableField, EmptyInput.
+        ValueError: units is neither "meters" nor "feet".
+        UnparsableField: a field does not parse (see _read_table).
+        DataError: no header row, a required column missing, or no data rows.
     """
     if units not in ("meters", "feet"):
         raise ValueError("units must be 'meters' or 'feet'")
@@ -270,7 +265,7 @@ def parse_ngsim_csv(fh, units: str = "meters") -> TrajectoryTable:
     col = {h: i for i, h in enumerate(_header(fh))}
     for name in _REQUIRED_COLUMNS:
         if name not in col:
-            raise MissingColumn(name)
+            raise DataError(f"required column missing: {name}")
     return _read_table(fh, [col[name] for name in _REQUIRED_COLUMNS], _REQUIRED_COLUMNS, scale)
 
 
@@ -335,7 +330,7 @@ def read_canonical_csv(path) -> TrajectoryTable:
     """
     with open(path) as fh:
         if _header(fh) != CANONICAL_HEADER:
-            raise MissingColumn("canonical header mismatch")
+            raise DataError("required column missing: canonical header mismatch")
         usecols = [i for i, name in enumerate(CANONICAL_HEADER) if name != "t"]
         return _read_table(fh, usecols, [CANONICAL_HEADER[i] for i in usecols])
 

@@ -23,7 +23,7 @@ from stopgo.carfollowing import (
     simulate_platoon,
     v_max,
 )
-from stopgo.errors import CollisionDetected, InfeasibleEquilibrium
+from stopgo.errors import CollisionDetected, DataError
 from stopgo.stability import ControllerGains, LinearizedHdv
 
 THETA = FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.5)
@@ -86,9 +86,9 @@ def test_equilibrium_headway_inverts_curve():
 
 def test_equilibrium_headway_edge_cases():
     assert equilibrium_headway(THETA, 0.0) == THETA.b_c
-    with pytest.raises(InfeasibleEquilibrium):
+    with pytest.raises(DataError, match="is at or above the curve's supremum"):
         equilibrium_headway(THETA, v_max(THETA))
-    with pytest.raises(InfeasibleEquilibrium):
+    with pytest.raises(ValueError, match="equilibrium speed must be nonnegative"):
         equilibrium_headway(THETA, -1.0)
 
 

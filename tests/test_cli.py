@@ -13,7 +13,8 @@ import pytest
 import stopgo
 from stopgo import cli
 from stopgo.calibration import GaConfig
-from stopgo.cli import build_parser, main
+from stopgo.cli import UsageError, build_parser, main
+from stopgo.errors import CollisionDetected, DataError, UnparsableField
 from stopgo.smoothing import SmoothingConfig
 from stopgo.stability import FrequencyGrid, LinearizedHdv, platoon_critical_frequency
 from stopgo.trajectory_io import DT, MIN_CALIBRATION_SAMPLES
@@ -88,6 +89,22 @@ def test_calibrate_requires_seed(tmp_path, paired):
 def test_pipeline_requires_seed(tmp_path):
     rc = run("pipeline", "--input", "synthetic", "--out", tmp_path / "p")
     assert rc == 1
+
+
+@pytest.mark.parametrize("error, code, label", [
+    (ValueError("bad argument"), 1, "stopgo: error: bad argument"),
+    (UsageError("bad flag"), 1, "stopgo: error: bad flag"),
+    (DataError("bad data"), 2, "stopgo: data error: bad data"),
+    (UnparsableField(3, "v_vel"), 2, "stopgo: data error: unparsable value in data row 3, column v_vel"),
+    (CollisionDetected(1, 5), 3, "stopgo: collision: collision: vehicle 1 headway nonpositive at frame 5"),
+], ids=["ValueError", "UsageError", "DataError", "UnparsableField", "CollisionDetected"])
+def test_each_error_type_has_one_exit_code_and_label(tmp_path, capsys, monkeypatch,
+                                                     error, code, label):
+    def fail(args):
+        raise error
+    monkeypatch.setattr(cli, "cmd_ingest", fail)
+    assert run("ingest", "--input", "synthetic", "--out", tmp_path / "out") == code
+    assert capsys.readouterr().err == label + "\n"
 
 
 def test_missing_input_is_data_error(tmp_path):
@@ -238,6 +255,10 @@ BAD_STAGE_DOCS = [
     ("simulate", "06", "gains.json", _set("platoon", value=0), "['platoon']: must be at least 1, got 0"),
     ("simulate", "06", "calibration.json", _set("results", 0, "theta", "tau", value=-0.1),
      "['results'][0]['theta']: tau=-0.1 outside [0.0, 3.0]"),
+    # a fit whose desired-speed curve never reaches --v-star (b_c above b_f)
+    ("stability", "04", "calibration.json",
+     lambda doc: doc["results"][0]["theta"].update(b_c=6.46, b_f=1.95, m=4.04),
+     "['results'][0]: v_star=12.0 m/s is at or above the curve's supremum 0.000"),
 ]
 
 

@@ -11,14 +11,7 @@ import numpy as np
 import pytest
 
 from stopgo.carfollowing import ConstantProfile, FvdmParams, generate_synthetic_pair
-from stopgo.errors import (
-    DataError,
-    DuplicateFrame,
-    EmptyInput,
-    InfeasibleInitialState,
-    MissingColumn,
-    UnparsableField,
-)
+from stopgo.errors import DataError, DuplicateFrame, UnparsableField
 from stopgo.trajectory_io import (
     _WRITE_CHUNK_ROWS,
     CANONICAL_HEADER,
@@ -37,7 +30,6 @@ from stopgo.trajectory_io import (
     write_canonical_csv,
     write_columns,
 )
-from stopgo.errors import NonpositiveHeadway
 
 NGSIM_HEADER = "Vehicle_ID,Frame_ID,Local_Y,v_Vel,v_Acc,Lane_ID,Preceding,v_Length"
 
@@ -102,7 +94,7 @@ def test_parse_header_case_and_extra_columns():
 
 def test_parse_missing_column_raises():
     text = "Vehicle_ID,Frame_ID,Local_Y,v_Vel,Lane_ID,Preceding,v_Length\n1,1,0,0,1,0,4"
-    with pytest.raises(MissingColumn):
+    with pytest.raises(DataError, match="required column missing: v_acc"):
         _parse(text)
 
 
@@ -206,18 +198,18 @@ def test_rows_of_blanks_and_commas_read_as_the_clean_file(tmp_path):
 def test_data_section_of_only_blanks_and_commas_is_empty_input(tmp_path, body):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's "input contained no data" must not leak
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="no data rows"):
             _parse(NGSIM_HEADER + "\n" + body)
         path = tmp_path / "canon.csv"
         path.write_text(",".join(CANONICAL_HEADER) + "\r\n" + body)
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="no data rows"):
             read_canonical_csv(path)
 
 
 def test_parse_empty_inputs_raise():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="no header row"):
         _parse("")
-    with pytest.raises(EmptyInput):
+    with pytest.raises(DataError, match="no data rows"):
         _parse(NGSIM_HEADER + "\n")
 
 
@@ -558,7 +550,7 @@ def test_vehicle_pair_validates_trim_and_headway():
     VehiclePair(tr, behind, 0, 5)  # fine
     with pytest.raises(ValueError):
         VehiclePair(tr, behind, 0, 4)  # wrong window length
-    with pytest.raises(NonpositiveHeadway):
+    with pytest.raises(DataError, match=r"pair \(2, 1\) has nonpositive headway"):
         VehiclePair(behind, tr, 0, 5)  # leader behind follower
 
 
@@ -598,5 +590,5 @@ def test_synthetic_pair_shapes_and_headway():
 
 def test_synthetic_pair_infeasible_start_raises():
     theta = FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.5)
-    with pytest.raises(InfeasibleInitialState):
+    with pytest.raises(ValueError, match="initial headway 3.0 m <= b_c 3.0 m"):
         generate_synthetic_pair(theta, ConstantProfile(12.0), 10.0, theta.b_c)
