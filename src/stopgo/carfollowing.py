@@ -2,13 +2,17 @@
 
 The human-driver model accelerates toward a headway-dependent desired speed
 and reacts to the speed difference with the vehicle ahead, all evaluated a
-reaction delay in the past.  Simulation uses a constant-acceleration step per
-sample with speeds clamped at zero (no reversing).
+reaction delay in the past.  A string of vehicles advances in one time loop:
+at each sample every vehicle's law reads the delayed states of itself and the
+vehicle ahead, then each takes a constant-acceleration step with its speed
+clamped at zero (no reversing).  The first frame at which any headway is
+nonpositive raises CollisionDetected, naming the frontmost vehicle that
+reached its predecessor there and carrying every trajectory cut at that frame.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -174,7 +178,6 @@ class SinusoidProfile:
     v_mean: float
     amplitude: float
     omega: float  # rad/s
-    phase: float = 0.0
 
     def __post_init__(self):
         if self.amplitude < 0 or self.amplitude > self.v_mean:
@@ -184,7 +187,7 @@ class SinusoidProfile:
 
     def speed(self, t):
         t = np.asarray(t, dtype=float)
-        return self.v_mean + self.amplitude * np.sin(self.omega * t + self.phase)
+        return self.v_mean + self.amplitude * np.sin(self.omega * t)
 
 
 def leader_trajectory(
@@ -192,16 +195,14 @@ def leader_trajectory(
     duration: float,
     dt: float = DT,
     vehicle_id: int = 1,
-    x0: float = 0.0,
 ) -> Trajectory:
     """Sample a speed profile from frame 0 and integrate it to positions (trapezoid rule)."""
     n = int(round(duration / dt)) + 1
     t = np.arange(n) * dt
     v = np.asarray(profile.speed(t), dtype=float)
     x = np.empty(n)
-    x[0] = x0
+    x[0] = 0.0
     np.cumsum(0.5 * (v[:-1] + v[1:]) * dt, out=x[1:])
-    x[1:] += x0
     a = np.gradient(v, dt) if n > 1 else np.zeros(1)
     return Trajectory(vehicle_id, 0, x, v, a, VEHICLE_LENGTH, dt)
 
@@ -209,54 +210,80 @@ def leader_trajectory(
 # ---------------------------------------------------------------------------
 # integration
 
-def _delay_steps(tau: float, dt: float) -> int:
-    return int(math.floor(tau / dt + 0.5))
+def _law_row(slot) -> tuple:
+    """A slot's law as one coefficient row: the FVDM's alpha, beta, b_f, v0,
+    m and tanh(m (b_c - b_f)), the linear law's k1, k2, k3, lambda2 and
+    lambda3, then the reaction delay tau; zeros fill the law it does not use."""
+    if isinstance(slot, Hdv):
+        p = slot.params
+        return (p.alpha, p.beta, p.b_f, p.v0, p.m, math.tanh(p.m * (p.b_c - p.b_f)),
+                0.0, 0.0, 0.0, 0.0, 0.0, p.tau)
+    # a Cav carries its gains; a LinearizedHdv is its own gains
+    gains = slot.gains if isinstance(slot, Cav) else slot
+    return (0.0,) * 6 + (gains.k1, gains.k2, gains.k3, slot.lambda2, slot.lambda3,
+                         getattr(slot, "tau", 0.0))
 
 
-def _integrate(prev_x, prev_v, x0, v0, accel_fn, delay_steps, dt, start_frame, vehicle_index):
-    """March one follower behind a known predecessor trajectory.
+def _march(lead: Trajectory, slots, x0, v0, v_star: float) -> list[Trajectory]:
+    """Advance a string of modeled vehicles behind lead in one time loop.
 
-    Constant-acceleration kinematic step; the model acceleration is evaluated
-    on states delay_steps samples in the past (the initial state before
-    enough history exists).  Speeds clamp at zero and the position holds
-    while clamped.  Raises CollisionDetected the moment the headway is
-    nonpositive, carrying the partial arrays.
+    Column 0 of the (N, m+1) state arrays is lead, and slot i (column i + 1)
+    follows column i.  At sample k every slot reads its own and its
+    predecessor's states at max(k - d, 0), d its delay in samples.  Both laws
+    are evaluated on every slot from its coefficient row and np.where keeps
+    the slot's own (adding the other law's zero could flip the sign of a zero
+    acceleration), so each acceleration is bit for bit the one its law gives
+    alone.  Then every slot takes a constant-acceleration step; a speed that
+    would turn negative clamps at zero and the position holds.  v_star is the
+    linear laws' target speed.
+
+    Returns the trajectories lead-first, each slot's vehicle_id its column.
+    Raises CollisionDetected at the first frame where any headway is
+    nonpositive, naming the frontmost vehicle there, with every trajectory
+    cut at that frame.
     """
-    n = len(prev_x)
-    x = np.empty(n)
-    v = np.empty(n)
-    a = np.empty(n)
-    x[0], v[0] = x0, v0
-    if prev_x[0] - x0 <= 0.0:
-        raise CollisionDetected(vehicle_index, start_frame, partial=(x[:1], v[:1], a[:0]))
+    n, w, dt = lead.n, len(slots) + 1, lead.dt
+    rows = np.array([_law_row(s) for s in slots], dtype=float).reshape(-1, 12)
+    al, be, bf, vm, m, off, k1, k2, k3, lam2, lam3, tau = rows.T
+    hdv = np.array([isinstance(s, Hdv) for s in slots], dtype=bool)
+    X, V, A = (np.empty((n, w)) for _ in range(3))
+    X[:, 0], V[:, 0], A[:, 0] = lead.positions, lead.speeds, lead.accels
+    X[0, 1:], V[0, 1:] = x0, v0
+    Xf, Vf = X.ravel(), V.ravel()
+    cols = np.arange(1, w)
+    # flat index of (max(k - d, 0), col): max(k * w - d * w + col, col)
+    own0 = cols - np.floor(tau / dt + 0.5).astype(int) * w
+
+    def trajectories(k_end: int) -> list[Trajectory]:
+        xs, vs, accs = (S[:k_end, 1:].T.copy() for S in (X, V, A))
+        return [lead.slice(lead.start_frame, k_end)] + [
+            Trajectory(i, lead.start_frame, x, v, a, VEHICLE_LENGTH, dt)
+            for i, (x, v, a) in enumerate(zip(xs, vs, accs), start=1)
+        ]
+
     for k in range(n):
-        jd = k - delay_steps if k >= delay_steps else 0
-        a[k] = accel_fn(prev_x[jd] - x[jd], v[jd], prev_v[jd] - v[jd])
+        own = np.maximum(own0 + k * w, cols)
+        ahead = own - 1
+        xd, vd = Xf.take(own), Vf.take(own)
+        h = Xf.take(ahead) - xd
+        dv = Vf.take(ahead) - vd
+        # math.tanh, not np.tanh: the two differ in the last bit on some inputs
+        th = np.fromiter(map(math.tanh, (m * (h - bf)).tolist()), float, w - 1)
+        fvdm = al * (vm * (th - off) - vd) + be * dv
+        linear = k1 * (h - lam2 * vd - lam3) - k2 * (vd - v_star) + k3 * dv
+        a = np.where(hdv, fvdm, linear)
+        A[k, 1:] = a
+        hit = X[k, :-1] - X[k, 1:] <= 0.0
+        if hit.any():
+            raise CollisionDetected(int(hit.argmax()) + 1, lead.start_frame + k,
+                                    partial=trajectories(k + 1))
         if k + 1 < n:
-            vn = v[k] + a[k] * dt
-            if vn < 0.0:
-                v[k + 1] = 0.0
-                x[k + 1] = x[k]
-            else:
-                v[k + 1] = vn
-                x[k + 1] = x[k] + v[k] * dt + 0.5 * a[k] * dt * dt
-            if prev_x[k + 1] - x[k + 1] <= 0.0:
-                raise CollisionDetected(
-                    vehicle_index,
-                    start_frame + k + 1,
-                    partial=(x[: k + 2], v[: k + 2], a[: k + 1]),
-                )
-    return x, v, a
-
-
-def _fvdm_accel_fn(theta: FvdmParams):
-    al, be, bc, bf, vm, m = theta.alpha, theta.beta, theta.b_c, theta.b_f, theta.v0, theta.m
-    off = math.tanh(m * (bc - bf))
-
-    def accel(h, vown, dv):
-        return al * (vm * (math.tanh(m * (h - bf)) - off) - vown) + be * dv
-
-    return accel
+            x, v = X[k, 1:], V[k, 1:]
+            vn = v + a * dt
+            clamp = vn < 0.0
+            V[k + 1, 1:] = np.where(clamp, 0.0, vn)
+            X[k + 1, 1:] = np.where(clamp, x, x + v * dt + 0.5 * a * dt * dt)
+    return trajectories(n)
 
 
 def simulate_follower(
@@ -271,18 +298,8 @@ def simulate_follower(
     Returns a trajectory aligned with the leader's frames.  Raises
     CollisionDetected if the follower ever reaches the leader's position.
     """
-    x, v, a = _integrate(
-        leader.positions,
-        leader.speeds,
-        init_position,
-        init_speed,
-        _fvdm_accel_fn(theta),
-        _delay_steps(theta.tau, leader.dt),
-        leader.dt,
-        leader.start_frame,
-        vehicle_index=1,
-    )
-    return Trajectory(vehicle_id, leader.start_frame, x, v, a, VEHICLE_LENGTH, leader.dt)
+    follower = _march(leader, (Hdv(theta),), init_position, init_speed, 0.0)[1]
+    return replace(follower, vehicle_id=vehicle_id)
 
 
 def generate_synthetic_pair(theta: FvdmParams, profile, duration: float,
@@ -417,59 +434,16 @@ def _vehicle_eq_headway(vehicle, v_star: float) -> float:
     return dx
 
 
-def _vehicle_accel_fn(vehicle, v_star: float):
-    if isinstance(vehicle, Hdv):
-        return _fvdm_accel_fn(vehicle.params)
-    # a Cav carries its gains; a LinearizedHdv is its own gains
-    gains = vehicle.gains if isinstance(vehicle, Cav) else vehicle
-    k1, k2, k3 = gains.k1, gains.k2, gains.k3
-    lam2, lam3 = vehicle.lambda2, vehicle.lambda3
-
-    def accel(h, vown, dv):
-        return k1 * (h - lam2 * vown - lam3) - k2 * (vown - v_star) + k3 * dv
-
-    return accel
-
-
-def _vehicle_delay(vehicle, dt: float) -> int:
-    tau = vehicle.params.tau if isinstance(vehicle, Hdv) else getattr(vehicle, "tau", 0.0)
-    return _delay_steps(tau, dt)
-
-
 def simulate_platoon(spec: PlatoonSpec, duration: float, dt: float = DT) -> list[Trajectory]:
-    """Simulate the whole string, head to tail.
+    """Simulate the whole string behind its profiled leader.
 
-    Coupling only runs backwards (each vehicle reacts to the one ahead), so
-    vehicles integrate one at a time against the predecessor's finished
-    trajectory.  Returns trajectories leader-first, vehicle_id = platoon
-    index.  On a collision the raised error carries every trajectory
-    truncated at the collision frame.
+    Every vehicle starts at v_star, its own equilibrium headway behind the
+    one ahead.  Returns trajectories leader-first, vehicle_id = platoon
+    index.  On a collision the raised error carries every trajectory cut at
+    the first frame where any headway is nonpositive.
     """
     leader = leader_trajectory(spec.lead_profile, duration, dt=dt, vehicle_id=0)
-    done = [leader]
-    for idx, vehicle in enumerate(spec.vehicles, start=1):
-        prev = done[-1]
-        x0 = prev.positions[0] - _vehicle_eq_headway(vehicle, spec.v_star)
-        try:
-            x, v, a = _integrate(
-                prev.positions,
-                prev.speeds,
-                x0,
-                spec.v_star,
-                _vehicle_accel_fn(vehicle, spec.v_star),
-                _vehicle_delay(vehicle, dt),
-                dt,
-                leader.start_frame,
-                vehicle_index=idx,
-            )
-        except CollisionDetected as err:
-            xs, vs, accs = err.partial
-            k_end = len(xs)
-            partial = [t.slice(t.start_frame, k_end) for t in done]
-            partial.append(
-                Trajectory(idx, leader.start_frame, xs, vs,
-                           np.pad(accs, (0, k_end - len(accs))), VEHICLE_LENGTH, dt)
-            )
-            raise CollisionDetected(err.vehicle_index, err.frame, partial=partial) from None
-        done.append(Trajectory(idx, leader.start_frame, x, v, a, VEHICLE_LENGTH, dt))
-    return done
+    gaps = [_vehicle_eq_headway(vehicle, spec.v_star) for vehicle in spec.vehicles]
+    # each start is the one ahead minus its gap, subtracted in chain order
+    x0 = np.subtract.accumulate([leader.positions[0], *gaps])[1:]
+    return _march(leader, spec.vehicles, x0, spec.v_star, spec.v_star)

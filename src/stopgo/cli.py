@@ -448,17 +448,23 @@ def _grid_flags(grid: FrequencyGrid) -> dict:
     return {"omega_min": grid.omega_min, "omega_max": grid.omega_max, "omega_points": grid.points}
 
 
+def _driver_headway(src: Path, i: int, theta: FvdmParams, v_star: float) -> float:
+    """The equilibrium headway of calibration.json's driver i; a fit with none
+    at v_star is a DataError naming the driver."""
+    try:
+        return equilibrium_headway(theta, v_star)
+    except DataError as err:
+        raise DataError(f"{src}['results'][{i}]: {err}") from None
+
+
 def cmd_stability(args) -> StageResult:
     grid = _freq_grid(args)
     src = _resolve_input(args.input, "calibration.json")
     vehicles = []
     for i, e in enumerate(_read_stage_json(src, _CALIBRATION_DOC)["results"]):
         theta = FvdmParams(**e["theta"])
-        try:
-            dx_star = equilibrium_headway(theta, args.v_star)
-            lin = linearize_hdv(theta, EquilibriumSpec(args.v_star, 0.0, dx_star))
-        except DataError as err:  # this driver's fit has no equilibrium at --v-star
-            raise DataError(f"{src}['results'][{i}]: {err}") from None
+        dx_star = _driver_headway(src, i, theta, args.v_star)
+        lin = linearize_hdv(theta, EquilibriumSpec(args.v_star, 0.0, dx_star))
         w0 = numeric_critical_frequency(lin, grid)
         margin = delay_margin(lin)
         vehicles.append({
@@ -591,9 +597,15 @@ def cmd_simulate(args) -> StageResult:
 
     thetas = [FvdmParams(**e["theta"]) for e in calib_doc["results"]]
     g = ControllerGains(**gains_doc["best"])
-    v_star = gains_doc["v_star"]
+    eq = EquilibriumSpec(gains_doc["v_star"], gains_doc["lambda2"], gains_doc["lambda3"])
+    if eq.desired_headway <= 0:
+        raise DataError(f"{gains_path}['lambda3']: desired headway {eq.desired_headway} m "
+                        "must be positive")
+    v_star = eq.v_star
+    for i, theta in enumerate(thetas):
+        _driver_headway(calib_path, i, theta, v_star)
     n_follow = args.platoon if args.platoon is not None else gains_doc["platoon"]
-    vehicles = (Cav(g, gains_doc["lambda2"], gains_doc["lambda3"]),) + tuple(
+    vehicles = (Cav(g, eq.lambda2, eq.lambda3),) + tuple(
         Hdv(thetas[i % len(thetas)]) for i in range(n_follow)
     )
 

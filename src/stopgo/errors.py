@@ -29,13 +29,13 @@ class DuplicateFrame(DataError):
 class CollisionDetected(Exception):
     """A simulated headway became nonpositive (CLI exit code 3).
 
-    Carries the offending vehicle index and frame plus whatever part of the
-    simulation completed, so callers can dump partial trajectories.
+    Carries the offending vehicle index and frame plus every trajectory cut
+    at that frame, so callers can dump the partial run.
     """
 
     def __init__(self, vehicle_index: int, frame: int, partial=None):
         super().__init__(
-            f"collision: vehicle {vehicle_index} headway nonpositive at frame {frame}"
+            f"vehicle {vehicle_index} headway nonpositive at frame {frame}"
         )
         self.vehicle_index = vehicle_index
         self.frame = frame

@@ -388,8 +388,11 @@ def headway_slack(eq: EquilibriumSpec, headway_min: float, headway_max: float,
                   disturbance_beta: float) -> float:
     """The safety margin eta: distance from the desired headway to the nearer
     edge of the safe band (headway_min, headway_max), over the disturbance
-    amplitude.  The desired headway must lie strictly inside the band."""
+    amplitude.  The desired headway must be positive and lie strictly inside
+    the band."""
     dx_star = eq.desired_headway
+    if dx_star <= 0:
+        raise ValueError(f"desired headway {dx_star} m must be positive")
     if not (headway_min < dx_star < headway_max):
         raise ValueError("desired headway must lie inside the safe band")
     if disturbance_beta <= 0:

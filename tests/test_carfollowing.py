@@ -17,6 +17,7 @@ from stopgo.carfollowing import (
     equilibrium_headway,
     leader_trajectory,
     optimal_velocity,
+    VEHICLE_LENGTH,
     ov_slope,
     simulate_follower,
     simulate_followers_batch,
@@ -25,6 +26,7 @@ from stopgo.carfollowing import (
 )
 from stopgo.errors import CollisionDetected, DataError
 from stopgo.stability import ControllerGains, LinearizedHdv
+from stopgo.trajectory_io import DT
 
 THETA = FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.5)
 
@@ -148,7 +150,7 @@ def test_speed_clamps_at_zero_and_position_holds():
     # stopped leader ahead: the follower brakes to rest, never reverses, and
     # its position freezes across every clamped step (it may creep forward
     # again later once the standing gap exceeds the stopping headway)
-    leader = leader_trajectory(ConstantProfile(0.0), 20.0, x0=0.0)
+    leader = leader_trajectory(ConstantProfile(0.0), 20.0)
     fol = simulate_follower(THETA, leader, -5.0, 10.0)
     assert np.min(fol.speeds) == 0.0
     assert np.all(fol.speeds >= 0.0)
@@ -161,14 +163,14 @@ def test_speed_clamps_at_zero_and_position_holds():
 
 
 def test_collision_raises_with_partial_arrays():
-    leader = leader_trajectory(ConstantProfile(0.0), 20.0, x0=0.0)
+    leader = leader_trajectory(ConstantProfile(0.0), 20.0)
     with pytest.raises(CollisionDetected) as exc:
         simulate_follower(THETA, leader, -2.0, 12.0)
     err = exc.value
-    xs, vs, accs = err.partial
+    lead_cut, follower_cut = err.partial
     assert err.vehicle_index == 1  # the follower sits one slot behind
-    assert len(xs) == err.frame + 1
-    assert xs[-1] >= leader.positions[err.frame]
+    assert lead_cut.n == follower_cut.n == err.frame + 1
+    assert follower_cut.positions[-1] >= leader.positions[err.frame]
 
 
 def test_batch_matches_scalar_followers():
@@ -232,6 +234,106 @@ def test_platoon_collision_truncates_every_vehicle():
     lengths = {tr.n for tr in err.partial}
     assert len(lengths) == 1
     assert err.partial[0].end_frame == err.frame
+
+
+def _reference_law(vehicle, v_star):
+    """The scalar acceleration law of one platoon slot, as the per-vehicle march evaluated it."""
+    if isinstance(vehicle, Hdv):
+        th = vehicle.params
+        off = math.tanh(th.m * (th.b_c - th.b_f))
+        return lambda h, vown, dv: (
+            th.alpha * (th.v0 * (math.tanh(th.m * (h - th.b_f)) - off) - vown) + th.beta * dv)
+    g = vehicle.gains if isinstance(vehicle, Cav) else vehicle
+    lam2, lam3 = vehicle.lambda2, vehicle.lambda3
+    return lambda h, vown, dv: g.k1 * (h - lam2 * vown - lam3) - g.k2 * (vown - v_star) + g.k3 * dv
+
+
+def _reference_march(spec, duration, dt=DT):
+    """(positions, speeds, accelerations) per vehicle, leader first, from the
+    per-vehicle march: each vehicle runs to the end behind its predecessor's
+    finished trajectory, one scalar step at a time, through any collision."""
+    leader = leader_trajectory(spec.lead_profile, duration, dt=dt, vehicle_id=0)
+    out = [(leader.positions, leader.speeds, leader.accels)]
+    for vehicle in spec.vehicles:
+        prev_x, prev_v, _ = out[-1]
+        accel = _reference_law(vehicle, spec.v_star)
+        tau = vehicle.params.tau if isinstance(vehicle, Hdv) else getattr(vehicle, "tau", 0.0)
+        delay = int(math.floor(tau / dt + 0.5))
+        gap = (equilibrium_headway(vehicle.params, spec.v_star) if isinstance(vehicle, Hdv)
+               else vehicle.lambda2 * spec.v_star + vehicle.lambda3)
+        n = len(prev_x)
+        x, v, a = np.empty(n), np.empty(n), np.empty(n)
+        x[0], v[0] = prev_x[0] - gap, spec.v_star
+        for k in range(n):
+            jd = max(k - delay, 0)
+            a[k] = accel(prev_x[jd] - x[jd], v[jd], prev_v[jd] - v[jd])
+            if k + 1 < n:
+                vn = v[k] + a[k] * dt
+                if vn < 0.0:
+                    v[k + 1], x[k + 1] = 0.0, x[k]
+                else:
+                    v[k + 1], x[k + 1] = vn, x[k] + v[k] * dt + 0.5 * a[k] * dt * dt
+        out.append((x, v, a))
+    return out
+
+
+# an automated vehicle, human drivers with reaction delays of 0, 0.5 and
+# 1.3 s and a delayed linear driver.  The 1.3 s driver's delay margin is
+# 0.26 s, so it collides within 30 s and the march is compared up to the
+# collision frame.
+STABLE_STRING = (
+    Cav(ControllerGains(0.5, 1.0, 0.5), 0.0, 20.0),
+    Hdv(FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.0)),
+    Hdv(FvdmParams(2.0, 1.5, 3.0, 20.0, 18.0, 0.08, 0.5)),
+    LinearizedHdv(1.0, 1.5, 0.8, 0.0, tau=0.7, lambda3=20.0),
+)
+MIXED_STRING = STABLE_STRING + (Hdv(FvdmParams(3.0, 2.5, 3.0, 25.0, 20.0, 0.08, 1.3)),)
+
+
+@pytest.mark.parametrize("vehicles", [STABLE_STRING, MIXED_STRING], ids=["stable", "colliding"])
+@pytest.mark.parametrize("profile", [
+    SinusoidProfile(12.0, 2.0, 0.4),
+    PiecewiseProfile(((0.0, 12.0), (20.0, 8.0), (60.0, 12.0))),
+], ids=["sinusoid", "step"])
+def test_string_loop_matches_per_vehicle_march(vehicles, profile):
+    spec = PlatoonSpec(vehicles, profile, 12.0)
+    ref = _reference_march(spec, 120.0)
+    gaps = np.array([ahead[0] - behind[0] for ahead, behind in zip(ref, ref[1:])])
+    hits = np.argwhere((gaps <= 0.0).T)  # (frame, vehicle - 1), frame-major
+    try:
+        trajs = simulate_platoon(spec, 120.0)
+        assert len(hits) == 0
+        end = gaps.shape[1]
+    except CollisionDetected as err:
+        trajs = err.partial
+        assert len(hits) and (err.frame, err.vehicle_index) == (hits[0][0], hits[0][1] + 1)
+        end = err.frame + 1
+    assert (end < gaps.shape[1]) == (vehicles is MIXED_STRING)
+    assert [tr.vehicle_id for tr in trajs] == list(range(len(vehicles) + 1))
+    for tr, (x, v, a) in zip(trajs, ref, strict=True):
+        np.testing.assert_array_equal(tr.positions, x[:end])
+        np.testing.assert_array_equal(tr.speeds, v[:end])
+        np.testing.assert_array_equal(tr.accels, a[:end])
+        assert tr.vehicle_length == VEHICLE_LENGTH
+
+
+def test_collision_names_the_first_frame_of_any_vehicle():
+    # the delayed linear driver hits the automated vehicle long before the
+    # automated vehicle reaches the stopping leader
+    vehicles = (
+        Cav(ControllerGains(0.3, 0.5, 0.5), 0.0, 20.0),
+        LinearizedHdv(1.0, 0.5, 0.0, 0.0, tau=1.5, lambda3=6.0),
+    )
+    spec = PlatoonSpec(vehicles, PiecewiseProfile(((0, 12), (5, 9), (60, 0))), 12.0)
+    with pytest.raises(CollisionDetected) as exc:
+        simulate_platoon(spec, 120.0)
+    err = exc.value
+    assert (err.vehicle_index, err.frame) == (2, 147)
+    assert [tr.vehicle_id for tr in err.partial] == [0, 1, 2]
+    assert all(tr.end_frame == 147 for tr in err.partial)
+    cut = err.partial
+    assert cut[1].positions[-1] - cut[2].positions[-1] <= 0.0
+    assert np.all(cut[0].positions - cut[1].positions > 0.0)
 
 
 def test_unstable_linear_follower_amplifies_matching_transfer_gain():

@@ -96,7 +96,7 @@ def test_pipeline_requires_seed(tmp_path):
     (UsageError("bad flag"), 1, "stopgo: error: bad flag"),
     (DataError("bad data"), 2, "stopgo: data error: bad data"),
     (UnparsableField(3, "v_vel"), 2, "stopgo: data error: unparsable value in data row 3, column v_vel"),
-    (CollisionDetected(1, 5), 3, "stopgo: collision: collision: vehicle 1 headway nonpositive at frame 5"),
+    (CollisionDetected(1, 5), 3, "stopgo: collision: vehicle 1 headway nonpositive at frame 5"),
 ], ids=["ValueError", "UsageError", "DataError", "UnparsableField", "CollisionDetected"])
 def test_each_error_type_has_one_exit_code_and_label(tmp_path, capsys, monkeypatch,
                                                      error, code, label):
@@ -121,6 +121,12 @@ def test_ingest_synthetic_artifacts(ingested):
     assert man["rng_seed"] == 3
     assert len(man["config_digest"]) == 64
     assert man["started"] <= man["finished"]
+
+
+def test_synthetic_trajectories_record_each_vehicle_length(ingested):
+    rows = [line.split(",") for line in (ingested / "trajectories.csv").read_text().split()]
+    col = rows[0].index("length_m")
+    assert {(r[0], r[col]) for r in rows[1:]} == {("1", "4.5"), ("2", "4.5")}
 
 
 def test_ingest_determinism_and_seed_sensitivity(tmp_path):
@@ -259,6 +265,12 @@ BAD_STAGE_DOCS = [
     ("stability", "04", "calibration.json",
      lambda doc: doc["results"][0]["theta"].update(b_c=6.46, b_f=1.95, m=4.04),
      "['results'][0]: v_star=12.0 m/s is at or above the curve's supremum 0.000"),
+    ("simulate", "06", "calibration.json",
+     lambda doc: doc["results"][0]["theta"].update(b_c=6.46, b_f=1.95, m=4.04),
+     "['results'][0]: v_star=12.0 m/s is at or above the curve's supremum 0.000"),
+    # a controller whose desired headway lambda2 * v_star + lambda3 is nonpositive
+    ("simulate", "06", "gains.json", _set("lambda3", value=-50.0),
+     "['lambda3']: desired headway -50.0 m must be positive"),
 ]
 
 
@@ -343,6 +355,16 @@ def test_simulate_happy_path(chain, tmp_path):
     assert all(g > 0 for g in sdoc["min_gaps"])
     csv_head = (sim / "platoon.csv").read_text().split("\n", 1)[0]
     assert csv_head == "vehicle_id,frame_id,t,x_m,v_mps,a_mps2,preceding_id"
+
+
+def test_simulate_times_follow_its_step(chain, tmp_path):
+    sim = tmp_path / "07"
+    assert run("simulate", "--input", chain / "06", "--dt", 0.05, "--duration", 10,
+               "--out", sim) == 0
+    rows = [line.split(",") for line in (sim / "platoon.csv").read_text().split()]
+    assert rows[0][:3] == ["vehicle_id", "frame_id", "t"]
+    assert {int(r[1]) for r in rows[1:]} == set(range(201))
+    assert all(float(r[2]) == int(r[1]) * 0.05 for r in rows[1:])
 
 
 def test_simulate_collision_exit_code_and_partial_dump(chain, tmp_path):
@@ -463,12 +485,21 @@ def test_bad_flag_fails_before_any_stage_runs(tmp_path, capsys, stage, flag, val
 
 
 # rules over several flags: the default desired headway (the band's middle,
-# 35 m) lies outside [40, 30], and a 20 m/s swing exceeds --v-star 12
-@pytest.mark.parametrize("flag, value", [("--headway-min", "40"), ("--amplitude", "20")])
-def test_pipeline_checks_multi_flag_rules_before_any_stage_runs(tmp_path, capsys, flag, value):
+# 35 m) lies outside [40, 30], a 20 m/s swing exceeds --v-star 12, and the
+# band [-10, 5] puts the desired headway at -2.5 m
+MULTI_FLAG_RULES = [
+    (("--headway-min", "40"), "desired headway must lie inside the safe band"),
+    (("--amplitude", "20"), "amplitude must stay within [0, v_mean]"),
+    (("--headway-min", "-10", "--headway-max", "5"), "desired headway -2.5 m must be positive"),
+]
+
+
+@pytest.mark.parametrize("flags, problem", MULTI_FLAG_RULES,
+                         ids=["-".join(flags) for flags, _ in MULTI_FLAG_RULES])
+def test_pipeline_checks_multi_flag_rules_before_any_stage_runs(tmp_path, capsys, flags, problem):
     out = tmp_path / "out"
-    assert run("pipeline", "--input", "synthetic", "--seed", 1, flag, value, "--out", out) == 1
-    assert "stopgo: error:" in capsys.readouterr().err
+    assert run("pipeline", "--input", "synthetic", "--seed", 1, *flags, "--out", out) == 1
+    assert f"stopgo: error: {problem}" in capsys.readouterr().err
     assert not out.exists()
 
 
