@@ -327,11 +327,10 @@ def test_collision_names_the_first_frame_of_any_vehicle():
     spec = PlatoonSpec(vehicles, PiecewiseProfile(((0, 12), (5, 9), (60, 0))), 12.0)
     with pytest.raises(CollisionDetected) as exc:
         simulate_platoon(spec, 120.0)
-    err = exc.value
+    err, cut = exc.value, exc.value.partial
     assert (err.vehicle_index, err.frame) == (2, 147)
-    assert [tr.vehicle_id for tr in err.partial] == [0, 1, 2]
-    assert all(tr.end_frame == 147 for tr in err.partial)
-    cut = err.partial
+    assert [tr.vehicle_id for tr in cut] == [0, 1, 2]
+    assert all(tr.end_frame == 147 for tr in cut)
     assert cut[1].positions[-1] - cut[2].positions[-1] <= 0.0
     assert np.all(cut[0].positions - cut[1].positions > 0.0)
 
