@@ -12,20 +12,21 @@ Every stage directory, and the top of a ``pipeline`` tree, holds a
 ``started`` and ``finished`` (UTC, ISO 8601).  ``config_digest`` is the
 sha256 of the subcommand, its flags and its inputs.  A stage's flags are
 all its declared flags as parsed, overridden by the values the stage
-resolved itself (such as a frequency grid read from ``stability.json``);
-``pipeline``'s are every flag it parsed.  The inputs are each input file's
-sha256 by file name, or ``{"input": <--input>}`` for a run that reads no
-file (the built-in ``synthetic`` scenario).
+resolved itself (such as the frequency grid, which only ``stability`` takes
+and which the later stages read from ``stability.json``); ``pipeline``'s are
+every flag it parsed.  The inputs are each input file's sha256 by file name,
+or ``{"input": <--input>}`` for a run that reads no file (``synthetic``).
 
-Each flag is checked while parsing, by the check declared with it, so a bad
-value exits 1 before any stage runs and before any ``--out`` exists.
-``pipeline`` checks every stage's flags, and then the rules over several
-flags (a ``--seed``, a frequency grid, a desired headway inside the safe
-band, a sinusoid's ``--amplitude`` within ``--v-star``), before its first
-stage runs.  A handler creates ``--out`` only after it has read its inputs.
-An earlier stage's JSON document is read by one checked reader, so a file
-that does not parse, lacks a key the stage reads or holds a value out of its
-type's range is a data error (exit 2) naming the file and the key.
+Each flag is checked while parsing, by the check declared with it (an
+``--out`` must be a directory), so a bad value exits 1 before any stage runs
+and before any ``--out`` exists.  ``pipeline`` checks every stage's flags,
+and then the rules over several flags (a ``--seed``, a frequency grid, a
+desired headway inside the safe band, a sinusoid's ``--amplitude`` within
+``--v-star``), before its first stage runs.  A handler creates ``--out`` only
+after it has read its inputs.  An earlier stage's JSON document is read by
+one reader into the types the stage uses, so a file that does not parse,
+lacks a key the stage reads or holds a value out of its type's range (or not
+finite) is a data error (exit 2) naming the file and the key.
 """
 from __future__ import annotations
 
@@ -184,6 +185,8 @@ def _resolve_input(raw: str, *candidates: str) -> Path:
             c = p / name
             if c.exists():
                 return c
+        if not candidates:
+            raise DataError(f"input {p} is a directory, not a file")
         raise DataError(f"none of {', '.join(candidates)} found in {p}")
     if p.exists():
         return p
@@ -211,68 +214,69 @@ def _number(kind=float, low=-math.inf, positive=False):
 _REAL, _POSITIVE, _NONNEGATIVE, _COUNT = _number(), _number(positive=True), _number(low=0.0), _number(int, 1)
 
 
+_LINEARIZED_FIELDS = ("k1", "k2", "k3", "lambda2", "tau")  # a LinearizedHdv in stability.json
+
 # What a stage reads of an earlier stage's JSON document.  A shape is int (a
-# JSON integer), float (a JSON number), {key: shape} (an object holding each
-# key), [shape] (a nonempty list of entries of that shape) or (shape, check)
-# (a value of that shape that check accepts without a ValueError).
-def _built(cls, fields: dict, **more) -> tuple:
-    """The shape of an object holding fields and more, whose fields build a cls."""
-    return {**fields, **more}, lambda obj: cls(**{key: obj[key] for key in fields})
-
-
+# JSON integer), float (a finite JSON number), {key: shape} (an object
+# holding each key), [shape] (a nonempty list of entries of that shape) or
+# (shape, make) (a value of that shape read as make(value), or as
+# make(**value) for an object, which make must build without a ValueError).
 _PAIRS_DOC = {
     "pairs": [dict.fromkeys(("leader_id", "follower_id", "overlap_start", "overlap_len"), int)],
 }
 _CALIBRATION_DOC = {
     "results": [{"leader_id": int, "follower_id": int,
-                 "theta": _built(FvdmParams, dict.fromkeys(PARAM_ORDER, float))}],
+                 "theta": (dict.fromkeys(PARAM_ORDER, float), FvdmParams)}],
 }
 _STABILITY_DOC = {
     "v_star": float,
-    "omega_grid": _built(FrequencyGrid, {"omega_min": float, "omega_max": float, "points": int}),
-    "vehicles": [_built(LinearizedHdv, dict.fromkeys(("k1", "k2", "k3", "lambda2", "tau"), float))],
+    "omega_grid": ({"omega_min": float, "omega_max": float, "points": int}, FrequencyGrid),
+    "vehicles": [(dict.fromkeys(_LINEARIZED_FIELDS, float), LinearizedHdv)],
 }
-_GAINS_DOC = _built(EquilibriumSpec, {"v_star": float, "lambda2": float, "lambda3": float},
-                    platoon=(int, _COUNT),
-                    best=_built(ControllerGains, dict.fromkeys(("k1", "k2", "k3"), float)))
+_GAINS_DOC = (
+    {"v_star": float, "lambda2": float, "lambda3": float, "platoon": (int, _COUNT),
+     "best": (dict.fromkeys(("k1", "k2", "k3"), float), ControllerGains)},
+    lambda v_star, lambda2, lambda3, platoon, best: (
+        EquilibriumSpec(v_star, lambda2, lambda3), best, platoon),
+)
 
 
-def _check_shape(value, shape, where: str) -> None:
-    """Raise DataError unless value has shape; where names value in the message."""
+def _read_shape(value, shape, where: str):
+    """The value read as shape; where names value in a DataError's message."""
     if isinstance(shape, dict):
         if not isinstance(value, dict):
             raise DataError(f"{where} is not a JSON object")
-        for key, inner in shape.items():
+        for key in shape:
             if key not in value:
                 raise DataError(f"{where} has no key {key!r}")
-            _check_shape(value[key], inner, f"{where}[{key!r}]")
-    elif isinstance(shape, list):
+        return {key: _read_shape(value[key], inner, f"{where}[{key!r}]") for key, inner in shape.items()}
+    if isinstance(shape, list):
         if not (isinstance(value, list) and value):
             raise DataError(f"{where} is not a nonempty list")
-        for i, entry in enumerate(value):
-            _check_shape(entry, shape[0], f"{where}[{i}]")
-    elif isinstance(shape, tuple):
-        _check_shape(value, shape[0], where)
+        return [_read_shape(entry, shape[0], f"{where}[{i}]") for i, entry in enumerate(value)]
+    if isinstance(shape, tuple):
+        inner = _read_shape(value, shape[0], where)
         try:
-            shape[1](value)
+            return shape[1](**inner) if isinstance(inner, dict) else shape[1](inner)
         except ValueError as err:
             raise DataError(f"{where}: {err}") from None
-    else:
-        kinds, noun = (int, "an integer") if shape is int else ((int, float), "a number")
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise DataError(f"{where} is not {noun}")
+    kinds, noun = (int, "an integer") if shape is int else ((int, float), "a number")
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise DataError(f"{where} is not {noun}")
+    if shape is float and not -sys.float_info.max <= value <= sys.float_info.max:  # NaN fails too
+        raise DataError(f"{where} is not a finite number")
+    return value
 
 
-def _read_stage_json(path: Path, shape: dict) -> dict:
-    """The JSON document in path, checked to have shape: a file that does not
-    parse, lacks a key the stage reads or holds a value its type rejects is a
+def _read_stage_json(path: Path, shape):
+    """The JSON document in path, read as shape: a file that does not parse,
+    lacks a key the stage reads or holds a value its type rejects is a
     DataError naming the file and the key."""
     try:
         doc = json.loads(path.read_text())
     except ValueError as err:  # not JSON (a truncated file), or not text
         raise DataError(f"{path} is not a JSON document: {err}") from None
-    _check_shape(doc, shape, str(path))
-    return doc
+    return _read_shape(doc, shape, str(path))
 
 
 # ---------------------------------------------------------------- ingest
@@ -435,17 +439,13 @@ def cmd_calibrate(args) -> StageResult:
 # ---------------------------------------------------------------- stability
 
 
-def _freq_grid(args, recorded: dict | None = None) -> FrequencyGrid:
-    """The --omega-* flags given, over the grid a stage recorded, over FrequencyGrid's defaults."""
+def _freq_grid(args) -> FrequencyGrid:
+    """The --omega-* flags given, over FrequencyGrid's defaults."""
     given = {"omega_min": args.omega_min, "omega_max": args.omega_max, "points": args.omega_points}
     try:
-        return FrequencyGrid(**((recorded or {}) | {k: v for k, v in given.items() if v is not None}))
+        return FrequencyGrid(**{k: v for k, v in given.items() if v is not None})
     except ValueError as err:
         raise UsageError(f"--omega-min/--omega-max: {err}") from None
-
-
-def _grid_flags(grid: FrequencyGrid) -> dict:
-    return {"omega_min": grid.omega_min, "omega_max": grid.omega_max, "omega_points": grid.points}
 
 
 def _driver_headway(src: Path, i: int, theta: FvdmParams, v_star: float) -> float:
@@ -462,7 +462,7 @@ def cmd_stability(args) -> StageResult:
     src = _resolve_input(args.input, "calibration.json")
     vehicles = []
     for i, e in enumerate(_read_stage_json(src, _CALIBRATION_DOC)["results"]):
-        theta = FvdmParams(**e["theta"])
+        theta = e["theta"]
         dx_star = _driver_headway(src, i, theta, args.v_star)
         lin = linearize_hdv(theta, EquilibriumSpec(args.v_star, 0.0, dx_star))
         w0 = numeric_critical_frequency(lin, grid)
@@ -470,7 +470,7 @@ def cmd_stability(args) -> StageResult:
         vehicles.append({
             "leader_id": e["leader_id"],
             "follower_id": e["follower_id"],
-            **{k: getattr(lin, k) for k in ("k1", "k2", "k3", "lambda2", "tau")},
+            **{k: getattr(lin, k) for k in _LINEARIZED_FIELDS},
             "equilibrium_headway": dx_star,
             "omega0": w0,
             "string_stable": w0 == 0.0,
@@ -486,7 +486,8 @@ def cmd_stability(args) -> StageResult:
         "vehicles": vehicles,
     })
     shutil.copyfile(src, out / "calibration.json")
-    return EXIT_OK, [src], _grid_flags(grid)
+    return EXIT_OK, [src], {"omega_min": grid.omega_min, "omega_max": grid.omega_max,
+                            "omega_points": grid.points}
 
 
 # ---------------------------------------------------------------- optimize-gains
@@ -510,13 +511,9 @@ def _gain_grid(raw: str | None) -> GainGridSpec:
     return GainGridSpec(**axes)
 
 
-def _platoon_of(stab_doc: dict, n: int) -> list[LinearizedHdv]:
-    """n followers cycling through the linearized vehicles of stability.json."""
-    lins = [
-        LinearizedHdv(v["k1"], v["k2"], v["k3"], v["lambda2"], v["tau"])
-        for v in stab_doc["vehicles"]
-    ]
-    return [lins[i % len(lins)] for i in range(n)]
+def _cycled(items: list, n: int) -> list:
+    """n entries cycling through items: the followers of a platoon drawn from a fleet."""
+    return [items[i % len(items)] for i in range(n)]
 
 
 def _equilibrium(args, v_star: float) -> EquilibriumSpec:
@@ -529,13 +526,12 @@ def _equilibrium(args, v_star: float) -> EquilibriumSpec:
 def cmd_optimize_gains(args) -> StageResult:
     src = _resolve_input(args.input, "stability.json")
     doc = _read_stage_json(src, _STABILITY_DOC)
-    platoon = _platoon_of(doc, args.platoon)
+    platoon = _cycled(doc["vehicles"], args.platoon)
     eq = _equilibrium(args, doc["v_star"])
-    fgrid = _freq_grid(args, doc["omega_grid"])
 
     res = optimize_gains(platoon, eq, headway_min=args.headway_min, headway_max=args.headway_max,
                          disturbance_beta=args.beta, grid=_gain_grid(args.gain_grid),
-                         freq_grid=fgrid)
+                         freq_grid=doc["omega_grid"])
     out = _outdir(args)
     heatmaps = write_heatmaps(res, out / "heatmaps")
     _write_json(out / "gains.json", {
@@ -555,7 +551,7 @@ def cmd_optimize_gains(args) -> StageResult:
     calib_src = src.parent / "calibration.json"
     if calib_src.exists():
         shutil.copyfile(calib_src, out / "calibration.json")
-    return EXIT_OK, [src], _grid_flags(fgrid)
+    return EXIT_OK, [src], {}
 
 
 # ---------------------------------------------------------------- simulate
@@ -576,38 +572,28 @@ def _write_platoon_csv(trajs, path: Path) -> None:
 
 def _amplitudes(trajs, v_star: float) -> list[float]:
     # steady-state speed swing, measured over the last half of the run
-    out = []
-    for tr in trajs:
-        tail = tr.speeds[tr.n // 2 :]
-        out.append(float(np.max(np.abs(tail - v_star))) if tail.size else 0.0)
-    return out
+    return [float(np.max(np.abs(tr.speeds[tr.n // 2 :] - v_star), initial=0.0)) for tr in trajs]
 
 
 def cmd_simulate(args) -> StageResult:
     gains_path = _resolve_input(args.input, "gains.json")
     stage_dir = gains_path.parent
-    gains_doc = _read_stage_json(gains_path, _GAINS_DOC)
+    eq, g, platoon = _read_stage_json(gains_path, _GAINS_DOC)
     stab_path = stage_dir / "stability.json"
     calib_path = stage_dir / "calibration.json"
     for p in (stab_path, calib_path):
         if not p.exists():
             raise DataError(f"{p.name} must sit next to gains.json")
     stab_doc = _read_stage_json(stab_path, _STABILITY_DOC)
-    calib_doc = _read_stage_json(calib_path, _CALIBRATION_DOC)
-
-    thetas = [FvdmParams(**e["theta"]) for e in calib_doc["results"]]
-    g = ControllerGains(**gains_doc["best"])
-    eq = EquilibriumSpec(gains_doc["v_star"], gains_doc["lambda2"], gains_doc["lambda3"])
+    thetas = [e["theta"] for e in _read_stage_json(calib_path, _CALIBRATION_DOC)["results"]]
     if eq.desired_headway <= 0:
         raise DataError(f"{gains_path}['lambda3']: desired headway {eq.desired_headway} m "
                         "must be positive")
     v_star = eq.v_star
     for i, theta in enumerate(thetas):
         _driver_headway(calib_path, i, theta, v_star)
-    n_follow = args.platoon if args.platoon is not None else gains_doc["platoon"]
-    vehicles = (Cav(g, eq.lambda2, eq.lambda3),) + tuple(
-        Hdv(thetas[i % len(thetas)]) for i in range(n_follow)
-    )
+    n_follow = args.platoon if args.platoon is not None else platoon
+    vehicles = (Cav(g, eq.lambda2, eq.lambda3), *map(Hdv, _cycled(thetas, n_follow)))
 
     if args.profile == "constant":
         profile = ConstantProfile(v_star)
@@ -615,8 +601,8 @@ def cmd_simulate(args) -> StageResult:
     else:
         omega = args.omega
         if omega is None:
-            lins = _platoon_of(stab_doc, n_follow)
-            grid = _freq_grid(args, stab_doc["omega_grid"])
+            lins = _cycled(stab_doc["vehicles"], n_follow)
+            grid = stab_doc["omega_grid"]
             w0 = platoon_critical_frequency(lins, grid)
             # the human platoon's most amplified wave; a stable one amplifies none
             omega = peak_gain_frequency(lins, grid.values(top=w0)) if w0 > 0.0 else 0.6
@@ -633,10 +619,8 @@ def cmd_simulate(args) -> StageResult:
         amps = _amplitudes(trajs, v_star)
         summary["speed_amplitudes"] = amps
         summary["amplification_vs_leader"] = [a / amps[0] if amps[0] else 0.0 for a in amps]
-        summary["min_gaps"] = [
-            float(np.min(trajs[i - 1].positions - trajs[i].positions))
-            for i in range(1, len(trajs))
-        ]
+        summary["min_gaps"] = [float(np.min(ahead.positions - tr.positions))
+                               for ahead, tr in zip(trajs, trajs[1:])]
     out = _outdir(args)
     _write_platoon_csv(trajs, out / "platoon.csv")
     _write_json(out / "simulate_summary.json", summary)
@@ -693,6 +677,14 @@ def _owned_by(cls, field: str, parse=_number(int)):
     return check
 
 
+def _directory(text: str) -> str:
+    """Check that text names a directory, or a path where one can be made."""
+    existing = next(p for p in (Path(text), *Path(text).parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"must name a directory, but {existing} is not one")
+    return text
+
+
 def _text_of(parse):
     """Check the text with parse but keep the text, which the manifests record."""
     def check(text: str) -> str:
@@ -728,14 +720,9 @@ class Stage(NamedTuple):
     flags: tuple
 
 
+_OUT = _Flag("--out", type=_directory, required=True, help="output directory")
 _SEED = _Flag("--seed", type=_number(int, 0), default=None,
               help="rng seed (required by calibrate and pipeline; seeds synthetic noise)")
-_OMEGA_GRID = (
-    _Flag("--omega-min", type=_POSITIVE, default=None, help="frequency grid floor (rad/s)"),
-    _Flag("--omega-max", type=_POSITIVE, default=None, help="frequency grid ceiling (rad/s)"),
-    _Flag("--omega-points", type=_owned_by(FrequencyGrid, "points"), default=None,
-          help="frequency grid size"),
-)
 
 # In run order: pipeline feeds each stage's directory to the next one.
 STAGES = (
@@ -774,7 +761,10 @@ STAGES = (
     )),
     Stage("stability", "05_stability", "linearize calibrated models and find critical frequencies", (
         _Flag("--v-star", type=_NONNEGATIVE, default=12.0, help="equilibrium speed (m/s)"),
-        *_OMEGA_GRID,
+        _Flag("--omega-min", type=_POSITIVE, default=None, help="frequency grid floor (rad/s)"),
+        _Flag("--omega-max", type=_POSITIVE, default=None, help="frequency grid ceiling (rad/s)"),
+        _Flag("--omega-points", type=_owned_by(FrequencyGrid, "points"), default=None,
+              help="frequency grid size"),
     )),
     Stage("optimize-gains", "06_gains", "search controller gains maximizing stabilized vehicles", (
         _Flag("--headway-min", type=_REAL, default=10.0, help="safe headway floor (m)"),
@@ -787,7 +777,6 @@ STAGES = (
               help="followers behind the controlled vehicle (fleet cycled)"),
         _Flag("--gain-grid", type=_text_of(_gain_grid), default=None,
               help='JSON axis overrides, e.g. {"k1": [0, 1, 0.05]}'),
-        *_OMEGA_GRID,
     )),
     Stage("simulate", "07_validate", "validate designed gains in a platoon simulation", (
         _Flag("--platoon", type=_COUNT, default=None,
@@ -798,7 +787,6 @@ STAGES = (
         _Flag("--omega", type=_POSITIVE, default=None,
               help="leader wave frequency (rad/s); default= worst amplified"),
         _Flag("--profile", choices=("sinusoid", "constant"), default="sinusoid"),
-        *_OMEGA_GRID,
     )),
 )
 
@@ -830,7 +818,7 @@ def build_parser() -> _Parser:
     for stage in (*STAGES, pipeline):
         p = sub.add_parser(stage.name, help=stage.help)
         p.add_argument("--input", required=True, help="input file, stage directory, or 'synthetic'")
-        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument(_OUT.option, **_OUT.kwargs)
         for flag in stage.flags:
             p.add_argument(flag.option, **flag.kwargs)
         p.set_defaults(func=cmd_pipeline if stage is pipeline else partial(_run_stage, stage.name))

@@ -24,6 +24,7 @@ import csv
 import itertools
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -182,6 +183,15 @@ def _header(fh) -> list[str]:
     return [h.strip().lower() for h in next(csv.reader([line]), [])]
 
 
+@contextmanager
+def _decoded(fh):
+    """Raise a DataError naming fh's file for bytes it cannot decode."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        raise DataError(f"{getattr(fh, 'name', 'input')} is not {err.encoding} text: {err.reason}") from None
+
+
 def _is_blank(line: str) -> bool:
     return not line.replace(",", "").strip()
 
@@ -256,17 +266,18 @@ def parse_ngsim_csv(fh, units: str = "meters") -> TrajectoryTable:
     Raises:
         ValueError: units is neither "meters" nor "feet".
         UnparsableField: a field does not parse (see _read_table).
-        DataError: no header row, a required column missing, or no data rows.
+        DataError: no header row, a required column missing, no data rows, or undecodable bytes.
     """
     if units not in ("meters", "feet"):
         raise ValueError("units must be 'meters' or 'feet'")
     scale = FEET_TO_METERS if units == "feet" else 1.0
 
-    col = {h: i for i, h in enumerate(_header(fh))}
-    for name in _REQUIRED_COLUMNS:
-        if name not in col:
-            raise DataError(f"required column missing: {name}")
-    return _read_table(fh, [col[name] for name in _REQUIRED_COLUMNS], _REQUIRED_COLUMNS, scale)
+    with _decoded(fh):
+        col = {h: i for i, h in enumerate(_header(fh))}
+        for name in _REQUIRED_COLUMNS:
+            if name not in col:
+                raise DataError(f"required column missing: {name}")
+        return _read_table(fh, [col[name] for name in _REQUIRED_COLUMNS], _REQUIRED_COLUMNS, scale)
 
 
 def _reprs(column: np.ndarray) -> list[str]:
@@ -328,7 +339,7 @@ def read_canonical_csv(path) -> TrajectoryTable:
 
     The t column is derived from frame_id, so it is not read.
     """
-    with open(path) as fh:
+    with open(path) as fh, _decoded(fh):
         if _header(fh) != CANONICAL_HEADER:
             raise DataError("required column missing: canonical header mismatch")
         usecols = [i for i, name in enumerate(CANONICAL_HEADER) if name != "t"]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -112,6 +113,26 @@ def test_missing_input_is_data_error(tmp_path):
     assert rc == 2
 
 
+def test_ingest_of_a_directory_names_it(tmp_path, capsys):
+    assert run("ingest", "--input", tmp_path, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"stopgo: data error: input {tmp_path} is a directory, not a file\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["the file", "below the file"])
+def test_out_that_is_not_a_directory_fails_while_parsing(tmp_path, capsys, chain, below):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    for head in (["ingest", "--input", "synthetic"],
+                 ["optimize-gains", "--input", chain / "05", "--gain-grid", FAST_GRID],
+                 ["pipeline", "--input", "synthetic", "--seed", 1]):
+        assert run(*head, "--out", taken / below) == 1, head[0]
+        assert capsys.readouterr().err == (
+            f"stopgo: error: --out must name a directory, but {taken} is not one\n"), head[0]
+    assert taken.read_text() == "kept\n"
+    assert sorted(tmp_path.iterdir()) == [taken]
+
+
 def test_ingest_synthetic_artifacts(ingested):
     assert (ingested / "trajectories.csv").exists()
     summary = _read_json(ingested / "ingest_summary.json")
@@ -178,6 +199,16 @@ def test_ingest_nonfinite_field_is_data_error(tmp_path, capsys):
     assert run("ingest", "--input", raw, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "stopgo: data error: unparsable value in data row 2, column frame_id" in err
+
+
+def test_ingest_undecodable_file_is_data_error(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_bytes(b"Vehicle_ID,Frame_ID,Local_Y,v_Vel,v_Acc,Lane_ID,Preceding,v_Length\n"
+                    b"2,1,100.0,40.0,0.0,1,0,14.8\n2,2,1\xff40.0,40.0,0.0,1,0,14.8\n")
+    out = tmp_path / "out"
+    assert run("ingest", "--input", raw, "--out", out) == 2
+    assert capsys.readouterr().err == f"stopgo: data error: {raw} is not utf-8 text: invalid start byte\n"
+    assert not out.exists()
 
 
 def test_smooth_reduces_acceleration_exceedance(tmp_path):
@@ -271,6 +302,19 @@ BAD_STAGE_DOCS = [
     # a controller whose desired headway lambda2 * v_star + lambda3 is nonpositive
     ("simulate", "06", "gains.json", _set("lambda3", value=-50.0),
      "['lambda3']: desired headway -50.0 m must be positive"),
+    # a number no double holds: NaN passes every range check written with <
+    ("optimize-gains", "05", "stability.json", _set("vehicles", 0, "k1", value=math.nan),
+     "['vehicles'][0]['k1'] is not a finite number"),
+    ("optimize-gains", "05", "stability.json", _set("vehicles", 0, "k3", value=10**400),
+     "['vehicles'][0]['k3'] is not a finite number"),
+    ("optimize-gains", "05", "stability.json", _set("v_star", value=math.nan),
+     "['v_star'] is not a finite number"),
+    ("optimize-gains", "05", "stability.json", _set("omega_grid", "omega_max", value=math.inf),
+     "['omega_grid']['omega_max'] is not a finite number"),
+    ("simulate", "06", "gains.json", _set("best", "k2", value=math.nan),
+     "['best']['k2'] is not a finite number"),
+    ("simulate", "06", "gains.json", _set("lambda3", value=math.nan),
+     "['lambda3'] is not a finite number"),
 ]
 
 
@@ -296,13 +340,42 @@ def test_bad_stage_document_is_data_error(tmp_path, capsys, chain, stage, source
     assert not out.exists()
 
 
-def test_grid_bad_only_after_flags_override_it_is_usage_error(tmp_path, capsys, chain):
-    # stability.json's grid is fine; the flag puts its ceiling below its floor
-    out = tmp_path / "out"
-    assert run("optimize-gains", "--input", chain / "05", "--omega-max", 0.0005, "--out", out) == 1
-    assert "stopgo: error: --omega-min/--omega-max: require 0 < omega_min < omega_max" in (
-        capsys.readouterr().err)
-    assert not out.exists()
+@pytest.mark.parametrize("stage", ["optimize-gains", "simulate"])
+@pytest.mark.parametrize("flag", ["--omega-min", "--omega-max", "--omega-points"])
+def test_only_stability_takes_the_frequency_grid(tmp_path, capsys, stage, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(stage, "--input", tmp_path / "missing", flag, 50, "--out", tmp_path / "out")
+    assert exc.value.code == 1
+    assert f"stopgo: error: unrecognized arguments: {flag} 50" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _stage_files(stage_dir):
+    """Every file a stage wrote but its manifest, by path relative to the stage."""
+    return {p.relative_to(stage_dir): p.read_bytes() for p in sorted(stage_dir.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def test_pipeline_grid_is_the_one_stability_records(tmp_path):
+    """The stages after stability, run alone with no grid, write what the
+    pipeline writes when it gives its grid to stability."""
+    grid = ["--omega-points", 200, "--omega-max", 5]
+    pipe = tmp_path / "pipe"
+    assert run("pipeline", "--input", "synthetic", "--seed", 5, "--population", 12,
+               "--generations", 4, "--stagnation", 4, *grid, "--gain-grid", FAST_GRID,
+               "--platoon", 3, "--duration", 30, "--out", pipe) == 0
+    assert _read_json(pipe / "05_stability" / "stability.json")["omega_grid"] == {
+        "omega_min": FrequencyGrid().omega_min, "omega_max": 5.0, "points": 200}
+    alone = tmp_path / "alone"
+    assert run("stability", "--input", pipe / "04_calibrate", *grid, "--out", alone / "05_stability") == 0
+    assert run("optimize-gains", "--input", alone / "05_stability", "--gain-grid", FAST_GRID,
+               "--platoon", 3, "--out", alone / "06_gains") == 0
+    assert run("simulate", "--input", alone / "06_gains", "--duration", 30,
+               "--out", alone / "07_validate") == 0
+    for dirname in ("05_stability", "06_gains", "07_validate"):
+        files = _stage_files(pipe / dirname)
+        assert files and _stage_files(alone / dirname) == files, dirname
+    assert (pipe / "06_gains" / "heatmaps").is_dir()
 
 
 def test_calibrate_artifacts(chain):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import warnings
 from dataclasses import fields
 from types import SimpleNamespace
@@ -147,6 +148,29 @@ def test_parse_field_only_float_takes_is_data_error():
     # float() takes "1_0" but np.loadtxt does not, so no bad field is named
     with pytest.raises(DataError):
         _parse(_ngsim_text([(1, "1_0", 0.0, 0.0, 0.0, 1, 0, 4.5)]))
+
+
+# line 600 lies past the text stream's first 8 KiB read, so parsing, not the header, meets it
+@pytest.mark.parametrize("line", [0, 600], ids=["header", "data row"])
+def test_undecodable_bytes_are_data_error_naming_the_file(tmp_path, line):
+    def spoil(path, newline):
+        lines = path.read_bytes().split(newline)
+        lines[line] = lines[line][:3] + b"\xff" + lines[line][3:]
+        path.write_bytes(newline.join(lines))
+
+    text = _ngsim_text([(1, f, 0.0, 0.0, 0.0, 1, 0, 4.5) for f in range(800)])
+    raw = tmp_path / "raw.csv"
+    raw.write_text(text)
+    spoil(raw, b"\n")
+    with open(raw, encoding="utf-8") as fh, pytest.raises(
+            DataError, match=re.escape(f"{raw} is not utf-8 text: invalid start byte")):
+        parse_ngsim_csv(fh)
+
+    path = tmp_path / "canon.csv"
+    write_canonical_csv(_parse(text), path)
+    spoil(path, b"\r\n")
+    with pytest.raises(DataError, match=re.escape(f"{path} is not utf-8 text")):
+        read_canonical_csv(path)
 
 
 def test_parse_names_first_bad_field_by_row_then_column():
