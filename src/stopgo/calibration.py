@@ -14,8 +14,10 @@ running are integrated together in batched kernel calls, each candidate
 behind its own pair's leader.  A pair that has stopped leaves the batch.
 Pairs are batched longest first, and one call holds as many pairs as fit
 in a fixed budget of rows times columns, so memory stays bounded however
-many pairs are calibrated.  Each pair is scored on its block of the call,
-all candidates in one array, and no vector is simulated twice.
+many pairs are calibrated: a call's one state array holds, row by row, its
+candidates' positions and speeds and the batch's leader columns.  Each pair
+is scored on its block of the call, all candidates in one array, and no
+vector is simulated twice.
 calibrate_ga is calibrate_pairs on one pair.
 """
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .trajectory_io import VehiclePair
 COLLISION_PENALTY = 1.0e6
 TAU_STEP = 0.1  # s, resolution of the reaction-delay gene
 _ROULETTE_EPS = 1e-12
-# rows x columns of one batched kernel call: 8 MiB of positions and speeds
+# rows x candidate columns of one batched kernel call: its state array holds
+# 8 MiB of positions and speeds, plus the batch's leader positions and speeds
 _BATCH_CELLS = 1 << 19
 
 

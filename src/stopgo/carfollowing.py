@@ -336,60 +336,107 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
 
     Vectorizes the integration across parameter sets; used by the calibration
     loop, where the candidate models of several pairs advance in one time
-    loop.  Each candidate column follows leader column group[p]; the leader is gathered
-    from the (N, G) arrays per step, never copied out to (N, P).  Row k + 1
-    only reads leader samples up to row k, so a leader shorter than N can be
-    padded with its last sample and its candidates' first rows stay exact.
-    No collision check here; callers inspect the returned headways.
+    loop.  Each candidate column follows leader column group[p].  One (N,
+    2P + 2G) state array holds every row as [x of the P candidates | their v
+    | x of the G leaders | their v]; the leader columns are copied in once.
+    Each step gathers, in one take, every candidate's own x and v and its
+    leader's x and v at row max(k - d, 0), then runs the law and the update
+    on preallocated buffers.  Row k + 1 only reads leader samples up to row
+    k, so a leader shorter than N can be padded with its last sample and its
+    candidates' first rows stay exact.  No collision check here; callers
+    inspect the returned headways.
 
     Args:
         thetas: (P, 7) array, columns in PARAM_ORDER.
-        leader_x, leader_v: (N, G) positions/speeds of G leaders.
+        leader_x, leader_v: (N, G) positions/speeds of G leaders, N >= 1.
         x0, v0: follower initial position and speed, scalars or (P,).
         group: (P,) leader column of each candidate.
 
     Returns:
-        (N, P) follower positions.
+        (N, P) follower positions: a view of the state array, whose speeds
+        share its buffer.
     """
     thetas = np.asarray(thetas, dtype=float)
     leader_x = np.asarray(leader_x, dtype=float)
     leader_v = np.asarray(leader_v, dtype=float)
-    al, be, bc, bf, vm, m, tau = (thetas[:, i] for i in range(7))
-    if leader_v.shape != leader_x.shape or leader_x.ndim != 2:
-        raise ValueError("leader positions and speeds must share one (N, G) shape")
+    if thetas.ndim != 2 or thetas.shape[1] != len(PARAM_ORDER):
+        raise ValueError(f"thetas must be a (P, {len(PARAM_ORDER)}) array, got {thetas.shape}")
+    if leader_v.shape != leader_x.shape or leader_x.ndim != 2 or not len(leader_x):
+        raise ValueError("leader positions and speeds must share one (N, G) shape, N >= 1")
     n, g = leader_x.shape
     p = thetas.shape[0]
+    for name, start in (("x0", x0), ("v0", v0)):
+        if np.shape(start) not in ((), (p,)):
+            raise ValueError(f"{name} must be a scalar or ({p},), got {np.shape(start)}")
     group = np.asarray(group, dtype=int)
     if group.shape != (p,) or (p and not 0 <= group.min() <= group.max() < g):
         raise ValueError(f"group must hold {p} leader columns in [0, {g})")
-    lx = leader_x.ravel()
-    lv = leader_v.ravel()
+    al, be, bc, bf, vm, m, tau = thetas.T.copy()
     d = np.floor(tau / dt + 0.5).astype(int)
-    cols = np.arange(p)
     off = np.tanh(m * (bc - bf))
-    # flat indices of row max(k - d, 0): max(k * width - d * width + col, col)
-    lead0 = group - d * g
-    own0 = cols - d * p
+    # constants as arrays: a Python float costs a conversion on every call
+    zero, dts, half = np.zeros(p), np.full(p, dt), np.full(p, 0.5)
+    bf0, mbe = np.concatenate([bf, zero]), np.concatenate([m, be])
 
-    X = np.empty((n, p))
-    V = np.empty((n, p))
-    Xf = X.ravel()
-    Vf = V.ravel()
-    X[0] = x0
-    V[0] = v0
-    for k in range(n - 1):
-        lead = np.maximum(lead0 + k * g, group)
-        own = np.maximum(own0 + k * p, cols)
-        xd = Xf.take(own)
-        vd = Vf.take(own)
-        h = lx.take(lead) - xd
-        vopt = vm * (np.tanh(m * (h - bf)) - off)
-        a = al * (vopt - vd) + be * (lv.take(lead) - vd)
-        vn = V[k] + a * dt
-        clamp = vn < 0.0
-        V[k + 1] = np.where(clamp, 0.0, vn)
-        X[k + 1] = np.where(clamp, X[k], X[k] + V[k] * dt + 0.5 * a * dt * dt)
-    return X
+    w = 2 * p + 2 * g
+    Z = np.empty((n, w))
+    Z[0, :p] = x0
+    Z[0, p : 2 * p] = v0
+    Z[:, 2 * p : 2 * p + g] = leader_x
+    Z[:, 2 * p + g :] = leader_v
+    Zf = Z.ravel()
+    # flat index of (max(k - d, 0), col) is max(k * w - d * w + col, col) for
+    # each candidate's own x and v and its leader's x and v.  idx holds row
+    # k's indices before the max; from k = max(d) on none is below col, so
+    # the max is skipped.  Every index gathered lies inside Z, so take's
+    # "wrap" mode never wraps; it only skips the bounds check.
+    col = np.concatenate([np.arange(2 * p), 2 * p + group, 2 * p + g + group])
+    idx = col - np.tile(d, 4) * w
+    clipped = np.empty_like(idx)
+    width = np.array(w)
+    d_max = int(d.max(initial=0))
+
+    # Each float operation keeps the operands and order of
+    #   a = al (vm (tanh(m (h - bf)) - off) - vd) + be dv
+    #   x + v dt + ((0.5 a) dt) dt,  v + a dt
+    # so the result is bit for bit the one written out with temporaries; the
+    # stacked [dv - 0] is exact.
+    got = np.empty(4 * p)  # [x, v, leader x, leader v] at row max(k - d, 0)
+    own, lead, vd = got[: 2 * p], got[2 * p :], got[p : 2 * p]
+    law = np.empty(2 * p)  # [h, dv], then [m (h - bf), be dv]
+    arg, bedv = law[:p], law[p:]
+    a = np.empty(p)
+    step = np.empty((2, p))  # [v dt, a dt]
+    vdt, adt = step
+    curve = np.empty(p)  # ((0.5 a) dt) dt
+    clamp = np.empty(p, dtype=bool)
+    xv = Z[:, : 2 * p].reshape(n, 2, p)  # a view: row k is [x, v]
+    for k, cur, nxt in zip(range(n - 1), xv, xv[1:]):
+        Zf.take(np.maximum(idx, col, out=clipped) if k < d_max else idx, out=got, mode="wrap")
+        np.add(idx, width, out=idx)
+        np.subtract(lead, own, out=law)
+        np.subtract(law, bf0, out=law)
+        np.multiply(mbe, law, out=law)
+        np.tanh(arg, out=a)
+        np.subtract(a, off, out=a)
+        np.multiply(vm, a, out=a)
+        np.subtract(a, vd, out=a)
+        np.multiply(al, a, out=a)
+        np.add(a, bedv, out=a)
+        np.multiply(cur[1], dts, out=vdt)
+        np.multiply(a, dts, out=adt)
+        np.add(cur, step, out=nxt)
+        np.multiply(half, a, out=curve)
+        np.multiply(curve, dts, out=curve)
+        np.multiply(curve, dts, out=curve)
+        x, v = nxt
+        np.add(x, curve, out=x)
+        # a speed that would turn negative clamps at zero and the position holds
+        np.less(v, zero, out=clamp)
+        if np.count_nonzero(clamp):
+            np.copyto(v, 0.0, where=clamp)
+            np.copyto(x, cur[0], where=clamp)
+    return Z[:, :p]
 
 
 # ---------------------------------------------------------------------------

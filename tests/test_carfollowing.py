@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,3 +389,123 @@ def test_grouped_batch_needs_valid_groups():
     thetas = np.array([THETA.as_array()] * 2)
     with pytest.raises(ValueError):
         simulate_followers_batch(thetas, lx, lv, -18.0, 8.0, group=[0, 2])
+
+
+def _reference_batch(thetas, leader_x, leader_v, x0, v0, dt=DT, *, group):
+    """(positions, speeds) of the batch kernel's per-step loop with separate
+    (N, P) position and speed arrays and one temporary per operation."""
+    al, be, bc, bf, vm, m, tau = (thetas[:, i] for i in range(7))
+    n, g = leader_x.shape
+    p = thetas.shape[0]
+    lx, lv = leader_x.ravel(), leader_v.ravel()
+    d = np.floor(tau / dt + 0.5).astype(int)
+    cols = np.arange(p)
+    off = np.tanh(m * (bc - bf))
+    # flat indices of row max(k - d, 0): max(k * width - d * width + col, col)
+    lead0 = group - d * g
+    own0 = cols - d * p
+    X, V = np.empty((n, p)), np.empty((n, p))
+    Xf, Vf = X.ravel(), V.ravel()
+    X[0], V[0] = x0, v0
+    for k in range(n - 1):
+        lead = np.maximum(lead0 + k * g, group)
+        own = np.maximum(own0 + k * p, cols)
+        xd = Xf.take(own)
+        vd = Vf.take(own)
+        h = lx.take(lead) - xd
+        vopt = vm * (np.tanh(m * (h - bf)) - off)
+        a = al * (vopt - vd) + be * (lv.take(lead) - vd)
+        vn = V[k] + a * dt
+        clamp = vn < 0.0
+        V[k + 1] = np.where(clamp, 0.0, vn)
+        X[k + 1] = np.where(clamp, X[k], X[k] + V[k] * dt + 0.5 * a * dt * dt)
+    return X, V
+
+
+def _batch_case(name):
+    """(thetas, leader_x, leader_v, x0, v0, group) of one named kernel case."""
+    rng = np.random.default_rng(32)
+    if name == "braking-to-a-stop":
+        # the leader stops dead; hard-braking candidates close behind it
+        # reach zero speed within a step
+        leaders = [leader_trajectory(PiecewiseProfile(((0.0, 12.0), (5.0, 0.0))), 20.0)]
+        taus = [0.0, 0.5, 1.2, 2.0]
+        draws = [FvdmParams(a, 5.0, 5.0, 20.0, 18.0, 0.2, 0.0) for a in (6.0, 9.0, 4.0, 8.0)]
+    elif name == "single":
+        leaders = [leader_trajectory(SinusoidProfile(12.0, 2.0, 0.4), 30.0)]
+        taus, draws = [0.7], [THETA]
+    else:
+        leaders = [
+            leader_trajectory(SinusoidProfile(12.0, 2.0, 0.4), 40.0),
+            leader_trajectory(SinusoidProfile(10.0, 3.0, 0.9), 40.0),
+            leader_trajectory(ConstantProfile(8.0), 25.0),
+        ]
+        if name == "delays-past-the-end":
+            # 11 rows; delays of 15, 20 and 30 samples read row 0 throughout
+            leaders = [tr.slice(tr.start_frame, 11) for tr in leaders]
+        taus = {"no-delay": [0.0] * 6,
+                "delays-past-the-end": [1.5, 3.0, 2.0, 0.3, 0.0, 3.0],
+                "mixed-groups": [0.0, 3.0, 0.0, 3.0, 0.0, 3.0, 0.7, 1.3, 2.2, 0.4]}[name]
+        draws = [_draw_theta(rng) for _ in taus]
+    thetas = np.array([th.as_array() for th in draws])
+    thetas[:, -1] = taus
+    n = max(tr.n for tr in leaders)
+    # shorter leaders are padded with their last sample, as calibration does
+    lx = np.column_stack([np.pad(tr.positions, (0, n - tr.n), mode="edge") for tr in leaders])
+    lv = np.column_stack([np.pad(tr.speeds, (0, n - tr.n), mode="edge") for tr in leaders])
+    group = np.arange(len(taus)) % len(leaders)
+    x0 = np.array([tr.positions[0] - 18.0 for tr in leaders])[group]
+    v0 = np.array([tr.speeds[0] for tr in leaders])[group]
+    return thetas, lx, lv, x0, v0, group
+
+
+@pytest.mark.parametrize("name", [
+    "no-delay", "delays-past-the-end", "mixed-groups", "braking-to-a-stop", "single",
+])
+def test_batch_is_bit_identical_to_the_reference_loop(name):
+    thetas, lx, lv, x0, v0, group = _batch_case(name)
+    X_ref, V_ref = _reference_batch(thetas, lx, lv, x0, v0, group=group)
+    X = simulate_followers_batch(thetas, lx, lv, x0, v0, group=group)
+    assert X.shape == X_ref.shape
+    assert np.array_equal(X.view(np.int64), X_ref.view(np.int64))
+    if name == "braking-to-a-stop":
+        assert np.any(V_ref[1:] == 0.0)  # some speed clamped
+
+
+def _valid_batch_args():
+    leader = leader_trajectory(ConstantProfile(8.0), 2.0)
+    return dict(thetas=np.array([THETA.as_array()] * 2), leader_x=leader.positions[:, None],
+                leader_v=leader.speeds[:, None], x0=-18.0, v0=8.0, group=[0, 0])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("thetas", np.array([[*THETA.as_array(), 0.0]] * 2)),
+    ("thetas", np.array([THETA.as_array()[:6]] * 2)),
+    ("x0", np.zeros(3)),
+    ("v0", np.zeros((2, 1))),
+    ("leader_x", np.empty((0, 1))),
+], ids=["theta-columns-8", "theta-columns-6", "x0-shape", "v0-shape", "no-rows"])
+def test_batch_rejects_bad_shapes(field, value):
+    args = _valid_batch_args()
+    args[field] = value
+    if field == "leader_x":
+        args["leader_v"] = value
+    with pytest.raises(ValueError):
+        simulate_followers_batch(**args)
+
+
+def test_batch_memory_is_the_state_array_and_per_candidate_buffers():
+    n, p, g = 2000, 400, 8
+    leader = leader_trajectory(SinusoidProfile(12.0, 2.0, 0.4), (n - 1) * DT)
+    lx = np.repeat(leader.positions[:, None], g, axis=1)
+    lv = np.repeat(leader.speeds[:, None], g, axis=1)
+    thetas = np.array([THETA.as_array()] * p)
+    group = np.arange(p) % g
+    tracemalloc.start()
+    try:
+        simulate_followers_batch(thetas, lx, lv, leader.positions[0] - 18.0, 12.0, group=group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an (N, P) table would add 6.4 MB over the state array
+    assert peak <= n * (2 * p + 2 * g) * 8 + 1024 * p
