@@ -2,17 +2,23 @@
 
 The human-driver model accelerates toward a headway-dependent desired speed
 and reacts to the speed difference with the vehicle ahead, all evaluated a
-reaction delay in the past.  A string of vehicles advances in one time loop:
-at each sample every vehicle's law reads the delayed states of itself and the
-vehicle ahead, then each takes a constant-acceleration step with its speed
-clamped at zero (no reversing).  The first frame at which any headway is
-nonpositive raises CollisionDetected, naming the frontmost vehicle that
-reached its predecessor there and carrying every trajectory cut at that frame.
+reaction delay in the past; an automated vehicle or a linearized driver
+follows a linear spacing law instead.  Every simulation runs in one time
+loop, simulate_followers_batch: at each sample every simulated column's law
+reads the delayed states of itself and of what it follows (a recorded
+leader or another simulated column), then each takes a constant-acceleration
+step with its speed clamped at zero (no reversing).  Calibration runs many
+candidate models behind recorded leaders in one call; a platoon is a chain
+of columns, each following the one ahead.  After the loop, the first frame
+at which any spacing is nonpositive raises CollisionDetected, naming the
+frontmost vehicle that reached its predecessor there and carrying every
+trajectory cut at that frame.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -210,80 +216,57 @@ def leader_trajectory(
 # ---------------------------------------------------------------------------
 # integration
 
-def _law_row(slot) -> tuple:
-    """A slot's law as one coefficient row: the FVDM's alpha, beta, b_f, v0,
-    m and tanh(m (b_c - b_f)), the linear law's k1, k2, k3, lambda2 and
-    lambda3, then the reaction delay tau; zeros fill the law it does not use."""
-    if isinstance(slot, Hdv):
-        p = slot.params
-        return (p.alpha, p.beta, p.b_f, p.v0, p.m, math.tanh(p.m * (p.b_c - p.b_f)),
-                0.0, 0.0, 0.0, 0.0, 0.0, p.tau)
-    # a Cav carries its gains; a LinearizedHdv is its own gains
-    gains = slot.gains if isinstance(slot, Cav) else slot
-    return (0.0,) * 6 + (gains.k1, gains.k2, gains.k3, slot.lambda2, slot.lambda3,
-                         getattr(slot, "tau", 0.0))
+def _libm_tanh(x, out):
+    """libm's tanh (math.tanh) elementwise into out: the platoon's tanh."""
+    out[:] = list(map(math.tanh, x.tolist()))
 
 
-def _march(lead: Trajectory, slots, x0, v0, v_star: float) -> list[Trajectory]:
-    """Advance a string of modeled vehicles behind lead in one time loop.
+def _string(lead: Trajectory, slots, x0, v0, v_star: float) -> list[Trajectory]:
+    """Advance a string of modeled vehicles behind lead on the batch kernel.
 
-    Column 0 of the (N, m+1) state arrays is lead, and slot i (column i + 1)
-    follows column i.  At sample k every slot reads its own and its
-    predecessor's states at max(k - d, 0), d its delay in samples.  Both laws
-    are evaluated on every slot from its coefficient row and np.where keeps
-    the slot's own (adding the other law's zero could flip the sign of a zero
-    acceleration), so each acceleration is bit for bit the one its law gives
-    alone.  Then every slot takes a constant-acceleration step; a speed that
-    would turn negative clamps at zero and the position holds.  v_star is the
+    Slot 0 follows lead and slot i follows slot i - 1.  The kernel takes
+    FVDM columns before linear ones, so the slots run in [Hdv | linear]
+    order and their series are put back in slot order.  x0 and v0 are the
+    initial positions and speeds, scalars or one per slot; v_star is the
     linear laws' target speed.
 
-    Returns the trajectories lead-first, each slot's vehicle_id its column.
-    Raises CollisionDetected at the first frame where any headway is
-    nonpositive, naming the frontmost vehicle there, with every trajectory
-    cut at that frame.
+    Returns the trajectories lead-first, each slot's vehicle_id its index +
+    1.  The kernel runs to the end; the first frame at which any spacing is
+    nonpositive then raises CollisionDetected, naming the frontmost vehicle
+    there, with every trajectory cut at that frame.
     """
-    n, w, dt = lead.n, len(slots) + 1, lead.dt
-    rows = np.array([_law_row(s) for s in slots], dtype=float).reshape(-1, 12)
-    al, be, bf, vm, m, off, k1, k2, k3, lam2, lam3, tau = rows.T
-    hdv = np.array([isinstance(s, Hdv) for s in slots], dtype=bool)
-    X, V, A = (np.empty((n, w)) for _ in range(3))
-    X[:, 0], V[:, 0], A[:, 0] = lead.positions, lead.speeds, lead.accels
-    X[0, 1:], V[0, 1:] = x0, v0
-    Xf, Vf = X.ravel(), V.ravel()
-    cols = np.arange(1, w)
-    # flat index of (max(k - d, 0), col): max(k * w - d * w + col, col)
-    own0 = cols - np.floor(tau / dt + 0.5).astype(int) * w
-
-    def trajectories(k_end: int) -> list[Trajectory]:
-        xs, vs, accs = (S[:k_end, 1:].T.copy() for S in (X, V, A))
-        return [lead.slice(lead.start_frame, k_end)] + [
-            Trajectory(i, lead.start_frame, x, v, a, VEHICLE_LENGTH, dt)
-            for i, (x, v, a) in enumerate(zip(xs, vs, accs), start=1)
-        ]
-
-    for k in range(n):
-        own = np.maximum(own0 + k * w, cols)
-        ahead = own - 1
-        xd, vd = Xf.take(own), Vf.take(own)
-        h = Xf.take(ahead) - xd
-        dv = Vf.take(ahead) - vd
-        # math.tanh, not np.tanh: the two differ in the last bit on some inputs
-        th = np.fromiter(map(math.tanh, (m * (h - bf)).tolist()), float, w - 1)
-        fvdm = al * (vm * (th - off) - vd) + be * dv
-        linear = k1 * (h - lam2 * vd - lam3) - k2 * (vd - v_star) + k3 * dv
-        a = np.where(hdv, fvdm, linear)
-        A[k, 1:] = a
-        hit = X[k, :-1] - X[k, 1:] <= 0.0
-        if hit.any():
-            raise CollisionDetected(int(hit.argmax()) + 1, lead.start_frame + k,
-                                    partial=trajectories(k + 1))
-        if k + 1 < n:
-            x, v = X[k, 1:], V[k, 1:]
-            vn = v + a * dt
-            clamp = vn < 0.0
-            V[k + 1, 1:] = np.where(clamp, 0.0, vn)
-            X[k + 1, 1:] = np.where(clamp, x, x + v * dt + 0.5 * a * dt * dt)
-    return trajectories(n)
+    n, m, dt = lead.n, len(slots), lead.dt
+    order = np.argsort([not isinstance(s, Hdv) for s in slots], kind="stable")
+    col = np.argsort(order)  # kernel column c runs slot order[c], slot i column col[i]
+    # slot 0 follows leader column 0, slot i kernel column col[i - 1] (after the G = 1 leader)
+    follows = np.concatenate([[0], 1 + col[:-1]])
+    thetas = [s.params.as_array() for s in slots if isinstance(s, Hdv)]
+    linear = [s for s in slots if not isinstance(s, Hdv)]
+    # a Cav carries its gains; a LinearizedHdv is its own gains
+    gains = [s.gains if isinstance(s, Cav) else s for s in linear]
+    rows = [(g.k1, g.k2, g.k3, s.lambda2, s.lambda3, getattr(s, "tau", 0.0))
+            for s, g in zip(linear, gains)]
+    V, A = np.empty((n, m)), np.empty((n, m))
+    # rows past a collision may diverge; they are cut below
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = simulate_followers_batch(
+            np.reshape(thetas, (-1, len(PARAM_ORDER))), lead.positions[:, None],
+            lead.speeds[:, None], np.broadcast_to(x0, m)[order], np.broadcast_to(v0, m)[order],
+            dt, group=follows[order], linear=np.reshape(rows, (-1, 6)), v_star=v_star,
+            speeds=V, accels=A, tanh=_libm_tanh)
+    X = np.column_stack([lead.positions, X[:, col]])
+    hit = X[:, :-1] - X[:, 1:] <= 0.0
+    frames = np.flatnonzero(hit.any(axis=1))
+    end = int(frames[0]) + 1 if len(frames) else n
+    trajs = [lead.slice(lead.start_frame, end)] + [
+        Trajectory(i, lead.start_frame, x, v, a, VEHICLE_LENGTH, dt)
+        for i, (x, v, a) in enumerate(
+            zip(X[:end, 1:].T.copy(), V[:end, col].T.copy(), A[:end, col].T.copy()), start=1)
+    ]
+    if len(frames):
+        raise CollisionDetected(int(hit[end - 1].argmax()) + 1, lead.start_frame + end - 1,
+                                partial=trajs)
+    return trajs
 
 
 def simulate_follower(
@@ -298,7 +281,7 @@ def simulate_follower(
     Returns a trajectory aligned with the leader's frames.  Raises
     CollisionDetected if the follower ever reaches the leader's position.
     """
-    follower = _march(leader, (Hdv(theta),), init_position, init_speed, 0.0)[1]
+    follower = _string(leader, (Hdv(theta),), init_position, init_speed, 0.0)[1]
     return replace(follower, vehicle_id=vehicle_id)
 
 
@@ -330,67 +313,102 @@ def generate_synthetic_pair(theta: FvdmParams, profile, duration: float,
     return VehiclePair(leader, follower, leader.start_frame, leader.n)
 
 
-def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT, *,
-                             group) -> np.ndarray:
-    """Position series for a batch of parameter vectors, each behind its leader.
+def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT, *, group,
+                             linear=None, v_star: float = 0.0, speeds=None, accels=None,
+                             tanh=np.tanh) -> np.ndarray:
+    """Position series of modeled vehicles, each behind a leader or another vehicle.
 
-    Vectorizes the integration across parameter sets; used by the calibration
-    loop, where the candidate models of several pairs advance in one time
-    loop.  Each candidate column follows leader column group[p].  One (N,
-    2P + 2G) state array holds every row as [x of the P candidates | their v
-    | x of the G leaders | their v]; the leader columns are copied in once.
-    Each step gathers, in one take, every candidate's own x and v and its
-    leader's x and v at row max(k - d, 0), then runs the law and the update
-    on preallocated buffers.  Row k + 1 only reads leader samples up to row
-    k, so a leader shorter than N can be padded with its last sample and its
-    candidates' first rows stay exact.  No collision check here; callers
-    inspect the returned headways.
+    The one time loop of the package: calibration advances the candidate
+    models of several pairs in one call, and a platoon is a chain of columns
+    each following the one ahead.  The S = P + Q simulated columns are P
+    FVDM drivers (rows of thetas) then Q linear-law vehicles (rows of
+    linear).  Column c follows group[c], an index into [G leader columns | S
+    simulated columns].  One (N, 2S + 2G) state array holds every row as [x
+    of the S columns | their v | x of the G leaders | their v]; the leader
+    columns are copied in once.  Each step gathers, in one take, every
+    column's own x and v and the x and v of what it follows at row max(k -
+    d, 0), d its delay in samples, then runs the law and the update on
+    preallocated buffers.  Row k + 1 reads no row past k, so a column may
+    follow a simulated column, and a leader shorter than N can be padded
+    with its last sample while its followers' first rows stay exact.  A
+    speed that would turn negative clamps at zero and the position holds.
+    No collision check here; callers inspect the returned spacings.
 
     Args:
-        thetas: (P, 7) array, columns in PARAM_ORDER.
+        thetas: (P, 7) FVDM rows, columns in PARAM_ORDER.
         leader_x, leader_v: (N, G) positions/speeds of G leaders, N >= 1.
-        x0, v0: follower initial position and speed, scalars or (P,).
-        group: (P,) leader column of each candidate.
+        x0, v0: initial positions and speeds, scalars or (S,).
+        group: (S,) what each column follows: g < G is leader column g and
+            g >= G simulated column g - G, never the column itself.
+        linear: (Q, 6) rows k1, k2, k3, lambda2, lambda3, tau of the linear
+            law k1 (h - lambda2 vd - lambda3) - k2 (vd - v_star) + k3 dv.
+        v_star: the linear law's target speed.
+        speeds, accels: optional (N, S) arrays to fill with every column's
+            speeds and accelerations; the law is evaluated at row N - 1 too.
+        tanh: the FVDM curve's tanh, called as tanh(x, out=y).  np.tanh and
+            libm's tanh differ in the last bit on some inputs, and the
+            benchmark's reference platoon speeds were recorded with libm's;
+            the change that re-records them drops this argument for np.tanh.
 
     Returns:
-        (N, P) follower positions: a view of the state array, whose speeds
-        share its buffer.
+        (N, S) positions: a view of the state array.
     """
     thetas = np.asarray(thetas, dtype=float)
+    linear = np.asarray(np.empty((0, 6)) if linear is None else linear, dtype=float)
     leader_x = np.asarray(leader_x, dtype=float)
     leader_v = np.asarray(leader_v, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != len(PARAM_ORDER):
         raise ValueError(f"thetas must be a (P, {len(PARAM_ORDER)}) array, got {thetas.shape}")
+    if linear.ndim != 2 or linear.shape[1] != 6:
+        raise ValueError(f"linear must be a (Q, 6) array, got {linear.shape}")
     if leader_v.shape != leader_x.shape or leader_x.ndim != 2 or not len(leader_x):
         raise ValueError("leader positions and speeds must share one (N, G) shape, N >= 1")
     n, g = leader_x.shape
-    p = thetas.shape[0]
+    p, q = len(thetas), len(linear)
+    s = p + q
     for name, start in (("x0", x0), ("v0", v0)):
-        if np.shape(start) not in ((), (p,)):
-            raise ValueError(f"{name} must be a scalar or ({p},), got {np.shape(start)}")
+        if np.shape(start) not in ((), (s,)):
+            raise ValueError(f"{name} must be a scalar or ({s},), got {np.shape(start)}")
+    for name, out in (("speeds", speeds), ("accels", accels)):
+        if out is not None and np.shape(out) != (n, s):
+            raise ValueError(f"{name} must be an ({n}, {s}) array, got {np.shape(out)}")
     group = np.asarray(group, dtype=int)
-    if group.shape != (p,) or (p and not 0 <= group.min() <= group.max() < g):
-        raise ValueError(f"group must hold {p} leader columns in [0, {g})")
-    al, be, bc, bf, vm, m, tau = thetas.T.copy()
+    if (group.shape != (s,) or (s and not 0 <= group.min() <= group.max() < g + s)
+            or np.any(group == g + np.arange(s))):
+        raise ValueError(f"group must hold {s} indices in [0, {g + s}), none its own column")
+    # a linear column runs the FVDM with zero coefficients, then its own law
+    # overwrites the result
+    coef = np.zeros((s, len(PARAM_ORDER)))
+    coef[:p] = thetas
+    coef[p:, -1] = linear[:, 5]
+    al, be, bc, bf, vm, m, tau = coef.T.copy()
+    k1, k2, k3, lam2, lam3 = linear[:, :5].T.copy()
     d = np.floor(tau / dt + 0.5).astype(int)
-    off = np.tanh(m * (bc - bf))
+    off = np.empty(s)
+    tanh(m * (bc - bf), out=off)
     # constants as arrays: a Python float costs a conversion on every call
-    zero, dts, half = np.zeros(p), np.full(p, dt), np.full(p, 0.5)
+    zero, dts, half = np.zeros(s), np.full(s, dt), np.full(s, 0.5)
     bf0, mbe = np.concatenate([bf, zero]), np.concatenate([m, be])
+    vstar = np.full(q, v_star)
 
-    w = 2 * p + 2 * g
+    w = 2 * s + 2 * g
     Z = np.empty((n, w))
-    Z[0, :p] = x0
-    Z[0, p : 2 * p] = v0
-    Z[:, 2 * p : 2 * p + g] = leader_x
-    Z[:, 2 * p + g :] = leader_v
+    Z[0, :s] = x0
+    Z[0, s : 2 * s] = v0
+    Z[:, 2 * s : 2 * s + g] = leader_x
+    Z[:, 2 * s + g :] = leader_v
     Zf = Z.ravel()
+    # state columns of what each column follows: a leader's x and v, or a
+    # simulated column's
+    ahead = group < g
+    ahead_x = np.where(ahead, 2 * s + group, group - g)
+    ahead_v = np.where(ahead, 2 * s + g + group, s + group - g)
     # flat index of (max(k - d, 0), col) is max(k * w - d * w + col, col) for
-    # each candidate's own x and v and its leader's x and v.  idx holds row
-    # k's indices before the max; from k = max(d) on none is below col, so
-    # the max is skipped.  Every index gathered lies inside Z, so take's
-    # "wrap" mode never wraps; it only skips the bounds check.
-    col = np.concatenate([np.arange(2 * p), 2 * p + group, 2 * p + g + group])
+    # each column's own x and v and its leader's x and v.  idx holds row k's
+    # indices before the max; from k = max(d) on none is below col, so the
+    # max is skipped.  Every index gathered lies inside Z, so take's "wrap"
+    # mode never wraps; it only skips the bounds check.
+    col = np.concatenate([np.arange(2 * s), ahead_x, ahead_v])
     idx = col - np.tile(d, 4) * w
     clipped = np.empty_like(idx)
     width = np.array(w)
@@ -398,31 +416,52 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
 
     # Each float operation keeps the operands and order of
     #   a = al (vm (tanh(m (h - bf)) - off) - vd) + be dv
+    #   a = k1 (h - lambda2 vd - lambda3) - k2 (vd - v_star) + k3 dv
     #   x + v dt + ((0.5 a) dt) dt,  v + a dt
     # so the result is bit for bit the one written out with temporaries; the
     # stacked [dv - 0] is exact.
-    got = np.empty(4 * p)  # [x, v, leader x, leader v] at row max(k - d, 0)
-    own, lead, vd = got[: 2 * p], got[2 * p :], got[p : 2 * p]
-    law = np.empty(2 * p)  # [h, dv], then [m (h - bf), be dv]
-    arg, bedv = law[:p], law[p:]
-    a = np.empty(p)
-    step = np.empty((2, p))  # [v dt, a dt]
+    got = np.empty(4 * s)  # [x, v, leader x, leader v] at row max(k - d, 0)
+    own, lead, vd = got[: 2 * s], got[2 * s :], got[s : 2 * s]
+    law = np.empty(2 * s)  # [h, dv], then [m (h - bf), be dv]
+    arg, bedv = law[:s], law[s:]
+    a = np.empty(s)
+    # the linear columns' h, dv, vd and acceleration, and a buffer
+    h_q, dv_q, vd_q, a_q = law[p:s], law[s + p :], vd[p:], a[p:]
+    lin, tmp = np.empty(q), np.empty(q)
+    step = np.empty((2, s))  # [v dt, a dt]
     vdt, adt = step
-    curve = np.empty(p)  # ((0.5 a) dt) dt
-    clamp = np.empty(p, dtype=bool)
-    xv = Z[:, : 2 * p].reshape(n, 2, p)  # a view: row k is [x, v]
-    for k, cur, nxt in zip(range(n - 1), xv, xv[1:]):
+    curve = np.empty(s)  # ((0.5 a) dt) dt
+    clamp = np.empty(s, dtype=bool)
+    xv = Z[:, : 2 * s].reshape(n, 2, s)  # a view: row k is [x, v]
+    rows = n if accels is not None else n - 1  # rows whose law is evaluated
+    for k, cur, nxt in zip(range(rows), xv, chain(xv[1:], (None,))):
         Zf.take(np.maximum(idx, col, out=clipped) if k < d_max else idx, out=got, mode="wrap")
         np.add(idx, width, out=idx)
         np.subtract(lead, own, out=law)
+        if q:
+            np.multiply(lam2, vd_q, out=lin)
+            np.subtract(h_q, lin, out=lin)
+            np.subtract(lin, lam3, out=lin)
+            np.multiply(k1, lin, out=lin)
+            np.subtract(vd_q, vstar, out=tmp)
+            np.multiply(k2, tmp, out=tmp)
+            np.subtract(lin, tmp, out=lin)
+            np.multiply(k3, dv_q, out=tmp)
+            np.add(lin, tmp, out=lin)
         np.subtract(law, bf0, out=law)
         np.multiply(mbe, law, out=law)
-        np.tanh(arg, out=a)
+        tanh(arg, out=a)
         np.subtract(a, off, out=a)
         np.multiply(vm, a, out=a)
         np.subtract(a, vd, out=a)
         np.multiply(al, a, out=a)
         np.add(a, bedv, out=a)
+        if q:
+            np.copyto(a_q, lin)
+        if accels is not None:
+            accels[k] = a
+            if nxt is None:
+                break
         np.multiply(cur[1], dts, out=vdt)
         np.multiply(a, dts, out=adt)
         np.add(cur, step, out=nxt)
@@ -436,7 +475,9 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
         if np.count_nonzero(clamp):
             np.copyto(v, 0.0, where=clamp)
             np.copyto(x, cur[0], where=clamp)
-    return Z[:, :p]
+    if speeds is not None:
+        speeds[...] = Z[:, s : 2 * s]
+    return Z[:, :s]
 
 
 # ---------------------------------------------------------------------------
@@ -493,4 +534,4 @@ def simulate_platoon(spec: PlatoonSpec, duration: float, dt: float = DT) -> list
     gaps = [_vehicle_eq_headway(vehicle, spec.v_star) for vehicle in spec.vehicles]
     # each start is the one ahead minus its gap, subtracted in chain order
     x0 = np.subtract.accumulate([leader.positions[0], *gaps])[1:]
-    return _march(leader, spec.vehicles, x0, spec.v_star, spec.v_star)
+    return _string(leader, spec.vehicles, x0, spec.v_star, spec.v_star)

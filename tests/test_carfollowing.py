@@ -19,6 +19,7 @@ from stopgo.carfollowing import (
     leader_trajectory,
     optimal_velocity,
     VEHICLE_LENGTH,
+    _libm_tanh,
     ov_slope,
     simulate_follower,
     simulate_followers_batch,
@@ -197,11 +198,13 @@ def test_batch_matches_scalar_followers():
         np.full(4, leader.positions[0] - dx0),
         np.full(4, 12.0),
         group=np.zeros(4, dtype=int),
+        tanh=_libm_tanh,
     )
     assert batch.shape == (leader.n, 4)
+    # with the platoon's tanh, a batch column and a lone follower run one code path
     for i, th in enumerate(thetas):
         single = simulate_follower(th, leader, leader.positions[0] - dx0, 12.0)
-        np.testing.assert_allclose(batch[:, i], single.positions, rtol=0, atol=1e-12)
+        assert np.array_equal(batch[:, i], single.positions)
 
 
 def test_platoon_structure_and_equilibrium_hold():
@@ -382,14 +385,50 @@ def test_grouped_batch_matches_separate_leaders():
         assert np.array_equal(joint[: tr.n, cols], alone)
 
 
-def test_grouped_batch_needs_valid_groups():
+# group indexes [2 leader columns | 2 simulated columns]: 4 is past the end,
+# and 3 is candidate 1 itself
+@pytest.mark.parametrize("group", [[0, 4], [-1, 0], [0, 3]], ids=["past-end", "negative", "self"])
+def test_grouped_batch_needs_valid_groups(group):
     leader = leader_trajectory(ConstantProfile(8.0), 2.0)
     lx = np.column_stack([leader.positions, leader.positions])
     lv = np.column_stack([leader.speeds, leader.speeds])
     thetas = np.array([THETA.as_array()] * 2)
     with pytest.raises(ValueError):
-        simulate_followers_batch(thetas, lx, lv, -18.0, 8.0, group=[0, 2])
+        simulate_followers_batch(thetas, lx, lv, -18.0, 8.0, group=group)
 
+
+
+def test_one_call_runs_a_string_and_lone_followers():
+    # kernel columns [string Hdv, two candidates | Cav, delayed LinearizedHdv]
+    # behind leaders [string lead, two others]: the string is Cav -> Hdv ->
+    # LinearizedHdv, so the Hdv follows a linear column and the
+    # LinearizedHdv an FVDM column; each candidate follows its own leader
+    v_star, duration = 12.0, 60.0
+    cav = Cav(ControllerGains(0.5, 1.0, 0.5), 0.0, 20.0)
+    lin = LinearizedHdv(1.0, 1.5, 0.8, 0.0, tau=0.3, lambda3=20.0)
+    spec = PlatoonSpec((cav, Hdv(THETA), lin), SinusoidProfile(12.0, 2.0, 0.4), v_star)
+    string = simulate_platoon(spec, duration)
+    leaders = [string[0], leader_trajectory(SinusoidProfile(10.0, 3.0, 0.9), duration),
+               leader_trajectory(PiecewiseProfile(((0.0, 12.0), (20.0, 8.0))), duration)]
+    candidates = [FvdmParams(2.0, 1.5, 3.0, 20.0, 18.0, 0.08, 0.3),
+                  FvdmParams(2.0, 2.0, 3.0, 20.0, 18.0, 0.08, 0.2)]
+    alone = [simulate_follower(th, tr, tr.positions[0] - 18.0, tr.speeds[0])
+             for th, tr in zip(candidates, leaders[1:])]
+    runs = [string[2], *alone, string[1], string[3]]  # in kernel column order
+    n = leaders[0].n
+    V, A = np.empty((n, 5)), np.empty((n, 5))
+    X = simulate_followers_batch(
+        np.array([THETA.as_array(), *(th.as_array() for th in candidates)]),
+        np.column_stack([tr.positions for tr in leaders]),
+        np.column_stack([tr.speeds for tr in leaders]),
+        np.array([tr.positions[0] for tr in runs]), np.array([tr.speeds[0] for tr in runs]),
+        group=[3 + 3, 1, 2, 0, 3 + 0],
+        linear=[[0.5, 1.0, 0.5, 0.0, 20.0, 0.0], [1.0, 1.5, 0.8, 0.0, 20.0, 0.3]],
+        v_star=v_star, speeds=V, accels=A, tanh=_libm_tanh)
+    for c, tr in enumerate(runs):
+        assert np.array_equal(X[:, c], tr.positions)
+        assert np.array_equal(V[:, c], tr.speeds)
+        assert np.array_equal(A[:, c], tr.accels)
 
 def _reference_batch(thetas, leader_x, leader_v, x0, v0, dt=DT, *, group):
     """(positions, speeds) of the batch kernel's per-step loop with separate
