@@ -224,16 +224,12 @@ def _libm_tanh(x, out):
 def _string(lead: Trajectory, slots, x0, v0, v_star: float) -> list[Trajectory]:
     """Advance a string of modeled vehicles behind lead on the batch kernel.
 
-    Slot 0 follows lead and slot i follows slot i - 1.  The kernel takes
-    FVDM columns before linear ones, so the slots run in [Hdv | linear]
-    order and their series are put back in slot order.  x0 and v0 are the
-    initial positions and speeds, scalars or one per slot; v_star is the
-    linear laws' target speed.
-
+    Slot 0 follows lead and slot i slot i - 1; they run in the kernel's
+    [Hdv | linear] column order.  x0 and v0 are scalars or one per slot.
     Returns the trajectories lead-first, each slot's vehicle_id its index +
-    1.  The kernel runs to the end; the first frame at which any spacing is
-    nonpositive then raises CollisionDetected, naming the frontmost vehicle
-    there, with every trajectory cut at that frame.
+    1.  The first frame at which any spacing is nonpositive raises
+    CollisionDetected, naming the frontmost vehicle there, with every
+    trajectory cut at that frame.
     """
     n, m, dt = lead.n, len(slots), lead.dt
     order = np.argsort([not isinstance(s, Hdv) for s in slots], kind="stable")
@@ -247,13 +243,11 @@ def _string(lead: Trajectory, slots, x0, v0, v_star: float) -> list[Trajectory]:
     rows = [(g.k1, g.k2, g.k3, s.lambda2, s.lambda3, getattr(s, "tau", 0.0))
             for s, g in zip(linear, gains)]
     V, A = np.empty((n, m)), np.empty((n, m))
-    # rows past a collision may diverge; they are cut below
-    with np.errstate(over="ignore", invalid="ignore"):
-        X = simulate_followers_batch(
-            np.reshape(thetas, (-1, len(PARAM_ORDER))), lead.positions[:, None],
-            lead.speeds[:, None], np.broadcast_to(x0, m)[order], np.broadcast_to(v0, m)[order],
-            dt, group=follows[order], linear=np.reshape(rows, (-1, 6)), v_star=v_star,
-            speeds=V, accels=A, tanh=_libm_tanh)
+    X = simulate_followers_batch(
+        np.reshape(thetas, (-1, len(PARAM_ORDER))), lead.positions[:, None],
+        lead.speeds[:, None], np.broadcast_to(x0, m)[order], np.broadcast_to(v0, m)[order],
+        dt, group=follows[order], linear=np.reshape(rows, (-1, 6)), v_star=v_star,
+        speeds=V, accels=A, tanh=_libm_tanh)
     X = np.column_stack([lead.positions, X[:, col]])
     hit = X[:, :-1] - X[:, 1:] <= 0.0
     frames = np.flatnonzero(hit.any(axis=1))
@@ -318,20 +312,17 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
                              tanh=np.tanh) -> np.ndarray:
     """Position series of modeled vehicles, each behind a leader or another vehicle.
 
-    The one time loop of the package: calibration advances the candidate
-    models of several pairs in one call, and a platoon is a chain of columns
-    each following the one ahead.  The S = P + Q simulated columns are P
-    FVDM drivers (rows of thetas) then Q linear-law vehicles (rows of
-    linear).  Column c follows group[c], an index into [G leader columns | S
-    simulated columns].  One (N, 2S + 2G) state array holds every row as [x
-    of the S columns | their v | x of the G leaders | their v]; the leader
-    columns are copied in once.  Each step gathers, in one take, every
-    column's own x and v and the x and v of what it follows at row max(k -
-    d, 0), d its delay in samples, then runs the law and the update on
-    preallocated buffers.  Row k + 1 reads no row past k, so a column may
-    follow a simulated column, and a leader shorter than N can be padded
-    with its last sample while its followers' first rows stay exact.  A
-    speed that would turn negative clamps at zero and the position holds.
+    The package's one time loop: calibration runs the candidate models of
+    several pairs behind their recorded leaders, and a platoon is a chain of
+    columns.  The S = P + Q simulated columns are P FVDM drivers then Q
+    linear-law vehicles; column c follows group[c], an index into [G leader
+    columns | S simulated columns].  One (N, 2S + 2G) state array holds
+    every row as [x of the S columns | their v | x of the G leaders | their
+    v].  Each step gathers, in one take, every column's own x and v and
+    those of what it follows at row max(k - d, 0), d its delay in samples.
+    Row k + 1 reads no row past k, so a column may follow a simulated
+    column, and a leader shorter than N can be padded with its last sample.
+    A speed that would turn negative clamps at zero and the position holds.
     No collision check here; callers inspect the returned spacings.
 
     Args:
@@ -389,7 +380,6 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
     # constants as arrays: a Python float costs a conversion on every call
     zero, dts, half = np.zeros(s), np.full(s, dt), np.full(s, 0.5)
     bf0, mbe = np.concatenate([bf, zero]), np.concatenate([m, be])
-    vstar = np.full(q, v_star)
 
     w = 2 * s + 2 * g
     Z = np.empty((n, w))
@@ -416,7 +406,6 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
 
     # Each float operation keeps the operands and order of
     #   a = al (vm (tanh(m (h - bf)) - off) - vd) + be dv
-    #   a = k1 (h - lambda2 vd - lambda3) - k2 (vd - v_star) + k3 dv
     #   x + v dt + ((0.5 a) dt) dt,  v + a dt
     # so the result is bit for bit the one written out with temporaries; the
     # stacked [dv - 0] is exact.
@@ -425,9 +414,7 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
     law = np.empty(2 * s)  # [h, dv], then [m (h - bf), be dv]
     arg, bedv = law[:s], law[s:]
     a = np.empty(s)
-    # the linear columns' h, dv, vd and acceleration, and a buffer
-    h_q, dv_q, vd_q, a_q = law[p:s], law[s + p :], vd[p:], a[p:]
-    lin, tmp = np.empty(q), np.empty(q)
+    h_q, dv_q, vd_q, a_q = law[p:s], law[s + p :], vd[p:], a[p:]  # the linear columns'
     step = np.empty((2, s))  # [v dt, a dt]
     vdt, adt = step
     curve = np.empty(s)  # ((0.5 a) dt) dt
@@ -439,15 +426,7 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
         np.add(idx, width, out=idx)
         np.subtract(lead, own, out=law)
         if q:
-            np.multiply(lam2, vd_q, out=lin)
-            np.subtract(h_q, lin, out=lin)
-            np.subtract(lin, lam3, out=lin)
-            np.multiply(k1, lin, out=lin)
-            np.subtract(vd_q, vstar, out=tmp)
-            np.multiply(k2, tmp, out=tmp)
-            np.subtract(lin, tmp, out=lin)
-            np.multiply(k3, dv_q, out=tmp)
-            np.add(lin, tmp, out=lin)
+            lin = k1 * (h_q - lam2 * vd_q - lam3) - k2 * (vd_q - v_star) + k3 * dv_q
         np.subtract(law, bf0, out=law)
         np.multiply(mbe, law, out=law)
         tanh(arg, out=a)
