@@ -10,9 +10,10 @@ leader or another simulated column), then each takes a constant-acceleration
 step with its speed clamped at zero (no reversing).  Calibration runs many
 candidate models behind recorded leaders in one call; a platoon is a chain
 of columns, each following the one ahead.  After the loop, the first frame
-at which any spacing is nonpositive raises CollisionDetected, naming the
-frontmost vehicle that reached its predecessor there and carrying every
-trajectory cut at that frame.
+at which any gap (spacing minus the length of the vehicle ahead) is
+nonpositive raises CollisionDetected, naming the frontmost vehicle that
+reached its predecessor there and carrying every trajectory cut at that
+frame.
 """
 from __future__ import annotations
 
@@ -227,9 +228,9 @@ def _string(lead: Trajectory, slots, x0, v0, v_star: float) -> list[Trajectory]:
     Slot 0 follows lead and slot i slot i - 1; they run in the kernel's
     [Hdv | linear] column order.  x0 and v0 are scalars or one per slot.
     Returns the trajectories lead-first, each slot's vehicle_id its index +
-    1.  The first frame at which any spacing is nonpositive raises
-    CollisionDetected, naming the frontmost vehicle there, with every
-    trajectory cut at that frame.
+    1.  The first frame at which any gap (spacing minus the length of the
+    vehicle ahead) is nonpositive raises CollisionDetected, naming the
+    frontmost vehicle there, with every trajectory cut at that frame.
     """
     n, m, dt = lead.n, len(slots), lead.dt
     order = np.argsort([not isinstance(s, Hdv) for s in slots], kind="stable")
@@ -249,7 +250,8 @@ def _string(lead: Trajectory, slots, x0, v0, v_star: float) -> list[Trajectory]:
         dt, group=follows[order], linear=np.reshape(rows, (-1, 6)), v_star=v_star,
         speeds=V, accels=A, tanh=_libm_tanh)
     X = np.column_stack([lead.positions, X[:, col]])
-    hit = X[:, :-1] - X[:, 1:] <= 0.0
+    # a collision is a spacing at or below the length of the vehicle ahead
+    hit = X[:, :-1] - X[:, 1:] <= VEHICLE_LENGTH
     frames = np.flatnonzero(hit.any(axis=1))
     end = int(frames[0]) + 1 if len(frames) else n
     trajs = [lead.slice(lead.start_frame, end)] + [
@@ -273,7 +275,8 @@ def simulate_follower(
     """Simulate one model follower behind a recorded or generated leader.
 
     Returns a trajectory aligned with the leader's frames.  Raises
-    CollisionDetected if the follower ever reaches the leader's position.
+    CollisionDetected if the follower's spacing ever falls to
+    VEHICLE_LENGTH.
     """
     follower = _string(leader, (Hdv(theta),), init_position, init_speed, 0.0)[1]
     return replace(follower, vehicle_id=vehicle_id)
@@ -507,10 +510,11 @@ def simulate_platoon(spec: PlatoonSpec, duration: float, dt: float = DT) -> list
     Every vehicle starts at v_star, its own equilibrium headway behind the
     one ahead.  Returns trajectories leader-first, vehicle_id = platoon
     index.  On a collision the raised error carries every trajectory cut at
-    the first frame where any headway is nonpositive.
+    the first frame where any gap (spacing minus the length of the vehicle
+    ahead) is nonpositive.
     """
     leader = leader_trajectory(spec.lead_profile, duration, dt=dt, vehicle_id=0)
-    gaps = [_vehicle_eq_headway(vehicle, spec.v_star) for vehicle in spec.vehicles]
-    # each start is the one ahead minus its gap, subtracted in chain order
-    x0 = np.subtract.accumulate([leader.positions[0], *gaps])[1:]
+    headways = [_vehicle_eq_headway(vehicle, spec.v_star) for vehicle in spec.vehicles]
+    # each start is the one ahead minus its headway, subtracted in chain order
+    x0 = np.subtract.accumulate([leader.positions[0], *headways])[1:]
     return _string(leader, spec.vehicles, x0, spec.v_star, spec.v_star)

@@ -619,8 +619,11 @@ def cmd_simulate(args) -> StageResult:
         amps = _amplitudes(trajs, v_star)
         summary["speed_amplitudes"] = amps
         summary["amplification_vs_leader"] = [a / amps[0] if amps[0] else 0.0 for a in amps]
-        summary["min_gaps"] = [float(np.min(ahead.positions - tr.positions))
-                               for ahead, tr in zip(trajs, trajs[1:])]
+        # a gap is the spacing minus the length of the vehicle ahead
+        summary["min_gaps"] = [
+            float(np.min(ahead.positions - tr.positions) - ahead.vehicle_length)
+            for ahead, tr in zip(trajs, trajs[1:])
+        ]
     out = _outdir(args)
     _write_platoon_csv(trajs, out / "platoon.csv")
     _write_json(out / "simulate_summary.json", summary)

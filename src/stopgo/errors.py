@@ -27,7 +27,8 @@ class DuplicateFrame(DataError):
 
 
 class CollisionDetected(Exception):
-    """A simulated headway became nonpositive (CLI exit code 3).
+    """A simulated gap (spacing minus the length of the vehicle ahead) became
+    nonpositive (CLI exit code 3).
 
     Carries the offending vehicle index and frame plus every trajectory cut
     at that frame, so callers can dump the partial run.
@@ -35,7 +36,7 @@ class CollisionDetected(Exception):
 
     def __init__(self, vehicle_index: int, frame: int, partial=None):
         super().__init__(
-            f"vehicle {vehicle_index} headway nonpositive at frame {frame}"
+            f"vehicle {vehicle_index} gap nonpositive at frame {frame}"
         )
         self.vehicle_index = vehicle_index
         self.frame = frame

@@ -31,6 +31,9 @@ from stopgo.stability import ControllerGains, LinearizedHdv
 from stopgo.trajectory_io import DT
 
 THETA = FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.5)
+# THETA with its stopping and inflection headways one vehicle length longer,
+# so a driver standing behind a stopped leader keeps a 3 m gap between bodies
+THETA_GAP = FvdmParams(1.5, 1.2, 3.0 + VEHICLE_LENGTH, 20.0 + VEHICLE_LENGTH, 18.0, 0.08, 0.5)
 
 # draw boxes matching the calibration search space
 PARAM_BOX = {
@@ -153,7 +156,7 @@ def test_speed_clamps_at_zero_and_position_holds():
     # its position freezes across every clamped step (it may creep forward
     # again later once the standing gap exceeds the stopping headway)
     leader = leader_trajectory(ConstantProfile(0.0), 20.0)
-    fol = simulate_follower(THETA, leader, -5.0, 10.0)
+    fol = simulate_follower(THETA_GAP, leader, -5.0 - VEHICLE_LENGTH, 10.0)
     assert np.min(fol.speeds) == 0.0
     assert np.all(fol.speeds >= 0.0)
     assert np.all(np.diff(fol.positions) >= 0.0)
@@ -167,12 +170,12 @@ def test_speed_clamps_at_zero_and_position_holds():
 def test_collision_raises_with_partial_arrays():
     leader = leader_trajectory(ConstantProfile(0.0), 20.0)
     with pytest.raises(CollisionDetected) as exc:
-        simulate_follower(THETA, leader, -2.0, 12.0)
+        simulate_follower(THETA, leader, -2.0 - VEHICLE_LENGTH, 12.0)
     err = exc.value
     lead_cut, follower_cut = err.partial
     assert err.vehicle_index == 1  # the follower sits one slot behind
     assert lead_cut.n == follower_cut.n == err.frame + 1
-    assert follower_cut.positions[-1] >= leader.positions[err.frame]
+    assert leader.positions[err.frame] - follower_cut.positions[-1] <= VEHICLE_LENGTH
 
 
 def test_batch_matches_scalar_followers():
@@ -183,14 +186,14 @@ def test_batch_matches_scalar_followers():
         th = FvdmParams(
             float(rng.uniform(1, 3)),
             float(rng.uniform(1, 3)),
-            3.0,
-            20.0,
+            3.0 + VEHICLE_LENGTH,
+            20.0 + VEHICLE_LENGTH,
             18.0,
             0.08,
             float(rng.choice([0.0, 0.3, 0.5])),
         )
         thetas.append(th)
-    dx0 = 18.0
+    dx0 = 18.0 + VEHICLE_LENGTH
     batch = simulate_followers_batch(
         np.array([th.as_array() for th in thetas]),
         leader.positions[:, None],
@@ -284,12 +287,13 @@ def _reference_march(spec, duration, dt=DT):
 # an automated vehicle, human drivers with reaction delays of 0, 0.5 and
 # 1.3 s and a delayed linear driver.  The 1.3 s driver's delay margin is
 # 0.26 s, so it collides within 30 s and the march is compared up to the
-# collision frame.
+# collision frame.  The delayed linear driver's spacing falls up to 18.3 m
+# below its desired headway, so that headway is 20 m plus a vehicle length.
 STABLE_STRING = (
     Cav(ControllerGains(0.5, 1.0, 0.5), 0.0, 20.0),
     Hdv(FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.0)),
     Hdv(FvdmParams(2.0, 1.5, 3.0, 20.0, 18.0, 0.08, 0.5)),
-    LinearizedHdv(1.0, 1.5, 0.8, 0.0, tau=0.7, lambda3=20.0),
+    LinearizedHdv(1.0, 1.5, 0.8, 0.0, tau=0.7, lambda3=20.0 + VEHICLE_LENGTH),
 )
 MIXED_STRING = STABLE_STRING + (Hdv(FvdmParams(3.0, 2.5, 3.0, 25.0, 20.0, 0.08, 1.3)),)
 
@@ -303,7 +307,8 @@ def test_string_loop_matches_per_vehicle_march(vehicles, profile):
     spec = PlatoonSpec(vehicles, profile, 12.0)
     ref = _reference_march(spec, 120.0)
     gaps = np.array([ahead[0] - behind[0] for ahead, behind in zip(ref, ref[1:])])
-    hits = np.argwhere((gaps <= 0.0).T)  # (frame, vehicle - 1), frame-major
+    # a collision is a spacing at or below the length of the vehicle ahead
+    hits = np.argwhere((gaps <= VEHICLE_LENGTH).T)  # (frame, vehicle - 1), frame-major
     try:
         trajs = simulate_platoon(spec, 120.0)
         assert len(hits) == 0
@@ -332,11 +337,29 @@ def test_collision_names_the_first_frame_of_any_vehicle():
     with pytest.raises(CollisionDetected) as exc:
         simulate_platoon(spec, 120.0)
     err, cut = exc.value, exc.value.partial
-    assert (err.vehicle_index, err.frame) == (2, 147)
+    assert (err.vehicle_index, err.frame) == (2, 66)
     assert [tr.vehicle_id for tr in cut] == [0, 1, 2]
-    assert all(tr.end_frame == 147 for tr in cut)
-    assert cut[1].positions[-1] - cut[2].positions[-1] <= 0.0
-    assert np.all(cut[0].positions - cut[1].positions > 0.0)
+    assert all(tr.end_frame == 66 for tr in cut)
+    assert cut[1].positions[-1] - cut[2].positions[-1] <= VEHICLE_LENGTH
+    assert np.all(cut[0].positions - cut[1].positions > VEHICLE_LENGTH)
+
+
+def test_collision_is_a_spacing_at_the_length_of_the_vehicle_ahead():
+    # a CAV with no spacing feedback drifts into a leader that slows from 12
+    # to 8 m/s: its spacing falls to the leader's length at frame 240 and to
+    # 0 at frame 253, and the collision is the first of the two
+    spec = PlatoonSpec((Cav(ControllerGains(0.0, 0.02, 0.02), 1.5, 2.0),),
+                       PiecewiseProfile(((0, 12), (20, 8))), 12.0)
+    (lead_x, _, _), (cav_x, _, _) = _reference_march(spec, 60.0)
+    through = lead_x - cav_x
+    assert (np.argmax(through <= VEHICLE_LENGTH), np.argmax(through <= 0.0)) == (240, 253)
+    with pytest.raises(CollisionDetected) as exc:
+        simulate_platoon(spec, 60.0)
+    err = exc.value
+    lead, cav = err.partial
+    assert (err.vehicle_index, err.frame) == (1, 240)
+    assert np.array_equal(lead.positions - cav.positions, through[:241])
+    assert lead.speeds[-1] - cav.speeds[-1] == pytest.approx(-3.70, abs=0.005)
 
 
 def test_unstable_linear_follower_amplifies_matching_transfer_gain():

@@ -97,7 +97,7 @@ def test_pipeline_requires_seed(tmp_path):
     (UsageError("bad flag"), 1, "stopgo: error: bad flag"),
     (DataError("bad data"), 2, "stopgo: data error: bad data"),
     (UnparsableField(3, "v_vel"), 2, "stopgo: data error: unparsable value in data row 3, column v_vel"),
-    (CollisionDetected(1, 5), 3, "stopgo: collision: vehicle 1 headway nonpositive at frame 5"),
+    (CollisionDetected(1, 5), 3, "stopgo: collision: vehicle 1 gap nonpositive at frame 5"),
 ], ids=["ValueError", "UsageError", "DataError", "UnparsableField", "CollisionDetected"])
 def test_each_error_type_has_one_exit_code_and_label(tmp_path, capsys, monkeypatch,
                                                      error, code, label):
