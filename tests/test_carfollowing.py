@@ -408,16 +408,16 @@ def test_grouped_batch_matches_separate_leaders():
         assert np.array_equal(joint[: tr.n, cols], alone)
 
 
-# group indexes [2 leader columns | 2 simulated columns]: 4 is past the end,
-# and 3 is candidate 1 itself
-@pytest.mark.parametrize("group", [[0, 4], [-1, 0], [0, 3]], ids=["past-end", "negative", "self"])
-def test_grouped_batch_needs_valid_groups(group):
+def test_grouped_batch_needs_valid_groups():
     leader = leader_trajectory(ConstantProfile(8.0), 2.0)
     lx = np.column_stack([leader.positions, leader.positions])
     lv = np.column_stack([leader.speeds, leader.speeds])
     thetas = np.array([THETA.as_array()] * 2)
-    with pytest.raises(ValueError):
-        simulate_followers_batch(thetas, lx, lv, -18.0, 8.0, group=group)
+    # group indexes [2 leader columns | 2 simulated columns]: 4 is past the
+    # end, -1 before the start, and 3 is candidate 1 itself
+    for group in ([0, 4], [-1, 0], [0, 3]):
+        with pytest.raises(ValueError):
+            simulate_followers_batch(thetas, lx, lv, -18.0, 8.0, group=group)
 
 
 
