@@ -1,19 +1,21 @@
-"""Car-following dynamics: velocity curve, follower and platoon simulation.
+"""Car-following dynamics: velocity curve, leader profiles and string simulation.
 
-The human-driver model accelerates toward a headway-dependent desired speed
-and reacts to the speed difference with the vehicle ahead, all evaluated a
-reaction delay in the past; an automated vehicle or a linearized driver
-follows a linear spacing law instead.  Every simulation runs in one time
-loop, simulate_followers_batch: at each sample every simulated column's law
-reads the delayed states of itself and of what it follows (a recorded
-leader or another simulated column), then each takes a constant-acceleration
-step with its speed clamped at zero (no reversing).  Calibration runs many
-candidate models behind recorded leaders in one call; a platoon is a chain
-of columns, each following the one ahead.  After the loop, the first frame
-at which any gap (spacing minus the length of the vehicle ahead) is
-nonpositive raises CollisionDetected, naming the frontmost vehicle that
-reached its predecessor there and carrying every trajectory cut at that
-frame.
+A string is a leader trajectory followed by modeled vehicles, each behind
+the one ahead.  A human driver is its FvdmParams: it accelerates toward a
+headway-dependent desired speed and reacts to the speed difference with the
+vehicle ahead, all evaluated a reaction delay tau in the past.  A Cav (an
+automated vehicle, no delay) or a LinearizedHdv (a linearized driver with
+its own delay) follows a linear spacing law instead.  Every simulation runs
+in one time loop, simulate_followers_batch: at each sample every simulated
+column's law reads the delayed states of itself and of what it follows (a
+recorded leader or another simulated column), then each takes a
+constant-acceleration step with its speed clamped at zero (no reversing).
+Calibration runs many candidate models behind recorded leaders in one call;
+simulate_string runs one string, numbering its trajectories from the
+leader (0).  After the loop, the first frame at which any gap (spacing
+minus the length of the vehicle ahead) is nonpositive raises
+CollisionDetected, naming the frontmost vehicle that reached its
+predecessor there and carrying every trajectory cut at that frame.
 """
 from __future__ import annotations
 
@@ -222,23 +224,26 @@ def _libm_tanh(x, out):
     out[:] = list(map(math.tanh, x.tolist()))
 
 
-def _string(lead: Trajectory, slots, x0, v0, v_star: float) -> list[Trajectory]:
-    """Advance a string of modeled vehicles behind lead on the batch kernel.
+def simulate_string(lead: Trajectory, vehicles, x0, v0, v_star: float) -> list[Trajectory]:
+    """Simulate a string of modeled vehicles behind a recorded or generated leader.
 
-    Slot 0 follows lead and slot i slot i - 1; they run in the kernel's
-    [Hdv | linear] column order.  x0 and v0 are scalars or one per slot.
-    Returns the trajectories lead-first, each slot's vehicle_id its index +
-    1.  The first frame at which any gap (spacing minus the length of the
-    vehicle ahead) is nonpositive raises CollisionDetected, naming the
-    frontmost vehicle there, with every trajectory cut at that frame.
+    vehicles[0] follows lead and vehicles[i] vehicles[i - 1]; each is an
+    FvdmParams (a human driver), a Cav or a LinearizedHdv, and the linear
+    laws regulate toward v_star.  x0 and v0 are scalars or one per vehicle.
+    Returns the trajectories lead-first on lead's frames, vehicles[i] with
+    vehicle_id i + 1.  The first frame at which any gap (spacing minus the
+    length of the vehicle ahead) is nonpositive raises CollisionDetected,
+    naming the frontmost vehicle there by its index in that list, with every
+    trajectory cut at that frame.
     """
-    n, m, dt = lead.n, len(slots), lead.dt
-    order = np.argsort([not isinstance(s, Hdv) for s in slots], kind="stable")
-    col = np.argsort(order)  # kernel column c runs slot order[c], slot i column col[i]
-    # slot 0 follows leader column 0, slot i kernel column col[i - 1] (after the G = 1 leader)
+    n, m, dt = lead.n, len(vehicles), lead.dt
+    # the kernel runs the FVDM drivers first, then the linear laws
+    order = np.argsort([not isinstance(s, FvdmParams) for s in vehicles], kind="stable")
+    col = np.argsort(order)  # kernel column c runs vehicle order[c], vehicle i column col[i]
+    # vehicle 0 follows leader column 0, vehicle i kernel column col[i - 1] (after the G = 1 leader)
     follows = np.concatenate([[0], 1 + col[:-1]])
-    thetas = [s.params.as_array() for s in slots if isinstance(s, Hdv)]
-    linear = [s for s in slots if not isinstance(s, Hdv)]
+    thetas = [s.as_array() for s in vehicles if isinstance(s, FvdmParams)]
+    linear = [s for s in vehicles if not isinstance(s, FvdmParams)]
     # a Cav carries its gains; a LinearizedHdv is its own gains
     gains = [s.gains if isinstance(s, Cav) else s for s in linear]
     rows = [(g.k1, g.k2, g.k3, s.lambda2, s.lambda3, getattr(s, "tau", 0.0))
@@ -265,23 +270,6 @@ def _string(lead: Trajectory, slots, x0, v0, v_star: float) -> list[Trajectory]:
     return trajs
 
 
-def simulate_follower(
-    theta: FvdmParams,
-    leader: Trajectory,
-    init_position: float,
-    init_speed: float,
-    vehicle_id: int = 0,
-) -> Trajectory:
-    """Simulate one model follower behind a recorded or generated leader.
-
-    Returns a trajectory aligned with the leader's frames.  Raises
-    CollisionDetected if the follower's spacing ever falls to
-    VEHICLE_LENGTH.
-    """
-    follower = _string(leader, (Hdv(theta),), init_position, init_speed, 0.0)[1]
-    return replace(follower, vehicle_id=vehicle_id)
-
-
 def generate_synthetic_pair(theta: FvdmParams, profile, duration: float,
                             initial_headway: float) -> VehiclePair:
     """Simulate a leader (vehicle 1) from a speed profile and a model
@@ -300,14 +288,9 @@ def generate_synthetic_pair(theta: FvdmParams, profile, duration: float,
             f"initial headway {initial_headway} m <= b_c {theta.b_c} m"
         )
     leader = leader_trajectory(profile, duration, vehicle_id=1)
-    follower = simulate_follower(
-        theta,
-        leader,
-        init_position=leader.positions[0] - initial_headway,
-        init_speed=leader.speeds[0],
-        vehicle_id=2,
-    )
-    return VehiclePair(leader, follower, leader.start_frame, leader.n)
+    x0 = leader.positions[0] - initial_headway
+    follower = simulate_string(leader, (theta,), x0, leader.speeds[0], 0.0)[1]
+    return VehiclePair(leader, replace(follower, vehicle_id=2), leader.start_frame, leader.n)
 
 
 def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT, *, group,
@@ -466,55 +449,34 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
 # platoons
 
 @dataclass(frozen=True)
-class Hdv:
-    """Platoon slot: human driver with a calibrated model."""
-
-    params: FvdmParams
-
-
-@dataclass(frozen=True)
 class Cav:
-    """Platoon slot: automated vehicle with linear spacing control, no delay."""
+    """String vehicle: automated vehicle with linear spacing control, no delay."""
 
     gains: ControllerGains
     lambda2: float
     lambda3: float
 
 
-@dataclass(frozen=True)
-class PlatoonSpec:
-    """A leader speed profile followed by a string of modeled vehicles.
-
-    vehicles[0] drives directly behind the profiled leader.  v_star is the
-    equilibrium speed: every vehicle starts at it, spaced at its own
-    equilibrium headway, and the linear controllers regulate toward it.
-    """
-
-    vehicles: tuple
-    lead_profile: object
-    v_star: float
-
-
 def _vehicle_eq_headway(vehicle, v_star: float) -> float:
-    if isinstance(vehicle, Hdv):
-        return equilibrium_headway(vehicle.params, v_star)
+    if isinstance(vehicle, FvdmParams):
+        return equilibrium_headway(vehicle, v_star)
     dx = vehicle.lambda2 * v_star + vehicle.lambda3
     if dx <= 0:
         raise DataError(f"desired headway {dx} m")
     return dx
 
 
-def simulate_platoon(spec: PlatoonSpec, duration: float, dt: float = DT) -> list[Trajectory]:
-    """Simulate the whole string behind its profiled leader.
+def simulate_platoon(vehicles, lead_profile, v_star: float, duration: float,
+                     dt: float = DT) -> list[Trajectory]:
+    """Simulate a string of vehicles behind a leader driving lead_profile.
 
     Every vehicle starts at v_star, its own equilibrium headway behind the
-    one ahead.  Returns trajectories leader-first, vehicle_id = platoon
-    index.  On a collision the raised error carries every trajectory cut at
-    the first frame where any gap (spacing minus the length of the vehicle
-    ahead) is nonpositive.
+    one ahead.  Returns simulate_string's trajectories: the leader is
+    vehicle 0 and vehicles[i] vehicle i + 1, and a collision raises
+    CollisionDetected with every trajectory cut at its frame.
     """
-    leader = leader_trajectory(spec.lead_profile, duration, dt=dt, vehicle_id=0)
-    headways = [_vehicle_eq_headway(vehicle, spec.v_star) for vehicle in spec.vehicles]
+    leader = leader_trajectory(lead_profile, duration, dt=dt, vehicle_id=0)
+    headways = [_vehicle_eq_headway(vehicle, v_star) for vehicle in vehicles]
     # each start is the one ahead minus its headway, subtracted in chain order
     x0 = np.subtract.accumulate([leader.positions[0], *headways])[1:]
-    return _string(leader, spec.vehicles, x0, spec.v_star, spec.v_star)
+    return simulate_string(leader, vehicles, x0, v_star, v_star)

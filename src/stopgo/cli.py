@@ -52,8 +52,6 @@ from .carfollowing import (
     Cav,
     ConstantProfile,
     FvdmParams,
-    Hdv,
-    PlatoonSpec,
     SinusoidProfile,
     equilibrium_headway,
     generate_synthetic_pair,
@@ -593,7 +591,7 @@ def cmd_simulate(args) -> StageResult:
     for i, theta in enumerate(thetas):
         _driver_headway(calib_path, i, theta, v_star)
     n_follow = args.platoon if args.platoon is not None else platoon
-    vehicles = (Cav(g, eq.lambda2, eq.lambda3), *map(Hdv, _cycled(thetas, n_follow)))
+    vehicles = (Cav(g, eq.lambda2, eq.lambda3), *_cycled(thetas, n_follow))
 
     if args.profile == "constant":
         profile = ConstantProfile(v_star)
@@ -608,10 +606,9 @@ def cmd_simulate(args) -> StageResult:
             omega = peak_gain_frequency(lins, grid.values(top=w0)) if w0 > 0.0 else 0.6
         profile = SinusoidProfile(v_star, args.amplitude, omega)
 
-    spec = PlatoonSpec(vehicles=vehicles, lead_profile=profile, v_star=v_star)
     summary = {"collision": None, "omega": omega, "v_star": v_star, "vehicles": len(vehicles) + 1}
     try:
-        trajs = simulate_platoon(spec, args.duration, dt=args.dt)
+        trajs = simulate_platoon(vehicles, profile, v_star, args.duration, dt=args.dt)
     except CollisionDetected as err:
         trajs = err.partial
         summary["collision"] = {"vehicle_index": err.vehicle_index, "frame": err.frame}

@@ -11,9 +11,7 @@ from stopgo.carfollowing import (
     Cav,
     ConstantProfile,
     FvdmParams,
-    Hdv,
     PiecewiseProfile,
-    PlatoonSpec,
     SinusoidProfile,
     equilibrium_headway,
     leader_trajectory,
@@ -21,9 +19,9 @@ from stopgo.carfollowing import (
     VEHICLE_LENGTH,
     _libm_tanh,
     ov_slope,
-    simulate_follower,
     simulate_followers_batch,
     simulate_platoon,
+    simulate_string,
     v_max,
 )
 from stopgo.errors import CollisionDetected, DataError
@@ -146,7 +144,7 @@ def test_follower_holds_equilibrium(tau):
     th = FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, tau)
     dx = equilibrium_headway(th, 12.0)
     leader = leader_trajectory(ConstantProfile(12.0), 60.0)
-    fol = simulate_follower(th, leader, leader.positions[0] - dx, 12.0)
+    fol = simulate_string(leader, (th,), leader.positions[0] - dx, 12.0, 0.0)[1]
     np.testing.assert_allclose(fol.speeds, 12.0, atol=1e-9)
     np.testing.assert_allclose(leader.positions - fol.positions, dx, atol=1e-9)
 
@@ -156,7 +154,7 @@ def test_speed_clamps_at_zero_and_position_holds():
     # its position freezes across every clamped step (it may creep forward
     # again later once the standing gap exceeds the stopping headway)
     leader = leader_trajectory(ConstantProfile(0.0), 20.0)
-    fol = simulate_follower(THETA_GAP, leader, -5.0 - VEHICLE_LENGTH, 10.0)
+    fol = simulate_string(leader, (THETA_GAP,), -5.0 - VEHICLE_LENGTH, 10.0, 0.0)[1]
     assert np.min(fol.speeds) == 0.0
     assert np.all(fol.speeds >= 0.0)
     assert np.all(np.diff(fol.positions) >= 0.0)
@@ -170,10 +168,10 @@ def test_speed_clamps_at_zero_and_position_holds():
 def test_collision_raises_with_partial_arrays():
     leader = leader_trajectory(ConstantProfile(0.0), 20.0)
     with pytest.raises(CollisionDetected) as exc:
-        simulate_follower(THETA, leader, -2.0 - VEHICLE_LENGTH, 12.0)
+        simulate_string(leader, (THETA,), -2.0 - VEHICLE_LENGTH, 12.0, 0.0)
     err = exc.value
     lead_cut, follower_cut = err.partial
-    assert err.vehicle_index == 1  # the follower sits one slot behind
+    assert err.vehicle_index == 1  # the follower, behind the leader (0)
     assert lead_cut.n == follower_cut.n == err.frame + 1
     assert leader.positions[err.frame] - follower_cut.positions[-1] <= VEHICLE_LENGTH
 
@@ -206,18 +204,17 @@ def test_batch_matches_scalar_followers():
     assert batch.shape == (leader.n, 4)
     # with the platoon's tanh, a batch column and a lone follower run one code path
     for i, th in enumerate(thetas):
-        single = simulate_follower(th, leader, leader.positions[0] - dx0, 12.0)
+        single = simulate_string(leader, (th,), leader.positions[0] - dx0, 12.0, 0.0)[1]
         assert np.array_equal(batch[:, i], single.positions)
 
 
 def test_platoon_structure_and_equilibrium_hold():
     vehicles = (
         Cav(ControllerGains(0.5, 1.0, 0.5), 0.0, 20.0),
-        Hdv(THETA),
+        THETA,
         LinearizedHdv(1.0, 1.5, 0.8, 0.0, tau=0.2, lambda3=20.0),
     )
-    spec = PlatoonSpec(vehicles, ConstantProfile(12.0), 12.0)
-    trajs = simulate_platoon(spec, 40.0)
+    trajs = simulate_platoon(vehicles, ConstantProfile(12.0), 12.0, 40.0)
     assert [tr.vehicle_id for tr in trajs] == [0, 1, 2, 3]
     assert len({tr.n for tr in trajs}) == 1
     for tr in trajs:
@@ -232,9 +229,8 @@ def test_platoon_collision_truncates_every_vehicle():
     # inert controller keeps cruising into a leader that stops hard
     vehicles = (Cav(ControllerGains(0.001, 0.001, 0.0), 0.0, 20.0),)
     prof = PiecewiseProfile(((0.0, 12.0), (5.0, 0.0)))
-    spec = PlatoonSpec(vehicles, prof, 12.0)
     with pytest.raises(CollisionDetected) as exc:
-        simulate_platoon(spec, 60.0)
+        simulate_platoon(vehicles, prof, 12.0, 60.0)
     err = exc.value
     assert err.vehicle_index == 1
     assert isinstance(err.partial, list) and len(err.partial) == 2
@@ -244,9 +240,9 @@ def test_platoon_collision_truncates_every_vehicle():
 
 
 def _reference_law(vehicle, v_star):
-    """The scalar acceleration law of one platoon slot, as the per-vehicle march evaluated it."""
-    if isinstance(vehicle, Hdv):
-        th = vehicle.params
+    """The scalar acceleration law of one string vehicle, as the per-vehicle march evaluated it."""
+    if isinstance(vehicle, FvdmParams):
+        th = vehicle
         off = math.tanh(th.m * (th.b_c - th.b_f))
         return lambda h, vown, dv: (
             th.alpha * (th.v0 * (math.tanh(th.m * (h - th.b_f)) - off) - vown) + th.beta * dv)
@@ -255,22 +251,22 @@ def _reference_law(vehicle, v_star):
     return lambda h, vown, dv: g.k1 * (h - lam2 * vown - lam3) - g.k2 * (vown - v_star) + g.k3 * dv
 
 
-def _reference_march(spec, duration, dt=DT):
+def _reference_march(vehicles, lead_profile, v_star, duration, dt=DT):
     """(positions, speeds, accelerations) per vehicle, leader first, from the
     per-vehicle march: each vehicle runs to the end behind its predecessor's
     finished trajectory, one scalar step at a time, through any collision."""
-    leader = leader_trajectory(spec.lead_profile, duration, dt=dt, vehicle_id=0)
+    leader = leader_trajectory(lead_profile, duration, dt=dt, vehicle_id=0)
     out = [(leader.positions, leader.speeds, leader.accels)]
-    for vehicle in spec.vehicles:
+    for vehicle in vehicles:
         prev_x, prev_v, _ = out[-1]
-        accel = _reference_law(vehicle, spec.v_star)
-        tau = vehicle.params.tau if isinstance(vehicle, Hdv) else getattr(vehicle, "tau", 0.0)
+        accel = _reference_law(vehicle, v_star)
+        tau = getattr(vehicle, "tau", 0.0)  # a Cav has no delay
         delay = int(math.floor(tau / dt + 0.5))
-        gap = (equilibrium_headway(vehicle.params, spec.v_star) if isinstance(vehicle, Hdv)
-               else vehicle.lambda2 * spec.v_star + vehicle.lambda3)
+        gap = (equilibrium_headway(vehicle, v_star) if isinstance(vehicle, FvdmParams)
+               else vehicle.lambda2 * v_star + vehicle.lambda3)
         n = len(prev_x)
         x, v, a = np.empty(n), np.empty(n), np.empty(n)
-        x[0], v[0] = prev_x[0] - gap, spec.v_star
+        x[0], v[0] = prev_x[0] - gap, v_star
         for k in range(n):
             jd = max(k - delay, 0)
             a[k] = accel(prev_x[jd] - x[jd], v[jd], prev_v[jd] - v[jd])
@@ -291,11 +287,11 @@ def _reference_march(spec, duration, dt=DT):
 # below its desired headway, so that headway is 20 m plus a vehicle length.
 STABLE_STRING = (
     Cav(ControllerGains(0.5, 1.0, 0.5), 0.0, 20.0),
-    Hdv(FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.0)),
-    Hdv(FvdmParams(2.0, 1.5, 3.0, 20.0, 18.0, 0.08, 0.5)),
+    FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.0),
+    FvdmParams(2.0, 1.5, 3.0, 20.0, 18.0, 0.08, 0.5),
     LinearizedHdv(1.0, 1.5, 0.8, 0.0, tau=0.7, lambda3=20.0 + VEHICLE_LENGTH),
 )
-MIXED_STRING = STABLE_STRING + (Hdv(FvdmParams(3.0, 2.5, 3.0, 25.0, 20.0, 0.08, 1.3)),)
+MIXED_STRING = STABLE_STRING + (FvdmParams(3.0, 2.5, 3.0, 25.0, 20.0, 0.08, 1.3),)
 
 
 @pytest.mark.parametrize("vehicles", [STABLE_STRING, MIXED_STRING], ids=["stable", "colliding"])
@@ -304,13 +300,13 @@ MIXED_STRING = STABLE_STRING + (Hdv(FvdmParams(3.0, 2.5, 3.0, 25.0, 20.0, 0.08, 
     PiecewiseProfile(((0.0, 12.0), (20.0, 8.0), (60.0, 12.0))),
 ], ids=["sinusoid", "step"])
 def test_string_loop_matches_per_vehicle_march(vehicles, profile):
-    spec = PlatoonSpec(vehicles, profile, 12.0)
-    ref = _reference_march(spec, 120.0)
+    run = (vehicles, profile, 12.0, 120.0)
+    ref = _reference_march(*run)
     gaps = np.array([ahead[0] - behind[0] for ahead, behind in zip(ref, ref[1:])])
     # a collision is a spacing at or below the length of the vehicle ahead
     hits = np.argwhere((gaps <= VEHICLE_LENGTH).T)  # (frame, vehicle - 1), frame-major
     try:
-        trajs = simulate_platoon(spec, 120.0)
+        trajs = simulate_platoon(*run)
         assert len(hits) == 0
         end = gaps.shape[1]
     except CollisionDetected as err:
@@ -333,9 +329,8 @@ def test_collision_names_the_first_frame_of_any_vehicle():
         Cav(ControllerGains(0.3, 0.5, 0.5), 0.0, 20.0),
         LinearizedHdv(1.0, 0.5, 0.0, 0.0, tau=1.5, lambda3=6.0),
     )
-    spec = PlatoonSpec(vehicles, PiecewiseProfile(((0, 12), (5, 9), (60, 0))), 12.0)
     with pytest.raises(CollisionDetected) as exc:
-        simulate_platoon(spec, 120.0)
+        simulate_platoon(vehicles, PiecewiseProfile(((0, 12), (5, 9), (60, 0))), 12.0, 120.0)
     err, cut = exc.value, exc.value.partial
     assert (err.vehicle_index, err.frame) == (2, 66)
     assert [tr.vehicle_id for tr in cut] == [0, 1, 2]
@@ -348,13 +343,13 @@ def test_collision_is_a_spacing_at_the_length_of_the_vehicle_ahead():
     # a CAV with no spacing feedback drifts into a leader that slows from 12
     # to 8 m/s: its spacing falls to the leader's length at frame 240 and to
     # 0 at frame 253, and the collision is the first of the two
-    spec = PlatoonSpec((Cav(ControllerGains(0.0, 0.02, 0.02), 1.5, 2.0),),
-                       PiecewiseProfile(((0, 12), (20, 8))), 12.0)
-    (lead_x, _, _), (cav_x, _, _) = _reference_march(spec, 60.0)
+    run = ((Cav(ControllerGains(0.0, 0.02, 0.02), 1.5, 2.0),),
+           PiecewiseProfile(((0, 12), (20, 8))), 12.0, 60.0)
+    (lead_x, _, _), (cav_x, _, _) = _reference_march(*run)
     through = lead_x - cav_x
     assert (np.argmax(through <= VEHICLE_LENGTH), np.argmax(through <= 0.0)) == (240, 253)
     with pytest.raises(CollisionDetected) as exc:
-        simulate_platoon(spec, 60.0)
+        simulate_platoon(*run)
     err = exc.value
     lead, cav = err.partial
     assert (err.vehicle_index, err.frame) == (1, 240)
@@ -373,8 +368,7 @@ def test_unstable_linear_follower_amplifies_matching_transfer_gain():
     dt = 0.01
     eps = 0.5
     vehicles = (LinearizedHdv(k1, k2, k3, 0.0, lambda3=20.0),)
-    spec = PlatoonSpec(vehicles, SinusoidProfile(15.0, eps, w), 15.0)
-    trajs = simulate_platoon(spec, 300.0, dt=dt)
+    trajs = simulate_platoon(vehicles, SinusoidProfile(15.0, eps, w), 15.0, 300.0, dt=dt)
     tail = trajs[0].times() > 200.0
     amp_leader = np.max(np.abs(trajs[0].speeds[tail] - 15.0))
     amp_follow = np.max(np.abs(trajs[1].speeds[tail] - 15.0))
@@ -422,20 +416,19 @@ def test_grouped_batch_needs_valid_groups():
 
 
 def test_one_call_runs_a_string_and_lone_followers():
-    # kernel columns [string Hdv, two candidates | Cav, delayed LinearizedHdv]
-    # behind leaders [string lead, two others]: the string is Cav -> Hdv ->
-    # LinearizedHdv, so the Hdv follows a linear column and the
+    # kernel columns [string driver, two candidates | Cav, delayed LinearizedHdv]
+    # behind leaders [string lead, two others]: the string is Cav -> THETA ->
+    # LinearizedHdv, so the THETA driver follows a linear column and the
     # LinearizedHdv an FVDM column; each candidate follows its own leader
     v_star, duration = 12.0, 60.0
     cav = Cav(ControllerGains(0.5, 1.0, 0.5), 0.0, 20.0)
     lin = LinearizedHdv(1.0, 1.5, 0.8, 0.0, tau=0.3, lambda3=20.0)
-    spec = PlatoonSpec((cav, Hdv(THETA), lin), SinusoidProfile(12.0, 2.0, 0.4), v_star)
-    string = simulate_platoon(spec, duration)
+    string = simulate_platoon((cav, THETA, lin), SinusoidProfile(12.0, 2.0, 0.4), v_star, duration)
     leaders = [string[0], leader_trajectory(SinusoidProfile(10.0, 3.0, 0.9), duration),
                leader_trajectory(PiecewiseProfile(((0.0, 12.0), (20.0, 8.0))), duration)]
     candidates = [FvdmParams(2.0, 1.5, 3.0, 20.0, 18.0, 0.08, 0.3),
                   FvdmParams(2.0, 2.0, 3.0, 20.0, 18.0, 0.08, 0.2)]
-    alone = [simulate_follower(th, tr, tr.positions[0] - 18.0, tr.speeds[0])
+    alone = [simulate_string(tr, (th,), tr.positions[0] - 18.0, tr.speeds[0], 0.0)[1]
              for th, tr in zip(candidates, leaders[1:])]
     runs = [string[2], *alone, string[1], string[3]]  # in kernel column order
     n = leaders[0].n
@@ -452,6 +445,7 @@ def test_one_call_runs_a_string_and_lone_followers():
         assert np.array_equal(X[:, c], tr.positions)
         assert np.array_equal(V[:, c], tr.speeds)
         assert np.array_equal(A[:, c], tr.accels)
+
 
 def _reference_batch(thetas, leader_x, leader_v, x0, v0, dt=DT, *, group):
     """(positions, speeds) of the batch kernel's per-step loop with separate

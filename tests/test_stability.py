@@ -8,7 +8,6 @@ import pytest
 
 from stopgo.carfollowing import (
     FvdmParams,
-    PlatoonSpec,
     SinusoidProfile,
     equilibrium_headway,
     linearize_hdv,
@@ -324,8 +323,7 @@ def test_delay_margin_separates_bounded_from_growing_swing(tau, bounded):
     lin, dx_star = _synthetic_linearization()
     assert (tau < delay_margin(lin)) == bounded
     follower = LinearizedHdv(lin.k1, lin.k2, lin.k3, 0.0, tau, lambda3=dx_star)
-    spec = PlatoonSpec((follower,), SinusoidProfile(12.0, 0.4, 0.6), 12.0)
-    trajs = simulate_platoon(spec, 60.0, dt=0.1)
+    trajs = simulate_platoon((follower,), SinusoidProfile(12.0, 0.4, 0.6), 12.0, 60.0, dt=0.1)
     tail = trajs[1].speeds[trajs[1].n // 2 :]
     swing = np.max(np.abs(tail - 12.0))
     if bounded:
