@@ -16,6 +16,7 @@ the scan ran out of followers before the limit (count_record).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,13 +114,25 @@ def gain_axis(lo: float, hi: float, step: float) -> tuple[float, ...]:
     return tuple(np.linspace(lo, hi, n + 1))
 
 
+def gain_label(gain: float) -> str:
+    """A gain as the heatmaps print it, in file names and row and column headers."""
+    return f"{gain:g}"
+
+
 @dataclass(frozen=True)
 class GainGridSpec:
-    """Search grid for the controller gains."""
+    """Search grid for the controller gains; no two gains of an axis print alike."""
 
     k1_values: tuple = field(default_factory=lambda: gain_axis(0.0, 1.0, 0.05))
     k2_values: tuple = field(default_factory=lambda: gain_axis(0.02, 2.0, 0.02))
     k3_values: tuple = field(default_factory=lambda: gain_axis(0.02, 2.0, 0.02))
+
+    def __post_init__(self):
+        for name in ("k1", "k2", "k3"):
+            labels = Counter(gain_label(g) for g in getattr(self, f"{name}_values"))
+            alike = [label for label, count in labels.items() if count > 1]
+            if alike:
+                raise ValueError(f"{name} has gains that the heatmaps print alike as {alike}")
 
 
 UNBOUNDED_CELL = -1
@@ -475,11 +488,11 @@ def write_heatmaps(result: GainSearchResult, outdir) -> list:
     paths = []
     objective = _objective(result.n_stable_grid, result.n_safe_grid)
     for i, k1 in enumerate(result.grid.k1_values):
-        path = outdir / f"heatmap_k1={k1:g}.csv"
+        path = outdir / f"heatmap_k1={gain_label(k1)}.csv"
         with open(path, "w") as fh:
-            fh.write("k2\\k3," + ",".join(f"{k3:g}" for k3 in result.grid.k3_values) + "\n")
+            fh.write("k2\\k3," + ",".join(map(gain_label, result.grid.k3_values)) + "\n")
             for j, k2 in enumerate(result.grid.k2_values):
                 row = ",".join(str(int(c)) for c in objective[i, j])
-                fh.write(f"{k2:g}," + row + "\n")
+                fh.write(f"{gain_label(k2)}," + row + "\n")
         paths.append(path)
     return paths

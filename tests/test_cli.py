@@ -542,6 +542,8 @@ BAD_FLAGS = [
     ("stability", "--omega-min", "200"), ("optimize-gains", "--beta", "0"),
     ("simulate", "--omega", "0"), ("simulate", "--dt", "0"),
     ("optimize-gains", "--gain-grid", '{"k1": [0, 1, 0.3]}'), ("optimize-gains", "--lambda2", "-1"),
+    # 0.1 and 0.1000001 would both write heatmap_k1=0.1.csv
+    ("optimize-gains", "--gain-grid", '{"k1": [0.1, 0.1000001, 1e-7]}'),
 ]
 
 

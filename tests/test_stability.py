@@ -623,3 +623,12 @@ def test_write_heatmaps_layout(tmp_path):
     assert first[0] == "0.5"
     cells = {int(c) for line in lines[1:] for c in line.split(",")[1:]}
     assert cells <= set(range(-2, len(lins) + 1))
+
+
+@pytest.mark.parametrize("axis", ["k1_values", "k2_values", "k3_values"])
+def test_gain_grid_rejects_gains_the_heatmaps_print_alike(axis):
+    # 0.1 and 0.1000001 both print as 0.1: two k1 slices would share one
+    # file, and two rows or columns one label
+    with pytest.raises(ValueError, match=f"{axis[:2]} has gains .* alike as \\['0.1'\\]"):
+        GainGridSpec(**{axis: (0.1, 0.1000001, 0.2)})
+    GainGridSpec(**{axis: (0.1, 0.100001, 0.2)})  # 0.1 and 0.100001 print apart
