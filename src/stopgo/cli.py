@@ -555,16 +555,23 @@ def cmd_optimize_gains(args) -> StageResult:
 # ---------------------------------------------------------------- simulate
 
 
+def _csv_vehicle_id(index: int) -> int:
+    """platoon.csv's vehicle_id of the vehicle at index (leader 0): ids count
+    from 1, because a preceding_id of 0 means none."""
+    return index + 1
+
+
 def _write_platoon_csv(trajs, path: Path) -> None:
     lengths = [tr.n for tr in trajs]
+    ids = _csv_vehicle_id(np.arange(len(trajs)))
     write_columns(path, ["vehicle_id", "frame_id", "t", "x_m", "v_mps", "a_mps2", "preceding_id"], [
-        np.repeat(np.arange(1, len(trajs) + 1), lengths),
+        np.repeat(ids, lengths),
         np.concatenate([tr.start_frame + np.arange(tr.n) for tr in trajs]),
         np.concatenate([tr.times() for tr in trajs]),
         np.concatenate([tr.positions for tr in trajs]),
         np.concatenate([tr.speeds for tr in trajs]),
         np.concatenate([tr.accels for tr in trajs]),
-        np.repeat(np.arange(len(trajs)), lengths),
+        np.repeat(ids - 1, lengths),  # the id of the vehicle ahead
     ])
 
 
@@ -611,7 +618,9 @@ def cmd_simulate(args) -> StageResult:
         trajs = simulate_platoon(vehicles, profile, v_star, args.duration, dt=args.dt)
     except CollisionDetected as err:
         trajs = err.partial
-        summary["collision"] = {"vehicle_index": err.vehicle_index, "frame": err.frame}
+        # vehicle_index counts the summary's per-vehicle lists, vehicle_id platoon.csv's rows
+        summary["collision"] = {"vehicle_index": err.vehicle_index,
+                                "vehicle_id": _csv_vehicle_id(err.vehicle_index), "frame": err.frame}
     else:
         amps = _amplitudes(trajs, v_star)
         summary["speed_amplitudes"] = amps
@@ -626,7 +635,7 @@ def cmd_simulate(args) -> StageResult:
     _write_json(out / "simulate_summary.json", summary)
     hit = summary["collision"]
     if hit:
-        print(f"collision: vehicle {hit['vehicle_index']} at frame {hit['frame']}; "
+        print(f"collision: vehicle_id {hit['vehicle_id']} at frame {hit['frame']}; "
               f"partial trajectories written to {out / 'platoon.csv'}", file=sys.stderr)
     rc = EXIT_COLLISION if hit else EXIT_OK
     return rc, [gains_path, stab_path, calib_path], {"platoon": n_follow, "omega": omega}

@@ -14,6 +14,7 @@ import pytest
 import stopgo
 from stopgo import cli
 from stopgo.calibration import GaConfig
+from stopgo.carfollowing import VEHICLE_LENGTH
 from stopgo.cli import UsageError, build_parser, main
 from stopgo.errors import CollisionDetected, DataError, UnparsableField
 from stopgo.smoothing import SmoothingConfig
@@ -440,8 +441,10 @@ def test_simulate_times_follow_its_step(chain, tmp_path):
     assert all(float(r[2]) == int(r[1]) * 0.05 for r in rows[1:])
 
 
-def test_simulate_collision_exit_code_and_partial_dump(chain, tmp_path):
-    # an all-but-disabled controller ignores a deep slowdown of the leader
+@pytest.fixture()
+def collided(chain, tmp_path, capsys):
+    """(output directory, stderr) of a simulate run that exits 3: an
+    all-but-disabled controller ignores a deep slowdown of the leader."""
     gains = tmp_path / "06_doctored"
     shutil.copytree(chain / "06", gains)
     gpath = gains / "gains.json"
@@ -453,6 +456,11 @@ def test_simulate_collision_exit_code_and_partial_dump(chain, tmp_path):
     rc = run("simulate", "--input", gains, "--platoon", 1, "--amplitude", 11.9,
              "--omega", 0.3, "--duration", 120, "--out", sim)
     assert rc == 3
+    return sim, capsys.readouterr().err
+
+
+def test_simulate_collision_exit_code_and_partial_dump(collided):
+    sim, _ = collided
     sdoc = _read_json(sim / "simulate_summary.json")
     assert sdoc["collision"]["vehicle_index"] == 1
     frame = sdoc["collision"]["frame"]
@@ -460,6 +468,19 @@ def test_simulate_collision_exit_code_and_partial_dump(chain, tmp_path):
     frames = {int(r.split(",")[1]) for r in rows[1:]}
     assert max(frames) == frame  # dump truncates at the collision frame
     assert (sim / "manifest.json").exists()
+
+
+def test_simulate_collision_names_the_vehicle_as_platoon_csv_does(collided):
+    sim, err = collided
+    hit = _read_json(sim / "simulate_summary.json")["collision"]
+    vid, frame = hit["vehicle_id"], hit["frame"]
+    assert f"collision: vehicle_id {vid} at frame {frame};" in err
+    rows = [r.split(",") for r in (sim / "platoon.csv").read_text().split()[1:]]
+    x = {(int(r[0]), int(r[1])): float(r[3]) for r in rows}
+    ahead = {int(r[0]): int(r[6]) for r in rows}
+    # the named vehicle follows another and is within a vehicle length of it
+    assert ahead[vid] > 0
+    assert x[ahead[vid], frame] - x[vid, frame] <= VEHICLE_LENGTH
 
 
 def test_pipeline_runs_all_stages(tmp_path):
