@@ -447,6 +447,28 @@ def test_one_call_runs_a_string_and_lone_followers():
         assert np.array_equal(A[:, c], tr.accels)
 
 
+@pytest.mark.parametrize("cut", [1, 2, 3])
+def test_string_tail_replays_behind_a_recorded_vehicle(cut):
+    # the vehicles behind string vehicle `cut`, run behind its trajectory as
+    # a recorded leader from their own starting states, drive the same
+    # trajectories bit for bit: a chain replays from any of its vehicles
+    vehicles = (
+        Cav(ControllerGains(0.5, 1.0, 0.5), 0.0, 20.0),
+        FvdmParams(1.5, 1.2, 3.0 + VEHICLE_LENGTH, 20.0 + VEHICLE_LENGTH, 18.0, 0.08, 0.3),
+        FvdmParams(2.0, 1.5, 3.0 + VEHICLE_LENGTH, 20.0 + VEHICLE_LENGTH, 18.0, 0.08, 0.5),
+        LinearizedHdv(1.0, 1.5, 0.8, 0.0, tau=0.7, lambda3=20.0 + VEHICLE_LENGTH),
+    )
+    profile = PiecewiseProfile(((0.0, 12.0), (20.0, 8.0), (60.0, 12.0)))
+    string = simulate_platoon(vehicles, profile, 12.0, 120.0)
+    tail = string[cut + 1 :]
+    replay = simulate_string(string[cut], vehicles[cut:], [tr.positions[0] for tr in tail],
+                             [tr.speeds[0] for tr in tail], 12.0)
+    for ran, again in zip(tail, replay[1:], strict=True):
+        assert np.array_equal(ran.positions, again.positions)
+        assert np.array_equal(ran.speeds, again.speeds)
+        assert np.array_equal(ran.accels, again.accels)
+
+
 def _reference_batch(thetas, leader_x, leader_v, x0, v0, dt=DT, *, group):
     """(positions, speeds) of the batch kernel's per-step loop with separate
     (N, P) position and speed arrays and one temporary per operation."""
