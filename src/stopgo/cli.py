@@ -555,9 +555,10 @@ def cmd_optimize_gains(args) -> StageResult:
 # ---------------------------------------------------------------- simulate
 
 
-def _csv_vehicle_id(index: int) -> int:
-    """platoon.csv's vehicle_id of the vehicle at index (leader 0): ids count
-    from 1, because a preceding_id of 0 means none."""
+def _csv_vehicle_id(index):
+    """platoon.csv's vehicle_id of the vehicle at an index (or array of them)
+    into a platoon's trajectories, leader 0: ids count from 1, because a
+    preceding_id of 0 means none."""
     return index + 1
 
 
