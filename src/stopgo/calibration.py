@@ -179,9 +179,14 @@ def _pair_fitness(leader_x: np.ndarray, X: np.ndarray, data: np.ndarray) -> np.n
     the penalty for one that collides."""
     # C order makes each candidate's headways a contiguous row, which numpy
     # reduces to the same bits as that row alone
-    S = np.subtract(leader_x, X.T, order="C")
-    fits = error_mixed(S, data)
-    return np.where(S.min(axis=-1) <= 0.0, COLLISION_PENALTY, fits)
+    S, data = _check_series(np.subtract(leader_x, X.T, order="C"), data)
+    collided = S.min(axis=-1) <= 0.0
+    # error_mixed's operations, each in place in S
+    np.subtract(S, data, out=S)
+    np.square(S, out=S)
+    np.divide(S, np.abs(data), out=S)
+    fits = np.sqrt(np.mean(S, axis=-1) / np.mean(np.abs(data)))
+    return np.where(collided, COLLISION_PENALTY, fits)
 
 
 class _PairGa:
@@ -207,34 +212,51 @@ class _PairGa:
         self.converged_by = None  # set once the pair stops
 
     def breed(self) -> None:
-        """Replace the scored population by the next generation."""
+        """Replace the scored population by the next generation.
+
+        The ELITES best candidates come first, then the offspring in pairs.
+        Each pair draws, in this order: random(2) to pick its parents by
+        roulette on inverse fitness; random() for the crossover gate;
+        random(7) for the crossover mask, only if the gate passes; then for
+        each child random(7) for its mutation mask and standard_normal(7)
+        for its noise.  For an odd offspring count the last pair draws for
+        its first child only.  The children are then built together from
+        these draws.
+        """
         rng, P = self.rng, self.cfg.population_size
         pop, fits = self.pop, self.fits
         self.generations += 1
 
         weights = 1.0 / (fits + _ROULETTE_EPS)
         probs = weights / weights.sum()
+        if not np.all(np.isfinite(probs)) or np.any(probs < 0):
+            raise ValueError("roulette probabilities must be finite and nonnegative")
+        # the picks Generator.choice(P, p=probs) makes from the same uniforms
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
         order = np.argsort(fits, kind="stable")
-        children = [pop[i].copy() for i in order[:ELITES]]
 
-        while len(children) < P:
-            i, j = rng.choice(P, size=2, p=probs)
-            a, b = pop[i].copy(), pop[j].copy()
+        m = P - ELITES
+        pairs = (m + 1) // 2
+        picks = np.empty((pairs, 2))
+        cross = np.ones((pairs, 7))  # 1.0 never swaps a gene
+        mutate = np.empty((m, 7))
+        noise = np.empty((m, 7))
+        for k in range(pairs):
+            rng.random(out=picks[k])
             if rng.random() < CROSSOVER_PROBABILITY:
-                mask = rng.random(7) < 0.5
-                swap = a[mask].copy()
-                a[mask] = b[mask]
-                b[mask] = swap
-            for child in (a, b):
-                if len(children) >= P:
-                    break
-                mmask = rng.random(7) < MUTATION_PROBABILITY
-                noise = rng.standard_normal(7) * self.sigma
-                child = np.where(mmask, child + noise, child)
-                np.clip(child, self.lo, self.hi, out=child)
-                children.append(child)
+                rng.random(out=cross[k])
+            for c in range(2 * k, min(2 * k + 2, m)):
+                rng.random(out=mutate[c])
+                rng.standard_normal(out=noise[c])
 
-        self.pop = np.vstack(children)
+        i, j = cdf.searchsorted(picks, side="right").T
+        swap = cross < 0.5
+        kids = np.stack([np.where(swap, pop[j], pop[i]), np.where(swap, pop[i], pop[j])],
+                        axis=1).reshape(-1, 7)[:m]
+        kids = np.where(mutate < MUTATION_PROBABILITY, kids + noise * self.sigma, kids)
+        np.clip(kids, self.lo, self.hi, out=kids)
+        self.pop = np.vstack([pop[order[:ELITES]], kids])
         _snap_tau(self.pop, self.lo, self.hi)
 
     def score(self, X: np.ndarray) -> None:
@@ -275,6 +297,12 @@ def calibrate_pairs(pairs, bounds: dict | None = None,
     draws from its own generator, seeded with cfg.rng_seed + i, so its
     result is the same as calibrate_ga's on that pair at that seed.  Fully
     deterministic for a given cfg.
+
+    The generator's draws, in order: random((population_size, 7)) for the
+    first population; then, each generation, for each pair of offspring,
+    random(2) for its parents, random() for the crossover gate, random(7)
+    for the crossover mask if the gate passes, and random(7) and
+    standard_normal(7) for each child's mutation (see _PairGa.breed).
 
     Args:
         pairs: observed leader-follower pairs (calibration windows), all

@@ -364,7 +364,7 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
     off = np.empty(s)
     tanh(m * (bc - bf), out=off)
     # constants as arrays: a Python float costs a conversion on every call
-    zero, dts, half = np.zeros(s), np.full(s, dt), np.full(s, 0.5)
+    zero, dts, half_dts = np.zeros(s), np.full(s, dt), np.full(s, 0.5 * dt)
     bf0, mbe = np.concatenate([bf, zero]), np.concatenate([m, be])
 
     w = 2 * s + 2 * g
@@ -392,9 +392,12 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
 
     # Each float operation keeps the operands and order of
     #   a = al (vm (tanh(m (h - bf)) - off) - vd) + be dv
-    #   x + v dt + ((0.5 a) dt) dt,  v + a dt
+    #   x + v dt + (a dt) (0.5 dt),  v + a dt
     # so the result is bit for bit the one written out with temporaries; the
-    # stacked [dv - 0] is exact.
+    # stacked [dv - 0] is exact.  (a dt) (0.5 dt) equals ((0.5 a) dt) dt bit
+    # for bit, and reuses a dt: halving a double is exact outside the
+    # subnormal range, so (0.5 a) dt is a dt halved, and both forms round the
+    # one real product (a dt) dt / 2.
     got = np.empty(4 * s)  # [x, v, leader x, leader v] at row max(k - d, 0)
     own, lead, vd = got[: 2 * s], got[2 * s :], got[s : 2 * s]
     law = np.empty(2 * s)  # [h, dv], then [m (h - bf), be dv]
@@ -403,7 +406,7 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
     h_q, dv_q, vd_q, a_q = law[p:s], law[s + p :], vd[p:], a[p:]  # the linear columns'
     step = np.empty((2, s))  # [v dt, a dt]
     vdt, adt = step
-    curve = np.empty(s)  # ((0.5 a) dt) dt
+    curve = np.empty(s)  # (a dt) (0.5 dt)
     clamp = np.empty(s, dtype=bool)
     xv = Z[:, : 2 * s].reshape(n, 2, s)  # a view: row k is [x, v]
     rows = n if accels is not None else n - 1  # rows whose law is evaluated
@@ -430,9 +433,7 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
         np.multiply(cur[1], dts, out=vdt)
         np.multiply(a, dts, out=adt)
         np.add(cur, step, out=nxt)
-        np.multiply(half, a, out=curve)
-        np.multiply(curve, dts, out=curve)
-        np.multiply(curve, dts, out=curve)
+        np.multiply(adt, half_dts, out=curve)
         x, v = nxt
         np.add(x, curve, out=x)
         # a speed that would turn negative clamps at zero and the position holds

@@ -112,6 +112,82 @@ def test_block_fitness_needs_one_row_per_observed_headway():
         error_mixed(X.T[:, :, None], data)
 
 
+def test_block_fitness_leaves_its_inputs_alone():
+    lx, data, X = _position_block(50, 3)
+    X[20, 1] = lx[20] + 1.0
+    before = (lx.copy(), X.copy(), data.copy())
+    fits = calibration._pair_fitness(lx, X, data)
+    for arr, copy in zip((lx, X, data), before):
+        assert np.array_equal(arr, copy)
+    expected = [error_mixed(lx - X[:, p], data) for p in range(X.shape[1])]
+    expected[1] = COLLISION_PENALTY
+    assert list(fits) == expected
+
+
+def _reference_breed(ga) -> np.ndarray:
+    """The next population of ga, one parent pair and one child at a time,
+    drawing parents with Generator.choice."""
+    rng, P = ga.rng, ga.cfg.population_size
+    pop, fits = ga.pop, ga.fits
+    weights = 1.0 / (fits + calibration._ROULETTE_EPS)
+    probs = weights / weights.sum()
+    order = np.argsort(fits, kind="stable")
+    children = [pop[i].copy() for i in order[: calibration.ELITES]]
+    while len(children) < P:
+        i, j = rng.choice(P, size=2, p=probs)
+        a, b = pop[i].copy(), pop[j].copy()
+        if rng.random() < calibration.CROSSOVER_PROBABILITY:
+            mask = rng.random(7) < 0.5
+            swap = a[mask].copy()
+            a[mask] = b[mask]
+            b[mask] = swap
+        for child in (a, b):
+            if len(children) >= P:
+                break
+            mmask = rng.random(7) < calibration.MUTATION_PROBABILITY
+            noise = rng.standard_normal(7) * ga.sigma
+            child = np.where(mmask, child + noise, child)
+            np.clip(child, ga.lo, ga.hi, out=child)
+            children.append(child)
+    new = np.vstack(children)
+    calibration._snap_tau(new, ga.lo, ga.hi)
+    return new
+
+
+def _pair_gas(size: int, seed: int):
+    """Two GAs of one pair, seed and population size, in the same state."""
+    pair = _make_pair(duration=4.0)
+    lo, hi = calibration._bounds_arrays(None)
+    cfg = GaConfig(population_size=size)
+    return [calibration._PairGa(pair, lo, hi, cfg, seed) for _ in range(2)]
+
+
+@pytest.mark.parametrize("size", [7, 8, 13, 50])  # odd and even offspring counts
+def test_breed_is_bit_identical_to_the_per_child_loop(size):
+    ga, ref = _pair_gas(size, seed=size)
+    scores = np.random.default_rng(100 + size)
+    for _ in range(5):
+        fits = scores.uniform(0.05, 2.0, size)
+        fits[scores.choice(size, 2, replace=False)] = COLLISION_PENALTY
+        fits[size // 2 :: 3] = fits[0]  # ties, among them the best
+        fits[1] = fits.min()
+        ga.fits, ref.fits = fits, fits.copy()
+        ga.breed()
+        ref.pop = _reference_breed(ref)
+        assert ga.pop.shape == ref.pop.shape == (size, 7)
+        assert np.all(ga.pop == ref.pop)
+        assert ga.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+def test_breed_rejects_a_nonfinite_fitness():
+    ga, ref = _pair_gas(8, seed=0)
+    ga.fits = ref.fits = np.r_[np.full(7, 0.5), np.nan]
+    with pytest.raises(ValueError):
+        _reference_breed(ref)
+    with pytest.raises(ValueError):
+        ga.breed()
+
+
 def test_default_bounds_box():
     b = PARAM_BOUNDS
     assert b["alpha"] == (1.0, 10.0)

@@ -550,6 +550,16 @@ def test_batch_is_bit_identical_to_the_reference_loop(name):
         assert np.any(V_ref[1:] == 0.0)  # some speed clamped
 
 
+@pytest.mark.parametrize("dt", [0.1, 0.04, 1 / 30])
+def test_half_a_dt_squared_regroups_bit_for_bit(dt):
+    """The kernel's (a dt) (0.5 dt) is ((0.5 a) dt) dt: halving is exact."""
+    rng = np.random.default_rng(7)
+    a = rng.choice([-1.0, 1.0], 10**5) * 10.0 ** rng.uniform(-300.0, 300.0, 10**5)
+    kept = ((0.5 * a) * dt) * dt
+    regrouped = (a * dt) * (0.5 * dt)
+    assert np.array_equal(kept.view(np.int64), regrouped.view(np.int64))
+
+
 def _valid_batch_args():
     leader = leader_trajectory(ConstantProfile(8.0), 2.0)
     return dict(thetas=np.array([THETA.as_array()] * 2), leader_x=leader.positions[:, None],
