@@ -8,8 +8,9 @@ stage cannot use); 3 collision during simulation (CollisionDetected).
 
 Every stage directory, and the top of a ``pipeline`` tree, holds a
 ``manifest.json`` with the fields ``subcommand``, ``config_digest``,
-``tool_version``, ``rng_seed`` (0 for a stage that takes no seed), and
-``started`` and ``finished`` (UTC, ISO 8601).  ``config_digest`` is the
+``tool_version``, ``rng_seed`` (0 for a stage that takes no seed),
+``started`` and ``finished`` (UTC, ISO 8601), and ``duration_s``, the run's
+wall time in seconds on a monotonic clock.  ``config_digest`` is the
 sha256 of the subcommand, its flags and its inputs.  A stage's flags are
 all its declared flags as parsed, overridden by the values the stage
 resolved itself (such as the frequency grid, which only ``stability`` takes
@@ -36,6 +37,7 @@ import json
 import math
 import shutil
 import sys
+import time
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from functools import partial
@@ -137,7 +139,8 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(args, subcommand: str, flags: dict, paths: list, started: str) -> None:
+def _write_manifest(args, subcommand: str, flags: dict, paths: list, started: str,
+                    duration_s: float) -> None:
     # a run that read no file (the synthetic scenario) records its --input instead
     inputs = {p.name: _sha256_file(p) for p in paths} or {"input": args.input}
     payload = json.dumps({"subcommand": subcommand, "flags": flags, "inputs": inputs},
@@ -150,6 +153,7 @@ def _write_manifest(args, subcommand: str, flags: dict, paths: list, started: st
         "rng_seed": int(seed) if seed is not None else 0,
         "started": started,
         "finished": _utcnow(),
+        "duration_s": duration_s,
     }
     _write_json(Path(args.out) / "manifest.json", manifest)
 
@@ -161,11 +165,12 @@ def _run_stage(name: str, args) -> int:
     creates --out, and returns a StageResult.  It is looked up on each call,
     so a replaced module global takes effect.
     """
-    started = _utcnow()
+    started, t0 = _utcnow(), time.perf_counter()
     rc, inputs, resolved = globals()["cmd_" + name.replace("-", "_")](args)
+    duration_s = time.perf_counter() - t0
     stage = next(s for s in STAGES if s.name == name)
     flags = {f.dest: getattr(args, f.dest) for f in stage.flags} | resolved
-    _write_manifest(args, name, flags, inputs, started)
+    _write_manifest(args, name, flags, inputs, started, duration_s)
     return rc
 
 
@@ -653,7 +658,7 @@ def cmd_pipeline(args) -> int:
     headway_slack(_equilibrium(args, args.v_star), args.headway_min, args.headway_max, args.beta)
     if args.profile == "sinusoid":  # simulate's leader; any omega it picks is positive
         SinusoidProfile(args.v_star, args.amplitude, args.omega or 1.0)
-    started = _utcnow()
+    started, t0 = _utcnow(), time.perf_counter()
     inputs = [] if args.input == "synthetic" else [_resolve_input(args.input)]
     out = _outdir(args)
     rc = EXIT_OK
@@ -668,7 +673,7 @@ def cmd_pipeline(args) -> int:
             stage_input = str(stage_out)
     finally:
         flags = {k: v for k, v in vars(args).items() if k not in ("input", "out", "func")}
-        _write_manifest(args, "pipeline", flags, inputs, started)
+        _write_manifest(args, "pipeline", flags, inputs, started, time.perf_counter() - t0)
     return rc
 
 

@@ -650,6 +650,16 @@ def test_config_digest_is_pinned(tmp_path):
         "0bdac698addcc2da103b86aec60d7fb18f21e906b80d6346cf0e8f859d4789ca")
 
 
+def test_every_pipeline_manifest_records_its_duration(tmp_path):
+    out = tmp_path / "pipe"
+    assert run("pipeline", "--input", "synthetic", "--seed", 5, "--population", 12,
+               "--generations", 4, "--stagnation", 4, "--gain-grid", FAST_GRID,
+               "--platoon", 3, "--duration", 30, "--out", out) == 0
+    for directory in [out, *(out / stage.dirname for stage in cli.STAGES)]:
+        duration = _read_json(directory / "manifest.json")["duration_s"]
+        assert isinstance(duration, float) and math.isfinite(duration) and duration >= 0, directory
+
+
 def test_pipeline_forwards_each_flag_to_its_stage(tmp_path):
     out = tmp_path / "pipe"
     rc = run("pipeline", "--input", "synthetic", "--seed", 5, "--tx", 0.6,
