@@ -10,7 +10,9 @@ Every stage directory, and the top of a ``pipeline`` tree, holds a
 ``manifest.json`` with the fields ``subcommand``, ``config_digest``,
 ``tool_version``, ``rng_seed`` (0 for a stage that takes no seed),
 ``started`` and ``finished`` (UTC, ISO 8601), and ``duration_s``, the run's
-wall time in seconds on a monotonic clock.  ``config_digest`` is the
+wall time in seconds on a monotonic clock.  A ``pipeline``'s also holds
+``stages``: the ``name``, exit code ``rc`` and ``duration_s`` of each stage
+that finished, in run order.  ``config_digest`` is the
 sha256 of the subcommand, its flags and its inputs.  A stage's flags are
 all its declared flags as parsed, overridden by the values the stage
 resolved itself (such as the frequency grid, which only ``stability`` takes
@@ -99,9 +101,11 @@ EXIT_DATA = 2
 EXIT_COLLISION = 3
 
 # Built-in scenario behind `--input synthetic`: a leader holding a constant
-# speed and one modeled follower starting at its equilibrium headway.
+# speed and one modeled follower starting at its equilibrium headway.  The
+# follower's 0.3 s delay is below its 0.4659 s delay margin at 12 m/s, so it
+# is internally stable and settles behind a leader that swings.
 SYNTHETIC_THETA = FvdmParams(
-    alpha=1.5, beta=1.2, b_c=3.0, b_f=20.0, v0=18.0, m=0.08, tau=0.5
+    alpha=1.5, beta=1.2, b_c=3.0, b_f=20.0, v0=18.0, m=0.08, tau=0.3
 )
 SYNTHETIC_SPEED = 12.0  # m/s
 SYNTHETIC_DURATION = 99.9  # s -> 1000 samples at 10 Hz
@@ -140,7 +144,7 @@ def _sha256_file(path: Path) -> str:
 
 
 def _write_manifest(args, subcommand: str, flags: dict, paths: list, started: str,
-                    duration_s: float) -> None:
+                    duration_s: float, stages: list | None = None) -> None:
     # a run that read no file (the synthetic scenario) records its --input instead
     inputs = {p.name: _sha256_file(p) for p in paths} or {"input": args.input}
     payload = json.dumps({"subcommand": subcommand, "flags": flags, "inputs": inputs},
@@ -155,11 +159,14 @@ def _write_manifest(args, subcommand: str, flags: dict, paths: list, started: st
         "finished": _utcnow(),
         "duration_s": duration_s,
     }
+    if stages is not None:
+        manifest["stages"] = stages
     _write_json(Path(args.out) / "manifest.json", manifest)
 
 
-def _run_stage(name: str, args) -> int:
-    """Run the stage handler cmd_<name> and write the stage's manifest.
+def _run_stage(name: str, args, ran: list | None = None) -> int:
+    """Run the stage handler cmd_<name> and write the stage's manifest; with
+    a ran list, append the stage's name, exit code and duration to it.
 
     Its flags were checked while parsing.  The handler reads its inputs, then
     creates --out, and returns a StageResult.  It is looked up on each call,
@@ -171,6 +178,8 @@ def _run_stage(name: str, args) -> int:
     stage = next(s for s in STAGES if s.name == name)
     flags = {f.dest: getattr(args, f.dest) for f in stage.flags} | resolved
     _write_manifest(args, name, flags, inputs, started, duration_s)
+    if ran is not None:
+        ran.append({"name": name, "rc": rc, "duration_s": duration_s})
     return rc
 
 
@@ -663,17 +672,18 @@ def cmd_pipeline(args) -> int:
     out = _outdir(args)
     rc = EXIT_OK
     stage_input = args.input
+    ran = []
     try:
         for stage in STAGES:
             stage_out = out / stage.dirname
             ns = argparse.Namespace(**vars(args) | {"input": stage_input, "out": str(stage_out)})
-            rc = _run_stage(stage.name, ns)
+            rc = _run_stage(stage.name, ns, ran)
             if rc != EXIT_OK:
                 break
             stage_input = str(stage_out)
     finally:
         flags = {k: v for k, v in vars(args).items() if k not in ("input", "out", "func")}
-        _write_manifest(args, "pipeline", flags, inputs, started, time.perf_counter() - t0)
+        _write_manifest(args, "pipeline", flags, inputs, started, time.perf_counter() - t0, ran)
     return rc
 
 

@@ -658,6 +658,33 @@ def test_every_pipeline_manifest_records_its_duration(tmp_path):
     for directory in [out, *(out / stage.dirname for stage in cli.STAGES)]:
         duration = _read_json(directory / "manifest.json")["duration_s"]
         assert isinstance(duration, float) and math.isfinite(duration) and duration >= 0, directory
+    stages = _read_json(out / "manifest.json")["stages"]
+    assert [s["name"] for s in stages] == [stage.name for stage in cli.STAGES]
+    for entry, stage in zip(stages, cli.STAGES):
+        assert entry == {"name": stage.name, "rc": 0, "duration_s": _read_json(
+            out / stage.dirname / "manifest.json")["duration_s"]}
+
+
+def test_pipeline_manifest_lists_the_stages_that_finished(tmp_path, monkeypatch):
+    """A stage that returns a nonzero code ends the list; one that raises
+    never finished, so the list ends before it."""
+    def stops(code):
+        def handler(args):
+            Path(args.out).mkdir(parents=True)
+            return code, [], {}
+        return handler
+
+    def raises(args):
+        raise DataError("bad pairs")
+
+    for replaced, rc, listed in ((stops(cli.EXIT_COLLISION), 3, ["ingest", "smooth", "pair"]),
+                                 (raises, 2, ["ingest", "smooth"])):
+        monkeypatch.setattr(cli, "cmd_pair", replaced)
+        out = tmp_path / str(rc)
+        assert run("pipeline", "--input", "synthetic", "--seed", 5, "--out", out) == rc
+        stages = _read_json(out / "manifest.json")["stages"]
+        assert [(s["name"], s["rc"]) for s in stages] == [
+            (name, rc if name == "pair" else 0) for name in listed]
 
 
 def test_pipeline_forwards_each_flag_to_its_stage(tmp_path):

@@ -309,13 +309,22 @@ def test_delay_margin_of_synthetic_driver():
     lin, _ = _synthetic_linearization()
     margin = delay_margin(lin)
     assert margin == pytest.approx(0.4659, abs=1e-4)
-    assert lin.tau > margin  # the built-in driver's 0.5 s delay is past it
+    assert lin.tau < margin  # the built-in driver's 0.3 s delay is below it
     # at the margin the loop gain is one with phase -pi at the crossover
     K = lin.k2 + lin.k3
     wc = math.sqrt(0.5 * (K * K + math.sqrt(K**4 + 4.0 * lin.k1**2)))
     loop = (1j * wc * K + lin.k1) * np.exp(-1j * wc * margin) / (1j * wc) ** 2
     assert abs(loop) == pytest.approx(1.0, rel=1e-12)
     assert loop.real == pytest.approx(-1.0, rel=1e-9)
+
+
+def test_synthetic_driver_settles_behind_a_swinging_leader():
+    """Inside its delay margin the built-in driver follows a 0.01 m/s swing
+    with a swing of its own about as small; at a 0.5 s delay it fell into a
+    stop-and-go cycle, straying 13.5 m/s from 12 m/s over the same tail."""
+    trajs = simulate_platoon((SYNTHETIC_THETA,), SinusoidProfile(12.0, 0.01, 0.5), 12.0, 300.0)
+    tail = trajs[1].speeds[-500:]  # the last 50 s
+    assert np.max(np.abs(tail - 12.0)) < 0.02
 
 
 @pytest.mark.parametrize("tau, bounded", [(0.4, True), (0.5, False)])

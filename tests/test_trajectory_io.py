@@ -4,6 +4,7 @@ from __future__ import annotations
 import io
 import json
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields
 from types import SimpleNamespace
@@ -12,9 +13,11 @@ import numpy as np
 import pytest
 
 from stopgo.carfollowing import ConstantProfile, FvdmParams, generate_synthetic_pair
+from stopgo.cli import main as cli_main
 from stopgo.errors import DataError, DuplicateFrame, UnparsableField
 from stopgo.trajectory_io import (
     _WRITE_CHUNK_ROWS,
+    _shortest_digits,
     CANONICAL_HEADER,
     FEET_TO_METERS,
     PairDiagnostics,
@@ -297,6 +300,120 @@ def test_write_columns_matches_per_cell_writer(tmp_path):
         _write_columns_reference(tmp_path / "old.csv", header, cut)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert (tmp_path / "new.csv").read_bytes() == b"c0,c1,c2,c3,c4,c5\r\n"
+
+
+def _assert_written_as_repr(path, values):
+    """write_columns writes each value of one column as its repr."""
+    write_columns(path, ["x"], [values])
+    assert path.read_bytes().decode().split("\r\n") == ["x", *map(repr, values.tolist()), ""]
+
+
+def _bits(u):
+    return np.asarray(u, dtype=np.uint64).view(np.float64)
+
+
+def test_floats_are_written_as_repr_over_random_bit_patterns(tmp_path):
+    rng = np.random.default_rng(41)
+    anywhere = rng.integers(0, 2**64, 2**18, dtype=np.uint64)  # mostly exponent form
+    # 2^20 patterns in all; these have biased exponents of 1e-5 .. 2e17, where repr writes fixed point
+    n = 3 * 2**18
+    fixed = (rng.integers(1006, 1081, n, dtype=np.uint64) << np.uint64(52)) | rng.integers(
+        0, 2**52, n, dtype=np.uint64) | (rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
+    _assert_written_as_repr(tmp_path / "bits.csv", _bits(np.concatenate([anywhere, fixed])))
+
+
+def test_shortest_digits_are_repr_digits_over_every_normal_exponent():
+    """Schubfach's digits match repr's outside fixed point too, where the
+    writer itself calls repr: the interval ends and the 10^-k table matter
+    in rare cases there that fixed-point values do not reach."""
+    rng = np.random.default_rng(45)
+    powers = np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)
+    bits = np.concatenate([rng.integers(2**52, 2047 << 52, 2**18, dtype=np.uint64),
+                           powers, powers[1:] - np.uint64(1), powers + np.uint64(1)])
+    f, k = _shortest_digits(bits)
+    wrong = [(v, d, e) for v, d, e in zip(bits.view(np.float64).tolist(), f.tolist(), k.tolist())
+             if float(f"{d}e{e}") != v
+             or str(d).rstrip("0") != repr(v).split("e")[0].replace(".", "").strip("0")]
+    assert wrong[:5] == []
+
+
+def test_floats_are_written_as_repr_at_powers_of_two_and_near_2_53(tmp_path):
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    around = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    near_2_53 = 2.0**53 + np.arange(-3000, 3000)
+    _assert_written_as_repr(tmp_path / "p.csv", np.concatenate([around, -around, near_2_53, -near_2_53]))
+
+
+def test_floats_are_written_as_repr_for_1_to_17_digit_decimals(tmp_path):
+    rng = np.random.default_rng(43)
+    values = [float(f"{rng.integers(10 ** (d - 1), 10**d)}e{e}")
+              for d in range(1, 18) for e in range(-330, 311) for _ in range(3)]
+    _assert_written_as_repr(tmp_path / "d.csv", np.array(values + [-v for v in values[::7]]))
+
+
+@pytest.mark.parametrize("values", [
+    # where repr switches between fixed point and exponent form
+    [1e-4, 1e-5, 1e16, np.nextafter(1e16, 0.0), np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+     np.nextafter(1e-5, 1.0), np.nextafter(1e16, np.inf), 9999999999999998.0, 0.00012345678901234567],
+    # nan of either sign and any payload prints "nan"
+    [np.nan, -np.nan, _bits([0x7FF0000000000001, 0xFFF8000000000123]), np.inf, -np.inf],
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.finfo(float).max, -np.finfo(float).max],
+], ids=["switch-points", "nan-inf", "extremes"])
+def test_float_edge_cases_are_written_as_repr(tmp_path, values):
+    values = np.hstack([np.asarray(v, dtype=float).ravel() for v in values])
+    _assert_written_as_repr(tmp_path / "edge.csv", np.concatenate([values, -values, values[::-1]]))
+
+
+def test_integers_are_written_as_repr(tmp_path):
+    info = np.iinfo(np.int64)
+    signed = np.array([info.min, info.min + 1, info.max, 0, -1, 1, 9, 10, -10, 99, -100])
+    _assert_written_as_repr(tmp_path / "i.csv", signed)
+    _assert_written_as_repr(tmp_path / "u.csv", np.array([0, 1, 2**64 - 1, 10**19], dtype=np.uint64))
+    _assert_written_as_repr(tmp_path / "b.csv", np.array([True, False, True]))
+
+
+def test_pipeline_csvs_equal_the_per_cell_writer(tmp_path):
+    """Every CSV a synthetic pipeline writes through write_columns, read back
+    (a column whose cells are all integers as int64) and rewritten one repr
+    per cell, gives the same bytes."""
+    out = tmp_path / "pipe"
+    grid = '{"k1": [0.0, 0.0, 0.05], "k2": [0.1, 1.0, 0.1], "k3": [0.1, 1.0, 0.1]}'
+    assert cli_main(["pipeline", "--input", "synthetic", "--seed", "5", "--population", "12",
+                     "--generations", "4", "--stagnation", "4", "--gain-grid", grid,
+                     "--platoon", "3", "--duration", "30", "--out", str(out)]) == 0
+    written = sorted(p for p in out.rglob("*.csv") if "heatmaps" not in p.parts)
+    assert {p.name for p in written} >= {"trajectories.csv", "smoothed.csv", "platoon.csv"}
+    assert any(p.name.startswith("fitness_history_") for p in written)
+    for path in written:
+        header, *rows = [line.split(",") for line in path.read_bytes().decode().split("\r\n")[:-1]]
+        columns = [np.array([int(c) for c in cells]) if all(re.fullmatch(r"-?\d+", c) for c in cells)
+                   else np.array([float(c) for c in cells]) for cells in zip(*rows)]
+        _write_columns_reference(tmp_path / "ref.csv", header, columns)
+        assert (tmp_path / "ref.csv").read_bytes() == path.read_bytes(), path
+
+
+def test_empty_columns_write_the_header_alone(tmp_path):
+    write_columns(tmp_path / "e.csv", ["i", "f"], [np.array([], dtype=np.int64), np.array([])])
+    assert (tmp_path / "e.csv").read_bytes() == b"i,f\r\n"
+
+
+def test_write_columns_memory_does_not_grow_with_rows(tmp_path):
+    """Rows are laid out a chunk at a time, so the peak of what write_columns
+    allocates is one chunk's, however long the file."""
+    rng = np.random.default_rng(47)
+
+    def peak(n):
+        columns = [np.arange(n), rng.normal(size=n) * 100.0, rng.normal(size=n), np.arange(n) * 0.1]
+        tracemalloc.start()
+        try:
+            write_columns(tmp_path / "m.csv", ["i", "x", "v", "t"], columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(4 * _WRITE_CHUNK_ROWS), peak(200_000)
+    assert long < 1.1 * short
+    assert long < 5 * 2**20  # about 3.4 MB; the 200k-row columns alone hold 6.1 MB
 
 
 @pytest.mark.parametrize("header, columns", [
