@@ -83,14 +83,13 @@ from .stability import (
 from .trajectory_io import (
     DT,
     MIN_CALIBRATION_SAMPLES,
-    TrajectorySet,
+    TrajectoryTable,
     build_trajectories,
     pair_leader_follower,
     pair_index,
     pairs_from_index,
     parse_ngsim_csv,
     read_canonical_csv,
-    table_from_set,
     write_canonical_csv,
     write_columns,
 )
@@ -303,14 +302,21 @@ def _synthetic_records(seed, noise: float):
         initial_headway=equilibrium_headway(theta, SYNTHETIC_SPEED),
     )
     leader, follower = pair.leader, pair.follower
+    n = pair.overlap_len
+    table = TrajectoryTable(
+        vehicle_id=np.repeat([leader.vehicle_id, follower.vehicle_id], n),
+        frame_id=np.tile(pair.overlap_start + np.arange(n), 2),
+        local_y=np.concatenate([leader.positions, follower.positions]),
+        speed=np.concatenate([leader.speeds, follower.speeds]),
+        accel=np.concatenate([leader.accels, follower.accels]),
+        lane_id=np.ones(2 * n, dtype=np.int64),
+        preceding_id=np.repeat([0, leader.vehicle_id], n),
+        vehicle_length=np.repeat([leader.vehicle_length, follower.vehicle_length], n),
+    )
     if noise > 0:
         rng = np.random.default_rng(seed if seed is not None else 0)
-        leader.positions = leader.positions + rng.uniform(-noise, noise, leader.n)
-        follower.positions = follower.positions + rng.uniform(-noise, noise, follower.n)
-    lid, fid = leader.vehicle_id, follower.vehicle_id
-    lane = np.ones(leader.n, dtype=int)
-    preceding = {lid: 0 * lane, fid: lid * lane}
-    return table_from_set(TrajectorySet({lid: leader, fid: follower}, {lid: lane, fid: lane}, preceding))
+        table.local_y += rng.uniform(-noise, noise, 2 * n)
+    return table
 
 
 def cmd_ingest(args) -> StageResult:
@@ -324,11 +330,11 @@ def cmd_ingest(args) -> StageResult:
         inputs = [src]
     out = _outdir(args)
     write_canonical_csv(records, out / "trajectories.csv")
-    tset = build_trajectories(records)
+    table, fragments_discarded = build_trajectories(records)
     _write_json(out / "ingest_summary.json", {
         "records": len(records),
-        "vehicles": len(tset.trajectories),
-        "fragments_discarded": tset.fragments_discarded,
+        "vehicles": len(np.unique(table.vehicle_id)),
+        "fragments_discarded": fragments_discarded,
         "units": args.units if args.input != "synthetic" else "meters",
     })
     return EXIT_OK, inputs, {}
@@ -339,27 +345,21 @@ def cmd_ingest(args) -> StageResult:
 
 def cmd_smooth(args) -> StageResult:
     src = _resolve_input(args.input, "trajectories.csv")
-    records = read_canonical_csv(src)
-    tset = build_trajectories(records)
+    table, _ = build_trajectories(read_canonical_csv(src))
     cfg = SmoothingConfig(t_x=args.tx, t_v=args.tv, t_a=args.ta)
 
-    smoothed = {}
-    raw_exceed = 0
-    smooth_exceed = 0
-    total = 0
-    for vid, tr in tset.trajectories.items():
-        raw_a = differentiate(differentiate(tr.positions))
-        x_s, v_s, a_s = smooth_trajectory(tr.positions, cfg)
-        raw_exceed += int(np.count_nonzero(np.abs(raw_a) > 3.0))
-        smooth_exceed += int(np.count_nonzero(np.abs(a_s) > 3.0))
-        total += tr.n
-        smoothed[vid] = replace(tr, positions=x_s, speeds=v_s, accels=a_s)
+    vid = table.vehicle_id
+    bounds = [0, *(np.flatnonzero(vid[1:] != vid[:-1]) + 1).tolist(), len(table)]
+    raw_a, x, v, a = (np.empty(len(table)) for _ in range(4))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):  # one vehicle's frames
+        raw_a[lo:hi] = differentiate(differentiate(table.local_y[lo:hi]))
+        x[lo:hi], v[lo:hi], a[lo:hi] = smooth_trajectory(table.local_y[lo:hi], cfg)
     out = _outdir(args)
-    write_canonical_csv(table_from_set(replace(tset, trajectories=smoothed)), out / "smoothed.csv")
-    _write_json(out / "smooth_summary.json", {
-        "samples": total,
-        "accel_exceedance_before": raw_exceed / total if total else 0.0,
-        "accel_exceedance_after": smooth_exceed / total if total else 0.0,
+    write_canonical_csv(replace(table, local_y=x, speed=v, accel=a), out / "smoothed.csv")
+    _write_json(out / "smooth_summary.json", {  # the grouped table is never empty
+        "samples": len(table),
+        "accel_exceedance_before": np.count_nonzero(np.abs(raw_a) > 3.0) / len(table),
+        "accel_exceedance_after": np.count_nonzero(np.abs(a) > 3.0) / len(table),
         **asdict(cfg),  # the kernel widths t_x, t_v, t_a
     })
     return EXIT_OK, [src], {}
@@ -370,10 +370,9 @@ def cmd_smooth(args) -> StageResult:
 
 def cmd_pair(args) -> StageResult:
     src = _resolve_input(args.input, "smoothed.csv", "trajectories.csv")
-    records = read_canonical_csv(src)
-    tset = build_trajectories(records)
+    table, _ = build_trajectories(read_canonical_csv(src))
     pairs, diag = pair_leader_follower(
-        tset, lane_filter=args.lane, min_samples=args.min_samples
+        table, lane_filter=args.lane, min_samples=args.min_samples
     )
     out = _outdir(args)
     shutil.copyfile(src, out / "trajectories.csv")
@@ -428,8 +427,8 @@ def cmd_calibrate(args) -> StageResult:
     entries = _read_stage_json(pairs_path, _PAIRS_DOC)["pairs"]
     if args.pairs is not None:
         entries = entries[: args.pairs]
-    tset = build_trajectories(read_canonical_csv(traj_path))
-    pairs = pairs_from_index(entries, tset)
+    table, _ = build_trajectories(read_canonical_csv(traj_path))
+    pairs = pairs_from_index(entries, table)
 
     out = _outdir(args)
     results = []

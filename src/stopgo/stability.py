@@ -381,22 +381,6 @@ def _cell_counter(lins, fgrid: FrequencyGrid, eta: float, lambda2: float):
     return counts
 
 
-def cell_counts(g: ControllerGains, lins, eta: float = 1.0, lambda2: float = 0.0,
-                grid: FrequencyGrid | None = None) -> tuple[int, int]:
-    """(stable, safe) counts of one gain cell for the followers lins.
-
-    stable is how many followers the automated vehicle stabilizes; safe is
-    how many keep its headway excursion within the safety margin eta
-    (headway slack over disturbance amplitude).  Requires
-    cav_string_stable(g, lambda2).
-    """
-    if not cav_string_stable(g, lambda2):
-        raise ValueError("gains are not string stable; count undefined")
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return _cell_counter(lins, grid or FrequencyGrid(), eta, lambda2)(g)
-
-
 def headway_slack(eq: EquilibriumSpec, headway_min: float, headway_max: float,
                   disturbance_beta: float) -> float:
     """The safety margin eta: distance from the desired headway to the nearer

@@ -2,13 +2,13 @@
 
 Raw vehicle trajectory exports (NGSIM-style CSV) are parsed into a
 TrajectoryTable: one numpy array per column, one entry per vehicle-frame row.
-build_trajectories regroups a table into per-vehicle kinematic series sampled
-at a fixed 0.1 s interval.  Follower vehicles are paired with the vehicle
-ahead of them over windows where the leader link is unambiguous, which is
-what the car-following calibration consumes; a pair's window is stored as an
-index entry (pair_index) and sliced back out of the trajectories
-(pairs_from_index).  Synthetic pairs, simulated from the driver model, are
-made in carfollowing (generate_synthetic_pair).
+build_trajectories keeps each vehicle's longest gap-free run, sampled at a
+fixed 0.1 s interval, as one block of a table in (vehicle, frame) order.
+Follower vehicles are paired with the vehicle ahead of them over windows
+where the leader link is unambiguous, which is what the car-following
+calibration consumes; a pair's window is stored as an index entry
+(pair_index) and cut back out of the grouped table (pairs_from_index).
+Synthetic pairs are simulated in carfollowing (generate_synthetic_pair).
 
 Tables are written and read as the canonical CSV one column at a time, with
 no Python code run per row.  A file is parsed by one np.loadtxt call on the
@@ -77,7 +77,8 @@ class TrajectoryTable:
     Every column has one entry per row, so len() is the row count.  The
     integer columns are int64 and the others float64, always in meter units.
     This is the only in-memory form of a trajectory file: the readers return
-    it, write_canonical_csv writes it and build_trajectories groups it.
+    it, write_canonical_csv writes it, and build_trajectories returns the
+    grouped form that pairing reads: one block of consecutive frames per vehicle.
     """
 
     vehicle_id: np.ndarray
@@ -140,16 +141,6 @@ class Trajectory:
             self.vehicle_length,
             self.dt,
         )
-
-
-@dataclass
-class TrajectorySet:
-    """Trajectories plus the frame-aligned lane/leader links needed for pairing."""
-
-    trajectories: dict[int, Trajectory]
-    lanes: dict[int, np.ndarray]  # int lane id per frame of the trajectory
-    preceding: dict[int, np.ndarray]  # leader vehicle id per frame, 0 = none
-    fragments_discarded: int = 0
 
 
 @dataclass
@@ -556,30 +547,14 @@ def read_canonical_csv(path) -> TrajectoryTable:
         return _read_table(fh, usecols, [CANONICAL_HEADER[i] for i in usecols])
 
 
-def table_from_set(tset: TrajectorySet) -> TrajectoryTable:
-    """Flatten a trajectory set into a table, vehicles in ascending id order."""
-    vids = sorted(tset.trajectories)
-    trs = [tset.trajectories[v] for v in vids]
-    lengths = [tr.n for tr in trs]
-    return TrajectoryTable(
-        vehicle_id=np.repeat(np.array(vids, dtype=np.int64), lengths),
-        frame_id=np.concatenate([tr.start_frame + np.arange(tr.n) for tr in trs]),
-        local_y=np.concatenate([tr.positions for tr in trs]),
-        speed=np.concatenate([tr.speeds for tr in trs]),
-        accel=np.concatenate([tr.accels for tr in trs]),
-        lane_id=np.concatenate([tset.lanes[v] for v in vids]),
-        preceding_id=np.concatenate([tset.preceding[v] for v in vids]),
-        vehicle_length=np.repeat([tr.vehicle_length for tr in trs], lengths),
-    )
+def build_trajectories(records: TrajectoryTable) -> tuple[TrajectoryTable, int]:
+    """Keep each vehicle's longest gap-free run of a table.
 
-
-def build_trajectories(records: TrajectoryTable) -> TrajectorySet:
-    """Group a table by vehicle and keep each vehicle's longest gap-free run.
-
-    Duplicate frames for a vehicle are an error.  Shorter fragments (runs
-    separated by missing frames) are discarded; the count of discarded
-    fragments is reported on the returned set.  Of runs of equal length the
-    earliest is kept, and a kept run's vehicle length is its first row's.
+    Returns the kept rows as a table in (vehicle, frame) order and the count
+    of discarded fragments (runs separated by missing frames).  Of runs of
+    equal length the earliest is kept, and each kept row carries its run's
+    first vehicle length, so grouping the result again changes nothing.
+    Duplicate frames for a vehicle raise DuplicateFrame.
     """
     order = np.lexsort((records.frame_id, records.vehicle_id))
     vid = records.vehicle_id[order]
@@ -597,29 +572,34 @@ def build_trajectories(records: TrajectoryTable) -> TrajectorySet:
     by_vehicle = np.lexsort((-lengths, vid[starts]))  # stable: ties keep frame order
     kept = by_vehicle[np.unique(vid[starts[by_vehicle]], return_index=True)[1]]
 
-    trajectories, lanes, preceding = {}, {}, {}
-    for s, e in zip(starts[kept].tolist(), (starts[kept] + lengths[kept]).tolist()):
-        rows = order[s:e]
-        key = int(vid[s])
-        trajectories[key] = Trajectory(
-            vehicle_id=key,
-            start_frame=int(frame[s]),
-            positions=records.local_y[rows],
-            speeds=records.speed[rows],
-            accels=records.accel[rows],
-            vehicle_length=float(records.vehicle_length[rows[0]]),
-        )
-        lanes[key] = records.lane_id[rows]
-        preceding[key] = records.preceding_id[rows]
-    return TrajectorySet(trajectories, lanes, preceding, len(starts) - len(kept))
+    keep = np.zeros(len(starts), dtype=bool)
+    keep[kept] = True
+    rows = order[np.repeat(keep, lengths)]
+    columns = {f.name: getattr(records, f.name)[rows] for f in fields(TrajectoryTable)}
+    columns["vehicle_length"] = np.repeat(records.vehicle_length[order[starts[kept]]], lengths[kept])
+    return TrajectoryTable(**columns), len(starts) - len(kept)
+
+
+def _trajectory(table: TrajectoryTable, lo: int, hi: int) -> Trajectory:
+    """Rows lo to hi of a table build_trajectories returned, one vehicle's
+    consecutive frames, as a Trajectory of copied arrays."""
+    return Trajectory(
+        vehicle_id=int(table.vehicle_id[lo]),
+        start_frame=int(table.frame_id[lo]),
+        positions=table.local_y[lo:hi].copy(),
+        speeds=table.speed[lo:hi].copy(),
+        accels=table.accel[lo:hi].copy(),
+        vehicle_length=float(table.vehicle_length[lo]),
+    )
 
 
 def pair_leader_follower(
-    tset: TrajectorySet,
+    table: TrajectoryTable,
     lane_filter: int | None = None,
     min_samples: int = MIN_CALIBRATION_SAMPLES,
 ):
-    """Extract leader-follower pairs over maximal unambiguous shared windows.
+    """Extract leader-follower pairs over maximal unambiguous shared windows
+    of a table build_trajectories returned.
 
     A window requires the follower's leader link to stay constant, the leader
     trajectory to cover every frame, and both vehicles to occupy the same lane.
@@ -627,30 +607,25 @@ def pair_leader_follower(
     the diagnostics instead of being returned.  Pairs shorter than min_samples
     are flagged in the diagnostics but still returned.
 
-    Every follower frame is tested at once over the flattened set; Python
-    runs once per window.
+    Every follower row is tested at once on the table's columns; Python runs
+    once per window.
 
     Returns:
         (pairs sorted by descending overlap length, PairDiagnostics)
     """
     pairs = []
     diag = PairDiagnostics()
-    vids = sorted(tset.trajectories)
-    if not vids:
+    if not len(table):
         return pairs, diag
-    trs = [tset.trajectories[v] for v in vids]
-    ns = np.array([tr.n for tr in trs])
-    first = np.array([tr.start_frame for tr in trs])
-    offset = np.cumsum(ns) - ns  # row of each vehicle's first frame
-    owner = np.repeat(np.arange(len(vids)), ns)
-    frame = first[owner] + np.arange(len(owner)) - offset[owner]
-    pre = np.concatenate([tset.preceding[v] for v in vids])
-    lane = np.concatenate([tset.lanes[v] for v in vids])
+    vid, frame, pre, lane = table.vehicle_id, table.frame_id, table.preceding_id, table.lane_id
+    offset = np.flatnonzero(np.r_[True, vid[1:] != vid[:-1]])  # row of each vehicle's first frame
+    ids = vid[offset]
+    ns = np.diff(np.append(offset, len(table)))
+    first = frame[offset]
 
     # the leader link is valid, the leader covers the frame and is in its lane
-    ids = np.array(vids, dtype=np.int64)
     lead = np.minimum(np.searchsorted(ids, pre), len(ids) - 1)
-    usable = (pre != 0) & (pre != ids[owner]) & (ids[lead] == pre)
+    usable = (pre != 0) & (pre != vid) & (ids[lead] == pre)
     usable &= (first[lead] <= frame) & (frame < first[lead] + ns[lead])
     lead_row = np.where(usable, offset[lead] + frame - first[lead], 0)
     usable &= lane[lead_row] == lane
@@ -658,16 +633,14 @@ def pair_leader_follower(
         usable &= lane == lane_filter
 
     # windows: maximal runs of one follower and one leader link over usable rows
-    edge = np.ones(len(owner) + 1, dtype=bool)
-    edge[1:-1] = (owner[1:] != owner[:-1]) | (pre[1:] != pre[:-1]) | (usable[1:] != usable[:-1])
+    edge = np.ones(len(table) + 1, dtype=bool)
+    edge[1:-1] = (vid[1:] != vid[:-1]) | (pre[1:] != pre[:-1]) | (usable[1:] != usable[:-1])
     bounds = np.flatnonzero(edge)
     runs = usable[bounds[:-1]]
     for s, e in zip(bounds[:-1][runs].tolist(), bounds[1:][runs].tolist()):
-        i = owner[s]
-        fid, lid = vids[i], int(pre[s])
-        start_frame, length = int(frame[s]), e - s
-        leader = tset.trajectories[lid].slice(start_frame, length)
-        follower = trs[i].slice(start_frame, length)
+        ls = int(lead_row[s])
+        leader, follower = _trajectory(table, ls, ls + e - s), _trajectory(table, s, e)
+        lid, fid, start_frame, length = leader.vehicle_id, follower.vehicle_id, follower.start_frame, e - s
         head = leader.positions - follower.positions
         if np.any(head <= 0):
             bad = int(np.argmax(head <= 0))
@@ -694,11 +667,12 @@ def pair_index(pairs) -> list[dict]:
     ]
 
 
-def pairs_from_index(index, tset: TrajectorySet) -> list[VehiclePair]:
-    """Rebuild pairs by slicing the trajectory set per a stored pair index.
+def pairs_from_index(index, table: TrajectoryTable) -> list[VehiclePair]:
+    """Rebuild pairs by cutting each stored window out of a table
+    build_trajectories returned.
 
     Raises:
-        DataError: an entry names a vehicle the set does not hold, or a
+        DataError: an entry names a vehicle the table does not hold, or a
             window outside either vehicle's frames.
     """
     pairs = []
@@ -706,13 +680,14 @@ def pairs_from_index(index, tset: TrajectorySet) -> list[VehiclePair]:
         lid, fid = entry["leader_id"], entry["follower_id"]
         start, length = entry["overlap_start"], entry["overlap_len"]
         window = f"pair of leader {lid} and follower {fid}, {length} frames from frame {start}"
+        rows = []
         for vid in (lid, fid):
-            tr = tset.trajectories.get(vid)
-            if tr is None:
+            lo, hi = table.vehicle_id.searchsorted(vid), table.vehicle_id.searchsorted(vid, "right")
+            if lo == hi:
                 raise DataError(f"{window}: vehicle {vid} is not in the trajectory file")
-            if not (length > 0 and tr.start_frame <= start and start + length - 1 <= tr.end_frame):
-                raise DataError(f"{window}: vehicle {vid} has only frames {tr.start_frame}-{tr.end_frame}")
-        leader, follower = (tset.trajectories[v].slice(start, length) for v in (lid, fid))
-        pairs.append(VehiclePair(leader, follower, start, length))
+            first, last = int(table.frame_id[lo]), int(table.frame_id[hi - 1])
+            if not (length > 0 and first <= start and start + length - 1 <= last):
+                raise DataError(f"{window}: vehicle {vid} has only frames {first}-{last}")
+            rows.append(int(lo) + start - first)
+        pairs.append(VehiclePair(*(_trajectory(table, r, r + length) for r in rows), start, length))
     return pairs
-

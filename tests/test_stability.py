@@ -24,10 +24,10 @@ from stopgo.stability import (
     GainGridSpec,
     LinearizedHdv,
     _brent_root,
+    _cell_counter,
     cav_complement_gain_sq,
     cav_gain_sq,
     cav_string_stable,
-    cell_counts,
     count_record,
     delay_margin,
     gain_axis,
@@ -371,19 +371,17 @@ def test_peak_gain_frequency_maximizes_the_string_gain():
 # ---------------------------------------------------------------------------
 # stabilization counts
 
+def _counts(g, lins, eta):
+    """(stable, safe) counts of one string-stable gain cell on the default
+    frequency grid, with lambda2 = 0."""
+    return _cell_counter(lins, FrequencyGrid(), eta, 0.0)(g)
+
+
 def test_counts_unbounded_when_no_follower_amplifies():
     g = ControllerGains(0.2, 1.0, 0.5)
     dampers = [LinearizedHdv(0.5, 2.0, 1.0)] * 6
-    assert cell_counts(g, dampers, eta=1.5) == (UNBOUNDED_CELL, UNBOUNDED_CELL)
+    assert _counts(g, dampers, 1.5) == (UNBOUNDED_CELL, UNBOUNDED_CELL)
     assert count_record(UNBOUNDED_CELL, len(dampers)) == {"count": None, "exact": True}
-
-
-def test_counts_require_string_stable_controller():
-    bad = ControllerGains(5.0, 0.1, 0.1)
-    with pytest.raises(ValueError):
-        cell_counts(bad, [LinearizedHdv(2.0, 0.6, 0.1)])
-    with pytest.raises(ValueError):
-        cell_counts(ControllerGains(0.0, 1.0, 0.5), [LinearizedHdv(2.0, 0.6, 0.1)], eta=0.0)
 
 
 def test_first_amplifying_prefix_sets_the_count():
@@ -401,10 +399,10 @@ def test_first_amplifying_prefix_sets_the_count():
     assert np.max(head) <= 1.0
     assert np.max(head * hdv_gain_sq(first, om)) > 1.0
 
-    assert cell_counts(g, lins)[0] == 0
+    assert _counts(g, lins, 1.0)[0] == 0
     assert count_record(0, len(lins)) == {"count": 0, "exact": True}
     # the same dampers without the troublemaker are no constraint at all
-    assert cell_counts(g, [damper] * 4)[0] == UNBOUNDED_CELL
+    assert _counts(g, [damper] * 4, 1.0)[0] == UNBOUNDED_CELL
 
 
 def test_count_saturates_to_lower_bound_when_scan_exhausts_platoon():
@@ -412,7 +410,7 @@ def test_count_saturates_to_lower_bound_when_scan_exhausts_platoon():
     # runs out of platoon before the product ever exceeds one
     g = ControllerGains(0.0, 1.8, 0.02)
     mild = LinearizedHdv(1.1, 1.0, 0.4)
-    stable, _ = cell_counts(g, [mild] * 3)
+    stable, _ = _counts(g, [mild] * 3, 1.0)
     assert stable == 3
     assert count_record(stable, 3) == {"count": 3, "exact": False}
 
@@ -436,7 +434,7 @@ def test_counts_monotone_in_follower_severity():
         ]
         # lowering k2 raises |T| at every positive frequency
         worse = [LinearizedHdv(k1, k2 * 0.7, k3)] + base[1:]
-        for got, ref in zip(cell_counts(g, worse, 1.5), cell_counts(g, base, 1.5)):
+        for got, ref in zip(_counts(g, worse, 1.5), _counts(g, base, 1.5)):
             assert _bound(got) <= _bound(ref)
 
 
@@ -496,7 +494,7 @@ def test_counts_match_direct_product_scan():
             if cav_string_stable(g, 0.0):
                 break
         eta = float(rng.uniform(0.5, 5.0))
-        assert cell_counts(g, lins, eta, grid=fgrid) == _brute_force_counts(g, lins, eta, fgrid)
+        assert _counts(g, lins, eta) == _brute_force_counts(g, lins, eta, fgrid)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +528,7 @@ def test_optimize_gains_singleton_grid():
     assert res.best_gains == ControllerGains(0.0, 1.0, 0.5)
     assert res.eta == pytest.approx(5.0 / 3.0)
     g = ControllerGains(0.0, 1.0, 0.5)
-    assert (res.best_stable, res.best_safe) == cell_counts(g, lins, res.eta)
+    assert (res.best_stable, res.best_safe) == _counts(g, lins, res.eta)
     assert res.n_stable_grid.shape == (1, 1, 1)
 
 

@@ -22,7 +22,6 @@ from stopgo.trajectory_io import (
     FEET_TO_METERS,
     PairDiagnostics,
     Trajectory,
-    TrajectorySet,
     TrajectoryTable,
     VehiclePair,
     build_trajectories,
@@ -427,13 +426,28 @@ def test_write_columns_rejects_mismatched_columns(tmp_path, header, columns):
         write_columns(tmp_path / "out.csv", header, columns)
 
 
+def _by_vehicle(table):
+    """Per-vehicle views of a grouped table, keyed by vehicle id: each
+    vehicle's rows as a Trajectory, and its lane and leader ids per frame."""
+    views = SimpleNamespace(trajectories={}, lanes={}, preceding={})
+    vids, firsts = np.unique(table.vehicle_id, return_index=True)
+    for vid, lo, hi in zip(vids.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(table)]):
+        views.trajectories[vid] = Trajectory(
+            vid, int(table.frame_id[lo]), table.local_y[lo:hi], table.speed[lo:hi],
+            table.accel[lo:hi], float(table.vehicle_length[lo]),
+        )
+        views.lanes[vid] = table.lane_id[lo:hi]
+        views.preceding[vid] = table.preceding_id[lo:hi]
+    return views
+
+
 def test_build_trajectories_keeps_longest_run():
     # frames 1-3 and 10-15: the 6-sample run wins, one fragment discarded
     recs = [_record(1, f, float(f)) for f in (1, 2, 3, 10, 11, 12, 13, 14, 15)]
-    tset = build_trajectories(_table(recs))
-    tr = tset.trajectories[1]
-    assert tr.start_frame == 10 and tr.n == 6
-    assert tset.fragments_discarded == 1
+    table, discarded = build_trajectories(_table(recs))
+    np.testing.assert_array_equal(table.frame_id, np.arange(10, 16))
+    np.testing.assert_array_equal(table.vehicle_id, [1] * 6)
+    assert discarded == 1
 
 
 def test_build_trajectories_duplicate_frame_raises():
@@ -445,11 +459,10 @@ def test_build_trajectories_duplicate_frame_raises():
 def test_build_trajectories_keeps_earlier_of_equal_runs():
     # frames 7-9 and 2-4, rows out of order: the run starting at frame 2 wins
     recs = [_record(1, f, float(f)) for f in (9, 3, 7, 2, 8, 4)]
-    tset = build_trajectories(_table(recs))
-    tr = tset.trajectories[1]
-    assert tr.start_frame == 2 and tr.n == 3
-    np.testing.assert_array_equal(tr.positions, [2.0, 3.0, 4.0])
-    assert tset.fragments_discarded == 1
+    table, discarded = build_trajectories(_table(recs))
+    np.testing.assert_array_equal(table.frame_id, [2, 3, 4])
+    np.testing.assert_array_equal(table.local_y, [2.0, 3.0, 4.0])
+    assert discarded == 1
 
 
 def test_build_trajectories_names_smallest_duplicate():
@@ -466,17 +479,9 @@ def test_build_trajectories_names_smallest_duplicate():
 
 def test_build_trajectories_takes_length_from_first_row_of_kept_run():
     recs = [_record(4, f, float(f), length=4.0 + f / 10) for f in (6, 1, 8, 5, 2, 7)]
-    tset = build_trajectories(_table(recs))
-    tr = tset.trajectories[4]
-    assert tr.start_frame == 5 and tr.vehicle_length == 4.5
-
-
-def test_build_trajectories_keys_are_python_ints():
-    tset = build_trajectories(_table(_two_vehicle_records(n=5)))
-    assert list(tset.trajectories) == [1, 2]
-    for vid, tr in tset.trajectories.items():
-        assert type(vid) is int and type(tr.vehicle_id) is int
-        assert type(tr.start_frame) is int and type(tr.vehicle_length) is float
+    table, _ = build_trajectories(_table(recs))
+    np.testing.assert_array_equal(table.frame_id, [5, 6, 7, 8])
+    np.testing.assert_array_equal(table.vehicle_length, [4.5] * 4)
 
 
 def _build_reference(records):
@@ -500,8 +505,9 @@ def _build_reference(records):
     return kept, discarded
 
 
-def test_build_trajectories_matches_row_by_row_grouping():
-    rng = np.random.default_rng(5)
+def _random_records(rng):
+    """Rows of 30 vehicles in random order, with missing frames and random
+    lanes, leaders, kinematics and lengths on every row."""
     records = []
     for vid in rng.permutation(np.arange(1, 31)):
         frames = np.flatnonzero(rng.random(80) > 0.1) + int(rng.integers(0, 50))
@@ -514,20 +520,47 @@ def test_build_trajectories_matches_row_by_row_grouping():
                 accel=float(rng.normal()),
                 length=float(rng.uniform(3, 6)),
             ))
-    records = [records[i] for i in rng.permutation(len(records))]
-    tset = build_trajectories(_table(records))
+    return [records[i] for i in rng.permutation(len(records))]
+
+
+def test_build_trajectories_matches_row_by_row_grouping():
+    records = _random_records(np.random.default_rng(5))
+    table, got_discarded = build_trajectories(_table(records))
     kept, discarded = _build_reference(records)
-    assert tset.fragments_discarded == discarded > 0
-    assert list(tset.trajectories) == list(kept)
+    assert got_discarded == discarded > 0
+    # the kept runs' rows in vehicle order, each with its run's first length
+    want = [(*r[:7], run[0][7]) for run in kept.values() for r in run]
+    for j, f in enumerate(fields(TrajectoryTable)):
+        np.testing.assert_array_equal(getattr(table, f.name), [r[j] for r in want])
+    views = _by_vehicle(table)
+    assert list(views.trajectories) == list(kept)
     for vid, run in kept.items():
-        tr = tset.trajectories[vid]
+        tr = views.trajectories[vid]
         assert tr.start_frame == run[0][1] and tr.n == len(run)
         assert tr.vehicle_length == run[0][7]
         for values, column in (
             (tr.positions, 2), (tr.speeds, 3), (tr.accels, 4),
-            (tset.lanes[vid], 5), (tset.preceding[vid], 6),
+            (views.lanes[vid], 5), (views.preceding[vid], 6),
         ):
             np.testing.assert_array_equal(values, [r[column] for r in run])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grouping_a_written_grouped_table_gives_it_back(tmp_path, seed):
+    """smooth and pair group a table that an earlier stage grouped and wrote;
+    grouping it again must keep every row, frame gaps and per-row lengths
+    being already resolved."""
+    grouped, discarded = build_trajectories(_table(_random_records(np.random.default_rng(seed))))
+    assert discarded > 0
+    # one block per vehicle in id order, of consecutive frames and one length
+    same = grouped.vehicle_id[1:] == grouped.vehicle_id[:-1]
+    assert np.all(grouped.vehicle_id[1:] >= grouped.vehicle_id[:-1])
+    assert np.all(np.diff(grouped.frame_id)[same] == 1)
+    assert np.all(np.diff(grouped.vehicle_length)[same] == 0)
+    write_canonical_csv(grouped, tmp_path / "grouped.csv")
+    again, discarded = build_trajectories(read_canonical_csv(tmp_path / "grouped.csv"))
+    assert discarded == 0
+    _assert_same_table(again, grouped)
 
 
 def _two_vehicle_records(n=30, lane=1, gap=20.0):
@@ -539,8 +572,8 @@ def _two_vehicle_records(n=30, lane=1, gap=20.0):
 
 
 def test_pairing_full_overlap():
-    tset = build_trajectories(_table(_two_vehicle_records(n=40)))
-    pairs, diag = pair_leader_follower(tset, min_samples=10)
+    table, _ = build_trajectories(_table(_two_vehicle_records(n=40)))
+    pairs, diag = pair_leader_follower(table, min_samples=10)
     assert len(pairs) == 1
     p = pairs[0]
     assert p.leader.vehicle_id == 1 and p.follower.vehicle_id == 2
@@ -555,8 +588,8 @@ def test_pairing_splits_on_lane_change():
     for f in range(30):
         recs.append(_record(1, f, 30.0 + f, lane=1, preceding=0))
         recs.append(_record(2, f, float(f), lane=1 if f < 18 else 2, preceding=1))
-    tset = build_trajectories(_table(recs))
-    pairs, _ = pair_leader_follower(tset, min_samples=1)
+    table, _ = build_trajectories(_table(recs))
+    pairs, _ = pair_leader_follower(table, min_samples=1)
     assert len(pairs) == 1
     assert pairs[0].overlap_len == 18
     assert pairs[0].overlap_start == 0
@@ -567,25 +600,25 @@ def test_pairing_rejects_nonpositive_headway():
     for f in range(20):
         recs.append(_record(1, f, 10.0, lane=1, preceding=0))
         recs.append(_record(2, f, 10.0 + (1.0 if f == 7 else -5.0), lane=1, preceding=1))
-    tset = build_trajectories(_table(recs))
-    pairs, diag = pair_leader_follower(tset, min_samples=1)
+    table, _ = build_trajectories(_table(recs))
+    pairs, diag = pair_leader_follower(table, min_samples=1)
     assert pairs == []
     assert diag.rejected_nonpositive and diag.rejected_nonpositive[0][:2] == (1, 2)
 
 
 def test_pairing_flags_short_pairs_but_returns_them():
-    tset = build_trajectories(_table(_two_vehicle_records(n=30)))
-    pairs, diag = pair_leader_follower(tset, min_samples=600)
+    table, _ = build_trajectories(_table(_two_vehicle_records(n=30)))
+    pairs, diag = pair_leader_follower(table, min_samples=600)
     assert len(pairs) == 1
     assert pairs[0].overlap_len == 30
     assert diag.short_pairs == [(1, 2, 30)]
 
 
 def test_pairing_lane_filter():
-    tset = build_trajectories(_table(_two_vehicle_records(lane=3)))
-    pairs, _ = pair_leader_follower(tset, lane_filter=2, min_samples=1)
+    table, _ = build_trajectories(_table(_two_vehicle_records(lane=3)))
+    pairs, _ = pair_leader_follower(table, lane_filter=2, min_samples=1)
     assert pairs == []
-    pairs, _ = pair_leader_follower(tset, lane_filter=3, min_samples=1)
+    pairs, _ = pair_leader_follower(table, lane_filter=3, min_samples=1)
     assert len(pairs) == 1
 
 
@@ -642,22 +675,25 @@ def _runs(rng, n, choices):
     return np.array(out[:n], dtype=np.int64)
 
 
-def _random_set(rng, vehicles=12):
-    """Vehicles over partly shared frame ranges, each following a random mix
-    of other vehicles, none, itself and unknown ids, over changing lanes.
-    Positions grow with the vehicle id, with dips that make some headways
-    nonpositive."""
+def _random_table(rng, vehicles=12):
+    """A grouped table of vehicles over partly shared frame ranges, each
+    following a random mix of other vehicles, none, itself and unknown ids,
+    over changing lanes.  Positions grow with the vehicle id, with dips that
+    make some headways nonpositive."""
     vids = [int(v) for v in rng.choice(np.arange(1, 60), vehicles, replace=False)]
-    trajectories, lanes, preceding = {}, {}, {}
+    blocks = []
     for vid in vids:
         n = int(rng.integers(1, 90))
         start = int(rng.integers(0, 60))
         pos = 3.0 * vid + np.cumsum(rng.uniform(0, 1, n))
         pos[rng.random(n) < 0.02] -= 200.0
-        trajectories[vid] = Trajectory(vid, start, pos, np.ones(n), np.zeros(n), 4.5)
-        lanes[vid] = _runs(rng, n, [1, 2, 3] if rng.random() < 0.5 else [2])
-        preceding[vid] = _runs(rng, n, vids[:4] + [0, vid, 999, 60])
-    return TrajectorySet(trajectories, lanes, preceding)
+        lanes = _runs(rng, n, [1, 2, 3] if rng.random() < 0.5 else [2])
+        preceding = _runs(rng, n, vids[:4] + [0, vid, 999, 60])
+        blocks.append((np.full(n, vid), start + np.arange(n), pos, np.ones(n), np.zeros(n),
+                       lanes, preceding, np.full(n, 4.5)))
+    table, discarded = build_trajectories(TrajectoryTable(*map(np.concatenate, zip(*blocks))))
+    assert discarded == 0
+    return table
 
 
 def _pair_key(p):
@@ -669,10 +705,10 @@ def _pair_key(p):
 def test_pairing_matches_per_frame_loop(seed):
     rng = np.random.default_rng(seed)
     for _ in range(6):
-        tset = _random_set(rng)
+        table = _random_table(rng)
         for lane_filter in (None, 1, 2):
-            got_pairs, got = pair_leader_follower(tset, lane_filter=lane_filter, min_samples=8)
-            want_pairs, want = _pair_reference(tset, lane_filter=lane_filter, min_samples=8)
+            got_pairs, got = pair_leader_follower(table, lane_filter=lane_filter, min_samples=8)
+            want_pairs, want = _pair_reference(_by_vehicle(table), lane_filter=lane_filter, min_samples=8)
             assert [_pair_key(p) for p in got_pairs] == [_pair_key(p) for p in want_pairs]
             assert got.rejected_nonpositive == want.rejected_nonpositive
             assert got.short_pairs == want.short_pairs
@@ -681,7 +717,9 @@ def test_pairing_matches_per_frame_loop(seed):
 
 
 def test_pairing_of_an_empty_set():
-    pairs, diag = pair_leader_follower(TrajectorySet({}, {}, {}))
+    one = _table([_record(1, 0, 0.0)])
+    empty = TrajectoryTable(*(getattr(one, f.name)[:0] for f in fields(TrajectoryTable)))
+    pairs, diag = pair_leader_follower(empty)
     assert pairs == [] and not diag.rejected_nonpositive and not diag.short_pairs
 
 
@@ -696,18 +734,29 @@ def test_vehicle_pair_validates_trim_and_headway():
 
 
 def test_pair_index_round_trip(tmp_path):
-    tset = build_trajectories(_table(_two_vehicle_records(n=25)))
-    pairs, _ = pair_leader_follower(tset, min_samples=1)
+    table, _ = build_trajectories(_table(_two_vehicle_records(n=25)))
+    pairs, _ = pair_leader_follower(table, min_samples=1)
     path = tmp_path / "pairs.json"
     path.write_text(json.dumps(pair_index(pairs)))
     index = json.loads(path.read_text())
-    rebuilt = pairs_from_index(index, tset)
+    rebuilt = pairs_from_index(index, table)
     assert len(rebuilt) == 1
     np.testing.assert_array_equal(rebuilt[0].leader.positions, pairs[0].leader.positions)
     np.testing.assert_array_equal(
         rebuilt[0].follower.positions, pairs[0].follower.positions
     )
     assert rebuilt[0].overlap_start == pairs[0].overlap_start
+
+
+def test_pair_trajectories_hold_python_ints():
+    table, _ = build_trajectories(_table(_two_vehicle_records(n=5)))
+    pairs, _ = pair_leader_follower(table, min_samples=1)
+    assert len(pairs) == 1
+    for p in pairs + pairs_from_index(pair_index(pairs), table):
+        assert (p.leader.vehicle_id, p.follower.vehicle_id) == (1, 2)
+        for tr in (p.leader, p.follower):
+            assert type(tr.vehicle_id) is int and type(tr.start_frame) is int
+            assert type(tr.vehicle_length) is float
 
 
 def test_trajectory_slice_bounds():
