@@ -20,14 +20,14 @@ predecessor there and carrying every trajectory cut at that frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .errors import CollisionDetected, DataError
 from .stability import ControllerGains, EquilibriumSpec, LinearizedHdv
-from .trajectory_io import DT, Trajectory, VehiclePair
+from .trajectory_io import DT, Trajectory
 
 # calibration search box: (low, high) per parameter
 PARAM_BOUNDS = {
@@ -268,29 +268,6 @@ def simulate_string(lead: Trajectory, vehicles, x0, v0, v_star: float) -> list[T
         raise CollisionDetected(int(hit[end - 1].argmax()) + 1, lead.start_frame + end - 1,
                                 partial=trajs)
     return trajs
-
-
-def generate_synthetic_pair(theta: FvdmParams, profile, duration: float,
-                            initial_headway: float) -> VehiclePair:
-    """Simulate a leader (vehicle 1) from a speed profile and a model
-    follower (vehicle 2) behind it, sampled every DT seconds.
-
-    The follower starts at the leader's initial speed, initial_headway meters
-    behind, and follows the car-following model given by theta.  This is the
-    pipeline's synthetic input and the ground truth of calibration tests.
-
-    Raises:
-        ValueError: initial headway at or below the stopping distance of the
-            model's velocity curve.
-    """
-    if initial_headway <= theta.b_c:
-        raise ValueError(
-            f"initial headway {initial_headway} m <= b_c {theta.b_c} m"
-        )
-    leader = leader_trajectory(profile, duration, vehicle_id=1)
-    x0 = leader.positions[0] - initial_headway
-    follower = simulate_string(leader, (theta,), x0, leader.speeds[0], 0.0)[1]
-    return VehiclePair(leader, replace(follower, vehicle_id=2), leader.start_frame, leader.n)
 
 
 def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT, *, group,

@@ -58,9 +58,10 @@ from .carfollowing import (
     FvdmParams,
     SinusoidProfile,
     equilibrium_headway,
-    generate_synthetic_pair,
+    leader_trajectory,
     linearize_hdv,
     simulate_platoon,
+    simulate_string,
 )
 from .errors import CollisionDetected, DataError
 from .smoothing import SmoothingConfig, differentiate, smooth_trajectory
@@ -86,7 +87,6 @@ from .trajectory_io import (
     TrajectoryTable,
     build_trajectories,
     pair_leader_follower,
-    pair_index,
     pairs_from_index,
     parse_ngsim_csv,
     read_canonical_csv,
@@ -294,23 +294,18 @@ def _read_stage_json(path: Path, shape):
 
 
 def _synthetic_records(seed, noise: float):
-    theta = SYNTHETIC_THETA
-    pair = generate_synthetic_pair(
-        theta,
-        ConstantProfile(SYNTHETIC_SPEED),
-        SYNTHETIC_DURATION,
-        initial_headway=equilibrium_headway(theta, SYNTHETIC_SPEED),
-    )
-    leader, follower = pair.leader, pair.follower
-    n = pair.overlap_len
+    leader = leader_trajectory(ConstantProfile(SYNTHETIC_SPEED), SYNTHETIC_DURATION)
+    x0 = leader.positions[0] - equilibrium_headway(SYNTHETIC_THETA, SYNTHETIC_SPEED)
+    follower = simulate_string(leader, (SYNTHETIC_THETA,), x0, leader.speeds[0], 0.0)[1]
+    n = leader.n
     table = TrajectoryTable(
-        vehicle_id=np.repeat([leader.vehicle_id, follower.vehicle_id], n),
-        frame_id=np.tile(pair.overlap_start + np.arange(n), 2),
+        vehicle_id=np.repeat([1, 2], n),
+        frame_id=np.tile(leader.start_frame + np.arange(n), 2),
         local_y=np.concatenate([leader.positions, follower.positions]),
         speed=np.concatenate([leader.speeds, follower.speeds]),
         accel=np.concatenate([leader.accels, follower.accels]),
         lane_id=np.ones(2 * n, dtype=np.int64),
-        preceding_id=np.repeat([0, leader.vehicle_id], n),
+        preceding_id=np.repeat([0, 1], n),
         vehicle_length=np.repeat([leader.vehicle_length, follower.vehicle_length], n),
     )
     if noise > 0:
@@ -371,17 +366,14 @@ def cmd_smooth(args) -> StageResult:
 def cmd_pair(args) -> StageResult:
     src = _resolve_input(args.input, "smoothed.csv", "trajectories.csv")
     table, _ = build_trajectories(read_canonical_csv(src))
-    pairs, diag = pair_leader_follower(
+    windows, diagnostics = pair_leader_follower(
         table, lane_filter=args.lane, min_samples=args.min_samples
     )
     out = _outdir(args)
     shutil.copyfile(src, out / "trajectories.csv")
     _write_json(out / "pairs.json", {
-        "pairs": pair_index(pairs),
-        "diagnostics": {
-            "rejected_nonpositive": [list(t) for t in diag.rejected_nonpositive],
-            "short_pairs": [list(t) for t in diag.short_pairs],
-        },
+        "pairs": windows,
+        "diagnostics": diagnostics,
         "min_samples": args.min_samples,
     })
     return EXIT_OK, [src], {}

@@ -6,9 +6,10 @@ build_trajectories keeps each vehicle's longest gap-free run, sampled at a
 fixed 0.1 s interval, as one block of a table in (vehicle, frame) order.
 Follower vehicles are paired with the vehicle ahead of them over windows
 where the leader link is unambiguous, which is what the car-following
-calibration consumes; a pair's window is stored as an index entry
-(pair_index) and cut back out of the grouped table (pairs_from_index).
-Synthetic pairs are simulated in carfollowing (generate_synthetic_pair).
+calibration consumes.  pair_leader_follower returns each window as a
+pairs.json entry (leader_id, follower_id, overlap_start, overlap_len), and
+pairs_from_index cuts the entries back out of the grouped table as
+VehiclePairs, the form calibration reads.
 
 Tables are written and read as the canonical CSV one column at a time, with
 no Python code run per row.  A file is parsed by one np.loadtxt call on the
@@ -30,7 +31,7 @@ import itertools
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -145,31 +146,23 @@ class Trajectory:
 
 @dataclass
 class VehiclePair:
-    """A follower and its leader trimmed to their shared window."""
+    """A follower and its leader over the same frames, the leader ahead at every one."""
 
     leader: Trajectory
     follower: Trajectory
-    overlap_start: int
-    overlap_len: int
 
     def __post_init__(self):
-        for tr in (self.leader, self.follower):
-            if tr.start_frame != self.overlap_start or tr.n != self.overlap_len:
-                raise ValueError("pair trajectories must be trimmed to the window")
-        if np.any(self.headways() <= 0):
+        if (self.leader.start_frame, self.leader.n) != (self.follower.start_frame, self.follower.n):
+            raise ValueError("pair trajectories must cover the same frames")
+        head = self.headways()
+        if np.any(head <= 0):
             raise DataError(
-                f"pair ({self.leader.vehicle_id}, {self.follower.vehicle_id}) "
-                "has nonpositive headway"
+                f"pair ({self.leader.vehicle_id}, {self.follower.vehicle_id}) has nonpositive "
+                f"headway at frame {self.leader.start_frame + int(np.argmax(head <= 0))}"
             )
 
     def headways(self) -> np.ndarray:
         return self.leader.positions - self.follower.positions
-
-
-@dataclass
-class PairDiagnostics:
-    rejected_nonpositive: list = field(default_factory=list)  # (leader, follower, frame)
-    short_pairs: list = field(default_factory=list)  # (leader, follower, overlap_len)
 
 
 def _header(fh) -> list[str]:
@@ -598,25 +591,28 @@ def pair_leader_follower(
     lane_filter: int | None = None,
     min_samples: int = MIN_CALIBRATION_SAMPLES,
 ):
-    """Extract leader-follower pairs over maximal unambiguous shared windows
-    of a table build_trajectories returned.
+    """Find leader-follower windows: maximal unambiguous shared windows of a
+    table build_trajectories returned.
 
     A window requires the follower's leader link to stay constant, the leader
     trajectory to cover every frame, and both vehicles to occupy the same lane.
-    Pairs with a nonpositive headway anywhere in the window are rejected into
-    the diagnostics instead of being returned.  Pairs shorter than min_samples
+    Windows with a nonpositive headway anywhere are rejected into the
+    diagnostics instead of being returned.  Windows shorter than min_samples
     are flagged in the diagnostics but still returned.
 
     Every follower row is tested at once on the table's columns; Python runs
     once per window.
 
     Returns:
-        (pairs sorted by descending overlap length, PairDiagnostics)
+        (windows, diagnostics) as pairs.json holds them, every number a Python
+        int: windows sorted by descending overlap_len, then leader and follower
+        id; diagnostics' rejected_nonpositive lists [leader, follower, first
+        nonpositive frame] and short_pairs [leader, follower, overlap_len].
     """
-    pairs = []
-    diag = PairDiagnostics()
+    windows = []
+    diagnostics = {"rejected_nonpositive": [], "short_pairs": []}
     if not len(table):
-        return pairs, diag
+        return windows, diagnostics
     vid, frame, pre, lane = table.vehicle_id, table.frame_id, table.preceding_id, table.lane_id
     offset = np.flatnonzero(np.r_[True, vid[1:] != vid[:-1]])  # row of each vehicle's first frame
     ids = vid[offset]
@@ -637,57 +633,50 @@ def pair_leader_follower(
     edge[1:-1] = (vid[1:] != vid[:-1]) | (pre[1:] != pre[:-1]) | (usable[1:] != usable[:-1])
     bounds = np.flatnonzero(edge)
     runs = usable[bounds[:-1]]
+    y = table.local_y
     for s, e in zip(bounds[:-1][runs].tolist(), bounds[1:][runs].tolist()):
         ls = int(lead_row[s])
-        leader, follower = _trajectory(table, ls, ls + e - s), _trajectory(table, s, e)
-        lid, fid, start_frame, length = leader.vehicle_id, follower.vehicle_id, follower.start_frame, e - s
-        head = leader.positions - follower.positions
+        lid, fid, start, length = int(vid[ls]), int(vid[s]), int(frame[s]), e - s
+        head = y[ls : ls + length] - y[s:e]
         if np.any(head <= 0):
-            bad = int(np.argmax(head <= 0))
-            diag.rejected_nonpositive.append((lid, fid, start_frame + bad))
+            diagnostics["rejected_nonpositive"].append([lid, fid, start + int(np.argmax(head <= 0))])
         else:
-            pairs.append(VehiclePair(leader, follower, start_frame, length))
+            windows.append({"leader_id": lid, "follower_id": fid,
+                            "overlap_start": start, "overlap_len": length})
             if length < min_samples:
-                diag.short_pairs.append((lid, fid, length))
+                diagnostics["short_pairs"].append([lid, fid, length])
 
-    pairs.sort(key=lambda p: (-p.overlap_len, p.leader.vehicle_id, p.follower.vehicle_id))
-    return pairs, diag
-
-
-def pair_index(pairs) -> list[dict]:
-    """JSON-ready index of pairs; pairs_from_index rebuilds them from it."""
-    return [
-        {
-            "leader_id": p.leader.vehicle_id,
-            "follower_id": p.follower.vehicle_id,
-            "overlap_start": p.overlap_start,
-            "overlap_len": p.overlap_len,
-        }
-        for p in pairs
-    ]
+    windows.sort(key=lambda w: (-w["overlap_len"], w["leader_id"], w["follower_id"]))
+    return windows, diagnostics
 
 
 def pairs_from_index(index, table: TrajectoryTable) -> list[VehiclePair]:
-    """Rebuild pairs by cutting each stored window out of a table
-    build_trajectories returned.
+    """Cut each pairs.json entry's window out of a table build_trajectories
+    returned, as a VehiclePair.
 
     Raises:
-        DataError: an entry names a vehicle the table does not hold, or a
-            window outside either vehicle's frames.
+        DataError: an entry's overlap_len is not positive, it names a vehicle
+            the table does not hold, its window lies outside either vehicle's
+            frames, or its headway is nonpositive at some frame.
     """
     pairs = []
     for entry in index:
         lid, fid = entry["leader_id"], entry["follower_id"]
         start, length = entry["overlap_start"], entry["overlap_len"]
         window = f"pair of leader {lid} and follower {fid}, {length} frames from frame {start}"
+        if length <= 0:
+            raise DataError(f"{window}: overlap_len must be positive")
         rows = []
         for vid in (lid, fid):
             lo, hi = table.vehicle_id.searchsorted(vid), table.vehicle_id.searchsorted(vid, "right")
             if lo == hi:
                 raise DataError(f"{window}: vehicle {vid} is not in the trajectory file")
             first, last = int(table.frame_id[lo]), int(table.frame_id[hi - 1])
-            if not (length > 0 and first <= start and start + length - 1 <= last):
+            if not (first <= start and start + length - 1 <= last):
                 raise DataError(f"{window}: vehicle {vid} has only frames {first}-{last}")
             rows.append(int(lo) + start - first)
-        pairs.append(VehiclePair(*(_trajectory(table, r, r + length) for r in rows), start, length))
+        try:
+            pairs.append(VehiclePair(*(_trajectory(table, r, r + length) for r in rows)))
+        except DataError as err:
+            raise DataError(f"{window}: {err}") from None
     return pairs

@@ -23,15 +23,27 @@ from stopgo.carfollowing import (
     FvdmParams,
     PiecewiseProfile,
     SinusoidProfile,
-    generate_synthetic_pair,
+    leader_trajectory,
+    simulate_string,
 )
 from stopgo.errors import DataError
+from stopgo.trajectory_io import VehiclePair
 
 THETA_TRUE = FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.5)
 
 
+def _synthetic_pair(profile, duration, headway):
+    """THETA_TRUE as vehicle 2, simulated behind a leader (vehicle 1) that
+    drives profile for duration seconds; it starts headway meters behind, at
+    the leader's speed."""
+    leader = leader_trajectory(profile, duration)
+    x0 = leader.positions[0] - headway
+    follower = simulate_string(leader, (THETA_TRUE,), x0, leader.speeds[0], 0.0)[1]
+    return VehiclePair(leader, replace(follower, vehicle_id=2))
+
+
 def _make_pair(duration=40.0, v=12.0, headway=18.0):
-    return generate_synthetic_pair(THETA_TRUE, ConstantProfile(v), duration, headway)
+    return _synthetic_pair(ConstantProfile(v), duration, headway)
 
 
 def _point_box(theta: FvdmParams) -> dict:
@@ -307,10 +319,10 @@ def _three_pairs():
     """Three pairs of different lengths under one GA config; they stop at
     generations 8, 10 and 9, so the batch shrinks twice."""
     pairs = [
-        generate_synthetic_pair(THETA_TRUE, SinusoidProfile(12.0, 2.0, 0.4), 14.0, 18.0),
-        generate_synthetic_pair(THETA_TRUE, ConstantProfile(12.0), 8.0, 18.0),
-        generate_synthetic_pair(
-            THETA_TRUE, PiecewiseProfile(((0.0, 12.0), (5.0, 8.0))), 11.0, 18.0
+        _synthetic_pair(SinusoidProfile(12.0, 2.0, 0.4), 14.0, 18.0),
+        _synthetic_pair(ConstantProfile(12.0), 8.0, 18.0),
+        _synthetic_pair(
+            PiecewiseProfile(((0.0, 12.0), (5.0, 8.0))), 11.0, 18.0
         ),
     ]
     assert len({pair.leader.n for pair in pairs}) == 3

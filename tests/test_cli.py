@@ -234,6 +234,8 @@ def test_pair_artifacts(paired):
 @pytest.mark.parametrize("change, problem", [
     ({"follower_id": 77}, "vehicle 77 is not in the trajectory file"),
     ({"overlap_start": 250}, "vehicle 1 has only frames 0-999"),
+    ({"overlap_len": 0}, "overlap_len must be positive"),
+    ({"leader_id": 2, "follower_id": 1}, "pair (2, 1) has nonpositive headway at frame 0"),
 ])
 def test_calibrate_pair_entry_outside_the_trajectories_is_data_error(
         tmp_path, capsys, paired, change, problem):

@@ -12,20 +12,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stopgo.carfollowing import ConstantProfile, FvdmParams, generate_synthetic_pair
-from stopgo.cli import main as cli_main
+from stopgo.cli import _synthetic_records, main as cli_main
 from stopgo.errors import DataError, DuplicateFrame, UnparsableField
 from stopgo.trajectory_io import (
     _WRITE_CHUNK_ROWS,
     _shortest_digits,
     CANONICAL_HEADER,
     FEET_TO_METERS,
-    PairDiagnostics,
     Trajectory,
     TrajectoryTable,
     VehiclePair,
     build_trajectories,
-    pair_index,
     pair_leader_follower,
     pairs_from_index,
     parse_ngsim_csv,
@@ -571,15 +568,19 @@ def _two_vehicle_records(n=30, lane=1, gap=20.0):
     return recs
 
 
+def _window(leader_id, follower_id, overlap_start, overlap_len):
+    return {"leader_id": leader_id, "follower_id": follower_id,
+            "overlap_start": overlap_start, "overlap_len": overlap_len}
+
+
 def test_pairing_full_overlap():
     table, _ = build_trajectories(_table(_two_vehicle_records(n=40)))
-    pairs, diag = pair_leader_follower(table, min_samples=10)
-    assert len(pairs) == 1
-    p = pairs[0]
+    windows, diag = pair_leader_follower(table, min_samples=10)
+    assert windows == [_window(1, 2, 0, 40)]
+    (p,) = pairs_from_index(windows, table)
     assert p.leader.vehicle_id == 1 and p.follower.vehicle_id == 2
-    assert p.overlap_len == 40
     np.testing.assert_allclose(p.headways(), 20.0)
-    assert not diag.rejected_nonpositive and not diag.short_pairs
+    assert diag == {"rejected_nonpositive": [], "short_pairs": []}
 
 
 def test_pairing_splits_on_lane_change():
@@ -589,10 +590,8 @@ def test_pairing_splits_on_lane_change():
         recs.append(_record(1, f, 30.0 + f, lane=1, preceding=0))
         recs.append(_record(2, f, float(f), lane=1 if f < 18 else 2, preceding=1))
     table, _ = build_trajectories(_table(recs))
-    pairs, _ = pair_leader_follower(table, min_samples=1)
-    assert len(pairs) == 1
-    assert pairs[0].overlap_len == 18
-    assert pairs[0].overlap_start == 0
+    windows, _ = pair_leader_follower(table, min_samples=1)
+    assert windows == [_window(1, 2, 0, 18)]
 
 
 def test_pairing_rejects_nonpositive_headway():
@@ -601,31 +600,33 @@ def test_pairing_rejects_nonpositive_headway():
         recs.append(_record(1, f, 10.0, lane=1, preceding=0))
         recs.append(_record(2, f, 10.0 + (1.0 if f == 7 else -5.0), lane=1, preceding=1))
     table, _ = build_trajectories(_table(recs))
-    pairs, diag = pair_leader_follower(table, min_samples=1)
-    assert pairs == []
-    assert diag.rejected_nonpositive and diag.rejected_nonpositive[0][:2] == (1, 2)
+    windows, diag = pair_leader_follower(table, min_samples=1)
+    assert windows == []
+    assert diag["rejected_nonpositive"] == [[1, 2, 7]]
 
 
 def test_pairing_flags_short_pairs_but_returns_them():
     table, _ = build_trajectories(_table(_two_vehicle_records(n=30)))
-    pairs, diag = pair_leader_follower(table, min_samples=600)
-    assert len(pairs) == 1
-    assert pairs[0].overlap_len == 30
-    assert diag.short_pairs == [(1, 2, 30)]
+    windows, diag = pair_leader_follower(table, min_samples=600)
+    assert windows == [_window(1, 2, 0, 30)]
+    assert diag["short_pairs"] == [[1, 2, 30]]
 
 
 def test_pairing_lane_filter():
     table, _ = build_trajectories(_table(_two_vehicle_records(lane=3)))
-    pairs, _ = pair_leader_follower(table, lane_filter=2, min_samples=1)
-    assert pairs == []
-    pairs, _ = pair_leader_follower(table, lane_filter=3, min_samples=1)
-    assert len(pairs) == 1
+    windows, _ = pair_leader_follower(table, lane_filter=2, min_samples=1)
+    assert windows == []
+    windows, _ = pair_leader_follower(table, lane_filter=3, min_samples=1)
+    assert len(windows) == 1
 
 
 def _pair_reference(tset, lane_filter=None, min_samples=600):
-    """The per-frame pairing loop: grow each window one follower frame at a time."""
+    """The per-frame pairing loop: grow each window one follower frame at a time.
+
+    Returns the pairs cut from the per-vehicle trajectories and the
+    diagnostics, as pair_leader_follower's windows and diagnostics hold them."""
     pairs = []
-    diag = PairDiagnostics()
+    diag = {"rejected_nonpositive": [], "short_pairs": []}
     for fid, ftr in sorted(tset.trajectories.items()):
         pre = tset.preceding[fid]
         flane = tset.lanes[fid]
@@ -657,13 +658,13 @@ def _pair_reference(tset, lane_filter=None, min_samples=600):
             follower = ftr.slice(start_frame, length)
             head = leader.positions - follower.positions
             if np.any(head <= 0):
-                diag.rejected_nonpositive.append((lid, fid, start_frame + int(np.argmax(head <= 0))))
+                diag["rejected_nonpositive"].append([lid, fid, start_frame + int(np.argmax(head <= 0))])
             else:
-                pairs.append(VehiclePair(leader, follower, start_frame, length))
+                pairs.append(VehiclePair(leader, follower))
                 if length < min_samples:
-                    diag.short_pairs.append((lid, fid, length))
+                    diag["short_pairs"].append([lid, fid, length])
             i = j
-    pairs.sort(key=lambda p: (-p.overlap_len, p.leader.vehicle_id, p.follower.vehicle_id))
+    pairs.sort(key=lambda p: (-p.leader.n, p.leader.vehicle_id, p.follower.vehicle_id))
     return pairs, diag
 
 
@@ -697,8 +698,21 @@ def _random_table(rng, vehicles=12):
 
 
 def _pair_key(p):
-    return (p.leader.vehicle_id, p.follower.vehicle_id, p.overlap_start, p.overlap_len,
+    return (p.leader.vehicle_id, p.follower.vehicle_id, p.leader.start_frame, p.leader.n,
             p.leader.positions.tobytes(), p.follower.positions.tobytes())
+
+
+def _assert_pairs_json(value):
+    """value is a list or dict of lists, dicts and Python ints that a JSON
+    round trip gives back equal."""
+    assert json.loads(json.dumps(value)) == value
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, dict)):
+            stack.extend(item.values() if isinstance(item, dict) else item)
+        else:
+            assert type(item) is int
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -707,52 +721,55 @@ def test_pairing_matches_per_frame_loop(seed):
     for _ in range(6):
         table = _random_table(rng)
         for lane_filter in (None, 1, 2):
-            got_pairs, got = pair_leader_follower(table, lane_filter=lane_filter, min_samples=8)
+            windows, got = pair_leader_follower(table, lane_filter=lane_filter, min_samples=8)
             want_pairs, want = _pair_reference(_by_vehicle(table), lane_filter=lane_filter, min_samples=8)
+            assert windows == [_window(*_pair_key(p)[:4]) for p in want_pairs]
+            got_pairs = pairs_from_index(windows, table)
             assert [_pair_key(p) for p in got_pairs] == [_pair_key(p) for p in want_pairs]
-            assert got.rejected_nonpositive == want.rejected_nonpositive
-            assert got.short_pairs == want.short_pairs
-            for t in got.rejected_nonpositive + got.short_pairs:
-                assert all(type(v) is int for v in t)
+            assert got == want
+            _assert_pairs_json(windows)
+            _assert_pairs_json(got)
 
 
 def test_pairing_of_an_empty_set():
     one = _table([_record(1, 0, 0.0)])
     empty = TrajectoryTable(*(getattr(one, f.name)[:0] for f in fields(TrajectoryTable)))
-    pairs, diag = pair_leader_follower(empty)
-    assert pairs == [] and not diag.rejected_nonpositive and not diag.short_pairs
+    windows, diag = pair_leader_follower(empty)
+    assert windows == [] and diag == {"rejected_nonpositive": [], "short_pairs": []}
 
 
 def test_vehicle_pair_validates_trim_and_headway():
     tr = Trajectory(1, 0, np.arange(5.0), np.ones(5), np.zeros(5))
     behind = Trajectory(2, 0, np.arange(5.0) - 3.0, np.ones(5), np.zeros(5))
-    VehiclePair(tr, behind, 0, 5)  # fine
-    with pytest.raises(ValueError):
-        VehiclePair(tr, behind, 0, 4)  # wrong window length
-    with pytest.raises(DataError, match=r"pair \(2, 1\) has nonpositive headway"):
-        VehiclePair(behind, tr, 0, 5)  # leader behind follower
+    VehiclePair(tr, behind)  # fine
+    with pytest.raises(ValueError, match="must cover the same frames"):
+        VehiclePair(tr, behind.slice(0, 4))  # fewer frames
+    with pytest.raises(ValueError, match="must cover the same frames"):
+        VehiclePair(tr.slice(1, 4), behind.slice(0, 4))  # other frames
+    with pytest.raises(DataError, match=r"pair \(2, 1\) has nonpositive headway at frame 0"):
+        VehiclePair(behind, tr)  # leader behind follower
 
 
 def test_pair_index_round_trip(tmp_path):
     table, _ = build_trajectories(_table(_two_vehicle_records(n=25)))
-    pairs, _ = pair_leader_follower(table, min_samples=1)
+    windows, _ = pair_leader_follower(table, min_samples=1)
     path = tmp_path / "pairs.json"
-    path.write_text(json.dumps(pair_index(pairs)))
+    path.write_text(json.dumps(windows))
     index = json.loads(path.read_text())
-    rebuilt = pairs_from_index(index, table)
-    assert len(rebuilt) == 1
-    np.testing.assert_array_equal(rebuilt[0].leader.positions, pairs[0].leader.positions)
-    np.testing.assert_array_equal(
-        rebuilt[0].follower.positions, pairs[0].follower.positions
-    )
-    assert rebuilt[0].overlap_start == pairs[0].overlap_start
+    assert index == windows
+    (rebuilt,) = pairs_from_index(index, table)
+    np.testing.assert_array_equal(rebuilt.leader.positions, table.local_y[:25])
+    np.testing.assert_array_equal(rebuilt.follower.positions, table.local_y[25:])
+    assert rebuilt.leader.start_frame == rebuilt.follower.start_frame == windows[0]["overlap_start"]
 
 
 def test_pair_trajectories_hold_python_ints():
     table, _ = build_trajectories(_table(_two_vehicle_records(n=5)))
-    pairs, _ = pair_leader_follower(table, min_samples=1)
-    assert len(pairs) == 1
-    for p in pairs + pairs_from_index(pair_index(pairs), table):
+    windows, diag = pair_leader_follower(table, min_samples=10)
+    assert len(windows) == 1 and diag["short_pairs"] == [[1, 2, 5]]
+    _assert_pairs_json(windows)
+    _assert_pairs_json(diag)
+    for p in pairs_from_index(windows, table):
         assert (p.leader.vehicle_id, p.follower.vehicle_id) == (1, 2)
         for tr in (p.leader, p.follower):
             assert type(tr.vehicle_id) is int and type(tr.start_frame) is int
@@ -771,14 +788,11 @@ def test_trajectory_slice_bounds():
 
 
 def test_synthetic_pair_shapes_and_headway():
-    theta = FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.5)
-    pair = generate_synthetic_pair(theta, ConstantProfile(12.0), 30.0, 18.0)
-    assert pair.leader.n == pair.follower.n == 301  # inclusive end sample
+    """--input synthetic is one leader (1) and its modeled follower (2) over
+    the same 1000 frames, the follower behind at every one."""
+    table, discarded = build_trajectories(_synthetic_records(None, 0.0))
+    assert discarded == 0
+    windows, diag = pair_leader_follower(table)
+    assert windows == [_window(1, 2, 0, 1000)] and diag == {"rejected_nonpositive": [], "short_pairs": []}
+    (pair,) = pairs_from_index(windows, table)
     assert np.all(pair.headways() > 0)
-    assert pair.leader.vehicle_id == 1 and pair.follower.vehicle_id == 2
-
-
-def test_synthetic_pair_infeasible_start_raises():
-    theta = FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.5)
-    with pytest.raises(ValueError, match="initial headway 3.0 m <= b_c 3.0 m"):
-        generate_synthetic_pair(theta, ConstantProfile(12.0), 10.0, theta.b_c)
