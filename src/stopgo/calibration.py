@@ -16,8 +16,8 @@ Pairs are batched longest first, and one call holds as many pairs as fit
 in a fixed budget of rows times columns, so memory stays bounded however
 many pairs are calibrated: a call's one state array holds, row by row, its
 candidates' positions and speeds and the batch's leader columns.  Each pair
-is scored on its block of the call, all candidates in one array, and no
-vector is simulated twice.
+is scored on its block of the call by one error_mixed call over all its
+candidates, and no vector is simulated twice.
 calibrate_ga is calibrate_pairs on one pair.
 """
 from __future__ import annotations
@@ -71,11 +71,13 @@ def error_abs(s_sim, s_data):
 
 def error_mixed(s_sim, s_data):
     """Mixed error: squared deviations weighted by the inverse headway,
-    normalized by the mean headway.  Falls between the relative and absolute
-    errors and coincides with both on constant data."""
+    normalized by the mean headway; between the relative and absolute errors,
+    equal to both on constant data.  The GA scores a population block with it."""
     s_sim, s_data = _check_series(s_sim, s_data)
-    scale = np.mean(np.abs(s_data))
-    return _value(np.sqrt(np.mean((s_sim - s_data) ** 2 / np.abs(s_data), axis=-1) / scale))
+    d = np.subtract(s_sim, s_data)
+    np.square(d, out=d)
+    np.divide(d, np.abs(s_data), out=d)
+    return _value(np.sqrt(np.mean(d, axis=-1) / np.mean(np.abs(s_data))))
 
 
 CROSSOVER_PROBABILITY = 0.9
@@ -175,18 +177,13 @@ def _score_batch(batch, size: int) -> None:
 
 
 def _pair_fitness(leader_x: np.ndarray, X: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Mixed error of each simulated follower column of X behind leader_x,
-    the penalty for one that collides."""
+    """error_mixed of each simulated follower column of X behind leader_x,
+    COLLISION_PENALTY for one whose headway reaches zero."""
     # C order makes each candidate's headways a contiguous row, which numpy
     # reduces to the same bits as that row alone
-    S, data = _check_series(np.subtract(leader_x, X.T, order="C"), data)
+    S = np.subtract(leader_x, X.T, order="C")
     collided = S.min(axis=-1) <= 0.0
-    # error_mixed's operations, each in place in S
-    np.subtract(S, data, out=S)
-    np.square(S, out=S)
-    np.divide(S, np.abs(data), out=S)
-    fits = np.sqrt(np.mean(S, axis=-1) / np.mean(np.abs(data)))
-    return np.where(collided, COLLISION_PENALTY, fits)
+    return np.where(collided, COLLISION_PENALTY, error_mixed(S, data))
 
 
 class _PairGa:

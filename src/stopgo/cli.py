@@ -423,6 +423,8 @@ def cmd_calibrate(args) -> StageResult:
     pairs = pairs_from_index(entries, table)
 
     out = _outdir(args)
+    for stale in out.glob("fitness_history_*.csv"):  # an earlier run's pairs
+        stale.unlink()
     results = []
     for pair, res in zip(pairs, calibrate_pairs(pairs, bounds=bounds, cfg=cfg)):
         lid, fid = pair.leader.vehicle_id, pair.follower.vehicle_id
@@ -536,6 +538,8 @@ def cmd_optimize_gains(args) -> StageResult:
                          disturbance_beta=args.beta, grid=_gain_grid(args.gain_grid),
                          freq_grid=doc["omega_grid"])
     out = _outdir(args)
+    for stale in out.glob("heatmaps/heatmap_k1=*.csv"):  # an earlier run's k1 slices
+        stale.unlink()
     heatmaps = write_heatmaps(res, out / "heatmaps")
     _write_json(out / "gains.json", {
         **asdict(eq),  # v_star, lambda2, lambda3

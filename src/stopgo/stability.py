@@ -205,37 +205,22 @@ def delay_margin(lin: LinearizedHdv) -> float:
     return math.atan2(K * wc, lin.k1) / wc
 
 
-def cav_gain_sq(g: ControllerGains, lambda2: float, omega):
-    """Squared magnitude of the automated vehicle's transfer function
-    (position perturbation of its leader to its own, no actuation delay)."""
+def cav_gains_sq(g: ControllerGains, lambda2: float, omega):
+    """(|T_A|^2, |1 - T_A|^2) at frequency omega: T_A takes the automated
+    vehicle's leader's position perturbation to its own (no actuation delay),
+    1 - T_A to its headway deviation.  Each is its exact limit at omega = 0."""
     w = np.asarray(omega, dtype=float)
     K = g.k2 + g.k3 + g.k1 * lambda2
     ww = w * w
-    num = g.k1 * g.k1 + ww * g.k3 * g.k3
     den = (g.k1 - ww) ** 2 + ww * K * K
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
-    if np.any(w == 0.0):
-        dc = 1.0 if g.k1 > 0 else ((g.k3 / K) ** 2 if K > 0 else np.nan)
-        out = np.where(w == 0.0, dc, out)
-    return float(out) if out.ndim == 0 else out
-
-
-def cav_complement_gain_sq(g: ControllerGains, lambda2: float, omega):
-    """Squared magnitude of 1 - T_A(j*omega): leader position perturbation to
-    the automated vehicle's headway deviation."""
-    w = np.asarray(omega, dtype=float)
-    K = g.k2 + g.k3 + g.k1 * lambda2
-    ww = w * w
-    num = ww * ww + ww * (g.k2 + g.k1 * lambda2) ** 2
-    den = (g.k1 - ww) ** 2 + ww * K * K
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
-    if np.any(w == 0.0):
-        # headway deviation vanishes at DC when the spacing gain acts
-        dc = 0.0 if g.k1 > 0 else ((g.k2 / K) ** 2 if K > 0 else np.nan)
-        out = np.where(w == 0.0, dc, out)
-    return float(out) if out.ndim == 0 else out
+        gain = (g.k1 * g.k1 + ww * g.k3 * g.k3) / den
+        complement = (ww * ww + ww * (g.k2 + g.k1 * lambda2) ** 2) / den
+    if np.any(w == 0.0):  # a spacing gain holds the headway at DC; nan when no gain acts
+        lag = ((g.k3 / K) ** 2, (g.k2 / K) ** 2) if K > 0 else (np.nan, np.nan)
+        dc = (1.0, 0.0) if g.k1 > 0 else lag
+        gain, complement = np.where(w == 0.0, dc[0], gain), np.where(w == 0.0, dc[1], complement)
+    return tuple(float(a) if a.ndim == 0 else a for a in (gain, complement))
 
 
 def cav_string_stable(g: ControllerGains, lambda2: float = 0.0) -> bool:
@@ -375,9 +360,9 @@ def _cell_counter(lins, fgrid: FrequencyGrid, eta: float, lambda2: float):
     n, log_eta = len(lins), math.log(eta)
 
     def counts(g: ControllerGains) -> tuple[int, int]:
-        head_st = 0.5 * np.log(cav_gain_sq(g, lambda2, omegas))
-        head_sf = 0.5 * np.log(cav_complement_gain_sq(g, lambda2, omegas)) - log_eta
-        return _scan_count(head_st, log_cum, n), _scan_count(head_sf, log_cum, n)
+        gain, complement = cav_gains_sq(g, lambda2, omegas)
+        return (_scan_count(0.5 * np.log(gain), log_cum, n),
+                _scan_count(0.5 * np.log(complement) - log_eta, log_cum, n))
     return counts
 
 

@@ -370,3 +370,21 @@ def test_calibrate_pairs_splits_batches_over_the_budget(monkeypatch):
     assert shapes == [(141, 12), (111, 24)] * 9 + [(111, 24), (81, 12)]
     monkeypatch.undo()
     _assert_each_pair_alone(pairs, cfg, joint)
+
+
+def test_calibrate_pairs_scores_each_population_through_error_mixed(monkeypatch):
+    pairs, cfg = _three_pairs()
+    calls = []
+    mixed = calibration.error_mixed
+
+    def counting(s_sim, s_data):
+        calls.append((np.shape(s_sim), len(s_data)))
+        return mixed(s_sim, s_data)
+
+    monkeypatch.setattr(calibration, "error_mixed", counting)
+    joint = calibrate_pairs(pairs, cfg=cfg)
+    # one call per running pair and generation, on the pair's whole
+    # population: the pairs stop after 9, 11 and 10 scored populations
+    counts = [calls.count(((cfg.population_size, pair.leader.n), pair.leader.n)) for pair in pairs]
+    assert counts == [res.generations_run + 1 for res in joint] == [9, 11, 10]
+    assert len(calls) == sum(counts)

@@ -419,6 +419,36 @@ def test_optimize_gains_artifacts(chain):
     assert gdoc["heatmap_files"] == [f"heatmaps/{p.name}" for p in heatmaps]
 
 
+def test_optimize_gains_again_into_one_out_keeps_only_its_heatmaps(chain, tmp_path):
+    out = tmp_path / "06"
+    for k1 in ("[0, 1, 0.5]", "[0.25, 0.75, 0.5]"):
+        grid = f'{{"k1": {k1}, "k2": [0.1, 1.0, 0.1], "k3": [0.1, 1.0, 0.1]}}'
+        assert run("optimize-gains", "--input", chain / "05", "--platoon", 6,
+                   "--gain-grid", grid, "--out", out) == 0
+    listed = _read_json(out / "gains.json")["heatmap_files"]
+    assert listed == ["heatmaps/heatmap_k1=0.25.csv", "heatmaps/heatmap_k1=0.75.csv"]
+    assert sorted(f"heatmaps/{p.name}" for p in (out / "heatmaps").iterdir()) == listed
+
+
+def test_calibrate_again_into_one_out_keeps_only_its_histories(tmp_path):
+    # one lane of four vehicles at 4 ft per frame, 100 ft apart: three pairs
+    header = "Vehicle_ID,Frame_ID,Local_Y,v_Vel,v_Acc,Lane_ID,Preceding,v_Length"
+    rows = [f"{v},{f},{400.0 - 100.0 * v + 4.0 * f},40.0,0.0,1,{v - 1},15.0"
+            for v in range(1, 5) for f in range(80)]
+    raw = tmp_path / "raw.csv"
+    raw.write_text(header + "\n" + "\n".join(rows) + "\n")
+    assert run("ingest", "--input", raw, "--out", tmp_path / "01") == 0
+    assert run("pair", "--input", tmp_path / "01", "--min-samples", 60, "--out", tmp_path / "03") == 0
+    out = tmp_path / "04"
+    for pairs in (3, 1):
+        assert run("calibrate", "--input", tmp_path / "03", "--seed", 1, "--pairs", pairs,
+                   "--population", 4, "--generations", 1, "--out", out) == 0
+    results = _read_json(out / "calibration.json")["results"]
+    assert len(results) == 1
+    assert sorted(p.name for p in out.glob("fitness_history_*.csv")) == [
+        f"fitness_history_{r['leader_id']}_{r['follower_id']}.csv" for r in results]
+
+
 def test_simulate_happy_path(chain, tmp_path):
     sim = tmp_path / "07"
     assert run("simulate", "--input", chain / "06", "--duration", 60,

@@ -25,8 +25,7 @@ from stopgo.stability import (
     LinearizedHdv,
     _brent_root,
     _cell_counter,
-    cav_complement_gain_sq,
-    cav_gain_sq,
+    cav_gains_sq,
     cav_string_stable,
     count_record,
     delay_margin,
@@ -143,7 +142,7 @@ def test_cav_dual_formulas_agree_everywhere():
             float(rng.uniform(0.0, 2.0)),
         )
         lam2 = float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
-        a = cav_gain_sq(g, lam2, DEFAULT_OMEGAS)
+        a = cav_gains_sq(g, lam2, DEFAULT_OMEGAS)[0]
         b = np.abs(_complex_cav(g, lam2, DEFAULT_OMEGAS)) ** 2
         worst = max(worst, _scaled_diff(a, b))
     assert worst <= 1e-12
@@ -153,16 +152,16 @@ def test_dc_gain_is_one_for_positive_k1():
     lin = LinearizedHdv(1.7, 0.9, 0.4, 0.3, 0.8)
     assert hdv_gain_sq(lin, 0.0) == 1.0
     g = ControllerGains(0.6, 0.8, 0.3)
-    assert cav_gain_sq(g, 0.5, 0.0) == 1.0
-    assert cav_complement_gain_sq(g, 0.5, 0.0) == 0.0
+    assert cav_gains_sq(g, 0.5, 0.0) == (1.0, 0.0)
 
 
 def test_dc_gain_without_spacing_feedback():
     # k1 = 0 leaves a first-order lag: |T(0)| = k3 / (k2 + k3)
     g = ControllerGains(0.0, 0.6, 0.58)
     K = 0.6 + 0.58
-    assert cav_gain_sq(g, 0.0, 0.0) == pytest.approx((0.58 / K) ** 2, rel=1e-12)
-    assert cav_complement_gain_sq(g, 0.0, 0.0) == pytest.approx((0.6 / K) ** 2, rel=1e-12)
+    gain, complement = cav_gains_sq(g, 0.0, 0.0)
+    assert gain == pytest.approx((0.58 / K) ** 2, rel=1e-12)
+    assert complement == pytest.approx((0.6 / K) ** 2, rel=1e-12)
 
 
 def test_complement_matches_complex_reference():
@@ -173,7 +172,7 @@ def test_complement_matches_complex_reference():
         lam2 = float(rng.choice([0.0, 0.7]))
         om = DEFAULT_OMEGAS[::20]
         ref = np.abs(1.0 - _complex_cav(g, lam2, om)) ** 2
-        assert _scaled_diff(cav_complement_gain_sq(g, lam2, om), ref) < 1e-9
+        assert _scaled_diff(cav_gains_sq(g, lam2, om)[1], ref) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +197,7 @@ def test_cav_string_stable_matches_numeric_sup():
             float(rng.uniform(0.0, 2.0)),
         )
         lam2 = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
-        sup = np.max(cav_gain_sq(g, lam2, DEFAULT_OMEGAS))
+        sup = np.max(cav_gains_sq(g, lam2, DEFAULT_OMEGAS)[0])
         assert cav_string_stable(g, lam2) == (sup <= 1.0 + 1e-9)
 
 
@@ -395,7 +394,7 @@ def test_first_amplifying_prefix_sets_the_count():
 
     fgrid = FrequencyGrid()
     om = fgrid.values(top=platoon_critical_frequency(lins, fgrid))
-    head = cav_gain_sq(g, 0.0, om)
+    head = cav_gains_sq(g, 0.0, om)[0]
     assert np.max(head) <= 1.0
     assert np.max(head * hdv_gain_sq(first, om)) > 1.0
 
