@@ -148,20 +148,9 @@ def linearize_hdv(theta: FvdmParams, eq: EquilibriumSpec) -> LinearizedHdv:
 # leader speed profiles
 
 @dataclass(frozen=True)
-class ConstantProfile:
-    v: float
-
-    def __post_init__(self):
-        if self.v < 0:
-            raise ValueError("speed must be nonnegative")
-
-    def speed(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.v)
-
-
-@dataclass(frozen=True)
 class PiecewiseProfile:
-    """Piecewise-constant speed: steps are (start_time, speed), ascending."""
+    """Piecewise-constant speed: steps are (start_time, speed), ascending.
+    One step is a constant speed."""
 
     steps: tuple
 

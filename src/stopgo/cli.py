@@ -54,14 +54,12 @@ from .calibration import GaConfig, _bounds_arrays, calibrate_ga, calibrate_pairs
 from .carfollowing import (
     PARAM_ORDER,
     Cav,
-    ConstantProfile,
     FvdmParams,
+    PiecewiseProfile,
     SinusoidProfile,
     equilibrium_headway,
-    leader_trajectory,
     linearize_hdv,
     simulate_platoon,
-    simulate_string,
 )
 from .errors import CollisionDetected, DataError
 from .smoothing import SmoothingConfig, differentiate, smooth_trajectory
@@ -188,6 +186,12 @@ def _outdir(args) -> Path:
     return out
 
 
+def _carry(src: Path, dst: Path) -> None:
+    """Copy an input a later stage reads into --out, unless it is there already."""
+    if not (dst.exists() and dst.samefile(src)):
+        shutil.copyfile(src, dst)
+
+
 def _resolve_input(raw: str, *candidates: str) -> Path:
     """Accept either a stage directory or a direct file path."""
     p = Path(raw)
@@ -294,23 +298,12 @@ def _read_stage_json(path: Path, shape):
 
 
 def _synthetic_records(seed, noise: float):
-    leader = leader_trajectory(ConstantProfile(SYNTHETIC_SPEED), SYNTHETIC_DURATION)
-    x0 = leader.positions[0] - equilibrium_headway(SYNTHETIC_THETA, SYNTHETIC_SPEED)
-    follower = simulate_string(leader, (SYNTHETIC_THETA,), x0, leader.speeds[0], 0.0)[1]
-    n = leader.n
-    table = TrajectoryTable(
-        vehicle_id=np.repeat([1, 2], n),
-        frame_id=np.tile(leader.start_frame + np.arange(n), 2),
-        local_y=np.concatenate([leader.positions, follower.positions]),
-        speed=np.concatenate([leader.speeds, follower.speeds]),
-        accel=np.concatenate([leader.accels, follower.accels]),
-        lane_id=np.ones(2 * n, dtype=np.int64),
-        preceding_id=np.repeat([0, 1], n),
-        vehicle_length=np.repeat([leader.vehicle_length, follower.vehicle_length], n),
-    )
+    profile = PiecewiseProfile(((0.0, SYNTHETIC_SPEED),))
+    table = _string_table(
+        simulate_platoon((SYNTHETIC_THETA,), profile, SYNTHETIC_SPEED, SYNTHETIC_DURATION))
     if noise > 0:
         rng = np.random.default_rng(seed if seed is not None else 0)
-        table.local_y += rng.uniform(-noise, noise, 2 * n)
+        table.local_y += rng.uniform(-noise, noise, len(table))
     return table
 
 
@@ -328,7 +321,8 @@ def cmd_ingest(args) -> StageResult:
     table, fragments_discarded = build_trajectories(records)
     _write_json(out / "ingest_summary.json", {
         "records": len(records),
-        "vehicles": len(np.unique(table.vehicle_id)),
+        # one block per vehicle in the grouped table, which is never empty
+        "vehicles": int(np.count_nonzero(table.vehicle_id[1:] != table.vehicle_id[:-1])) + 1,
         "fragments_discarded": fragments_discarded,
         "units": args.units if args.input != "synthetic" else "meters",
     })
@@ -370,7 +364,7 @@ def cmd_pair(args) -> StageResult:
         table, lane_filter=args.lane, min_samples=args.min_samples
     )
     out = _outdir(args)
-    shutil.copyfile(src, out / "trajectories.csv")
+    _carry(src, out / "trajectories.csv")
     _write_json(out / "pairs.json", {
         "pairs": windows,
         "diagnostics": diagnostics,
@@ -490,7 +484,7 @@ def cmd_stability(args) -> StageResult:
         "platoon_omega0": min((v["omega0"] for v in vehicles if v["omega0"] > 0.0), default=0.0),
         "vehicles": vehicles,
     })
-    shutil.copyfile(src, out / "calibration.json")
+    _carry(src, out / "calibration.json")
     return EXIT_OK, [src], {"omega_min": grid.omega_min, "omega_max": grid.omega_max,
                             "omega_points": grid.points}
 
@@ -554,10 +548,10 @@ def cmd_optimize_gains(args) -> StageResult:
         # paths relative to the directory holding gains.json
         "heatmap_files": sorted(p.relative_to(out).as_posix() for p in heatmaps),
     })
-    shutil.copyfile(src, out / "stability.json")
+    _carry(src, out / "stability.json")
     calib_src = src.parent / "calibration.json"
     if calib_src.exists():
-        shutil.copyfile(calib_src, out / "calibration.json")
+        _carry(calib_src, out / "calibration.json")
     return EXIT_OK, [src], {}
 
 
@@ -571,17 +565,28 @@ def _csv_vehicle_id(index):
     return index + 1
 
 
-def _write_platoon_csv(trajs, path: Path) -> None:
+def _string_table(trajs) -> TrajectoryTable:
+    """A simulated string's trajectories as rows, vehicle by vehicle in one
+    lane: each follows the vehicle before it, and the leader none."""
     lengths = [tr.n for tr in trajs]
-    ids = _csv_vehicle_id(np.arange(len(trajs)))
+    ids = np.repeat(_csv_vehicle_id(np.arange(len(trajs))), lengths)
+    return TrajectoryTable(
+        vehicle_id=ids,
+        frame_id=np.concatenate([tr.start_frame + np.arange(tr.n) for tr in trajs]),
+        local_y=np.concatenate([tr.positions for tr in trajs]),
+        speed=np.concatenate([tr.speeds for tr in trajs]),
+        accel=np.concatenate([tr.accels for tr in trajs]),
+        lane_id=np.ones(len(ids), dtype=np.int64),
+        preceding_id=ids - 1,  # the id of the vehicle ahead
+        vehicle_length=np.repeat([tr.vehicle_length for tr in trajs], lengths),
+    )
+
+
+def _write_platoon_csv(trajs, path: Path) -> None:
+    table = _string_table(trajs)
     write_columns(path, ["vehicle_id", "frame_id", "t", "x_m", "v_mps", "a_mps2", "preceding_id"], [
-        np.repeat(ids, lengths),
-        np.concatenate([tr.start_frame + np.arange(tr.n) for tr in trajs]),
-        np.concatenate([tr.times() for tr in trajs]),
-        np.concatenate([tr.positions for tr in trajs]),
-        np.concatenate([tr.speeds for tr in trajs]),
-        np.concatenate([tr.accels for tr in trajs]),
-        np.repeat(ids - 1, lengths),  # the id of the vehicle ahead
+        table.vehicle_id, table.frame_id, table.frame_id * trajs[0].dt,
+        table.local_y, table.speed, table.accel, table.preceding_id,
     ])
 
 
@@ -611,7 +616,7 @@ def cmd_simulate(args) -> StageResult:
     vehicles = (Cav(g, eq.lambda2, eq.lambda3), *_cycled(thetas, n_follow))
 
     if args.profile == "constant":
-        profile = ConstantProfile(v_star)
+        profile = PiecewiseProfile(((0.0, v_star),))
         omega = 0.0
     else:
         omega = args.omega

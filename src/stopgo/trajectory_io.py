@@ -126,9 +126,6 @@ class Trajectory:
         # inclusive
         return self.start_frame + self.n - 1
 
-    def times(self) -> np.ndarray:
-        return (self.start_frame + np.arange(self.n)) * self.dt
-
     def slice(self, start_frame: int, length: int) -> "Trajectory":
         i0 = start_frame - self.start_frame
         if i0 < 0 or i0 + length > self.n:

@@ -19,7 +19,6 @@ from stopgo.calibration import (
 )
 from stopgo.carfollowing import (
     PARAM_BOUNDS,
-    ConstantProfile,
     FvdmParams,
     PiecewiseProfile,
     SinusoidProfile,
@@ -43,7 +42,7 @@ def _synthetic_pair(profile, duration, headway):
 
 
 def _make_pair(duration=40.0, v=12.0, headway=18.0):
-    return _synthetic_pair(ConstantProfile(v), duration, headway)
+    return _synthetic_pair(PiecewiseProfile(((0.0, v),)), duration, headway)
 
 
 def _point_box(theta: FvdmParams) -> dict:
@@ -320,7 +319,7 @@ def _three_pairs():
     generations 8, 10 and 9, so the batch shrinks twice."""
     pairs = [
         _synthetic_pair(SinusoidProfile(12.0, 2.0, 0.4), 14.0, 18.0),
-        _synthetic_pair(ConstantProfile(12.0), 8.0, 18.0),
+        _synthetic_pair(PiecewiseProfile(((0.0, 12.0),)), 8.0, 18.0),
         _synthetic_pair(
             PiecewiseProfile(((0.0, 12.0), (5.0, 8.0))), 11.0, 18.0
         ),

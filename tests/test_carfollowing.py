@@ -9,7 +9,6 @@ import pytest
 
 from stopgo.carfollowing import (
     Cav,
-    ConstantProfile,
     FvdmParams,
     PiecewiseProfile,
     SinusoidProfile,
@@ -105,7 +104,7 @@ def test_param_bounds_enforced():
 
 
 def test_constant_profile_leader_kinematics():
-    tr = leader_trajectory(ConstantProfile(12.0), 10.0)
+    tr = leader_trajectory(PiecewiseProfile(((0.0, 12.0),)), 10.0)
     assert tr.n == 101
     np.testing.assert_allclose(tr.speeds, 12.0)
     np.testing.assert_allclose(tr.positions, 12.0 * np.arange(101) * 0.1, atol=1e-9)
@@ -134,7 +133,7 @@ def test_leader_trajectory_trapezoid_accuracy():
     dt = 0.1
     prof = SinusoidProfile(10.0, 2.0, 0.7)
     tr = leader_trajectory(prof, 50.0, dt=dt)
-    t = tr.times()
+    t = (tr.start_frame + np.arange(tr.n)) * tr.dt
     exact = 10.0 * t + (2.0 / 0.7) * (1.0 - np.cos(0.7 * t))
     assert np.max(np.abs(tr.positions - exact)) < dt**2
 
@@ -143,7 +142,7 @@ def test_leader_trajectory_trapezoid_accuracy():
 def test_follower_holds_equilibrium(tau):
     th = FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, tau)
     dx = equilibrium_headway(th, 12.0)
-    leader = leader_trajectory(ConstantProfile(12.0), 60.0)
+    leader = leader_trajectory(PiecewiseProfile(((0.0, 12.0),)), 60.0)
     fol = simulate_string(leader, (th,), leader.positions[0] - dx, 12.0, 0.0)[1]
     np.testing.assert_allclose(fol.speeds, 12.0, atol=1e-9)
     np.testing.assert_allclose(leader.positions - fol.positions, dx, atol=1e-9)
@@ -153,7 +152,7 @@ def test_speed_clamps_at_zero_and_position_holds():
     # stopped leader ahead: the follower brakes to rest, never reverses, and
     # its position freezes across every clamped step (it may creep forward
     # again later once the standing gap exceeds the stopping headway)
-    leader = leader_trajectory(ConstantProfile(0.0), 20.0)
+    leader = leader_trajectory(PiecewiseProfile(((0.0, 0.0),)), 20.0)
     fol = simulate_string(leader, (THETA_GAP,), -5.0 - VEHICLE_LENGTH, 10.0, 0.0)[1]
     assert np.min(fol.speeds) == 0.0
     assert np.all(fol.speeds >= 0.0)
@@ -166,7 +165,7 @@ def test_speed_clamps_at_zero_and_position_holds():
 
 
 def test_collision_raises_with_partial_arrays():
-    leader = leader_trajectory(ConstantProfile(0.0), 20.0)
+    leader = leader_trajectory(PiecewiseProfile(((0.0, 0.0),)), 20.0)
     with pytest.raises(CollisionDetected) as exc:
         simulate_string(leader, (THETA,), -2.0 - VEHICLE_LENGTH, 12.0, 0.0)
     err = exc.value
@@ -214,7 +213,7 @@ def test_platoon_structure_and_equilibrium_hold():
         THETA,
         LinearizedHdv(1.0, 1.5, 0.8, 0.0, tau=0.2, lambda3=20.0),
     )
-    trajs = simulate_platoon(vehicles, ConstantProfile(12.0), 12.0, 40.0)
+    trajs = simulate_platoon(vehicles, PiecewiseProfile(((0.0, 12.0),)), 12.0, 40.0)
     assert [tr.vehicle_id for tr in trajs] == [0, 1, 2, 3]
     assert len({tr.n for tr in trajs}) == 1
     for tr in trajs:
@@ -369,7 +368,7 @@ def test_unstable_linear_follower_amplifies_matching_transfer_gain():
     eps = 0.5
     vehicles = (LinearizedHdv(k1, k2, k3, 0.0, lambda3=20.0),)
     trajs = simulate_platoon(vehicles, SinusoidProfile(15.0, eps, w), 15.0, 300.0, dt=dt)
-    tail = trajs[0].times() > 200.0
+    tail = (trajs[0].start_frame + np.arange(trajs[0].n)) * trajs[0].dt > 200.0
     amp_leader = np.max(np.abs(trajs[0].speeds[tail] - 15.0))
     amp_follow = np.max(np.abs(trajs[1].speeds[tail] - 15.0))
     assert amp_follow / amp_leader == pytest.approx(gain, rel=0.05)
@@ -380,7 +379,7 @@ def test_grouped_batch_matches_separate_leaders():
     leaders = [
         leader_trajectory(SinusoidProfile(12.0, 2.0, 0.4), 40.0),
         leader_trajectory(SinusoidProfile(10.0, 3.0, 0.9), 40.0),
-        leader_trajectory(ConstantProfile(8.0), 25.0),
+        leader_trajectory(PiecewiseProfile(((0.0, 8.0),)), 25.0),
     ]
     n = leaders[0].n
     # the short leader is padded with its last sample, as calibration does
@@ -403,7 +402,7 @@ def test_grouped_batch_matches_separate_leaders():
 
 
 def test_grouped_batch_needs_valid_groups():
-    leader = leader_trajectory(ConstantProfile(8.0), 2.0)
+    leader = leader_trajectory(PiecewiseProfile(((0.0, 8.0),)), 2.0)
     lx = np.column_stack([leader.positions, leader.positions])
     lv = np.column_stack([leader.speeds, leader.speeds])
     thetas = np.array([THETA.as_array()] * 2)
@@ -516,7 +515,7 @@ def _batch_case(name):
         leaders = [
             leader_trajectory(SinusoidProfile(12.0, 2.0, 0.4), 40.0),
             leader_trajectory(SinusoidProfile(10.0, 3.0, 0.9), 40.0),
-            leader_trajectory(ConstantProfile(8.0), 25.0),
+            leader_trajectory(PiecewiseProfile(((0.0, 8.0),)), 25.0),
         ]
         if name == "delays-past-the-end":
             # 11 rows; delays of 15, 20 and 30 samples read row 0 throughout
@@ -561,7 +560,7 @@ def test_half_a_dt_squared_regroups_bit_for_bit(dt):
 
 
 def _valid_batch_args():
-    leader = leader_trajectory(ConstantProfile(8.0), 2.0)
+    leader = leader_trajectory(PiecewiseProfile(((0.0, 8.0),)), 2.0)
     return dict(thetas=np.array([THETA.as_array()] * 2), leader_x=leader.positions[:, None],
                 leader_v=leader.speeds[:, None], x0=-18.0, v0=8.0, group=[0, 0])
 

@@ -473,6 +473,37 @@ def test_simulate_times_follow_its_step(chain, tmp_path):
     assert all(float(r[2]) == int(r[1]) * 0.05 for r in rows[1:])
 
 
+def test_simulate_constant_profile_holds_the_leader_at_v_star(chain, tmp_path):
+    sim = tmp_path / "07"
+    assert run("simulate", "--input", chain / "06", "--profile", "constant", "--duration", 30,
+               "--out", sim) == 0
+    sdoc = _read_json(sim / "simulate_summary.json")
+    assert sdoc["omega"] == 0.0
+    assert sdoc["speed_amplitudes"][0] == 0.0
+    assert all(a == 0.0 for a in sdoc["amplification_vs_leader"])
+    rows = [r.split(",") for r in (sim / "platoon.csv").read_text().split()[1:]]
+    leader = [r for r in rows if r[6] == "0"]
+    assert leader and all(r[4] == repr(sdoc["v_star"]) for r in leader)
+
+
+@pytest.mark.parametrize("stage, source, name, flags, carried", [
+    ("pair", "01", "trajectories.csv", [], ["trajectories.csv"]),
+    ("stability", "04", "", ["--v-star", 12.0], ["calibration.json"]),
+    ("optimize-gains", "05", "", ["--platoon", 6, "--gain-grid", FAST_GRID],
+     ["stability.json", "calibration.json"]),
+], ids=["pair", "stability", "optimize-gains"])
+def test_stage_writes_into_its_input_directory(chain, tmp_path, stage, source, name, flags,
+                                               carried):
+    """--out may be the input's own directory: the carried-forward inputs
+    stay as they are and the stage writes its own manifest."""
+    d = tmp_path / "d"
+    shutil.copytree(chain / source, d)
+    assert run(stage, "--input", d / name, *flags, "--out", d) == 0
+    assert _read_json(d / "manifest.json")["subcommand"] == stage
+    for carry in carried:
+        assert (d / carry).read_bytes() == (chain / source / carry).read_bytes()
+
+
 @pytest.fixture()
 def collided(chain, tmp_path, capsys):
     """(output directory, stderr) of a simulate run that exits 3: an
@@ -774,6 +805,7 @@ rc = stopgo.cli.main(["pipeline", "--input", "synthetic", "--seed", "5",
 assert rc == 0, rc
 with open("pipe/05_stability/stability.json") as fh:
     assert json.load(fh)["platoon_omega0"] > 0.0  # the root finder ran
+assert "numpy.ma" not in sys.modules, "numpy.ma"  # a bare np.unique imports it
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = str(Path(stopgo.__file__).parents[1])

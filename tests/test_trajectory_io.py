@@ -12,7 +12,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stopgo.cli import _synthetic_records, main as cli_main
+from stopgo.carfollowing import (
+    PiecewiseProfile,
+    equilibrium_headway,
+    leader_trajectory,
+    simulate_string,
+)
+from stopgo.cli import (
+    SYNTHETIC_DURATION,
+    SYNTHETIC_SPEED,
+    SYNTHETIC_THETA,
+    _synthetic_records,
+    main as cli_main,
+)
 from stopgo.errors import DataError, DuplicateFrame, UnparsableField
 from stopgo.trajectory_io import (
     _WRITE_CHUNK_ROWS,
@@ -796,3 +808,24 @@ def test_synthetic_pair_shapes_and_headway():
     assert windows == [_window(1, 2, 0, 1000)] and diag == {"rejected_nonpositive": [], "short_pairs": []}
     (pair,) = pairs_from_index(windows, table)
     assert np.all(pair.headways() > 0)
+
+    # the same table as a string built by hand: the follower at its
+    # equilibrium headway behind a one-step leader, ids 1 and 2 in one lane
+    leader = leader_trajectory(PiecewiseProfile(((0.0, SYNTHETIC_SPEED),)), SYNTHETIC_DURATION)
+    x0 = leader.positions[0] - equilibrium_headway(SYNTHETIC_THETA, SYNTHETIC_SPEED)
+    follower = simulate_string(leader, (SYNTHETIC_THETA,), x0, 12.0, 0.0)[1]
+    n = leader.n
+    expected = TrajectoryTable(
+        vehicle_id=np.repeat([1, 2], n),
+        frame_id=np.tile(np.arange(n), 2),
+        local_y=np.concatenate([leader.positions, follower.positions]),
+        speed=np.concatenate([leader.speeds, follower.speeds]),
+        accel=np.concatenate([leader.accels, follower.accels]),
+        lane_id=np.ones(2 * n, dtype=np.int64),
+        preceding_id=np.repeat([0, 1], n),
+        vehicle_length=np.full(2 * n, 4.5),
+    )
+    records = _synthetic_records(None, 0.0)
+    for f in fields(TrajectoryTable):
+        got, want = getattr(records, f.name), getattr(expected, f.name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
