@@ -176,14 +176,15 @@ def _score_batch(batch, size: int) -> None:
         ga.score(X[: ga.pair.leader.n, col * size : (col + 1) * size])
 
 
-def _pair_fitness(leader_x: np.ndarray, X: np.ndarray, data: np.ndarray) -> np.ndarray:
+def _pair_fitness(leader_x: np.ndarray, X: np.ndarray, data: np.ndarray):
     """error_mixed of each simulated follower column of X behind leader_x,
-    COLLISION_PENALTY for one whose headway reaches zero."""
+    COLLISION_PENALTY for one whose headway reaches zero; with the headway
+    block S it scored, one row per column, and the collided mask."""
     # C order makes each candidate's headways a contiguous row, which numpy
     # reduces to the same bits as that row alone
     S = np.subtract(leader_x, X.T, order="C")
     collided = S.min(axis=-1) <= 0.0
-    return np.where(collided, COLLISION_PENALTY, error_mixed(S, data))
+    return np.where(collided, COLLISION_PENALTY, error_mixed(S, data)), S, collided
 
 
 class _PairGa:
@@ -259,18 +260,17 @@ class _PairGa:
     def score(self, X: np.ndarray) -> None:
         """Score the current population from X, its block of simulated
         follower positions; track the best and the stop rule.  A new best
-        takes its absolute and relative errors from its own column."""
-        lx = self.pair.leader.positions
-        self.fits = fits = _pair_fitness(lx, X, self.data)
+        takes its absolute and relative errors from its own headway row."""
+        fits, S, collided = _pair_fitness(self.pair.leader.positions, X, self.data)
+        self.fits = fits
         gen_best = float(fits.min())
         self.history.append(gen_best)
         if self.best_vec is None or gen_best < self.best_fit:
             j = int(np.argmin(fits))
             self.best_fit = gen_best
             self.best_vec = self.pop[j].copy()
-            s = lx - X[:, j]
-            self.best_abs_rel = ((COLLISION_PENALTY, COLLISION_PENALTY) if s.min() <= 0.0
-                                 else (error_abs(s, self.data), error_rel(s, self.data)))
+            self.best_abs_rel = ((COLLISION_PENALTY, COLLISION_PENALTY) if collided[j]
+                                 else (error_abs(S[j], self.data), error_rel(S[j], self.data)))
             self.stagnant = 0
         else:
             self.stagnant += 1

@@ -78,15 +78,6 @@ class FvdmParams:
         return cls(**{n: float(v) for n, v in zip(PARAM_ORDER, vec)})
 
 
-def optimal_velocity(theta: FvdmParams, headway):
-    """Desired speed at a headway: shifted tanh anchored to zero at b_c."""
-    h = np.asarray(headway, dtype=float)
-    out = theta.v0 * (
-        np.tanh(theta.m * (h - theta.b_f)) - np.tanh(theta.m * (theta.b_c - theta.b_f))
-    )
-    return float(out) if out.ndim == 0 else out
-
-
 def _sech2(x):
     # sech^2 without overflow for large |x|
     e = np.exp(-2.0 * np.abs(x))

@@ -256,6 +256,13 @@ _GAINS_DOC = (
 )
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """Whether a JSON value is a finite number of kinds: true and false load as
+    bools, which are ints, and NaN and an int beyond a double's range fail."""
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and -sys.float_info.max <= value <= sys.float_info.max)
+
+
 def _read_shape(value, shape, where: str):
     """The value read as shape; where names value in a DataError's message."""
     if isinstance(shape, dict):
@@ -275,11 +282,9 @@ def _read_shape(value, shape, where: str):
             return shape[1](**inner) if isinstance(inner, dict) else shape[1](inner)
         except ValueError as err:
             raise DataError(f"{where}: {err}") from None
-    kinds, noun = (int, "an integer") if shape is int else ((int, float), "a number")
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    kinds, noun = (int, "an integer") if shape is int else ((int, float), "a finite number")
+    if not _is_number(value, kinds):
         raise DataError(f"{where} is not {noun}")
-    if shape is float and not -sys.float_info.max <= value <= sys.float_info.max:  # NaN fails too
-        raise DataError(f"{where} is not a finite number")
     return value
 
 
@@ -393,9 +398,8 @@ def _bounds(raw: str | None) -> dict:
         return {}
     payload = _json_object(raw, "must be a JSON object of name: [lo, hi]")
     for name, pair in payload.items():
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(v, (int, float)) for v in pair)):
-            raise ValueError(f"{name} must be a [lo, hi] pair of numbers")
+        if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_number, pair))):
+            raise ValueError(f"{name} must be a [lo, hi] pair of finite numbers")
     _bounds_arrays(payload)
     return payload
 
@@ -502,10 +506,11 @@ def _gain_grid(raw: str | None) -> GainGridSpec:
         raise ValueError(error)
     axes = {}
     for name, axis in payload.items():
+        if not (isinstance(axis, list) and len(axis) == 3 and all(map(_is_number, axis))):
+            raise ValueError(f"{name} must be a [lo, hi, step] list of finite numbers")
         try:
-            lo, hi, step = (float(v) for v in axis)
-            axes[f"{name}_values"] = gain_axis(lo, hi, step)
-        except (TypeError, ValueError) as err:
+            axes[f"{name}_values"] = gain_axis(*map(float, axis))
+        except ValueError as err:
             raise ValueError(f"{name} is not a [lo, hi, step] axis: {err}") from None
     return GainGridSpec(**axes)
 

@@ -67,8 +67,7 @@ CANONICAL_HEADER = [
 
 _INT_COLUMNS = frozenset({"vehicle_id", "frame_id", "lane_id", "preceding_id"})
 _EXACT_INT = 2.0**53  # integer columns must hold exactly in a float64
-_WRITE_CHUNK_ROWS = 8192  # values laid out at once: 64 KB per uint64 temporary
-_LINE_ROWS = 2048  # rows joined into one write
+_WRITE_CHUNK_ROWS = 8192  # rows laid out and written at once: 64 KB per uint64 temporary
 
 
 @dataclass(eq=False)
@@ -479,7 +478,7 @@ def write_columns(path, header, columns) -> None:
     A float64's repr is its shortest round-trip decimal, so a written float
     reads back as the same double.  Each column's distinct values are laid
     out once per _WRITE_CHUNK_ROWS rows, so the memory in use does not grow
-    with the file.  Every _LINE_ROWS rows are one uint8 matrix of NUL-padded
+    with the file.  Each chunk's rows are one uint8 matrix of NUL-padded
     cells and separators, written without its NUL bytes in one call.  Lines
     end in CRLF, as csv.writer's default dialect writes them.
 
@@ -496,18 +495,15 @@ def write_columns(path, header, columns) -> None:
         for lo in range(0, n, _WRITE_CHUNK_ROWS):
             texts = [_texts(c[lo : lo + _WRITE_CHUNK_ROWS]) for c in columns]
             width = sum(t.shape[1] + 1 for t, _ in texts) + 1
-            for first in range(0, min(_WRITE_CHUNK_ROWS, n - lo), _LINE_ROWS):
+            lines = np.empty((len(texts[0][1]), width), np.uint8)
+            at = 0
+            for t, inverse in texts:
                 # every index is in range; take in "clip" mode gathers faster than indexing
-                cells = [t.take(inverse[first : first + _LINE_ROWS], axis=0, mode="clip")
-                         for t, inverse in texts]
-                lines = np.empty((len(cells[0]), width), np.uint8)
-                at = 0
-                for c in cells:
-                    lines[:, at : at + c.shape[1]] = c
-                    lines[:, at + c.shape[1]] = ord(",")
-                    at += c.shape[1] + 1
-                lines[:, -2:] = (ord("\r"), ord("\n"))  # in place of the last ","
-                fh.write(lines.tobytes().translate(None, b"\0"))
+                lines[:, at : at + t.shape[1]] = t.take(inverse, axis=0, mode="clip")
+                lines[:, at + t.shape[1]] = ord(",")
+                at += t.shape[1] + 1
+            lines[:, -2:] = (ord("\r"), ord("\n"))  # in place of the last ","
+            fh.write(lines.tobytes().translate(None, b"\0"))
 
 
 def write_canonical_csv(records: TrajectoryTable, path) -> None:

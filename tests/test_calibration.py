@@ -23,6 +23,7 @@ from stopgo.carfollowing import (
     PiecewiseProfile,
     SinusoidProfile,
     leader_trajectory,
+    simulate_followers_batch,
     simulate_string,
 )
 from stopgo.errors import DataError
@@ -101,7 +102,7 @@ def _position_block(n: int, seed: int):
 def test_block_errors_equal_each_column_alone(n):
     lx, data, X = _position_block(n, n)
     columns = [lx - X[:, p] for p in range(X.shape[1])]
-    assert list(calibration._pair_fitness(lx, X, data)) == [error_mixed(c, data) for c in columns]
+    assert list(calibration._pair_fitness(lx, X, data)[0]) == [error_mixed(c, data) for c in columns]
     S = np.stack(columns)
     for error in (error_mixed, error_abs, error_rel):
         assert list(error(S, data)) == [error(c, data) for c in columns]
@@ -110,7 +111,7 @@ def test_block_errors_equal_each_column_alone(n):
 def test_block_fitness_penalizes_a_column_that_reaches_its_leader():
     lx, data, X = _position_block(50, 1)
     X[30, 2] = lx[30]
-    fits = calibration._pair_fitness(lx, X, data)
+    fits = calibration._pair_fitness(lx, X, data)[0]
     assert fits[2] == COLLISION_PENALTY
     assert np.all(fits[[0, 1, 3]] < 1.0)
 
@@ -127,7 +128,7 @@ def test_block_fitness_leaves_its_inputs_alone():
     lx, data, X = _position_block(50, 3)
     X[20, 1] = lx[20] + 1.0
     before = (lx.copy(), X.copy(), data.copy())
-    fits = calibration._pair_fitness(lx, X, data)
+    fits = calibration._pair_fitness(lx, X, data)[0]
     for arr, copy in zip((lx, X, data), before):
         assert np.array_equal(arr, copy)
     expected = [error_mixed(lx - X[:, p], data) for p in range(X.shape[1])]
@@ -343,6 +344,23 @@ def test_calibrate_pairs_matches_each_pair_alone():
     assert [(r.generations_run, r.converged_by) for r in joint] == [
         (8, "Stagnation"), (10, "MaxGenerations"), (9, "Stagnation")]
     _assert_each_pair_alone(pairs, cfg, joint)
+
+
+def test_each_reported_error_belongs_to_the_best_candidate():
+    pairs, cfg = _three_pairs()
+    for pair, res in zip(pairs, calibrate_pairs(pairs, cfg=cfg)):
+        leader = pair.leader
+        X = simulate_followers_batch(res.theta.as_array()[None], leader.positions[:, None],
+                                     leader.speeds[:, None], pair.follower.positions[0],
+                                     pair.follower.speeds[0], leader.dt, group=np.zeros(1, int))
+        s = leader.positions - X[:, 0]
+        assert res.mixed_error == error_mixed(s, pair.headways())
+        assert res.abs_error == error_abs(s, pair.headways())
+        assert res.rel_error == error_rel(s, pair.headways())
+    # every candidate of a box holding one reckless driver rams the leader
+    reckless = FvdmParams(10.0, 1.0, 0.1, 0.1, 70.0, 10.0, 0.0)
+    res = calibrate_ga(pairs[1], bounds=_point_box(reckless), cfg=cfg)
+    assert (res.mixed_error, res.abs_error, res.rel_error) == (COLLISION_PENALTY,) * 3
 
 
 def test_calibrate_pairs_splits_batches_over_the_budget(monkeypatch):

@@ -14,7 +14,6 @@ from stopgo.carfollowing import (
     SinusoidProfile,
     equilibrium_headway,
     leader_trajectory,
-    optimal_velocity,
     VEHICLE_LENGTH,
     _libm_tanh,
     ov_slope,
@@ -42,6 +41,16 @@ PARAM_BOX = {
     "m": (1e-5, 10.0),
     "tau": (0.0, 3.0),
 }
+
+
+def optimal_velocity(theta: FvdmParams, headway):
+    """Desired speed at a headway: shifted tanh anchored to zero at b_c.  The
+    integration kernel computes the same curve in place."""
+    h = np.asarray(headway, dtype=float)
+    out = theta.v0 * (
+        np.tanh(theta.m * (h - theta.b_f)) - np.tanh(theta.m * (theta.b_c - theta.b_f))
+    )
+    return float(out) if out.ndim == 0 else out
 
 
 def _draw_theta(rng):

@@ -618,6 +618,13 @@ def test_simulate_and_gain_search_reject_out_of_range_sizes(tmp_path, capsys, st
     assert not (tmp_path / "out").exists()
 
 
+# JSON values that are not numbers: a string, an object's keys, a string
+# entry and bools would each be read as a gain axis or a bound
+NOT_NUMBERS = [
+    *[("optimize-gains", "--gain-grid", f'{{"k1": {axis}}}') for axis in (
+        '"011"', '{"0": 1, "1": 2, "0.5": 3}', '[0, 1, "0.5"]', '[false, true, 0.5]')],
+    ("calibrate", "--bounds", '{"alpha": [1, true]}'), ("calibrate", "--bounds", '{"tau": [false, false]}'),
+]
 # one bad value per case, given to the first stage that takes the flag
 BAD_FLAGS = [
     ("smooth", "--tx", "0"), ("smooth", "--tx", "nan"), ("ingest", "--noise", "-1"),
@@ -628,6 +635,7 @@ BAD_FLAGS = [
     ("optimize-gains", "--gain-grid", '{"k1": [0, 1, 0.3]}'), ("optimize-gains", "--lambda2", "-1"),
     # 0.1 and 0.1000001 would both write heatmap_k1=0.1.csv
     ("optimize-gains", "--gain-grid", '{"k1": [0.1, 0.1000001, 1e-7]}'),
+    *NOT_NUMBERS,
 ]
 
 
@@ -641,6 +649,20 @@ def test_bad_flag_fails_before_any_stage_runs(tmp_path, capsys, stage, flag, val
         assert run(*head, flag, value, "--out", out) == 1, head[0]
         assert f"stopgo: error: {flag}" in capsys.readouterr().err, head[0]
         assert not out.exists(), head[0]
+
+
+# integers beyond a double's range, which float() cannot convert
+HUGE_INTS = [("optimize-gains", "--gain-grid", '{"k1": [0, 1%s, 1]}' % ("0" * 400)),
+             ("calibrate", "--bounds", '{"alpha": [1, 1%s]}' % ("0" * 400))]
+
+
+@pytest.mark.parametrize("stage, flag, value", NOT_NUMBERS + HUGE_INTS,
+                         ids=range(len(NOT_NUMBERS + HUGE_INTS)))
+def test_json_flag_value_that_is_not_a_number_names_its_key(tmp_path, capsys, stage, flag, value):
+    seed = ["--seed", 1] if stage == "calibrate" else []
+    key = next(iter(json.loads(value)))
+    assert run(stage, "--input", tmp_path / "missing", *seed, flag, value, "--out", tmp_path / "out") == 1
+    assert f"stopgo: error: {flag} {key} must be a [lo, hi" in capsys.readouterr().err
 
 
 # rules over several flags: the default desired headway (the band's middle,
