@@ -12,8 +12,9 @@ Every stage directory, and the top of a ``pipeline`` tree, holds a
 ``started`` and ``finished`` (UTC, ISO 8601), and ``duration_s``, the run's
 wall time in seconds on a monotonic clock.  A ``pipeline``'s also holds
 ``stages``: the ``name``, exit code ``rc`` and ``duration_s`` of each stage
-that finished, in run order.  ``config_digest`` is the
-sha256 of the subcommand, its flags and its inputs.  A stage's flags are
+that ran, in run order; a stage that failed with an error is listed with
+that error's exit code.  ``config_digest`` is the sha256 of the subcommand,
+its flags and its inputs.  A stage's flags are
 all its declared flags as parsed, overridden by the values the stage
 resolved itself (such as the frequency grid, which only ``stability`` takes
 and which the later stages read from ``stability.json``); ``pipeline``'s are
@@ -112,6 +113,20 @@ class UsageError(Exception):
     """Bad invocation: a flag's value, or flags that do not fit together."""
 
 
+# the exit code and stderr label of each error main reports; an error takes
+# the entry of its nearest class
+_EXITS = {
+    UsageError: (EXIT_USAGE, "error"),
+    ValueError: (EXIT_USAGE, "error"),
+    DataError: (EXIT_DATA, "data error"),
+    CollisionDetected: (EXIT_COLLISION, "collision"),
+}
+
+
+def _exit_of(err: Exception) -> tuple[int, str]:
+    return next(_EXITS[c] for c in type(err).__mro__ if c in _EXITS)
+
+
 # a stage handler's exit code, the files it read and the flag values it resolved
 StageResult = tuple[int, list[Path], dict]
 
@@ -167,10 +182,17 @@ def _run_stage(name: str, args, ran: list | None = None) -> int:
 
     Its flags were checked while parsing.  The handler reads its inputs, then
     creates --out, and returns a StageResult.  It is looked up on each call,
-    so a replaced module global takes effect.
+    so a replaced module global takes effect.  A handler that raises an error
+    main reports is listed with that error's exit code and writes no manifest.
     """
+    handler = globals()["cmd_" + name.replace("-", "_")]
     started, t0 = _utcnow(), time.perf_counter()
-    rc, inputs, resolved = globals()["cmd_" + name.replace("-", "_")](args)
+    try:
+        rc, inputs, resolved = handler(args)
+    except tuple(_EXITS) as err:
+        if ran is not None:
+            ran.append({"name": name, "rc": _exit_of(err)[0], "duration_s": time.perf_counter() - t0})
+        raise
     duration_s = time.perf_counter() - t0
     stage = next(s for s in STAGES if s.name == name)
     flags = {f.dest: getattr(args, f.dest) for f in stage.flags} | resolved
@@ -321,16 +343,19 @@ def cmd_ingest(args) -> StageResult:
         with open(src) as fh:
             records = parse_ngsim_csv(fh, units=args.units)
         inputs = [src]
-    out = _outdir(args)
-    write_canonical_csv(records, out / "trajectories.csv")
+    # a duplicate frame raises here, before --out exists
     table, fragments_discarded = build_trajectories(records)
-    _write_json(out / "ingest_summary.json", {
+    summary = {
         "records": len(records),
         # one block per vehicle in the grouped table, which is never empty
         "vehicles": int(np.count_nonzero(table.vehicle_id[1:] != table.vehicle_id[:-1])) + 1,
         "fragments_discarded": fragments_discarded,
         "units": args.units if args.input != "synthetic" else "meters",
-    })
+    }
+    del table  # so it is not held through the CSV write
+    out = _outdir(args)
+    write_canonical_csv(records, out / "trajectories.csv")
+    _write_json(out / "ingest_summary.json", summary)
     return EXIT_OK, inputs, {}
 
 
@@ -608,7 +633,7 @@ def cmd_simulate(args) -> StageResult:
     calib_path = stage_dir / "calibration.json"
     for p in (stab_path, calib_path):
         if not p.exists():
-            raise DataError(f"{p.name} must sit next to gains.json")
+            raise DataError(f"{p} must sit next to {gains_path.name}")
     stab_doc = _read_stage_json(stab_path, _STABILITY_DOC)
     thetas = [e["theta"] for e in _read_stage_json(calib_path, _CALIBRATION_DOC)["results"]]
     if eq.desired_headway <= 0:
@@ -864,15 +889,10 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         return args.func(args)
-    except (UsageError, ValueError) as err:
-        print(f"stopgo: error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as err:
-        print(f"stopgo: data error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except CollisionDetected as err:
-        print(f"stopgo: collision: {err}", file=sys.stderr)
-        return EXIT_COLLISION
+    except tuple(_EXITS) as err:
+        code, label = _exit_of(err)
+        print(f"stopgo: {label}: {err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DataError, DuplicateFrame, UnparsableField
+from .errors import DataError
 
 DT = 0.1  # s between consecutive frames in the source datasets
 FEET_TO_METERS = 0.3048
@@ -120,11 +120,6 @@ class Trajectory:
     def n(self) -> int:
         return len(self.positions)
 
-    @property
-    def end_frame(self) -> int:
-        # inclusive
-        return self.start_frame + self.n - 1
-
     def slice(self, start_frame: int, length: int) -> "Trajectory":
         i0 = start_frame - self.start_frame
         if i0 < 0 or i0 + length > self.n:
@@ -202,9 +197,9 @@ def _read_table(fh, usecols, names, scale: float = 1.0) -> TrajectoryTable:
     (called names[j]) into table column j, positional columns times scale.
 
     Rows of only blanks and commas are skipped.  A field that does not parse,
-    is not finite, or is not an exact integer in an integer column raises
-    UnparsableField, naming the first such field by 1-based data row (skipped
-    rows counted) and column.
+    is not finite, or is not an exact integer in an integer column raises a
+    DataError whose message names the first such field by 1-based data row
+    (skipped rows counted) and column.
 
     The stream itself goes to one np.loadtxt call, which skips empty lines.
     Only if that call fails is the stream parsed again from the same place,
@@ -238,7 +233,7 @@ def _read_table(fh, usecols, names, scale: float = 1.0) -> TrajectoryTable:
         cells = next(csv.reader([line]))
         for idx, name, is_int in zip(usecols, names, integral):
             if idx >= len(cells) or not _valid(cells[idx], is_int):
-                raise UnparsableField(row_no, name)
+                raise DataError(f"unparsable value in data row {row_no}, column {name}")
     raise DataError(f"unparsable data: {failure}")
 
 
@@ -251,8 +246,8 @@ def parse_ngsim_csv(fh, units: str = "meters") -> TrajectoryTable:
 
     Raises:
         ValueError: units is neither "meters" nor "feet".
-        UnparsableField: a field does not parse (see _read_table).
-        DataError: no header row, a required column missing, no data rows, or undecodable bytes.
+        DataError: no header row, a required column missing, no data rows, undecodable bytes,
+            or a field that does not parse; the message names the row and column (see _read_table).
     """
     if units not in ("meters", "feet"):
         raise ValueError("units must be 'meters' or 'feet'")
@@ -528,7 +523,7 @@ def read_canonical_csv(path) -> TrajectoryTable:
     """
     with open(path) as fh, _decoded(fh):
         if _header(fh) != CANONICAL_HEADER:
-            raise DataError("required column missing: canonical header mismatch")
+            raise DataError(f"{path}: header is not {','.join(CANONICAL_HEADER)}")
         usecols = [i for i, name in enumerate(CANONICAL_HEADER) if name != "t"]
         return _read_table(fh, usecols, [CANONICAL_HEADER[i] for i in usecols])
 
@@ -540,7 +535,7 @@ def build_trajectories(records: TrajectoryTable) -> tuple[TrajectoryTable, int]:
     of discarded fragments (runs separated by missing frames).  Of runs of
     equal length the earliest is kept, and each kept row carries its run's
     first vehicle length, so grouping the result again changes nothing.
-    Duplicate frames for a vehicle raise DuplicateFrame.
+    A vehicle with a frame twice raises a DataError naming the vehicle and frame.
     """
     order = np.lexsort((records.frame_id, records.vehicle_id))
     vid = records.vehicle_id[order]
@@ -548,7 +543,7 @@ def build_trajectories(records: TrajectoryTable) -> tuple[TrajectoryTable, int]:
     same_vehicle = vid[1:] == vid[:-1]
     dup = np.flatnonzero(same_vehicle & (frame[1:] == frame[:-1]))
     if dup.size:
-        raise DuplicateFrame(int(vid[dup[0]]), int(frame[dup[0]]))
+        raise DataError(f"vehicle {vid[dup[0]]} has duplicate frame {frame[dup[0]]}")
 
     # runs of consecutive frames; per vehicle the longest, the earliest on ties
     is_start = np.ones(len(vid), dtype=bool)

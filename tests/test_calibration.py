@@ -330,6 +330,13 @@ def _three_pairs():
     return pairs, cfg
 
 
+def test_calibrate_pairs_rejects_pairs_of_different_steps():
+    pair = _make_pair(duration=4.0)
+    coarse = VehiclePair(replace(pair.leader, dt=0.2), replace(pair.follower, dt=0.2))
+    with pytest.raises(ValueError, match="^pairs must share one sampling step$"):
+        calibrate_pairs([pair, coarse])
+
+
 def _assert_each_pair_alone(pairs, cfg, joint):
     for i, (pair, res) in enumerate(zip(pairs, joint)):
         alone = calibrate_ga(pair, cfg=replace(cfg, rng_seed=cfg.rng_seed + i))

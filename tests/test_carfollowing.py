@@ -244,7 +244,7 @@ def test_platoon_collision_truncates_every_vehicle():
     assert isinstance(err.partial, list) and len(err.partial) == 2
     lengths = {tr.n for tr in err.partial}
     assert len(lengths) == 1
-    assert err.partial[0].end_frame == err.frame
+    assert err.partial[0].start_frame + err.partial[0].n - 1 == err.frame
 
 
 def _reference_law(vehicle, v_star):
@@ -342,7 +342,7 @@ def test_collision_names_the_first_frame_of_any_vehicle():
     err, cut = exc.value, exc.value.partial
     assert (err.vehicle_index, err.frame) == (2, 66)
     assert [tr.vehicle_id for tr in cut] == [0, 1, 2]
-    assert all(tr.end_frame == 66 for tr in cut)
+    assert all(tr.start_frame + tr.n - 1 == 66 for tr in cut)
     assert cut[1].positions[-1] - cut[2].positions[-1] <= VEHICLE_LENGTH
     assert np.all(cut[0].positions - cut[1].positions > VEHICLE_LENGTH)
 

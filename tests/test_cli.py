@@ -16,7 +16,7 @@ from stopgo import cli
 from stopgo.calibration import GaConfig
 from stopgo.carfollowing import VEHICLE_LENGTH
 from stopgo.cli import UsageError, build_parser, main
-from stopgo.errors import CollisionDetected, DataError, UnparsableField
+from stopgo.errors import CollisionDetected, DataError
 from stopgo.smoothing import SmoothingConfig
 from stopgo.stability import FrequencyGrid, LinearizedHdv, platoon_critical_frequency
 from stopgo.trajectory_io import DT, MIN_CALIBRATION_SAMPLES
@@ -97,9 +97,8 @@ def test_pipeline_requires_seed(tmp_path):
     (ValueError("bad argument"), 1, "stopgo: error: bad argument"),
     (UsageError("bad flag"), 1, "stopgo: error: bad flag"),
     (DataError("bad data"), 2, "stopgo: data error: bad data"),
-    (UnparsableField(3, "v_vel"), 2, "stopgo: data error: unparsable value in data row 3, column v_vel"),
     (CollisionDetected(1, 5), 3, "stopgo: collision: vehicle 1 gap nonpositive at frame 5"),
-], ids=["ValueError", "UsageError", "DataError", "UnparsableField", "CollisionDetected"])
+], ids=["ValueError", "UsageError", "DataError", "CollisionDetected"])
 def test_each_error_type_has_one_exit_code_and_label(tmp_path, capsys, monkeypatch,
                                                      error, code, label):
     def fail(args):
@@ -209,6 +208,54 @@ def test_ingest_undecodable_file_is_data_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert run("ingest", "--input", raw, "--out", out) == 2
     assert capsys.readouterr().err == f"stopgo: data error: {raw} is not utf-8 text: invalid start byte\n"
+    assert not out.exists()
+
+
+def test_ingest_duplicate_frame_is_data_error(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("Vehicle_ID,Frame_ID,Local_Y,v_Vel,v_Acc,Lane_ID,Preceding,v_Length\n"
+                   "7,100,1.0,1.0,0.0,1,0,14.8\n7,100,2.0,1.0,0.0,1,0,14.8\n")
+    out = tmp_path / "out"
+    assert run("ingest", "--input", raw, "--out", out) == 2
+    assert capsys.readouterr().err == "stopgo: data error: vehicle 7 has duplicate frame 100\n"
+    assert not out.exists()
+
+
+def test_smooth_of_a_directory_without_trajectories_names_it(tmp_path, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    out = tmp_path / "out"
+    assert run("smooth", "--input", empty, "--out", out) == 2
+    assert capsys.readouterr().err == f"stopgo: data error: none of trajectories.csv found in {empty}\n"
+    assert not out.exists()
+
+
+def test_trajectories_with_a_noncanonical_header_are_data_error(tmp_path, capsys, ingested):
+    src = tmp_path / "renamed"
+    src.mkdir()
+    lines = (ingested / "trajectories.csv").read_text().split("\n")
+    lines[0] = lines[0].replace("frame_id", "frame")
+    (src / "trajectories.csv").write_text("\n".join(lines))
+    out = tmp_path / "out"
+    assert run("smooth", "--input", src, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"stopgo: data error: {src / 'trajectories.csv'}: header is not vehicle_id,frame_id,t,"
+        "local_y_m,v_mps,a_mps2,lane_id,preceding_id,length_m\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("stage, source, alone, beside, flags", [
+    ("calibrate", "03", "pairs.json", "trajectories.csv", ["--seed", 1]),
+    ("simulate", "06", "gains.json", "stability.json", []),
+], ids=["calibrate", "simulate"])
+def test_stage_input_alone_names_the_file_it_needs_beside_it(tmp_path, capsys, chain,
+                                                             stage, source, alone, beside, flags):
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    shutil.copyfile(chain / source / alone, lone / alone)
+    out = tmp_path / "out"
+    assert run(stage, "--input", lone, *flags, "--out", out) == 2
+    assert capsys.readouterr().err == f"stopgo: data error: {lone / beside} must sit next to {alone}\n"
     assert not out.exists()
 
 
@@ -596,6 +643,28 @@ def test_gain_grid_step_must_be_positive(tmp_path, capsys):
     assert not (tmp_path / "06").exists()
 
 
+# flag values of the wrong form, each with its whole stderr line
+MALFORMED_FLAGS = [
+    ("calibrate", "--bounds", "not json",
+     "--bounds is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("calibrate", "--bounds", "[1, 2]", "--bounds must be a JSON object of name: [lo, hi]"),
+    ("optimize-gains", "--gain-grid", '{"k4": [0, 1, 0.5]}',
+     '--gain-grid must look like {"k1": [lo, hi, step], ...}'),
+    ("calibrate", "--population", "abc", "--population must be an integer, got 'abc'"),
+    ("smooth", "--tx", "abc", "--tx must be a number, got 'abc'"),
+]
+
+
+@pytest.mark.parametrize("stage, flag, value, problem", MALFORMED_FLAGS,
+                         ids=[f"{flag} {value}" for _, flag, value, _ in MALFORMED_FLAGS])
+def test_malformed_flag_value_is_usage_error(tmp_path, capsys, stage, flag, value, problem):
+    seed = ["--seed", 1] if stage == "calibrate" else []
+    out = tmp_path / "out"
+    assert run(stage, "--input", tmp_path / "missing", *seed, flag, value, "--out", out) == 1
+    assert capsys.readouterr().err == f"stopgo: error: {problem}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", [("--pairs", 0), ("--pairs", -1),
                                   ("--generations", -3), ("--stagnation", 0)])
 def test_calibrate_rejects_out_of_range_counts(tmp_path, capsys, flag):
@@ -750,26 +819,30 @@ def test_every_pipeline_manifest_records_its_duration(tmp_path):
             out / stage.dirname / "manifest.json")["duration_s"]}
 
 
-def test_pipeline_manifest_lists_the_stages_that_finished(tmp_path, monkeypatch):
-    """A stage that returns a nonzero code ends the list; one that raises
-    never finished, so the list ends before it."""
+def test_pipeline_manifest_lists_the_stages_that_ran(tmp_path, monkeypatch):
+    """A stage that returns a nonzero code, or raises an error main reports,
+    ends the list with that code; a stage that raises writes no manifest."""
     def stops(code):
         def handler(args):
             Path(args.out).mkdir(parents=True)
             return code, [], {}
         return handler
 
-    def raises(args):
-        raise DataError("bad pairs")
+    def raises(err):
+        def handler(args):
+            raise err
+        return handler
 
-    for replaced, rc, listed in ((stops(cli.EXIT_COLLISION), 3, ["ingest", "smooth", "pair"]),
-                                 (raises, 2, ["ingest", "smooth"])):
+    for replaced, rc in ((stops(cli.EXIT_COLLISION), 3),
+                         (raises(DataError("bad pairs")), 2),
+                         (raises(ValueError("bad argument")), 1)):
         monkeypatch.setattr(cli, "cmd_pair", replaced)
         out = tmp_path / str(rc)
         assert run("pipeline", "--input", "synthetic", "--seed", 5, "--out", out) == rc
         stages = _read_json(out / "manifest.json")["stages"]
-        assert [(s["name"], s["rc"]) for s in stages] == [
-            (name, rc if name == "pair" else 0) for name in listed]
+        assert [(s["name"], s["rc"]) for s in stages] == [("ingest", 0), ("smooth", 0), ("pair", rc)]
+        assert all(s["duration_s"] >= 0.0 for s in stages)
+        assert (out / "03_pair" / "manifest.json").exists() == (rc == 3)
 
 
 def test_pipeline_forwards_each_flag_to_its_stage(tmp_path):

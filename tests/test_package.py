@@ -44,9 +44,9 @@ def test_every_import_is_used(path):
 
 
 # one type per CLI exit code (ValueError and UsageError 1, DataError 2,
-# CollisionDetected 3), the two DataErrors whose fields callers read, the CLI's
-# SystemExit, and RuntimeError for a root search that does not converge
-ERROR_CLASSES = {"DataError", "UnparsableField", "DuplicateFrame", "CollisionDetected"}
+# CollisionDetected 3), the CLI's SystemExit, and RuntimeError for a root
+# search that does not converge
+ERROR_CLASSES = {"DataError", "CollisionDetected"}
 RAISED = ERROR_CLASSES | {"ValueError", "RuntimeError", "SystemExit", "UsageError"}
 
 
