@@ -17,7 +17,7 @@ that error's exit code.  ``config_digest`` is the sha256 of the subcommand,
 its flags and its inputs.  A stage's flags are
 all its declared flags as parsed, overridden by the values the stage
 resolved itself (such as the frequency grid, which only ``stability`` takes
-and which the later stages read from ``stability.json``); ``pipeline``'s are
+and each later stage reads from the document before it); ``pipeline``'s are
 every flag it parsed.  The inputs are each input file's sha256 by file name,
 or ``{"input": <--input>}`` for a run that reads no file (``synthetic``).
 
@@ -251,7 +251,7 @@ def _number(kind=float, low=-math.inf, positive=False):
 _REAL, _POSITIVE, _NONNEGATIVE, _COUNT = _number(), _number(positive=True), _number(low=0.0), _number(int, 1)
 
 
-_LINEARIZED_FIELDS = ("k1", "k2", "k3", "lambda2", "tau")  # a LinearizedHdv in stability.json
+_LINEARIZED_FIELDS = ("k1", "k2", "k3", "lambda2", "tau")  # a LinearizedHdv in a fleet's vehicle
 
 # What a stage reads of an earlier stage's JSON document.  A shape is int (a
 # JSON integer), float (a finite JSON number), {key: shape} (an object
@@ -261,21 +261,27 @@ _LINEARIZED_FIELDS = ("k1", "k2", "k3", "lambda2", "tau")  # a LinearizedHdv in 
 _PAIRS_DOC = {
     "pairs": [dict.fromkeys(("leader_id", "follower_id", "overlap_start", "overlap_len"), int)],
 }
-_CALIBRATION_DOC = {
-    "results": [{"leader_id": int, "follower_id": int,
-                 "theta": (dict.fromkeys(PARAM_ORDER, float), FvdmParams)}],
-}
-_STABILITY_DOC = {
-    "v_star": float,
+_THETA = (dict.fromkeys(PARAM_ORDER, float), FvdmParams)
+_CALIBRATION_DOC = {"results": [{"leader_id": int, "follower_id": int, "theta": _THETA}]}
+# the drivers a design is for and the grid that labelled them; each vehicle
+# reads as its nonlinear model and its linearization, (FvdmParams, LinearizedHdv)
+_FLEET = {
     "omega_grid": ({"omega_min": float, "omega_max": float, "points": int}, FrequencyGrid),
-    "vehicles": [(dict.fromkeys(_LINEARIZED_FIELDS, float), LinearizedHdv)],
+    "vehicles": [({"theta": _THETA, **dict.fromkeys(_LINEARIZED_FIELDS, float)},
+                  lambda theta, **lin: (theta, LinearizedHdv(**lin)))],
 }
+_STABILITY_DOC = {"v_star": float, **_FLEET}
 _GAINS_DOC = (
     {"v_star": float, "lambda2": float, "lambda3": float, "platoon": (int, _COUNT),
-     "best": (dict.fromkeys(("k1", "k2", "k3"), float), ControllerGains)},
-    lambda v_star, lambda2, lambda3, platoon, best: (
-        EquilibriumSpec(v_star, lambda2, lambda3), best, platoon),
+     "best": (dict.fromkeys(("k1", "k2", "k3"), float), ControllerGains), **_FLEET},
+    lambda v_star, lambda2, lambda3, platoon, best, omega_grid, vehicles: (
+        EquilibriumSpec(v_star, lambda2, lambda3), best, platoon, omega_grid, vehicles),
 )
+
+
+def _fleet_vehicle(theta: FvdmParams, lin: LinearizedHdv) -> dict:
+    """A driver's entry in a fleet's vehicles, as _FLEET reads it back."""
+    return {"theta": asdict(theta), **{k: getattr(lin, k) for k in _LINEARIZED_FIELDS}}
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
@@ -340,7 +346,7 @@ def cmd_ingest(args) -> StageResult:
         inputs = []
     else:
         src = _resolve_input(args.input)
-        with open(src) as fh:
+        with open(src, encoding="utf-8-sig") as fh:  # a byte-order mark, as Excel writes, is skipped
             records = parse_ngsim_csv(fh, units=args.units)
         inputs = [src]
     # a duplicate frame raises here, before --out exists
@@ -445,17 +451,18 @@ def cmd_calibrate(args) -> StageResult:
     table, _ = build_trajectories(read_canonical_csv(traj_path))
     pairs = pairs_from_index(entries, table)
 
-    out = _outdir(args)
-    for stale in out.glob("fitness_history_*.csv"):  # an earlier run's pairs
-        stale.unlink()
-    results = []
-    for pair, res in zip(pairs, calibrate_pairs(pairs, bounds=bounds, cfg=cfg)):
-        lid, fid = pair.leader.vehicle_id, pair.follower.vehicle_id
+    results, histories = [], []
+    for entry, res in zip(entries, calibrate_pairs(pairs, bounds=bounds, cfg=cfg)):
         row = asdict(res)
-        history = np.array(row.pop("fitness_history"), dtype=float)
-        write_columns(out / f"fitness_history_{lid}_{fid}.csv", ["generation", "best_fitness"],
-                      [np.arange(len(history)), history])
-        results.append({"leader_id": lid, "follower_id": fid, **row})
+        histories.append(np.array(row.pop("fitness_history"), dtype=float))
+        results.append(entry | row)  # the pairs.json entry names the window
+    out = _outdir(args)
+    # one row per generation of each result, named by its index into results
+    write_columns(out / "fitness_history.csv", ["result", "generation", "best_fitness"], [
+        np.repeat(np.arange(len(histories)), [len(h) for h in histories]),
+        np.concatenate([np.arange(len(h)) for h in histories]),
+        np.concatenate(histories),
+    ])
     _write_json(out / "calibration.json", {
         "results": results,
         "bounds": {k: list(v) for k, v in bounds.items()},
@@ -476,13 +483,13 @@ def _freq_grid(args) -> FrequencyGrid:
         raise UsageError(f"--omega-min/--omega-max: {err}") from None
 
 
-def _driver_headway(src: Path, i: int, theta: FvdmParams, v_star: float) -> float:
-    """The equilibrium headway of calibration.json's driver i; a fit with none
-    at v_star is a DataError naming the driver."""
+def _driver_headway(where: str, theta: FvdmParams, v_star: float) -> float:
+    """The equilibrium headway of the driver theta; a fit with none at v_star
+    is a DataError naming where, the driver's place in its document."""
     try:
         return equilibrium_headway(theta, v_star)
     except DataError as err:
-        raise DataError(f"{src}['results'][{i}]: {err}") from None
+        raise DataError(f"{where}: {err}") from None
 
 
 def cmd_stability(args) -> StageResult:
@@ -491,14 +498,14 @@ def cmd_stability(args) -> StageResult:
     vehicles = []
     for i, e in enumerate(_read_stage_json(src, _CALIBRATION_DOC)["results"]):
         theta = e["theta"]
-        dx_star = _driver_headway(src, i, theta, args.v_star)
+        dx_star = _driver_headway(f"{src}['results'][{i}]", theta, args.v_star)
         lin = linearize_hdv(theta, EquilibriumSpec(args.v_star, 0.0, dx_star))
         w0 = numeric_critical_frequency(lin, grid)
         margin = delay_margin(lin)
         vehicles.append({
             "leader_id": e["leader_id"],
             "follower_id": e["follower_id"],
-            **{k: getattr(lin, k) for k in _LINEARIZED_FIELDS},
+            **_fleet_vehicle(theta, lin),
             "equilibrium_headway": dx_star,
             "omega0": w0,
             "string_stable": w0 == 0.0,
@@ -513,7 +520,6 @@ def cmd_stability(args) -> StageResult:
         "platoon_omega0": min((v["omega0"] for v in vehicles if v["omega0"] > 0.0), default=0.0),
         "vehicles": vehicles,
     })
-    _carry(src, out / "calibration.json")
     return EXIT_OK, [src], {"omega_min": grid.omega_min, "omega_max": grid.omega_max,
                             "omega_points": grid.points}
 
@@ -555,7 +561,7 @@ def _equilibrium(args, v_star: float) -> EquilibriumSpec:
 def cmd_optimize_gains(args) -> StageResult:
     src = _resolve_input(args.input, "stability.json")
     doc = _read_stage_json(src, _STABILITY_DOC)
-    platoon = _cycled(doc["vehicles"], args.platoon)
+    platoon = _cycled([lin for _, lin in doc["vehicles"]], args.platoon)
     eq = _equilibrium(args, doc["v_star"])
 
     res = optimize_gains(platoon, eq, headway_min=args.headway_min, headway_max=args.headway_max,
@@ -577,11 +583,10 @@ def cmd_optimize_gains(args) -> StageResult:
         "best_safe": count_record(res.best_safe, args.platoon),
         # paths relative to the directory holding gains.json
         "heatmap_files": sorted(p.relative_to(out).as_posix() for p in heatmaps),
+        # the fleet the gains were designed for, which simulate checks them on
+        "omega_grid": asdict(doc["omega_grid"]),
+        "vehicles": [_fleet_vehicle(theta, lin) for theta, lin in doc["vehicles"]],
     })
-    _carry(src, out / "stability.json")
-    calib_src = src.parent / "calibration.json"
-    if calib_src.exists():
-        _carry(calib_src, out / "calibration.json")
     return EXIT_OK, [src], {}
 
 
@@ -627,21 +632,14 @@ def _amplitudes(trajs, v_star: float) -> list[float]:
 
 def cmd_simulate(args) -> StageResult:
     gains_path = _resolve_input(args.input, "gains.json")
-    stage_dir = gains_path.parent
-    eq, g, platoon = _read_stage_json(gains_path, _GAINS_DOC)
-    stab_path = stage_dir / "stability.json"
-    calib_path = stage_dir / "calibration.json"
-    for p in (stab_path, calib_path):
-        if not p.exists():
-            raise DataError(f"{p} must sit next to {gains_path.name}")
-    stab_doc = _read_stage_json(stab_path, _STABILITY_DOC)
-    thetas = [e["theta"] for e in _read_stage_json(calib_path, _CALIBRATION_DOC)["results"]]
+    eq, g, platoon, grid, fleet = _read_stage_json(gains_path, _GAINS_DOC)
+    thetas, lins = zip(*fleet)
     if eq.desired_headway <= 0:
         raise DataError(f"{gains_path}['lambda3']: desired headway {eq.desired_headway} m "
                         "must be positive")
     v_star = eq.v_star
     for i, theta in enumerate(thetas):
-        _driver_headway(calib_path, i, theta, v_star)
+        _driver_headway(f"{gains_path}['vehicles'][{i}]", theta, v_star)
     n_follow = args.platoon if args.platoon is not None else platoon
     vehicles = (Cav(g, eq.lambda2, eq.lambda3), *_cycled(thetas, n_follow))
 
@@ -651,11 +649,10 @@ def cmd_simulate(args) -> StageResult:
     else:
         omega = args.omega
         if omega is None:
-            lins = _cycled(stab_doc["vehicles"], n_follow)
-            grid = stab_doc["omega_grid"]
-            w0 = platoon_critical_frequency(lins, grid)
+            humans = _cycled(lins, n_follow)
+            w0 = platoon_critical_frequency(humans, grid)
             # the human platoon's most amplified wave; a stable one amplifies none
-            omega = peak_gain_frequency(lins, grid.values(top=w0)) if w0 > 0.0 else 0.6
+            omega = peak_gain_frequency(humans, grid.values(top=w0)) if w0 > 0.0 else 0.6
         profile = SinusoidProfile(v_star, args.amplitude, omega)
 
     summary = {"collision": None, "omega": omega, "v_star": v_star, "vehicles": len(vehicles) + 1}
@@ -683,7 +680,7 @@ def cmd_simulate(args) -> StageResult:
         print(f"collision: vehicle_id {hit['vehicle_id']} at frame {hit['frame']}; "
               f"partial trajectories written to {out / 'platoon.csv'}", file=sys.stderr)
     rc = EXIT_COLLISION if hit else EXIT_OK
-    return rc, [gains_path, stab_path, calib_path], {"platoon": n_follow, "omega": omega}
+    return rc, [gains_path], {"platoon": n_follow, "omega": omega}
 
 
 # ---------------------------------------------------------------- pipeline

@@ -192,6 +192,21 @@ def test_ingest_parses_csv_files(tmp_path):
     assert float(first[4]) == pytest.approx(40.0 * 0.3048)
 
 
+def test_ingest_skips_a_utf8_byte_order_mark(tmp_path):
+    """A file saved as Excel's "CSV UTF-8" starts with a byte-order mark;
+    it reads as the same file without one."""
+    header = "Vehicle_ID,Frame_ID,Local_Y,v_Vel,v_Acc,Lane_ID,Preceding,v_Length"
+    rows = [f"2,{f},{100.0 + 40.0 * f},40.0,0.0,1,0,14.8" for f in range(12)]
+    text = header + "\n" + "\n".join(rows) + "\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    for raw in (plain, marked):
+        assert run("ingest", "--input", raw, "--out", tmp_path / raw.stem) == 0
+    for name in ("trajectories.csv", "ingest_summary.json"):
+        assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_ingest_nonfinite_field_is_data_error(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text("Vehicle_ID,Frame_ID,Local_Y,v_Vel,v_Acc,Lane_ID,Preceding,v_Length\n"
@@ -246,8 +261,7 @@ def test_trajectories_with_a_noncanonical_header_are_data_error(tmp_path, capsys
 
 @pytest.mark.parametrize("stage, source, alone, beside, flags", [
     ("calibrate", "03", "pairs.json", "trajectories.csv", ["--seed", 1]),
-    ("simulate", "06", "gains.json", "stability.json", []),
-], ids=["calibrate", "simulate"])
+], ids=["calibrate"])
 def test_stage_input_alone_names_the_file_it_needs_beside_it(tmp_path, capsys, chain,
                                                              stage, source, alone, beside, flags):
     lone = tmp_path / "lone"
@@ -257,6 +271,19 @@ def test_stage_input_alone_names_the_file_it_needs_beside_it(tmp_path, capsys, c
     assert run(stage, "--input", lone, *flags, "--out", out) == 2
     assert capsys.readouterr().err == f"stopgo: data error: {lone / beside} must sit next to {alone}\n"
     assert not out.exists()
+
+
+def test_simulate_of_gains_json_alone_checks_the_fleet_it_records(tmp_path, chain):
+    """gains.json records the drivers and grid the gains were designed on, so
+    simulate writes the same files from it alone as from its stage directory."""
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    shutil.copyfile(chain / "06" / "gains.json", lone / "gains.json")
+    for src, out in ((chain / "06", tmp_path / "full"), (lone, tmp_path / "alone")):
+        assert run("simulate", "--input", src, "--duration", 60, "--out", out) == 0
+    files = _stage_files(tmp_path / "full")
+    assert set(files) == {Path("platoon.csv"), Path("simulate_summary.json")}
+    assert _stage_files(tmp_path / "alone") == files
 
 
 def test_smooth_reduces_acceleration_exceedance(tmp_path):
@@ -328,8 +355,9 @@ BAD_STAGE_DOCS = [
     ("optimize-gains", "05", "stability.json", TRUNCATED, " is not a JSON document"),
     ("simulate", "06", "gains.json", "{}", " has no key 'v_star'"),
     ("simulate", "06", "gains.json", TRUNCATED, " is not a JSON document"),
-    ("simulate", "06", "stability.json", "{}", " has no key 'v_star'"),
-    ("simulate", "06", "calibration.json", TRUNCATED, " is not a JSON document"),
+    ("simulate", "06", "gains.json", lambda doc: doc.pop("omega_grid"), " has no key 'omega_grid'"),
+    ("simulate", "06", "gains.json", _set("vehicles", 0, "theta", value="theta"),
+     "['vehicles'][0]['theta'] is not a JSON object"),
     # a value its type rejects
     ("stability", "04", "calibration.json", _set("results", 0, "theta", "alpha", value=100.0),
      "['results'][0]['theta']: alpha=100.0 outside [1.0, 10.0]"),
@@ -340,15 +368,15 @@ BAD_STAGE_DOCS = [
     ("simulate", "06", "gains.json", _set("best", "k1", value=-1.0), "['best']: gains must be nonnegative"),
     ("simulate", "06", "gains.json", _set("lambda2", value=-1.0), ": lambda2 must be nonnegative"),
     ("simulate", "06", "gains.json", _set("platoon", value=0), "['platoon']: must be at least 1, got 0"),
-    ("simulate", "06", "calibration.json", _set("results", 0, "theta", "tau", value=-0.1),
-     "['results'][0]['theta']: tau=-0.1 outside [0.0, 3.0]"),
+    ("simulate", "06", "gains.json", _set("vehicles", 0, "theta", "tau", value=-0.1),
+     "['vehicles'][0]['theta']: tau=-0.1 outside [0.0, 3.0]"),
     # a fit whose desired-speed curve never reaches --v-star (b_c above b_f)
     ("stability", "04", "calibration.json",
      lambda doc: doc["results"][0]["theta"].update(b_c=6.46, b_f=1.95, m=4.04),
      "['results'][0]: v_star=12.0 m/s is at or above the curve's supremum 0.000"),
-    ("simulate", "06", "calibration.json",
-     lambda doc: doc["results"][0]["theta"].update(b_c=6.46, b_f=1.95, m=4.04),
-     "['results'][0]: v_star=12.0 m/s is at or above the curve's supremum 0.000"),
+    ("simulate", "06", "gains.json",
+     lambda doc: doc["vehicles"][0]["theta"].update(b_c=6.46, b_f=1.95, m=4.04),
+     "['vehicles'][0]: v_star=12.0 m/s is at or above the curve's supremum 0.000"),
     # a controller whose desired headway lambda2 * v_star + lambda3 is nonpositive
     ("simulate", "06", "gains.json", _set("lambda3", value=-50.0),
      "['lambda3']: desired headway -50.0 m must be positive"),
@@ -435,10 +463,11 @@ def test_calibrate_artifacts(chain):
     assert set(res["theta"]) == {"alpha", "beta", "b_c", "b_f", "v0", "m", "tau"}
     assert res["mixed_error"] < 1e-2  # noise-free synthetic input
     assert res["rng_seed"] == 11
-    hist = chain / "04" / f"fitness_history_{res['leader_id']}_{res['follower_id']}.csv"
-    body = hist.read_text().strip().split("\n")
-    assert body[0] == "generation,best_fitness"
-    fits = [float(line.split(",")[1]) for line in body[1:]]
+    body = (chain / "04" / "fitness_history.csv").read_text().strip().split("\n")
+    assert body[0] == "result,generation,best_fitness"
+    rows = [line.split(",") for line in body[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("0", str(g)) for g in range(res["generations_run"] + 1)]
+    fits = [float(r[2]) for r in rows]
     assert all(b <= a for a, b in zip(fits, fits[1:]))
     assert _read_json(chain / "04" / "manifest.json")["rng_seed"] == 11
 
@@ -453,7 +482,9 @@ def test_stability_artifacts(chain):
             for v in sdoc["vehicles"]]
     grid = FrequencyGrid(**sdoc["omega_grid"])
     assert sdoc["platoon_omega0"] == platoon_critical_frequency(lins, grid)
-    assert (chain / "05" / "calibration.json").exists()  # forwarded for later stages
+    results = _read_json(chain / "04" / "calibration.json")["results"]
+    assert [v["theta"] for v in sdoc["vehicles"]] == [r["theta"] for r in results]
+    assert not (chain / "05" / "calibration.json").exists()  # each stage reads one document
 
 
 def test_optimize_gains_artifacts(chain):
@@ -464,6 +495,12 @@ def test_optimize_gains_artifacts(chain):
     heatmaps = sorted((chain / "06" / "heatmaps").glob("heatmap_k1=*.csv"))
     assert len(heatmaps) == 1  # one k1 slice in the fast grid
     assert gdoc["heatmap_files"] == [f"heatmaps/{p.name}" for p in heatmaps]
+    # the fleet the gains were designed for: stability.json's drivers and grid
+    sdoc = _read_json(chain / "05" / "stability.json")
+    assert gdoc["omega_grid"] == sdoc["omega_grid"]
+    assert gdoc["vehicles"] == [{k: v[k] for k in ("theta", "k1", "k2", "k3", "lambda2", "tau")}
+                                for v in sdoc["vehicles"]]
+    assert not {"stability.json", "calibration.json"} & {p.name for p in (chain / "06").iterdir()}
 
 
 def test_optimize_gains_again_into_one_out_keeps_only_its_heatmaps(chain, tmp_path):
@@ -492,8 +529,32 @@ def test_calibrate_again_into_one_out_keeps_only_its_histories(tmp_path):
                    "--population", 4, "--generations", 1, "--out", out) == 0
     results = _read_json(out / "calibration.json")["results"]
     assert len(results) == 1
-    assert sorted(p.name for p in out.glob("fitness_history_*.csv")) == [
-        f"fitness_history_{r['leader_id']}_{r['follower_id']}.csv" for r in results]
+    assert sorted(p.name for p in out.glob("fitness_history*.csv")) == ["fitness_history.csv"]
+    rows = (out / "fitness_history.csv").read_text().split()[1:]
+    assert [r.split(",")[:2] for r in rows] == [
+        ["0", str(g)] for g in range(results[0]["generations_run"] + 1)]
+
+
+def test_calibration_names_each_window_of_a_pair(tmp_path):
+    """A follower that loses its leader link for frames 700-709 gives two
+    windows of one pair; each result and its fitness history stay apart."""
+    header = "Vehicle_ID,Frame_ID,Local_Y,v_Vel,v_Acc,Lane_ID,Preceding,v_Length"
+    rows = [f"{v},{f},{300.0 - 100.0 * v + 4.0 * f},40.0,0.0,1,"
+            f"{0 if v == 1 or 700 <= f < 710 else 1},15.0"
+            for v in (1, 2) for f in range(1400)]
+    raw = tmp_path / "raw.csv"
+    raw.write_text(header + "\n" + "\n".join(rows) + "\n")
+    assert run("ingest", "--input", raw, "--out", tmp_path / "01") == 0
+    assert run("pair", "--input", tmp_path / "01", "--out", tmp_path / "03") == 0
+    out = tmp_path / "04"
+    assert run("calibrate", "--input", tmp_path / "03", "--seed", 1, "--population", 4,
+               "--generations", 2, "--out", out) == 0
+    results = _read_json(out / "calibration.json")["results"]
+    assert [(r["leader_id"], r["follower_id"], r["overlap_start"], r["overlap_len"])
+            for r in results] == [(1, 2, 0, 700), (1, 2, 710, 690)]
+    rows = [r.split(",")[:2] for r in (out / "fitness_history.csv").read_text().split()[1:]]
+    assert rows == [[str(i), str(g)] for i, r in enumerate(results)
+                    for g in range(r["generations_run"] + 1)]
 
 
 def test_simulate_happy_path(chain, tmp_path):
@@ -533,22 +594,22 @@ def test_simulate_constant_profile_holds_the_leader_at_v_star(chain, tmp_path):
     assert leader and all(r[4] == repr(sdoc["v_star"]) for r in leader)
 
 
-@pytest.mark.parametrize("stage, source, name, flags, carried", [
+@pytest.mark.parametrize("stage, source, name, flags, kept", [
     ("pair", "01", "trajectories.csv", [], ["trajectories.csv"]),
     ("stability", "04", "", ["--v-star", 12.0], ["calibration.json"]),
-    ("optimize-gains", "05", "", ["--platoon", 6, "--gain-grid", FAST_GRID],
-     ["stability.json", "calibration.json"]),
+    ("optimize-gains", "05", "", ["--platoon", 6, "--gain-grid", FAST_GRID], ["stability.json"]),
 ], ids=["pair", "stability", "optimize-gains"])
 def test_stage_writes_into_its_input_directory(chain, tmp_path, stage, source, name, flags,
-                                               carried):
-    """--out may be the input's own directory: the carried-forward inputs
-    stay as they are and the stage writes its own manifest."""
+                                               kept):
+    """--out may be the input's own directory: the input files there, pair's
+    carried-forward trajectories.csv among them, stay as they are and the
+    stage writes its own manifest."""
     d = tmp_path / "d"
     shutil.copytree(chain / source, d)
     assert run(stage, "--input", d / name, *flags, "--out", d) == 0
     assert _read_json(d / "manifest.json")["subcommand"] == stage
-    for carry in carried:
-        assert (d / carry).read_bytes() == (chain / source / carry).read_bytes()
+    for file in kept:
+        assert (d / file).read_bytes() == (chain / source / file).read_bytes()
 
 
 @pytest.fixture()

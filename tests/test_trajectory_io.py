@@ -386,8 +386,8 @@ def test_pipeline_csvs_equal_the_per_cell_writer(tmp_path):
                      "--generations", "4", "--stagnation", "4", "--gain-grid", grid,
                      "--platoon", "3", "--duration", "30", "--out", str(out)]) == 0
     written = sorted(p for p in out.rglob("*.csv") if "heatmaps" not in p.parts)
-    assert {p.name for p in written} >= {"trajectories.csv", "smoothed.csv", "platoon.csv"}
-    assert any(p.name.startswith("fitness_history_") for p in written)
+    assert {p.name for p in written} >= {"trajectories.csv", "smoothed.csv", "fitness_history.csv",
+                                         "platoon.csv"}
     for path in written:
         header, *rows = [line.split(",") for line in path.read_bytes().decode().split("\r\n")[:-1]]
         columns = [np.array([int(c) for c in cells]) if all(re.fullmatch(r"-?\d+", c) for c in cells)
@@ -417,7 +417,7 @@ def test_write_columns_memory_does_not_grow_with_rows(tmp_path):
 
     short, long = peak(4 * _WRITE_CHUNK_ROWS), peak(200_000)
     assert long < 1.1 * short
-    assert long < 5 * 2**20  # about 3.4 MB; the 200k-row columns alone hold 6.1 MB
+    assert long < 5 * 2**20  # about 4.0 MB with numpy 2.4.6; the 200k-row columns alone hold 6.1 MB
 
 
 @pytest.mark.parametrize("header, columns", [
