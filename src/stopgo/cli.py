@@ -358,9 +358,8 @@ def cmd_ingest(args) -> StageResult:
         "fragments_discarded": fragments_discarded,
         "units": args.units if args.input != "synthetic" else "meters",
     }
-    del table  # so it is not held through the CSV write
     out = _outdir(args)
-    write_canonical_csv(records, out / "trajectories.csv")
+    write_canonical_csv(records, out / "trajectories.npz")
     _write_json(out / "ingest_summary.json", summary)
     return EXIT_OK, inputs, {}
 
@@ -369,7 +368,7 @@ def cmd_ingest(args) -> StageResult:
 
 
 def cmd_smooth(args) -> StageResult:
-    src = _resolve_input(args.input, "trajectories.csv")
+    src = _resolve_input(args.input, "trajectories.npz")
     table, _ = build_trajectories(read_canonical_csv(src))
     cfg = SmoothingConfig(t_x=args.tx, t_v=args.tv, t_a=args.ta)
 
@@ -380,7 +379,7 @@ def cmd_smooth(args) -> StageResult:
         raw_a[lo:hi] = differentiate(differentiate(table.local_y[lo:hi]))
         x[lo:hi], v[lo:hi], a[lo:hi] = smooth_trajectory(table.local_y[lo:hi], cfg)
     out = _outdir(args)
-    write_canonical_csv(replace(table, local_y=x, speed=v, accel=a), out / "smoothed.csv")
+    write_canonical_csv(replace(table, local_y=x, speed=v, accel=a), out / "smoothed.npz")
     _write_json(out / "smooth_summary.json", {  # the grouped table is never empty
         "samples": len(table),
         "accel_exceedance_before": np.count_nonzero(np.abs(raw_a) > 3.0) / len(table),
@@ -394,13 +393,13 @@ def cmd_smooth(args) -> StageResult:
 
 
 def cmd_pair(args) -> StageResult:
-    src = _resolve_input(args.input, "smoothed.csv", "trajectories.csv")
+    src = _resolve_input(args.input, "smoothed.npz", "trajectories.npz")
     table, _ = build_trajectories(read_canonical_csv(src))
     windows, diagnostics = pair_leader_follower(
         table, lane_filter=args.lane, min_samples=args.min_samples
     )
     out = _outdir(args)
-    _carry(src, out / "trajectories.csv")
+    _carry(src, out / "trajectories.npz")
     _write_json(out / "pairs.json", {
         "pairs": windows,
         "diagnostics": diagnostics,
@@ -442,7 +441,7 @@ def cmd_calibrate(args) -> StageResult:
     cfg = GaConfig(population_size=args.population, max_generations=args.generations,
                    stagnation_limit=args.stagnation, rng_seed=args.seed)
     pairs_path = _resolve_input(args.input, "pairs.json")
-    traj_path = pairs_path.parent / "trajectories.csv"
+    traj_path = pairs_path.parent / "trajectories.npz"
     if not traj_path.exists():
         raise DataError(f"{traj_path} must sit next to {pairs_path.name}")
     entries = _read_stage_json(pairs_path, _PAIRS_DOC)["pairs"]

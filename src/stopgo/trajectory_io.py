@@ -11,16 +11,14 @@ pairs.json entry (leader_id, follower_id, overlap_start, overlap_len), and
 pairs_from_index cuts the entries back out of the grouped table as
 VehiclePairs, the form calibration reads.
 
-Tables are written and read as the canonical CSV one column at a time, with
-no Python code run per row.  A file is parsed by one np.loadtxt call on the
-open stream; a second, line-filtered pass runs only when that call fails.
-Every value is written as its repr, and a float's repr is the shortest
-decimal that parses back to the same double, so a written table reads back
-bit for bit and rewriting it reproduces the file byte for byte.  The texts
-are laid out by numpy, not by repr: Schubfach (Giulietti, 2020) finds each
-float's digits on uint64 arrays, once per distinct value, and repr itself
-runs only for zeros, subnormals, inf, nan and the exponent form (below 1e-4
-or from 1e16 on).
+Stages pass tables as uncompressed .npz files, one array per column keyed
+by field name (np.load(path) gives them), which read back bit for bit.  An
+NGSIM file is parsed by one np.loadtxt call on the open stream; a second,
+line-filtered pass runs only when that call fails.  A CSV is written one
+column at a time, every value as its repr, with no Python code run per row:
+Schubfach (Giulietti, 2020) finds each float's digits on uint64 arrays, once
+per distinct value, and repr itself runs only for zeros, subnormals, inf,
+nan and the exponent form (below 1e-4 or from 1e16 on).
 Pairing tests every follower frame in numpy and loops only over windows.
 """
 from __future__ import annotations
@@ -29,7 +27,9 @@ import csv
 import functools
 import itertools
 import math
+import tokenize
 import warnings
+import zipfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
@@ -53,18 +53,6 @@ _REQUIRED_COLUMNS = (
     "v_length",
 )
 
-CANONICAL_HEADER = [
-    "vehicle_id",
-    "frame_id",
-    "t",
-    "local_y_m",
-    "v_mps",
-    "a_mps2",
-    "lane_id",
-    "preceding_id",
-    "length_m",
-]
-
 _INT_COLUMNS = frozenset({"vehicle_id", "frame_id", "lane_id", "preceding_id"})
 _EXACT_INT = 2.0**53  # integer columns must hold exactly in a float64
 _WRITE_CHUNK_ROWS = 8192  # rows laid out and written at once: 64 KB per uint64 temporary
@@ -77,7 +65,7 @@ class TrajectoryTable:
     Every column has one entry per row, so len() is the row count.  The
     integer columns are int64 and the others float64, always in meter units.
     This is the only in-memory form of a trajectory file: the readers return
-    it, write_canonical_csv writes it, and build_trajectories returns the
+    it, write_canonical_csv stores it, and build_trajectories returns the
     grouped form that pairing reads: one block of consecutive frames per vehicle.
     """
 
@@ -468,14 +456,14 @@ def _texts(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def write_columns(path, header, columns) -> None:
     """Write equal-length numpy columns, one per header name, as CSV rows,
-    every value as its repr, in bytes laid out by numpy.
-
-    A float64's repr is its shortest round-trip decimal, so a written float
-    reads back as the same double.  Each column's distinct values are laid
-    out once per _WRITE_CHUNK_ROWS rows, so the memory in use does not grow
-    with the file.  Each chunk's rows are one uint8 matrix of NUL-padded
-    cells and separators, written without its NUL bytes in one call.  Lines
-    end in CRLF, as csv.writer's default dialect writes them.
+    every value as its repr, in bytes laid out by numpy; the stages write
+    platoon.csv and fitness_history.csv so.  A float64's repr is its shortest
+    round-trip decimal, so a written float reads back as the same double.
+    Each column's distinct values are laid out once per _WRITE_CHUNK_ROWS
+    rows, so the memory in use does not grow with the file.  Each chunk's
+    rows are one uint8 matrix of NUL-padded cells and separators, written
+    without its NUL bytes in one call.  Lines end in CRLF, as csv.writer's
+    default dialect writes them.
 
     Raises:
         ValueError: the columns differ in length or do not match the header.
@@ -501,31 +489,44 @@ def write_columns(path, header, columns) -> None:
             fh.write(lines.tobytes().translate(None, b"\0"))
 
 
+_TABLE_DTYPES = {f.name: np.dtype("i8" if f.name in _INT_COLUMNS else "f8") for f in fields(TrajectoryTable)}
+
+
 def write_canonical_csv(records: TrajectoryTable, path) -> None:
-    """Write a table in the canonical meter-unit CSV schema."""
-    write_columns(path, CANONICAL_HEADER, [
-        records.vehicle_id,
-        records.frame_id,
-        records.frame_id * DT,
-        records.local_y,
-        records.speed,
-        records.accel,
-        records.lane_id,
-        records.preceding_id,
-        records.vehicle_length,
-    ])
+    """Store a table as an uncompressed .npz of its columns by field name, its
+    bytes set by the columns alone (zip entries carry a fixed 1980 date).  The
+    name stays while perfbench/tracer.py wraps it, until ROADMAP Direction 22."""
+    np.savez(path, **{name: getattr(records, name) for name in _TABLE_DTYPES})
 
 
 def read_canonical_csv(path) -> TrajectoryTable:
-    """Read back the canonical CSV written by write_canonical_csv.
+    """The table file at path, bit for bit as write_canonical_csv stored it (the
+    name stays until Direction 22).  NpzFile reads it: np.load would return a
+    .npy file's array or unpickle.
 
-    The t column is derived from frame_id, so it is not read.
+    Raises:
+        DataError naming the file: not a readable zip of .npy members without
+        pickles, a column missing, extra, not 1-D, not of its _TABLE_DTYPES
+        dtype or not of vehicle_id's length, no rows, or a nonfinite float.
     """
-    with open(path) as fh, _decoded(fh):
-        if _header(fh) != CANONICAL_HEADER:
-            raise DataError(f"{path}: header is not {','.join(CANONICAL_HEADER)}")
-        usecols = [i for i, name in enumerate(CANONICAL_HEADER) if name != "t"]
-        return _read_table(fh, usecols, [CANONICAL_HEADER[i] for i in usecols])
+    try:
+        with np.lib.npyio.NpzFile(path, allow_pickle=False) as npz:
+            columns = {name: npz[name] for name in npz.files}
+    except (zipfile.BadZipFile, NotImplementedError, RuntimeError, OSError,  # a bad or unsupported archive
+            ValueError, tokenize.TokenError) as err:  # a member that is no .npy array, or a pickle
+        raise DataError(f"{path}: not a table file: {err}") from None
+    if columns.keys() != _TABLE_DTYPES.keys():
+        raise DataError(f"{path}: holds columns {sorted(columns)}, not {list(_TABLE_DTYPES)}")
+    n = np.size(columns["vehicle_id"])
+    for name, dtype in _TABLE_DTYPES.items():
+        col = columns[name]
+        if not (isinstance(col, np.ndarray) and col.dtype == dtype and col.shape == (n,)):
+            raise DataError(f"{path}: column {name} is not a 1-D {dtype} array of {n} rows")
+        if dtype.kind == "f" and not np.isfinite(col).all():
+            raise DataError(f"{path}: column {name} is not finite at row {np.argmin(np.isfinite(col))}")
+    if not n:
+        raise DataError(f"{path}: no data rows")
+    return TrajectoryTable(**columns)
 
 
 def build_trajectories(records: TrajectoryTable) -> tuple[TrajectoryTable, int]:

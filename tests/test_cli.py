@@ -1,14 +1,17 @@
 """Command-line interface tests: stage artifacts, manifests, exit codes."""
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stopgo
@@ -134,7 +137,7 @@ def test_out_that_is_not_a_directory_fails_while_parsing(tmp_path, capsys, chain
 
 
 def test_ingest_synthetic_artifacts(ingested):
-    assert (ingested / "trajectories.csv").exists()
+    assert (ingested / "trajectories.npz").exists()
     summary = _read_json(ingested / "ingest_summary.json")
     assert summary["vehicles"] == 2
     man = _read_json(ingested / "manifest.json")
@@ -145,16 +148,16 @@ def test_ingest_synthetic_artifacts(ingested):
 
 
 def test_synthetic_trajectories_record_each_vehicle_length(ingested):
-    rows = [line.split(",") for line in (ingested / "trajectories.csv").read_text().split()]
-    col = rows[0].index("length_m")
-    assert {(r[0], r[col]) for r in rows[1:]} == {("1", "4.5"), ("2", "4.5")}
+    with np.load(ingested / "trajectories.npz") as table:
+        pairs = set(zip(table["vehicle_id"].tolist(), table["vehicle_length"].tolist()))
+    assert pairs == {(1, 4.5), (2, 4.5)}
 
 
 def test_ingest_determinism_and_seed_sensitivity(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run("ingest", "--input", "synthetic", "--seed", 5, "--out", a) == 0
     assert run("ingest", "--input", "synthetic", "--seed", 5, "--out", b) == 0
-    assert (a / "trajectories.csv").read_bytes() == (b / "trajectories.csv").read_bytes()
+    assert (a / "trajectories.npz").read_bytes() == (b / "trajectories.npz").read_bytes()
     da = _read_json(a / "manifest.json")["config_digest"]
     db = _read_json(b / "manifest.json")["config_digest"]
     assert da == db
@@ -163,7 +166,7 @@ def test_ingest_determinism_and_seed_sensitivity(tmp_path):
     # the configuration digest still records the differing seed
     c = tmp_path / "c"
     assert run("ingest", "--input", "synthetic", "--seed", 6, "--out", c) == 0
-    assert (c / "trajectories.csv").read_bytes() == (a / "trajectories.csv").read_bytes()
+    assert (c / "trajectories.npz").read_bytes() == (a / "trajectories.npz").read_bytes()
     assert _read_json(c / "manifest.json")["config_digest"] != da
 
     # with noise the seed drives the perturbation
@@ -172,7 +175,7 @@ def test_ingest_determinism_and_seed_sensitivity(tmp_path):
                "--out", n1) == 0
     assert run("ingest", "--input", "synthetic", "--seed", 6, "--noise", 0.2,
                "--out", n2) == 0
-    assert (n1 / "trajectories.csv").read_bytes() != (n2 / "trajectories.csv").read_bytes()
+    assert (n1 / "trajectories.npz").read_bytes() != (n2 / "trajectories.npz").read_bytes()
 
 
 def test_ingest_parses_csv_files(tmp_path):
@@ -187,9 +190,9 @@ def test_ingest_parses_csv_files(tmp_path):
     summary = _read_json(out / "ingest_summary.json")
     assert summary["records"] == 24 and summary["vehicles"] == 2
     assert summary["units"] == "feet"
-    first = (out / "trajectories.csv").read_text().strip().split("\n")[1].split(",")
-    assert float(first[3]) == pytest.approx(100.0 * 0.3048)  # feet converted
-    assert float(first[4]) == pytest.approx(40.0 * 0.3048)
+    with np.load(out / "trajectories.npz") as table:
+        assert table["local_y"][0] == pytest.approx(100.0 * 0.3048)  # feet converted
+        assert table["speed"][0] == pytest.approx(40.0 * 0.3048)
 
 
 def test_ingest_skips_a_utf8_byte_order_mark(tmp_path):
@@ -203,7 +206,7 @@ def test_ingest_skips_a_utf8_byte_order_mark(tmp_path):
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
     for raw in (plain, marked):
         assert run("ingest", "--input", raw, "--out", tmp_path / raw.stem) == 0
-    for name in ("trajectories.csv", "ingest_summary.json"):
+    for name in ("trajectories.npz", "ingest_summary.json"):
         assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
@@ -241,26 +244,146 @@ def test_smooth_of_a_directory_without_trajectories_names_it(tmp_path, capsys):
     empty.mkdir()
     out = tmp_path / "out"
     assert run("smooth", "--input", empty, "--out", out) == 2
-    assert capsys.readouterr().err == f"stopgo: data error: none of trajectories.csv found in {empty}\n"
+    assert capsys.readouterr().err == f"stopgo: data error: none of trajectories.npz found in {empty}\n"
     assert not out.exists()
 
 
+def _table_columns(path):
+    with np.load(path) as table:
+        return {name: table[name] for name in table.files}
+
+
+_FIELDS = ["vehicle_id", "frame_id", "local_y", "speed", "accel", "lane_id", "preceding_id",
+           "vehicle_length"]
+
+
 def test_trajectories_with_a_noncanonical_header_are_data_error(tmp_path, capsys, ingested):
+    """A table file whose columns are not named as TrajectoryTable's fields
+    (here frame_id renamed) is a data error, before --out exists."""
     src = tmp_path / "renamed"
     src.mkdir()
-    lines = (ingested / "trajectories.csv").read_text().split("\n")
-    lines[0] = lines[0].replace("frame_id", "frame")
-    (src / "trajectories.csv").write_text("\n".join(lines))
+    columns = _table_columns(ingested / "trajectories.npz")
+    columns["frame"] = columns.pop("frame_id")
+    np.savez(src / "trajectories.npz", **columns)
     out = tmp_path / "out"
     assert run("smooth", "--input", src, "--out", out) == 2
     assert capsys.readouterr().err == (
-        f"stopgo: data error: {src / 'trajectories.csv'}: header is not vehicle_id,frame_id,t,"
-        "local_y_m,v_mps,a_mps2,lane_id,preceding_id,length_m\n")
+        f"stopgo: data error: {src / 'trajectories.npz'}: holds columns ['accel', 'frame', 'lane_id', "
+        f"'local_y', 'preceding_id', 'speed', 'vehicle_id', 'vehicle_length'], not {_FIELDS}\n")
+    assert not out.exists()
+
+
+def _edited(edit):
+    """A spoiler that writes the good table's columns as edit returns them."""
+    return lambda columns, path: np.savez(path, **edit(columns))
+
+
+def _npy_bytes(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def _with_speed_member(data):
+    """A spoiler that writes the good table with speed.npy holding data(its .npy bytes)."""
+    def spoil(columns, path):
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, col in columns.items():
+                zf.writestr(f"{name}.npy", (data if name == "speed" else bytes)(_npy_bytes(col)))
+    return spoil
+
+
+def _patched(offset, value):
+    """A spoiler that sets the file's byte at offset(its bytes) to value."""
+    def spoil(columns, path):
+        raw = bytearray(path.read_bytes())
+        raw[offset(raw)] = value
+        path.write_bytes(raw)
+    return spoil
+
+
+def _spoiled_at(name, row, value):
+    def edit(columns):
+        col = columns[name].copy()
+        col[row] = value
+        return columns | {name: col}
+    return _edited(edit)
+
+
+# (spoiler of a good table file at path, the message after "<path>: "); the
+# synthetic table has 2000 rows
+BAD_TABLES = {
+    "not a zip": (lambda columns, path: path.write_text("vehicle_id,frame_id\r\n1,2\r\n"),
+                  "not a table file: File is not a zip file"),
+    "truncated": (lambda columns, path: path.write_bytes(path.read_bytes()[:-100]),
+                  "not a table file: File is not a zip file"),
+    "empty": (lambda columns, path: path.write_bytes(b""), "not a table file: File is not a zip file"),
+    "a .npy file": (lambda columns, path: path.write_bytes(_npy_bytes(columns["local_y"])),
+                    "not a table file: File is not a zip file"),
+    "pickled member": (_edited(lambda c: c | {"vehicle_id": c["vehicle_id"].astype(object)}),
+                       "not a table file: Object arrays cannot be loaded when allow_pickle=False"),
+    # the last central directory entry is vehicle_length.npy's; its flags sit at +8, its method at +10
+    "encrypted member": (_patched(lambda raw: raw.rindex(b"PK\x01\x02") + 8, 1),
+                         "not a table file: File 'vehicle_length.npy' is encrypted, password required "
+                         "for extraction"),
+    "unknown compression": (_patched(lambda raw: raw.rindex(b"PK\x01\x02") + 10, 99),
+                            "not a table file: That compression method is not supported"),
+    # the central directory's offset, 2**30 past where it lies: a seek before the file's start
+    "central directory moved": (_patched(lambda raw: len(raw) - 3, 0x40),
+                                "not a table file: [Errno 22] Invalid argument"),
+    "unclosed .npy header": (_with_speed_member(lambda npy: npy.replace(b"}", b" ", 1)),
+                             "not a table file: ('EOF in multi-line statement', (2, 0))"),
+    "bytes member": (_with_speed_member(lambda npy: b"not an array"),
+                     "column speed is not a 1-D float64 array of 2000 rows"),
+    "missing column": (_edited(lambda c: {k: v for k, v in c.items() if k != "vehicle_length"}),
+                       f"holds columns {sorted(_FIELDS)[:-1]}, not {_FIELDS}"),
+    "extra column": (_edited(lambda c: c | {"t": c["frame_id"] * 0.1}),
+                     f"holds columns {sorted([*_FIELDS, 't'])}, not {_FIELDS}"),
+    "float ids": (_edited(lambda c: c | {"frame_id": c["frame_id"].astype(float)}),
+                  "column frame_id is not a 1-D int64 array of 2000 rows"),
+    "int32 lanes": (_edited(lambda c: c | {"lane_id": c["lane_id"].astype(np.int32)}),
+                    "column lane_id is not a 1-D int64 array of 2000 rows"),
+    "float32 speeds": (_edited(lambda c: c | {"speed": c["speed"].astype(np.float32)}),
+                       "column speed is not a 1-D float64 array of 2000 rows"),
+    "2-D column": (_edited(lambda c: c | {"accel": c["accel"].reshape(-1, 2)}),
+                   "column accel is not a 1-D float64 array of 2000 rows"),
+    "0-D column": (_edited(lambda c: c | {"vehicle_length": c["vehicle_length"][0]}),
+                   "column vehicle_length is not a 1-D float64 array of 2000 rows"),
+    "short column": (_edited(lambda c: c | {"preceding_id": c["preceding_id"][:-1]}),
+                     "column preceding_id is not a 1-D int64 array of 2000 rows"),
+    "zero rows": (_edited(lambda c: {k: v[:0] for k, v in c.items()}), "no data rows"),
+    "nan": (_spoiled_at("local_y", 5, np.nan), "column local_y is not finite at row 5"),
+    "inf": (_spoiled_at("vehicle_length", 1999, -np.inf),
+            "column vehicle_length is not finite at row 1999"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TABLES)
+def test_bad_table_file_is_data_error(tmp_path, capsys, ingested, case):
+    spoil, problem = BAD_TABLES[case]
+    src = tmp_path / "bad"
+    shutil.copytree(ingested, src)
+    table = src / "trajectories.npz"
+    spoil(_table_columns(table), table)
+    out = tmp_path / "out"
+    assert run("smooth", "--input", src, "--out", out) == 2
+    assert capsys.readouterr().err == f"stopgo: data error: {table}: {problem}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["truncated", "nan"])
+def test_calibrate_of_a_bad_table_file_is_data_error(tmp_path, capsys, paired, case):
+    spoil, problem = BAD_TABLES[case]
+    table = paired / "trajectories.npz"
+    spoil(_table_columns(table), table)
+    out = tmp_path / "out"
+    assert run("calibrate", "--input", paired, "--seed", 1, "--out", out) == 2
+    assert capsys.readouterr().err == f"stopgo: data error: {table}: {problem}\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize("stage, source, alone, beside, flags", [
-    ("calibrate", "03", "pairs.json", "trajectories.csv", ["--seed", 1]),
+    ("calibrate", "03", "pairs.json", "trajectories.npz", ["--seed", 1]),
 ], ids=["calibrate"])
 def test_stage_input_alone_names_the_file_it_needs_beside_it(tmp_path, capsys, chain,
                                                              stage, source, alone, beside, flags):
@@ -294,7 +417,7 @@ def test_smooth_reduces_acceleration_exceedance(tmp_path):
     assert run("smooth", "--input", src, "--out", out) == 0
     summary = _read_json(out / "smooth_summary.json")
     assert summary["accel_exceedance_after"] < summary["accel_exceedance_before"]
-    assert (out / "smoothed.csv").exists()
+    assert (out / "smoothed.npz").exists()
 
 
 def test_pair_artifacts(paired):
@@ -302,7 +425,7 @@ def test_pair_artifacts(paired):
     assert len(doc["pairs"]) == 1
     entry = doc["pairs"][0]
     assert entry["leader_id"] == 1 and entry["follower_id"] == 2
-    assert (paired / "trajectories.csv").exists()  # carried along for later stages
+    assert (paired / "trajectories.npz").exists()  # carried along for later stages
 
 
 @pytest.mark.parametrize("change, problem", [
@@ -595,14 +718,14 @@ def test_simulate_constant_profile_holds_the_leader_at_v_star(chain, tmp_path):
 
 
 @pytest.mark.parametrize("stage, source, name, flags, kept", [
-    ("pair", "01", "trajectories.csv", [], ["trajectories.csv"]),
+    ("pair", "01", "trajectories.npz", [], ["trajectories.npz"]),
     ("stability", "04", "", ["--v-star", 12.0], ["calibration.json"]),
     ("optimize-gains", "05", "", ["--platoon", 6, "--gain-grid", FAST_GRID], ["stability.json"]),
 ], ids=["pair", "stability", "optimize-gains"])
 def test_stage_writes_into_its_input_directory(chain, tmp_path, stage, source, name, flags,
                                                kept):
     """--out may be the input's own directory: the input files there, pair's
-    carried-forward trajectories.csv among them, stay as they are and the
+    carried-forward trajectories.npz among them, stay as they are and the
     stage writes its own manifest."""
     d = tmp_path / "d"
     shutil.copytree(chain / source, d)
@@ -661,8 +784,8 @@ def test_pipeline_runs_all_stages(tmp_path):
              "--out", out)
     assert rc == 0
     stages = [
-        "01_ingest/trajectories.csv",
-        "02_smooth/smoothed.csv",
+        "01_ingest/trajectories.npz",
+        "02_smooth/smoothed.npz",
         "03_pair/pairs.json",
         "04_calibrate/calibration.json",
         "05_stability/stability.json",

@@ -1,11 +1,13 @@
-"""Tests for trajectory parsing, canonical CSV round trips, and pairing."""
+"""Tests for trajectory parsing, table files, CSV writing, and pairing."""
 from __future__ import annotations
 
 import io
 import json
 import re
+import time
 import tracemalloc
 import warnings
+import zipfile
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -29,7 +31,6 @@ from stopgo.errors import DataError
 from stopgo.trajectory_io import (
     _WRITE_CHUNK_ROWS,
     _shortest_digits,
-    CANONICAL_HEADER,
     FEET_TO_METERS,
     Trajectory,
     TrajectoryTable,
@@ -123,7 +124,9 @@ def test_parse_unparsable_field_raises():
     ("vehicle_id", "1e300"),
     ("local_y", "nan"),
     ("local_y", "inf"),
+    ("v_vel", "inf"),
     ("v_vel", "-inf"),
+    ("lane_id", "nan"),
     ("v_length", "1e400"),
 ])
 def test_parse_rejects_nonfinite_and_nonintegral_fields(column, value):
@@ -134,23 +137,6 @@ def test_parse_rejects_nonfinite_and_nonintegral_fields(column, value):
     text = NGSIM_HEADER + "\n" + ",".join(good) + "\n\n" + ",".join(bad) + "\n"
     with pytest.raises(DataError, match=f"^unparsable value in data row 3, column {column}$"):
         _parse(text)
-
-
-@pytest.mark.parametrize("column, value", [
-    ("frame_id", "inf"),
-    ("frame_id", "2.7"),
-    ("lane_id", "nan"),
-    ("local_y_m", "nan"),
-    ("v_mps", "inf"),
-])
-def test_read_canonical_rejects_nonfinite_and_nonintegral_fields(tmp_path, column, value):
-    good = ["1", "1", "0.1", "0.0", "0.0", "0.0", "1", "0", "4.5"]
-    bad = list(good)
-    bad[CANONICAL_HEADER.index(column)] = value
-    path = tmp_path / "canon.csv"
-    path.write_text("\n".join(",".join(r) for r in (CANONICAL_HEADER, good, [], bad)) + "\n")
-    with pytest.raises(DataError, match=f"^unparsable value in data row 3, column {column}$"):
-        read_canonical_csv(path)
 
 
 def test_parse_field_only_float_takes_is_data_error():
@@ -175,11 +161,12 @@ def test_undecodable_bytes_are_data_error_naming_the_file(tmp_path, line):
             DataError, match=re.escape(f"{raw} is not utf-8 text: invalid start byte")):
         parse_ngsim_csv(fh)
 
-    path = tmp_path / "canon.csv"
-    write_canonical_csv(_parse(text), path)
-    spoil(path, b"\r\n")
-    with pytest.raises(DataError, match=re.escape(f"{path} is not utf-8 text")):
-        read_canonical_csv(path)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    spoil(crlf, b"\r\n")
+    with open(crlf, encoding="utf-8") as fh, pytest.raises(
+            DataError, match=re.escape(f"{crlf} is not utf-8 text")):
+        parse_ngsim_csv(fh)
 
 
 def test_parse_names_first_bad_field_by_row_then_column():
@@ -202,11 +189,10 @@ def test_table_length_is_row_count_and_blank_rows_are_skipped(tmp_path):
     assert len(table) == 5
     np.testing.assert_array_equal(table.frame_id, np.arange(5))
 
-    path = tmp_path / "canon.csv"
-    write_canonical_csv(table, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")
-    back = read_canonical_csv(path)
+    path = tmp_path / "blank.csv"  # the same rows in a file on disk
+    path.write_text("\n".join([NGSIM_HEADER, *rows[:2], "", *rows[2:]]) + "\n")
+    with open(path) as fh:
+        back = parse_ngsim_csv(fh)
     assert len(back) == 5
     _assert_same_table(back, table)
 
@@ -218,11 +204,10 @@ def test_rows_of_blanks_and_commas_read_as_the_clean_file(tmp_path):
         text = NGSIM_HEADER + "\n" + "\n".join(rows[:3] + filler + rows[3:]) + "\n"
         _assert_same_table(_parse(text), clean)
 
-    path = tmp_path / "canon.csv"
-    write_canonical_csv(clean, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:4] + [" ", ",,,,", ""] + lines[4:]) + "\n")
-    _assert_same_table(read_canonical_csv(path), clean)
+    path = tmp_path / "filled.csv"  # CRLF lines in a file on disk
+    path.write_bytes("\r\n".join([NGSIM_HEADER, *rows[:3], " ", ",,,,", "", *rows[3:]]).encode())
+    with open(path) as fh:
+        _assert_same_table(parse_ngsim_csv(fh), clean)
 
 
 @pytest.mark.parametrize("body", ["", "\n\n", "  \n", ",,,\n", "\n , ,\n\t\n"])
@@ -231,10 +216,10 @@ def test_data_section_of_only_blanks_and_commas_is_empty_input(tmp_path, body):
         warnings.simplefilter("error")  # numpy's "input contained no data" must not leak
         with pytest.raises(DataError, match="no data rows"):
             _parse(NGSIM_HEADER + "\n" + body)
-        path = tmp_path / "canon.csv"
-        path.write_text(",".join(CANONICAL_HEADER) + "\r\n" + body)
-        with pytest.raises(DataError, match="no data rows"):
-            read_canonical_csv(path)
+        path = tmp_path / "empty.csv"
+        path.write_text(NGSIM_HEADER + "\r\n" + body)
+        with open(path) as fh, pytest.raises(DataError, match="no data rows"):
+            parse_ngsim_csv(fh)
 
 
 def test_parse_empty_inputs_raise():
@@ -250,29 +235,51 @@ def test_parse_bad_units_rejected():
 
 
 def test_canonical_csv_round_trip_is_bit_exact(tmp_path):
+    """write_canonical_csv and read_canonical_csv (names from when tables were
+    CSV) store and read a table file: every column comes back with its dtype
+    and bits, and np.load gives one array per column by field name."""
     rng = np.random.default_rng(17)
-    records = _table([
-        _record(
-            vid=int(rng.integers(1, 50)),
-            frame=i,
-            y=float(rng.normal() * 123.456),
-            speed=float(rng.uniform(0, 30)),
-            accel=float(rng.normal()),
-            lane=int(rng.integers(1, 6)),
-            preceding=int(rng.integers(0, 50)),
-            length=float(rng.uniform(3, 20)),
-        )
-        for i in range(200)
-    ])
-    path = tmp_path / "canon.csv"
+    n = 200
+    y = rng.normal(size=n) * 123.456
+    y[:4] = (-0.0, 5e-324, 1e300, -2.2250738585072014e-308 / 3)  # -0.0, subnormals, a huge value
+    records = TrajectoryTable(
+        vehicle_id=np.r_[2**53 + 1, 2**62 + 7, -(2**63), rng.integers(1, 50, n - 3)],
+        frame_id=np.arange(n),
+        local_y=y,
+        speed=rng.uniform(0, 30, n),
+        accel=np.r_[np.nextafter(0.0, 1.0), rng.normal(size=n - 1)],
+        lane_id=rng.integers(1, 6, n),
+        preceding_id=rng.integers(0, 50, n),
+        vehicle_length=rng.uniform(3, 20, n),
+    )
+    path = tmp_path / "table.npz"
     write_canonical_csv(records, path)
     back = read_canonical_csv(path)
     _assert_same_table(back, records)
+    assert int(back.vehicle_id[0]) == 2**53 + 1 and np.signbit(back.local_y[0])
+    with np.load(path) as npz:
+        assert npz.files == [f.name for f in fields(TrajectoryTable)]
+        for f in fields(TrajectoryTable):
+            assert npz[f.name].tobytes() == getattr(records, f.name).tobytes(), f.name
 
     # writing the read-back must reproduce the file byte for byte
-    path2 = tmp_path / "canon2.csv"
+    path2 = tmp_path / "table2.npz"
     write_canonical_csv(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_table_file_bytes_do_not_depend_on_the_time_written(tmp_path):
+    """Later stages' config_digests hash table files, so a table written
+    twice, 2 s apart (a zip timestamp's resolution), gives the same bytes:
+    every zip entry carries the fixed 1980 date."""
+    table = _table(_two_vehicle_records(n=20))
+    write_canonical_csv(table, tmp_path / "a.npz")
+    time.sleep(2.0)
+    write_canonical_csv(table, tmp_path / "b.npz")
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+    with zipfile.ZipFile(tmp_path / "a.npz") as zf:
+        assert {(i.date_time, i.compress_type) for i in zf.infolist()} == {
+            ((1980, 1, 1, 0, 0, 0), zipfile.ZIP_STORED)}
 
 
 def _write_columns_reference(path, header, columns):
@@ -377,17 +384,17 @@ def test_integers_are_written_as_repr(tmp_path):
 
 
 def test_pipeline_csvs_equal_the_per_cell_writer(tmp_path):
-    """Every CSV a synthetic pipeline writes through write_columns, read back
-    (a column whose cells are all integers as int64) and rewritten one repr
-    per cell, gives the same bytes."""
+    """Every CSV a synthetic pipeline writes through write_columns (the
+    fitness history and platoon.csv; tables pass as .npz), read back (a
+    column whose cells are all integers as int64) and rewritten one repr per
+    cell, gives the same bytes."""
     out = tmp_path / "pipe"
     grid = '{"k1": [0.0, 0.0, 0.05], "k2": [0.1, 1.0, 0.1], "k3": [0.1, 1.0, 0.1]}'
     assert cli_main(["pipeline", "--input", "synthetic", "--seed", "5", "--population", "12",
                      "--generations", "4", "--stagnation", "4", "--gain-grid", grid,
                      "--platoon", "3", "--duration", "30", "--out", str(out)]) == 0
     written = sorted(p for p in out.rglob("*.csv") if "heatmaps" not in p.parts)
-    assert {p.name for p in written} >= {"trajectories.csv", "smoothed.csv", "fitness_history.csv",
-                                         "platoon.csv"}
+    assert {p.name for p in written} == {"fitness_history.csv", "platoon.csv"}
     for path in written:
         header, *rows = [line.split(",") for line in path.read_bytes().decode().split("\r\n")[:-1]]
         columns = [np.array([int(c) for c in cells]) if all(re.fullmatch(r"-?\d+", c) for c in cells)
@@ -561,8 +568,8 @@ def test_grouping_a_written_grouped_table_gives_it_back(tmp_path, seed):
     assert np.all(grouped.vehicle_id[1:] >= grouped.vehicle_id[:-1])
     assert np.all(np.diff(grouped.frame_id)[same] == 1)
     assert np.all(np.diff(grouped.vehicle_length)[same] == 0)
-    write_canonical_csv(grouped, tmp_path / "grouped.csv")
-    again, discarded = build_trajectories(read_canonical_csv(tmp_path / "grouped.csv"))
+    write_canonical_csv(grouped, tmp_path / "grouped.npz")
+    again, discarded = build_trajectories(read_canonical_csv(tmp_path / "grouped.npz"))
     assert discarded == 0
     _assert_same_table(again, grouped)
 
