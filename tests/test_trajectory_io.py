@@ -139,6 +139,32 @@ def test_parse_rejects_nonfinite_and_nonintegral_fields(column, value):
         _parse(text)
 
 
+@pytest.mark.parametrize("column, value", [
+    ("frame_id", "inf"),
+    ("frame_id", "2.7"),
+    ("lane_id", "nan"),
+    ("local_y_m", "nan"),
+    ("v_mps", "inf"),
+])
+def test_read_canonical_rejects_nonfinite_and_nonintegral_fields(tmp_path, column, value):
+    """A table file whose integer column holds a nonintegral or nonfinite value
+    (so is stored as floats) or whose float column holds a nonfinite one is a
+    data error naming the file and column.  The cases keep the column names of
+    the CSV tables: local_y_m is the field local_y, v_mps the field speed."""
+    name = {"local_y_m": "local_y", "v_mps": "speed"}.get(column, column)
+    columns = {f.name: getattr(_table(_two_vehicle_records(n=2)), f.name) for f in fields(TrajectoryTable)}
+    bad = columns[name].astype(float)
+    bad[2] = float(value)
+    columns[name] = bad
+    path = tmp_path / "table.npz"
+    np.savez(path, **columns)
+    n = len(bad)
+    reason = ("is not finite at row 2" if name in ("local_y", "speed")
+              else f"is not a 1-D int64 array of {n} rows")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: column {name} {reason}$"):
+        read_canonical_csv(path)
+
+
 def test_parse_field_only_float_takes_is_data_error():
     # float() takes "1_0" but np.loadtxt does not, so no bad field is named
     with pytest.raises(DataError):
