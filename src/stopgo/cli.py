@@ -90,7 +90,6 @@ from .trajectory_io import (
     parse_ngsim_csv,
     read_canonical_csv,
     write_canonical_csv,
-    write_columns,
 )
 
 EXIT_OK = 0
@@ -457,11 +456,10 @@ def cmd_calibrate(args) -> StageResult:
         results.append(entry | row)  # the pairs.json entry names the window
     out = _outdir(args)
     # one row per generation of each result, named by its index into results
-    write_columns(out / "fitness_history.csv", ["result", "generation", "best_fitness"], [
-        np.repeat(np.arange(len(histories)), [len(h) for h in histories]),
-        np.concatenate([np.arange(len(h)) for h in histories]),
-        np.concatenate(histories),
-    ])
+    np.savez(out / "fitness_history.npz",
+             result=np.repeat(np.arange(len(histories), dtype=np.int64), [len(h) for h in histories]),
+             generation=np.concatenate([np.arange(len(h), dtype=np.int64) for h in histories]),
+             best_fitness=np.concatenate(histories))
     _write_json(out / "calibration.json", {
         "results": results,
         "bounds": {k: list(v) for k, v in bounds.items()},
@@ -592,8 +590,8 @@ def cmd_optimize_gains(args) -> StageResult:
 # ---------------------------------------------------------------- simulate
 
 
-def _csv_vehicle_id(index):
-    """platoon.csv's vehicle_id of the vehicle at an index (or array of them)
+def _table_vehicle_id(index):
+    """A string table's vehicle_id of the vehicle at an index (or array of them)
     into a platoon's trajectories, leader 0: ids count from 1, because a
     preceding_id of 0 means none."""
     return index + 1
@@ -603,7 +601,7 @@ def _string_table(trajs) -> TrajectoryTable:
     """A simulated string's trajectories as rows, vehicle by vehicle in one
     lane: each follows the vehicle before it, and the leader none."""
     lengths = [tr.n for tr in trajs]
-    ids = np.repeat(_csv_vehicle_id(np.arange(len(trajs))), lengths)
+    ids = np.repeat(_table_vehicle_id(np.arange(len(trajs))), lengths)
     return TrajectoryTable(
         vehicle_id=ids,
         frame_id=np.concatenate([tr.start_frame + np.arange(tr.n) for tr in trajs]),
@@ -614,14 +612,6 @@ def _string_table(trajs) -> TrajectoryTable:
         preceding_id=ids - 1,  # the id of the vehicle ahead
         vehicle_length=np.repeat([tr.vehicle_length for tr in trajs], lengths),
     )
-
-
-def _write_platoon_csv(trajs, path: Path) -> None:
-    table = _string_table(trajs)
-    write_columns(path, ["vehicle_id", "frame_id", "t", "x_m", "v_mps", "a_mps2", "preceding_id"], [
-        table.vehicle_id, table.frame_id, table.frame_id * trajs[0].dt,
-        table.local_y, table.speed, table.accel, table.preceding_id,
-    ])
 
 
 def _amplitudes(trajs, v_star: float) -> list[float]:
@@ -654,14 +644,16 @@ def cmd_simulate(args) -> StageResult:
             omega = peak_gain_frequency(humans, grid.values(top=w0)) if w0 > 0.0 else 0.6
         profile = SinusoidProfile(v_star, args.amplitude, omega)
 
-    summary = {"collision": None, "omega": omega, "v_star": v_star, "vehicles": len(vehicles) + 1}
+    # platoon.npz's frames are dt apart
+    summary = {"collision": None, "dt": args.dt, "omega": omega, "v_star": v_star,
+               "vehicles": len(vehicles) + 1}
     try:
         trajs = simulate_platoon(vehicles, profile, v_star, args.duration, dt=args.dt)
     except CollisionDetected as err:
         trajs = err.partial
-        # vehicle_index counts the summary's per-vehicle lists, vehicle_id platoon.csv's rows
+        # vehicle_index counts the summary's per-vehicle lists, vehicle_id platoon.npz's rows
         summary["collision"] = {"vehicle_index": err.vehicle_index,
-                                "vehicle_id": _csv_vehicle_id(err.vehicle_index), "frame": err.frame}
+                                "vehicle_id": _table_vehicle_id(err.vehicle_index), "frame": err.frame}
     else:
         amps = _amplitudes(trajs, v_star)
         summary["speed_amplitudes"] = amps
@@ -672,12 +664,12 @@ def cmd_simulate(args) -> StageResult:
             for ahead, tr in zip(trajs, trajs[1:])
         ]
     out = _outdir(args)
-    _write_platoon_csv(trajs, out / "platoon.csv")
+    write_canonical_csv(_string_table(trajs), out / "platoon.npz")
     _write_json(out / "simulate_summary.json", summary)
     hit = summary["collision"]
     if hit:
         print(f"collision: vehicle_id {hit['vehicle_id']} at frame {hit['frame']}; "
-              f"partial trajectories written to {out / 'platoon.csv'}", file=sys.stderr)
+              f"partial trajectories written to {out / 'platoon.npz'}", file=sys.stderr)
     rc = EXIT_COLLISION if hit else EXIT_OK
     return rc, [gains_path], {"platoon": n_follow, "omega": omega}
 

@@ -11,20 +11,16 @@ pairs.json entry (leader_id, follower_id, overlap_start, overlap_len), and
 pairs_from_index cuts the entries back out of the grouped table as
 VehiclePairs, the form calibration reads.
 
-Stages pass tables as uncompressed .npz files, one array per column keyed
-by field name (np.load(path) gives them), which read back bit for bit.  An
-NGSIM file is parsed by one np.loadtxt call on the open stream; a second,
-line-filtered pass runs only when that call fails.  A CSV is written one
-column at a time, every value as its repr, with no Python code run per row:
-Schubfach (Giulietti, 2020) finds each float's digits on uint64 arrays, once
-per distinct value, and repr itself runs only for zeros, subnormals, inf,
-nan and the exponent form (below 1e-4 or from 1e16 on).
-Pairing tests every follower frame in numpy and loops only over windows.
+Stages store tables, the simulated platoon among them, as uncompressed .npz
+files, one array per column keyed by field name (np.load(path) gives them),
+which read back bit for bit.  An NGSIM file is parsed by one np.loadtxt
+call on the open stream; a second, line-filtered pass runs only when that
+call fails.  Pairing tests every follower frame in numpy and loops only
+over windows.
 """
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
 import tokenize
@@ -55,7 +51,6 @@ _REQUIRED_COLUMNS = (
 
 _INT_COLUMNS = frozenset({"vehicle_id", "frame_id", "lane_id", "preceding_id"})
 _EXACT_INT = 2.0**53  # integer columns must hold exactly in a float64
-_WRITE_CHUNK_ROWS = 8192  # rows laid out and written at once: 64 KB per uint64 temporary
 
 
 @dataclass(eq=False)
@@ -249,253 +244,14 @@ def parse_ngsim_csv(fh, units: str = "meters") -> TrajectoryTable:
         return _read_table(fh, [col[name] for name in _REQUIRED_COLUMNS], _REQUIRED_COLUMNS, scale)
 
 
-# ---------------------------------------------------------------- CSV text
-#
-# A value's text is laid out as one row of a uint8 matrix: its repr's ASCII
-# bytes, with NUL bytes (which no repr holds) as padding anywhere in the row.
-# A float64 gets its digits from Schubfach (R. Giulietti, "The Schubfach way
-# to render doubles", 2020), run on uint64 arrays: the shortest decimal that
-# parses back to the same double and, of those, the nearest to it, which is
-# what repr prints.  The names below follow Giulietti's Java code.
-
-_LOW32 = np.uint64(0xFFFFFFFF)
-_LOW63 = np.uint64(2**63 - 1)
-_U1, _U2, _U10, _U32, _U52, _U63, _U64 = (np.uint64(n) for n in (1, 2, 10, 32, 52, 63, 64))
-_P10 = np.uint64(10) ** np.arange(20, dtype=np.uint64)  # 10^0 .. 10^19
-_K_MIN, _K_MAX = -324, 292  # the decimal exponents k a double's digits can take
-_ZERO, _DOT, _MINUS = 48, 46, 45  # ASCII "0", ".", "-"
-_PLACE = np.arange(18, dtype=np.uint8)[:, None]
-
-
-@functools.cache
-def _pow10_halves() -> tuple[np.ndarray, np.ndarray]:
-    """For each k in [_K_MIN, _K_MAX], g = floor(10^-k 2^-r) + 1 for the r that
-    puts it in [2^125, 2^126], as its 63-bit halves g1, g0 (g = g1 2^63 + g0).
-
-    Built from Python ints on first use, not at import."""
-    gs = []
-    for k in range(_K_MIN, _K_MAX + 1):
-        if k <= 0:
-            p = 10**-k
-            shift = p.bit_length() - 126
-            gs.append((p >> shift if shift >= 0 else p << -shift) + 1)
-        else:  # 10^k is no power of 2, so the quotient stays below 2^126
-            p = 10**k
-            gs.append((1 << (125 + p.bit_length())) // p + 1)
-    return (np.array([g >> 63 for g in gs], dtype=np.uint64),
-            np.array([g & (2**63 - 1) for g in gs], dtype=np.uint64))
-
-
-def _mul(a, b):
-    """The 128-bit products a b as (high, low) uint64 words.  numpy has no
-    wider integer, so the high word is summed from 32-bit halves."""
-    al, ah = a & _LOW32, a >> _U32
-    bl, bh = b & _LOW32, b >> _U32
-    lh, hl = al * bh, ah * bl
-    mid = ((al * bl) >> _U32) + (lh & _LOW32) + (hl & _LOW32)
-    return ah * bh + (lh >> _U32) + (hl >> _U32) + (mid >> _U32), a * b
-
-
-def _offset(words, g, e, up: bool):
-    """The words of g cp + g 2^e (up) or g cp - g 2^e, from those of g cp."""
-    hi, lo = words
-    dh, dl = g >> (_U64 - e), g << e
-    if up:
-        lo = lo + dl
-        return hi + dh + (lo < dl), lo
-    return hi - dh - (lo < dl), lo - dl
-
-
-def _rop(x, y):
-    """Giulietti's rop, g cp 2^-127 rounded to odd, from the words x of
-    g0 cp and y of g1 cp (g = g1 2^63 + g0)."""
-    z = (y[1] >> _U1) + x[0]
-    return (y[0] + (z >> _U63)) | (((z & _LOW63) + _LOW63) >> _U63)
-
-
-def _scaled(bits: np.ndarray):
-    """Schubfach's first step on the bit patterns of positive normal doubles
-    v: the decimal exponent k and vb, vbl, vbr, four times v 10^-k and the
-    ends of the interval of reals that read back as v, rounded to odd."""
-    g1t, g0t = _pow10_halves()
-    t = bits & np.uint64(2**52 - 1)
-    bq = (bits >> _U52).astype(np.int64)
-    q = bq - 1075  # v is c 2^q
-    c = t | np.uint64(2**52)
-    regular = (t != 0) | (bq == 1)  # else c is a power of 2 with a closer lower neighbour
-    k = (q * 661_971_961_083 - np.where(regular, 0, 274_743_187_321)) >> 41
-    h = (q + ((k * -913_124_641_741) >> 38) + 2).astype(np.uint64)
-    g1, g0 = g1t[k - _K_MIN], g0t[k - _K_MIN]
-    out = c & _U1  # odd c: the interval is open
-    cp = c << (h + _U2)
-    x, y = _mul(g0, cp), _mul(g1, cp)
-    # the interval's ends: cp + 2^(h+1) and cp - 2^(h+1) (cp - 2^h when not regular)
-    up, down = h + _U1, h + regular
-    vbr = _rop(_offset(x, g0, up, True), _offset(y, g1, up, True)) - out
-    vbl = _rop(_offset(x, g0, down, False), _offset(y, g1, down, False)) + out
-    return k, _rop(x, y), vbl, vbr
-
-
-def _shortest_digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Schubfach on the bit patterns of positive normal doubles: the shortest
-    decimals f 10^k (uint64 f below 10^17, int64 k) that read back as them."""
-    k, vb, vbl, vbr = _scaled(bits)
-    s = vb >> _U2
-    sp = s // _U10 * _U10  # one digit fewer: sp or sp + 10, if only one lies inside
-    upin, wpin = vbl <= sp << _U2, (sp + _U10) << _U2 <= vbr
-    uin, win = vbl <= s << _U2, (s + _U1) << _U2 <= vbr
-    mid = (s << _U2) + _U2  # 4 (s + 1/2): the nearer of s and s + 1
-    f = s + ((vb > mid) | ((vb == mid) & (s & _U1 == _U1)))
-    f = np.where(uin != win, s + win, f)
-    return np.where(upin != wpin, sp + _U10 * wpin, f), k
-
-
-def _digit_rows(u: np.ndarray, width: int) -> np.ndarray:
-    """The last width decimal digits of uint64 values, most significant
-    first, one row per place: (width, len(u)) uint8."""
-    rows = np.empty((width, len(u)), np.uint8)
-    for i in range(width - 1, -1, -1):
-        q = u // _U10
-        rows[i] = u - q * _U10
-        u = q
-    return rows
-
-
-def _text_rows(places: np.ndarray) -> np.ndarray:
-    """Text rows from a (place, value) uint8 matrix, places that are NUL for
-    every value dropped."""
-    return np.ascontiguousarray(places[places.any(axis=1)].T)
-
-
-def _repr_rows(values: np.ndarray) -> np.ndarray:
-    """Text rows of any values, from repr."""
-    texts = np.array([repr(v) for v in values.tolist()], dtype=bytes)
-    return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
-
-
-def _with_reprs(rows: np.ndarray, at: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """rows, with the rows at the indices at replaced by the repr of values."""
-    if not len(at):
-        return rows
-    reprs = _repr_rows(values)
-    width = max(rows.shape[1], reprs.shape[1])
-    rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])))
-    rows[at] = 0
-    rows[at, : reprs.shape[1]] = reprs
-    return rows
-
-
-def _int_rows(values: np.ndarray) -> np.ndarray:
-    """Text rows of integers: an optional "-", then the digits."""
-    neg = values < 0
-    mag = values.astype(np.uint64)
-    mag = np.where(neg, -mag, mag)  # |value| in uint64, int64's minimum included
-    width = int(_P10.searchsorted(mag.max(initial=0), side="right")) or 1
-    digits = _digit_rows(mag, width)
-    places = np.empty((width + 1, len(values)), np.uint8)
-    places[0] = np.where(neg, _MINUS, 0)
-    lead = np.arange(width)[:, None] < width - np.maximum(_P10.searchsorted(mag, side="right"), 1)
-    places[1:] = np.where(lead, 0, digits + _ZERO)  # zero prints "0"
-    return _text_rows(places)
-
-
-def _float_rows(x: np.ndarray) -> np.ndarray:
-    """Text rows of float64 values, repr's own texts.
-
-    repr writes a finite nonzero double whose decimal point falls after
-    digit decpt of its shortest digits (x = 0.d1d2... 10^decpt) in fixed
-    point when -4 < decpt <= 16, and in exponent form otherwise.  Fixed point
-    is laid out here, one run of equal decpt at a time: x sorted by bit
-    pattern, as np.unique gives it, holds few runs.  Zeros, subnormals, inf,
-    nan and exponent form, rare in trajectory data, take repr itself."""
-    n = len(x)
-    bits = x.view(np.uint64)
-    mag = bits & _LOW63
-    biased = mag >> _U52
-    normal = (biased != 0) & (biased != 0x7FF)
-    f, k = _shortest_digits(np.where(normal, mag, np.uint64(2**52)))  # 2^52: any normal stands in
-    nd = _P10.searchsorted(f, side="right")  # digits of f
-    decpt = np.where(normal, nd + k, 99)  # 99: not laid out here
-    digits = _digit_rows(f * _P10[17 - nd], 17)  # left-aligned, zero-filled
-    # trailing zeros become NUL, but each digit before the point and one after it stays
-    last = ((digits != 0) * _PLACE[1:]).max(axis=0)
-    chars = (digits + _ZERO) * (_PLACE[:17] < np.maximum(last, decpt + 1))
-    places = np.zeros((23, n), np.uint8)
-    places[0] = np.where(bits >> _U63 == _U1, _MINUS, 0)
-    edge = np.ones(n, dtype=bool)
-    edge[1:] = decpt[1:] != decpt[:-1]
-    starts = np.flatnonzero(edge)
-    for a, b, d in zip(starts.tolist(), [*starts[1:].tolist(), n], decpt[starts].tolist()):
-        if 0 < d <= 16:  # ddd.ddd
-            places[1 : d + 1, a:b] = chars[:d, a:b]
-            places[d + 1, a:b] = _DOT
-            places[d + 2 : 19, a:b] = chars[d:, a:b]
-        elif -4 < d <= 0:  # 0.000ddd
-            places[1, a:b] = _ZERO
-            places[2, a:b] = _DOT
-            places[3 : 3 - d, a:b] = _ZERO
-            places[3 - d : 20 - d, a:b] = chars[:, a:b]
-    other = np.flatnonzero((decpt <= -4) | (decpt > 16))
-    return _with_reprs(_text_rows(places), other, x[other])
-
-
-def _texts(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The repr of each distinct value of a numpy column, as rows of ASCII
-    bytes padded with NUL anywhere in the row, and the index of each value's
-    row.  Floats are told apart by bit pattern, so -0.0 and 0.0 keep their
-    own texts."""
-    kind = column.dtype.kind
-    is_float = kind == "f" and column.itemsize <= 8
-    if is_float:
-        column = column.astype(np.float64, copy=False).view(np.uint64)
-    distinct, inverse = np.unique(column, return_inverse=True)
-    if is_float:
-        return _float_rows(distinct.view(np.float64)), inverse
-    return (_int_rows(distinct) if kind in "iu" else _repr_rows(distinct)), inverse
-
-
-def write_columns(path, header, columns) -> None:
-    """Write equal-length numpy columns, one per header name, as CSV rows,
-    every value as its repr, in bytes laid out by numpy; the stages write
-    platoon.csv and fitness_history.csv so.  A float64's repr is its shortest
-    round-trip decimal, so a written float reads back as the same double.
-    Each column's distinct values are laid out once per _WRITE_CHUNK_ROWS
-    rows, so the memory in use does not grow with the file.  Each chunk's
-    rows are one uint8 matrix of NUL-padded cells and separators, written
-    without its NUL bytes in one call.  Lines end in CRLF, as csv.writer's
-    default dialect writes them.
-
-    Raises:
-        ValueError: the columns differ in length or do not match the header.
-    """
-    if len(columns) != len(header):
-        raise ValueError(f"{len(columns)} columns for {len(header)} header names")
-    n = len(columns[0])
-    if any(len(c) != n for c in columns):
-        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
-        for lo in range(0, n, _WRITE_CHUNK_ROWS):
-            texts = [_texts(c[lo : lo + _WRITE_CHUNK_ROWS]) for c in columns]
-            width = sum(t.shape[1] + 1 for t, _ in texts) + 1
-            lines = np.empty((len(texts[0][1]), width), np.uint8)
-            at = 0
-            for t, inverse in texts:
-                # every index is in range; take in "clip" mode gathers faster than indexing
-                lines[:, at : at + t.shape[1]] = t.take(inverse, axis=0, mode="clip")
-                lines[:, at + t.shape[1]] = ord(",")
-                at += t.shape[1] + 1
-            lines[:, -2:] = (ord("\r"), ord("\n"))  # in place of the last ","
-            fh.write(lines.tobytes().translate(None, b"\0"))
-
-
 _TABLE_DTYPES = {f.name: np.dtype("i8" if f.name in _INT_COLUMNS else "f8") for f in fields(TrajectoryTable)}
 
 
 def write_canonical_csv(records: TrajectoryTable, path) -> None:
     """Store a table as an uncompressed .npz of its columns by field name, its
-    bytes set by the columns alone (zip entries carry a fixed 1980 date).  The
-    name stays while perfbench/tracer.py wraps it, until ROADMAP Direction 22."""
+    bytes set by the columns alone (zip entries carry a fixed 1980 date).
+    ingest, smooth and simulate write their tables so.  The name stays while
+    perfbench/tracer.py wraps it, until ROADMAP Direction 22."""
     np.savez(path, **{name: getattr(records, name) for name in _TABLE_DTYPES})
 
 

@@ -22,7 +22,7 @@ from stopgo.cli import UsageError, build_parser, main
 from stopgo.errors import CollisionDetected, DataError
 from stopgo.smoothing import SmoothingConfig
 from stopgo.stability import FrequencyGrid, LinearizedHdv, platoon_critical_frequency
-from stopgo.trajectory_io import DT, MIN_CALIBRATION_SAMPLES
+from stopgo.trajectory_io import DT, MIN_CALIBRATION_SAMPLES, read_canonical_csv
 
 # shrink the gain search where a test does not care about the full grid
 FAST_GRID = '{"k1": [0.0, 0.0, 0.05], "k2": [0.1, 1.0, 0.1], "k3": [0.1, 1.0, 0.1]}'
@@ -405,7 +405,7 @@ def test_simulate_of_gains_json_alone_checks_the_fleet_it_records(tmp_path, chai
     for src, out in ((chain / "06", tmp_path / "full"), (lone, tmp_path / "alone")):
         assert run("simulate", "--input", src, "--duration", 60, "--out", out) == 0
     files = _stage_files(tmp_path / "full")
-    assert set(files) == {Path("platoon.csv"), Path("simulate_summary.json")}
+    assert set(files) == {Path("platoon.npz"), Path("simulate_summary.json")}
     assert _stage_files(tmp_path / "alone") == files
 
 
@@ -586,12 +586,13 @@ def test_calibrate_artifacts(chain):
     assert set(res["theta"]) == {"alpha", "beta", "b_c", "b_f", "v0", "m", "tau"}
     assert res["mixed_error"] < 1e-2  # noise-free synthetic input
     assert res["rng_seed"] == 11
-    body = (chain / "04" / "fitness_history.csv").read_text().strip().split("\n")
-    assert body[0] == "result,generation,best_fitness"
-    rows = [line.split(",") for line in body[1:]]
-    assert [(r[0], r[1]) for r in rows] == [("0", str(g)) for g in range(res["generations_run"] + 1)]
-    fits = [float(r[2]) for r in rows]
-    assert all(b <= a for a, b in zip(fits, fits[1:]))
+    hist = np.load(chain / "04" / "fitness_history.npz")
+    assert sorted(hist.files) == ["best_fitness", "generation", "result"]
+    assert (hist["result"].dtype, hist["generation"].dtype, hist["best_fitness"].dtype) == (
+        np.int64, np.int64, np.float64)
+    generations = range(res["generations_run"] + 1)
+    assert list(zip(hist["result"].tolist(), hist["generation"].tolist())) == [(0, g) for g in generations]
+    assert np.all(np.diff(hist["best_fitness"]) <= 0)
     assert _read_json(chain / "04" / "manifest.json")["rng_seed"] == 11
 
 
@@ -652,10 +653,10 @@ def test_calibrate_again_into_one_out_keeps_only_its_histories(tmp_path):
                    "--population", 4, "--generations", 1, "--out", out) == 0
     results = _read_json(out / "calibration.json")["results"]
     assert len(results) == 1
-    assert sorted(p.name for p in out.glob("fitness_history*.csv")) == ["fitness_history.csv"]
-    rows = (out / "fitness_history.csv").read_text().split()[1:]
-    assert [r.split(",")[:2] for r in rows] == [
-        ["0", str(g)] for g in range(results[0]["generations_run"] + 1)]
+    assert sorted(p.name for p in out.glob("fitness_history*")) == ["fitness_history.npz"]
+    hist = np.load(out / "fitness_history.npz")
+    assert list(zip(hist["result"].tolist(), hist["generation"].tolist())) == [
+        (0, g) for g in range(results[0]["generations_run"] + 1)]
 
 
 def test_calibration_names_each_window_of_a_pair(tmp_path):
@@ -675,9 +676,9 @@ def test_calibration_names_each_window_of_a_pair(tmp_path):
     results = _read_json(out / "calibration.json")["results"]
     assert [(r["leader_id"], r["follower_id"], r["overlap_start"], r["overlap_len"])
             for r in results] == [(1, 2, 0, 700), (1, 2, 710, 690)]
-    rows = [r.split(",")[:2] for r in (out / "fitness_history.csv").read_text().split()[1:]]
-    assert rows == [[str(i), str(g)] for i, r in enumerate(results)
-                    for g in range(r["generations_run"] + 1)]
+    hist = np.load(out / "fitness_history.npz")
+    assert list(zip(hist["result"].tolist(), hist["generation"].tolist())) == [
+        (i, g) for i, r in enumerate(results) for g in range(r["generations_run"] + 1)]
 
 
 def test_simulate_happy_path(chain, tmp_path):
@@ -690,18 +691,43 @@ def test_simulate_happy_path(chain, tmp_path):
     assert len(sdoc["speed_amplitudes"]) == 8
     assert len(sdoc["min_gaps"]) == 7
     assert all(g > 0 for g in sdoc["min_gaps"])
-    csv_head = (sim / "platoon.csv").read_text().split("\n", 1)[0]
-    assert csv_head == "vehicle_id,frame_id,t,x_m,v_mps,a_mps2,preceding_id"
+    assert sdoc["dt"] == DT
+    table = read_canonical_csv(sim / "platoon.npz")
+    assert np.unique(table.vehicle_id).tolist() == list(range(1, 9))
 
 
 def test_simulate_times_follow_its_step(chain, tmp_path):
     sim = tmp_path / "07"
     assert run("simulate", "--input", chain / "06", "--dt", 0.05, "--duration", 10,
                "--out", sim) == 0
-    rows = [line.split(",") for line in (sim / "platoon.csv").read_text().split()]
-    assert rows[0][:3] == ["vehicle_id", "frame_id", "t"]
-    assert {int(r[1]) for r in rows[1:]} == set(range(201))
-    assert all(float(r[2]) == int(r[1]) * 0.05 for r in rows[1:])
+    assert set(read_canonical_csv(sim / "platoon.npz").frame_id.tolist()) == set(range(201))
+    assert _read_json(sim / "simulate_summary.json")["dt"] == 0.05
+
+
+def test_simulated_string_is_a_trajectory_table(chain, tmp_path):
+    """simulate's platoon.npz is a table as ingest writes one: pair finds one
+    window per follower over every frame, and calibrate fits those windows."""
+    sim = tmp_path / "07"
+    assert run("simulate", "--input", chain / "06", "--platoon", 3, "--duration", 30,
+               "--out", sim) == 0
+    table = read_canonical_csv(sim / "platoon.npz")
+    n = 3 + 2  # leader + controlled vehicle + platoon
+    frames = int(table.frame_id.max()) + 1
+    ids = np.repeat(np.arange(1, n + 1), frames)
+    assert table.vehicle_id.tolist() == ids.tolist()
+    assert table.frame_id.tolist() == list(range(frames)) * n
+    assert table.preceding_id.tolist() == (ids - 1).tolist()
+    assert np.all(table.lane_id == 1) and np.all(table.vehicle_length == VEHICLE_LENGTH)
+
+    pr = tmp_path / "03"
+    assert run("pair", "--input", sim / "platoon.npz", "--min-samples", 60, "--out", pr) == 0
+    windows = _read_json(pr / "pairs.json")["pairs"]
+    assert sorted((w["leader_id"], w["follower_id"], w["overlap_start"], w["overlap_len"])
+                  for w in windows) == [(i, i + 1, 0, frames) for i in range(1, n)]
+    cal = tmp_path / "04"
+    assert run("calibrate", "--input", pr, "--seed", 1, "--population", 4, "--generations", 1,
+               "--out", cal) == 0
+    assert len(_read_json(cal / "calibration.json")["results"]) == n - 1
 
 
 def test_simulate_constant_profile_holds_the_leader_at_v_star(chain, tmp_path):
@@ -712,9 +738,9 @@ def test_simulate_constant_profile_holds_the_leader_at_v_star(chain, tmp_path):
     assert sdoc["omega"] == 0.0
     assert sdoc["speed_amplitudes"][0] == 0.0
     assert all(a == 0.0 for a in sdoc["amplification_vs_leader"])
-    rows = [r.split(",") for r in (sim / "platoon.csv").read_text().split()[1:]]
-    leader = [r for r in rows if r[6] == "0"]
-    assert leader and all(r[4] == repr(sdoc["v_star"]) for r in leader)
+    table = read_canonical_csv(sim / "platoon.npz")
+    leader = table.preceding_id == 0
+    assert leader.any() and np.all(table.speed[leader] == sdoc["v_star"])
 
 
 @pytest.mark.parametrize("stage, source, name, flags, kept", [
@@ -758,20 +784,20 @@ def test_simulate_collision_exit_code_and_partial_dump(collided):
     sdoc = _read_json(sim / "simulate_summary.json")
     assert sdoc["collision"]["vehicle_index"] == 1
     frame = sdoc["collision"]["frame"]
-    rows = (sim / "platoon.csv").read_text().strip().split("\n")
-    frames = {int(r.split(",")[1]) for r in rows[1:]}
-    assert max(frames) == frame  # dump truncates at the collision frame
+    # dump truncates at the collision frame
+    assert read_canonical_csv(sim / "platoon.npz").frame_id.max() == frame
     assert (sim / "manifest.json").exists()
 
 
-def test_simulate_collision_names_the_vehicle_as_platoon_csv_does(collided):
+def test_simulate_collision_names_the_vehicle_as_the_platoon_table_does(collided):
     sim, err = collided
     hit = _read_json(sim / "simulate_summary.json")["collision"]
     vid, frame = hit["vehicle_id"], hit["frame"]
-    assert f"collision: vehicle_id {vid} at frame {frame};" in err
-    rows = [r.split(",") for r in (sim / "platoon.csv").read_text().split()[1:]]
-    x = {(int(r[0]), int(r[1])): float(r[3]) for r in rows}
-    ahead = {int(r[0]): int(r[6]) for r in rows}
+    assert f"collision: vehicle_id {vid} at frame {frame}; " \
+           f"partial trajectories written to {sim / 'platoon.npz'}" in err
+    table = read_canonical_csv(sim / "platoon.npz")
+    x = dict(zip(zip(table.vehicle_id.tolist(), table.frame_id.tolist()), table.local_y.tolist()))
+    ahead = dict(zip(table.vehicle_id.tolist(), table.preceding_id.tolist()))
     # the named vehicle follows another and is within a vehicle length of it
     assert ahead[vid] > 0
     assert x[ahead[vid], frame] - x[vid, frame] <= VEHICLE_LENGTH

@@ -1,11 +1,10 @@
-"""Tests for trajectory parsing, table files, CSV writing, and pairing."""
+"""Tests for trajectory parsing, table files and pairing."""
 from __future__ import annotations
 
 import io
 import json
 import re
 import time
-import tracemalloc
 import warnings
 import zipfile
 from dataclasses import fields
@@ -25,12 +24,9 @@ from stopgo.cli import (
     SYNTHETIC_SPEED,
     SYNTHETIC_THETA,
     _synthetic_records,
-    main as cli_main,
 )
 from stopgo.errors import DataError
 from stopgo.trajectory_io import (
-    _WRITE_CHUNK_ROWS,
-    _shortest_digits,
     FEET_TO_METERS,
     Trajectory,
     TrajectoryTable,
@@ -41,7 +37,6 @@ from stopgo.trajectory_io import (
     parse_ngsim_csv,
     read_canonical_csv,
     write_canonical_csv,
-    write_columns,
 )
 
 NGSIM_HEADER = "Vehicle_ID,Frame_ID,Local_Y,v_Vel,v_Acc,Lane_ID,Preceding,v_Length"
@@ -306,162 +301,6 @@ def test_table_file_bytes_do_not_depend_on_the_time_written(tmp_path):
     with zipfile.ZipFile(tmp_path / "a.npz") as zf:
         assert {(i.date_time, i.compress_type) for i in zf.infolist()} == {
             ((1980, 1, 1, 0, 0, 0), zipfile.ZIP_STORED)}
-
-
-def _write_columns_reference(path, header, columns):
-    """The per-cell writer: one repr call per value, one line per row."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(columns[0]), _WRITE_CHUNK_ROWS):
-            cells = [map(repr, c[lo : lo + _WRITE_CHUNK_ROWS].tolist()) for c in columns]
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
-
-
-def test_write_columns_matches_per_cell_writer(tmp_path):
-    rng = np.random.default_rng(23)
-    n = 2 * _WRITE_CHUNK_ROWS + 517
-    special = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e16, 1e-05,
-                        -1e16, 0.1 + 0.2, 123456789.125, -7.0, np.inf, -np.inf])
-    columns = [
-        rng.integers(-3, 4, n),  # few negative ints, repeated in every chunk
-        rng.integers(-(2**62), 2**62, n),
-        rng.choice(special, n),
-        rng.normal(size=n) * 10.0 ** rng.integers(-320, 300, n),
-        np.round(rng.uniform(-5, 5, n), 2),  # repeats across chunk boundaries
-        np.arange(n) * 0.1,
-    ]
-    header = [f"c{j}" for j in range(len(columns))]
-    for rows in (n, _WRITE_CHUNK_ROWS, 1, 0):
-        cut = [c[:rows] for c in columns]
-        write_columns(tmp_path / "new.csv", header, cut)
-        _write_columns_reference(tmp_path / "old.csv", header, cut)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    assert (tmp_path / "new.csv").read_bytes() == b"c0,c1,c2,c3,c4,c5\r\n"
-
-
-def _assert_written_as_repr(path, values):
-    """write_columns writes each value of one column as its repr."""
-    write_columns(path, ["x"], [values])
-    assert path.read_bytes().decode().split("\r\n") == ["x", *map(repr, values.tolist()), ""]
-
-
-def _bits(u):
-    return np.asarray(u, dtype=np.uint64).view(np.float64)
-
-
-def test_floats_are_written_as_repr_over_random_bit_patterns(tmp_path):
-    rng = np.random.default_rng(41)
-    anywhere = rng.integers(0, 2**64, 2**18, dtype=np.uint64)  # mostly exponent form
-    # 2^20 patterns in all; these have biased exponents of 1e-5 .. 2e17, where repr writes fixed point
-    n = 3 * 2**18
-    fixed = (rng.integers(1006, 1081, n, dtype=np.uint64) << np.uint64(52)) | rng.integers(
-        0, 2**52, n, dtype=np.uint64) | (rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
-    _assert_written_as_repr(tmp_path / "bits.csv", _bits(np.concatenate([anywhere, fixed])))
-
-
-def test_shortest_digits_are_repr_digits_over_every_normal_exponent():
-    """Schubfach's digits match repr's outside fixed point too, where the
-    writer itself calls repr: the interval ends and the 10^-k table matter
-    in rare cases there that fixed-point values do not reach."""
-    rng = np.random.default_rng(45)
-    powers = np.arange(1, 2047, dtype=np.uint64) << np.uint64(52)
-    bits = np.concatenate([rng.integers(2**52, 2047 << 52, 2**18, dtype=np.uint64),
-                           powers, powers[1:] - np.uint64(1), powers + np.uint64(1)])
-    f, k = _shortest_digits(bits)
-    wrong = [(v, d, e) for v, d, e in zip(bits.view(np.float64).tolist(), f.tolist(), k.tolist())
-             if float(f"{d}e{e}") != v
-             or str(d).rstrip("0") != repr(v).split("e")[0].replace(".", "").strip("0")]
-    assert wrong[:5] == []
-
-
-def test_floats_are_written_as_repr_at_powers_of_two_and_near_2_53(tmp_path):
-    powers = np.ldexp(1.0, np.arange(-1074, 1024))
-    around = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
-    near_2_53 = 2.0**53 + np.arange(-3000, 3000)
-    _assert_written_as_repr(tmp_path / "p.csv", np.concatenate([around, -around, near_2_53, -near_2_53]))
-
-
-def test_floats_are_written_as_repr_for_1_to_17_digit_decimals(tmp_path):
-    rng = np.random.default_rng(43)
-    values = [float(f"{rng.integers(10 ** (d - 1), 10**d)}e{e}")
-              for d in range(1, 18) for e in range(-330, 311) for _ in range(3)]
-    _assert_written_as_repr(tmp_path / "d.csv", np.array(values + [-v for v in values[::7]]))
-
-
-@pytest.mark.parametrize("values", [
-    # where repr switches between fixed point and exponent form
-    [1e-4, 1e-5, 1e16, np.nextafter(1e16, 0.0), np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
-     np.nextafter(1e-5, 1.0), np.nextafter(1e16, np.inf), 9999999999999998.0, 0.00012345678901234567],
-    # nan of either sign and any payload prints "nan"
-    [np.nan, -np.nan, _bits([0x7FF0000000000001, 0xFFF8000000000123]), np.inf, -np.inf],
-    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.finfo(float).max, -np.finfo(float).max],
-], ids=["switch-points", "nan-inf", "extremes"])
-def test_float_edge_cases_are_written_as_repr(tmp_path, values):
-    values = np.hstack([np.asarray(v, dtype=float).ravel() for v in values])
-    _assert_written_as_repr(tmp_path / "edge.csv", np.concatenate([values, -values, values[::-1]]))
-
-
-def test_integers_are_written_as_repr(tmp_path):
-    info = np.iinfo(np.int64)
-    signed = np.array([info.min, info.min + 1, info.max, 0, -1, 1, 9, 10, -10, 99, -100])
-    _assert_written_as_repr(tmp_path / "i.csv", signed)
-    _assert_written_as_repr(tmp_path / "u.csv", np.array([0, 1, 2**64 - 1, 10**19], dtype=np.uint64))
-    _assert_written_as_repr(tmp_path / "b.csv", np.array([True, False, True]))
-
-
-def test_pipeline_csvs_equal_the_per_cell_writer(tmp_path):
-    """Every CSV a synthetic pipeline writes through write_columns (the
-    fitness history and platoon.csv; tables pass as .npz), read back (a
-    column whose cells are all integers as int64) and rewritten one repr per
-    cell, gives the same bytes."""
-    out = tmp_path / "pipe"
-    grid = '{"k1": [0.0, 0.0, 0.05], "k2": [0.1, 1.0, 0.1], "k3": [0.1, 1.0, 0.1]}'
-    assert cli_main(["pipeline", "--input", "synthetic", "--seed", "5", "--population", "12",
-                     "--generations", "4", "--stagnation", "4", "--gain-grid", grid,
-                     "--platoon", "3", "--duration", "30", "--out", str(out)]) == 0
-    written = sorted(p for p in out.rglob("*.csv") if "heatmaps" not in p.parts)
-    assert {p.name for p in written} == {"fitness_history.csv", "platoon.csv"}
-    for path in written:
-        header, *rows = [line.split(",") for line in path.read_bytes().decode().split("\r\n")[:-1]]
-        columns = [np.array([int(c) for c in cells]) if all(re.fullmatch(r"-?\d+", c) for c in cells)
-                   else np.array([float(c) for c in cells]) for cells in zip(*rows)]
-        _write_columns_reference(tmp_path / "ref.csv", header, columns)
-        assert (tmp_path / "ref.csv").read_bytes() == path.read_bytes(), path
-
-
-def test_empty_columns_write_the_header_alone(tmp_path):
-    write_columns(tmp_path / "e.csv", ["i", "f"], [np.array([], dtype=np.int64), np.array([])])
-    assert (tmp_path / "e.csv").read_bytes() == b"i,f\r\n"
-
-
-def test_write_columns_memory_does_not_grow_with_rows(tmp_path):
-    """Rows are laid out a chunk at a time, so the peak of what write_columns
-    allocates is one chunk's, however long the file."""
-    rng = np.random.default_rng(47)
-
-    def peak(n):
-        columns = [np.arange(n), rng.normal(size=n) * 100.0, rng.normal(size=n), np.arange(n) * 0.1]
-        tracemalloc.start()
-        try:
-            write_columns(tmp_path / "m.csv", ["i", "x", "v", "t"], columns)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    short, long = peak(4 * _WRITE_CHUNK_ROWS), peak(200_000)
-    assert long < 1.1 * short
-    assert long < 5 * 2**20  # about 4.0 MB with numpy 2.4.6; the 200k-row columns alone hold 6.1 MB
-
-
-@pytest.mark.parametrize("header, columns", [
-    (["a", "b", "c"], [np.arange(3), np.arange(2.0)]),  # fewer columns than names
-    (["a"], [np.arange(3), np.arange(3.0)]),  # more columns than names
-    (["a", "b"], [np.arange(3), np.arange(2.0)]),  # a short column
-    (["a", "b"], [np.arange(2), np.arange(3.0)]),  # a long column
-])
-def test_write_columns_rejects_mismatched_columns(tmp_path, header, columns):
-    with pytest.raises(ValueError):
-        write_columns(tmp_path / "out.csv", header, columns)
 
 
 def _by_vehicle(table):
