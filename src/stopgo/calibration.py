@@ -6,18 +6,21 @@ mixed relative/absolute error that neither over-weights small headways (as a
 pure relative error does) nor large ones (as a pure absolute error does).
 A real-coded genetic algorithm searches the parameter box.
 
+A pair is a row range of the trajectory table calibrate read: the leader's
+and the follower's first rows and the window's length (pairs_from_index).
 calibrate_pairs runs one GA per pair under one GaConfig, pair i seeded with
 rng_seed + i, and the GAs of all pairs in lockstep.  Each pair keeps its own
 random generator, population and stop rule, so its result does not depend
 on the other pairs; but every generation, the populations of the pairs still
 running are integrated together in batched kernel calls, each candidate
-behind its own pair's leader.  A pair that has stopped leaves the batch.
-Pairs are batched longest first, and one call holds as many pairs as fit
-in a fixed budget of rows times columns, so memory stays bounded however
-many pairs are calibrated: a call's one state array holds, row by row, its
-candidates' positions and speeds and the batch's leader columns.  Each pair
-is scored on its block of the call by one error_mixed call over all its
-candidates, and no vector is simulated twice.
+behind its own pair's leader, whose rows one fancy index gathers from the
+table.  A pair that has stopped leaves the batch.  Pairs are batched
+longest first, and one call holds as many pairs as fit in a fixed budget of
+rows times columns, so memory stays bounded however many pairs are
+calibrated: a call's one state array holds, row by row, its candidates'
+positions and speeds and the batch's leader columns.  Each pair is scored
+on its block of the call by one error_mixed call over all its candidates,
+and no vector is simulated twice.
 calibrate_ga is calibrate_pairs on one pair.
 """
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from .carfollowing import PARAM_BOUNDS, PARAM_ORDER, FvdmParams, simulate_followers_batch
 from .errors import DataError
-from .trajectory_io import VehiclePair
+from .trajectory_io import DT, TrajectoryTable
 
 COLLISION_PENALTY = 1.0e6
 TAU_STEP = 0.1  # s, resolution of the reaction-delay gene
@@ -144,36 +147,32 @@ def _batches(gas, size: int):
     call's rows times columns (its longest window times size columns per
     pair) stay within _BATCH_CELLS; a pair larger than that runs alone."""
     batch, rows = [], 0
-    for ga in sorted(gas, key=lambda ga: -ga.pair.leader.n):
+    for ga in sorted(gas, key=lambda ga: -ga.n):
         if batch and rows * size * (len(batch) + 1) > _BATCH_CELLS:
             yield batch
             batch = []
         if not batch:
-            rows = ga.pair.leader.n
+            rows = ga.n
         batch.append(ga)
     if batch:
         yield batch
 
 
-def _padded(columns, n: int) -> np.ndarray:
-    """The columns side by side, each padded to n rows with its last sample."""
-    return np.column_stack([np.pad(c, (0, n - len(c)), mode="edge") for c in columns])
-
-
-def _score_batch(batch, size: int) -> None:
+def _score_batch(table: TrajectoryTable, batch, size: int) -> None:
     """Integrate the pair GAs' populations of size candidates in one kernel
-    call and score each on its block.  Leaders shorter than the batch's
-    longest are padded with their last sample, and sliced back after."""
-    n = batch[0].pair.leader.n  # the batch's longest pair comes first
-    lx = _padded([ga.pair.leader.positions for ga in batch], n)
-    lv = _padded([ga.pair.leader.speeds for ga in batch], n)
-    x0 = np.repeat([ga.pair.follower.positions[0] for ga in batch], size)
-    v0 = np.repeat([ga.pair.follower.speeds[0] for ga in batch], size)
+    call and score each on its block.  The leader columns are one fancy
+    index into the table's rows; a leader shorter than the batch's longest
+    repeats its last row, and its block is sliced back after."""
+    n = batch[0].n  # the batch's longest pair comes first
+    lead = np.array([ga.lead for ga in batch])
+    rows = lead + np.minimum(np.arange(n)[:, None], np.array([ga.n for ga in batch]) - 1)
+    follow = np.repeat([ga.follow for ga in batch], size)
     group = np.repeat(np.arange(len(batch)), size)
-    X = simulate_followers_batch(np.vstack([ga.pop for ga in batch]), lx, lv, x0, v0,
-                                 batch[0].pair.leader.dt, group=group)
+    X = simulate_followers_batch(np.vstack([ga.pop for ga in batch]), table.local_y[rows],
+                                 table.speed[rows], table.local_y[follow], table.speed[follow],
+                                 DT, group=group)
     for col, ga in enumerate(batch):
-        ga.score(X[: ga.pair.leader.n, col * size : (col + 1) * size])
+        ga.score(X[: ga.n, col * size : (col + 1) * size])
 
 
 def _pair_fitness(leader_x: np.ndarray, X: np.ndarray, data: np.ndarray):
@@ -188,11 +187,12 @@ def _pair_fitness(leader_x: np.ndarray, X: np.ndarray, data: np.ndarray):
 
 
 class _PairGa:
-    """The GA state of one pair: its generator, population, best and stop rule."""
+    """The GA state of one pair: its rows, generator, population, best and stop rule."""
 
-    def __init__(self, pair: VehiclePair, lo, hi, cfg: GaConfig, seed: int):
-        self.pair = pair
-        self.data = pair.headways()
+    def __init__(self, table: TrajectoryTable, pair, lo, hi, cfg: GaConfig, seed: int):
+        self.lead, self.follow, self.n = map(int, pair)
+        self.leader_x = table.local_y[self.lead : self.lead + self.n]
+        self.data = self.leader_x - table.local_y[self.follow : self.follow + self.n]
         self.cfg = cfg
         self.seed = seed
         self.lo, self.hi = lo, hi
@@ -261,7 +261,7 @@ class _PairGa:
         """Score the current population from X, its block of simulated
         follower positions; track the best and the stop rule.  A new best
         takes its absolute and relative errors from its own headway row."""
-        fits, S, collided = _pair_fitness(self.pair.leader.positions, X, self.data)
+        fits, S, collided = _pair_fitness(self.leader_x, X, self.data)
         self.fits = fits
         gen_best = float(fits.min())
         self.history.append(gen_best)
@@ -280,7 +280,7 @@ class _PairGa:
             self.converged_by = "MaxGenerations"
 
 
-def calibrate_pairs(pairs, bounds: dict | None = None,
+def calibrate_pairs(table: TrajectoryTable, pairs, bounds: dict | None = None,
                     cfg: GaConfig | None = None) -> list[CalibrationResult]:
     """Fit model parameters to each leader-follower pair with a genetic search.
 
@@ -290,10 +290,11 @@ def calibrate_pairs(pairs, bounds: dict | None = None,
     for stagnation_limit consecutive generations.  The pairs' GAs run in
     lockstep: each generation integrates the running populations together,
     in kernel calls of at most _BATCH_CELLS rows times columns, and scores
-    each pair on its block of the call that integrated it.  Pair i
-    draws from its own generator, seeded with cfg.rng_seed + i, so its
-    result is the same as calibrate_ga's on that pair at that seed.  Fully
-    deterministic for a given cfg.
+    each pair on its block of the call that integrated it; one fancy index
+    gathers a call's leader columns from the table.  Pair i draws from its
+    own generator, seeded with cfg.rng_seed + i, so its result is the same
+    as calibrate_ga's on that pair at that seed.  Fully deterministic for a
+    given cfg.
 
     The generator's draws, in order: random((population_size, 7)) for the
     first population; then, each generation, for each pair of offspring,
@@ -302,27 +303,24 @@ def calibrate_pairs(pairs, bounds: dict | None = None,
     standard_normal(7) for each child's mutation (see _PairGa.breed).
 
     Args:
-        pairs: observed leader-follower pairs (calibration windows), all
-            sampled at the same time step.
+        table: a trajectory table build_trajectories returned, sampled
+            every DT seconds.
+        pairs: the calibration windows as rows of table, one (leader_row,
+            follower_row, length) each, as pairs_from_index returns them.
         bounds: optional {name: (lo, hi)} overrides nested in the default box.
         cfg: GA settings shared by every pair; default GaConfig().
 
     Returns:
         One CalibrationResult per pair, with the best parameters ever seen.
     """
-    pairs = list(pairs)
     cfg = cfg or GaConfig()
-    if not pairs:
-        return []
-    if len({pair.leader.dt for pair in pairs}) != 1:
-        raise ValueError("pairs must share one sampling step")
     lo, hi = _bounds_arrays(bounds)
-    gas = [_PairGa(pair, lo, hi, cfg, cfg.rng_seed + i) for i, pair in enumerate(pairs)]
+    gas = [_PairGa(table, pair, lo, hi, cfg, cfg.rng_seed + i) for i, pair in enumerate(pairs)]
 
     running = gas
     while running:
         for batch in _batches(running, cfg.population_size):
-            _score_batch(batch, cfg.population_size)
+            _score_batch(table, batch, cfg.population_size)
         running = [ga for ga in running if ga.converged_by is None]
         for ga in running:
             ga.breed()
@@ -342,8 +340,9 @@ def calibrate_pairs(pairs, bounds: dict | None = None,
     ]
 
 
-def calibrate_ga(pair: VehiclePair, bounds: dict | None = None,
+def calibrate_ga(table: TrajectoryTable, rows, bounds: dict | None = None,
                  cfg: GaConfig | None = None) -> CalibrationResult:
-    """Fit model parameters to one leader-follower pair: calibrate_pairs on
-    that pair alone, seeded with cfg.rng_seed (see there)."""
-    return calibrate_pairs([pair], bounds, cfg)[0]
+    """Fit model parameters to one leader-follower pair, the (leader_row,
+    follower_row, length) rows of table: calibrate_pairs on that pair alone,
+    seeded with cfg.rng_seed (see there)."""
+    return calibrate_pairs(table, [rows], bounds, cfg)[0]

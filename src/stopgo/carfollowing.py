@@ -20,7 +20,7 @@ predecessor there and carrying every trajectory cut at that frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -211,9 +211,10 @@ def simulate_string(lead: Trajectory, vehicles, x0, v0, v_star: float) -> list[T
     FvdmParams (a human driver), a Cav or a LinearizedHdv, and the linear
     laws regulate toward v_star.  x0 and v0 are scalars or one per vehicle.
     Returns the trajectories lead-first on lead's frames, vehicles[i] with
-    vehicle_id i + 1.  The first frame at which any gap (spacing minus the
-    length of the vehicle ahead) is nonpositive raises CollisionDetected,
-    naming the frontmost vehicle there by its index in that list, with every
+    vehicle_id i + 1; the first is lead on views of its arrays, not copies.
+    The first frame at which any gap (spacing minus the length of the
+    vehicle ahead) is nonpositive raises CollisionDetected, naming the
+    frontmost vehicle there by its index in that list, with every
     trajectory cut at that frame.
     """
     n, m, dt = lead.n, len(vehicles), lead.dt
@@ -239,7 +240,8 @@ def simulate_string(lead: Trajectory, vehicles, x0, v0, v_star: float) -> list[T
     hit = X[:, :-1] - X[:, 1:] <= VEHICLE_LENGTH
     frames = np.flatnonzero(hit.any(axis=1))
     end = int(frames[0]) + 1 if len(frames) else n
-    trajs = [lead.slice(lead.start_frame, end)] + [
+    trajs = [replace(lead, positions=lead.positions[:end], speeds=lead.speeds[:end],
+                     accels=lead.accels[:end])] + [
         Trajectory(i, lead.start_frame, x, v, a, VEHICLE_LENGTH, dt)
         for i, (x, v, a) in enumerate(
             zip(X[:end, 1:].T.copy(), V[:end, col].T.copy(), A[:end, col].T.copy()), start=1)

@@ -450,7 +450,7 @@ def cmd_calibrate(args) -> StageResult:
     pairs = pairs_from_index(entries, table)
 
     results, histories = [], []
-    for entry, res in zip(entries, calibrate_pairs(pairs, bounds=bounds, cfg=cfg)):
+    for entry, res in zip(entries, calibrate_pairs(table, pairs, bounds=bounds, cfg=cfg)):
         row = asdict(res)
         histories.append(np.array(row.pop("fitness_history"), dtype=float))
         results.append(entry | row)  # the pairs.json entry names the window

@@ -8,8 +8,8 @@ Follower vehicles are paired with the vehicle ahead of them over windows
 where the leader link is unambiguous, which is what the car-following
 calibration consumes.  pair_leader_follower returns each window as a
 pairs.json entry (leader_id, follower_id, overlap_start, overlap_len), and
-pairs_from_index cuts the entries back out of the grouped table as
-VehiclePairs, the form calibration reads.
+pairs_from_index finds each entry's window again as two row ranges of the
+grouped table, the form calibration reads: nothing is copied out of it.
 
 Stages store tables, the simulated platoon among them, as uncompressed .npz
 files, one array per column keyed by field name (np.load(path) gives them),
@@ -102,41 +102,6 @@ class Trajectory:
     @property
     def n(self) -> int:
         return len(self.positions)
-
-    def slice(self, start_frame: int, length: int) -> "Trajectory":
-        i0 = start_frame - self.start_frame
-        if i0 < 0 or i0 + length > self.n:
-            raise ValueError("slice outside trajectory")
-        return Trajectory(
-            self.vehicle_id,
-            start_frame,
-            self.positions[i0 : i0 + length].copy(),
-            self.speeds[i0 : i0 + length].copy(),
-            self.accels[i0 : i0 + length].copy(),
-            self.vehicle_length,
-            self.dt,
-        )
-
-
-@dataclass
-class VehiclePair:
-    """A follower and its leader over the same frames, the leader ahead at every one."""
-
-    leader: Trajectory
-    follower: Trajectory
-
-    def __post_init__(self):
-        if (self.leader.start_frame, self.leader.n) != (self.follower.start_frame, self.follower.n):
-            raise ValueError("pair trajectories must cover the same frames")
-        head = self.headways()
-        if np.any(head <= 0):
-            raise DataError(
-                f"pair ({self.leader.vehicle_id}, {self.follower.vehicle_id}) has nonpositive "
-                f"headway at frame {self.leader.start_frame + int(np.argmax(head <= 0))}"
-            )
-
-    def headways(self) -> np.ndarray:
-        return self.leader.positions - self.follower.positions
 
 
 def _header(fh) -> list[str]:
@@ -318,19 +283,6 @@ def build_trajectories(records: TrajectoryTable) -> tuple[TrajectoryTable, int]:
     return TrajectoryTable(**columns), len(starts) - len(kept)
 
 
-def _trajectory(table: TrajectoryTable, lo: int, hi: int) -> Trajectory:
-    """Rows lo to hi of a table build_trajectories returned, one vehicle's
-    consecutive frames, as a Trajectory of copied arrays."""
-    return Trajectory(
-        vehicle_id=int(table.vehicle_id[lo]),
-        start_frame=int(table.frame_id[lo]),
-        positions=table.local_y[lo:hi].copy(),
-        speeds=table.speed[lo:hi].copy(),
-        accels=table.accel[lo:hi].copy(),
-        vehicle_length=float(table.vehicle_length[lo]),
-    )
-
-
 def pair_leader_follower(
     table: TrajectoryTable,
     lane_filter: int | None = None,
@@ -395,9 +347,10 @@ def pair_leader_follower(
     return windows, diagnostics
 
 
-def pairs_from_index(index, table: TrajectoryTable) -> list[VehiclePair]:
-    """Cut each pairs.json entry's window out of a table build_trajectories
-    returned, as a VehiclePair.
+def pairs_from_index(index, table: TrajectoryTable) -> np.ndarray:
+    """Each pairs.json entry's window as rows of a table build_trajectories
+    returned: a (P, 3) int64 array of (leader_row, follower_row, length),
+    each vehicle's window being the length rows from its row.
 
     Raises:
         DataError: an entry's overlap_len is not positive, it names a vehicle
@@ -420,8 +373,9 @@ def pairs_from_index(index, table: TrajectoryTable) -> list[VehiclePair]:
             if not (first <= start and start + length - 1 <= last):
                 raise DataError(f"{window}: vehicle {vid} has only frames {first}-{last}")
             rows.append(int(lo) + start - first)
-        try:
-            pairs.append(VehiclePair(*(_trajectory(table, r, r + length) for r in rows)))
-        except DataError as err:
-            raise DataError(f"{window}: {err}") from None
-    return pairs
+        head = table.local_y[rows[0] : rows[0] + length] - table.local_y[rows[1] : rows[1] + length]
+        if np.any(head <= 0):
+            raise DataError(f"{window}: pair ({lid}, {fid}) has nonpositive headway "
+                            f"at frame {start + int(np.argmax(head <= 0))}")
+        pairs.append((*rows, length))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 3)

@@ -26,24 +26,34 @@ from stopgo.carfollowing import (
     simulate_followers_batch,
     simulate_string,
 )
+from stopgo.cli import _string_table
 from stopgo.errors import DataError
-from stopgo.trajectory_io import VehiclePair
+from stopgo.trajectory_io import DT
 
 THETA_TRUE = FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.5)
 
 
-def _synthetic_pair(profile, duration, headway):
-    """THETA_TRUE as vehicle 2, simulated behind a leader (vehicle 1) that
-    drives profile for duration seconds; it starts headway meters behind, at
-    the leader's speed."""
+def _synthetic_string(profile, duration, headway):
+    """A leader that drives profile for duration seconds, and THETA_TRUE
+    simulated behind it from headway meters back, at the leader's speed."""
     leader = leader_trajectory(profile, duration)
     x0 = leader.positions[0] - headway
-    follower = simulate_string(leader, (THETA_TRUE,), x0, leader.speeds[0], 0.0)[1]
-    return VehiclePair(leader, replace(follower, vehicle_id=2))
+    return simulate_string(leader, (THETA_TRUE,), x0, leader.speeds[0], 0.0)
+
+
+def _pairs_table(*strings):
+    """The leader-follower strings stacked as rows of one table, and each
+    string's pair as (leader_row, follower_row, length) rows of it."""
+    table = _string_table([tr for string in strings for tr in string])
+    first = np.cumsum([0] + [2 * leader.n for leader, _ in strings])
+    pairs = np.array([(row, row + leader.n, leader.n) for row, (leader, _) in zip(first, strings)])
+    return table, pairs
 
 
 def _make_pair(duration=40.0, v=12.0, headway=18.0):
-    return _synthetic_pair(PiecewiseProfile(((0.0, v),)), duration, headway)
+    """THETA_TRUE behind a leader at constant speed v: its table and rows."""
+    table, (rows,) = _pairs_table(_synthetic_string(PiecewiseProfile(((0.0, v),)), duration, headway))
+    return table, rows
 
 
 def _point_box(theta: FvdmParams) -> dict:
@@ -54,7 +64,7 @@ def _point_box(theta: FvdmParams) -> dict:
 def _fitness(theta: FvdmParams, pair) -> float:
     """The GA's objective at theta: the best fitness of a population of theta alone."""
     cfg = GaConfig(population_size=3, max_generations=0)
-    return calibrate_ga(pair, bounds=_point_box(theta), cfg=cfg).mixed_error
+    return calibrate_ga(*pair, bounds=_point_box(theta), cfg=cfg).mixed_error
 
 
 def test_error_metrics_hand_values():
@@ -168,10 +178,10 @@ def _reference_breed(ga) -> np.ndarray:
 
 def _pair_gas(size: int, seed: int):
     """Two GAs of one pair, seed and population size, in the same state."""
-    pair = _make_pair(duration=4.0)
+    table, rows = _make_pair(duration=4.0)
     lo, hi = calibration._bounds_arrays(None)
     cfg = GaConfig(population_size=size)
-    return [calibration._PairGa(pair, lo, hi, cfg, seed) for _ in range(2)]
+    return [calibration._PairGa(table, rows, lo, hi, cfg, seed) for _ in range(2)]
 
 
 @pytest.mark.parametrize("size", [7, 8, 13, 50])  # odd and even offspring counts
@@ -214,13 +224,13 @@ def test_default_bounds_box():
 def test_bounds_overrides_must_nest_in_master_box():
     pair = _make_pair(duration=10.0)
     cfg = GaConfig(population_size=8, max_generations=2, rng_seed=1)
-    calibrate_ga(pair, bounds={"tau": (0.0, 0.0)}, cfg=cfg)  # pinning is fine
+    calibrate_ga(*pair, bounds={"tau": (0.0, 0.0)}, cfg=cfg)  # pinning is fine
     with pytest.raises(ValueError):
-        calibrate_ga(pair, bounds={"alpha": (0.5, 5.0)}, cfg=cfg)
+        calibrate_ga(*pair, bounds={"alpha": (0.5, 5.0)}, cfg=cfg)
     with pytest.raises(ValueError):
-        calibrate_ga(pair, bounds={"v0": (1.0, 80.0)}, cfg=cfg)
+        calibrate_ga(*pair, bounds={"v0": (1.0, 80.0)}, cfg=cfg)
     with pytest.raises(ValueError):
-        calibrate_ga(pair, bounds={"viscosity": (0.0, 1.0)}, cfg=cfg)
+        calibrate_ga(*pair, bounds={"viscosity": (0.0, 1.0)}, cfg=cfg)
 
 
 def test_fitness_is_mixed_error_of_simulated_headway():
@@ -238,13 +248,13 @@ def test_fitness_collision_penalty():
 def test_ga_is_deterministic_for_a_seed():
     pair = _make_pair(duration=15.0)
     cfg = GaConfig(population_size=16, max_generations=12, stagnation_limit=50, rng_seed=9)
-    r1 = calibrate_ga(pair, cfg=cfg)
-    r2 = calibrate_ga(pair, cfg=cfg)
+    r1 = calibrate_ga(*pair, cfg=cfg)
+    r2 = calibrate_ga(*pair, cfg=cfg)
     assert r1.theta == r2.theta
     assert r1.fitness_history == r2.fitness_history
     assert r1.mixed_error == r2.mixed_error
 
-    r3 = calibrate_ga(pair, cfg=GaConfig(population_size=16, max_generations=12,
+    r3 = calibrate_ga(*pair, cfg=GaConfig(population_size=16, max_generations=12,
                                          stagnation_limit=50, rng_seed=10))
     assert r3.theta != r1.theta or r3.fitness_history != r1.fitness_history
 
@@ -252,7 +262,7 @@ def test_ga_is_deterministic_for_a_seed():
 def test_ga_history_is_monotone_and_tracks_best():
     pair = _make_pair(duration=15.0)
     cfg = GaConfig(population_size=20, max_generations=25, stagnation_limit=100, rng_seed=3)
-    res = calibrate_ga(pair, cfg=cfg)
+    res = calibrate_ga(*pair, cfg=cfg)
     hist = np.asarray(res.fitness_history)
     assert hist.size == res.generations_run + 1  # initial population included
     assert np.all(np.diff(hist) <= 0.0)
@@ -264,7 +274,7 @@ def test_ga_stagnation_termination_with_perfect_seed():
     # the best, so the search stops once stagnation_limit generations pass
     pair = _make_pair(duration=15.0)
     cfg = GaConfig(population_size=12, max_generations=500, stagnation_limit=20, rng_seed=4)
-    res = calibrate_ga(pair, bounds=_point_box(THETA_TRUE), cfg=cfg)
+    res = calibrate_ga(*pair, bounds=_point_box(THETA_TRUE), cfg=cfg)
     assert res.converged_by == "Stagnation"
     assert res.theta == THETA_TRUE
     assert res.mixed_error <= 1e-12
@@ -274,7 +284,7 @@ def test_ga_stagnation_termination_with_perfect_seed():
 def test_ga_max_generations_termination():
     pair = _make_pair(duration=10.0)
     cfg = GaConfig(population_size=8, max_generations=5, stagnation_limit=100, rng_seed=5)
-    res = calibrate_ga(pair, cfg=cfg)
+    res = calibrate_ga(*pair, cfg=cfg)
     assert res.converged_by == "MaxGenerations"
     assert res.generations_run == 5
 
@@ -282,7 +292,7 @@ def test_ga_max_generations_termination():
 def test_ga_results_respect_bounds_and_tau_grid():
     pair = _make_pair(duration=10.0)
     cfg = GaConfig(population_size=14, max_generations=8, rng_seed=6)
-    res = calibrate_ga(pair, cfg=cfg)
+    res = calibrate_ga(*pair, cfg=cfg)
     for name, (lo, hi) in PARAM_BOUNDS.items():
         val = getattr(res.theta, name)
         assert lo <= val <= hi
@@ -293,14 +303,14 @@ def test_ga_results_respect_bounds_and_tau_grid():
 def test_ga_pinned_tau_stays_pinned():
     pair = _make_pair(duration=10.0)
     cfg = GaConfig(population_size=10, max_generations=6, rng_seed=7)
-    res = calibrate_ga(pair, bounds={"tau": (0.0, 0.0)}, cfg=cfg)
+    res = calibrate_ga(*pair, bounds={"tau": (0.0, 0.0)}, cfg=cfg)
     assert res.theta.tau == 0.0
 
 
 def test_result_reports_all_three_errors():
     pair = _make_pair(duration=10.0)
     cfg = GaConfig(population_size=10, max_generations=6, rng_seed=8)
-    res = calibrate_ga(pair, cfg=cfg)
+    res = calibrate_ga(*pair, cfg=cfg)
     assert isinstance(res, CalibrationResult)
     assert res.mixed_error >= 0 and res.abs_error >= 0 and res.rel_error >= 0
     assert res.rng_seed == 8
@@ -316,63 +326,57 @@ def test_ga_config_rejects_invalid_settings(settings):
 
 
 def _three_pairs():
-    """Three pairs of different lengths under one GA config; they stop at
-    generations 8, 10 and 9, so the batch shrinks twice."""
-    pairs = [
-        _synthetic_pair(SinusoidProfile(12.0, 2.0, 0.4), 14.0, 18.0),
-        _synthetic_pair(PiecewiseProfile(((0.0, 12.0),)), 8.0, 18.0),
-        _synthetic_pair(
+    """Three pairs of different lengths, rows of one table, under one GA
+    config; they stop at generations 8, 10 and 9, so the batch shrinks twice."""
+    table, pairs = _pairs_table(
+        _synthetic_string(SinusoidProfile(12.0, 2.0, 0.4), 14.0, 18.0),
+        _synthetic_string(PiecewiseProfile(((0.0, 12.0),)), 8.0, 18.0),
+        _synthetic_string(
             PiecewiseProfile(((0.0, 12.0), (5.0, 8.0))), 11.0, 18.0
         ),
-    ]
-    assert len({pair.leader.n for pair in pairs}) == 3
+    )
+    assert len(set(pairs[:, 2])) == 3
     cfg = GaConfig(population_size=12, max_generations=10, stagnation_limit=3, rng_seed=21)
-    return pairs, cfg
+    return table, pairs, cfg
 
 
-def test_calibrate_pairs_rejects_pairs_of_different_steps():
-    pair = _make_pair(duration=4.0)
-    coarse = VehiclePair(replace(pair.leader, dt=0.2), replace(pair.follower, dt=0.2))
-    with pytest.raises(ValueError, match="^pairs must share one sampling step$"):
-        calibrate_pairs([pair, coarse])
-
-
-def _assert_each_pair_alone(pairs, cfg, joint):
-    for i, (pair, res) in enumerate(zip(pairs, joint)):
-        alone = calibrate_ga(pair, cfg=replace(cfg, rng_seed=cfg.rng_seed + i))
+def _assert_each_pair_alone(table, pairs, cfg, joint):
+    for i, (rows, res) in enumerate(zip(pairs, joint)):
+        alone = calibrate_ga(table, rows, cfg=replace(cfg, rng_seed=cfg.rng_seed + i))
         assert res == alone
         assert res.rng_seed == cfg.rng_seed + i
 
 
 def test_calibrate_pairs_matches_each_pair_alone():
-    pairs, cfg = _three_pairs()
-    joint = calibrate_pairs(pairs, cfg=cfg)
+    table, pairs, cfg = _three_pairs()
+    joint = calibrate_pairs(table, pairs, cfg=cfg)
     # the pairs leave the lockstep batch at different generations
     assert [(r.generations_run, r.converged_by) for r in joint] == [
         (8, "Stagnation"), (10, "MaxGenerations"), (9, "Stagnation")]
-    _assert_each_pair_alone(pairs, cfg, joint)
+    _assert_each_pair_alone(table, pairs, cfg, joint)
 
 
 def test_each_reported_error_belongs_to_the_best_candidate():
-    pairs, cfg = _three_pairs()
-    for pair, res in zip(pairs, calibrate_pairs(pairs, cfg=cfg)):
-        leader = pair.leader
-        X = simulate_followers_batch(res.theta.as_array()[None], leader.positions[:, None],
-                                     leader.speeds[:, None], pair.follower.positions[0],
-                                     pair.follower.speeds[0], leader.dt, group=np.zeros(1, int))
-        s = leader.positions - X[:, 0]
-        assert res.mixed_error == error_mixed(s, pair.headways())
-        assert res.abs_error == error_abs(s, pair.headways())
-        assert res.rel_error == error_rel(s, pair.headways())
+    table, pairs, cfg = _three_pairs()
+    y, v = table.local_y, table.speed
+    for (lead, follow, n), res in zip(pairs, calibrate_pairs(table, pairs, cfg=cfg)):
+        leader_x, data = y[lead : lead + n], y[lead : lead + n] - y[follow : follow + n]
+        X = simulate_followers_batch(res.theta.as_array()[None], leader_x[:, None],
+                                     v[lead : lead + n, None], y[follow], v[follow], DT,
+                                     group=np.zeros(1, int))
+        s = leader_x - X[:, 0]
+        assert res.mixed_error == error_mixed(s, data)
+        assert res.abs_error == error_abs(s, data)
+        assert res.rel_error == error_rel(s, data)
     # every candidate of a box holding one reckless driver rams the leader
     reckless = FvdmParams(10.0, 1.0, 0.1, 0.1, 70.0, 10.0, 0.0)
-    res = calibrate_ga(pairs[1], bounds=_point_box(reckless), cfg=cfg)
+    res = calibrate_ga(table, pairs[1], bounds=_point_box(reckless), cfg=cfg)
     assert (res.mixed_error, res.abs_error, res.rel_error) == (COLLISION_PENALTY,) * 3
 
 
 def test_calibrate_pairs_splits_batches_over_the_budget(monkeypatch):
-    pairs, cfg = _three_pairs()
-    assert [pair.leader.n for pair in pairs] == [141, 81, 111]
+    table, pairs, cfg = _three_pairs()
+    assert list(pairs[:, 2]) == [141, 81, 111]
     # the longest pair fills a call alone, as 141 x (12 + 12) = 3384 cells
     # exceed the budget; the other two (111 x (12 + 12) = 2664 cells) share one
     budget = 2700
@@ -385,7 +389,7 @@ def test_calibrate_pairs_splits_batches_over_the_budget(monkeypatch):
         return kernel(thetas, leader_x, *args, **kwargs)
 
     monkeypatch.setattr(calibration, "simulate_followers_batch", recording)
-    joint = calibrate_pairs(pairs, cfg=cfg)
+    joint = calibrate_pairs(table, pairs, cfg=cfg)
     assert all(rows * cols <= budget for rows, cols in shapes)
     # every call integrates whole populations, one call per batch and
     # generation: the pairs stop after 9, 11 and 10 scored populations, and
@@ -393,11 +397,11 @@ def test_calibrate_pairs_splits_batches_over_the_budget(monkeypatch):
     assert all(cols % cfg.population_size == 0 for _, cols in shapes)
     assert shapes == [(141, 12), (111, 24)] * 9 + [(111, 24), (81, 12)]
     monkeypatch.undo()
-    _assert_each_pair_alone(pairs, cfg, joint)
+    _assert_each_pair_alone(table, pairs, cfg, joint)
 
 
 def test_calibrate_pairs_scores_each_population_through_error_mixed(monkeypatch):
-    pairs, cfg = _three_pairs()
+    table, pairs, cfg = _three_pairs()
     calls = []
     mixed = calibration.error_mixed
 
@@ -406,9 +410,9 @@ def test_calibrate_pairs_scores_each_population_through_error_mixed(monkeypatch)
         return mixed(s_sim, s_data)
 
     monkeypatch.setattr(calibration, "error_mixed", counting)
-    joint = calibrate_pairs(pairs, cfg=cfg)
+    joint = calibrate_pairs(table, pairs, cfg=cfg)
     # one call per running pair and generation, on the pair's whole
     # population: the pairs stop after 9, 11 and 10 scored populations
-    counts = [calls.count(((cfg.population_size, pair.leader.n), pair.leader.n)) for pair in pairs]
+    counts = [calls.count(((cfg.population_size, n), n)) for n in pairs[:, 2]]
     assert counts == [res.generations_run + 1 for res in joint] == [9, 11, 10]
     assert len(calls) == sum(counts)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -528,7 +529,8 @@ def _batch_case(name):
         ]
         if name == "delays-past-the-end":
             # 11 rows; delays of 15, 20 and 30 samples read row 0 throughout
-            leaders = [tr.slice(tr.start_frame, 11) for tr in leaders]
+            leaders = [replace(tr, positions=tr.positions[:11], speeds=tr.speeds[:11],
+                               accels=tr.accels[:11]) for tr in leaders]
         taus = {"no-delay": [0.0] * 6,
                 "delays-past-the-end": [1.5, 3.0, 2.0, 0.3, 0.0, 3.0],
                 "mixed-groups": [0.0, 3.0, 0.0, 3.0, 0.0, 3.0, 0.7, 1.3, 2.2, 0.4]}[name]

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from stopgo.calibration import GaConfig, _bounds_arrays, _PairGa
 from stopgo.carfollowing import (
     PiecewiseProfile,
     equilibrium_headway,
@@ -30,7 +31,6 @@ from stopgo.trajectory_io import (
     FEET_TO_METERS,
     Trajectory,
     TrajectoryTable,
-    VehiclePair,
     build_trajectories,
     pair_leader_follower,
     pairs_from_index,
@@ -452,13 +452,19 @@ def _window(leader_id, follower_id, overlap_start, overlap_len):
             "overlap_start": overlap_start, "overlap_len": overlap_len}
 
 
+def _headways(table, pair):
+    """The headways over a (leader_row, follower_row, length) pair of table."""
+    lead, follow, n = pair
+    return table.local_y[lead : lead + n] - table.local_y[follow : follow + n]
+
+
 def test_pairing_full_overlap():
     table, _ = build_trajectories(_table(_two_vehicle_records(n=40)))
     windows, diag = pair_leader_follower(table, min_samples=10)
     assert windows == [_window(1, 2, 0, 40)]
     (p,) = pairs_from_index(windows, table)
-    assert p.leader.vehicle_id == 1 and p.follower.vehicle_id == 2
-    np.testing.assert_allclose(p.headways(), 20.0)
+    assert (table.vehicle_id[p[0]], table.vehicle_id[p[1]], p[2]) == (1, 2, 40)
+    np.testing.assert_allclose(_headways(table, p), 20.0)
     assert diag == {"rejected_nonpositive": [], "short_pairs": []}
 
 
@@ -502,8 +508,8 @@ def test_pairing_lane_filter():
 def _pair_reference(tset, lane_filter=None, min_samples=600):
     """The per-frame pairing loop: grow each window one follower frame at a time.
 
-    Returns the pairs cut from the per-vehicle trajectories and the
-    diagnostics, as pair_leader_follower's windows and diagnostics hold them."""
+    Returns each window's _pair_key and the diagnostics, as
+    pair_leader_follower's windows and diagnostics hold them."""
     pairs = []
     diag = {"rejected_nonpositive": [], "short_pairs": []}
     for fid, ftr in sorted(tset.trajectories.items()):
@@ -533,17 +539,17 @@ def _pair_reference(tset, lane_filter=None, min_samples=600):
                 i += 1
                 continue
             start_frame, length = ftr.start_frame + i, j - i
-            leader = ltr.slice(start_frame, length)
-            follower = ftr.slice(start_frame, length)
-            head = leader.positions - follower.positions
+            li = start_frame - ltr.start_frame
+            leader, follower = ltr.positions[li : li + length], ftr.positions[i:j]
+            head = leader - follower
             if np.any(head <= 0):
                 diag["rejected_nonpositive"].append([lid, fid, start_frame + int(np.argmax(head <= 0))])
             else:
-                pairs.append(VehiclePair(leader, follower))
+                pairs.append((lid, fid, start_frame, length, leader.tobytes(), follower.tobytes()))
                 if length < min_samples:
                     diag["short_pairs"].append([lid, fid, length])
             i = j
-    pairs.sort(key=lambda p: (-p.leader.n, p.leader.vehicle_id, p.follower.vehicle_id))
+    pairs.sort(key=lambda p: (-p[3], p[0], p[1]))
     return pairs, diag
 
 
@@ -576,9 +582,11 @@ def _random_table(rng, vehicles=12):
     return table
 
 
-def _pair_key(p):
-    return (p.leader.vehicle_id, p.follower.vehicle_id, p.leader.start_frame, p.leader.n,
-            p.leader.positions.tobytes(), p.follower.positions.tobytes())
+def _pair_key(table, pair):
+    """A pair's leader and follower id, first frame, length and positions."""
+    lead, follow, n = pair.tolist()
+    return (int(table.vehicle_id[lead]), int(table.vehicle_id[follow]), int(table.frame_id[lead]), n,
+            table.local_y[lead : lead + n].tobytes(), table.local_y[follow : follow + n].tobytes())
 
 
 def _assert_pairs_json(value):
@@ -602,12 +610,37 @@ def test_pairing_matches_per_frame_loop(seed):
         for lane_filter in (None, 1, 2):
             windows, got = pair_leader_follower(table, lane_filter=lane_filter, min_samples=8)
             want_pairs, want = _pair_reference(_by_vehicle(table), lane_filter=lane_filter, min_samples=8)
-            assert windows == [_window(*_pair_key(p)[:4]) for p in want_pairs]
-            got_pairs = pairs_from_index(windows, table)
-            assert [_pair_key(p) for p in got_pairs] == [_pair_key(p) for p in want_pairs]
+            assert windows == [_window(*key[:4]) for key in want_pairs]
+            assert [_pair_key(table, p) for p in pairs_from_index(windows, table)] == want_pairs
             assert got == want
             _assert_pairs_json(windows)
             _assert_pairs_json(got)
+
+
+def test_each_row_range_names_its_window():
+    """Every window's row ranges hold the entry's leader and follower over
+    its frames, and the GA's observed headways are the leader's local_y
+    minus the follower's, found by vehicle and frame, bit for bit."""
+    lo, hi = _bounds_arrays(None)
+    rng = np.random.default_rng(7)
+    checked = 0
+    for _ in range(12):
+        table = _random_table(rng)
+        windows, _ = pair_leader_follower(table, min_samples=1)
+        for entry, rows in zip(windows, pairs_from_index(windows, table)):
+            lead, follow, n = rows.tolist()
+            frames = entry["overlap_start"] + np.arange(entry["overlap_len"])
+            assert n == entry["overlap_len"]
+            for row, vid in ((lead, entry["leader_id"]), (follow, entry["follower_id"])):
+                assert np.all(table.vehicle_id[row : row + n] == vid)
+                assert np.array_equal(table.frame_id[row : row + n], frames)
+            leader_y, follower_y = (
+                table.local_y[(table.vehicle_id == entry[key]) & np.isin(table.frame_id, frames)]
+                for key in ("leader_id", "follower_id"))
+            ga = _PairGa(table, rows, lo, hi, GaConfig(population_size=3), 0)
+            assert ga.data.tobytes() == (leader_y - follower_y).tobytes()
+            checked += 1
+    assert checked >= 20
 
 
 def test_pairing_of_an_empty_set():
@@ -617,16 +650,13 @@ def test_pairing_of_an_empty_set():
     assert windows == [] and diag == {"rejected_nonpositive": [], "short_pairs": []}
 
 
-def test_vehicle_pair_validates_trim_and_headway():
-    tr = Trajectory(1, 0, np.arange(5.0), np.ones(5), np.zeros(5))
-    behind = Trajectory(2, 0, np.arange(5.0) - 3.0, np.ones(5), np.zeros(5))
-    VehiclePair(tr, behind)  # fine
-    with pytest.raises(ValueError, match="must cover the same frames"):
-        VehiclePair(tr, behind.slice(0, 4))  # fewer frames
-    with pytest.raises(ValueError, match="must cover the same frames"):
-        VehiclePair(tr.slice(1, 4), behind.slice(0, 4))  # other frames
-    with pytest.raises(DataError, match=r"pair \(2, 1\) has nonpositive headway at frame 0"):
-        VehiclePair(behind, tr)  # leader behind follower
+def test_pairs_from_index_rejects_a_leader_behind_its_follower():
+    # vehicle 2 runs 3 m behind vehicle 1 over frames 10-14
+    table = _table([_record(v, 10 + f, f - 3.0 * (v - 1)) for v in (1, 2) for f in range(5)])
+    assert pairs_from_index([_window(1, 2, 10, 5)], table).tolist() == [[0, 5, 5]]  # fine
+    with pytest.raises(DataError, match=r"^pair of leader 2 and follower 1, 5 frames from frame 10: "
+                                        r"pair \(2, 1\) has nonpositive headway at frame 10$"):
+        pairs_from_index([_window(2, 1, 10, 5)], table)  # leader behind follower
 
 
 def test_pair_index_round_trip(tmp_path):
@@ -637,9 +667,8 @@ def test_pair_index_round_trip(tmp_path):
     index = json.loads(path.read_text())
     assert index == windows
     (rebuilt,) = pairs_from_index(index, table)
-    np.testing.assert_array_equal(rebuilt.leader.positions, table.local_y[:25])
-    np.testing.assert_array_equal(rebuilt.follower.positions, table.local_y[25:])
-    assert rebuilt.leader.start_frame == rebuilt.follower.start_frame == windows[0]["overlap_start"]
+    assert rebuilt.tolist() == [0, 25, 25]
+    assert table.frame_id[0] == table.frame_id[25] == windows[0]["overlap_start"]
 
 
 def test_pair_trajectories_hold_python_ints():
@@ -648,22 +677,8 @@ def test_pair_trajectories_hold_python_ints():
     assert len(windows) == 1 and diag["short_pairs"] == [[1, 2, 5]]
     _assert_pairs_json(windows)
     _assert_pairs_json(diag)
-    for p in pairs_from_index(windows, table):
-        assert (p.leader.vehicle_id, p.follower.vehicle_id) == (1, 2)
-        for tr in (p.leader, p.follower):
-            assert type(tr.vehicle_id) is int and type(tr.start_frame) is int
-            assert type(tr.vehicle_length) is float
-
-
-def test_trajectory_slice_bounds():
-    tr = Trajectory(1, 10, np.arange(6.0), np.ones(6), np.zeros(6))
-    sl = tr.slice(12, 3)
-    assert sl.start_frame == 12 and sl.n == 3
-    np.testing.assert_array_equal(sl.positions, [2.0, 3.0, 4.0])
-    with pytest.raises(ValueError):
-        tr.slice(9, 3)
-    with pytest.raises(ValueError):
-        tr.slice(14, 5)
+    pairs = pairs_from_index(windows, table)
+    assert pairs.dtype == np.int64 and pairs.tolist() == [[0, 5, 5]]
 
 
 def test_synthetic_pair_shapes_and_headway():
@@ -674,7 +689,7 @@ def test_synthetic_pair_shapes_and_headway():
     windows, diag = pair_leader_follower(table)
     assert windows == [_window(1, 2, 0, 1000)] and diag == {"rejected_nonpositive": [], "short_pairs": []}
     (pair,) = pairs_from_index(windows, table)
-    assert np.all(pair.headways() > 0)
+    assert np.all(_headways(table, pair) > 0)
 
     # the same table as a string built by hand: the follower at its
     # equilibrium headway behind a one-step leader, ids 1 and 2 in one lane
