@@ -263,10 +263,14 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
     linear-law vehicles; column c follows group[c], an index into [G leader
     columns | S simulated columns].  One (N, 2S + 2G) state array holds
     every row as [x of the S columns | their v | x of the G leaders | their
-    v].  Each step gathers, in one take, every column's own x and v and
-    those of what it follows at row max(k - d, 0), d its delay in samples.
-    Row k + 1 reads no row past k, so a column may follow a simulated
-    column, and a leader shorter than N can be padded with its last sample.
+    v].  Each step gathers, in one take into a work buffer of 6S doubles,
+    every column's own x and v and those of what it follows at row
+    max(k - d, 0), d its delay in samples, and its own v at row k; from row
+    max(d) on, the take reads fixed indices from the view of the state
+    array that starts max(d) rows back.  The law and the step [v dt, a dt]
+    are then computed in that buffer in place.  Row k + 1 reads no row past
+    k, so a column may follow a simulated column, and a leader shorter than
+    N can be padded with its last sample.
     A speed that would turn negative clamps at zero and the position holds.
     No collision check here; callers inspect the returned spacings.
 
@@ -324,7 +328,8 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
     tanh(m * (bc - bf), out=off)
     # constants as arrays: a Python float costs a conversion on every call
     zero, dts, half_dts = np.zeros(s), np.full(s, dt), np.full(s, 0.5 * dt)
-    bf0, mbe = np.concatenate([bf, zero]), np.concatenate([m, be])
+    v_stars = np.full(q, v_star)
+    bf00, mbedt = np.concatenate([bf, zero, zero]), np.concatenate([m, be, dts])
 
     w = 2 * s + 2 * g
     Z = np.empty((n, w))
@@ -339,12 +344,15 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
     ahead_x = np.where(ahead, 2 * s + group, group - g)
     ahead_v = np.where(ahead, 2 * s + g + group, s + group - g)
     # flat index of (max(k - d, 0), col) is max(k * w - d * w + col, col) for
-    # each column's own x and v and its leader's x and v.  idx holds row k's
-    # indices before the max; from k = max(d) on none is below col, so the
-    # max is skipped.  Every index gathered lies inside Z, so take's "wrap"
-    # mode never wraps; it only skips the bounds check.
-    col = np.concatenate([np.arange(2 * s), ahead_x, ahead_v])
-    idx = col - np.tile(d, 4) * w
+    # each column's own x and v and its leader's x and v, and k * w + col for
+    # its own v at row k (delay 0).  Below row d_max, idx holds row k's
+    # indices before the max and grows by w each step; from row d_max on none
+    # is below col, and idx, frozen at row d_max's indices, is taken from the
+    # view of Zf that starts at row k - d_max.  Every index gathered lies
+    # inside Z, so take's "wrap" mode never wraps; it only skips the bounds
+    # check.
+    col = np.concatenate([np.arange(2 * s), ahead_x, ahead_v, np.arange(s, 2 * s)])
+    idx = col - np.concatenate([np.tile(d, 4), np.zeros_like(d)]) * w
     clipped = np.empty_like(idx)
     width = np.array(w)
     d_max = int(d.max(initial=0))
@@ -352,54 +360,73 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
     # Each float operation keeps the operands and order of
     #   a = al (vm (tanh(m (h - bf)) - off) - vd) + be dv
     #   x + v dt + (a dt) (0.5 dt),  v + a dt
-    # so the result is bit for bit the one written out with temporaries; the
-    # stacked [dv - 0] is exact.  (a dt) (0.5 dt) equals ((0.5 a) dt) dt bit
+    # so the result is bit for bit the one written out with temporaries.  The
+    # work buffer is [x, v, leader x, leader v at row max(k - d, 0) | v at row
+    # k | a]: the leader block minus the own block is [h, dv], and [h, dv, v]
+    # minus [bf, 0, 0] times [m, be, dt] is [m (h - bf), be dv, v dt] in two
+    # calls (subtracting 0 is exact, and so is swapping a product's
+    # operands).  Scaling a by dt in place leaves [v dt, a dt], the step
+    # added to row k's [x, v].  (a dt) (0.5 dt) equals ((0.5 a) dt) dt bit
     # for bit, and reuses a dt: halving a double is exact outside the
     # subnormal range, so (0.5 a) dt is a dt halved, and both forms round the
     # one real product (a dt) dt / 2.
-    got = np.empty(4 * s)  # [x, v, leader x, leader v] at row max(k - d, 0)
-    own, lead, vd = got[: 2 * s], got[2 * s :], got[s : 2 * s]
-    law = np.empty(2 * s)  # [h, dv], then [m (h - bf), be dv]
-    arg, bedv = law[:s], law[s:]
-    a = np.empty(s)
-    h_q, dv_q, vd_q, a_q = law[p:s], law[s + p :], vd[p:], a[p:]  # the linear columns'
-    step = np.empty((2, s))  # [v dt, a dt]
-    vdt, adt = step
+    work = np.empty(6 * s)
+    got, own, vd = work[: 5 * s], work[: 2 * s], work[s : 2 * s]  # got: the take's 5S values
+    lead, hdvv = work[2 * s : 4 * s], work[2 * s : 5 * s]  # lead: [h, dv] after the subtraction
+    arg, bedv, a = work[2 * s : 3 * s], work[3 * s : 4 * s], work[5 * s :]
+    step = work[4 * s :].reshape(2, s)  # [v dt, a dt] once a is scaled
+    # The linear columns' h, dv, own delayed v and acceleration.  Their law
+    # k1 (h - lambda2 vd - lambda3) - k2 (vd - v_star) + k3 dv is built in lin
+    # and term before [h, dv] is scaled, and added into a_q once the FVDM has
+    # written a.
+    h_q, dv_q, vd_q, a_q = lead[p:s], lead[s + p :], vd[p:], a[p:]
+    lin, term = np.empty(q), np.empty(q)
     curve = np.empty(s)  # (a dt) (0.5 dt)
     clamp = np.empty(s, dtype=bool)
+    add, sub, mul, less, maximum = np.add, np.subtract, np.multiply, np.less, np.maximum
+    count_nonzero, copyto = np.count_nonzero, np.copyto
     xv = Z[:, : 2 * s].reshape(n, 2, s)  # a view: row k is [x, v]
     rows = n if accels is not None else n - 1  # rows whose law is evaluated
     for k, cur, nxt in zip(range(rows), xv, chain(xv[1:], (None,))):
-        Zf.take(np.maximum(idx, col, out=clipped) if k < d_max else idx, out=got, mode="wrap")
-        np.add(idx, width, out=idx)
-        np.subtract(lead, own, out=law)
+        if k < d_max:
+            Zf.take(maximum(idx, col, out=clipped), out=got, mode="wrap")
+            add(idx, width, idx)
+        else:
+            Zf[(k - d_max) * w :].take(idx, out=got, mode="wrap")
+        sub(lead, own, lead)
         if q:
-            lin = k1 * (h_q - lam2 * vd_q - lam3) - k2 * (vd_q - v_star) + k3 * dv_q
-        np.subtract(law, bf0, out=law)
-        np.multiply(mbe, law, out=law)
+            mul(lam2, vd_q, lin)
+            sub(h_q, lin, lin)
+            sub(lin, lam3, lin)
+            mul(k1, lin, lin)
+            sub(vd_q, v_stars, term)
+            mul(k2, term, term)
+            sub(lin, term, lin)
+            mul(k3, dv_q, term)
+        sub(hdvv, bf00, hdvv)
+        mul(hdvv, mbedt, hdvv)
         tanh(arg, out=a)
-        np.subtract(a, off, out=a)
-        np.multiply(vm, a, out=a)
-        np.subtract(a, vd, out=a)
-        np.multiply(al, a, out=a)
-        np.add(a, bedv, out=a)
+        sub(a, off, a)
+        mul(vm, a, a)
+        sub(a, vd, a)
+        mul(al, a, a)
+        add(a, bedv, a)
         if q:
-            np.copyto(a_q, lin)
+            add(lin, term, a_q)
         if accels is not None:
             accels[k] = a
             if nxt is None:
                 break
-        np.multiply(cur[1], dts, out=vdt)
-        np.multiply(a, dts, out=adt)
-        np.add(cur, step, out=nxt)
-        np.multiply(adt, half_dts, out=curve)
-        x, v = nxt
-        np.add(x, curve, out=x)
+        mul(a, dts, a)
+        add(cur, step, nxt)
+        mul(a, half_dts, curve)
+        x, v = nxt[0], nxt[1]  # unpacking an array costs an IndexError
+        add(x, curve, x)
         # a speed that would turn negative clamps at zero and the position holds
-        np.less(v, zero, out=clamp)
-        if np.count_nonzero(clamp):
-            np.copyto(v, 0.0, where=clamp)
-            np.copyto(x, cur[0], where=clamp)
+        less(v, zero, clamp)
+        if count_nonzero(clamp):
+            copyto(v, 0.0, where=clamp)
+            copyto(x, cur[0], where=clamp)
     if speeds is not None:
         speeds[...] = Z[:, s : 2 * s]
     return Z[:, :s]

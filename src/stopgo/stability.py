@@ -318,22 +318,40 @@ def platoon_critical_frequency(lins, grid: FrequencyGrid | None = None) -> float
     return min(unstable) if unstable else 0.0
 
 
-def _scan_count(head_log: np.ndarray, log_cum: np.ndarray, n_vehicles: int) -> int:
-    """First-crossing scan shared by the stabilization and safety counts.
+def _scan_count(head_log: np.ndarray, running_max: np.ndarray, n_vehicles: int) -> int:
+    """First-crossing count shared by the stabilization and safety counts.
 
-    head_log is the head term per frequency; log_cum[n] is the cumulative sum
-    of the first n follower log-gains (row 0 is zeros).  The count is the
-    largest n for which the running total stays nonpositive at every
-    frequency; the n at which it first turns positive anywhere is the
-    smallest failing platoon length.  n_vehicles means the scan ran out of
-    followers first.
+    head_log is the head term per frequency; running_max[n] is R_n, the
+    running maximum over m <= n of log_cum[m], the cumulative sum of the
+    first m follower log-gains (row 0 is zeros).  The count is the largest n
+    for which head_log + log_cum[m] stays nonpositive at every frequency for
+    every m <= n; n_vehicles means the platoon ran out first.
+
+    Some m <= n fails at some frequency exactly when max(head_log + R_n) > 0:
+    rounding is monotone, so the rounded head_log + R_n is the largest of the
+    rounded head_log + log_cum[m].  R_n is nondecreasing in n, so after the
+    head term alone (n = 0) and n = n_vehicles the count is bisected, in at
+    most 2 + ceil(log2 n_vehicles) passes.  A NaN sum never fails, as in
+    np.any(sum > 0): fmax skips NaNs where np.maximum would propagate them.
     """
-    if np.any(head_log > 0.0):
+    total = np.empty_like(head_log)
+    fmax = np.fmax.reduce
+
+    def fails(n: int) -> bool:
+        return fmax(np.add(head_log, running_max[n], total)) > 0.0
+
+    if fmax(head_log) > 0.0:
         return 0
-    for n in range(1, n_vehicles + 1):
-        if np.any(head_log + log_cum[n] > 0.0):
-            return n - 1
-    return n_vehicles
+    if not fails(n_vehicles):
+        return n_vehicles
+    ok, bad = 0, n_vehicles  # the count lies in [ok, bad)
+    while bad - ok > 1:
+        mid = (ok + bad) // 2
+        if fails(mid):
+            bad = mid
+        else:
+            ok = mid
+    return ok
 
 
 def _log_gain_cumsum(lins, omegas: np.ndarray) -> np.ndarray:
@@ -356,13 +374,13 @@ def _cell_counter(lins, fgrid: FrequencyGrid, eta: float, lambda2: float):
     if w0 == 0.0:
         return lambda g: (UNBOUNDED_CELL, UNBOUNDED_CELL)
     omegas = fgrid.values(top=w0)
-    log_cum = _log_gain_cumsum(lins, omegas)
+    running_max = np.fmax.accumulate(_log_gain_cumsum(lins, omegas), axis=0)
     n, log_eta = len(lins), math.log(eta)
 
     def counts(g: ControllerGains) -> tuple[int, int]:
         gain, complement = cav_gains_sq(g, lambda2, omegas)
-        return (_scan_count(0.5 * np.log(gain), log_cum, n),
-                _scan_count(0.5 * np.log(complement) - log_eta, log_cum, n))
+        return (_scan_count(0.5 * np.log(gain), running_max, n),
+                _scan_count(0.5 * np.log(complement) - log_eta, running_max, n))
     return counts
 
 

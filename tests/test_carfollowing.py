@@ -521,6 +521,18 @@ def _batch_case(name):
     elif name == "single":
         leaders = [leader_trajectory(SinusoidProfile(12.0, 2.0, 0.4), 30.0)]
         taus, draws = [0.7], [THETA]
+    elif name == "calibration-shaped":
+        # one GA generation: 50 candidates behind each of 4 leaders over 301
+        # rows, delays on the 0.1 s grid in [0, 1] s; behind the leader that
+        # stops, candidates brake to a standstill
+        leaders = [
+            leader_trajectory(SinusoidProfile(12.0, 2.0, 0.4), 30.0),
+            leader_trajectory(PiecewiseProfile(((0.0, 10.0), (8.0, 0.0), (18.0, 6.0))), 30.0),
+            leader_trajectory(SinusoidProfile(6.0, 5.0, 0.9), 30.0),
+            leader_trajectory(PiecewiseProfile(((0.0, 8.0),)), 30.0),
+        ]
+        taus = [i % 11 / 10 for i in range(200)]
+        draws = [_draw_theta(rng) for _ in taus]
     else:
         leaders = [
             leader_trajectory(SinusoidProfile(12.0, 2.0, 0.4), 40.0),
@@ -549,6 +561,7 @@ def _batch_case(name):
 
 @pytest.mark.parametrize("name", [
     "no-delay", "delays-past-the-end", "mixed-groups", "braking-to-a-stop", "single",
+    "calibration-shaped",
 ])
 def test_batch_is_bit_identical_to_the_reference_loop(name):
     thetas, lx, lv, x0, v0, group = _batch_case(name)
@@ -556,7 +569,7 @@ def test_batch_is_bit_identical_to_the_reference_loop(name):
     X = simulate_followers_batch(thetas, lx, lv, x0, v0, group=group)
     assert X.shape == X_ref.shape
     assert np.array_equal(X.view(np.int64), X_ref.view(np.int64))
-    if name == "braking-to-a-stop":
+    if name in ("braking-to-a-stop", "calibration-shaped"):
         assert np.any(V_ref[1:] == 0.0)  # some speed clamped
 
 

@@ -23,14 +23,18 @@ from stopgo.stability import (
     FrequencyGrid,
     GainGridSpec,
     LinearizedHdv,
+    _best_index,
     _brent_root,
     _cell_counter,
+    _log_gain_cumsum,
+    _scan_count,
     cav_gains_sq,
     cav_string_stable,
     count_record,
     delay_margin,
     gain_axis,
     hdv_gain_sq,
+    headway_slack,
     numeric_critical_frequency,
     optimize_gains,
     peak_gain_frequency,
@@ -579,14 +583,19 @@ def _pinned_grid(text: str) -> np.ndarray:
     return np.array(text.split(), dtype=int).reshape(10, 3, 10).transpose(1, 0, 2)
 
 
+# a mixed fleet, mostly string unstable, cycled to 12 followers
+PINNED_FLEET = [(LinearizedHdv(1.6, 0.6, 0.2, 0.0, 0.4), LinearizedHdv(0.5, 2.0, 1.0),
+                 LinearizedHdv(2.2, 0.8, 0.1, 0.0, 0.6), LinearizedHdv(1.2, 1.0, 0.1),
+                 LinearizedHdv(1.9, 0.7, 0.3, 0.0, 0.3), LinearizedHdv(0.8, 1.5, 0.6))[i % 6]
+                for i in range(12)]
+PINNED_GRID = GainGridSpec(gain_axis(0.0, 1.0, 0.5), gain_axis(0.2, 2.0, 0.2),
+                           gain_axis(0.2, 2.0, 0.2))
+
+
 def test_optimize_gains_pinned_on_a_string_unstable_fleet():
-    # a mixed fleet, mostly string unstable; the grids are pinned exactly so
-    # that any change to the counting or the search shows
-    fleet = [LinearizedHdv(1.6, 0.6, 0.2, 0.0, 0.4), LinearizedHdv(0.5, 2.0, 1.0),
-             LinearizedHdv(2.2, 0.8, 0.1, 0.0, 0.6), LinearizedHdv(1.2, 1.0, 0.1),
-             LinearizedHdv(1.9, 0.7, 0.3, 0.0, 0.3), LinearizedHdv(0.8, 1.5, 0.6)]
-    lins = [fleet[i % len(fleet)] for i in range(12)]
-    gspec = GainGridSpec(gain_axis(0.0, 1.0, 0.5), gain_axis(0.2, 2.0, 0.2), gain_axis(0.2, 2.0, 0.2))
+    # the grids are pinned exactly so that any change to the counting or the
+    # search shows
+    lins, gspec = PINNED_FLEET, PINNED_GRID
     res = optimize_gains(lins, EquilibriumSpec(12.0, 0.0, 20.0), 14.0, 26.0, 3.0, grid=gspec,
                          freq_grid=FrequencyGrid(points=1000))
     np.testing.assert_array_equal(res.n_stable_grid, _pinned_grid(PINNED_STABLE))
@@ -594,6 +603,93 @@ def test_optimize_gains_pinned_on_a_string_unstable_fleet():
     # the first cell maximising (min(stable, safe), stable) = (4, 10): k1 0, k2 1.2, k3 0.6
     assert res.best_gains == ControllerGains(gspec.k1_values[0], gspec.k2_values[5], gspec.k3_values[2])
     assert res.eta == 2.0
+
+
+def _linear_scan_count(head_log, log_cum, n_vehicles):
+    """The count by a linear scan: try n = 1, 2, ... until head_log +
+    log_cum[n] turns positive somewhere.  _scan_count's former loop, the
+    reference for its bisection on running maxima."""
+    if np.any(head_log > 0.0):
+        return 0
+    for n in range(1, n_vehicles + 1):
+        if np.any(head_log + log_cum[n] > 0.0):
+            return n - 1
+    return n_vehicles
+
+
+def _linear_scan_search(lins, eq, headway_min, headway_max, beta, grid, fgrid):
+    """optimize_gains' count grids and best cell with every count a linear
+    scan, and how many counts failed at n = 0 (a positive head term)."""
+    eta = headway_slack(eq, headway_min, headway_max, beta)
+    axes = (grid.k1_values, grid.k2_values, grid.k3_values)
+    stable = np.full(tuple(map(len, axes)), INFEASIBLE_CELL)
+    safe = stable.copy()
+    w0 = platoon_critical_frequency(lins, fgrid)
+    if w0 > 0.0:
+        omegas = fgrid.values(top=w0)
+        log_cum = _log_gain_cumsum(lins, omegas)
+    at_zero = 0
+    for index in np.ndindex(stable.shape):
+        g = ControllerGains(*(axis[i] for axis, i in zip(axes, index)))
+        if not cav_string_stable(g, eq.lambda2):
+            continue
+        if w0 == 0.0:
+            stable[index] = safe[index] = UNBOUNDED_CELL
+            continue
+        gain, complement = cav_gains_sq(g, eq.lambda2, omegas)
+        heads = 0.5 * np.log(gain), 0.5 * np.log(complement) - math.log(eta)
+        stable[index], safe[index] = (_linear_scan_count(h, log_cum, len(lins)) for h in heads)
+        at_zero += sum(bool(np.any(h > 0.0)) for h in heads)
+    return stable, safe, _best_index(stable, safe), at_zero
+
+
+@pytest.mark.parametrize("fleet", ["readme", "reaches-the-platoon-length", "unbounded",
+                                   "fails-at-zero"])
+def test_bisected_counts_match_the_linear_scan(fleet):
+    """Count grids and best cell bit for bit against the linear scan."""
+    readme = _synthetic_linearization()[0]
+    lins, eq, band, grid, fgrid = {
+        # the README example's driver cycled to 20, on two k1 slices of the default grid
+        "readme": ([readme] * 20, EquilibriumSpec(12.0, 0.0, 20.0), (10.0, 30.0),
+                   GainGridSpec(k1_values=(0.0, 1.0)), FrequencyGrid()),
+        "reaches-the-platoon-length": (PINNED_FLEET, EquilibriumSpec(12.0, 0.0, 20.0),
+                                       (14.0, 26.0), PINNED_GRID, FrequencyGrid(points=1000)),
+        "unbounded": ([LinearizedHdv(0.5, 2.0, 1.0)] * 6, EquilibriumSpec(12.0, 0.0, 20.0),
+                      (14.0, 26.0), PINNED_GRID, FrequencyGrid(points=1000)),
+        # a narrow safe band: |1 - T_A| alone exceeds the margin at some frequency
+        "fails-at-zero": (PINNED_FLEET, EquilibriumSpec(12.0, 0.0, 20.0), (19.5, 20.5),
+                          PINNED_GRID, FrequencyGrid(points=1000)),
+    }[fleet]
+    res = optimize_gains(lins, eq, *band, 3.0, grid=grid, freq_grid=fgrid)
+    stable, safe, best, at_zero = _linear_scan_search(lins, eq, *band, 3.0, grid, fgrid)
+    np.testing.assert_array_equal(res.n_stable_grid, stable)
+    np.testing.assert_array_equal(res.n_safe_grid, safe)
+    assert res.best_index == best
+    cells = np.concatenate([stable.ravel(), safe.ravel()])
+    assert {"readme": (cells > 0).any(),
+            "reaches-the-platoon-length": (cells == len(lins)).any(),
+            "unbounded": (cells == UNBOUNDED_CELL).any() and not (cells >= 0).any(),
+            "fails-at-zero": at_zero > 0}[fleet]
+
+
+def test_scan_count_matches_the_linear_scan_through_infinities_and_nans():
+    """A NaN sum never fails, a -inf head term never fails and a +inf one
+    always does, as in the linear scan's np.any(sum > 0)."""
+    rng = np.random.default_rng(24)
+    special = np.array([-np.inf, np.inf, np.nan])
+    for _ in range(2000):
+        n_vehicles, points = int(rng.integers(0, 9)), int(rng.integers(1, 6))
+        head = rng.normal(-4.0, 2.0, points)
+        logs = rng.normal(0.5, 1.0, (n_vehicles + 1, points))
+        logs[0] = 0.0
+        for values in (head, logs[1:]):
+            hit = rng.uniform(size=values.shape) < 0.04
+            values[hit] = rng.choice(special, int(hit.sum()))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            log_cum = np.cumsum(logs, axis=0)
+            want = _linear_scan_count(head, log_cum, n_vehicles)
+            got = _scan_count(head, np.fmax.accumulate(log_cum, axis=0), n_vehicles)
+        assert got == want
 
 
 def test_optimize_gains_marks_infeasible_cells():
