@@ -372,11 +372,9 @@ def cmd_smooth(args) -> StageResult:
     cfg = SmoothingConfig(t_x=args.tx, t_v=args.tv, t_a=args.ta)
 
     vid = table.vehicle_id
-    bounds = [0, *(np.flatnonzero(vid[1:] != vid[:-1]) + 1).tolist(), len(table)]
-    raw_a, x, v, a = (np.empty(len(table)) for _ in range(4))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):  # one vehicle's frames
-        raw_a[lo:hi] = differentiate(differentiate(table.local_y[lo:hi]))
-        x[lo:hi], v[lo:hi], a[lo:hi] = smooth_trajectory(table.local_y[lo:hi], cfg)
+    starts = np.r_[0, np.flatnonzero(vid[1:] != vid[:-1]) + 1]  # each vehicle's first row
+    raw_a = differentiate(differentiate(table.local_y, starts=starts), starts=starts)
+    x, v, a = smooth_trajectory(table.local_y, cfg, starts)
     out = _outdir(args)
     write_canonical_csv(replace(table, local_y=x, speed=v, accel=a), out / "smoothed.npz")
     _write_json(out / "smooth_summary.json", {  # the grouped table is never empty

@@ -309,13 +309,10 @@ def _brent_root(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int 
 
 def platoon_critical_frequency(lins, grid: FrequencyGrid | None = None) -> float:
     """Lowest unstable vehicle's critical frequency; 0 when every vehicle in
-    the platoon is string stable on its own."""
-    unstable = []
-    for lin in lins:
-        w0 = numeric_critical_frequency(lin, grid)
-        if w0 > 0.0:
-            unstable.append(w0)
-    return min(unstable) if unstable else 0.0
+    the platoon is string stable on its own.  A driver that recurs in the
+    platoon is evaluated once."""
+    w0s = (numeric_critical_frequency(lin, grid) for lin in dict.fromkeys(lins))
+    return min((w0 for w0 in w0s if w0 > 0.0), default=0.0)
 
 
 def _scan_count(head_log: np.ndarray, running_max: np.ndarray, n_vehicles: int) -> int:
@@ -355,10 +352,9 @@ def _scan_count(head_log: np.ndarray, running_max: np.ndarray, n_vehicles: int) 
 
 
 def _log_gain_cumsum(lins, omegas: np.ndarray) -> np.ndarray:
-    rows = [np.zeros_like(omegas)]
-    for lin in lins:
-        rows.append(0.5 * np.log(hdv_gain_sq(lin, omegas)))
-    return np.cumsum(np.vstack(rows), axis=0)
+    # a cycled fleet repeats its drivers: each distinct one is evaluated once
+    log_gain = {lin: 0.5 * np.log(hdv_gain_sq(lin, omegas)) for lin in dict.fromkeys(lins)}
+    return np.cumsum(np.vstack([np.zeros_like(omegas), *map(log_gain.get, lins)]), axis=0)
 
 
 def peak_gain_frequency(lins, omegas: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,3 +169,127 @@ def test_smooth_trajectory_cuts_noise_variance():
     # endpoints pass through unsmoothed, so compare away from them too
     assert np.var(a_smooth) < 0.1 * np.var(a_raw)
     assert np.var(a_smooth[10:-10]) < 0.01 * np.var(a_raw[10:-10])
+
+
+# ---------------------------------------------------------------- blocks
+
+
+def _reference_sema_smooth(series, T, dt=0.1):
+    """One series smoothed sample by sample: each end sample is its own
+    np.dot of the shrunk window with the kernel's middle."""
+    x = np.asarray(series, dtype=float)
+    n = x.size
+    delta = T / dt
+    d_max = math.floor(3.0 * delta)
+    if d_max == 0 or n == 1:
+        return x.copy()
+    out = np.empty(n)
+    kernel = np.exp(-np.abs(np.arange(-d_max, d_max + 1)) / delta)
+    if n - d_max > d_max:
+        out[d_max : n - d_max] = np.convolve(x, kernel, mode="valid") / kernel.sum()
+    for i in range(min(d_max, n)):
+        for idx in {i, n - 1 - i}:
+            d = min(d_max, idx, n - 1 - idx)
+            w = kernel[d_max - d : d_max + d + 1]
+            out[idx] = np.dot(x[idx - d : idx + d + 1], w) / w.sum()
+    return out
+
+
+def _reference_differentiate(series, dt=0.1):
+    x = np.asarray(series, dtype=float)
+    return np.zeros(1) if x.size == 1 else np.gradient(x, dt)
+
+
+def _reference_trajectory(x, config):
+    v = _reference_differentiate(x)
+    a = _reference_differentiate(v)
+    return (_reference_sema_smooth(x, config.t_x), _reference_sema_smooth(v, config.t_v),
+            _reference_sema_smooth(a, config.t_a))
+
+
+def _each_block(fn, x, starts):
+    """fn applied to each block of x alone, the results laid end to end."""
+    bounds = [*starts, x.size]
+    return np.concatenate([fn(x[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _column(rng, lengths):
+    """Noisy positions of vehicles of the given lengths laid end to end, with
+    some exact -0.0 samples, and each vehicle's first row."""
+    x = np.cumsum(rng.normal(1.0, 0.5, sum(lengths)))
+    x[rng.random(x.size) < 0.05] = -0.0
+    return x, np.cumsum([0, *lengths[:-1]])
+
+
+def _random_lengths(rng, d_max):
+    # 1-3 rows, shorter than the full window, about its width, and much longer
+    pool = [1, 2, 3, max(1, d_max), max(1, 2 * d_max), 2 * d_max + 1, 2 * d_max + 2,
+            int(rng.integers(1, 2 * d_max + 2)), int(rng.integers(4 * d_max + 1, 6 * d_max + 50))]
+    return [int(rng.choice(pool)) for _ in range(int(rng.integers(1, 9)))]
+
+
+# T = 0.01 s gives d_max = 0; the others are SmoothingConfig's default widths
+@pytest.mark.parametrize("T", [0.5, 1.0, 4.0, 0.01])
+def test_blocks_smooth_as_each_block_alone(T):
+    d_max = math.floor(3.0 * T / 0.1)
+    rng = np.random.default_rng(int(100 * T))
+    for _ in range(40):
+        x, starts = _column(rng, _random_lengths(rng, d_max))
+        ref = _each_block(lambda b: _reference_sema_smooth(b, T), x, starts)
+        assert _same_bits(sema_smooth(x, T, starts=starts), ref)
+
+
+def test_blocks_differentiate_as_np_gradient_on_each_block():
+    rng = np.random.default_rng(21)
+    for _ in range(100):
+        x, starts = _column(rng, _random_lengths(rng, 5))
+        ref = _each_block(_reference_differentiate, x, starts)
+        assert _same_bits(differentiate(x, starts=starts), ref)
+
+
+@pytest.mark.parametrize("config", [SmoothingConfig(), SmoothingConfig(t_x=0.01, t_v=0.3, t_a=2.0)])
+def test_trajectory_blocks_smooth_as_each_vehicle_alone(config):
+    rng = np.random.default_rng(22)
+    for _ in range(15):
+        x, starts = _column(rng, _random_lengths(rng, 120))
+        alone = [_each_block(lambda b, q=q: _reference_trajectory(b, config)[q], x, starts)
+                 for q in range(3)]
+        for got, ref in zip(smooth_trajectory(x, config, starts), alone):
+            assert _same_bits(got, ref)
+
+
+def test_short_first_vehicle_and_signed_zero_ends():
+    # a column that opens with a 3-row vehicle; the 2-row vehicle's -0.0
+    # positions pass through with their sign, as np.dot of one sample keeps it
+    rng = np.random.default_rng(23)
+    x, starts = _column(rng, [3, 500, 1, 2, 250])
+    x[504:506] = -0.0
+    for T in (0.5, 1.0, 4.0):
+        out = sema_smooth(x, T, starts=starts)
+        assert _same_bits(out, _each_block(lambda b: _reference_sema_smooth(b, T), x, starts))
+        assert np.signbit(out[504:506]).all()
+
+
+def test_wide_kernel_allocates_by_the_data():
+    # d_max = 300,000 rows: the kernel reaches only as far as 50 samples need
+    x = np.random.default_rng(24).normal(size=50)
+    tracemalloc.start()
+    try:
+        out = sema_smooth(x, T=1e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert _same_bits(out, _reference_sema_smooth(x, T=1e4))
+
+
+@pytest.mark.parametrize("starts", [(), (1,), (0, 0, 5), (0, 7, 3), (0, 10)])
+def test_starts_must_rise_from_zero_inside_the_series(starts):
+    with pytest.raises(ValueError, match="starts must rise strictly from 0"):
+        sema_smooth(np.ones(10), T=1.0, starts=starts)
+    with pytest.raises(ValueError, match="starts must rise strictly from 0"):
+        differentiate(np.ones(10), starts=starts)

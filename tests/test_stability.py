@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from stopgo import stability
 from stopgo.carfollowing import (
     FvdmParams,
     SinusoidProfile,
@@ -353,6 +354,23 @@ def test_platoon_critical_frequency_minimum_over_unstable():
     assert wb > wa
     assert platoon_critical_frequency([b, stable, a]) == pytest.approx(wa, rel=1e-12)
     assert platoon_critical_frequency([stable, stable]) == 0.0
+
+
+def test_cycled_fleet_evaluates_each_distinct_driver_once(monkeypatch):
+    a = LinearizedHdv(2.0, 0.6, 0.1)
+    b = LinearizedHdv(3.0, 0.5, 0.1)
+    fleet = [a, b, LinearizedHdv(2.0, 0.6, 0.1)] * 7  # the third driver equals a
+    real = stability.numeric_critical_frequency
+    calls = []
+    monkeypatch.setattr(stability, "numeric_critical_frequency",
+                        lambda lin, grid=None: calls.append(lin) or real(lin, grid))
+    w0 = platoon_critical_frequency(fleet)
+    assert calls == [a, b]
+    assert w0 == min(real(a), real(b))
+    # the cumulative log gains keep every row's bits: one row per vehicle, in order
+    omegas = FrequencyGrid().values(top=w0)
+    rows = [np.zeros_like(omegas), *(0.5 * np.log(hdv_gain_sq(lin, omegas)) for lin in fleet)]
+    assert _log_gain_cumsum(fleet, omegas).tobytes() == np.cumsum(np.vstack(rows), axis=0).tobytes()
 
 
 def test_peak_gain_frequency_maximizes_the_string_gain():
