@@ -11,8 +11,8 @@ column's law reads the delayed states of itself and of what it follows (a
 recorded leader or another simulated column), then each takes a
 constant-acceleration step with its speed clamped at zero (no reversing).
 Calibration runs many candidate models behind recorded leaders in one call;
-simulate_string runs one string, numbering its trajectories from the
-leader (0).  After the loop, the first frame at which any gap (spacing
+simulate_string runs one string, listing its trajectories from the
+leader (index 0).  After the loop, the first frame at which any gap (spacing
 minus the length of the vehicle ahead) is nonpositive raises
 CollisionDetected, naming the frontmost vehicle that reached its
 predecessor there and carrying every trajectory cut at that frame.
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -179,12 +178,7 @@ class SinusoidProfile:
         return self.v_mean + self.amplitude * np.sin(self.omega * t)
 
 
-def leader_trajectory(
-    profile,
-    duration: float,
-    dt: float = DT,
-    vehicle_id: int = 1,
-) -> Trajectory:
+def leader_trajectory(profile, duration: float, dt: float = DT) -> Trajectory:
     """Sample a speed profile from frame 0 and integrate it to positions (trapezoid rule)."""
     n = int(round(duration / dt)) + 1
     t = np.arange(n) * dt
@@ -193,7 +187,7 @@ def leader_trajectory(
     x[0] = 0.0
     np.cumsum(0.5 * (v[:-1] + v[1:]) * dt, out=x[1:])
     a = np.gradient(v, dt) if n > 1 else np.zeros(1)
-    return Trajectory(vehicle_id, 0, x, v, a, VEHICLE_LENGTH, dt)
+    return Trajectory(0, x, v, a, VEHICLE_LENGTH, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +204,8 @@ def simulate_string(lead: Trajectory, vehicles, x0, v0, v_star: float) -> list[T
     vehicles[0] follows lead and vehicles[i] vehicles[i - 1]; each is an
     FvdmParams (a human driver), a Cav or a LinearizedHdv, and the linear
     laws regulate toward v_star.  x0 and v0 are scalars or one per vehicle.
-    Returns the trajectories lead-first on lead's frames, vehicles[i] with
-    vehicle_id i + 1; the first is lead on views of its arrays, not copies.
+    Returns the trajectories lead-first on lead's frames, vehicles[i] at
+    index i + 1; the first is lead on views of its arrays, not copies.
     The first frame at which any gap (spacing minus the length of the
     vehicle ahead) is nonpositive raises CollisionDetected, naming the
     frontmost vehicle there by its index in that list, with every
@@ -242,9 +236,8 @@ def simulate_string(lead: Trajectory, vehicles, x0, v0, v_star: float) -> list[T
     end = int(frames[0]) + 1 if len(frames) else n
     trajs = [replace(lead, positions=lead.positions[:end], speeds=lead.speeds[:end],
                      accels=lead.accels[:end])] + [
-        Trajectory(i, lead.start_frame, x, v, a, VEHICLE_LENGTH, dt)
-        for i, (x, v, a) in enumerate(
-            zip(X[:end, 1:].T.copy(), V[:end, col].T.copy(), A[:end, col].T.copy()), start=1)
+        Trajectory(lead.start_frame, x, v, a, VEHICLE_LENGTH, dt)
+        for x, v, a in zip(X[:end, 1:].T.copy(), V[:end, col].T.copy(), A[:end, col].T.copy())
     ]
     if len(frames):
         raise CollisionDetected(int(hit[end - 1].argmax()) + 1, lead.start_frame + end - 1,
@@ -261,16 +254,19 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
     several pairs behind their recorded leaders, and a platoon is a chain of
     columns.  The S = P + Q simulated columns are P FVDM drivers then Q
     linear-law vehicles; column c follows group[c], an index into [G leader
-    columns | S simulated columns].  One (N, 2S + 2G) state array holds
-    every row as [x of the S columns | their v | x of the G leaders | their
-    v].  Each step gathers, in one take into a work buffer of 6S doubles,
-    every column's own x and v and those of what it follows at row
-    max(k - d, 0), d its delay in samples, and its own v at row k; from row
-    max(d) on, the take reads fixed indices from the view of the state
-    array that starts max(d) rows back.  The law and the step [v dt, a dt]
-    are then computed in that buffer in place.  Row k + 1 reads no row past
-    k, so a column may follow a simulated column, and a leader shorter than
-    N can be padded with its last sample.
+    columns | S simulated columns].  One state array holds every row as
+    [x of the S columns | their v | x of the G leaders | their v]: the N
+    rows, after pad = max(d) copies of row 0 (d, a column's delay in samples,
+    is capped at N - 1, as a longer delay reads row 0 throughout) and before
+    one scratch row.  So row max(k - d, 0) holds the values of padded row
+    k + pad - d, and each step gathers, in one take of fixed indices from
+    the view that starts at padded row k, every column's own x and v and
+    those of what it follows at row max(k - d, 0), and its own v at row k,
+    into a work buffer of 6S doubles.  The law and the step [v dt, a dt] are
+    then computed in that buffer in place and written to the next row; the
+    step after row N - 1's law lands in the scratch row.  Row k + 1 reads
+    no row past k, so a column may follow a simulated column, and a leader
+    shorter than N can be padded with its last sample.
     A speed that would turn negative clamps at zero and the position holds.
     No collision check here; callers inspect the returned spacings.
 
@@ -282,6 +278,7 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
             g >= G simulated column g - G, never the column itself.
         linear: (Q, 6) rows k1, k2, k3, lambda2, lambda3, tau of the linear
             law k1 (h - lambda2 vd - lambda3) - k2 (vd - v_star) + k3 dv.
+            Every tau, here or in thetas, must be finite and nonnegative.
         v_star: the linear law's target speed.
         speeds, accels: optional (N, S) arrays to fill with every column's
             speeds and accelerations; the law is evaluated at row N - 1 too.
@@ -323,7 +320,13 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
     coef[p:, -1] = linear[:, 5]
     al, be, bc, bf, vm, m, tau = coef.T.copy()
     k1, k2, k3, lam2, lam3 = linear[:, :5].T.copy()
-    d = np.floor(tau / dt + 0.5).astype(int)
+    if not (np.isfinite(tau).all() and np.all(tau >= 0.0)):
+        raise ValueError("every delay tau must be finite and nonnegative")
+    # the cap keeps the padding at N - 1 rows or fewer for any finite tau,
+    # also one whose tau / dt overflows to inf
+    with np.errstate(over="ignore"):
+        d = np.minimum(np.floor(tau / dt + 0.5), n - 1).astype(int)
+    pad = int(d.max(initial=0))
     off = np.empty(s)
     tanh(m * (bc - bf), out=off)
     # constants as arrays: a Python float costs a conversion on every call
@@ -332,30 +335,26 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
     bf00, mbedt = np.concatenate([bf, zero, zero]), np.concatenate([m, be, dts])
 
     w = 2 * s + 2 * g
-    Z = np.empty((n, w))
-    Z[0, :s] = x0
-    Z[0, s : 2 * s] = v0
-    Z[:, 2 * s : 2 * s + g] = leader_x
-    Z[:, 2 * s + g :] = leader_v
+    Z = np.empty((pad + n + 1, w))  # pad copies of row 0, the N rows, a scratch row
+    Z[pad, :s] = x0
+    Z[pad, s : 2 * s] = v0
+    Z[pad : pad + n, 2 * s : 2 * s + g] = leader_x
+    Z[pad : pad + n, 2 * s + g :] = leader_v
+    Z[:pad] = Z[pad]
     Zf = Z.ravel()
     # state columns of what each column follows: a leader's x and v, or a
     # simulated column's
     ahead = group < g
     ahead_x = np.where(ahead, 2 * s + group, group - g)
     ahead_v = np.where(ahead, 2 * s + g + group, s + group - g)
-    # flat index of (max(k - d, 0), col) is max(k * w - d * w + col, col) for
-    # each column's own x and v and its leader's x and v, and k * w + col for
-    # its own v at row k (delay 0).  Below row d_max, idx holds row k's
-    # indices before the max and grows by w each step; from row d_max on none
-    # is below col, and idx, frozen at row d_max's indices, is taken from the
-    # view of Zf that starts at row k - d_max.  Every index gathered lies
-    # inside Z, so take's "wrap" mode never wraps; it only skips the bounds
-    # check.
+    # row k is padded row k + pad, and row max(k - d, 0) holds the values of
+    # padded row k + pad - d.  So in the view of Zf that starts at padded row
+    # k, the flat index of each column's own x and v and its leader's x and v
+    # is col + (pad - d) w, and that of its own v at row k is col + pad w.
+    # Every index gathered lies inside Z, so take's "wrap" mode never wraps;
+    # it only skips the bounds check.
     col = np.concatenate([np.arange(2 * s), ahead_x, ahead_v, np.arange(s, 2 * s)])
-    idx = col - np.concatenate([np.tile(d, 4), np.zeros_like(d)]) * w
-    clipped = np.empty_like(idx)
-    width = np.array(w)
-    d_max = int(d.max(initial=0))
+    idx = col + (pad - np.concatenate([np.tile(d, 4), np.zeros_like(d)])) * w
 
     # Each float operation keeps the operands and order of
     #   a = al (vm (tanh(m (h - bf)) - off) - vd) + be dv
@@ -383,16 +382,12 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
     lin, term = np.empty(q), np.empty(q)
     curve = np.empty(s)  # (a dt) (0.5 dt)
     clamp = np.empty(s, dtype=bool)
-    add, sub, mul, less, maximum = np.add, np.subtract, np.multiply, np.less, np.maximum
+    add, sub, mul, less = np.add, np.subtract, np.multiply, np.less
     count_nonzero, copyto = np.count_nonzero, np.copyto
-    xv = Z[:, : 2 * s].reshape(n, 2, s)  # a view: row k is [x, v]
+    xv = Z[:, : 2 * s].reshape(len(Z), 2, s)  # a view: padded row k is [x, v]
     rows = n if accels is not None else n - 1  # rows whose law is evaluated
-    for k, cur, nxt in zip(range(rows), xv, chain(xv[1:], (None,))):
-        if k < d_max:
-            Zf.take(maximum(idx, col, out=clipped), out=got, mode="wrap")
-            add(idx, width, idx)
-        else:
-            Zf[(k - d_max) * w :].take(idx, out=got, mode="wrap")
+    for k, cur, nxt in zip(range(rows), xv[pad:], xv[pad + 1 :]):
+        Zf[k * w :].take(idx, out=got, mode="wrap")
         sub(lead, own, lead)
         if q:
             mul(lam2, vd_q, lin)
@@ -415,8 +410,6 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
             add(lin, term, a_q)
         if accels is not None:
             accels[k] = a
-            if nxt is None:
-                break
         mul(a, dts, a)
         add(cur, step, nxt)
         mul(a, half_dts, curve)
@@ -428,8 +421,8 @@ def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT,
             copyto(v, 0.0, where=clamp)
             copyto(x, cur[0], where=clamp)
     if speeds is not None:
-        speeds[...] = Z[:, s : 2 * s]
-    return Z[:, :s]
+        speeds[...] = Z[pad : pad + n, s : 2 * s]
+    return Z[pad : pad + n, :s]
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +451,11 @@ def simulate_platoon(vehicles, lead_profile, v_star: float, duration: float,
     """Simulate a string of vehicles behind a leader driving lead_profile.
 
     Every vehicle starts at v_star, its own equilibrium headway behind the
-    one ahead.  Returns simulate_string's trajectories: the leader is
-    vehicle 0 and vehicles[i] vehicle i + 1, and a collision raises
+    one ahead.  Returns simulate_string's trajectories: the leader at
+    index 0 and vehicles[i] at index i + 1, and a collision raises
     CollisionDetected with every trajectory cut at its frame.
     """
-    leader = leader_trajectory(lead_profile, duration, dt=dt, vehicle_id=0)
+    leader = leader_trajectory(lead_profile, duration, dt=dt)
     headways = [_vehicle_eq_headway(vehicle, v_star) for vehicle in vehicles]
     # each start is the one ahead minus its headway, subtracted in chain order
     x0 = np.subtract.accumulate([leader.positions[0], *headways])[1:]

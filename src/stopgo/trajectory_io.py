@@ -84,7 +84,6 @@ class Trajectory:
     Frames run start_frame, start_frame+1, ... with spacing dt seconds.
     """
 
-    vehicle_id: int
     start_frame: int
     positions: np.ndarray
     speeds: np.ndarray

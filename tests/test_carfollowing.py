@@ -224,7 +224,7 @@ def test_platoon_structure_and_equilibrium_hold():
         LinearizedHdv(1.0, 1.5, 0.8, 0.0, tau=0.2, lambda3=20.0),
     )
     trajs = simulate_platoon(vehicles, PiecewiseProfile(((0.0, 12.0),)), 12.0, 40.0)
-    assert [tr.vehicle_id for tr in trajs] == [0, 1, 2, 3]
+    assert len(trajs) == len(vehicles) + 1
     assert len({tr.n for tr in trajs}) == 1
     for tr in trajs:
         np.testing.assert_allclose(tr.speeds, 12.0, atol=1e-9)
@@ -264,7 +264,7 @@ def _reference_march(vehicles, lead_profile, v_star, duration, dt=DT):
     """(positions, speeds, accelerations) per vehicle, leader first, from the
     per-vehicle march: each vehicle runs to the end behind its predecessor's
     finished trajectory, one scalar step at a time, through any collision."""
-    leader = leader_trajectory(lead_profile, duration, dt=dt, vehicle_id=0)
+    leader = leader_trajectory(lead_profile, duration, dt=dt)
     out = [(leader.positions, leader.speeds, leader.accels)]
     for vehicle in vehicles:
         prev_x, prev_v, _ = out[-1]
@@ -323,7 +323,7 @@ def test_string_loop_matches_per_vehicle_march(vehicles, profile):
         assert len(hits) and (err.frame, err.vehicle_index) == (hits[0][0], hits[0][1] + 1)
         end = err.frame + 1
     assert (end < gaps.shape[1]) == (vehicles is MIXED_STRING)
-    assert [tr.vehicle_id for tr in trajs] == list(range(len(vehicles) + 1))
+    assert len(trajs) == len(vehicles) + 1
     for tr, (x, v, a) in zip(trajs, ref, strict=True):
         np.testing.assert_array_equal(tr.positions, x[:end])
         np.testing.assert_array_equal(tr.speeds, v[:end])
@@ -342,7 +342,7 @@ def test_collision_names_the_first_frame_of_any_vehicle():
         simulate_platoon(vehicles, PiecewiseProfile(((0, 12), (5, 9), (60, 0))), 12.0, 120.0)
     err, cut = exc.value, exc.value.partial
     assert (err.vehicle_index, err.frame) == (2, 66)
-    assert [tr.vehicle_id for tr in cut] == [0, 1, 2]
+    assert len(cut) == len(vehicles) + 1
     assert all(tr.start_frame + tr.n - 1 == 66 for tr in cut)
     assert cut[1].positions[-1] - cut[2].positions[-1] <= VEHICLE_LENGTH
     assert np.all(cut[0].positions - cut[1].positions > VEHICLE_LENGTH)
@@ -539,12 +539,14 @@ def _batch_case(name):
             leader_trajectory(SinusoidProfile(10.0, 3.0, 0.9), 40.0),
             leader_trajectory(PiecewiseProfile(((0.0, 8.0),)), 25.0),
         ]
-        if name == "delays-past-the-end":
-            # 11 rows; delays of 15, 20 and 30 samples read row 0 throughout
+        if name in ("delays-past-the-end", "huge-delays"):
+            # 11 rows; delays of 15, 20 and 30 samples, or of 10^7, read row
+            # 0 throughout
             leaders = [replace(tr, positions=tr.positions[:11], speeds=tr.speeds[:11],
                                accels=tr.accels[:11]) for tr in leaders]
         taus = {"no-delay": [0.0] * 6,
                 "delays-past-the-end": [1.5, 3.0, 2.0, 0.3, 0.0, 3.0],
+                "huge-delays": [1e6, 1.5, 0.0, 1e6, 0.3, 1e6],
                 "mixed-groups": [0.0, 3.0, 0.0, 3.0, 0.0, 3.0, 0.7, 1.3, 2.2, 0.4]}[name]
         draws = [_draw_theta(rng) for _ in taus]
     thetas = np.array([th.as_array() for th in draws])
@@ -560,15 +562,17 @@ def _batch_case(name):
 
 
 @pytest.mark.parametrize("name", [
-    "no-delay", "delays-past-the-end", "mixed-groups", "braking-to-a-stop", "single",
-    "calibration-shaped",
+    "no-delay", "delays-past-the-end", "huge-delays", "mixed-groups", "braking-to-a-stop",
+    "single", "calibration-shaped",
 ])
 def test_batch_is_bit_identical_to_the_reference_loop(name):
     thetas, lx, lv, x0, v0, group = _batch_case(name)
     X_ref, V_ref = _reference_batch(thetas, lx, lv, x0, v0, group=group)
-    X = simulate_followers_batch(thetas, lx, lv, x0, v0, group=group)
+    V = np.empty_like(V_ref)
+    X = simulate_followers_batch(thetas, lx, lv, x0, v0, group=group, speeds=V)
     assert X.shape == X_ref.shape
     assert np.array_equal(X.view(np.int64), X_ref.view(np.int64))
+    assert np.array_equal(V.view(np.int64), V_ref.view(np.int64))
     if name in ("braking-to-a-stop", "calibration-shaped"):
         assert np.any(V_ref[1:] == 0.0)  # some speed clamped
 
@@ -589,20 +593,60 @@ def _valid_batch_args():
                 leader_v=leader.speeds[:, None], x0=-18.0, v0=8.0, group=[0, 0])
 
 
-@pytest.mark.parametrize("field, value", [
-    ("thetas", np.array([[*THETA.as_array(), 0.0]] * 2)),
-    ("thetas", np.array([THETA.as_array()[:6]] * 2)),
-    ("x0", np.zeros(3)),
-    ("v0", np.zeros((2, 1))),
-    ("leader_x", np.empty((0, 1))),
-], ids=["theta-columns-8", "theta-columns-6", "x0-shape", "v0-shape", "no-rows"])
-def test_batch_rejects_bad_shapes(field, value):
-    args = _valid_batch_args()
-    args[field] = value
-    if field == "leader_x":
-        args["leader_v"] = value
+def _with_tau(tau):
+    """Two linear columns in place of the FVDM ones, the second delayed by tau."""
+    return {"thetas": np.empty((0, 7)),
+            "linear": [[0.5, 1.0, 0.5, 0.0, 20.0, 0.0], [1.0, 1.5, 0.8, 0.0, 20.0, tau]]}
+
+
+@pytest.mark.parametrize("changes", [
+    {"thetas": np.array([[*THETA.as_array(), 0.0]] * 2)},
+    {"thetas": np.array([THETA.as_array()[:6]] * 2)},
+    {"x0": np.zeros(3)},
+    {"v0": np.zeros((2, 1))},
+    {"leader_x": np.empty((0, 1)), "leader_v": np.empty((0, 1))},
+    {"thetas": np.array([THETA.as_array(), [*THETA.as_array()[:6], -0.5]])},
+    {"thetas": np.array([THETA.as_array(), [*THETA.as_array()[:6], np.nan]])},
+    {"thetas": np.array([THETA.as_array(), [*THETA.as_array()[:6], np.inf]])},
+    _with_tau(-0.5),
+    _with_tau(np.nan),
+    _with_tau(np.inf),
+], ids=["theta-columns-8", "theta-columns-6", "x0-shape", "v0-shape", "no-rows",
+        "theta-tau-negative", "theta-tau-nan", "theta-tau-inf", "linear-tau-negative",
+        "linear-tau-nan", "linear-tau-inf"])
+def test_batch_rejects_bad_shapes(changes):
+    args = _valid_batch_args() | changes
     with pytest.raises(ValueError):
         simulate_followers_batch(**args)
+
+
+def test_batch_accepts_the_linear_columns_the_tau_cases_change():
+    # the rejected tau cases fail on tau alone
+    simulate_followers_batch(**_valid_batch_args() | _with_tau(0.3))
+
+
+def test_a_delay_past_the_float_range_runs_as_a_delay_past_the_end():
+    # tau / dt overflows to inf for tau = 1e308 s; like 1e6 s, it reads row 0 throughout
+    thetas, lx, lv, x0, v0, group = _batch_case("huge-delays")
+    past_the_end = simulate_followers_batch(thetas, lx, lv, x0, v0, group=group)
+    thetas[thetas[:, -1] == 1e6, -1] = 1e308
+    overflowing = simulate_followers_batch(thetas, lx, lv, x0, v0, group=group)
+    assert np.array_equal(overflowing.view(np.int64), past_the_end.view(np.int64))
+
+
+def _peak_bytes(thetas, lx, lv, x0, v0, group):
+    """The peak of memory traced while the kernel runs on these inputs."""
+    tracemalloc.start()
+    try:
+        simulate_followers_batch(thetas, lx, lv, x0, v0, group=group)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _state_array_bound(n, p, g):
+    """N rows of the state array of P columns behind G leaders, and 1 KiB per column."""
+    return n * (2 * p + 2 * g) * 8 + 1024 * p
 
 
 def test_batch_memory_is_the_state_array_and_per_candidate_buffers():
@@ -612,11 +656,17 @@ def test_batch_memory_is_the_state_array_and_per_candidate_buffers():
     lv = np.repeat(leader.speeds[:, None], g, axis=1)
     thetas = np.array([THETA.as_array()] * p)
     group = np.arange(p) % g
-    tracemalloc.start()
-    try:
-        simulate_followers_batch(thetas, lx, lv, leader.positions[0] - 18.0, 12.0, group=group)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _peak_bytes(thetas, lx, lv, leader.positions[0] - 18.0, 12.0, group)
     # an (N, P) table would add 6.4 MB over the state array
-    assert peak <= n * (2 * p + 2 * g) * 8 + 1024 * p
+    assert peak <= _state_array_bound(n, p, g)
+
+
+def test_huge_delays_stay_within_the_memory_bound():
+    # delays of 10^7 samples on 11 rows pad the history by 10 rows, not
+    # 10^7.  The case's columns run 50 times over, so that the bound's 1 KiB
+    # per column covers the kernel's fixed allocations.
+    thetas, lx, lv, x0, v0, group = _batch_case("huge-delays")
+    reps = 50
+    peak = _peak_bytes(np.tile(thetas, (reps, 1)), lx, lv, np.tile(x0, reps), np.tile(v0, reps),
+                       np.tile(group, reps))
+    assert peak <= _state_array_bound(len(lx), reps * len(thetas), lx.shape[1])

@@ -682,13 +682,14 @@ def test_calibration_names_each_window_of_a_pair(tmp_path):
         (i, g) for i, r in enumerate(results) for g in range(r["generations_run"] + 1)]
 
 
-def _lane_csv(path, frame_shift=0, y_shift_ft=0.0):
-    """An NGSIM CSV in feet of one lane: SYNTHETIC_THETA at delays 0.0-0.3 s,
-    all below its 0.4659 s delay margin at 12 m/s, behind a leader swinging
-    1 m/s about 12 m/s at 0.4 rad/s for 40 s; frames and Local_Y shifted."""
+def _lane_csv(path, frame_shift=0, y_shift_ft=0.0, units="feet"):
+    """An NGSIM CSV in feet (or meters) of one lane: SYNTHETIC_THETA at
+    delays 0.0-0.3 s, all below its 0.4659 s delay margin at 12 m/s, behind a
+    leader swinging 1 m/s about 12 m/s at 0.4 rad/s for 40 s; frames and
+    Local_Y shifted."""
     drivers = [replace(cli.SYNTHETIC_THETA, tau=tau) for tau in (0.0, 0.1, 0.2, 0.3)]
     table = cli._string_table(simulate_platoon(drivers, SinusoidProfile(12.0, 1.0, 0.4), 12.0, 40.0))
-    ft = 1.0 / FEET_TO_METERS
+    ft = 1.0 / FEET_TO_METERS if units == "feet" else 1.0
     rows = [f"{v},{f + frame_shift},{y * ft + y_shift_ft!r},{s * ft!r},{a * ft!r},1,{p},{n * ft!r}"
             for v, f, y, s, a, p, n in zip(*(getattr(table, c).tolist() for c in (
                 "vehicle_id", "frame_id", "local_y", "speed", "accel", "preceding_id", "vehicle_length")))]
@@ -699,14 +700,16 @@ def _lane_csv(path, frame_shift=0, y_shift_ft=0.0):
 @pytest.fixture(scope="module")
 def shifted_lanes(tmp_path_factory):
     """ingest, smooth, pair and calibrate on _lane_csv as it is, with 100,000
-    added to every Frame_ID and with 10,000 ft added to every Local_Y: each
-    run's calibration.json and fitness_history.npz columns, by name."""
+    added to every Frame_ID, with 10,000 ft added to every Local_Y and written
+    in meters: each run's calibration.json and fitness_history.npz columns,
+    by name."""
     runs = {}
     for name, shift in (("base", {}), ("frames", {"frame_shift": 100_000}),
-                        ("local_y", {"y_shift_ft": 10_000.0})):
+                        ("local_y", {"y_shift_ft": 10_000.0}), ("meters", {"units": "meters"})):
         root = tmp_path_factory.mktemp(name)
         _lane_csv(root / "lane.csv", **shift)
-        assert run("ingest", "--input", root / "lane.csv", "--units", "feet", "--out", root / "01") == 0
+        units = shift.get("units", "feet")
+        assert run("ingest", "--input", root / "lane.csv", "--units", units, "--out", root / "01") == 0
         assert run("smooth", "--input", root / "01", "--out", root / "02") == 0
         assert run("pair", "--input", root / "02", "--out", root / "03") == 0
         assert run("calibrate", "--input", root / "03", "--seed", 1, "--population", 12,
@@ -733,6 +736,18 @@ def test_calibration_does_not_depend_on_the_position_origin(shifted_lanes):
     four pairs identical."""
     base, shifted = shifted_lanes["base"][0]["results"], shifted_lanes["local_y"][0]["results"]
     assert [r["theta"] for r in shifted] == [r["theta"] for r in base]
+
+
+def test_calibration_does_not_depend_on_the_length_unit(shifted_lanes):
+    """_lane_csv written in meters and ingested with --units meters gives
+    every θ of its four pairs identical to the run in feet, and each mixed
+    error within 1e-9 relative: the feet run's positions differ from the
+    meters run's only by the rounding of the unit conversion."""
+    base, meters = shifted_lanes["base"][0]["results"], shifted_lanes["meters"][0]["results"]
+    assert len(meters) == len(base) == 4
+    assert [r["theta"] for r in meters] == [r["theta"] for r in base]
+    for b, m in zip(base, meters):
+        assert m["mixed_error"] == pytest.approx(b["mixed_error"], rel=1e-9, abs=0.0)
 
 
 @pytest.mark.xfail(strict=True, reason=(

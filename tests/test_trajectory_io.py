@@ -310,7 +310,7 @@ def _by_vehicle(table):
     vids, firsts = np.unique(table.vehicle_id, return_index=True)
     for vid, lo, hi in zip(vids.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(table)]):
         views.trajectories[vid] = Trajectory(
-            vid, int(table.frame_id[lo]), table.local_y[lo:hi], table.speed[lo:hi],
+            int(table.frame_id[lo]), table.local_y[lo:hi], table.speed[lo:hi],
             table.accel[lo:hi], float(table.vehicle_length[lo]),
         )
         views.lanes[vid] = table.lane_id[lo:hi]
