@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CollisionDetected, DataError
-from .stability import ControllerGains, EquilibriumSpec, LinearizedHdv
+from .stability import ControllerGains, LinearizedHdv
 from .trajectory_io import DT, Trajectory
 
 # calibration search box: (low, high) per parameter
@@ -115,23 +115,13 @@ def equilibrium_headway(theta: FvdmParams, v_star: float) -> float:
     return theta.b_f + math.atanh(q) / theta.m
 
 
-def linearize_hdv(theta: FvdmParams, eq: EquilibriumSpec) -> LinearizedHdv:
-    """Linearize the model about the operating point.
-
-    The spacing gain is the model's sensitivity alpha times the slope of its
-    velocity curve at the desired headway; the speed and relative-speed gains
-    are the model's alpha and beta directly.
-    """
-    dx_star = eq.desired_headway
-    if dx_star <= 0:
-        raise DataError(f"desired headway {dx_star} m")
-    return LinearizedHdv(
-        k1=theta.alpha * ov_slope(theta, dx_star),
-        k2=theta.alpha,
-        k3=theta.beta,
-        lambda2=eq.lambda2,
-        tau=theta.tau,
-    )
+def linearize_hdv(theta: FvdmParams, v_star: float) -> LinearizedHdv:
+    """Linearize the model about uniform flow at v_star, at its equilibrium
+    headway (a DataError where it has none): the spacing gain is alpha times
+    the velocity curve's slope there, the speed and relative-speed gains are
+    alpha and beta, and the desired headway does not depend on speed."""
+    k1 = theta.alpha * ov_slope(theta, equilibrium_headway(theta, v_star))
+    return LinearizedHdv(k1=k1, k2=theta.alpha, k3=theta.beta, tau=theta.tau)
 
 
 # ---------------------------------------------------------------------------

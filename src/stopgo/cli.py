@@ -74,6 +74,7 @@ from .stability import (
     delay_margin,
     gain_axis,
     headway_slack,
+    lowest_critical_frequency,
     numeric_critical_frequency,
     optimize_gains,
     peak_gain_frequency,
@@ -89,6 +90,7 @@ from .trajectory_io import (
     pairs_from_index,
     parse_ngsim_csv,
     read_canonical_csv,
+    vehicle_starts,
     write_canonical_csv,
 )
 
@@ -262,14 +264,13 @@ _PAIRS_DOC = {
 }
 _THETA = (dict.fromkeys(PARAM_ORDER, float), FvdmParams)
 _CALIBRATION_DOC = {"results": [{"leader_id": int, "follower_id": int, "theta": _THETA}]}
-# the drivers a design is for and the grid that labelled them; each vehicle
-# reads as its nonlinear model and its linearization, (FvdmParams, LinearizedHdv)
+# the drivers a design is for and the grid that labelled them; a vehicle reads
+# as its theta alone, whose linearization each stage derives with _driver
 _FLEET = {
     "omega_grid": ({"omega_min": float, "omega_max": float, "points": int}, FrequencyGrid),
-    "vehicles": [({"theta": _THETA, **dict.fromkeys(_LINEARIZED_FIELDS, float)},
-                  lambda theta, **lin: (theta, LinearizedHdv(**lin)))],
+    "vehicles": [{"theta": _THETA}],
 }
-_STABILITY_DOC = {"v_star": float, **_FLEET}
+_STABILITY_DOC = {"v_star": (float, _NONNEGATIVE), **_FLEET}
 _GAINS_DOC = (
     {"v_star": float, "lambda2": float, "lambda3": float, "platoon": (int, _COUNT),
      "best": (dict.fromkeys(("k1", "k2", "k3"), float), ControllerGains), **_FLEET},
@@ -279,7 +280,7 @@ _GAINS_DOC = (
 
 
 def _fleet_vehicle(theta: FvdmParams, lin: LinearizedHdv) -> dict:
-    """A driver's entry in a fleet's vehicles, as _FLEET reads it back."""
+    """A driver's entry in a fleet's vehicles: the theta _FLEET reads and, for readers, its linearization."""
     return {"theta": asdict(theta), **{k: getattr(lin, k) for k in _LINEARIZED_FIELDS}}
 
 
@@ -352,8 +353,7 @@ def cmd_ingest(args) -> StageResult:
     table, fragments_discarded = build_trajectories(records)
     summary = {
         "records": len(records),
-        # one block per vehicle in the grouped table, which is never empty
-        "vehicles": int(np.count_nonzero(table.vehicle_id[1:] != table.vehicle_id[:-1])) + 1,
+        "vehicles": len(vehicle_starts(table)),
         "fragments_discarded": fragments_discarded,
         "units": args.units if args.input != "synthetic" else "meters",
     }
@@ -371,8 +371,7 @@ def cmd_smooth(args) -> StageResult:
     table, _ = build_trajectories(read_canonical_csv(src))
     cfg = SmoothingConfig(t_x=args.tx, t_v=args.tv, t_a=args.ta)
 
-    vid = table.vehicle_id
-    starts = np.r_[0, np.flatnonzero(vid[1:] != vid[:-1]) + 1]  # each vehicle's first row
+    starts = vehicle_starts(table)
     raw_a = differentiate(differentiate(table.local_y, starts=starts), starts=starts)
     x, v, a = smooth_trajectory(table.local_y, cfg, starts)
     out = _outdir(args)
@@ -478,11 +477,11 @@ def _freq_grid(args) -> FrequencyGrid:
         raise UsageError(f"--omega-min/--omega-max: {err}") from None
 
 
-def _driver_headway(where: str, theta: FvdmParams, v_star: float) -> float:
-    """The equilibrium headway of the driver theta; a fit with none at v_star
-    is a DataError naming where, the driver's place in its document."""
+def _driver(where: str, theta: FvdmParams, v_star: float) -> tuple[float, LinearizedHdv]:
+    """The equilibrium headway and linearization of the driver theta at v_star; a
+    fit with none there is a DataError naming where, the driver's place in its document."""
     try:
-        return equilibrium_headway(theta, v_star)
+        return equilibrium_headway(theta, v_star), linearize_hdv(theta, v_star)
     except DataError as err:
         raise DataError(f"{where}: {err}") from None
 
@@ -493,8 +492,7 @@ def cmd_stability(args) -> StageResult:
     vehicles = []
     for i, e in enumerate(_read_stage_json(src, _CALIBRATION_DOC)["results"]):
         theta = e["theta"]
-        dx_star = _driver_headway(f"{src}['results'][{i}]", theta, args.v_star)
-        lin = linearize_hdv(theta, EquilibriumSpec(args.v_star, 0.0, dx_star))
+        dx_star, lin = _driver(f"{src}['results'][{i}]", theta, args.v_star)
         w0 = numeric_critical_frequency(lin, grid)
         margin = delay_margin(lin)
         vehicles.append({
@@ -511,8 +509,7 @@ def cmd_stability(args) -> StageResult:
     _write_json(out / "stability.json", {
         "v_star": args.v_star,
         "omega_grid": asdict(grid),
-        # platoon_critical_frequency of the vehicles, from their omega0
-        "platoon_omega0": min((v["omega0"] for v in vehicles if v["omega0"] > 0.0), default=0.0),
+        "platoon_omega0": lowest_critical_frequency(v["omega0"] for v in vehicles),
         "vehicles": vehicles,
     })
     return EXIT_OK, [src], {"omega_min": grid.omega_min, "omega_max": grid.omega_max,
@@ -556,8 +553,10 @@ def _equilibrium(args, v_star: float) -> EquilibriumSpec:
 def cmd_optimize_gains(args) -> StageResult:
     src = _resolve_input(args.input, "stability.json")
     doc = _read_stage_json(src, _STABILITY_DOC)
-    platoon = _cycled([lin for _, lin in doc["vehicles"]], args.platoon)
-    eq = _equilibrium(args, doc["v_star"])
+    thetas, v_star = [v["theta"] for v in doc["vehicles"]], doc["v_star"]
+    lins = [_driver(f"{src}['vehicles'][{i}]", theta, v_star)[1] for i, theta in enumerate(thetas)]
+    platoon = _cycled(lins, args.platoon)
+    eq = _equilibrium(args, v_star)
 
     res = optimize_gains(platoon, eq, headway_min=args.headway_min, headway_max=args.headway_max,
                          disturbance_beta=args.beta, grid=_gain_grid(args.gain_grid),
@@ -580,7 +579,7 @@ def cmd_optimize_gains(args) -> StageResult:
         "heatmap_files": sorted(p.relative_to(out).as_posix() for p in heatmaps),
         # the fleet the gains were designed for, which simulate checks them on
         "omega_grid": asdict(doc["omega_grid"]),
-        "vehicles": [_fleet_vehicle(theta, lin) for theta, lin in doc["vehicles"]],
+        "vehicles": list(map(_fleet_vehicle, thetas, lins)),
     })
     return EXIT_OK, [src], {}
 
@@ -620,13 +619,12 @@ def _amplitudes(trajs, v_star: float) -> list[float]:
 def cmd_simulate(args) -> StageResult:
     gains_path = _resolve_input(args.input, "gains.json")
     eq, g, platoon, grid, fleet = _read_stage_json(gains_path, _GAINS_DOC)
-    thetas, lins = zip(*fleet)
     if eq.desired_headway <= 0:
         raise DataError(f"{gains_path}['lambda3']: desired headway {eq.desired_headway} m "
                         "must be positive")
     v_star = eq.v_star
-    for i, theta in enumerate(thetas):
-        _driver_headway(f"{gains_path}['vehicles'][{i}]", theta, v_star)
+    thetas = [v["theta"] for v in fleet]
+    lins = [_driver(f"{gains_path}['vehicles'][{i}]", theta, v_star)[1] for i, theta in enumerate(thetas)]
     n_follow = args.platoon if args.platoon is not None else platoon
     vehicles = (Cav(g, eq.lambda2, eq.lambda3), *_cycled(thetas, n_follow))
 

@@ -307,12 +307,16 @@ def _brent_root(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int 
     raise RuntimeError(f"Brent root not converged after {maxiter} steps")
 
 
+def lowest_critical_frequency(w0s) -> float:
+    """The lowest positive critical frequency in w0s; 0 when none is (each vehicle string stable)."""
+    return min((w0 for w0 in w0s if w0 > 0.0), default=0.0)
+
+
 def platoon_critical_frequency(lins, grid: FrequencyGrid | None = None) -> float:
     """Lowest unstable vehicle's critical frequency; 0 when every vehicle in
     the platoon is string stable on its own.  A driver that recurs in the
     platoon is evaluated once."""
-    w0s = (numeric_critical_frequency(lin, grid) for lin in dict.fromkeys(lins))
-    return min((w0 for w0 in w0s if w0 > 0.0), default=0.0)
+    return lowest_critical_frequency(numeric_critical_frequency(lin, grid) for lin in dict.fromkeys(lins))
 
 
 def _scan_count(head_log: np.ndarray, running_max: np.ndarray, n_vehicles: int) -> int:

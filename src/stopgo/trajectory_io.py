@@ -282,6 +282,11 @@ def build_trajectories(records: TrajectoryTable) -> tuple[TrajectoryTable, int]:
     return TrajectoryTable(**columns), len(starts) - len(kept)
 
 
+def vehicle_starts(table: TrajectoryTable) -> np.ndarray:
+    """The first row of each vehicle's block in a table build_trajectories returned."""
+    return np.flatnonzero(np.r_[True, table.vehicle_id[1:] != table.vehicle_id[:-1]])
+
+
 def pair_leader_follower(
     table: TrajectoryTable,
     lane_filter: int | None = None,
@@ -310,7 +315,7 @@ def pair_leader_follower(
     if not len(table):
         return windows, diagnostics
     vid, frame, pre, lane = table.vehicle_id, table.frame_id, table.preceding_id, table.lane_id
-    offset = np.flatnonzero(np.r_[True, vid[1:] != vid[:-1]])  # row of each vehicle's first frame
+    offset = vehicle_starts(table)
     ids = vid[offset]
     ns = np.diff(np.append(offset, len(table)))
     first = frame[offset]

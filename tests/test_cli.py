@@ -485,8 +485,10 @@ BAD_STAGE_DOCS = [
     # a value its type rejects
     ("stability", "04", "calibration.json", _set("results", 0, "theta", "alpha", value=100.0),
      "['results'][0]['theta']: alpha=100.0 outside [1.0, 10.0]"),
-    ("optimize-gains", "05", "stability.json", _set("vehicles", 0, "k2", value=0.0),
-     "['vehicles'][0]: require k1 >= 0, k2 > 0, k3 >= 0"),
+    ("optimize-gains", "05", "stability.json", _set("vehicles", 0, "theta", "alpha", value=100.0),
+     "['vehicles'][0]['theta']: alpha=100.0 outside [1.0, 10.0]"),
+    ("optimize-gains", "05", "stability.json", _set("v_star", value=-1.0),
+     "['v_star']: must be at least 0.0, got -1.0"),
     ("optimize-gains", "05", "stability.json", _set("omega_grid", "omega_min", value=-1.0),
      "['omega_grid']: require 0 < omega_min < omega_max"),
     ("simulate", "06", "gains.json", _set("best", "k1", value=-1.0), "['best']: gains must be nonnegative"),
@@ -498,6 +500,9 @@ BAD_STAGE_DOCS = [
     ("stability", "04", "calibration.json",
      lambda doc: doc["results"][0]["theta"].update(b_c=6.46, b_f=1.95, m=4.04),
      "['results'][0]: v_star=12.0 m/s is at or above the curve's supremum 0.000"),
+    ("optimize-gains", "05", "stability.json",
+     lambda doc: doc["vehicles"][0]["theta"].update(b_c=6.46, b_f=1.95, m=4.04),
+     "['vehicles'][0]: v_star=12.0 m/s is at or above the curve's supremum 0.000"),
     ("simulate", "06", "gains.json",
      lambda doc: doc["vehicles"][0]["theta"].update(b_c=6.46, b_f=1.95, m=4.04),
      "['vehicles'][0]: v_star=12.0 m/s is at or above the curve's supremum 0.000"),
@@ -505,10 +510,8 @@ BAD_STAGE_DOCS = [
     ("simulate", "06", "gains.json", _set("lambda3", value=-50.0),
      "['lambda3']: desired headway -50.0 m must be positive"),
     # a number no double holds: NaN passes every range check written with <
-    ("optimize-gains", "05", "stability.json", _set("vehicles", 0, "k1", value=math.nan),
-     "['vehicles'][0]['k1'] is not a finite number"),
-    ("optimize-gains", "05", "stability.json", _set("vehicles", 0, "k3", value=10**400),
-     "['vehicles'][0]['k3'] is not a finite number"),
+    ("optimize-gains", "05", "stability.json", _set("vehicles", 0, "theta", "beta", value=10**400),
+     "['vehicles'][0]['theta']['beta'] is not a finite number"),
     ("optimize-gains", "05", "stability.json", _set("v_star", value=math.nan),
      "['v_star'] is not a finite number"),
     ("optimize-gains", "05", "stability.json", _set("omega_grid", "omega_max", value=math.inf),
@@ -626,6 +629,23 @@ def test_optimize_gains_artifacts(chain):
     assert gdoc["vehicles"] == [{k: v[k] for k in ("theta", "k1", "k2", "k3", "lambda2", "tau")}
                                 for v in sdoc["vehicles"]]
     assert not {"stability.json", "calibration.json"} & {p.name for p in (chain / "06").iterdir()}
+
+
+def test_later_stages_derive_each_linearization_from_theta(tmp_path, chain):
+    """optimize-gains reads a driver as its theta alone: the linearization
+    stability.json records beside it is for readers, so editing every field
+    of it leaves gains.json as it was."""
+    stage_in = tmp_path / "05"
+    shutil.copytree(chain / "05", stage_in)
+    doc = stage_in / "stability.json"
+    sdoc = _read_json(doc)
+    for v in sdoc["vehicles"]:
+        v.update(k1=v["k1"] + 1.0, k2=v["k2"] + 1.0, k3=v["k3"] + 1.0, lambda2=0.5, tau=v["tau"] + 0.5)
+    doc.write_text(json.dumps(sdoc))
+    out = tmp_path / "06"
+    assert run("optimize-gains", "--input", stage_in, "--platoon", 6, "--gain-grid", FAST_GRID,
+               "--out", out) == 0
+    assert (out / "gains.json").read_bytes() == (chain / "06" / "gains.json").read_bytes()
 
 
 def test_optimize_gains_again_into_one_out_keeps_only_its_heatmaps(chain, tmp_path):

@@ -88,8 +88,7 @@ def _closed_hdv_gain_sq(lin, w):
 def test_linearize_hdv_gain_values():
     theta = FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.5)
     dx = equilibrium_headway(theta, 12.0)
-    eq = EquilibriumSpec(12.0, 0.0, dx)
-    lin = linearize_hdv(theta, eq)
+    lin = linearize_hdv(theta, 12.0)
     assert lin.k1 == pytest.approx(theta.alpha * ov_slope(theta, dx), rel=1e-12)
     assert lin.k2 == theta.alpha
     assert lin.k3 == theta.beta
@@ -306,7 +305,7 @@ def test_brent_root_errors_and_exact_zero():
 
 def _synthetic_linearization():
     dx_star = equilibrium_headway(SYNTHETIC_THETA, 12.0)
-    return linearize_hdv(SYNTHETIC_THETA, EquilibriumSpec(12.0, 0.0, dx_star)), dx_star
+    return linearize_hdv(SYNTHETIC_THETA, 12.0), dx_star
 
 
 def test_delay_margin_of_synthetic_driver():

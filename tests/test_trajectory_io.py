@@ -36,6 +36,7 @@ from stopgo.trajectory_io import (
     pairs_from_index,
     parse_ngsim_csv,
     read_canonical_csv,
+    vehicle_starts,
     write_canonical_csv,
 )
 
@@ -433,6 +434,10 @@ def test_grouping_a_written_grouped_table_gives_it_back(tmp_path, seed):
     assert np.all(grouped.vehicle_id[1:] >= grouped.vehicle_id[:-1])
     assert np.all(np.diff(grouped.frame_id)[same] == 1)
     assert np.all(np.diff(grouped.vehicle_length)[same] == 0)
+    # vehicle_starts finds each block's first row
+    starts = vehicle_starts(grouped)
+    np.testing.assert_array_equal(grouped.vehicle_id[starts], np.unique(grouped.vehicle_id))
+    assert starts[0] == 0 and not np.any(same[starts[1:] - 1])
     write_canonical_csv(grouped, tmp_path / "grouped.npz")
     again, discarded = build_trajectories(read_canonical_csv(tmp_path / "grouped.npz"))
     assert discarded == 0
