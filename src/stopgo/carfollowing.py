@@ -1,11 +1,11 @@
 """Car-following dynamics: velocity curve, leader profiles and string simulation.
 
 A string is a leader trajectory followed by modeled vehicles, each behind
-the one ahead.  A human driver is its FvdmParams: it accelerates toward a
-headway-dependent desired speed and reacts to the speed difference with the
-vehicle ahead, all evaluated a reaction delay tau in the past.  A Cav (an
-automated vehicle, no delay) or a LinearizedHdv (a linearized driver with
-its own delay) follows a linear spacing law instead.  Every simulation runs
+the one ahead and each an FvdmParams or a Cav.  A human driver is its
+FvdmParams: it accelerates toward a headway-dependent desired speed and
+reacts to the speed difference with the vehicle ahead, all evaluated a
+reaction delay tau in the past.  A Cav (an automated vehicle, no delay)
+follows a linear spacing law instead.  Every simulation runs
 in one time loop, simulate_followers_batch: at each sample every simulated
 column's law reads the delayed states of itself and of what it follows (a
 recorded leader or another simulated column), then each takes a
@@ -177,7 +177,7 @@ def leader_trajectory(profile, duration: float, dt: float = DT) -> Trajectory:
     x[0] = 0.0
     np.cumsum(0.5 * (v[:-1] + v[1:]) * dt, out=x[1:])
     a = np.gradient(v, dt) if n > 1 else np.zeros(1)
-    return Trajectory(0, x, v, a, VEHICLE_LENGTH, dt)
+    return Trajectory(0, x, v, a, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +192,8 @@ def simulate_string(lead: Trajectory, vehicles, x0, v0, v_star: float) -> list[T
     """Simulate a string of modeled vehicles behind a recorded or generated leader.
 
     vehicles[0] follows lead and vehicles[i] vehicles[i - 1]; each is an
-    FvdmParams (a human driver), a Cav or a LinearizedHdv, and the linear
-    laws regulate toward v_star.  x0 and v0 are scalars or one per vehicle.
+    FvdmParams (a human driver) or a Cav, whose linear law regulates toward
+    v_star.  x0 and v0 are scalars or one per vehicle.
     Returns the trajectories lead-first on lead's frames, vehicles[i] at
     index i + 1; the first is lead on views of its arrays, not copies.
     The first frame at which any gap (spacing minus the length of the
@@ -202,17 +202,14 @@ def simulate_string(lead: Trajectory, vehicles, x0, v0, v_star: float) -> list[T
     trajectory cut at that frame.
     """
     n, m, dt = lead.n, len(vehicles), lead.dt
-    # the kernel runs the FVDM drivers first, then the linear laws
-    order = np.argsort([not isinstance(s, FvdmParams) for s in vehicles], kind="stable")
+    # the kernel runs the FVDM drivers first, then the Cavs' linear laws
+    order = np.argsort([isinstance(s, Cav) for s in vehicles], kind="stable")
     col = np.argsort(order)  # kernel column c runs vehicle order[c], vehicle i column col[i]
     # vehicle 0 follows leader column 0, vehicle i kernel column col[i - 1] (after the G = 1 leader)
     follows = np.concatenate([[0], 1 + col[:-1]])
     thetas = [s.as_array() for s in vehicles if isinstance(s, FvdmParams)]
-    linear = [s for s in vehicles if not isinstance(s, FvdmParams)]
-    # a Cav carries its gains; a LinearizedHdv is its own gains
-    gains = [s.gains if isinstance(s, Cav) else s for s in linear]
-    rows = [(g.k1, g.k2, g.k3, s.lambda2, s.lambda3, getattr(s, "tau", 0.0))
-            for s, g in zip(linear, gains)]
+    rows = [(s.gains.k1, s.gains.k2, s.gains.k3, s.lambda2, s.lambda3, 0.0)
+            for s in vehicles if isinstance(s, Cav)]
     V, A = np.empty((n, m)), np.empty((n, m))
     X = simulate_followers_batch(
         np.reshape(thetas, (-1, len(PARAM_ORDER))), lead.positions[:, None],
@@ -226,7 +223,7 @@ def simulate_string(lead: Trajectory, vehicles, x0, v0, v_star: float) -> list[T
     end = int(frames[0]) + 1 if len(frames) else n
     trajs = [replace(lead, positions=lead.positions[:end], speeds=lead.speeds[:end],
                      accels=lead.accels[:end])] + [
-        Trajectory(lead.start_frame, x, v, a, VEHICLE_LENGTH, dt)
+        Trajectory(lead.start_frame, x, v, a, dt)
         for x, v, a in zip(X[:end, 1:].T.copy(), V[:end, col].T.copy(), A[:end, col].T.copy())
     ]
     if len(frames):
@@ -432,7 +429,7 @@ def _vehicle_eq_headway(vehicle, v_star: float) -> float:
         return equilibrium_headway(vehicle, v_star)
     dx = vehicle.lambda2 * v_star + vehicle.lambda3
     if dx <= 0:
-        raise DataError(f"desired headway {dx} m")
+        raise DataError(f"desired headway {dx} m must be positive")
     return dx
 
 

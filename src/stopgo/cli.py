@@ -54,6 +54,7 @@ from . import __version__
 from .calibration import GaConfig, _bounds_arrays, calibrate_ga, calibrate_pairs  # noqa: F401
 from .carfollowing import (
     PARAM_ORDER,
+    VEHICLE_LENGTH,
     Cav,
     FvdmParams,
     PiecewiseProfile,
@@ -252,8 +253,6 @@ def _number(kind=float, low=-math.inf, positive=False):
 _REAL, _POSITIVE, _NONNEGATIVE, _COUNT = _number(), _number(positive=True), _number(low=0.0), _number(int, 1)
 
 
-_LINEARIZED_FIELDS = ("k1", "k2", "k3", "lambda2", "tau")  # a LinearizedHdv in a fleet's vehicle
-
 # What a stage reads of an earlier stage's JSON document.  A shape is int (a
 # JSON integer), float (a finite JSON number), {key: shape} (an object
 # holding each key), [shape] (a nonempty list of entries of that shape) or
@@ -281,7 +280,7 @@ _GAINS_DOC = (
 
 def _fleet_vehicle(theta: FvdmParams, lin: LinearizedHdv) -> dict:
     """A driver's entry in a fleet's vehicles: the theta _FLEET reads and, for readers, its linearization."""
-    return {"theta": asdict(theta), **{k: getattr(lin, k) for k in _LINEARIZED_FIELDS}}
+    return {"theta": asdict(theta), **asdict(lin)}
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
@@ -596,7 +595,8 @@ def _table_vehicle_id(index):
 
 def _string_table(trajs) -> TrajectoryTable:
     """A simulated string's trajectories as rows, vehicle by vehicle in one
-    lane: each follows the vehicle before it, and the leader none."""
+    lane: each follows the vehicle before it, and the leader none.  Every
+    simulated vehicle is VEHICLE_LENGTH long."""
     lengths = [tr.n for tr in trajs]
     ids = np.repeat(_table_vehicle_id(np.arange(len(trajs))), lengths)
     return TrajectoryTable(
@@ -607,7 +607,7 @@ def _string_table(trajs) -> TrajectoryTable:
         accel=np.concatenate([tr.accels for tr in trajs]),
         lane_id=np.ones(len(ids), dtype=np.int64),
         preceding_id=ids - 1,  # the id of the vehicle ahead
-        vehicle_length=np.repeat([tr.vehicle_length for tr in trajs], lengths),
+        vehicle_length=np.full(len(ids), VEHICLE_LENGTH),
     )
 
 
@@ -654,9 +654,9 @@ def cmd_simulate(args) -> StageResult:
         amps = _amplitudes(trajs, v_star)
         summary["speed_amplitudes"] = amps
         summary["amplification_vs_leader"] = [a / amps[0] if amps[0] else 0.0 for a in amps]
-        # a gap is the spacing minus the length of the vehicle ahead
+        # a gap is the spacing minus the length of the vehicle ahead, as in the collision rule
         summary["min_gaps"] = [
-            float(np.min(ahead.positions - tr.positions) - ahead.vehicle_length)
+            float(np.min(ahead.positions - tr.positions) - VEHICLE_LENGTH)
             for ahead, tr in zip(trajs, trajs[1:])
         ]
     out = _outdir(args)

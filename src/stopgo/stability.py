@@ -46,24 +46,18 @@ class EquilibriumSpec:
 @dataclass(frozen=True)
 class LinearizedHdv:
     """Linearized human-driver feedback gains: spacing k1, speed k2,
-    relative-speed k3, desired-headway slope lambda2 and reaction delay tau.
-
-    lambda3 is the desired headway at standstill; only a platoon simulation
-    of the linear driver reads it (desired headway lambda2 * v + lambda3).
-    """
+    relative-speed k3 and reaction delay tau."""
 
     k1: float  # 1/s^2
     k2: float  # 1/s
     k3: float  # 1/s
-    lambda2: float = 0.0  # s
     tau: float = 0.0  # s
-    lambda3: float = 0.0  # m
 
     def __post_init__(self):
         if self.k1 < 0 or self.k2 <= 0 or self.k3 < 0:
             raise ValueError("require k1 >= 0, k2 > 0, k3 >= 0")
-        if self.lambda2 < 0 or self.tau < 0:
-            raise ValueError("lambda2 and tau must be nonnegative")
+        if self.tau < 0:
+            raise ValueError("tau must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -179,7 +173,7 @@ def hdv_gain_sq(lin: LinearizedHdv, omega):
     exact limit (1 when k1 > 0).
     """
     w = np.asarray(omega, dtype=float)
-    K = lin.k2 + lin.k3 + lin.k1 * lin.lambda2
+    K = lin.k2 + lin.k3
     num = lin.k1 + 1j * w * lin.k3
     shift = np.exp(-1j * w * lin.tau)
     den = -(w * w) + (1j * w * K + lin.k1) * shift
@@ -194,13 +188,13 @@ def hdv_gain_sq(lin: LinearizedHdv, omega):
 def delay_margin(lin: LinearizedHdv) -> float:
     """Largest reaction delay for which the driver's own loop stays stable.
 
-    The loop gain (K s + k1) e^{-s tau} / s^2 has a magnitude that falls
-    monotonically in omega, so it crosses one once, at
+    The loop gain (K s + k1) e^{-s tau} / s^2, with K = k2 + k3, has a
+    magnitude that falls monotonically in omega, so it crosses one once, at
     omega_c^2 = (K^2 + sqrt(K^4 + 4 k1^2)) / 2; the loop is internally stable
     for tau < atan2(K omega_c, k1) / omega_c.  Above this margin hdv_gain_sq
     describes no steady state.
     """
-    K = lin.k2 + lin.k3 + lin.k1 * lin.lambda2
+    K = lin.k2 + lin.k3
     wc = math.sqrt(0.5 * (K * K + math.sqrt(K**4 + 4.0 * lin.k1 * lin.k1)))
     return math.atan2(K * wc, lin.k1) / wc
 
@@ -245,7 +239,7 @@ def numeric_critical_frequency(lin: LinearizedHdv, grid: FrequencyGrid | None = 
     Scans a log grid, takes the last point where the gain reaches one and
     refines the crossing against the next point to ~1e-12 relative.  Returns
     0 when the gain stays below one on the whole grid; crossings below the
-    grid floor are invisible.  Valid for any tau and lambda2.
+    grid floor are invisible.  Valid for any tau.
     """
     fgrid = grid or FrequencyGrid()
     w = fgrid.values()

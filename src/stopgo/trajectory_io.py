@@ -88,7 +88,6 @@ class Trajectory:
     positions: np.ndarray
     speeds: np.ndarray
     accels: np.ndarray
-    vehicle_length: float = 0.0
     dt: float = DT
 
     def __post_init__(self):

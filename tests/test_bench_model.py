@@ -46,7 +46,7 @@ def test_generated_lane_is_simulate_string_on_the_drawn_drivers(monkeypatch, see
     followers, n = size["vehicles"] - 1, size["frames"]
     X, V = gen._simulate_lane(np.random.default_rng(seed), followers, n, x0=1000.0)
     # a lane that collides is drawn again, so the kept one has the last drivers
-    lead = Trajectory(0, X[:, 0], V[:, 0], np.zeros(n), 0.0, gen.DT)
+    lead = Trajectory(0, X[:, 0], V[:, 0], np.zeros(n), gen.DT)
     trajs = simulate_string(lead, drawn[-followers:], X[0, 1:], V[0, 1:], 0.0)
     assert len(trajs) == followers + 1
     for j, tr in enumerate(trajs[1:], start=1):

@@ -27,6 +27,8 @@ from stopgo.errors import CollisionDetected, DataError
 from stopgo.stability import ControllerGains, LinearizedHdv
 from stopgo.trajectory_io import DT
 
+from delayed_linear import follow, linear_row
+
 THETA = FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.5)
 # THETA with its stopping and inflection headways one vehicle length longer,
 # so a driver standing behind a stopped leader keeps a 3 m gap between bodies
@@ -218,13 +220,11 @@ def test_batch_matches_scalar_followers():
 
 
 def test_platoon_structure_and_equilibrium_hold():
-    vehicles = (
-        Cav(ControllerGains(0.5, 1.0, 0.5), 0.0, 20.0),
-        THETA,
-        LinearizedHdv(1.0, 1.5, 0.8, 0.0, tau=0.2, lambda3=20.0),
-    )
+    vehicles = (Cav(ControllerGains(0.5, 1.0, 0.5), 0.0, 20.0), THETA)
     trajs = simulate_platoon(vehicles, PiecewiseProfile(((0.0, 12.0),)), 12.0, 40.0)
     assert len(trajs) == len(vehicles) + 1
+    # and a delayed linear driver at the end of the string
+    trajs.append(follow(trajs[-1], LinearizedHdv(1.0, 1.5, 0.8, tau=0.2), 20.0, 12.0))
     assert len({tr.n for tr in trajs}) == 1
     for tr in trajs:
         np.testing.assert_allclose(tr.speeds, 12.0, atol=1e-9)
@@ -232,6 +232,15 @@ def test_platoon_structure_and_equilibrium_hold():
     np.testing.assert_allclose(gaps[0], 20.0, atol=1e-9)
     np.testing.assert_allclose(gaps[1], equilibrium_headway(THETA, 12.0), atol=1e-9)
     np.testing.assert_allclose(gaps[2], 20.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("lambda3", [-6.0, -10.0])
+def test_platoon_rejects_a_cav_whose_desired_headway_is_nonpositive(lambda3):
+    # lambda2 v_star + lambda3 at 12 m/s: 0 m, then -4 m
+    cav = Cav(ControllerGains(0.5, 1.0, 0.5), 0.5, lambda3)
+    dx = 0.5 * 12.0 + lambda3
+    with pytest.raises(DataError, match=rf"^desired headway {dx} m must be positive$"):
+        simulate_platoon((THETA, cav), PiecewiseProfile(((0.0, 12.0),)), 12.0, 10.0)
 
 
 def test_platoon_collision_truncates_every_vehicle():
@@ -249,15 +258,21 @@ def test_platoon_collision_truncates_every_vehicle():
 
 
 def _reference_law(vehicle, v_star):
-    """The scalar acceleration law of one string vehicle, as the per-vehicle march evaluated it."""
+    """(law, delay tau, equilibrium headway) of one string vehicle, the law
+    as the per-vehicle march evaluated it.  A vehicle is an FvdmParams or a
+    linear one: a Cav, or a kernel linear row k1, k2, k3, lambda2, lambda3, tau."""
     if isinstance(vehicle, FvdmParams):
         th = vehicle
         off = math.tanh(th.m * (th.b_c - th.b_f))
-        return lambda h, vown, dv: (
-            th.alpha * (th.v0 * (math.tanh(th.m * (h - th.b_f)) - off) - vown) + th.beta * dv)
-    g = vehicle.gains if isinstance(vehicle, Cav) else vehicle
-    lam2, lam3 = vehicle.lambda2, vehicle.lambda3
-    return lambda h, vown, dv: g.k1 * (h - lam2 * vown - lam3) - g.k2 * (vown - v_star) + g.k3 * dv
+        return (lambda h, vown, dv: (
+            th.alpha * (th.v0 * (math.tanh(th.m * (h - th.b_f)) - off) - vown) + th.beta * dv),
+            th.tau, equilibrium_headway(th, v_star))
+    if isinstance(vehicle, Cav):  # no delay
+        g = vehicle.gains
+        vehicle = (g.k1, g.k2, g.k3, vehicle.lambda2, vehicle.lambda3, 0.0)
+    k1, k2, k3, lam2, lam3, tau = vehicle
+    return (lambda h, vown, dv: k1 * (h - lam2 * vown - lam3) - k2 * (vown - v_star) + k3 * dv,
+            tau, lam2 * v_star + lam3)
 
 
 def _reference_march(vehicles, lead_profile, v_star, duration, dt=DT):
@@ -268,11 +283,8 @@ def _reference_march(vehicles, lead_profile, v_star, duration, dt=DT):
     out = [(leader.positions, leader.speeds, leader.accels)]
     for vehicle in vehicles:
         prev_x, prev_v, _ = out[-1]
-        accel = _reference_law(vehicle, v_star)
-        tau = getattr(vehicle, "tau", 0.0)  # a Cav has no delay
+        accel, tau, gap = _reference_law(vehicle, v_star)
         delay = int(math.floor(tau / dt + 0.5))
-        gap = (equilibrium_headway(vehicle, v_star) if isinstance(vehicle, FvdmParams)
-               else vehicle.lambda2 * v_star + vehicle.lambda3)
         n = len(prev_x)
         x, v, a = np.empty(n), np.empty(n), np.empty(n)
         x[0], v[0] = prev_x[0] - gap, v_star
@@ -289,25 +301,24 @@ def _reference_march(vehicles, lead_profile, v_star, duration, dt=DT):
     return out
 
 
-# an automated vehicle, human drivers with reaction delays of 0, 0.5 and
-# 1.3 s and a delayed linear driver.  The 1.3 s driver's delay margin is
-# 0.26 s, so it collides within 30 s and the march is compared up to the
-# collision frame.  The delayed linear driver's spacing falls up to 18.3 m
-# below its desired headway, so that headway is 20 m plus a vehicle length.
+# automated vehicles ahead of and behind human drivers with reaction delays
+# of 0 and 0.5 s, then a 1.3 s driver.  Its delay margin is 0.26 s, so it
+# collides within 30 s and the march is compared up to the collision frame.
 STABLE_STRING = (
     Cav(ControllerGains(0.5, 1.0, 0.5), 0.0, 20.0),
     FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.0),
     FvdmParams(2.0, 1.5, 3.0, 20.0, 18.0, 0.08, 0.5),
-    LinearizedHdv(1.0, 1.5, 0.8, 0.0, tau=0.7, lambda3=20.0 + VEHICLE_LENGTH),
+    Cav(ControllerGains(1.0, 1.5, 0.8), 0.5, 14.0),
 )
 MIXED_STRING = STABLE_STRING + (FvdmParams(3.0, 2.5, 3.0, 25.0, 20.0, 0.08, 1.3),)
-
-
-@pytest.mark.parametrize("vehicles", [STABLE_STRING, MIXED_STRING], ids=["stable", "colliding"])
-@pytest.mark.parametrize("profile", [
+STRING_PROFILES = pytest.mark.parametrize("profile", [
     SinusoidProfile(12.0, 2.0, 0.4),
     PiecewiseProfile(((0.0, 12.0), (20.0, 8.0), (60.0, 12.0))),
 ], ids=["sinusoid", "step"])
+
+
+@pytest.mark.parametrize("vehicles", [STABLE_STRING, MIXED_STRING], ids=["stable", "colliding"])
+@STRING_PROFILES
 def test_string_loop_matches_per_vehicle_march(vehicles, profile):
     run = (vehicles, profile, 12.0, 120.0)
     ref = _reference_march(*run)
@@ -328,22 +339,36 @@ def test_string_loop_matches_per_vehicle_march(vehicles, profile):
         np.testing.assert_array_equal(tr.positions, x[:end])
         np.testing.assert_array_equal(tr.speeds, v[:end])
         np.testing.assert_array_equal(tr.accels, a[:end])
-        assert tr.vehicle_length == VEHICLE_LENGTH
+
+
+@STRING_PROFILES
+def test_delayed_linear_driver_matches_per_vehicle_march(profile):
+    # a linearized driver with a 0.7 s delay behind the stable string, run as
+    # the kernel's linear column.  Its spacing falls up to 14.4 m below its
+    # desired headway, so that headway is 20 m plus a vehicle length.
+    lin, headway = LinearizedHdv(1.0, 1.5, 0.8, tau=0.7), 20.0 + VEHICLE_LENGTH
+    x, v, a = _reference_march(STABLE_STRING + (linear_row(lin, headway),), profile, 12.0, 120.0)[-1]
+    ahead = simulate_platoon(STABLE_STRING, profile, 12.0, 120.0)[-1]
+    tr = follow(ahead, lin, headway, 12.0)
+    assert np.all(ahead.positions - tr.positions > VEHICLE_LENGTH)  # no collision
+    np.testing.assert_array_equal(tr.positions, x)
+    np.testing.assert_array_equal(tr.speeds, v)
+    np.testing.assert_array_equal(tr.accels, a)
 
 
 def test_collision_names_the_first_frame_of_any_vehicle():
-    # the delayed linear driver hits the automated vehicle long before the
-    # automated vehicle reaches the stopping leader
+    # a human driver with a 1.5 s delay hits the automated vehicle long
+    # before the automated vehicle reaches the stopping leader
     vehicles = (
         Cav(ControllerGains(0.3, 0.5, 0.5), 0.0, 20.0),
-        LinearizedHdv(1.0, 0.5, 0.0, 0.0, tau=1.5, lambda3=6.0),
+        FvdmParams(1.0, 1.0, 1.0, 8.0, 20.0, 0.2, 1.5),
     )
     with pytest.raises(CollisionDetected) as exc:
         simulate_platoon(vehicles, PiecewiseProfile(((0, 12), (5, 9), (60, 0))), 12.0, 120.0)
     err, cut = exc.value, exc.value.partial
-    assert (err.vehicle_index, err.frame) == (2, 66)
+    assert (err.vehicle_index, err.frame) == (2, 69)
     assert len(cut) == len(vehicles) + 1
-    assert all(tr.start_frame + tr.n - 1 == 66 for tr in cut)
+    assert all(tr.start_frame + tr.n - 1 == 69 for tr in cut)
     assert cut[1].positions[-1] - cut[2].positions[-1] <= VEHICLE_LENGTH
     assert np.all(cut[0].positions - cut[1].positions > VEHICLE_LENGTH)
 
@@ -376,7 +401,7 @@ def test_unstable_linear_follower_amplifies_matching_transfer_gain():
 
     dt = 0.01
     eps = 0.5
-    vehicles = (LinearizedHdv(k1, k2, k3, 0.0, lambda3=20.0),)
+    vehicles = (Cav(ControllerGains(k1, k2, k3), 0.0, 20.0),)
     trajs = simulate_platoon(vehicles, SinusoidProfile(15.0, eps, w), 15.0, 300.0, dt=dt)
     tail = (trajs[0].start_frame + np.arange(trajs[0].n)) * trajs[0].dt > 200.0
     amp_leader = np.max(np.abs(trajs[0].speeds[tail] - 15.0))
@@ -425,14 +450,15 @@ def test_grouped_batch_needs_valid_groups():
 
 
 def test_one_call_runs_a_string_and_lone_followers():
-    # kernel columns [string driver, two candidates | Cav, delayed LinearizedHdv]
+    # kernel columns [string driver, two candidates | Cav, delayed linear driver]
     # behind leaders [string lead, two others]: the string is Cav -> THETA ->
-    # LinearizedHdv, so the THETA driver follows a linear column and the
-    # LinearizedHdv an FVDM column; each candidate follows its own leader
+    # linear driver, so the THETA driver follows a linear column and the
+    # linear driver an FVDM column; each candidate follows its own leader
     v_star, duration = 12.0, 60.0
     cav = Cav(ControllerGains(0.5, 1.0, 0.5), 0.0, 20.0)
-    lin = LinearizedHdv(1.0, 1.5, 0.8, 0.0, tau=0.3, lambda3=20.0)
-    string = simulate_platoon((cav, THETA, lin), SinusoidProfile(12.0, 2.0, 0.4), v_star, duration)
+    lin = LinearizedHdv(1.0, 1.5, 0.8, tau=0.3)
+    string = simulate_platoon((cav, THETA), SinusoidProfile(12.0, 2.0, 0.4), v_star, duration)
+    string.append(follow(string[-1], lin, 20.0, v_star))
     leaders = [string[0], leader_trajectory(SinusoidProfile(10.0, 3.0, 0.9), duration),
                leader_trajectory(PiecewiseProfile(((0.0, 12.0), (20.0, 8.0))), duration)]
     candidates = [FvdmParams(2.0, 1.5, 3.0, 20.0, 18.0, 0.08, 0.3),
@@ -448,7 +474,7 @@ def test_one_call_runs_a_string_and_lone_followers():
         np.column_stack([tr.speeds for tr in leaders]),
         np.array([tr.positions[0] for tr in runs]), np.array([tr.speeds[0] for tr in runs]),
         group=[3 + 3, 1, 2, 0, 3 + 0],
-        linear=[[0.5, 1.0, 0.5, 0.0, 20.0, 0.0], [1.0, 1.5, 0.8, 0.0, 20.0, 0.3]],
+        linear=[[0.5, 1.0, 0.5, 0.0, 20.0, 0.0], linear_row(lin, 20.0)],
         v_star=v_star, speeds=V, accels=A, tanh=_libm_tanh)
     for c, tr in enumerate(runs):
         assert np.array_equal(X[:, c], tr.positions)
@@ -465,7 +491,7 @@ def test_string_tail_replays_behind_a_recorded_vehicle(cut):
         Cav(ControllerGains(0.5, 1.0, 0.5), 0.0, 20.0),
         FvdmParams(1.5, 1.2, 3.0 + VEHICLE_LENGTH, 20.0 + VEHICLE_LENGTH, 18.0, 0.08, 0.3),
         FvdmParams(2.0, 1.5, 3.0 + VEHICLE_LENGTH, 20.0 + VEHICLE_LENGTH, 18.0, 0.08, 0.5),
-        LinearizedHdv(1.0, 1.5, 0.8, 0.0, tau=0.7, lambda3=20.0 + VEHICLE_LENGTH),
+        Cav(ControllerGains(1.0, 1.5, 0.8), 0.5, 14.0),
     )
     profile = PiecewiseProfile(((0.0, 12.0), (20.0, 8.0), (60.0, 12.0)))
     string = simulate_platoon(vehicles, profile, 12.0, 120.0)

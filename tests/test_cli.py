@@ -604,10 +604,12 @@ def test_stability_artifacts(chain):
     sdoc = _read_json(chain / "05" / "stability.json")
     assert sdoc["v_star"] == 12.0
     veh = sdoc["vehicles"][0]
-    assert {"k1", "k2", "k3", "lambda2", "tau", "omega0", "string_stable"} <= set(veh)
+    for v in sdoc["vehicles"]:
+        assert set(v) == {"leader_id", "follower_id", "theta", "k1", "k2", "k3", "tau",
+                          "equilibrium_headway", "omega0", "string_stable", "delay_margin",
+                          "internally_stable"}
     assert veh["string_stable"] == (veh["omega0"] == 0.0)
-    lins = [LinearizedHdv(v["k1"], v["k2"], v["k3"], v["lambda2"], v["tau"])
-            for v in sdoc["vehicles"]]
+    lins = [LinearizedHdv(v["k1"], v["k2"], v["k3"], v["tau"]) for v in sdoc["vehicles"]]
     grid = FrequencyGrid(**sdoc["omega_grid"])
     assert sdoc["platoon_omega0"] == platoon_critical_frequency(lins, grid)
     results = _read_json(chain / "04" / "calibration.json")["results"]
@@ -626,7 +628,9 @@ def test_optimize_gains_artifacts(chain):
     # the fleet the gains were designed for: stability.json's drivers and grid
     sdoc = _read_json(chain / "05" / "stability.json")
     assert gdoc["omega_grid"] == sdoc["omega_grid"]
-    assert gdoc["vehicles"] == [{k: v[k] for k in ("theta", "k1", "k2", "k3", "lambda2", "tau")}
+    for v in gdoc["vehicles"]:
+        assert set(v) == {"theta", "k1", "k2", "k3", "tau"}
+    assert gdoc["vehicles"] == [{k: v[k] for k in ("theta", "k1", "k2", "k3", "tau")}
                                 for v in sdoc["vehicles"]]
     assert not {"stability.json", "calibration.json"} & {p.name for p in (chain / "06").iterdir()}
 
@@ -640,7 +644,7 @@ def test_later_stages_derive_each_linearization_from_theta(tmp_path, chain):
     doc = stage_in / "stability.json"
     sdoc = _read_json(doc)
     for v in sdoc["vehicles"]:
-        v.update(k1=v["k1"] + 1.0, k2=v["k2"] + 1.0, k3=v["k3"] + 1.0, lambda2=0.5, tau=v["tau"] + 0.5)
+        v.update(k1=v["k1"] + 1.0, k2=v["k2"] + 1.0, k3=v["k3"] + 1.0, tau=v["tau"] + 0.5)
     doc.write_text(json.dumps(sdoc))
     out = tmp_path / "06"
     assert run("optimize-gains", "--input", stage_in, "--platoon", 6, "--gain-grid", FAST_GRID,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from stopgo.carfollowing import (
     FvdmParams,
     SinusoidProfile,
     equilibrium_headway,
+    leader_trajectory,
     linearize_hdv,
     ov_slope,
     simulate_platoon,
@@ -43,6 +45,8 @@ from stopgo.stability import (
     write_heatmaps,
 )
 
+from delayed_linear import follow
+
 DEFAULT_OMEGAS = FrequencyGrid().values()
 
 
@@ -54,7 +58,7 @@ def _complex_hdv_gain_sq(lin, om):
     # reference evaluation straight from the transfer function at s = j omega
     s = 1j * np.asarray(om, dtype=float)
     e = np.exp(-s * lin.tau)
-    K = lin.k2 + lin.k3 + lin.k1 * lin.lambda2
+    K = lin.k2 + lin.k3
     T = (lin.k1 + s * lin.k3) * e / (s * s + s * K * e + lin.k1 * e)
     return np.abs(T) ** 2
 
@@ -74,7 +78,7 @@ def _closed_hdv_gain_sq(lin, w):
     algebraically identical but cancels before squaring; the expanded order
     loses ~5 digits near resonance peaks.
     """
-    K = lin.k2 + lin.k3 + lin.k1 * lin.lambda2
+    K = lin.k2 + lin.k3
     c = np.cos(w * lin.tau)
     s = np.sin(w * lin.tau)
     re = lin.k1 * c + w * K * s - w * w
@@ -92,7 +96,6 @@ def test_linearize_hdv_gain_values():
     assert lin.k1 == pytest.approx(theta.alpha * ov_slope(theta, dx), rel=1e-12)
     assert lin.k2 == theta.alpha
     assert lin.k3 == theta.beta
-    assert lin.lambda2 == 0.0
     assert lin.tau == theta.tau
 
 
@@ -121,13 +124,13 @@ def test_hdv_dual_formulas_agree_everywhere():
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(300):
-        lin = LinearizedHdv(
-            k1=10 ** rng.uniform(-3, 1.3),
-            k2=10 ** rng.uniform(-2, 0.7),
-            k3=float(rng.choice([0.0, 10 ** rng.uniform(-3, 0.7)])),
-            lambda2=float(rng.choice([0.0, rng.uniform(0.0, 2.0)])),
-            tau=float(rng.uniform(0.0, 3.0)),
-        )
+        k1 = 10 ** rng.uniform(-3, 1.3)
+        k2 = 10 ** rng.uniform(-2, 0.7)
+        k3 = float(rng.choice([0.0, 10 ** rng.uniform(-3, 0.7)]))
+        # in half the draws K = k2 + k3 up to 2 k1 larger, the range a
+        # headway slope lambda2 of up to 2 s gave it as k2 + k3 + k1 lambda2
+        k2 += k1 * float(rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+        lin = LinearizedHdv(k1, k2, k3, tau=float(rng.uniform(0.0, 3.0)))
         a = hdv_gain_sq(lin, DEFAULT_OMEGAS)
         b = _closed_hdv_gain_sq(lin, DEFAULT_OMEGAS)
         worst = max(worst, _scaled_diff(a, b))
@@ -153,7 +156,7 @@ def test_cav_dual_formulas_agree_everywhere():
 
 
 def test_dc_gain_is_one_for_positive_k1():
-    lin = LinearizedHdv(1.7, 0.9, 0.4, 0.3, 0.8)
+    lin = LinearizedHdv(1.7, 1.41, 0.4, 0.8)
     assert hdv_gain_sq(lin, 0.0) == 1.0
     g = ControllerGains(0.6, 0.8, 0.3)
     assert cav_gains_sq(g, 0.5, 0.0) == (1.0, 0.0)
@@ -212,12 +215,12 @@ def critical_frequency(lin: LinearizedHdv) -> float:
     """Largest frequency at which an undelayed driver amplifies (closed form),
     the oracle for numeric_critical_frequency.
 
-    Only valid for tau = 0 and lambda2 = 0, where the gain exceeds one exactly
-    on (0, omega0) with omega0^2 = 2*k1 - k2^2 - 2*k2*k3.  Returns 0 for a
+    Only valid for tau = 0, where the gain exceeds one exactly on
+    (0, omega0) with omega0^2 = 2*k1 - k2^2 - 2*k2*k3.  Returns 0 for a
     string-stable driver.
     """
-    if lin.tau != 0.0 or lin.lambda2 != 0.0:
-        raise ValueError("closed form requires tau = 0 and lambda2 = 0")
+    if lin.tau != 0.0:
+        raise ValueError("closed form requires tau = 0")
     return math.sqrt(max(0.0, 2.0 * lin.k1 - lin.k2 * lin.k2 - 2.0 * lin.k2 * lin.k3))
 
 
@@ -246,7 +249,7 @@ def test_closed_and_numeric_critical_frequency_agree():
 
 
 def test_numeric_critical_frequency_is_a_unit_gain_crossing():
-    lin = LinearizedHdv(1.5, 0.9, 0.2, 0.0, 0.4)
+    lin = LinearizedHdv(1.5, 0.9, 0.2, 0.4)
     w0 = numeric_critical_frequency(lin)
     assert w0 > 0.0
     assert hdv_gain_sq(lin, w0 * (1 - 1e-4)) > 1.0
@@ -258,15 +261,13 @@ def test_brent_root_matches_scipy_brentq_to_the_bit():
     rng = np.random.default_rng(107)
     grids = (FrequencyGrid(), FrequencyGrid(1e-2, 10.0, 500))
     roots = 0
-    for tau_on, lam_on in [(False, False), (False, True), (True, False), (True, True)]:
+    for tau_on, wide_on in [(False, False), (False, True), (True, False), (True, True)]:
         for _ in range(40):
-            lin = LinearizedHdv(
-                k1=float(rng.uniform(0.5, 5.0)),
-                k2=float(rng.uniform(0.1, 1.0)),
-                k3=float(rng.uniform(0.0, 0.5)),
-                lambda2=float(rng.uniform(0.0, 0.5)) if lam_on else 0.0,
-                tau=float(rng.uniform(0.05, 1.0)) if tau_on else 0.0,
-            )
+            k1, k2, k3 = (float(rng.uniform(*box)) for box in ((0.5, 5.0), (0.1, 1.0), (0.0, 0.5)))
+            # K = k2 + k3 up to k1 / 2 larger, the range a headway slope
+            # lambda2 of up to 0.5 s gave it as k2 + k3 + k1 lambda2
+            k2 += k1 * float(rng.uniform(0.0, 0.5)) if wide_on else 0.0
+            lin = LinearizedHdv(k1, k2, k3, tau=float(rng.uniform(0.05, 1.0)) if tau_on else 0.0)
             f = lambda om: hdv_gain_sq(lin, om) - 1.0
             for grid in grids:
                 w = grid.values()
@@ -334,9 +335,10 @@ def test_synthetic_driver_settles_behind_a_swinging_leader():
 def test_delay_margin_separates_bounded_from_growing_swing(tau, bounded):
     lin, dx_star = _synthetic_linearization()
     assert (tau < delay_margin(lin)) == bounded
-    follower = LinearizedHdv(lin.k1, lin.k2, lin.k3, 0.0, tau, lambda3=dx_star)
-    trajs = simulate_platoon((follower,), SinusoidProfile(12.0, 0.4, 0.6), 12.0, 60.0, dt=0.1)
-    tail = trajs[1].speeds[trajs[1].n // 2 :]
+    follower = replace(lin, tau=tau)
+    lead = leader_trajectory(SinusoidProfile(12.0, 0.4, 0.6), 60.0, dt=0.1)
+    speeds = follow(lead, follower, dx_star, 12.0).speeds
+    tail = speeds[len(speeds) // 2 :]
     swing = np.max(np.abs(tail - 12.0))
     if bounded:
         assert swing == pytest.approx(0.4, abs=0.05)  # about the leader's swing
@@ -376,7 +378,7 @@ def test_peak_gain_frequency_maximizes_the_string_gain():
     rng = np.random.default_rng(7)
     for _ in range(20):
         lins = [LinearizedHdv(rng.uniform(0.5, 3.0), rng.uniform(0.3, 1.0), rng.uniform(0.0, 0.5),
-                              rng.uniform(0.0, 1.5), rng.uniform(0.0, 0.8))
+                              rng.uniform(0.0, 0.8))
                 for _ in range(int(rng.integers(1, 6)))]
         w0 = platoon_critical_frequency(lins)
         if w0 == 0.0:
@@ -409,7 +411,7 @@ def test_first_amplifying_prefix_sets_the_count():
     # their combined gain exceeds one, so nobody behind is protected, no
     # matter how well-damped the rest of the string is
     g = ControllerGains(0.5, 0.9, 0.2)
-    first = LinearizedHdv(2.5, 0.4, 0.1, 0.0, 0.7)
+    first = LinearizedHdv(2.5, 0.4, 0.1, 0.7)
     damper = LinearizedHdv(0.5, 2.0, 1.0)
     lins = [first] + [damper] * 4
 
@@ -493,7 +495,6 @@ def test_counts_match_direct_product_scan():
                         float(rng.uniform(1.0, 3.0)),
                         float(rng.uniform(0.3, 1.2)),
                         float(rng.uniform(0.0, 0.4)),
-                        0.0,
                         float(rng.uniform(0.0, 0.8)),
                     )
                 )
@@ -601,9 +602,9 @@ def _pinned_grid(text: str) -> np.ndarray:
 
 
 # a mixed fleet, mostly string unstable, cycled to 12 followers
-PINNED_FLEET = [(LinearizedHdv(1.6, 0.6, 0.2, 0.0, 0.4), LinearizedHdv(0.5, 2.0, 1.0),
-                 LinearizedHdv(2.2, 0.8, 0.1, 0.0, 0.6), LinearizedHdv(1.2, 1.0, 0.1),
-                 LinearizedHdv(1.9, 0.7, 0.3, 0.0, 0.3), LinearizedHdv(0.8, 1.5, 0.6))[i % 6]
+PINNED_FLEET = [(LinearizedHdv(1.6, 0.6, 0.2, 0.4), LinearizedHdv(0.5, 2.0, 1.0),
+                 LinearizedHdv(2.2, 0.8, 0.1, 0.6), LinearizedHdv(1.2, 1.0, 0.1),
+                 LinearizedHdv(1.9, 0.7, 0.3, 0.3), LinearizedHdv(0.8, 1.5, 0.6))[i % 6]
                 for i in range(12)]
 PINNED_GRID = GainGridSpec(gain_axis(0.0, 1.0, 0.5), gain_axis(0.2, 2.0, 0.2),
                            gain_axis(0.2, 2.0, 0.2))

@@ -306,16 +306,17 @@ def test_table_file_bytes_do_not_depend_on_the_time_written(tmp_path):
 
 def _by_vehicle(table):
     """Per-vehicle views of a grouped table, keyed by vehicle id: each
-    vehicle's rows as a Trajectory, and its lane and leader ids per frame."""
-    views = SimpleNamespace(trajectories={}, lanes={}, preceding={})
+    vehicle's rows as a Trajectory, and its lane and leader ids and its
+    length per frame."""
+    views = SimpleNamespace(trajectories={}, lanes={}, preceding={}, lengths={})
     vids, firsts = np.unique(table.vehicle_id, return_index=True)
     for vid, lo, hi in zip(vids.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(table)]):
         views.trajectories[vid] = Trajectory(
-            int(table.frame_id[lo]), table.local_y[lo:hi], table.speed[lo:hi],
-            table.accel[lo:hi], float(table.vehicle_length[lo]),
+            int(table.frame_id[lo]), table.local_y[lo:hi], table.speed[lo:hi], table.accel[lo:hi],
         )
         views.lanes[vid] = table.lane_id[lo:hi]
         views.preceding[vid] = table.preceding_id[lo:hi]
+        views.lengths[vid] = table.vehicle_length[lo:hi]
     return views
 
 
@@ -414,7 +415,7 @@ def test_build_trajectories_matches_row_by_row_grouping():
     for vid, run in kept.items():
         tr = views.trajectories[vid]
         assert tr.start_frame == run[0][1] and tr.n == len(run)
-        assert tr.vehicle_length == run[0][7]
+        assert np.all(views.lengths[vid] == run[0][7])
         for values, column in (
             (tr.positions, 2), (tr.speeds, 3), (tr.accels, 4),
             (views.lanes[vid], 5), (views.preceding[vid], 6),
