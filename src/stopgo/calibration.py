@@ -20,7 +20,8 @@ rows times columns, so memory stays bounded however many pairs are
 calibrated: a call's one state array holds, row by row, its candidates'
 positions and speeds and the batch's leader columns.  Each pair is scored
 on its block of the call by one error_mixed call over all its candidates,
-and no vector is simulated twice.
+and a new best takes its absolute and relative errors from its scored
+headway row, not from a second simulation.
 calibrate_ga is calibrate_pairs on one pair.
 """
 from __future__ import annotations
@@ -198,7 +199,7 @@ class _PairGa:
         self.lo, self.hi = lo, hi
         self.sigma = MUTATION_SCALE * (hi - lo)
         self.rng = np.random.default_rng(seed)
-        self.pop = lo + self.rng.random((cfg.population_size, 7)) * (hi - lo)
+        self.pop = lo + self.rng.random((cfg.population_size, len(PARAM_ORDER))) * (hi - lo)
         _snap_tau(self.pop, lo, hi)
         self.fits = None
         self.best_vec = None
@@ -237,9 +238,10 @@ class _PairGa:
         m = P - ELITES
         pairs = (m + 1) // 2
         picks = np.empty((pairs, 2))
-        cross = np.ones((pairs, 7))  # 1.0 never swaps a gene
-        mutate = np.empty((m, 7))
-        noise = np.empty((m, 7))
+        genes = len(PARAM_ORDER)
+        cross = np.ones((pairs, genes))  # 1.0 never swaps a gene
+        mutate = np.empty((m, genes))
+        noise = np.empty((m, genes))
         for k in range(pairs):
             rng.random(out=picks[k])
             if rng.random() < CROSSOVER_PROBABILITY:
@@ -251,7 +253,7 @@ class _PairGa:
         i, j = cdf.searchsorted(picks, side="right").T
         swap = cross < 0.5
         kids = np.stack([np.where(swap, pop[j], pop[i]), np.where(swap, pop[i], pop[j])],
-                        axis=1).reshape(-1, 7)[:m]
+                        axis=1).reshape(-1, genes)[:m]
         kids = np.where(mutate < MUTATION_PROBABILITY, kids + noise * self.sigma, kids)
         np.clip(kids, self.lo, self.hi, out=kids)
         self.pop = np.vstack([pop[order[:ELITES]], kids])

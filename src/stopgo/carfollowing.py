@@ -12,19 +12,20 @@ recorded leader or another simulated column), then each takes a
 constant-acceleration step with its speed clamped at zero (no reversing).
 Calibration runs many candidate models behind recorded leaders in one call;
 simulate_string runs one string, listing its trajectories from the
-leader (index 0).  After the loop, the first frame at which any gap (spacing
-minus the length of the vehicle ahead) is nonpositive raises
-CollisionDetected, naming the frontmost vehicle that reached its
-predecessor there and carrying every trajectory cut at that frame.
+leader (index 0) over all of the leader's frames; a collision raises
+nothing.  string_gaps holds the one gap rule (spacing minus the length of
+the vehicle ahead): a string's first collision is the first frame at which
+any gap is nonpositive, with the frontmost vehicle that reached its
+predecessor there.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollisionDetected, DataError
+from .errors import DataError
 from .stability import ControllerGains, LinearizedHdv
 from .trajectory_io import DT, Trajectory
 
@@ -194,12 +195,9 @@ def simulate_string(lead: Trajectory, vehicles, x0, v0, v_star: float) -> list[T
     vehicles[0] follows lead and vehicles[i] vehicles[i - 1]; each is an
     FvdmParams (a human driver) or a Cav, whose linear law regulates toward
     v_star.  x0 and v0 are scalars or one per vehicle.
-    Returns the trajectories lead-first on lead's frames, vehicles[i] at
-    index i + 1; the first is lead on views of its arrays, not copies.
-    The first frame at which any gap (spacing minus the length of the
-    vehicle ahead) is nonpositive raises CollisionDetected, naming the
-    frontmost vehicle there by its index in that list, with every
-    trajectory cut at that frame.
+    Returns the trajectories lead-first on all of lead's frames: lead itself,
+    then vehicles[i] at index i + 1.  A collision raises nothing; string_gaps
+    finds it.
     """
     n, m, dt = lead.n, len(vehicles), lead.dt
     # the kernel runs the FVDM drivers first, then the Cavs' linear laws
@@ -216,20 +214,28 @@ def simulate_string(lead: Trajectory, vehicles, x0, v0, v_star: float) -> list[T
         lead.speeds[:, None], np.broadcast_to(x0, m)[order], np.broadcast_to(v0, m)[order],
         dt, group=follows[order], linear=np.reshape(rows, (-1, 6)), v_star=v_star,
         speeds=V, accels=A, tanh=_libm_tanh)
-    X = np.column_stack([lead.positions, X[:, col]])
-    # a collision is a spacing at or below the length of the vehicle ahead
-    hit = X[:, :-1] - X[:, 1:] <= VEHICLE_LENGTH
-    frames = np.flatnonzero(hit.any(axis=1))
-    end = int(frames[0]) + 1 if len(frames) else n
-    trajs = [replace(lead, positions=lead.positions[:end], speeds=lead.speeds[:end],
-                     accels=lead.accels[:end])] + [
-        Trajectory(lead.start_frame, x, v, a, dt)
-        for x, v, a in zip(X[:end, 1:].T.copy(), V[:end, col].T.copy(), A[:end, col].T.copy())
-    ]
-    if len(frames):
-        raise CollisionDetected(int(hit[end - 1].argmax()) + 1, lead.start_frame + end - 1,
-                                partial=trajs)
-    return trajs
+    return [lead] + [Trajectory(lead.start_frame, x, v, a, dt)
+                     for x, v, a in zip(X[:, col].T.copy(), V[:, col].T.copy(), A[:, col].T.copy())]
+
+
+def string_gaps(trajs) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """The gaps of a string and its first collision.
+
+    trajs are a string's trajectories, leader first, on the same frames.  A
+    gap is the spacing to the vehicle ahead minus that vehicle's length,
+    VEHICLE_LENGTH: column i - 1 of the (N, len(trajs) - 1) gaps is trajs[i]'s.
+    The first collision is (i, k): the first sample k at which any gap is
+    nonpositive and the frontmost vehicle trajs[i] there; None if there is
+    none.
+    """
+    x = np.column_stack([tr.positions for tr in trajs])
+    gaps = x[:, :-1] - x[:, 1:] - VEHICLE_LENGTH
+    hit = gaps <= 0.0
+    samples = np.flatnonzero(hit.any(axis=1))
+    if not len(samples):
+        return gaps, None
+    k = int(samples[0])
+    return gaps, (int(hit[k].argmax()) + 1, k)
 
 
 def simulate_followers_batch(thetas, leader_x, leader_v, x0, v0, dt: float = DT, *, group,
@@ -439,8 +445,8 @@ def simulate_platoon(vehicles, lead_profile, v_star: float, duration: float,
 
     Every vehicle starts at v_star, its own equilibrium headway behind the
     one ahead.  Returns simulate_string's trajectories: the leader at
-    index 0 and vehicles[i] at index i + 1, and a collision raises
-    CollisionDetected with every trajectory cut at its frame.
+    index 0 and vehicles[i] at index i + 1, over the whole duration, through
+    any collision.
     """
     leader = leader_trajectory(lead_profile, duration, dt=dt)
     headways = [_vehicle_eq_headway(vehicle, v_star) for vehicle in vehicles]

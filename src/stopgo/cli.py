@@ -4,7 +4,8 @@ Each subcommand reads the previous stage's directory and writes its own
 artifacts plus a run manifest, so any stage can be re-run or inspected in
 isolation.  Exit codes: 0 success; 1 usage error (a UsageError, or a
 ValueError from a bad argument); 2 data error (a DataError: input data the
-stage cannot use); 3 collision during simulation (CollisionDetected).
+stage cannot use); 3 collision during simulation (``simulate``'s return
+code, from the first nonpositive gap string_gaps finds; no exception).
 
 Every stage directory, and the top of a ``pipeline`` tree, holds a
 ``manifest.json`` with the fields ``subcommand``, ``config_digest``,
@@ -62,8 +63,9 @@ from .carfollowing import (
     equilibrium_headway,
     linearize_hdv,
     simulate_platoon,
+    string_gaps,
 )
-from .errors import CollisionDetected, DataError
+from .errors import DataError
 from .smoothing import SmoothingConfig, differentiate, smooth_trajectory
 from .stability import (
     ControllerGains,
@@ -121,7 +123,6 @@ _EXITS = {
     UsageError: (EXIT_USAGE, "error"),
     ValueError: (EXIT_USAGE, "error"),
     DataError: (EXIT_DATA, "data error"),
-    CollisionDetected: (EXIT_COLLISION, "collision"),
 }
 
 
@@ -643,22 +644,21 @@ def cmd_simulate(args) -> StageResult:
     # platoon.npz's frames are dt apart
     summary = {"collision": None, "dt": args.dt, "omega": omega, "v_star": v_star,
                "vehicles": len(vehicles) + 1}
-    try:
-        trajs = simulate_platoon(vehicles, profile, v_star, args.duration, dt=args.dt)
-    except CollisionDetected as err:
-        trajs = err.partial
+    trajs = simulate_platoon(vehicles, profile, v_star, args.duration, dt=args.dt)
+    gaps, collision = string_gaps(trajs)
+    if collision:
+        i, k = collision
+        # platoon.npz ends at the collision frame
+        trajs = [replace(tr, positions=tr.positions[: k + 1], speeds=tr.speeds[: k + 1],
+                         accels=tr.accels[: k + 1]) for tr in trajs]
         # vehicle_index counts the summary's per-vehicle lists, vehicle_id platoon.npz's rows
-        summary["collision"] = {"vehicle_index": err.vehicle_index,
-                                "vehicle_id": _table_vehicle_id(err.vehicle_index), "frame": err.frame}
+        summary["collision"] = {"vehicle_index": i, "vehicle_id": _table_vehicle_id(i),
+                                "frame": trajs[0].start_frame + k}
     else:
         amps = _amplitudes(trajs, v_star)
         summary["speed_amplitudes"] = amps
         summary["amplification_vs_leader"] = [a / amps[0] if amps[0] else 0.0 for a in amps]
-        # a gap is the spacing minus the length of the vehicle ahead, as in the collision rule
-        summary["min_gaps"] = [
-            float(np.min(ahead.positions - tr.positions) - VEHICLE_LENGTH)
-            for ahead, tr in zip(trajs, trajs[1:])
-        ]
+        summary["min_gaps"] = gaps.min(axis=0).tolist()
     out = _outdir(args)
     write_canonical_csv(_string_table(trajs), out / "platoon.npz")
     _write_json(out / "simulate_summary.json", summary)

@@ -21,11 +21,12 @@ from stopgo.carfollowing import (
     simulate_followers_batch,
     simulate_platoon,
     simulate_string,
+    string_gaps,
     v_max,
 )
-from stopgo.errors import CollisionDetected, DataError
+from stopgo.errors import DataError
 from stopgo.stability import ControllerGains, LinearizedHdv
-from stopgo.trajectory_io import DT
+from stopgo.trajectory_io import DT, Trajectory
 
 from delayed_linear import follow, linear_row
 
@@ -176,15 +177,15 @@ def test_speed_clamps_at_zero_and_position_holds():
     )
 
 
-def test_collision_raises_with_partial_arrays():
+def test_collision_is_returned_with_every_frame():
     leader = leader_trajectory(PiecewiseProfile(((0.0, 0.0),)), 20.0)
-    with pytest.raises(CollisionDetected) as exc:
-        simulate_string(leader, (THETA,), -2.0 - VEHICLE_LENGTH, 12.0, 0.0)
-    err = exc.value
-    lead_cut, follower_cut = err.partial
-    assert err.vehicle_index == 1  # the follower, behind the leader (0)
-    assert lead_cut.n == follower_cut.n == err.frame + 1
-    assert leader.positions[err.frame] - follower_cut.positions[-1] <= VEHICLE_LENGTH
+    trajs = simulate_string(leader, (THETA,), -2.0 - VEHICLE_LENGTH, 12.0, 0.0)
+    lead, follower = trajs
+    assert lead is leader and follower.n == leader.n
+    gaps, (vehicle, frame) = string_gaps(trajs)
+    assert vehicle == 1  # the follower, behind the leader (0)
+    assert frame < leader.n - 1 and np.all(gaps[:frame] > 0.0)
+    assert leader.positions[frame] - follower.positions[frame] <= VEHICLE_LENGTH
 
 
 def test_batch_matches_scalar_followers():
@@ -243,18 +244,16 @@ def test_platoon_rejects_a_cav_whose_desired_headway_is_nonpositive(lambda3):
         simulate_platoon((THETA, cav), PiecewiseProfile(((0.0, 12.0),)), 12.0, 10.0)
 
 
-def test_platoon_collision_truncates_every_vehicle():
+def test_platoon_collision_keeps_every_vehicle_to_the_end():
     # inert controller keeps cruising into a leader that stops hard
     vehicles = (Cav(ControllerGains(0.001, 0.001, 0.0), 0.0, 20.0),)
     prof = PiecewiseProfile(((0.0, 12.0), (5.0, 0.0)))
-    with pytest.raises(CollisionDetected) as exc:
-        simulate_platoon(vehicles, prof, 12.0, 60.0)
-    err = exc.value
-    assert err.vehicle_index == 1
-    assert isinstance(err.partial, list) and len(err.partial) == 2
-    lengths = {tr.n for tr in err.partial}
-    assert len(lengths) == 1
-    assert err.partial[0].start_frame + err.partial[0].n - 1 == err.frame
+    trajs = simulate_platoon(vehicles, prof, 12.0, 60.0)
+    assert isinstance(trajs, list) and len(trajs) == 2
+    assert {tr.n for tr in trajs} == {601}
+    gaps, (vehicle, frame) = string_gaps(trajs)
+    assert vehicle == 1
+    assert gaps.shape == (601, 1) and frame < 600
 
 
 def _reference_law(vehicle, v_star):
@@ -303,7 +302,7 @@ def _reference_march(vehicles, lead_profile, v_star, duration, dt=DT):
 
 # automated vehicles ahead of and behind human drivers with reaction delays
 # of 0 and 0.5 s, then a 1.3 s driver.  Its delay margin is 0.26 s, so it
-# collides within 30 s and the march is compared up to the collision frame.
+# collides within 30 s and the march is compared through the collision.
 STABLE_STRING = (
     Cav(ControllerGains(0.5, 1.0, 0.5), 0.0, 20.0),
     FvdmParams(1.5, 1.2, 3.0, 20.0, 18.0, 0.08, 0.0),
@@ -325,20 +324,22 @@ def test_string_loop_matches_per_vehicle_march(vehicles, profile):
     gaps = np.array([ahead[0] - behind[0] for ahead, behind in zip(ref, ref[1:])])
     # a collision is a spacing at or below the length of the vehicle ahead
     hits = np.argwhere((gaps <= VEHICLE_LENGTH).T)  # (frame, vehicle - 1), frame-major
-    try:
-        trajs = simulate_platoon(*run)
+    trajs = simulate_platoon(*run)
+    _, hit = string_gaps(trajs)
+    if hit is None:
         assert len(hits) == 0
         end = gaps.shape[1]
-    except CollisionDetected as err:
-        trajs = err.partial
-        assert len(hits) and (err.frame, err.vehicle_index) == (hits[0][0], hits[0][1] + 1)
-        end = err.frame + 1
+    else:
+        vehicle, frame = hit
+        assert len(hits) and (frame, vehicle) == (hits[0][0], hits[0][1] + 1)
+        end = frame + 1
     assert (end < gaps.shape[1]) == (vehicles is MIXED_STRING)
     assert len(trajs) == len(vehicles) + 1
+    # the string, like the march, runs through a collision to the end
     for tr, (x, v, a) in zip(trajs, ref, strict=True):
-        np.testing.assert_array_equal(tr.positions, x[:end])
-        np.testing.assert_array_equal(tr.speeds, v[:end])
-        np.testing.assert_array_equal(tr.accels, a[:end])
+        np.testing.assert_array_equal(tr.positions, x)
+        np.testing.assert_array_equal(tr.speeds, v)
+        np.testing.assert_array_equal(tr.accels, a)
 
 
 @STRING_PROFILES
@@ -363,14 +364,29 @@ def test_collision_names_the_first_frame_of_any_vehicle():
         Cav(ControllerGains(0.3, 0.5, 0.5), 0.0, 20.0),
         FvdmParams(1.0, 1.0, 1.0, 8.0, 20.0, 0.2, 1.5),
     )
-    with pytest.raises(CollisionDetected) as exc:
-        simulate_platoon(vehicles, PiecewiseProfile(((0, 12), (5, 9), (60, 0))), 12.0, 120.0)
-    err, cut = exc.value, exc.value.partial
-    assert (err.vehicle_index, err.frame) == (2, 69)
-    assert len(cut) == len(vehicles) + 1
-    assert all(tr.start_frame + tr.n - 1 == 69 for tr in cut)
-    assert cut[1].positions[-1] - cut[2].positions[-1] <= VEHICLE_LENGTH
-    assert np.all(cut[0].positions - cut[1].positions > VEHICLE_LENGTH)
+    trajs = simulate_platoon(vehicles, PiecewiseProfile(((0, 12), (5, 9), (60, 0))), 12.0, 120.0)
+    gaps, hit = string_gaps(trajs)
+    assert hit == (2, 69)
+    assert len(trajs) == len(vehicles) + 1
+    assert all(tr.start_frame == 0 and tr.n == 1201 for tr in trajs)
+    assert trajs[1].positions[69] - trajs[2].positions[69] <= VEHICLE_LENGTH
+    assert np.all(trajs[0].positions[:70] - trajs[1].positions[:70] > VEHICLE_LENGTH)
+    assert np.all(gaps[:69] > 0.0)  # no gap is nonpositive before frame 69
+
+
+def test_string_gaps_counts_a_spacing_of_one_length_and_names_the_frontmost():
+    """A gap of exactly 0 is a collision; where two vehicles collide on one
+    frame the frontmost is named; a string whose gaps stay positive has none."""
+    def string(*positions):
+        return [Trajectory(7, x, np.zeros(4), np.zeros(4)) for x in positions]
+    lead, middle = [30.0] * 4, [20.0] * 4
+    gaps, hit = string_gaps(string(lead, middle))
+    assert hit is None and np.array_equal(gaps, np.full((4, 1), 5.5))
+    # the last vehicle closes to one length behind the middle one at sample 2
+    gaps, hit = string_gaps(string(lead, middle, [10.0, 12.0, 15.5, 17.0]))
+    assert hit == (2, 2) and gaps[:, 1].tolist() == [5.5, 3.5, 0.0, -1.5]
+    # both followers reach their predecessor at sample 2
+    assert string_gaps(string(lead, [20.0, 20.0, 25.5, 20.0], [10.0, 12.0, 21.0, 10.0]))[1] == (1, 2)
 
 
 def test_collision_is_a_spacing_at_the_length_of_the_vehicle_ahead():
@@ -382,13 +398,13 @@ def test_collision_is_a_spacing_at_the_length_of_the_vehicle_ahead():
     (lead_x, _, _), (cav_x, _, _) = _reference_march(*run)
     through = lead_x - cav_x
     assert (np.argmax(through <= VEHICLE_LENGTH), np.argmax(through <= 0.0)) == (240, 253)
-    with pytest.raises(CollisionDetected) as exc:
-        simulate_platoon(*run)
-    err = exc.value
-    lead, cav = err.partial
-    assert (err.vehicle_index, err.frame) == (1, 240)
-    assert np.array_equal(lead.positions - cav.positions, through[:241])
-    assert lead.speeds[-1] - cav.speeds[-1] == pytest.approx(-3.70, abs=0.005)
+    lead, cav = trajs = simulate_platoon(*run)
+    gaps, hit = string_gaps(trajs)
+    assert hit == (1, 240)
+    assert np.array_equal(lead.positions - cav.positions, through)
+    # a gap is that spacing minus the vehicle length, bit for bit
+    assert np.array_equal(gaps[:, 0], through - VEHICLE_LENGTH)
+    assert lead.speeds[240] - cav.speeds[240] == pytest.approx(-3.70, abs=0.005)
 
 
 def test_unstable_linear_follower_amplifies_matching_transfer_gain():

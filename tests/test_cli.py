@@ -20,7 +20,7 @@ from stopgo import cli
 from stopgo.calibration import GaConfig
 from stopgo.carfollowing import VEHICLE_LENGTH, SinusoidProfile, simulate_platoon
 from stopgo.cli import UsageError, build_parser, main
-from stopgo.errors import CollisionDetected, DataError
+from stopgo.errors import DataError
 from stopgo.smoothing import SmoothingConfig
 from stopgo.stability import FrequencyGrid, LinearizedHdv, platoon_critical_frequency
 from stopgo.trajectory_io import DT, FEET_TO_METERS, MIN_CALIBRATION_SAMPLES, read_canonical_csv
@@ -101,8 +101,7 @@ def test_pipeline_requires_seed(tmp_path):
     (ValueError("bad argument"), 1, "stopgo: error: bad argument"),
     (UsageError("bad flag"), 1, "stopgo: error: bad flag"),
     (DataError("bad data"), 2, "stopgo: data error: bad data"),
-    (CollisionDetected(1, 5), 3, "stopgo: collision: vehicle 1 gap nonpositive at frame 5"),
-], ids=["ValueError", "UsageError", "DataError", "CollisionDetected"])
+], ids=["ValueError", "UsageError", "DataError"])
 def test_each_error_type_has_one_exit_code_and_label(tmp_path, capsys, monkeypatch,
                                                      error, code, label):
     def fail(args):
@@ -801,6 +800,10 @@ def test_simulate_happy_path(chain, tmp_path):
     assert sdoc["dt"] == DT
     table = read_canonical_csv(sim / "platoon.npz")
     assert np.unique(table.vehicle_id).tolist() == list(range(1, 9))
+    # each follower's min_gap is, bit for bit, its least spacing minus a vehicle length
+    assert np.all(table.vehicle_id.reshape(8, -1).T == np.arange(1, 9))  # vehicle by vehicle
+    x = table.local_y.reshape(8, -1)  # one row of positions per vehicle, leader first
+    assert sdoc["min_gaps"] == [float(np.min(x[i - 1] - x[i] - 4.5)) for i in range(1, 8)]
 
 
 def test_simulate_times_follow_its_step(chain, tmp_path):

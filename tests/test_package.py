@@ -43,10 +43,10 @@ def test_every_import_is_used(path):
     assert imported - used == UNUSED_ON_PURPOSE.get(path.name, set())
 
 
-# one type per CLI exit code (ValueError and UsageError 1, DataError 2,
-# CollisionDetected 3), the CLI's SystemExit, and RuntimeError for a root
-# search that does not converge
-ERROR_CLASSES = {"DataError", "CollisionDetected"}
+# one type per CLI error exit code (ValueError and UsageError 1, DataError
+# 2; a collision, exit 3, is a value), the CLI's SystemExit, and RuntimeError
+# for a root search that does not converge
+ERROR_CLASSES = {"DataError"}
 RAISED = ERROR_CLASSES | {"ValueError", "RuntimeError", "SystemExit", "UsageError"}
 
 
