@@ -3,15 +3,15 @@
 A calibrated car-following model linearized about an equilibrium speed gives
 each human-driven vehicle a transfer function from its leader's position
 perturbation to its own.  A platoon amplifies a disturbance when the product
-of those gains exceeds one; the automated vehicle at the head of the string
-is given feedback gains chosen so the combined product stays at or below one
-for as many followers as possible, subject to its own headway staying inside
-a safe band.
+of those gains exceeds one.  The automated vehicle at the head of the string
+gets the grid gains that keep the product at or below one, and its headway
+inside a safe band, for the most followers; optimize_gains turns each count
+level into one bound on (k2 + k3 + k1 lambda2)^2 per gain column.
 
 A gain cell's count of followers is an int: n >= 0 followers, UNBOUNDED_CELL
 (-1) when no follower amplifies, INFEASIBLE_CELL (-2) when the gains are not
 string stable.  A count equal to the platoon length is only a lower bound:
-the scan ran out of followers before the limit (count_record).
+the platoon ran out of followers before the limit (count_record).
 """
 from __future__ import annotations
 
@@ -199,36 +199,17 @@ def delay_margin(lin: LinearizedHdv) -> float:
     return math.atan2(K * wc, lin.k1) / wc
 
 
-def cav_gains_sq(g: ControllerGains, lambda2: float, omega):
-    """(|T_A|^2, |1 - T_A|^2) at frequency omega: T_A takes the automated
-    vehicle's leader's position perturbation to its own (no actuation delay),
-    1 - T_A to its headway deviation.  Each is its exact limit at omega = 0."""
-    w = np.asarray(omega, dtype=float)
-    K = g.k2 + g.k3 + g.k1 * lambda2
-    ww = w * w
-    den = (g.k1 - ww) ** 2 + ww * K * K
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = (g.k1 * g.k1 + ww * g.k3 * g.k3) / den
-        complement = (ww * ww + ww * (g.k2 + g.k1 * lambda2) ** 2) / den
-    if np.any(w == 0.0):  # a spacing gain holds the headway at DC; nan when no gain acts
-        lag = ((g.k3 / K) ** 2, (g.k2 / K) ** 2) if K > 0 else (np.nan, np.nan)
-        dc = (1.0, 0.0) if g.k1 > 0 else lag
-        gain, complement = np.where(w == 0.0, dc[0], gain), np.where(w == 0.0, dc[1], complement)
-    return tuple(float(a) if a.ndim == 0 else a for a in (gain, complement))
-
-
-def cav_string_stable(g: ControllerGains, lambda2: float = 0.0) -> bool:
-    """True when the automated vehicle never amplifies its leader's motion.
-
-    Algebraic criterion equivalent to sup over omega of |T_A| <= 1.
-    """
+def cav_string_stable(k1, k2, k3, lambda2: float = 0.0):
+    """True where gains (k1, k2, k3), scalars or arrays that broadcast, keep the
+    automated vehicle from amplifying its leader's motion: the algebraic
+    criterion equivalent to sup over omega of |T_A| <= 1."""
     lhs = (
-        g.k2 * g.k2
-        + g.k1 * g.k1 * lambda2 * lambda2
-        + 2.0 * g.k2 * g.k3
-        + 2.0 * g.k1 * g.k2 * lambda2
-        + 2.0 * g.k1 * g.k3 * lambda2
-        - 2.0 * g.k1
+        k2 * k2
+        + k1 * k1 * lambda2 * lambda2
+        + 2.0 * k2 * k3
+        + 2.0 * k1 * k2 * lambda2
+        + 2.0 * k1 * k3 * lambda2
+        - 2.0 * k1
     )
     return lhs >= 0.0
 
@@ -313,40 +294,10 @@ def platoon_critical_frequency(lins, grid: FrequencyGrid | None = None) -> float
     return lowest_critical_frequency(numeric_critical_frequency(lin, grid) for lin in dict.fromkeys(lins))
 
 
-def _scan_count(head_log: np.ndarray, running_max: np.ndarray, n_vehicles: int) -> int:
-    """First-crossing count shared by the stabilization and safety counts.
-
-    head_log is the head term per frequency; running_max[n] is R_n, the
-    running maximum over m <= n of log_cum[m], the cumulative sum of the
-    first m follower log-gains (row 0 is zeros).  The count is the largest n
-    for which head_log + log_cum[m] stays nonpositive at every frequency for
-    every m <= n; n_vehicles means the platoon ran out first.
-
-    Some m <= n fails at some frequency exactly when max(head_log + R_n) > 0:
-    rounding is monotone, so the rounded head_log + R_n is the largest of the
-    rounded head_log + log_cum[m].  R_n is nondecreasing in n, so after the
-    head term alone (n = 0) and n = n_vehicles the count is bisected, in at
-    most 2 + ceil(log2 n_vehicles) passes.  A NaN sum never fails, as in
-    np.any(sum > 0): fmax skips NaNs where np.maximum would propagate them.
-    """
-    total = np.empty_like(head_log)
-    fmax = np.fmax.reduce
-
-    def fails(n: int) -> bool:
-        return fmax(np.add(head_log, running_max[n], total)) > 0.0
-
-    if fmax(head_log) > 0.0:
-        return 0
-    if not fails(n_vehicles):
-        return n_vehicles
-    ok, bad = 0, n_vehicles  # the count lies in [ok, bad)
-    while bad - ok > 1:
-        mid = (ok + bad) // 2
-        if fails(mid):
-            bad = mid
-        else:
-            ok = mid
-    return ok
+def _levels_cleared(k_sq: np.ndarray, bounds) -> np.ndarray:
+    """Per gain cell, how many levels' bounds (frequency last) K^2 = k_sq
+    reaches.  np.fmax skips NaNs: a NaN bound never fails, +inf always does."""
+    return sum(~(np.fmax.reduce(bound, axis=-1) > k_sq) for bound in bounds)
 
 
 def _log_gain_cumsum(lins, omegas: np.ndarray) -> np.ndarray:
@@ -358,24 +309,6 @@ def _log_gain_cumsum(lins, omegas: np.ndarray) -> np.ndarray:
 def peak_gain_frequency(lins, omegas: np.ndarray) -> float:
     """The frequency in omegas that the string of followers lins amplifies most."""
     return float(omegas[int(np.argmax(_log_gain_cumsum(lins, omegas)[-1]))])
-
-
-def _cell_counter(lins, fgrid: FrequencyGrid, eta: float, lambda2: float):
-    """The function g -> (stable, safe) counts of a string-stable gain cell:
-    unbounded when no follower is string unstable, else evaluated on the
-    frequency grid truncated at the platoon critical frequency."""
-    w0 = platoon_critical_frequency(lins, fgrid)
-    if w0 == 0.0:
-        return lambda g: (UNBOUNDED_CELL, UNBOUNDED_CELL)
-    omegas = fgrid.values(top=w0)
-    running_max = np.fmax.accumulate(_log_gain_cumsum(lins, omegas), axis=0)
-    n, log_eta = len(lins), math.log(eta)
-
-    def counts(g: ControllerGains) -> tuple[int, int]:
-        gain, complement = cav_gains_sq(g, lambda2, omegas)
-        return (_scan_count(0.5 * np.log(gain), running_max, n),
-                _scan_count(0.5 * np.log(complement) - log_eta, running_max, n))
-    return counts
 
 
 def headway_slack(eq: EquilibriumSpec, headway_min: float, headway_max: float,
@@ -421,12 +354,16 @@ def optimize_gains(
     grid: GainGridSpec | None = None,
     freq_grid: FrequencyGrid | None = None,
 ) -> GainSearchResult:
-    """Exhaustive gain-grid search maximizing the usable platoon length.
+    """Gain-grid search maximizing the usable platoon length.
 
-    Every feasible grid cell (nonnegative gains passing the string-stability
-    criterion) is scored with the stabilization count and the safety count;
-    the objective is lexicographic: first max of min(stable, safe), then max
-    stable.  Ties go to the first such cell in (k1, k2, k3) order.
+    A feasible cell (gains passing cav_string_stable) counts the levels
+    c = 1..N at which |T_A|^2 <= B_c (stable) or |1 - T_A|^2 <= eta^2 B_c
+    (safe) at each grid frequency up to the platoon critical one, where
+    B_c = exp(-2 R_c) and R_c, the running max of the first c followers'
+    summed log-gains, never falls.  A level bounds K^2 = (k2 + k3 + k1
+    lambda2)^2 once per k1 and k3 (stable) or k2 (safe).  The objective is
+    lexicographic: first max of min(stable, safe), then max stable.  Ties go
+    to the first such cell in (k1, k2, k3) order.
 
     Args:
         lins: linearized followers the automated vehicle must handle.
@@ -442,18 +379,22 @@ def optimize_gains(
     fgrid = freq_grid or FrequencyGrid()
     eta = headway_slack(eq, headway_min, headway_max, disturbance_beta)
 
-    k1s, k2s, k3s = gspec.k1_values, gspec.k2_values, gspec.k3_values
-    shape = (len(k1s), len(k2s), len(k3s))
-    stable_grid = np.full(shape, INFEASIBLE_CELL, dtype=int)
-    safe_grid = np.full(shape, INFEASIBLE_CELL, dtype=int)
-
-    counts = _cell_counter(lins, fgrid, eta, eq.lambda2)
-    for i, k1 in enumerate(k1s):
-        for j, k2 in enumerate(k2s):
-            for l, k3 in enumerate(k3s):
-                g = ControllerGains(k1, k2, k3)
-                if cav_string_stable(g, eq.lambda2):
-                    stable_grid[i, j, l], safe_grid[i, j, l] = counts(g)
+    k2, k3 = np.array(gspec.k2_values)[:, None], np.array(gspec.k3_values)  # a k1 slice's rows, columns
+    feasible = cav_string_stable(np.array(gspec.k1_values)[:, None, None], k2, k3, eq.lambda2)
+    stable_grid, safe_grid = np.full((2, *feasible.shape), UNBOUNDED_CELL)
+    w0 = platoon_critical_frequency(lins, fgrid)
+    if w0 > 0.0:
+        omegas = fgrid.values(top=w0)
+        ww = omegas * omegas
+        budgets = np.exp(-2.0 * np.fmax.accumulate(_log_gain_cumsum(lins, omegas), axis=0)[1:])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for i, k1 in enumerate(gspec.k1_values):
+                k_sq, lag = (k2 + k3 + k1 * eq.lambda2) ** 2, (k1 - ww) ** 2
+                gain_num = k1 * k1 + ww * (k3 * k3)[:, None]  # per k3 and frequency
+                comp_num = ww * (ww + ((k2 + k1 * eq.lambda2) ** 2)[..., None])  # per k2, 1, frequency
+                for out, num, scale in ((stable_grid, gain_num, 1.0), (safe_grid, comp_num, eta * eta)):
+                    out[i] = _levels_cleared(k_sq, ((num / (scale * b) - lag) / ww for b in budgets))
+    stable_grid[~feasible] = safe_grid[~feasible] = INFEASIBLE_CELL
     return GainSearchResult(gspec, eta, stable_grid, safe_grid, _best_index(stable_grid, safe_grid))
 
 

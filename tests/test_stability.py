@@ -1,6 +1,7 @@
 """Frequency-domain string-stability analysis tests."""
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -28,10 +29,8 @@ from stopgo.stability import (
     LinearizedHdv,
     _best_index,
     _brent_root,
-    _cell_counter,
+    _levels_cleared,
     _log_gain_cumsum,
-    _scan_count,
-    cav_gains_sq,
     cav_string_stable,
     count_record,
     delay_margin,
@@ -67,6 +66,25 @@ def _complex_cav(g, lambda2, om):
     s = 1j * np.asarray(om, dtype=float)
     K = g.k2 + g.k3 + g.k1 * lambda2
     return (g.k1 + s * g.k3) / (s * s + s * K + g.k1)
+
+
+def cav_gains_sq(g: ControllerGains, lambda2: float, omega):
+    """(|T_A|^2, |1 - T_A|^2) at frequency omega: T_A takes the automated
+    vehicle's leader's position perturbation to its own (no actuation delay),
+    1 - T_A to its headway deviation.  Each is its exact limit at omega = 0.
+    The reference per-cell evaluation that optimize_gains' bounds replace."""
+    w = np.asarray(omega, dtype=float)
+    K = g.k2 + g.k3 + g.k1 * lambda2
+    ww = w * w
+    den = (g.k1 - ww) ** 2 + ww * K * K
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = (g.k1 * g.k1 + ww * g.k3 * g.k3) / den
+        complement = (ww * ww + ww * (g.k2 + g.k1 * lambda2) ** 2) / den
+    if np.any(w == 0.0):  # a spacing gain holds the headway at DC; nan when no gain acts
+        lag = ((g.k3 / K) ** 2, (g.k2 / K) ** 2) if K > 0 else (np.nan, np.nan)
+        dc = (1.0, 0.0) if g.k1 > 0 else lag
+        gain, complement = np.where(w == 0.0, dc[0], gain), np.where(w == 0.0, dc[1], complement)
+    return tuple(float(a) if a.ndim == 0 else a for a in (gain, complement))
 
 
 def _closed_hdv_gain_sq(lin, w):
@@ -187,12 +205,17 @@ def test_complement_matches_complex_reference():
 
 def test_cav_string_stable_closed_form_cases():
     # stable iff (k2 + k3 + k1 lam2)^2 - k3^2 - 2 k1 >= 0
-    assert cav_string_stable(ControllerGains(0.0, 0.02, 2.0))  # k1 = 0 always holds
-    assert cav_string_stable(ControllerGains(0.5, 0.9, 0.2))
-    assert not cav_string_stable(ControllerGains(5.0, 0.1, 0.1))
+    assert cav_string_stable(0.0, 0.02, 2.0)  # k1 = 0 always holds
+    assert cav_string_stable(0.5, 0.9, 0.2)
+    assert not cav_string_stable(5.0, 0.1, 0.1)
     # lam2 enlarges the effective speed gain and can rescue a cell
-    assert not cav_string_stable(ControllerGains(2.0, 0.5, 0.5), 0.0)
-    assert cav_string_stable(ControllerGains(2.0, 0.5, 0.5), 1.5)
+    assert not cav_string_stable(2.0, 0.5, 0.5, 0.0)
+    assert cav_string_stable(2.0, 0.5, 0.5, 1.5)
+    # on arrays it is the scalar rule cell by cell
+    k1, k2 = np.array([0.0, 0.5, 5.0, 2.0]), np.array([0.1, 0.5, 0.9])
+    want = [[cav_string_stable(float(a), float(b), 0.2, 0.5) for b in k2] for a in k1]
+    assert {True, False} <= set(np.ravel(want))
+    np.testing.assert_array_equal(cav_string_stable(k1[:, None], k2, 0.2, 0.5), want)
 
 
 def test_cav_string_stable_matches_numeric_sup():
@@ -205,7 +228,7 @@ def test_cav_string_stable_matches_numeric_sup():
         )
         lam2 = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
         sup = np.max(cav_gains_sq(g, lam2, DEFAULT_OMEGAS)[0])
-        assert cav_string_stable(g, lam2) == (sup <= 1.0 + 1e-9)
+        assert cav_string_stable(g.k1, g.k2, g.k3, lam2) == (sup <= 1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +418,13 @@ def test_peak_gain_frequency_maximizes_the_string_gain():
 
 def _counts(g, lins, eta):
     """(stable, safe) counts of one string-stable gain cell on the default
-    frequency grid, with lambda2 = 0."""
-    return _cell_counter(lins, FrequencyGrid(), eta, 0.0)(g)
+    frequency grid, with lambda2 = 0: a search of the one-cell grid whose
+    band (eta, inf) around a desired headway of 2 eta, disturbed by 1 m,
+    gives the margin eta exactly."""
+    one_cell = GainGridSpec((g.k1,), (g.k2,), (g.k3,))
+    res = optimize_gains(lins, EquilibriumSpec(0.0, 0.0, 2.0 * eta), eta, math.inf, 1.0, grid=one_cell)
+    assert res.eta == eta
+    return res.best_stable, res.best_safe
 
 
 def test_counts_unbounded_when_no_follower_amplifies():
@@ -512,7 +540,7 @@ def test_counts_match_direct_product_scan():
                 float(rng.uniform(0.1, 1.8)),
                 float(rng.uniform(0.02, 1.0)),
             )
-            if cav_string_stable(g, 0.0):
+            if cav_string_stable(g.k1, g.k2, g.k3, 0.0):
                 break
         eta = float(rng.uniform(0.5, 5.0))
         assert _counts(g, lins, eta) == _brute_force_counts(g, lins, eta, fgrid)
@@ -549,7 +577,7 @@ def test_optimize_gains_singleton_grid():
     assert res.best_gains == ControllerGains(0.0, 1.0, 0.5)
     assert res.eta == pytest.approx(5.0 / 3.0)
     g = ControllerGains(0.0, 1.0, 0.5)
-    assert (res.best_stable, res.best_safe) == _counts(g, lins, res.eta)
+    assert (res.best_stable, res.best_safe) == _brute_force_counts(g, lins, res.eta, FrequencyGrid())
     assert res.n_stable_grid.shape == (1, 1, 1)
 
 
@@ -625,8 +653,8 @@ def test_optimize_gains_pinned_on_a_string_unstable_fleet():
 
 def _linear_scan_count(head_log, log_cum, n_vehicles):
     """The count by a linear scan: try n = 1, 2, ... until head_log +
-    log_cum[n] turns positive somewhere.  _scan_count's former loop, the
-    reference for its bisection on running maxima."""
+    log_cum[n] turns positive somewhere; the reference for optimize_gains'
+    count levels."""
     if np.any(head_log > 0.0):
         return 0
     for n in range(1, n_vehicles + 1):
@@ -649,7 +677,7 @@ def _linear_scan_search(lins, eq, headway_min, headway_max, beta, grid, fgrid):
     at_zero = 0
     for index in np.ndindex(stable.shape):
         g = ControllerGains(*(axis[i] for axis, i in zip(axes, index)))
-        if not cav_string_stable(g, eq.lambda2):
+        if not cav_string_stable(g.k1, g.k2, g.k3, eq.lambda2):
             continue
         if w0 == 0.0:
             stable[index] = safe[index] = UNBOUNDED_CELL
@@ -662,9 +690,9 @@ def _linear_scan_search(lins, eq, headway_min, headway_max, beta, grid, fgrid):
 
 
 @pytest.mark.parametrize("fleet", ["readme", "reaches-the-platoon-length", "unbounded",
-                                   "fails-at-zero"])
+                                   "fails-at-zero", "budgets-underflow"])
 def test_bisected_counts_match_the_linear_scan(fleet):
-    """Count grids and best cell bit for bit against the linear scan."""
+    """Count grids and best cell against the linear scan, cell for cell."""
     readme = _synthetic_linearization()[0]
     lins, eq, band, grid, fgrid = {
         # the README example's driver cycled to 20, on two k1 slices of the default grid
@@ -677,6 +705,10 @@ def test_bisected_counts_match_the_linear_scan(fleet):
         # a narrow safe band: |1 - T_A| alone exceeds the margin at some frequency
         "fails-at-zero": (PINNED_FLEET, EquilibriumSpec(12.0, 0.0, 20.0), (19.5, 20.5),
                           PINNED_GRID, FrequencyGrid(points=1000)),
+        # a hundred lightly damped drivers: the budget exp(-2 R_c) underflows to 0
+        # near their resonance, so the bounds divide by zero and overflow
+        "budgets-underflow": ([LinearizedHdv(100.0, 0.05, 0.0)] * 100, EquilibriumSpec(12.0, 0.0, 20.0),
+                              (14.0, 26.0), PINNED_GRID, FrequencyGrid(points=1000)),
     }[fleet]
     res = optimize_gains(lins, eq, *band, 3.0, grid=grid, freq_grid=fgrid)
     stable, safe, best, at_zero = _linear_scan_search(lins, eq, *band, 3.0, grid, fgrid)
@@ -684,30 +716,104 @@ def test_bisected_counts_match_the_linear_scan(fleet):
     np.testing.assert_array_equal(res.n_safe_grid, safe)
     assert res.best_index == best
     cells = np.concatenate([stable.ravel(), safe.ravel()])
-    assert {"readme": (cells > 0).any(),
-            "reaches-the-platoon-length": (cells == len(lins)).any(),
-            "unbounded": (cells == UNBOUNDED_CELL).any() and not (cells >= 0).any(),
-            "fails-at-zero": at_zero > 0}[fleet]
+    if fleet == "budgets-underflow":
+        omegas = fgrid.values(top=platoon_critical_frequency(lins, fgrid))
+        assert np.exp(-2.0 * _log_gain_cumsum(lins, omegas)).min() == 0.0
+    else:
+        assert {"readme": (cells > 0).any(),
+                "reaches-the-platoon-length": (cells == len(lins)).any(),
+                "unbounded": (cells == UNBOUNDED_CELL).any() and not (cells >= 0).any(),
+                "fails-at-zero": at_zero > 0}[fleet]
 
 
-def test_scan_count_matches_the_linear_scan_through_infinities_and_nans():
-    """A NaN sum never fails, a -inf head term never fails and a +inf one
-    always does, as in the linear scan's np.any(sum > 0)."""
+def _random_fleet_search(seed):
+    """A seeded random search on a 3 x 5 x 5 gain grid.  seed % 4 picks the
+    kind: a mixed fleet, string-stable drivers only (unbounded), one to three
+    mildly unstable drivers (the counts reach the platoon length) or a mixed
+    fleet in a narrow safe band (counts that fail at n = 0)."""
+    rng = np.random.default_rng(1000 + seed)
+    kind = seed % 4
+
+    def driver(unstable):
+        if unstable:
+            return LinearizedHdv(float(rng.uniform(1.0, 3.0)), float(rng.uniform(0.3, 1.2)),
+                                 float(rng.uniform(0.0, 0.4)), float(rng.uniform(0.0, 0.6)))
+        return LinearizedHdv(float(rng.uniform(0.2, 1.0)), float(rng.uniform(1.5, 2.5)),
+                             float(rng.uniform(0.2, 1.0)))
+
+    if kind == 2:
+        lins = [LinearizedHdv(float(rng.uniform(1.0, 1.3)), 1.0, 0.4)
+                for _ in range(int(rng.integers(1, 4)))]
+    else:
+        lins = [driver(kind != 1 and rng.uniform() < 0.7) for _ in range(int(rng.integers(2, 13)))]
+    eq = EquilibriumSpec(12.0, float(rng.choice([0.0, rng.uniform(0.2, 1.5)])), 20.0)
+    half = 0.4 if kind == 3 else float(rng.uniform(3.0, 10.0))
+    band = (eq.desired_headway - half, eq.desired_headway + half)
+    lo2, lo3 = float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.02, 0.5))
+    grid = GainGridSpec(gain_axis(0.0, 1.0, 0.5), gain_axis(lo2, lo2 + 1.6, 0.4),
+                        gain_axis(lo3, lo3 + 1.2, 0.3))
+    fgrid = FrequencyGrid(points=300)
+    return lins, eq, band, grid, fgrid
+
+
+def test_counts_of_random_fleets_match_the_linear_scan():
+    """Twenty-four seeded fleets, with and without a headway slope lambda2,
+    against the linear scan cell for cell; between them every kind of count
+    occurs."""
+    seen = set()
+    for seed in range(24):
+        lins, eq, band, grid, fgrid = _random_fleet_search(seed)
+        res = optimize_gains(lins, eq, *band, 3.0, grid=grid, freq_grid=fgrid)
+        stable, safe, best, at_zero = _linear_scan_search(lins, eq, *band, 3.0, grid, fgrid)
+        np.testing.assert_array_equal(res.n_stable_grid, stable, err_msg=f"seed {seed}")
+        np.testing.assert_array_equal(res.n_safe_grid, safe, err_msg=f"seed {seed}")
+        assert res.best_index == best
+        cells = np.concatenate([stable.ravel(), safe.ravel()])
+        seen |= {("lambda2 > 0", eq.lambda2 > 0.0 and (cells > 0).any()),
+                 ("unbounded", (cells == UNBOUNDED_CELL).any()),
+                 ("platoon length", (cells == len(lins)).any()),
+                 ("fails at zero", at_zero > 0)}
+    assert {name for name, hit in seen if hit} == {"lambda2 > 0", "unbounded", "platoon length",
+                                                   "fails at zero"}
+
+
+def test_optimize_gains_pinned_on_the_readme_fleet():
+    """The README example's fitted driver cycled to 20 on the full default
+    grid: the sha256 of both count grids and the best cell.  The linear scan
+    is too slow to be the reference at this size; the digests were recorded
+    from the per-cell search that the count levels replaced."""
+    lins = [LinearizedHdv(144.46487849152874, 1.0, 10.0)] * 20
+    res = optimize_gains(lins, EquilibriumSpec(12.0, 0.0, 20.0), 10.0, 30.0, 3.0)
+    digest = lambda grid: hashlib.sha256(np.ascontiguousarray(grid, dtype=np.int64).tobytes()).hexdigest()
+    assert digest(res.n_stable_grid) == "a2b9eb9c2a4186beabfa7dfcb540d86004355701043284a26e2d7b6bffe60a40"
+    assert digest(res.n_safe_grid) == "838b4caf25a6f39b8f0684b02f82fce60f7fa2caa65c1ec3eb32333a36118872"
+    assert res.best_index == (0, 0, 0)
+    assert res.best_gains == ControllerGains(0.0, 0.02, 0.02)
+    assert (res.best_stable, res.best_safe) == (15, 3)
+
+
+def test_levels_cleared_matches_the_linear_scan_through_infinities_and_nans():
+    """A level fails where some bound exceeds K^2: a NaN bound never fails, a
+    -inf one never does and a +inf one always does, as in the linear scan's
+    np.any(bound > K^2); a bound equal to K^2 passes."""
     rng = np.random.default_rng(24)
     special = np.array([-np.inf, np.inf, np.nan])
     for _ in range(2000):
-        n_vehicles, points = int(rng.integers(0, 9)), int(rng.integers(1, 6))
-        head = rng.normal(-4.0, 2.0, points)
-        logs = rng.normal(0.5, 1.0, (n_vehicles + 1, points))
-        logs[0] = 0.0
-        for values in (head, logs[1:]):
-            hit = rng.uniform(size=values.shape) < 0.04
-            values[hit] = rng.choice(special, int(hit.sum()))
-        with np.errstate(invalid="ignore"):  # inf - inf
-            log_cum = np.cumsum(logs, axis=0)
-            want = _linear_scan_count(head, log_cum, n_vehicles)
-            got = _scan_count(head, np.fmax.accumulate(log_cum, axis=0), n_vehicles)
-        assert got == want
+        n_levels, cells, points = int(rng.integers(0, 9)), int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        bounds = rng.normal(0.0, 2.0, (n_levels, cells, points))
+        hit = rng.uniform(size=bounds.shape) < 0.1
+        bounds[hit] = rng.choice(special, int(hit.sum()))
+        k_sq = rng.normal(0.0, 2.0, cells)
+        if n_levels:  # ties with some level's bound
+            tie = rng.uniform(size=cells) < 0.3
+            k_sq[tie] = bounds[int(rng.integers(n_levels)), tie, 0]
+        want = [sum(not np.any(level[j] > k_sq[j]) for level in bounds) for j in range(cells)]
+        np.testing.assert_array_equal(_levels_cleared(k_sq, iter(bounds)), want)
+    # a budget B_c of 0 (R_c = +inf) makes a zero numerator, a head term of
+    # -inf, a NaN bound that never fails, and any other numerator +inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bounds = (np.array([[0.0], [2.0]]) / 0.0 - 1.0) / 0.5
+    np.testing.assert_array_equal(_levels_cleared(np.array([0.5, 0.5]), [bounds]), [1, 0])
 
 
 def test_optimize_gains_marks_infeasible_cells():
