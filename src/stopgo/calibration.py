@@ -147,16 +147,11 @@ def _batches(gas, size: int):
     """The pair GAs to integrate in one kernel call, longest pairs first.  A
     call's rows times columns (its longest window times size columns per
     pair) stay within _BATCH_CELLS; a pair larger than that runs alone."""
-    batch, rows = [], 0
-    for ga in sorted(gas, key=lambda ga: -ga.n):
-        if batch and rows * size * (len(batch) + 1) > _BATCH_CELLS:
-            yield batch
-            batch = []
-        if not batch:
-            rows = ga.n
-        batch.append(ga)
-    if batch:
-        yield batch
+    gas = sorted(gas, key=lambda ga: -ga.n)
+    while gas:
+        cut = max(1, _BATCH_CELLS // (gas[0].n * size))
+        yield gas[:cut]
+        gas = gas[cut:]
 
 
 def _score_batch(table: TrajectoryTable, batch, size: int) -> None:

@@ -718,6 +718,8 @@ def _owned_by(cls, field: str, parse=_number(int)):
 
 def _directory(text: str) -> str:
     """Check that text names a directory, or a path where one can be made."""
+    if not text:  # Path("") is the working directory
+        raise ValueError("must name a directory, not an empty path")
     existing = next(p for p in (Path(text), *Path(text).parents) if p.exists())
     if not existing.is_dir():
         raise ValueError(f"must name a directory, but {existing} is not one")

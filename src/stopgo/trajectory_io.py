@@ -26,7 +26,6 @@ import math
 import tokenize
 import warnings
 import zipfile
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -110,15 +109,6 @@ def _header(fh) -> list[str]:
     return [h.strip().lower() for h in next(csv.reader([line]), [])]
 
 
-@contextmanager
-def _decoded(fh):
-    """Raise a DataError naming fh's file for bytes it cannot decode."""
-    try:
-        yield
-    except UnicodeDecodeError as err:
-        raise DataError(f"{getattr(fh, 'name', 'input')} is not {err.encoding} text: {err.reason}") from None
-
-
 def _is_blank(line: str) -> bool:
     return not line.replace(",", "").strip()
 
@@ -199,12 +189,14 @@ def parse_ngsim_csv(fh, units: str = "meters") -> TrajectoryTable:
         raise ValueError("units must be 'meters' or 'feet'")
     scale = FEET_TO_METERS if units == "feet" else 1.0
 
-    with _decoded(fh):
+    try:
         col = {h: i for i, h in enumerate(_header(fh))}
         for name in _REQUIRED_COLUMNS:
             if name not in col:
                 raise DataError(f"required column missing: {name}")
         return _read_table(fh, [col[name] for name in _REQUIRED_COLUMNS], _REQUIRED_COLUMNS, scale)
+    except UnicodeDecodeError as err:
+        raise DataError(f"{getattr(fh, 'name', 'input')} is not {err.encoding} text: {err.reason}") from None
 
 
 _TABLE_DTYPES = {f.name: np.dtype("i8" if f.name in _INT_COLUMNS else "f8") for f in fields(TrajectoryTable)}

@@ -136,6 +136,17 @@ def test_out_that_is_not_a_directory_fails_while_parsing(tmp_path, capsys, chain
     assert sorted(tmp_path.iterdir()) == [taken]
 
 
+def test_empty_out_fails_while_parsing(tmp_path, capsys, monkeypatch):
+    """Path("") is the working directory, so an empty --out would write there."""
+    monkeypatch.chdir(tmp_path)
+    for head in (["ingest", "--input", "synthetic", "--seed", 1],
+                 ["pipeline", "--input", "synthetic", "--seed", 1]):
+        assert run(*head, "--out", "") == 1, head[0]
+        assert capsys.readouterr().err == (
+            "stopgo: error: --out must name a directory, not an empty path\n"), head[0]
+    assert not list(tmp_path.iterdir())
+
+
 def test_ingest_synthetic_artifacts(ingested):
     assert (ingested / "trajectories.npz").exists()
     summary = _read_json(ingested / "ingest_summary.json")
@@ -1186,9 +1197,16 @@ def test_pipeline_forwards_each_flag_to_its_stage(tmp_path):
     assert _read_json(out / "07_validate" / "simulate_summary.json")["omega"] == 0.5
 
 
+def _files_but_manifests(root: Path) -> dict:
+    """Every file under root but a manifest.json, relative path -> bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+            if p.is_file() and p.name != "manifest.json"}
+
+
 def test_stage_alone_records_the_pipeline_digest(tmp_path):
     """Each stage run alone on the pipeline's previous directory, with the
-    flags the pipeline passed it, hashes to the pipeline's config_digest."""
+    flags the pipeline passed it, hashes to the pipeline's config_digest and
+    writes the pipeline's files byte for byte, manifests aside."""
     ga = ["--seed", 5, "--population", 12, "--generations", 4, "--stagnation", 4]
     own = {
         "ingest": ["--seed", 5],
@@ -1205,6 +1223,7 @@ def test_stage_alone_records_the_pipeline_digest(tmp_path):
         assert run(stage.name, "--input", stage_input, *own.get(stage.name, []), "--out", alone) == 0
         digest = _read_json(alone / "manifest.json")["config_digest"]
         assert digest == _read_json(pipe / stage.dirname / "manifest.json")["config_digest"], stage.name
+        assert _files_but_manifests(alone) == _files_but_manifests(pipe / stage.dirname), stage.name
         stage_input = pipe / stage.dirname
 
 

@@ -691,7 +691,7 @@ def _linear_scan_search(lins, eq, headway_min, headway_max, beta, grid, fgrid):
 
 @pytest.mark.parametrize("fleet", ["readme", "reaches-the-platoon-length", "unbounded",
                                    "fails-at-zero", "budgets-underflow"])
-def test_bisected_counts_match_the_linear_scan(fleet):
+def test_counts_match_the_linear_scan(fleet):
     """Count grids and best cell against the linear scan, cell for cell."""
     readme = _synthetic_linearization()[0]
     lins, eq, band, grid, fgrid = {
